@@ -13,22 +13,20 @@ Typical use::
     family = build_table1()
     print(regression_report(family).summary_lines())
 
-or from a spec file::
+or from a spec file, reading single stages from one lazy pipeline::
 
-    from nordenlab import parse_spec, compute_report
+    from nordenlab import Geometry, parse_spec
 
-    algebra = parse_spec("my_algebra.spec")
-    report = compute_report(algebra)
+    geo = Geometry(parse_spec("my_algebra.spec"))
+    print(geo.flags.label(), geo.ricci_and_tau[1])
 """
 
 from .curvature import (
     ConnectionCoeffs,
     PlaneSpec,
-    Tensor4,
     coordinate_plane,
     curvature_R,
     curvature_invariant_formula,
-    is_isotropic_kahler,
     is_locally_symmetric,
     levi_civita,
     nabla_R,
@@ -65,23 +63,22 @@ from .lie import (
     format_vector,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vector,
 )
-from .linalg import PolyMatrix, RationalMatrix, mat_inverse, rational_rank, signature
+from .linalg import PolyMatrix, RationalMatrix, rational_rank, signature
 from .norden import (
     AlmostNordenAlgebra,
     ClassFlags,
     Covector,
-    Tensor3,
+    Tensor,
     check_norden,
     default_J,
     default_metric,
 )
-from .poly import Poly, as_fraction, as_poly, format_poly, parse_poly, poly_sum
-from .report import GeometryReport, ReportDocument, compute_report, document_for
-from .specfile import AlgebraSpecFile, emit_spec, parse_spec, parse_spec_text, spec_equal
+from .poly import Poly, as_fraction, as_poly, format_poly, parse_poly
+from .report import Geometry, GeometryReport, ReportDocument, compute_report, document_for
+from .specfile import AlgebraSpecFile, emit_spec, parse_spec, parse_spec_text
 
 __version__ = "0.1.0"
 
@@ -95,6 +92,7 @@ __all__ = [
     "DegenerateFormError",
     "DegeneratePlaneError",
     "DimensionMismatchError",
+    "Geometry",
     "GeometryReport",
     "LieAlgebra",
     "NonSymmetricMatrixError",
@@ -112,8 +110,7 @@ __all__ = [
     "SpecFileError",
     "StructureError",
     "Table1Family",
-    "Tensor3",
-    "Tensor4",
+    "Tensor",
     "Vector",
     "as_fraction",
     "as_poly",
@@ -130,27 +127,22 @@ __all__ = [
     "emit_spec",
     "format_poly",
     "format_vector",
-    "is_isotropic_kahler",
     "is_locally_symmetric",
     "levi_civita",
-    "mat_inverse",
     "nabla_R",
     "parse_poly",
     "parse_spec",
     "parse_spec_text",
     "plane_discriminant",
     "plane_type",
-    "poly_sum",
     "rational_rank",
     "regression_report",
     "ricci_and_scalar",
     "sectional_curvature",
     "signature",
-    "spec_equal",
     "square_norm_nabla_J",
     "vec_add",
     "vec_is_zero",
-    "vec_scale",
     "vec_sub",
     "zero_vector",
 ]

@@ -22,13 +22,12 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .curvature import curvature_R, levi_civita, ricci_and_scalar
 from .errors import NordenLabError
 from .family import Table1Family, build_table1, check_eq22, regression_report
 from .lie import format_vector
 from .norden import AlmostNordenAlgebra
-from .report import ReportDocument, compute_report, document_for
-from .specfile import emit_spec, parse_spec
+from .report import Geometry, document_for
+from .specfile import RATIONAL, emit_spec, parse_spec
 
 _MAX_SHOWN_VIOLATIONS = 5
 
@@ -104,11 +103,10 @@ def _parse_assignment(text: str,
                             f"(parameters: {', '.join(params) or 'none'})")
         if name in values:
             raise _CliError(f"--eval assigns {name!r} twice")
-        try:
-            values[name] = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        if not RATIONAL.match(raw):
             raise _CliError(f"--eval value for {name!r} is not a "
-                            f"rational number: {raw!r}") from exc
+                            f"rational number p or p/q: {raw!r}")
+        values[name] = Fraction(raw)
     missing = [p for p in params if p not in values]
     if missing:
         raise _CliError("--eval must assign every parameter; missing: "
@@ -191,21 +189,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a = _algebra_of(_resolve(args))
-    flags = a.classify()
-    theta = a.lie_form()
-    print(flags.label())
+    geo = Geometry(_algebra_of(_resolve(args)))
+    print(geo.flags.label())
     print("  ".join(f"{name}={'true' if value else 'false'}"
-                    for name, value in flags.as_dict().items()))
-    print(f"lie form theta: {format_vector(theta)}")
+                    for name, value in geo.flags.as_dict().items()))
+    print(f"lie form theta: {format_vector(geo.theta)}")
     return 0
 
 
 def cmd_curvature(args) -> int:
-    a = _algebra_of(_resolve(args))
-    conn = levi_civita(a)
-    R = curvature_R(a, conn)
-    dim = a.dim
+    geo = Geometry(_algebra_of(_resolve(args)))
+    dim = geo.algebra.dim
 
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
@@ -216,26 +210,24 @@ def cmd_curvature(args) -> int:
                 for l in range(k + 1, dim + 1):
                     if (k, l) < (i, j):
                         continue
-                    value = R.component(i, j, k, l)
+                    value = geo.R.component(i, j, k, l)
                     if value.terms:
                         print(f"  R({i},{j},{k},{l}) = {value}")
                         shown += 1
     if not shown:
         print("  (all components vanish)")
 
-    rho, tau = ricci_and_scalar(a, R)
+    rho, tau = geo.ricci_and_tau
     print("ricci:")
     for row in rho.grid:
         print("  " + "  ".join(str(v) for v in row))
     print(f"tau: {tau}")
 
-    doc = ReportDocument.from_report(compute_report(a))
     print("sectional curvatures:")
-    for entry in doc.sectional:
-        value = entry["k"]
+    for pid, ptype, value in geo.sectional:
         shown_value = ("undefined (degenerate plane)" if value is None
                        else value)
-        print(f"  {entry['plane']}  {entry['type']}  {shown_value}")
+        print(f"  {pid}  {ptype}  {shown_value}")
     return 0
 
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .lie import Vector, vec_sub
 from .linalg import PolyMatrix, rational_rank
-from .norden import AlmostNordenAlgebra, Tensor3
-from .poly import Poly, RationalLike, as_fraction
+from .norden import AlmostNordenAlgebra, Tensor
+from .poly import Poly, as_fraction
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -129,64 +129,7 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     return ConnectionCoeffs(a.params, coeffs)
 
 
-class Tensor4:
-    """Dense 4-index array of polynomials; item access is 1-based."""
-
-    __slots__ = ("dim", "params", "components")
-
-    def __init__(self, params, components):
-        params = tuple(params)
-        grid = tuple(
-            tuple(tuple(tuple(row) for row in plane) for plane in block)
-            for block in components)
-        dim = len(grid)
-        for block in grid:
-            if len(block) != dim or any(
-                    len(plane) != dim or any(len(row) != dim
-                                             for row in plane)
-                    for plane in block):
-                raise DimensionMismatchError(
-                    "4-tensor components must fill a hypercube")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "components", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor4 is immutable")
-
-    def component(self, i: int, j: int, k: int, l: int) -> Poly:
-        for idx in (i, j, k, l):
-            if not (1 <= idx <= self.dim):
-                raise IndexError(f"index {idx} out of range 1..{self.dim}")
-        return self.components[i - 1][j - 1][k - 1][l - 1]
-
-    def __getitem__(self, idx: tuple[int, int, int, int]) -> Poly:
-        return self.component(*idx)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v.is_zero for block in self.components
-                   for plane in block for row in plane for v in row)
-
-    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor4:
-        return Tensor4((), [[[[Poly.constant(v.evaluate(assignment))
-                               for v in row] for row in plane]
-                             for plane in block]
-                            for block in self.components])
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor4):
-            return NotImplemented
-        return self.dim == other.dim and self.components == other.components
-
-    def __repr__(self):
-        nonzero = sum(1 for block in self.components for plane in block
-                      for row in plane for v in row if v.terms)
-        return f"Tensor4(dim={self.dim}, {nonzero} nonzero components)"
-
-
-def curvature_R(a: AlmostNordenAlgebra,
-                c: ConnectionCoeffs | None = None) -> Tensor4:
+def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     """All components R_ijkl = g(R(X_i, X_j)X_k, X_l).
 
     Computed from the connection by composing covariant derivatives —
@@ -194,8 +137,6 @@ def curvature_R(a: AlmostNordenAlgebra,
     separate routine (:func:`curvature_invariant_formula`) so the two can
     be compared as independent routes.
     """
-    if c is None:
-        c = levi_civita(a)
     alg = a.algebra
     dim = a.dim
     zero = Poly.zero(a.params)
@@ -214,10 +155,10 @@ def curvature_R(a: AlmostNordenAlgebra,
                     val = a.metric(vec, basis[l - 1])
                     comp[i - 1][j - 1][k - 1][l - 1] = val
                     comp[j - 1][i - 1][k - 1][l - 1] = -val
-    return Tensor4(a.params, comp)
+    return Tensor(a.params, comp)
 
 
-def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor4:
+def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
     """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l]).
 
     Valid only over an invariant (Killing) metric; used as the
@@ -231,14 +172,12 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor4:
     comp = [[[[(a.metric(brackets[i][j], brackets[k][l])) / -4
                for l in range(dim)] for k in range(dim)]
              for j in range(dim)] for i in range(dim)]
-    return Tensor4(a.params, comp)
+    return Tensor(a.params, comp)
 
 
 def ricci_and_scalar(a: AlmostNordenAlgebra,
-                     R: Tensor4 | None = None) -> tuple[PolyMatrix, Poly]:
+                     R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
-    if R is None:
-        R = curvature_R(a)
     dim = a.dim
     rows = []
     for y in range(dim):
@@ -342,7 +281,7 @@ def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
     return "generic"
 
 
-def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor4,
+def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
                         p: PlaneSpec) -> Poly:
     """k(span{x, y}) = R(x, y, y, x) / pi_1(x, y, y, x).
 
@@ -381,8 +320,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor4,
     return numerator / disc
 
 
-def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs | None = None,
-            R: Tensor4 | None = None) -> Array5:
+def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
     """(grad_{X_i} R)(X_j, X_k, X_l, X_m) for all 1-based index tuples.
 
     The components of R are constants, so the directional-derivative term
@@ -392,10 +330,6 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs | None = None,
 
     each a single contraction of R against a connection vector.
     """
-    if c is None:
-        c = levi_civita(a)
-    if R is None:
-        R = curvature_R(a, c)
     dim = a.dim
     comp = R.components
 
@@ -442,15 +376,12 @@ def is_locally_symmetric(nabla_r: Array5) -> bool:
                for block_k in block_j for row in block_k for v in row)
 
 
-def square_norm_nabla_J(a: AlmostNordenAlgebra,
-                        F: Tensor3 | None = None) -> Poly:
+def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     """The scalar g^{ij} g^{kl} g^{pq} F_ikp F_jlq.
 
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
-    if F is None:
-        F = a.tensor_F()
     dim = a.dim
     ginv = a.g_inv
     zero = Poly.zero(a.params)
@@ -489,7 +420,3 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra,
                     total = total + u * v
     return total
 
-
-def is_isotropic_kahler(norm: Poly) -> bool:
-    """True when the square norm of grad J is the zero polynomial."""
-    return norm.is_zero

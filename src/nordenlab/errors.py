@@ -29,7 +29,7 @@ class DimensionMismatchError(NordenLabError):
 
 
 class SingularMatrixError(NordenLabError):
-    """Matrix inversion failed; ``column`` is the 0-based pivot column
+    """Matrix inversion failed; ``column`` is the 1-based pivot column
     where elimination found no usable row."""
 
     def __init__(self, message: str, column: int | None = None):

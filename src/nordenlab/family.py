@@ -22,23 +22,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
-from .curvature import (
-    coordinate_plane,
-    curvature_R,
-    curvature_invariant_formula,
-    is_locally_symmetric,
-    levi_civita,
-    nabla_R,
-    plane_type,
-    ricci_and_scalar,
-    sectional_curvature,
-    square_norm_nabla_J,
-)
+from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
 from .linalg import PolyMatrix
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
+from .report import Geometry
 
 PARAM_NAMES = ("l1", "l2", "l3")
 
@@ -435,15 +425,14 @@ def regression_report(f: Table1Family) -> RegressionReport:
     add("structure", "eq22", True, check_eq22(f).ok)
 
     # classification
-    F = a.tensor_F()
-    flags = a.classify(F)
+    geo = Geometry(a)
+    F, flags = geo.F, geo.flags
     add("classification", "w0", False, flags.w0)
     add("classification", "w1", False, flags.w1)
     add("classification", "w2", False, flags.w2)
     add("classification", "w3", True, flags.w3)
-    theta = a.lie_form(F)
     add("classification", "lie-form", True,
-        all(t.is_zero for t in theta))
+        all(t.is_zero for t in geo.theta))
 
     # f-components
     expected_f = expected_F_components(params)
@@ -460,8 +449,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     add("f-components", "unlisted-components-zero", (), tuple(unexpected))
 
     # curvature
-    conn = levi_civita(a)
-    R = curvature_R(a, conn)
+    R = geo.R
     expected_r = expected_R_components(params)
     for sign, i, j, k, l, kind, args in _R_ITEMS:
         add("curvature", f"R({i},{j},{k},{l})",
@@ -478,7 +466,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
         True, R == curvature_invariant_formula(a))
 
     # ricci and tau
-    rho, tau = ricci_and_scalar(a, R)
+    rho, tau = geo.ricci_and_tau
     exp_rho = expected_ricci(params)
     for i in range(1, 7):
         for j in range(i, 7):
@@ -487,22 +475,21 @@ def regression_report(f: Table1Family) -> RegressionReport:
     add("tau", "tau", Poly.zero(params), tau)
 
     # sectional curvatures of the coordinate planes
+    computed = {pid: (ptype, value) for pid, ptype, value in geo.sectional}
     for i, j, ptype, sign, kind, args in _SECTIONAL_ITEMS:
-        plane = coordinate_plane(6, i, j)
-        add("sectional", f"type(a{i}{j})", ptype, plane_type(a, plane))
+        got_type, got_value = computed[f"a{i}{j}"]
+        add("sectional", f"type(a{i}{j})", ptype, got_type)
         add("sectional", f"k(a{i}{j})", _expr(params, kind, args) * sign,
-            sectional_curvature(a, R, plane))
+            got_value)
 
     # vanishing norm of grad J
-    norm = square_norm_nabla_J(a, F)
-    add("nabla-j-norm", "square-norm", Poly.zero(params), norm)
+    add("nabla-j-norm", "square-norm", Poly.zero(params), geo.nabla_j_norm)
 
     # local symmetry
-    add("nabla-r", "all-components-zero", True,
-        is_locally_symmetric(nabla_R(a, conn, R)))
+    add("nabla-r", "all-components-zero", True, geo.locally_symmetric)
 
     # Killing form
-    B = alg.killing_form()
+    B = geo.killing_form
     exp_B = expected_killing_form(params)
     for i in range(1, 7):
         for j in range(i, 7):

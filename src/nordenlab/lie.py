@@ -47,10 +47,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(u: Vector, factor) -> Vector:
-    return tuple(a * factor for a in u)
-
-
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero for a in u)
 

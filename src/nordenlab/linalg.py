@@ -50,10 +50,6 @@ class RationalMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> RationalMatrix:
-        return cls(rows)
-
-    @classmethod
     def identity(cls, n: int) -> RationalMatrix:
         return cls.diagonal([1] * n)
 
@@ -62,10 +58,6 @@ class RationalMatrix:
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)]
                     for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> RationalMatrix:
-        return cls([[0] * ncols for _ in range(nrows)])
 
     # -- shape and access --------------------------------------------------
 
@@ -228,11 +220,6 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
-def mat_inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a nonsingular rational matrix."""
-    return m.inverse()
-
-
 def signature(m: RationalMatrix) -> tuple[int, int]:
     """Signature (positive count, negative count) of a symmetric matrix.
 
@@ -341,16 +328,6 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def from_rational(cls, m: RationalMatrix,
-                      params: Iterable[str] = ()) -> PolyMatrix:
-        return cls(params, m.rows)
-
-    @classmethod
-    def zeros(cls, params: Iterable[str], nrows: int,
-              ncols: int) -> PolyMatrix:
-        return cls(params, [[0] * ncols for _ in range(nrows)])
 
     @property
     def nrows(self) -> int:

@@ -83,57 +83,81 @@ def check_norden(g: RationalMatrix, J: RationalMatrix) -> CheckResult:
     return CheckResult(not violations, tuple(violations))
 
 
-class Tensor3:
-    """Dense 3-index array of polynomials; item access is 1-based."""
+class Tensor:
+    """Dense array of polynomials of any rank on one dimension.
 
-    __slots__ = ("dim", "params", "components")
+    ``components`` is nested tuples, one level per index, with raw
+    0-based storage; ``component`` and item access are 1-based.
+    """
 
-    def __init__(self, params: Iterable[str],
-                 components: Sequence[Sequence[Sequence[Poly]]]):
-        params = tuple(params)
-        grid = tuple(tuple(tuple(row) for row in plane)
-                     for plane in components)
-        dim = len(grid)
-        if any(len(plane) != dim or any(len(row) != dim for row in plane)
-               for plane in grid):
-            raise DimensionMismatchError(
-                "3-tensor components must fill a cube")
+    __slots__ = ("dim", "rank", "params", "components")
+
+    def __init__(self, params: Iterable[str], components: Sequence):
+        dim = len(components)
+        rank, probe = 0, components
+        while not isinstance(probe, Poly) and len(probe):
+            rank, probe = rank + 1, probe[0]
+
+        def freeze(node, depth):
+            if depth == 0 and isinstance(node, Poly):
+                return node
+            if depth == 0 or isinstance(node, Poly) or len(node) != dim:
+                raise DimensionMismatchError(
+                    "tensor components must fill a cube of polynomials")
+            return tuple(freeze(sub, depth - 1) for sub in node)
+
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "components", grid)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "components", freeze(components, rank))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
+        raise AttributeError("Tensor is immutable")
 
-    def component(self, i: int, j: int, k: int) -> Poly:
-        for idx in (i, j, k):
-            if not (1 <= idx <= self.dim):
-                raise IndexError(
-                    f"index {idx} out of range 1..{self.dim}")
-        return self.components[i - 1][j - 1][k - 1]
+    def component(self, *idx: int) -> Poly:
+        if len(idx) != self.rank:
+            raise IndexError(
+                f"rank-{self.rank} tensor takes {self.rank} indices, "
+                f"got {len(idx)}")
+        node = self.components
+        for i in idx:
+            if not (1 <= i <= self.dim):
+                raise IndexError(f"index {i} out of range 1..{self.dim}")
+            node = node[i - 1]
+        return node
 
-    def __getitem__(self, idx: tuple[int, int, int]) -> Poly:
+    def __getitem__(self, idx: tuple[int, ...]) -> Poly:
         return self.component(*idx)
+
+    def values(self) -> list[Poly]:
+        """Every component, in row-major order."""
+        level = self.components
+        for _ in range(self.rank - 1):
+            level = [sub for node in level for sub in node]
+        return list(level)
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for plane in self.components
-                   for row in plane for v in row)
+        return all(v.is_zero for v in self.values())
 
-    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor3:
-        return Tensor3((), [[[Poly.constant(v.evaluate(assignment))
-                              for v in row] for row in plane]
-                            for plane in self.components])
+    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
+        def walk(node, depth):
+            if depth == 0:
+                return Poly.constant(node.evaluate(assignment))
+            return [walk(sub, depth - 1) for sub in node]
+
+        return Tensor((), walk(self.components, self.rank))
 
     def __eq__(self, other):
-        if not isinstance(other, Tensor3):
+        if not isinstance(other, Tensor):
             return NotImplemented
-        return self.dim == other.dim and self.components == other.components
+        return (self.rank == other.rank and self.dim == other.dim
+                and self.components == other.components)
 
     def __repr__(self):
-        nonzero = sum(1 for plane in self.components
-                      for row in plane for v in row if v.terms)
-        return f"Tensor3(dim={self.dim}, {nonzero} nonzero components)"
+        nonzero = sum(1 for v in self.values() if v.terms)
+        return (f"Tensor(rank={self.rank}, dim={self.dim}, "
+                f"{nonzero} nonzero components)")
 
 
 @dataclass(frozen=True)
@@ -170,7 +194,7 @@ class AlmostNordenAlgebra:
     inverse metric is computed eagerly and cached.
     """
 
-    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_invariant", "_F")
+    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_invariant")
 
     def __init__(self, algebra: LieAlgebra,
                  g: RationalMatrix | None = None,
@@ -209,7 +233,6 @@ class AlmostNordenAlgebra:
         object.__setattr__(self, "g_inv", g_inv)
         object.__setattr__(self, "_gJ", g @ J)
         object.__setattr__(self, "_invariant", None)
-        object.__setattr__(self, "_F", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlmostNordenAlgebra is immutable")
@@ -285,7 +308,7 @@ class AlmostNordenAlgebra:
 
     # -- fundamental tensor ------------------------------------------------
 
-    def tensor_F(self) -> Tensor3:
+    def tensor_F(self) -> Tensor:
         """All components F_ijk = g((grad_{X_i} J) X_j, X_k).
 
         With an invariant metric the connection is half the bracket and
@@ -295,18 +318,14 @@ class AlmostNordenAlgebra:
 
         Otherwise the general Levi-Civita connection is computed first
         and F follows from the definition.  The two paths agree whenever
-        both apply.
+        both apply.  Nothing is cached here: :class:`~nordenlab.report.Geometry`
+        owns the reuse of F across stages.
         """
-        if self._F is not None:
-            return self._F
         if self.check_invariant_metric().ok:
-            result = self._tensor_f_invariant()
-        else:
-            result = self._tensor_f_general()
-        object.__setattr__(self, "_F", result)
-        return result
+            return self._tensor_f_invariant()
+        return self._tensor_f_general()
 
-    def _tensor_f_invariant(self) -> Tensor3:
+    def _tensor_f_invariant(self) -> Tensor:
         alg = self.algebra
         dim = self.dim
         basis = [alg.basis_vector(i) for i in range(1, dim + 1)]
@@ -324,9 +343,9 @@ class AlmostNordenAlgebra:
                     row.append(val)
                 plane.append(row)
             grid.append(plane)
-        return Tensor3(self.params, grid)
+        return Tensor(self.params, grid)
 
-    def _tensor_f_general(self) -> Tensor3:
+    def _tensor_f_general(self) -> Tensor:
         from .curvature import levi_civita  # deferred: two-way dependency
 
         conn = levi_civita(self)
@@ -350,14 +369,12 @@ class AlmostNordenAlgebra:
                 plane.append([self.metric(acc, basis[k - 1])
                               for k in range(1, dim + 1)])
             grid.append(plane)
-        return Tensor3(self.params, grid)
+        return Tensor(self.params, grid)
 
     # -- Lie form and classification --------------------------------------
 
-    def lie_form(self, F: Tensor3 | None = None) -> Covector:
+    def lie_form(self, F: Tensor) -> Covector:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
-        if F is None:
-            F = self.tensor_F()
         dim = self.dim
         out = []
         for k in range(dim):
@@ -370,7 +387,7 @@ class AlmostNordenAlgebra:
             out.append(acc)
         return tuple(out)
 
-    def classify(self, F: Tensor3 | None = None) -> ClassFlags:
+    def classify(self, F: Tensor) -> ClassFlags:
         """Exact membership in the four basic classes.
 
         * w0: F = 0.
@@ -382,8 +399,6 @@ class AlmostNordenAlgebra:
         Identities are checked on all basis triples, which suffices by
         multilinearity.
         """
-        if F is None:
-            F = self.tensor_F()
         dim = self.dim
         comp = F.components
         theta = self.lie_form(F)

@@ -463,14 +463,6 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
     return result
 
 
-def poly_sum(polys: Iterable[Poly], params: Iterable[str] = ()) -> Poly:
-    """Sum a sequence of polynomials (empty sum is zero over ``params``)."""
-    total = Poly.zero(params)
-    for p in polys:
-        total = total + p
-    return total
-
-
 def as_poly(value: Poly | RationalLike, params: Iterable[str]) -> Poly:
     """Coerce a Poly, rational, or polynomial text to a Poly over ``params``.
 

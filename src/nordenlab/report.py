@@ -1,9 +1,12 @@
-"""One-stop geometry report and its serialization.
+"""The stage graph of one algebra, the report built on it, and its
+serialization.
 
-:func:`compute_report` runs the full pipeline on an algebra —
-classification, Lie form, Ricci, scalar curvature, the norm of grad J,
-local symmetry, sectional curvatures of all coordinate planes, and the
-Killing form — and returns a :class:`GeometryReport` of live objects.
+:class:`Geometry` owns the wiring of the pipeline: each derived object
+(F, the class flags, the Lie form, the connection, R, Ricci and scalar
+curvature, the norm of grad J, local symmetry, the sectional table and
+the Killing form) is computed on first use from its upstream stages and
+kept.  :func:`compute_report` reads every stage of one ``Geometry`` and
+returns a :class:`GeometryReport` of live objects.
 
 :class:`ReportDocument` is the same content flattened to strings and
 booleans, with text, CSV, and JSON renderings.  The JSON form
@@ -15,8 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .curvature import (
+    ConnectionCoeffs,
     coordinate_plane,
     curvature_R,
     is_locally_symmetric,
@@ -29,19 +34,88 @@ from .curvature import (
 )
 from .errors import DegeneratePlaneError
 from .linalg import PolyMatrix
-from .norden import AlmostNordenAlgebra, ClassFlags, Covector
+from .norden import AlmostNordenAlgebra, ClassFlags, Covector, Tensor
 from .poly import Poly
+
+SectionalTable = tuple[tuple[str, str, Poly | None], ...]
+
+
+class Geometry:
+    """Every derived object of one algebra, each computed once on first use.
+
+    A stage reads its upstream stages from this object, so F, the
+    connection and R are built at most once however many consumers ask:
+
+        F           -> flags, theta, nabla_j_norm
+        connection  -> R -> ricci_and_tau, sectional, locally_symmetric
+        killing_form
+
+    ``locally_symmetric`` keeps only the verdict; the rank-5 array of
+    grad R is dropped as soon as it has been scanned.
+    """
+
+    def __init__(self, a: AlmostNordenAlgebra):
+        self.algebra = a
+
+    @cached_property
+    def F(self) -> Tensor:
+        return self.algebra.tensor_F()
+
+    @cached_property
+    def flags(self) -> ClassFlags:
+        return self.algebra.classify(self.F)
+
+    @cached_property
+    def theta(self) -> Covector:
+        return self.algebra.lie_form(self.F)
+
+    @cached_property
+    def nabla_j_norm(self) -> Poly:
+        return square_norm_nabla_J(self.algebra, self.F)
+
+    @cached_property
+    def connection(self) -> ConnectionCoeffs:
+        return levi_civita(self.algebra)
+
+    @cached_property
+    def R(self) -> Tensor:
+        return curvature_R(self.algebra, self.connection)
+
+    @cached_property
+    def ricci_and_tau(self) -> tuple[PolyMatrix, Poly]:
+        return ricci_and_scalar(self.algebra, self.R)
+
+    @cached_property
+    def locally_symmetric(self) -> bool:
+        return is_locally_symmetric(
+            nabla_R(self.algebra, self.connection, self.R))
+
+    @cached_property
+    def sectional(self) -> SectionalTable:
+        """One (plane-id, plane-type, value) triple per coordinate plane
+        span{X_i, X_j}, i < j; the value is None exactly for metrically
+        degenerate planes, where sectional curvature is undefined."""
+        a = self.algebra
+        table = []
+        for i in range(1, a.dim + 1):
+            for j in range(i + 1, a.dim + 1):
+                plane = coordinate_plane(a.dim, i, j)
+                try:
+                    value = sectional_curvature(a, self.R, plane)
+                except DegeneratePlaneError:
+                    value = None
+                table.append((f"a{i}{j}", plane_type(a, plane), value))
+        return tuple(table)
+
+    @cached_property
+    def killing_form(self) -> PolyMatrix:
+        return self.algebra.algebra.killing_form()
 
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """All derived geometry of one algebra, as live polynomial objects.
-
-    ``sectional`` holds one (plane-id, plane-type, value) triple per
-    coordinate plane span{X_i, X_j}, i < j; the value is None exactly
-    for metrically degenerate planes, where sectional curvature is
-    undefined.
-    """
+    """All derived geometry of one algebra, as live polynomial objects;
+    ``sectional`` is laid out as :attr:`Geometry.sectional`."""
 
     flags: ClassFlags
     theta: Covector
@@ -49,41 +123,23 @@ class GeometryReport:
     tau: Poly
     nabla_j_norm: Poly
     locally_symmetric: bool
-    sectional: tuple[tuple[str, str, Poly | None], ...]
+    sectional: SectionalTable
     killing_form: PolyMatrix
 
 
 def compute_report(a: AlmostNordenAlgebra) -> GeometryReport:
     """Run every pipeline stage once and aggregate the results."""
-    F = a.tensor_F()
-    flags = a.classify(F)
-    theta = a.lie_form(F)
-    conn = levi_civita(a)
-    R = curvature_R(a, conn)
-    rho, tau = ricci_and_scalar(a, R)
-    norm = square_norm_nabla_J(a, F)
-    symmetric = is_locally_symmetric(nabla_R(a, conn, R))
-
-    sectional = []
-    for i in range(1, a.dim + 1):
-        for j in range(i + 1, a.dim + 1):
-            plane = coordinate_plane(a.dim, i, j)
-            ptype = plane_type(a, plane)
-            try:
-                value = sectional_curvature(a, R, plane)
-            except DegeneratePlaneError:
-                value = None
-            sectional.append((f"a{i}{j}", ptype, value))
-
+    geo = Geometry(a)
+    rho, tau = geo.ricci_and_tau
     return GeometryReport(
-        flags=flags,
-        theta=theta,
+        flags=geo.flags,
+        theta=geo.theta,
         ricci=rho,
         tau=tau,
-        nabla_j_norm=norm,
-        locally_symmetric=symmetric,
-        sectional=tuple(sectional),
-        killing_form=a.algebra.killing_form(),
+        nabla_j_norm=geo.nabla_j_norm,
+        locally_symmetric=geo.locally_symmetric,
+        sectional=geo.sectional,
+        killing_form=geo.killing_form,
     )
 
 

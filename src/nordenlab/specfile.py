@@ -43,7 +43,9 @@ from .norden import AlmostNordenAlgebra
 from .poly import Poly, parse_poly
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+#: Rationals as written in spec files and ``--eval``: an integer or p/q,
+#: with a nonzero denominator.
+RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?\Z")
 
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
@@ -70,7 +72,7 @@ class AlgebraSpecFile:
 
 def _fraction(token: str, lineno: int) -> Fraction:
     token = token.strip()
-    if not _RATIONAL.match(token):
+    if not RATIONAL.match(token):
         raise SpecFileError(f"not a rational number: {token!r}",
                             line=lineno)
     return Fraction(token)
@@ -243,7 +245,11 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
 
 def parse_spec(path) -> AlmostNordenAlgebra:
     """Read, parse, and fully validate a spec file from ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text (byte {exc.start})"
+                            ) from exc
     return parse_spec_text(text).to_algebra()
 
 
@@ -283,9 +289,3 @@ def emit_spec(a: AlmostNordenAlgebra) -> str:
     out.append("")
     return "\n".join(out).rstrip() + "\n"
 
-
-def spec_equal(left: AlmostNordenAlgebra,
-               right: AlmostNordenAlgebra) -> bool:
-    """Structural equality of two algebras (dimension, parameters,
-    structure constants, metric, J)."""
-    return left == right

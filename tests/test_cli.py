@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nordenlab import AlmostNordenAlgebra, curvature, report
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -72,6 +73,27 @@ def test_eval_validation(capsys):
     capsys.readouterr()
     assert main(base + ["l1=1,l2=oops,l3=1"]) == 2          # not rational
     capsys.readouterr()
+    # the spec-file grammar: an integer or p/q, nothing else
+    for bad in ("0.5", "1e5", "1/0"):
+        assert main(base + [f"l1=1,l2={bad},l3=1"]) == 2
+        assert "not a rational number" in capsys.readouterr().err
+
+
+def test_non_utf8_spec_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "latin1.spec"
+    spec.write_bytes(b"# caf\xe9\n" + MINIMAL_SPEC.encode())
+    assert main(["check", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_zero_denominator_in_spec_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "zero.spec"
+    spec.write_text(MINIMAL_SPEC + "[metric]\ndiag = 1/0, -1\n",
+                    encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 # -- check -----------------------------------------------------------------
@@ -120,6 +142,20 @@ def test_classify_abelian(tmp_path, capsys):
     assert lines[0] == "W0 (Kähler with Norden metric)"
 
 
+def test_classify_builds_F_once(monkeypatch, capsys):
+    calls = []
+    original = AlmostNordenAlgebra.tensor_F
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(AlmostNordenAlgebra, "tensor_F", counted)
+    assert main(["classify", "--family", "table1"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_classify_with_eval(capsys):
     assert main(["classify", "--family", "table1",
                  "--eval", "l1=2,l2=3,l3=5"]) == 0
@@ -134,6 +170,18 @@ def test_curvature_family(capsys):
     assert "R(1,2,1,2) = 1/4*l2^2 + 1/4*l3^2" in out
     assert "tau: 0" in out
     assert "a45  totally_real  1/4*l2^2 + 1/4*l3^2" in out
+
+
+def test_curvature_skips_nabla_R(monkeypatch, spec_fixture_path, capsys):
+    # `curvature` prints no grad R, so it must never compute it
+    def refuse(*args):
+        raise AssertionError("nabla_R called")
+
+    monkeypatch.setattr(curvature, "nabla_R", refuse)
+    monkeypatch.setattr(report, "nabla_R", refuse)
+    assert main(["curvature", "--family", "table1"]) == 0
+    expected = spec_fixture_path.parent / "table1_curvature.txt"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
 def test_curvature_abelian_collapses(tmp_path, capsys):

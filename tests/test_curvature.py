@@ -12,7 +12,6 @@ from nordenlab import (
     curvature_R,
     curvature_invariant_formula,
     format_vector,
-    is_isotropic_kahler,
     is_locally_symmetric,
     levi_civita,
     nabla_R,
@@ -22,11 +21,23 @@ from nordenlab import (
     ricci_and_scalar,
     sectional_curvature,
     square_norm_nabla_J,
-    vec_scale,
     vec_sub,
 )
 
 P3 = ("l1", "l2", "l3")
+
+
+def curvature_of(a):
+    return curvature_R(a, levi_civita(a))
+
+
+def nabla_r_of(a):
+    c = levi_civita(a)
+    return nabla_R(a, c, curvature_R(a, c))
+
+
+def half(v):
+    return tuple(x * Fraction(1, 2) for x in v)
 
 
 def assert_torsion_free_and_metric(a, c):
@@ -55,8 +66,7 @@ def test_connection_family_is_half_bracket(falg, fconn):
     assert_torsion_free_and_metric(falg, fconn)
     for i in range(1, 7):
         for j in range(1, 7):
-            half = vec_scale(alg.bracket_basis(i, j), Fraction(1, 2))
-            assert fconn.vector(i, j) == half
+            assert fconn.vector(i, j) == half(alg.bracket_basis(i, j))
 
 
 def test_connection_abelian_is_flat(abelian6):
@@ -73,8 +83,7 @@ def test_connection_affine_fixture(affine6):
     assert format_vector(c.vector(1, 2)) == "X1"
     assert all(v.is_zero for v in c.vector(2, 1))
     # here the metric is not invariant and grad is NOT half the bracket
-    assert c.vector(1, 1) != vec_scale(affine6.algebra.bracket_basis(1, 1),
-                                       Fraction(1, 2))
+    assert c.vector(1, 1) != half(affine6.algebra.bracket_basis(1, 1))
 
 
 def test_connection_heisenberg_fixture(heisenberg6):
@@ -145,7 +154,7 @@ def test_curvature_two_routes_agree(falg, fcurv):
 def test_curvature_invariant_formula_needs_invariance(affine6):
     # with a non-invariant metric the bracket formula is simply wrong,
     # which is exactly why it serves as an independent cross-check
-    honest = curvature_R(affine6)
+    honest = curvature_of(affine6)
     assert honest.component(1, 2, 1, 2) == Poly.constant(1)
     shortcut = curvature_invariant_formula(affine6)
     assert shortcut.component(1, 2, 1, 2) == Poly.constant(Fraction(-1, 4))
@@ -153,14 +162,14 @@ def test_curvature_invariant_formula_needs_invariance(affine6):
 
 
 def test_curvature_heisenberg_values(heisenberg6):
-    R = curvature_R(heisenberg6)
+    R = curvature_of(heisenberg6)
     assert R.component(1, 2, 1, 2) == Poly.constant(Fraction(3, 4))
     assert R.component(1, 3, 1, 3) == Poly.constant(Fraction(-1, 4))
     assert R.component(2, 3, 2, 3) == Poly.constant(Fraction(-1, 4))
 
 
 def test_curvature_abelian_flat(abelian6):
-    assert curvature_R(abelian6).is_zero
+    assert curvature_of(abelian6).is_zero
 
 
 # -- Ricci and scalar ------------------------------------------------------
@@ -175,7 +184,7 @@ def test_ricci_spot_values(fricci):
 
 
 def test_ricci_abelian(abelian6):
-    rho, tau = ricci_and_scalar(abelian6)
+    rho, tau = ricci_and_scalar(abelian6, curvature_of(abelian6))
     assert rho.is_zero
     assert tau.is_zero
 
@@ -255,13 +264,13 @@ def test_family_is_locally_symmetric(fnabla_r):
 
 
 def test_abelian_is_locally_symmetric(abelian6):
-    assert is_locally_symmetric(nabla_R(abelian6))
+    assert is_locally_symmetric(nabla_r_of(abelian6))
 
 
 def test_affine_fixture_is_locally_symmetric(affine6):
     # [X1,X2] = X1 carries a constant-curvature plane: grad R = 0 even
     # though the connection is not half the bracket
-    assert is_locally_symmetric(nabla_R(affine6))
+    assert is_locally_symmetric(nabla_r_of(affine6))
 
 
 def test_heisenberg_is_not_locally_symmetric(heisenberg6):
@@ -281,12 +290,10 @@ def test_heisenberg_is_not_locally_symmetric(heisenberg6):
 def test_norm_nabla_j_family_is_isotropic(falg, ftensor):
     norm = square_norm_nabla_J(falg, ftensor)
     assert norm.is_zero
-    assert is_isotropic_kahler(norm)
     assert not ftensor.is_zero  # isotropic, not integrable-trivial
 
 
 def test_norm_nabla_j_affine_fixture(affine6):
     # definite restriction: nonzero F forces a nonzero norm here
-    norm = square_norm_nabla_J(affine6)
+    norm = square_norm_nabla_J(affine6, affine6.tensor_F())
     assert not norm.is_zero
-    assert not is_isotropic_kahler(norm)

@@ -183,10 +183,23 @@ def test_evaluate_member(family):
     assert member.params == ()
     rho_11 = expected_ricci().entry(1, 1).evaluate({"l3": 1})
     assert rho_11 == -1
-    flags = member.classify()
+    flags = member.classify(member.tensor_F())
     assert flags.label() == "W3 (quasi-Kähler with Norden metric)"
 
 
 def test_evaluate_requires_all_occurring_parameters(family):
     with pytest.raises(KeyError):
         family.evaluate({"l1": 1})
+
+
+def test_regression_builds_F_once(monkeypatch):
+    calls = []
+    original = AlmostNordenAlgebra.tensor_F
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(AlmostNordenAlgebra, "tensor_F", counted)
+    assert regression_report(build_table1()).ok
+    assert len(calls) == 1

@@ -6,13 +6,14 @@ import pytest
 
 from nordenlab import (
     AlmostNordenAlgebra,
+    DimensionMismatchError,
     LieAlgebra,
     NonSymmetricMatrixError,
     Poly,
     RationalMatrix,
     SingularMatrixError,
     StructureError,
-    Tensor3,
+    Tensor,
     check_norden,
     default_J,
     default_metric,
@@ -164,16 +165,29 @@ def test_tensor_f_abelian_vanishes(abelian6):
     assert abelian6.tensor_F().is_zero
 
 
-def test_tensor3_access():
-    t = Tensor3((), [[[Poly.constant(i * 100 + j * 10 + k)
-                       for k in range(1, 3)] for j in range(1, 3)]
-                     for i in range(1, 3)])
-    assert t.component(1, 2, 1) == 121
-    assert t[2, 1, 2] == 212
+@pytest.mark.parametrize("rank", [3, 4])
+def test_tensor_access(rank):
+    # the component at (i, j, ...) is the number with digits i, j, ...
+    def grid(prefix):
+        if len(prefix) == rank:
+            return Poly.constant(int("".join(map(str, prefix))))
+        return [grid(prefix + (i,)) for i in (1, 2)]
+
+    t = Tensor((), grid(()))
+    assert (t.rank, t.dim) == (rank, 2)
+    assert t.component(*(1, 2, 1, 2)[:rank]) == int("1212"[:rank])
+    assert t[(2, 1, 2, 1)[:rank]] == int("2121"[:rank])
+    assert len(t.values()) == 2 ** rank
+    assert t.evaluate({}) == t and not t.is_zero
+    assert repr(t) == f"Tensor(rank={rank}, dim=2, {2 ** rank} nonzero components)"
     with pytest.raises(IndexError):
-        t.component(0, 1, 1)
+        t.component(*(0,) + (1,) * (rank - 1))
     with pytest.raises(IndexError):
-        t.component(1, 1, 3)
+        t.component(*(1,) * (rank - 1) + (3,))
+    with pytest.raises(IndexError):
+        t.component(*(1,) * (rank - 1))
+    with pytest.raises(DimensionMismatchError):
+        Tensor((), [grid(()), grid(())[:1]])
 
 
 # -- Lie form and classification -------------------------------------------
@@ -205,7 +219,7 @@ def test_classify_family_w2_residual(falg, ftensor):
 
 
 def test_classify_abelian(abelian6):
-    flags = abelian6.classify()
+    flags = abelian6.classify(abelian6.tensor_F())
     assert (flags.w0, flags.w1, flags.w2, flags.w3) == (
         True, True, True, True)
     assert flags.label() == "W0 (Kähler with Norden metric)"
@@ -213,11 +227,12 @@ def test_classify_abelian(abelian6):
 
 def test_classify_family_at_origin(falg):
     # all three parameters zero: the bracket dies and so does F
-    flags = falg.evaluate({"l1": 0, "l2": 0, "l3": 0}).classify()
-    assert flags.w0
+    origin = falg.evaluate({"l1": 0, "l2": 0, "l3": 0})
+    assert origin.classify(origin.tensor_F()).w0
 
 
 def test_classify_survives_numeric_specialization(falg):
-    flags = falg.evaluate({"l1": 1, "l2": 1, "l3": 1}).classify()
+    member = falg.evaluate({"l1": 1, "l2": 1, "l3": 1})
+    flags = member.classify(member.tensor_F())
     assert (flags.w0, flags.w1, flags.w2, flags.w3) == (
         False, False, False, True)

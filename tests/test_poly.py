@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nordenlab import ParameterMismatchError, Poly, PolyParseError, parse_poly, poly_sum
+from nordenlab import ParameterMismatchError, Poly, PolyParseError, parse_poly
 
 P3 = ("l1", "l2", "l3")
 
@@ -171,17 +171,6 @@ def test_degree_and_homogeneity():
     assert not parse_poly("l1 + l3^2").is_homogeneous(2)
     assert Poly.zero(P3).is_homogeneous(0)
     assert Poly.zero(P3).is_homogeneous(5)
-
-
-def test_poly_sum_helper():
-    rnd = random.Random(33)
-    parts = [rand_poly(rnd) for _ in range(5)]
-    total = poly_sum(parts, P3)
-    acc = Poly.zero(P3)
-    for part in parts:
-        acc = acc + part
-    assert total == acc
-    assert poly_sum([]).is_zero
 
 
 def test_hash_consistency():

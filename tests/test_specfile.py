@@ -11,7 +11,6 @@ from nordenlab import (
     emit_spec,
     parse_spec,
     parse_spec_text,
-    spec_equal,
 )
 
 MINIMAL = """
@@ -37,7 +36,7 @@ def test_minimal_spec_defaults_to_abelian():
     assert spec.brackets == ()
     a = spec.to_algebra()
     assert a.g == RationalMatrix.diagonal([1, -1])
-    assert a.classify().w0
+    assert a.classify(a.tensor_F()).w0
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -51,7 +50,7 @@ def test_comments_and_blank_lines_are_ignored():
 
 def test_fixture_parses_to_the_family(family, spec_fixture_path):
     algebra = parse_spec(spec_fixture_path)
-    assert spec_equal(algebra, family.algebra)
+    assert algebra == family.algebra
 
 
 def test_emit_matches_frozen_fixture(family, spec_fixture_path):
@@ -154,4 +153,4 @@ def test_semantic_errors_surface_from_construction():
 def test_parse_spec_reads_from_path(tmp_path, family):
     target = tmp_path / "fam.spec"
     target.write_text(emit_spec(family.algebra), encoding="utf-8")
-    assert spec_equal(parse_spec(target), family.algebra)
+    assert parse_spec(target) == family.algebra
