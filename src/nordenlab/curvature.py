@@ -14,7 +14,8 @@ every operation a finite exact contraction:
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
-* grad R reduces to the four connection-contraction terms;
+* grad R is a scatter: each nonzero component of R meets each nonzero
+  connection coefficient whose upper index sits in one of its slots;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -27,135 +28,84 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
-from .lie import Vector, vec_sub
+from .lie import Vector
 from .linalg import PolyMatrix, rational_rank
-from .norden import AlmostNordenAlgebra, Tensor
+from .norden import (AlmostNordenAlgebra, Tensor, _accumulate, _columns,
+                     _scatter)
 from .poly import Poly, as_fraction
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
 
-class ConnectionCoeffs:
+class ConnectionCoeffs(Tensor):
     """Components of a connection: coeffs[i][j][k] is the X_{k+1}-component
     of grad_{X_{i+1}} X_{j+1} (raw storage 0-based, accessors 1-based)."""
 
-    __slots__ = ("dim", "params", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, params, coeffs: Sequence[Sequence[Sequence[Poly]]]):
-        params = tuple(params)
-        grid = tuple(tuple(tuple(row) for row in plane) for plane in coeffs)
-        dim = len(grid)
-        if any(len(plane) != dim or any(len(row) != dim for row in plane)
-               for plane in grid):
-            raise DimensionMismatchError(
-                "connection coefficients must fill a cube")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coeffs", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionCoeffs is immutable")
+    @property
+    def coeffs(self):
+        return self.components
 
     def vector(self, i: int, j: int) -> Vector:
         """grad_{X_i} X_j as a component vector (1-based i, j)."""
-        for idx in (i, j):
-            if not (1 <= idx <= self.dim):
-                raise IndexError(f"index {idx} out of range 1..{self.dim}")
-        return self.coeffs[i - 1][j - 1]
-
-    def component(self, i: int, j: int, k: int) -> Poly:
-        return self.vector(i, j)[k - 1]
-
-    def derive_constant_field(self, i: int, w: Vector) -> Vector:
-        """grad_{X_i} w for a constant-coefficient field w = sum w_p X_p."""
-        acc = [Poly.zero(self.params)] * self.dim
-        plane = self.coeffs[i - 1]
-        for p, wp in enumerate(w):
-            if not wp.terms:
-                continue
-            for k, comp in enumerate(plane[p]):
-                if comp.terms:
-                    acc[k] = acc[k] + wp * comp
-        return tuple(acc)
-
-    def derive_in_direction(self, x: Vector, j: int) -> Vector:
-        """grad_x X_j — the connection is tensorial in the direction slot."""
-        acc = [Poly.zero(self.params)] * self.dim
-        for q, xq in enumerate(x):
-            if not xq.terms:
-                continue
-            for k, comp in enumerate(self.coeffs[q][j - 1]):
-                if comp.terms:
-                    acc[k] = acc[k] + xq * comp
-        return tuple(acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConnectionCoeffs):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ConnectionCoeffs(dim={self.dim})"
+        return tuple(self.component(i, j, k) for k in range(1, self.dim + 1))
 
 
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     """The unique torsion-free metric connection, from the Koszul formula.
 
-    For each basis pair (i, j) the covector w_k = g(grad_i X_j, X_k) is
-    assembled from three brackets and then raised with the exact inverse
-    metric.  When the metric is invariant the result equals half the
-    bracket — verified in the tests, not assumed here.
+    The lowered coefficients g(grad_i X_j, X_k) are the cyclic sum
+    (G_ijk - G_jki + G_kij) / 2 of the lowered structure constants
+    G_ijk = g([X_i, X_j], X_k); the upper index is then raised with the
+    exact inverse metric.  When the metric is invariant the result equals
+    half the bracket — verified in the tests, not assumed here.
     """
-    alg = a.algebra
-    dim = a.dim
-    basis = [alg.basis_vector(i) for i in range(1, dim + 1)]
-    coeffs = []
-    for i in range(1, dim + 1):
-        plane = []
-        for j in range(1, dim + 1):
-            w = []
-            for k in range(1, dim + 1):
-                val = (a.metric(alg.bracket_basis(i, j), basis[k - 1])
-                       - a.metric(alg.bracket_basis(j, k), basis[i - 1])
-                       + a.metric(alg.bracket_basis(k, i), basis[j - 1]))
-                w.append(val / 2)
-            # Raise the index: (grad_i X_j)^p = g^{pk} w_k.
-            plane.append([
-                sum((coeff * w[k] for k, coeff in enumerate(a.g_inv[p])
-                     if coeff), Poly.zero(a.params))
-                for p in range(dim)
-            ])
-        coeffs.append(plane)
-    return ConnectionCoeffs(a.params, coeffs)
+    lowered: dict[tuple[int, ...], Poly] = {}
+    for (i, j, k), v in a.G.nonzero():
+        half = v / 2
+        _accumulate(lowered, (i, j, k), half)
+        _accumulate(lowered, (k, i, j), -half)
+        _accumulate(lowered, (j, k, i), half)
+    raised = Tensor.from_entries(a.params, a.dim, 3, lowered).contract(
+        2, a.g_inv)
+    return ConnectionCoeffs(a.params, raised.components)
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     """All components R_ijkl = g(R(X_i, X_j)X_k, X_l).
 
-    Computed from the connection by composing covariant derivatives —
-    never from the invariant-metric bracket formula, which stays a
-    separate routine (:func:`curvature_invariant_formula`) so the two can
-    be compared as independent routes.
+    Composed from the nonzero connection coefficients: the upper
+    component
+
+        R_ijk^q = sum_p (Gamma_jk^p Gamma_ip^q - Gamma_ik^p Gamma_jp^q
+                         - c_ij^p Gamma_pk^q)
+
+    (Gamma the connection, c the structure constants) is scattered pair by
+    pair and then lowered with g.  Never computed from the
+    invariant-metric bracket formula, which stays a separate routine
+    (:func:`curvature_invariant_formula`) so the two can be compared as
+    independent routes.
     """
-    alg = a.algebra
     dim = a.dim
-    zero = Poly.zero(a.params)
-    basis = [alg.basis_vector(i) for i in range(1, dim + 1)]
-    comp = [[[[zero for _ in range(dim)] for _ in range(dim)]
-             for _ in range(dim)] for _ in range(dim)]
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            bij = alg.bracket_basis(i, j)
-            for k in range(1, dim + 1):
-                vec = vec_sub(
-                    vec_sub(c.derive_constant_field(i, c.vector(j, k)),
-                            c.derive_constant_field(j, c.vector(i, k))),
-                    c.derive_in_direction(bij, k))
-                for l in range(1, dim + 1):
-                    val = a.metric(vec, basis[l - 1])
-                    comp[i - 1][j - 1][k - 1][l - 1] = val
-                    comp[j - 1][i - 1][k - 1][l - 1] = -val
-    return Tensor(a.params, comp)
+    gamma = c.nonzero()
+    by_first = [[] for _ in range(dim)]   # p -> (k, q, Gamma_pk^q)
+    by_second = [[] for _ in range(dim)]  # p -> (i, q, Gamma_ip^q)
+    for (i, p, q), v in gamma:
+        by_first[i].append((p, q, v))
+        by_second[p].append((i, q, v))
+    upper: dict[tuple[int, ...], Poly] = {}
+    for (j, k, p), v in gamma:
+        for i, q, w in by_second[p]:
+            if i != j:
+                term = v * w
+                _accumulate(upper, (i, j, k, q), term)
+                _accumulate(upper, (j, i, k, q), -term)
+    for (i, j, p), v in Tensor(a.params, a.algebra.gamma).nonzero():
+        minus_v = -v
+        for k, q, w in by_first[p]:
+            _accumulate(upper, (i, j, k, q), minus_v * w)
+    return Tensor.from_entries(a.params, dim, 4, upper).contract(3, a.g)
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -178,29 +128,9 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
 def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
-    dim = a.dim
-    rows = []
-    for y in range(dim):
-        row = []
-        for z in range(dim):
-            acc = Poly.zero(a.params)
-            for i in range(dim):
-                for j in range(dim):
-                    coeff = a.g_inv[i][j]
-                    if coeff:
-                        val = R.components[i][y][z][j]
-                        if val.terms:
-                            acc = acc + coeff * val
-            row.append(acc)
-        rows.append(row)
-    rho = PolyMatrix(a.params, rows)
-    tau = Poly.zero(a.params)
-    for i in range(dim):
-        for j in range(dim):
-            coeff = a.g_inv[i][j]
-            if coeff and rho.grid[i][j].terms:
-                tau = tau + coeff * rho.grid[i][j]
-    return rho, tau
+    rho = R.trace(0, 3, a.g_inv)
+    return (PolyMatrix(a.params, rho.components),
+            rho.trace(0, 1, a.g_inv).components)
 
 
 @dataclass(frozen=True)
@@ -297,27 +227,11 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     if disc == 0:
         raise DegeneratePlaneError(
             "sectional curvature of a degenerate plane (discriminant 0)")
-    # Contract R with (x, y, y, x) one index at a time.
-    dim = a.dim
-    zero = Poly.zero(a.params)
-    numerator = zero
-    for i, xi in enumerate(p.x):
-        if not xi:
-            continue
-        for j, yj in enumerate(p.y):
-            if not yj:
-                continue
-            plane_ij = R.components[i][j]
-            for k, yk in enumerate(p.y):
-                if not yk:
-                    continue
-                for l, xl in enumerate(p.x):
-                    if not xl:
-                        continue
-                    val = plane_ij[k][l]
-                    if val.terms:
-                        numerator = numerator + (xi * yj * yk * xl) * val
-    return numerator / disc
+
+    def outer(v):  # v v^T; coordinate planes make most products zero
+        return [[s * t if s and t else 0 for t in v] for s in v]
+
+    return R.trace(0, 3, outer(p.x)).trace(0, 1, outer(p.y)).components / disc
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
@@ -328,44 +242,18 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
 
         -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ...
 
-    each a single contraction of R against a connection vector.
+    Computed by scatter, one direction i at a time: each nonzero R entry
+    meets each negated coefficient -Gamma_ix^p whose upper index p sits in
+    one of its four slots, and adds the product at x in that slot.
     """
-    dim = a.dim
-    comp = R.components
-
-    def slot_contraction(direction: Vector, fixed: tuple[int, int, int],
-                         slot: int) -> Poly:
-        acc = Poly.zero(a.params)
-        for p, dp in enumerate(direction):
-            if not dp.terms:
-                continue
-            idx = fixed[:slot] + (p,) + fixed[slot:]
-            val = comp[idx[0]][idx[1]][idx[2]][idx[3]]
-            if val.terms:
-                acc = acc + dp * val
-        return acc
-
+    entries = R.nonzero()
     out = []
-    for i in range(dim):
-        plane_i = c.coeffs[i]
-        block_i = []
-        for j in range(dim):
-            block_j = []
-            for k in range(dim):
-                block_k = []
-                for l in range(dim):
-                    row = []
-                    for m in range(dim):
-                        total = -(
-                            slot_contraction(plane_i[j], (k, l, m), 0)
-                            + slot_contraction(plane_i[k], (j, l, m), 1)
-                            + slot_contraction(plane_i[l], (j, k, m), 2)
-                            + slot_contraction(plane_i[m], (j, k, l), 3))
-                        row.append(total)
-                    block_k.append(tuple(row))
-                block_j.append(tuple(block_k))
-            block_i.append(tuple(block_j))
-        out.append(tuple(block_i))
+    for plane in c.coeffs:
+        columns = _columns([[-v for v in row] for row in plane], a.dim)
+        acc: dict[tuple[int, ...], Poly] = {}
+        for slot in range(4):
+            _scatter(acc, entries, slot, columns)
+        out.append(Tensor.from_entries(a.params, a.dim, 4, acc).components)
     return tuple(out)
 
 
@@ -382,41 +270,10 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
-    dim = a.dim
-    ginv = a.g_inv
-    zero = Poly.zero(a.params)
-
-    # Raise all three indices of F one at a time, then contract with F.
-    def raise_index(grid, axis):
-        out = [[[zero for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
-        for t in range(dim):
-            for u in range(dim):
-                for v in range(dim):
-                    acc = zero
-                    for s in range(dim):
-                        coeff = (ginv[s][t], ginv[s][u],
-                                 ginv[s][v])[axis]
-                        if not coeff:
-                            continue
-                        idx = [t, u, v]
-                        idx[axis] = s
-                        val = grid[idx[0]][idx[1]][idx[2]]
-                        if val.terms:
-                            acc = acc + coeff * val
-                    out[t][u][v] = acc
-        return out
-
-    raised = F.components
-    for axis in range(3):
-        raised = raise_index(raised, axis)
-    total = zero
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                u = raised[i][j][k]
-                v = F.components[i][j][k]
-                if u.terms and v.terms:
-                    total = total + u * v
+    raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
+    total = Poly.zero(a.params)
+    for (i, j, k), u in raised.nonzero():
+        v = F.components[i][j][k]
+        if v.terms:
+            total = total + u * v
     return total
-

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
-from .lie import CheckResult, LieAlgebra, Vector, vec_sub
+from .lie import CheckResult, LieAlgebra, Vector
 from .linalg import RationalMatrix, signature
 from .poly import Poly, RationalLike
 
@@ -87,10 +88,23 @@ class Tensor:
     """Dense array of polynomials of any rank on one dimension.
 
     ``components`` is nested tuples, one level per index, with raw
-    0-based storage; ``component`` and item access are 1-based.
+    0-based storage; ``component`` and item access are 1-based.  The
+    package's index contractions are built on four primitives, which
+    visit only the nonzero components:
+
+    * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
+    * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
+      for a square matrix ``M`` of rationals or polynomials, so raising
+      an index is ``contract(axis, g_inv)`` and ``T(.., J x, ..)`` is
+      ``contract(axis, J^T)``;
+    * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
+      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
+    * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
+      0-based index tuples to Poly, where every absent or cancelled entry
+      is one shared zero.
     """
 
-    __slots__ = ("dim", "rank", "params", "components")
+    __slots__ = ("dim", "rank", "params", "components", "_nonzero")
 
     def __init__(self, params: Iterable[str], components: Sequence):
         dim = len(components)
@@ -106,10 +120,29 @@ class Tensor:
                     "tensor components must fill a cube of polynomials")
             return tuple(freeze(sub, depth - 1) for sub in node)
 
+        self._set(dim, rank, params, freeze(components, rank))
+
+    def _set(self, dim, rank, params, components):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "components", freeze(components, rank))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_nonzero", None)
+
+    @classmethod
+    def from_entries(cls, params: Iterable[str], dim: int, rank: int,
+                     entries: Mapping[tuple[int, ...], Poly]) -> Tensor:
+        zero = Poly.zero(params)
+
+        def fill(prefix):
+            if len(prefix) == rank:
+                value = entries.get(prefix, zero)
+                return value if value.terms else zero
+            return tuple(fill(prefix + (i,)) for i in range(dim))
+
+        tensor = object.__new__(cls)
+        tensor._set(dim, rank, params, fill(()))
+        return tensor
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -131,22 +164,44 @@ class Tensor:
 
     def values(self) -> list[Poly]:
         """Every component, in row-major order."""
-        level = self.components
-        for _ in range(self.rank - 1):
+        level = [self.components]
+        for _ in range(self.rank):
             level = [sub for node in level for sub in node]
-        return list(level)
+        return level
+
+    def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
+        """The nonzero components with their 0-based indices, row-major;
+        computed once."""
+        if self._nonzero is None:
+            indices = product(range(self.dim), repeat=self.rank)
+            object.__setattr__(self, "_nonzero", tuple(
+                (idx, v) for idx, v in zip(indices, self.values())
+                if v.terms))
+        return self._nonzero
+
+    def contract(self, axis: int, M) -> Tensor:
+        acc: dict[tuple[int, ...], Poly] = {}
+        _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
+        return Tensor.from_entries(self.params, self.dim, self.rank, acc)
+
+    def trace(self, a: int, b: int, M) -> Tensor:
+        acc: dict[tuple[int, ...], Poly] = {}
+        for idx, v in self.nonzero():
+            weight = M[idx[a]][idx[b]]
+            if weight:
+                rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
+                _accumulate(acc, rest, v * weight)
+        return Tensor.from_entries(self.params, self.dim, self.rank - 2,
+                                   acc)
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.values())
+        return not self.nonzero()
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
-        def walk(node, depth):
-            if depth == 0:
-                return Poly.constant(node.evaluate(assignment))
-            return [walk(sub, depth - 1) for sub in node]
-
-        return Tensor((), walk(self.components, self.rank))
+        return Tensor.from_entries((), self.dim, self.rank, {
+            idx: Poly.constant(v.evaluate(assignment))
+            for idx, v in self.nonzero()})
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -155,9 +210,29 @@ class Tensor:
                 and self.components == other.components)
 
     def __repr__(self):
-        nonzero = sum(1 for v in self.values() if v.terms)
         return (f"Tensor(rank={self.rank}, dim={self.dim}, "
-                f"{nonzero} nonzero components)")
+                f"{len(self.nonzero())} nonzero components)")
+
+
+def _accumulate(acc: dict, key: tuple[int, ...], term: Poly) -> None:
+    prev = acc.get(key)
+    acc[key] = term if prev is None else prev + term
+
+
+def _columns(M, dim: int) -> list[list]:
+    """For each p, the nonzero ``(a, M[a][p])`` of column p."""
+    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
+            for p in range(dim)]
+
+
+def _scatter(acc: dict, entries, axis: int, columns) -> None:
+    """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
+    an entry at index p there sends ``m * value`` to index a for each
+    ``(a, m)`` in ``columns[p]``."""
+    for idx, v in entries:
+        head, tail = idx[:axis], idx[axis + 1:]
+        for a, m in columns[idx[axis]]:
+            _accumulate(acc, head + (a,) + tail, v * m)
 
 
 @dataclass(frozen=True)
@@ -186,6 +261,15 @@ class ClassFlags:
         return {"w0": self.w0, "w1": self.w1, "w2": self.w2, "w3": self.w3}
 
 
+def _cyclic_sum_vanishes(T: Tensor) -> bool:
+    """T_ijk + T_jki + T_kij = 0 for all i, j, k.  A nonzero cyclic sum
+    has a nonzero term, and the sum is the same for each rotation of the
+    triple, so the nonzero components are the only triples to test."""
+    c = T.components
+    return all(not (c[i][j][k] + c[j][k][i] + c[k][i][j]).terms
+               for (i, j, k), _ in T.nonzero())
+
+
 class AlmostNordenAlgebra:
     """Lie algebra + compatible (g, J) pair, validated at construction.
 
@@ -194,7 +278,7 @@ class AlmostNordenAlgebra:
     inverse metric is computed eagerly and cached.
     """
 
-    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_invariant")
+    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_invariant")
 
     def __init__(self, algebra: LieAlgebra,
                  g: RationalMatrix | None = None,
@@ -232,6 +316,7 @@ class AlmostNordenAlgebra:
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "g_inv", g_inv)
         object.__setattr__(self, "_gJ", g @ J)
+        object.__setattr__(self, "_G", None)
         object.__setattr__(self, "_invariant", None)
 
     def __setattr__(self, name, value):
@@ -282,6 +367,16 @@ class AlmostNordenAlgebra:
 
     # -- structural checks -------------------------------------------------
 
+    @property
+    def G(self) -> Tensor:
+        """G_ijk = g([X_i, X_j], X_k): the structure constants with the
+        upper index lowered.  Computed once; the invariance check and
+        both routes to F read from it."""
+        if self._G is None:
+            gamma = Tensor(self.params, self.algebra.gamma)
+            object.__setattr__(self, "_G", gamma.contract(2, self.g))
+        return self._G
+
     def check_invariant_metric(self) -> CheckResult:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.
 
@@ -289,103 +384,56 @@ class AlmostNordenAlgebra:
         the connection collapse to half the bracket.  The result is
         cached; it is consulted on every fundamental-tensor build.
         """
-        if self._invariant is not None:
-            return self._invariant
-        alg = self.algebra
-        violations = []
-        for i in range(1, self.dim + 1):
-            for j in range(1, self.dim + 1):
-                bij = alg.bracket_basis(i, j)
-                for k in range(1, self.dim + 1):
-                    residual = (self.metric(bij, alg.basis_vector(k))
-                                + self.metric(alg.bracket_basis(i, k),
-                                              alg.basis_vector(j)))
-                    if residual.terms:
-                        violations.append((i, j, k, residual))
-        result = CheckResult(not violations, tuple(violations))
-        object.__setattr__(self, "_invariant", result)
-        return result
+        if self._invariant is None:
+            G = self.G.components
+            violations = []
+            for i, j, k in product(range(self.dim), repeat=3):
+                residual = G[i][j][k] + G[i][k][j]
+                if residual.terms:
+                    violations.append((i + 1, j + 1, k + 1, residual))
+            object.__setattr__(self, "_invariant",
+                               CheckResult(not violations, tuple(violations)))
+        return self._invariant
 
     # -- fundamental tensor ------------------------------------------------
 
     def tensor_F(self) -> Tensor:
         """All components F_ijk = g((grad_{X_i} J) X_j, X_k).
 
-        With an invariant metric the connection is half the bracket and
-        the component formula collapses to
+        With T_ijk = g(grad_{X_i} X_j, X_k) and g(Jx, y) = g(x, Jy) (the
+        Norden property),
 
-            F_ijk = (1/2) [ g([X_i, J X_j], X_k) - g([X_i, X_j], J X_k) ].
+            F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k).
 
-        Otherwise the general Levi-Civita connection is computed first
-        and F follows from the definition.  The two paths agree whenever
-        both apply.  Nothing is cached here: :class:`~nordenlab.report.Geometry`
-        owns the reuse of F across stages.
+        With an invariant metric the connection is half the bracket, so
+        T = G/2; otherwise T is the Levi-Civita connection lowered with g.
+        The two paths agree whenever both apply.  Nothing is cached here:
+        :class:`~nordenlab.report.Geometry` owns the reuse of F across
+        stages.
         """
         if self.check_invariant_metric().ok:
-            return self._tensor_f_invariant()
+            return self._f_from(self.G, Fraction(1, 2))
         return self._tensor_f_general()
-
-    def _tensor_f_invariant(self) -> Tensor:
-        alg = self.algebra
-        dim = self.dim
-        basis = [alg.basis_vector(i) for i in range(1, dim + 1)]
-        jbasis = [self.j_apply(v) for v in basis]
-        grid = []
-        for i in range(1, dim + 1):
-            plane = []
-            for j in range(1, dim + 1):
-                left = alg.bracket(basis[i - 1], jbasis[j - 1])
-                right = alg.bracket_basis(i, j)
-                row = []
-                for k in range(1, dim + 1):
-                    val = (self.metric(left, basis[k - 1])
-                           - self.metric(right, jbasis[k - 1])) / 2
-                    row.append(val)
-                plane.append(row)
-            grid.append(plane)
-        return Tensor(self.params, grid)
 
     def _tensor_f_general(self) -> Tensor:
         from .curvature import levi_civita  # deferred: two-way dependency
 
-        conn = levi_civita(self)
-        alg = self.algebra
-        dim = self.dim
-        basis = [alg.basis_vector(i) for i in range(1, dim + 1)]
-        grid = []
-        for i in range(1, dim + 1):
-            plane = []
-            for j in range(1, dim + 1):
-                # grad_i (J X_j) via constant J coefficients, minus
-                # J (grad_i X_j).
-                acc = alg.zero_vector()
-                for p in range(dim):
-                    coeff = self.J[p][j - 1]
-                    if coeff:
-                        acc = tuple(
-                            a + coeff * b
-                            for a, b in zip(acc, conn.vector(i, p + 1)))
-                acc = vec_sub(acc, self.j_apply(conn.vector(i, j)))
-                plane.append([self.metric(acc, basis[k - 1])
-                              for k in range(1, dim + 1)])
-            grid.append(plane)
-        return Tensor(self.params, grid)
+        return self._f_from(levi_civita(self).contract(2, self.g), 1)
+
+    def _f_from(self, T: Tensor, factor: RationalLike) -> Tensor:
+        """factor * (T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k))."""
+        jt = self.J.transpose()
+        entries = T.nonzero()
+        acc: dict[tuple[int, ...], Poly] = {}
+        _scatter(acc, entries, 1, _columns(jt.scale(factor), self.dim))
+        _scatter(acc, entries, 2, _columns(jt.scale(-factor), self.dim))
+        return Tensor.from_entries(self.params, self.dim, 3, acc)
 
     # -- Lie form and classification --------------------------------------
 
     def lie_form(self, F: Tensor) -> Covector:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
-        dim = self.dim
-        out = []
-        for k in range(dim):
-            acc = Poly.zero(self.params)
-            for i in range(dim):
-                for j in range(dim):
-                    coeff = self.g_inv[i][j]
-                    if coeff and F.components[i][j][k].terms:
-                        acc = acc + coeff * F.components[i][j][k]
-            out.append(acc)
-        return tuple(out)
+        return F.trace(0, 1, self.g_inv).components
 
     def classify(self, F: Tensor) -> ClassFlags:
         """Exact membership in the four basic classes.
@@ -399,68 +447,21 @@ class AlmostNordenAlgebra:
         Identities are checked on all basis triples, which suffices by
         multilinearity.
         """
-        dim = self.dim
         comp = F.components
         theta = self.lie_form(F)
-        theta_is_zero = all(t.is_zero for t in theta)
-
         w0 = F.is_zero
-
-        w3 = True
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    s = comp[i][j][k] + comp[j][k][i] + comp[k][i][j]
-                    if s.terms:
-                        w3 = False
-                        break
-                if not w3:
-                    break
-            if not w3:
-                break
-
-        # F(x, y, Jz) contracted against the constant J matrix.
-        def f_with_j(i: int, j: int, k: int) -> Poly:
-            acc = Poly.zero(self.params)
-            for p in range(dim):
-                coeff = self.J[p][k]
-                if coeff and comp[i][j][p].terms:
-                    acc = acc + coeff * comp[i][j][p]
-            return acc
-
-        w2 = theta_is_zero
-        if w2:
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        s = (f_with_j(i, j, k) + f_with_j(j, k, i)
-                             + f_with_j(k, i, j))
-                        if s.terms:
-                            w2 = False
-                            break
-                    if not w2:
-                        break
-                if not w2:
-                    break
+        w3 = _cyclic_sum_vanishes(F)
+        w2 = (all(t.is_zero for t in theta)
+              and _cyclic_sum_vanishes(F.contract(2, self.J.transpose())))
 
         theta_j = self.J.transpose().apply(theta)  # theta(J X_k) components
-        gj = self._gJ
+        g, gj = self.g, self._gJ
         scale = Fraction(1, 4 * self.n)
-        w1 = True
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    expected = (self.g[i][j] * theta[k]
-                                + self.g[i][k] * theta[j]
-                                + gj[i][j] * theta_j[k]
-                                + gj[i][k] * theta_j[j]) * scale
-                    if (comp[i][j][k] - expected).terms:
-                        w1 = False
-                        break
-                if not w1:
-                    break
-            if not w1:
-                break
+        w1 = all(
+            not (comp[i][j][k] - (g[i][j] * theta[k] + g[i][k] * theta[j]
+                                  + gj[i][j] * theta_j[k]
+                                  + gj[i][k] * theta_j[j]) * scale).terms
+            for i, j, k in product(range(self.dim), repeat=3))
 
         return ClassFlags(w0=w0, w1=w1, w2=w2, w3=w3)
 

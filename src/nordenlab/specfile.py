@@ -19,6 +19,14 @@ and the bracket rows:
     1 2 -> 4: l2; 5: l3
     2 3 -> 5: l1; 6: l2
 
+Limits, checked before any algebra is built (each violation is a
+:class:`~nordenlab.errors.SpecFileError`):
+
+* the file is at most :data:`MAX_SPEC_BYTES` bytes (1 MiB);
+* the dimension is at most :data:`MAX_DIMENSION` (20);
+* every bracket coefficient has total degree at most :data:`MAX_DEGREE`
+  (16).
+
 A bracket line ``i j -> k: p; ...`` declares [X_i, X_j] = sum p * X_k with
 i < j; the mirrored rows follow by antisymmetry.  The metric section takes
 either a ``diag =`` line or a full symmetric matrix, one row per line.
@@ -33,7 +41,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable
 
 from .errors import PolyParseError, SpecFileError
@@ -46,6 +53,13 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 #: Rationals as written in spec files and ``--eval``: an integer or p/q,
 #: with a nonzero denominator.
 RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?\Z")
+
+#: Largest accepted spec file, in bytes, checked before decoding.
+MAX_SPEC_BYTES = 1 << 20
+#: Largest accepted dimension: grad R alone has dimension^5 components.
+MAX_DIMENSION = 20
+#: Largest accepted total degree of one bracket coefficient.
+MAX_DEGREE = 16
 
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
@@ -102,10 +116,14 @@ def parse_spec_text(text: str) -> AlgebraSpecFile:
 
     lineno, line = lines[0]
     dim_text = _key_value(line, "dimension", lineno)
-    if not dim_text.isdigit() or int(dim_text) < 1:
+    digits = dim_text.lstrip("0")
+    if not (dim_text.isascii() and dim_text.isdigit()) or not digits:
         raise SpecFileError(f"dimension must be a positive integer, got "
-                            f"{dim_text!r}", line=lineno)
-    dim = int(dim_text)
+                            f"{dim_text[:20]!r}", line=lineno)
+    if len(digits) > 2 or int(digits) > MAX_DIMENSION:
+        raise SpecFileError(f"dimension {digits[:20]} exceeds the limit of "
+                            f"{MAX_DIMENSION}", line=lineno)
+    dim = int(digits)
     if dim % 2:
         raise SpecFileError(f"dimension must be even for an almost "
                             f"complex structure, got {dim}", line=lineno)
@@ -238,6 +256,11 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                 coeff = parse_poly(poly_text.strip(), parameters)
             except PolyParseError as exc:
                 raise SpecFileError(str(exc), line=lineno) from exc
+            if coeff.total_degree() > MAX_DEGREE:
+                raise SpecFileError(
+                    f"bracket [X{i},X{j}]: coefficient of X{k} has total "
+                    f"degree {coeff.total_degree()}, above the limit of "
+                    f"{MAX_DEGREE}", line=lineno)
             targets.append((k, coeff))
         entries.append((i, j, tuple(targets)))
     return tuple(entries)
@@ -245,8 +268,13 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
 
 def parse_spec(path) -> AlmostNordenAlgebra:
     """Read, parse, and fully validate a spec file from ``path``."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_SPEC_BYTES + 1)
+    if len(data) > MAX_SPEC_BYTES:
+        raise SpecFileError(f"{path}: larger than the limit of "
+                            f"{MAX_SPEC_BYTES} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SpecFileError(f"{path}: not UTF-8 text (byte {exc.start})"
                             ) from exc

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nordenlab import AlmostNordenAlgebra, curvature, report
+from nordenlab import AlmostNordenAlgebra, curvature, report, specfile
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -94,6 +94,24 @@ def test_zero_denominator_in_spec_is_input_error(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["check", str(spec)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, args, message", [
+    (b"dimension = 40\nparameters =\n", ["check"],
+     "dimension 40 exceeds the limit of 20"),
+    (b"dimension = 2\nparameters = t\n[brackets]\n1 2 -> 1: t^99999999\n",
+     ["report", "--eval", "t=3/2"], "total degree 99999999, above the limit"),
+    # one byte over the limit, and not UTF-8: size is checked first
+    (MINIMAL_SPEC.encode().ljust(specfile.MAX_SPEC_BYTES + 1, b"\xe9"),
+     ["check"], "larger than the limit of 1048576 bytes"),
+], ids=["dimension", "degree", "size"])
+def test_spec_limits_are_input_errors(tmp_path, capsys, body, args, message):
+    spec = tmp_path / "limit.spec"
+    spec.write_bytes(body)
+    assert main(args[:1] + [str(spec)] + args[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
 
 
 # -- check -----------------------------------------------------------------
@@ -222,6 +240,21 @@ def test_report_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["report", "--family", "table1", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command, golden", [
+    (["report", "--format", "json"], "report.json"),
+    (["curvature"], "curvature.txt"),
+])
+@pytest.mark.parametrize("name", ["heisenberg6", "affine6", "filiform12"])
+def test_koszul_route_outputs_are_golden(name, command, golden,
+                                         spec_fixture_path, capsys):
+    # none of these metrics is invariant, so F and the connection take
+    # the general Koszul route
+    data = spec_fixture_path.parent
+    assert main(command[:1] + [str(data / f"{name}.spec")] + command[1:]) == 0
+    expected = (data / f"{name}_{golden}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 # -- family ----------------------------------------------------------------

@@ -95,17 +95,6 @@ def test_connection_heisenberg_fixture(heisenberg6):
     assert format_vector(c.vector(2, 3)) == "1/2*X1"
 
 
-def test_derive_in_direction_is_tensorial(falg, fconn):
-    alg = falg.algebra
-    x = tuple(Poly.constant(v, P3) for v in (2, 0, -1, 0, 3, 0))
-    direct = fconn.derive_in_direction(x, 4)
-    summed = alg.zero_vector()
-    for i, xi in ((1, 2), (3, -1), (5, 3)):
-        summed = tuple(s + Poly.constant(xi, P3) * v
-                       for s, v in zip(summed, fconn.vector(i, 4)))
-    assert direct == summed
-
-
 # -- curvature tensor ------------------------------------------------------
 
 def test_curvature_spot_values(fcurv):

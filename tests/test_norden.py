@@ -190,6 +190,27 @@ def test_tensor_access(rank):
         Tensor((), [grid(()), grid(())[:1]])
 
 
+def test_from_entries_shares_one_zero():
+    p = Poly.variable("t", ("t",))
+    T = Tensor.from_entries(("t",), 2, 2, {(0, 1): p - p, (1, 0): p})
+    zero = T.components[0][0]
+    assert zero.is_zero
+    assert T.components[0][1] is zero and T.components[1][1] is zero
+    assert T.nonzero() == (((1, 0), p),)
+    assert T.component(2, 1) == p
+    # sum_{a,b} M[a][b] T[a][b] is a rank-0 tensor holding one Poly
+    assert T.trace(0, 1, [[1, 0], [0, 1]]).components.is_zero
+    assert T.trace(0, 1, [[0, 2], [3, 0]]).components == 3 * p
+
+
+def test_contract_identity_and_metric_round_trip(falg, ftensor):
+    assert ftensor.contract(1, RationalMatrix.identity(6)) == ftensor
+    for axis in range(3):
+        lowered = ftensor.contract(axis, falg.g)
+        assert lowered != ftensor
+        assert lowered.contract(axis, falg.g_inv) == ftensor
+
+
 # -- Lie form and classification -------------------------------------------
 
 def test_lie_form_vanishes_for_family(falg, ftensor):

@@ -99,6 +99,14 @@ def test_error_bad_dimension():
     raises_on_line("dimension = nope\nparameters =\n", 1)
     raises_on_line("dimension = 0\nparameters =\n", 1)
     raises_on_line("dimension = 5\nparameters =\n", 1)  # odd
+    raises_on_line("dimension = \u00b2\nparameters =\n", 1)  # not ASCII
+
+
+def test_limits_are_inclusive():
+    spec = parse_spec_text("dimension = 20\nparameters = t\n[brackets]\n"
+                           "1 2 -> 3: t^16\n")
+    assert spec.dimension == 20
+    assert spec.brackets[0][2][0][1].total_degree() == 16
 
 
 def test_error_bad_parameters():
