@@ -66,12 +66,11 @@ from .lie import (
     vec_sub,
     zero_vector,
 )
-from .linalg import PolyMatrix, RationalMatrix, rational_rank, signature
+from .linalg import PolyMatrix, RationalMatrix, Tensor, rational_rank, signature
 from .norden import (
     AlmostNordenAlgebra,
     ClassFlags,
     Covector,
-    Tensor,
     check_norden,
     default_J,
     default_metric,

@@ -106,7 +106,11 @@ def _parse_assignment(text: str,
         if not RATIONAL.match(raw):
             raise _CliError(f"--eval value for {name!r} is not a "
                             f"rational number p or p/q: {raw!r}")
-        values[name] = Fraction(raw)
+        try:
+            values[name] = Fraction(raw)
+        except ValueError:  # more digits than Python converts
+            raise _CliError(f"--eval value for {name!r} has {len(raw)} "
+                            f"characters, too long to read") from None
     missing = [p for p in params if p not in values]
     if missing:
         raise _CliError("--eval must assign every parameter; missing: "
@@ -219,7 +223,7 @@ def cmd_curvature(args) -> int:
 
     rho, tau = geo.ricci_and_tau
     print("ricci:")
-    for row in rho.grid:
+    for row in rho.components:
         print("  " + "  ".join(str(v) for v in row))
     print(f"tau: {tau}")
 

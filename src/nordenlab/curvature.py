@@ -14,8 +14,9 @@ every operation a finite exact contraction:
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
-* grad R is a scatter: each nonzero component of R meets each nonzero
-  connection coefficient whose upper index sits in one of its slots;
+* grad R is a scatter, built one direction block at a time: each nonzero
+  component of R meets each nonzero connection coefficient whose upper
+  index sits in one of its slots;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .lie import Vector
-from .linalg import PolyMatrix, rational_rank
-from .norden import (AlmostNordenAlgebra, Tensor, _accumulate, _columns,
-                     _scatter)
+from .linalg import (PolyMatrix, Tensor, _accumulate, _columns, _scatter,
+                     rational_rank)
+from .norden import AlmostNordenAlgebra
 from .poly import Poly, as_fraction
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -101,7 +102,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
                 term = v * w
                 _accumulate(upper, (i, j, k, q), term)
                 _accumulate(upper, (j, i, k, q), -term)
-    for (i, j, p), v in Tensor(a.params, a.algebra.gamma).nonzero():
+    for (i, j, p), v in a.algebra.gamma.nonzero():
         minus_v = -v
         for k, q, w in by_first[p]:
             _accumulate(upper, (i, j, k, q), minus_v * w)
@@ -234,27 +235,32 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     return R.trace(0, 3, outer(p.x)).trace(0, 1, outer(p.y)).components / disc
 
 
-def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
-    """(grad_{X_i} R)(X_j, X_k, X_l, X_m) for all 1-based index tuples.
+def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
+                   R: Tensor) -> Iterator[Tensor]:
+    """The rank-4 blocks grad_{X_i} R for i = 1..dim, built one at a time.
 
     The components of R are constants, so the directional-derivative term
     drops and only the four slot corrections survive:
 
         -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ...
 
-    Computed by scatter, one direction i at a time: each nonzero R entry
-    meets each negated coefficient -Gamma_ix^p whose upper index p sits in
-    one of its four slots, and adds the product at x in that slot.
+    Each block is a scatter: each nonzero R entry meets each negated
+    coefficient -Gamma_ix^p whose upper index p sits in one of its four
+    slots, and adds the product at x in that slot.
     """
     entries = R.nonzero()
-    out = []
     for plane in c.coeffs:
         columns = _columns([[-v for v in row] for row in plane], a.dim)
         acc: dict[tuple[int, ...], Poly] = {}
         for slot in range(4):
             _scatter(acc, entries, slot, columns)
-        out.append(Tensor.from_entries(a.params, a.dim, 4, acc).components)
-    return tuple(out)
+        yield Tensor.from_entries(a.params, a.dim, 4, acc)
+
+
+def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
+    """(grad_{X_i} R)(X_j, X_k, X_l, X_m) for all index tuples, as nested
+    tuples with raw 0-based storage: every block of :func:`nabla_R_blocks`."""
+    return tuple(block.components for block in nabla_R_blocks(a, c, R))
 
 
 def is_locally_symmetric(nabla_r: Array5) -> bool:

@@ -175,36 +175,26 @@ def _expr(params: tuple[str, ...], kind: str, args: tuple[int, ...]) -> Poly:
     raise ValueError(f"unknown expression kind {kind!r}")
 
 
-def _l_matrix(params: tuple[str, ...]) -> PolyMatrix:
-    """The 3x3 symmetric building block of the Killing form and Ricci."""
+def _l_blocks(params: tuple[str, ...], scale: int) -> PolyMatrix:
+    """scale * [[L, -L], [-L, L]], with L the 3x3 symmetric building
+    block of the Killing form and Ricci."""
     l1, l2, l3 = (Poly.variable(name, params) for name in params)
+    L = [[l3 * l3, -(l2 * l3), -(l1 * l3)],
+         [-(l2 * l3), l2 * l2, -(l1 * l2)],
+         [-(l1 * l3), -(l1 * l2), l1 * l1]]
     return PolyMatrix(params, [
-        [l3 * l3, -(l2 * l3), -(l1 * l3)],
-        [-(l2 * l3), l2 * l2, -(l1 * l2)],
-        [-(l1 * l3), -(l1 * l2), l1 * l1],
-    ])
-
-
-def _block2x2(a: PolyMatrix, b: PolyMatrix, c: PolyMatrix,
-              d: PolyMatrix) -> PolyMatrix:
-    rows = []
-    for r1, r2 in zip(a.grid, b.grid):
-        rows.append(list(r1) + list(r2))
-    for r1, r2 in zip(c.grid, d.grid):
-        rows.append(list(r1) + list(r2))
-    return PolyMatrix(a.params, rows)
+        [L[i % 3][j % 3] * (scale if i // 3 == j // 3 else -scale)
+         for j in range(6)] for i in range(6)])
 
 
 def expected_killing_form(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
     """4 * [[L, -L], [-L, L]] with the standard L block."""
-    L = _l_matrix(params)
-    return _block2x2(L, -L, -L, L).scale(4)
+    return _l_blocks(params, 4)
 
 
 def expected_ricci(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
     """[[-L, L], [L, -L]]: the published component table in block form."""
-    L = _l_matrix(params)
-    return _block2x2(-L, L, L, -L)
+    return _l_blocks(params, -1)
 
 
 def expected_F_components(params: tuple[str, ...] = PARAM_NAMES

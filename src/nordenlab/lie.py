@@ -1,15 +1,15 @@
 """Lie algebras presented by structure constants.
 
-An algebra of dimension d is stored as the dense 3-index array
-``gamma[i][j][k]`` of polynomials with
+An algebra of dimension d stores its structure constants as the rank-3
+:class:`~nordenlab.linalg.Tensor` ``gamma`` with
 
-    [X_{i+1}, X_{j+1}] = sum_k gamma[i][j][k] X_{k+1}
+    [X_i, X_j] = sum_k gamma[i, j, k] X_k
 
-(raw storage 0-based; every public index argument — ``jacobiator(1, 2, 3)``,
+(every public index argument — ``jacobiator(1, 2, 3)``,
 ``structure_constant(i, j, k)``, ``basis_vector(i)`` — is 1-based, matching
-the usual X₁..X_{2n} labelling; the translation happens here and nowhere
-else).  Antisymmetry is validated at construction, never silently repaired:
-inconsistent input is a transcription error worth surfacing.
+the usual X₁..X_{2n} labelling).  Antisymmetry is validated at
+construction, never silently repaired: inconsistent input is a
+transcription error worth surfacing.
 
 Vectors are plain tuples of :class:`~nordenlab.poly.Poly`, one component
 per basis element.
@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .linalg import PolyMatrix
+from .linalg import PolyMatrix, Tensor, _accumulate
 from .poly import Poly, RationalLike, as_poly
 
 Vector = tuple[Poly, ...]
@@ -120,19 +120,17 @@ class LieAlgebra:
                             f"X{k + 1} in [X{i + 1},X{j + 1}] is "
                             f"{grid[i][j][k]} but in [X{j + 1},X{i + 1}] "
                             f"is {grid[j][i][k]}")
+        gamma = Tensor(params, grid)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "gamma", grid)
+        object.__setattr__(self, "gamma", gamma)
         # Nonzero bracket rows (i < j), precomputed for bracket evaluation.
-        pairs = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                targets = tuple(
-                    (k, grid[i][j][k]) for k in range(dim)
-                    if grid[i][j][k].terms)
-                if targets:
-                    pairs.append((i, j, targets))
-        object.__setattr__(self, "_pairs", tuple(pairs))
+        pairs: dict[tuple[int, int], list] = {}
+        for (i, j, k), v in gamma.nonzero():
+            if i < j:
+                pairs.setdefault((i, j), []).append((k, v))
+        object.__setattr__(self, "_pairs", tuple(
+            (i, j, tuple(targets)) for (i, j), targets in pairs.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -188,7 +186,7 @@ class LieAlgebra:
         """Coefficient of X_k in [X_i, X_j] (1-based indices)."""
         for idx in (i, j, k):
             self._check_index(idx)
-        return self.gamma[i - 1][j - 1][k - 1]
+        return self.gamma.component(i, j, k)
 
     def basis_vector(self, i: int) -> Vector:
         self._check_index(i)
@@ -223,7 +221,7 @@ class LieAlgebra:
         """[X_i, X_j] for 1-based basis indices, without building vectors."""
         self._check_index(i)
         self._check_index(j)
-        return tuple(self.gamma[i - 1][j - 1])
+        return self.gamma.components[i - 1][j - 1]
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
         """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]."""
@@ -257,23 +255,20 @@ class LieAlgebra:
                            for i in range(self.dim)])
 
     def killing_form(self) -> PolyMatrix:
-        """B[i][j] = trace(ad X_i · ad X_j), a symmetric matrix of Poly."""
-        ads = [self.ad_matrix(self.basis_vector(i))
-               for i in range(1, self.dim + 1)]
-        n = self.dim
-        rows = [[Poly.zero(self.params) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                acc = Poly.zero(self.params)
-                for p in range(n):
-                    for q in range(n):
-                        a = ads[i][p][q]
-                        b = ads[j][q][p]
-                        if a.terms and b.terms:
-                            acc = acc + a * b
-                rows[i][j] = acc
-                rows[j][i] = acc
-        return PolyMatrix(self.params, rows)
+        """B_ij = trace(ad X_i · ad X_j) = sum_{p,q} c_iq^p c_jp^q.
+
+        One scatter over pairs of nonzero structure constants: each
+        c_iq^p meets every c_jp^q with the same (p, q).
+        """
+        entries = self.gamma.nonzero()
+        by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
+        for (j, p, q), w in entries:
+            by_pair.setdefault((p, q), []).append((j, w))
+        acc: dict[tuple[int, ...], Poly] = {}
+        for (i, q, p), v in entries:
+            for j, w in by_pair.get((p, q), ()):
+                _accumulate(acc, (i, j), v * w)
+        return PolyMatrix.from_entries(self.params, self.dim, 2, acc)
 
     # -- substitution ------------------------------------------------------
 
@@ -283,9 +278,8 @@ class LieAlgebra:
         The result carries an empty parameter list, so all downstream
         arithmetic runs over plain rationals.
         """
-        gamma = [[[Poly.constant(v.evaluate(assignment))
-                   for v in row] for row in plane] for plane in self.gamma]
-        return LieAlgebra(self.dim, (), gamma)
+        return LieAlgebra(self.dim, (),
+                          self.gamma.evaluate(assignment).components)
 
     # -- comparison --------------------------------------------------------
 
@@ -296,7 +290,7 @@ class LieAlgebra:
                 and self.gamma == other.gamma)
 
     def __hash__(self):
-        return hash((self.dim, self.params, self.gamma))
+        return hash((self.dim, self.params, self.gamma.components))
 
     def __repr__(self):
         nonzero = sum(len(t) for _, _, t in self._pairs)

@@ -1,25 +1,27 @@
 """Exact dense linear algebra over the rationals and over polynomials.
 
-Two matrix flavours:
-
 * :class:`RationalMatrix` — entries are :class:`fractions.Fraction`.  Used
   for the metric g, the almost-complex matrix J, and the inverse metric.
   Supports exact inversion (Gauss-Jordan) and exact signature computation
   by congruence diagonalization (Sylvester's law of inertia) — no
-  eigenvalues, no floating point.
+  eigenvalues, no floating point.  Raw indexing is 0-based Python; the
+  1-based basis-label accessor is ``entry(i, j)``.
 
-* :class:`PolyMatrix` — entries are :class:`~nordenlab.poly.Poly`.  Used
-  for adjoint matrices, the Killing form, and the Ricci tensor, where
-  entries depend on the parameters.
+* :class:`Tensor` — the one polynomial array of the package: a dense
+  array of :class:`~nordenlab.poly.Poly` of any rank on one dimension,
+  with 1-based access and the contraction primitives every derived
+  object is built from (structure constants, F, the connection, R).
 
-Raw indexing on both classes is 0-based Python; the 1-based basis-label
-accessor is ``entry(i, j)``.
+* :class:`PolyMatrix` — a rank-2 :class:`Tensor` with a 1-based
+  ``entry(i, j)`` and an exact ``determinant()``.  Used for adjoint
+  matrices, the Killing form, and the Ricci tensor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateFormError,
@@ -27,7 +29,7 @@ from .errors import (
     NonSymmetricMatrixError,
     SingularMatrixError,
 )
-from .poly import Poly, RationalLike, as_fraction, as_poly
+from .poly import Poly, RationalLike, as_fraction
 
 
 class RationalMatrix:
@@ -309,111 +311,169 @@ def rational_rank(vectors: Iterable[Sequence[RationalLike]]) -> int:
     return rank
 
 
-class PolyMatrix:
-    """Immutable dense matrix with polynomial entries."""
+class Tensor:
+    """Dense array of polynomials of any rank on one dimension.
 
-    __slots__ = ("params", "grid")
+    ``components`` is nested tuples, one level per index, with raw
+    0-based storage; ``component`` and item access are 1-based.  The
+    package's index contractions are built on four primitives, which
+    visit only the nonzero components:
 
-    def __init__(self, params: Iterable[str],
-                 rows: Iterable[Iterable[Poly | RationalLike]]):
-        params = tuple(params)
-        grid = tuple(tuple(as_poly(v, params) for v in row) for row in rows)
-        if not grid or not grid[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged rows in matrix input")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "grid", grid)
+    * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
+    * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
+      for a square matrix ``M`` of rationals or polynomials, so raising
+      an index is ``contract(axis, g_inv)`` and ``T(.., J x, ..)`` is
+      ``contract(axis, J^T)``;
+    * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
+      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
+    * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
+      0-based index tuples to Poly, where every absent or cancelled entry
+      is one shared zero.
+    """
+
+    __slots__ = ("dim", "rank", "params", "components", "_nonzero")
+
+    def __init__(self, params: Iterable[str], components: Sequence):
+        dim = len(components)
+        rank, probe = 0, components
+        while not isinstance(probe, Poly) and len(probe):
+            rank, probe = rank + 1, probe[0]
+
+        def freeze(node, depth):
+            if depth == 0 and isinstance(node, Poly):
+                return node
+            if depth == 0 or isinstance(node, Poly) or len(node) != dim:
+                raise DimensionMismatchError(
+                    "tensor components must fill a cube of polynomials")
+            return tuple(freeze(sub, depth - 1) for sub in node)
+
+        self._set(dim, rank, params, freeze(components, rank))
+
+    def _set(self, dim, rank, params, components):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_nonzero", None)
+
+    @classmethod
+    def from_entries(cls, params: Iterable[str], dim: int, rank: int,
+                     entries: Mapping[tuple[int, ...], Poly]) -> Tensor:
+        zero = Poly.zero(params)
+
+        def fill(prefix):
+            if len(prefix) == rank:
+                value = entries.get(prefix, zero)
+                return value if value.terms else zero
+            return tuple(fill(prefix + (i,)) for i in range(dim))
+
+        tensor = object.__new__(cls)
+        tensor._set(dim, rank, params, fill(()))
+        return tensor
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
+        raise AttributeError("Tensor is immutable")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.grid)
+    def component(self, *idx: int) -> Poly:
+        if len(idx) != self.rank:
+            raise IndexError(
+                f"rank-{self.rank} tensor takes {self.rank} indices, "
+                f"got {len(idx)}")
+        node = self.components
+        for i in idx:
+            if not (1 <= i <= self.dim):
+                raise IndexError(f"index {i} out of range 1..{self.dim}")
+            node = node[i - 1]
+        return node
 
-    @property
-    def ncols(self) -> int:
-        return len(self.grid[0])
+    def __getitem__(self, idx: tuple[int, ...]) -> Poly:
+        return self.component(*idx)
 
-    def __getitem__(self, i: int) -> tuple[Poly, ...]:
-        return self.grid[i]
+    def values(self) -> list[Poly]:
+        """Every component, in row-major order."""
+        level = [self.components]
+        for _ in range(self.rank):
+            level = [sub for node in level for sub in node]
+        return level
 
-    def entry(self, i: int, j: int) -> Poly:
-        """Entry at 1-based row ``i``, column ``j``."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise IndexError(f"entry ({i}, {j}) outside "
-                             f"{self.nrows}x{self.ncols} matrix (1-based)")
-        return self.grid[i - 1][j - 1]
+    def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
+        """The nonzero components with their 0-based indices, row-major;
+        computed once."""
+        if self._nonzero is None:
+            indices = product(range(self.dim), repeat=self.rank)
+            object.__setattr__(self, "_nonzero", tuple(
+                (idx, v) for idx, v in zip(indices, self.values())
+                if v.terms))
+        return self._nonzero
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.grid[i][j] == self.grid[j][i]
-            for i in range(self.nrows) for j in range(i))
+    def contract(self, axis: int, M) -> Tensor:
+        acc: dict[tuple[int, ...], Poly] = {}
+        _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
+        return Tensor.from_entries(self.params, self.dim, self.rank, acc)
+
+    def trace(self, a: int, b: int, M) -> Tensor:
+        acc: dict[tuple[int, ...], Poly] = {}
+        for idx, v in self.nonzero():
+            weight = M[idx[a]][idx[b]]
+            if weight:
+                rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
+                _accumulate(acc, rest, v * weight)
+        return Tensor.from_entries(self.params, self.dim, self.rank - 2,
+                                   acc)
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for row in self.grid for v in row)
+        return not self.nonzero()
 
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        if not isinstance(other, PolyMatrix):
+    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
+        """Numeric twin of the same class, parameter-free."""
+        return type(self).from_entries((), self.dim, self.rank, {
+            idx: Poly.constant(v.evaluate(assignment))
+            for idx, v in self.nonzero()})
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs "
-                f"{other.nrows}x{other.ncols}")
-        return PolyMatrix(
-            self.params or other.params,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.grid, other.grid)])
+        return (self.rank == other.rank and self.dim == other.dim
+                and self.components == other.components)
 
-    def __sub__(self, other: PolyMatrix) -> PolyMatrix:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
+    def __repr__(self):
+        return (f"Tensor(rank={self.rank}, dim={self.dim}, "
+                f"{len(self.nonzero())} nonzero components)")
 
-    def __neg__(self) -> PolyMatrix:
-        return self.scale(-1)
 
-    def scale(self, factor: RationalLike) -> PolyMatrix:
-        return PolyMatrix(
-            self.params,
-            [[v.scale(factor) for v in row] for row in self.grid])
+def _accumulate(acc: dict, key: tuple[int, ...], term: Poly) -> None:
+    prev = acc.get(key)
+    acc[key] = term if prev is None else prev + term
 
-    def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}")
-        params = self.params or other.params
-        zero = Poly.zero(params)
-        out = []
-        for row in self.grid:
-            line = []
-            for c in range(other.ncols):
-                acc = zero
-                for k, v in enumerate(row):
-                    if v.terms and other.grid[k][c].terms:
-                        acc = acc + v * other.grid[k][c]
-                line.append(acc)
-            out.append(line)
-        return PolyMatrix(params, out)
 
-    def transpose(self) -> PolyMatrix:
-        return PolyMatrix(self.params, zip(*self.grid))
+def _columns(M, dim: int) -> list[list]:
+    """For each p, the nonzero ``(a, M[a][p])`` of column p."""
+    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
+            for p in range(dim)]
 
-    def trace(self) -> Poly:
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError(
-                f"trace of {self.nrows}x{self.ncols} matrix")
-        acc = Poly.zero(self.params)
-        for i in range(self.nrows):
-            acc = acc + self.grid[i][i]
-        return acc
+
+def _scatter(acc: dict, entries, axis: int, columns) -> None:
+    """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
+    an entry at index p there sends ``m * value`` to index a for each
+    ``(a, m)`` in ``columns[p]``."""
+    for idx, v in entries:
+        head, tail = idx[:axis], idx[axis + 1:]
+        for a, m in columns[idx[axis]]:
+            _accumulate(acc, head + (a,) + tail, v * m)
+
+
+
+
+class PolyMatrix(Tensor):
+    """A square matrix of polynomials: a rank-2 :class:`Tensor` with a
+    1-based ``entry`` and an exact ``determinant``."""
+
+    __slots__ = ()
+
+    def entry(self, i: int, j: int) -> Poly:
+        """Entry at 1-based row ``i``, column ``j``."""
+        return self.component(i, j)
 
     def determinant(self) -> Poly:
         """Exact determinant by Laplace expansion, memoized on column sets.
@@ -422,9 +482,7 @@ class PolyMatrix:
         subset-memoized expansion costs O(2^n) sub-determinants, fine for
         the small matrices this package meets (dim <= ~20).
         """
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError(
-                f"determinant of {self.nrows}x{self.ncols} matrix")
+        rows = self.components
         zero = Poly.zero(self.params)
         cache: dict[tuple[int, ...], Poly] = {(): Poly.constant(1, self.params)}
 
@@ -432,7 +490,7 @@ class PolyMatrix:
             # Determinant of the block on rows n-len(cols).. and `cols`.
             if cols in cache:
                 return cache[cols]
-            row = self.grid[self.nrows - len(cols)]
+            row = rows[self.dim - len(cols)]
             acc = zero
             for pos, c in enumerate(cols):
                 v = row[c]
@@ -444,24 +502,4 @@ class PolyMatrix:
             cache[cols] = acc
             return acc
 
-        return minor(tuple(range(self.ncols)))
-
-    def evaluate(self, assignment) -> RationalMatrix:
-        """Substitute rationals for the parameters, entrywise."""
-        return RationalMatrix(
-            [[v.evaluate(assignment) for v in row] for row in self.grid])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a == b for r1, r2 in zip(self.grid, other.grid)
-                        for a, b in zip(r1, r2)))
-
-    def __hash__(self):
-        return hash((self.params, self.grid))
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(str(v) for v in row) for row in self.grid)
-        return f"PolyMatrix[{body}]"
+        return minor(tuple(range(self.dim)))

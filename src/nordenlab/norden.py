@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra, Vector
-from .linalg import RationalMatrix, signature
+from .linalg import RationalMatrix, Tensor, _columns, _scatter, signature
 from .poly import Poly, RationalLike
 
 Covector = tuple[Poly, ...]
@@ -82,157 +82,6 @@ def check_norden(g: RationalMatrix, J: RationalMatrix) -> CheckResult:
             if value:
                 violations.append(("J^T*g*J+g", i + 1, j + 1, value))
     return CheckResult(not violations, tuple(violations))
-
-
-class Tensor:
-    """Dense array of polynomials of any rank on one dimension.
-
-    ``components`` is nested tuples, one level per index, with raw
-    0-based storage; ``component`` and item access are 1-based.  The
-    package's index contractions are built on four primitives, which
-    visit only the nonzero components:
-
-    * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
-    * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
-      for a square matrix ``M`` of rationals or polynomials, so raising
-      an index is ``contract(axis, g_inv)`` and ``T(.., J x, ..)`` is
-      ``contract(axis, J^T)``;
-    * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
-      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
-    * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
-      0-based index tuples to Poly, where every absent or cancelled entry
-      is one shared zero.
-    """
-
-    __slots__ = ("dim", "rank", "params", "components", "_nonzero")
-
-    def __init__(self, params: Iterable[str], components: Sequence):
-        dim = len(components)
-        rank, probe = 0, components
-        while not isinstance(probe, Poly) and len(probe):
-            rank, probe = rank + 1, probe[0]
-
-        def freeze(node, depth):
-            if depth == 0 and isinstance(node, Poly):
-                return node
-            if depth == 0 or isinstance(node, Poly) or len(node) != dim:
-                raise DimensionMismatchError(
-                    "tensor components must fill a cube of polynomials")
-            return tuple(freeze(sub, depth - 1) for sub in node)
-
-        self._set(dim, rank, params, freeze(components, rank))
-
-    def _set(self, dim, rank, params, components):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_nonzero", None)
-
-    @classmethod
-    def from_entries(cls, params: Iterable[str], dim: int, rank: int,
-                     entries: Mapping[tuple[int, ...], Poly]) -> Tensor:
-        zero = Poly.zero(params)
-
-        def fill(prefix):
-            if len(prefix) == rank:
-                value = entries.get(prefix, zero)
-                return value if value.terms else zero
-            return tuple(fill(prefix + (i,)) for i in range(dim))
-
-        tensor = object.__new__(cls)
-        tensor._set(dim, rank, params, fill(()))
-        return tensor
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
-
-    def component(self, *idx: int) -> Poly:
-        if len(idx) != self.rank:
-            raise IndexError(
-                f"rank-{self.rank} tensor takes {self.rank} indices, "
-                f"got {len(idx)}")
-        node = self.components
-        for i in idx:
-            if not (1 <= i <= self.dim):
-                raise IndexError(f"index {i} out of range 1..{self.dim}")
-            node = node[i - 1]
-        return node
-
-    def __getitem__(self, idx: tuple[int, ...]) -> Poly:
-        return self.component(*idx)
-
-    def values(self) -> list[Poly]:
-        """Every component, in row-major order."""
-        level = [self.components]
-        for _ in range(self.rank):
-            level = [sub for node in level for sub in node]
-        return level
-
-    def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
-        """The nonzero components with their 0-based indices, row-major;
-        computed once."""
-        if self._nonzero is None:
-            indices = product(range(self.dim), repeat=self.rank)
-            object.__setattr__(self, "_nonzero", tuple(
-                (idx, v) for idx, v in zip(indices, self.values())
-                if v.terms))
-        return self._nonzero
-
-    def contract(self, axis: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], Poly] = {}
-        _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
-        return Tensor.from_entries(self.params, self.dim, self.rank, acc)
-
-    def trace(self, a: int, b: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], Poly] = {}
-        for idx, v in self.nonzero():
-            weight = M[idx[a]][idx[b]]
-            if weight:
-                rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
-                _accumulate(acc, rest, v * weight)
-        return Tensor.from_entries(self.params, self.dim, self.rank - 2,
-                                   acc)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nonzero()
-
-    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
-        return Tensor.from_entries((), self.dim, self.rank, {
-            idx: Poly.constant(v.evaluate(assignment))
-            for idx, v in self.nonzero()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.rank == other.rank and self.dim == other.dim
-                and self.components == other.components)
-
-    def __repr__(self):
-        return (f"Tensor(rank={self.rank}, dim={self.dim}, "
-                f"{len(self.nonzero())} nonzero components)")
-
-
-def _accumulate(acc: dict, key: tuple[int, ...], term: Poly) -> None:
-    prev = acc.get(key)
-    acc[key] = term if prev is None else prev + term
-
-
-def _columns(M, dim: int) -> list[list]:
-    """For each p, the nonzero ``(a, M[a][p])`` of column p."""
-    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
-            for p in range(dim)]
-
-
-def _scatter(acc: dict, entries, axis: int, columns) -> None:
-    """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
-    an entry at index p there sends ``m * value`` to index a for each
-    ``(a, m)`` in ``columns[p]``."""
-    for idx, v in entries:
-        head, tail = idx[:axis], idx[axis + 1:]
-        for a, m in columns[idx[axis]]:
-            _accumulate(acc, head + (a,) + tail, v * m)
 
 
 @dataclass(frozen=True)
@@ -373,8 +222,8 @@ class AlmostNordenAlgebra:
         upper index lowered.  Computed once; the invariance check and
         both routes to F read from it."""
         if self._G is None:
-            gamma = Tensor(self.params, self.algebra.gamma)
-            object.__setattr__(self, "_G", gamma.contract(2, self.g))
+            object.__setattr__(self, "_G",
+                               self.algebra.gamma.contract(2, self.g))
         return self._G
 
     def check_invariant_metric(self) -> CheckResult:

@@ -358,7 +358,13 @@ def _tokenize(text: str):
                 f"unexpected character {stripped[0]!r} in polynomial "
                 f"{text!r}")
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int"))))
+            digits = m.group("int")
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:  # more digits than Python converts
+                raise PolyParseError(
+                    f"integer of {len(digits)} digits in polynomial is "
+                    f"too long") from None
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -456,11 +462,11 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
                         f"trailing '+' in polynomial {text!r}")
 
     plist = known if known is not None else tuple(sorted(seen))
-    result = Poly.zero(plist)
+    acc: dict[tuple[int, ...], Fraction] = {}
     for sign, coeff, powers in terms:
         expo = tuple(powers.get(name, 0) for name in plist)
-        result = result + Poly(plist, {expo: sign * coeff})
-    return result
+        acc[expo] = acc.get(expo, _ZERO) + sign * coeff
+    return Poly(plist, acc)
 
 
 def as_poly(value: Poly | RationalLike, params: Iterable[str]) -> Poly:

@@ -24,17 +24,16 @@ from .curvature import (
     ConnectionCoeffs,
     coordinate_plane,
     curvature_R,
-    is_locally_symmetric,
     levi_civita,
-    nabla_R,
+    nabla_R_blocks,
     plane_type,
     ricci_and_scalar,
     sectional_curvature,
     square_norm_nabla_J,
 )
 from .errors import DegeneratePlaneError
-from .linalg import PolyMatrix
-from .norden import AlmostNordenAlgebra, ClassFlags, Covector, Tensor
+from .linalg import PolyMatrix, Tensor
+from .norden import AlmostNordenAlgebra, ClassFlags, Covector
 from .poly import Poly
 
 SectionalTable = tuple[tuple[str, str, Poly | None], ...]
@@ -50,8 +49,8 @@ class Geometry:
         connection  -> R -> ricci_and_tau, sectional, locally_symmetric
         killing_form
 
-    ``locally_symmetric`` keeps only the verdict; the rank-5 array of
-    grad R is dropped as soon as it has been scanned.
+    ``locally_symmetric`` keeps only the verdict: it builds grad R one
+    direction block at a time and stops at the first nonzero block.
     """
 
     def __init__(self, a: AlmostNordenAlgebra):
@@ -87,8 +86,8 @@ class Geometry:
 
     @cached_property
     def locally_symmetric(self) -> bool:
-        return is_locally_symmetric(
-            nabla_R(self.algebra, self.connection, self.R))
+        return all(block.is_zero for block in nabla_R_blocks(
+            self.algebra, self.connection, self.R))
 
     @cached_property
     def sectional(self) -> SectionalTable:
@@ -177,7 +176,8 @@ class ReportDocument:
                 "w2": flags.w2, "w3": flags.w3,
             },
             theta=[str(t) for t in report.theta],
-            ricci=[[str(v) for v in row] for row in report.ricci.grid],
+            ricci=[[str(v) for v in row]
+                   for row in report.ricci.components],
             tau=str(report.tau),
             nabla_j_norm=str(report.nabla_j_norm),
             locally_symmetric=report.locally_symmetric,
@@ -187,7 +187,7 @@ class ReportDocument:
                 for pid, ptype, value in report.sectional
             ],
             killing_form=[[str(v) for v in row]
-                          for row in report.killing_form.grid],
+                          for row in report.killing_form.components],
         )
 
     # -- renderings --------------------------------------------------------

@@ -84,12 +84,22 @@ class AlgebraSpecFile:
         return AlmostNordenAlgebra(lie, self.metric, self.J)
 
 
+def _convert(kind, token: str, lineno: int):
+    """``kind(token)``, where Python's refusal (an integer of more than
+    4300 digits, or a digit ``int`` does not read) is an input error."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise SpecFileError(f"unreadable number {token[:20]!r} of "
+                            f"{len(token)} characters", line=lineno) from None
+
+
 def _fraction(token: str, lineno: int) -> Fraction:
     token = token.strip()
     if not RATIONAL.match(token):
         raise SpecFileError(f"not a rational number: {token!r}",
                             line=lineno)
-    return Fraction(token)
+    return _convert(Fraction, token, lineno)
 
 
 def _meaningful_lines(text: str):
@@ -215,7 +225,7 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
             raise SpecFileError(
                 f"bracket line must look like 'I J -> K: poly; ...', "
                 f"got {line!r}", line=lineno)
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = (_convert(int, m.group(n), lineno) for n in (1, 2))
         for idx in (i, j):
             if not (1 <= idx <= dim):
                 raise SpecFileError(
@@ -242,7 +252,7 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                 raise SpecFileError(
                     f"bracket target index must be an integer, got "
                     f"{head!r}", line=lineno)
-            k = int(head)
+            k = _convert(int, head, lineno)
             if not (1 <= k <= dim):
                 raise SpecFileError(
                     f"bracket [X{i},X{j}]: target X{k} out of range "

@@ -77,6 +77,22 @@ def heisenberg6() -> AlmostNordenAlgebra:
     return AlmostNordenAlgebra(LieAlgebra.from_brackets(6, (), {(1, 2): {3: 1}}))
 
 
+def filiform(dim: int) -> AlmostNordenAlgebra:
+    """The filiform chain [X1, Xk] = t*X(k+1), k = 2..dim-1."""
+    brackets = {(1, k): {k + 1: "t"} for k in range(2, dim)}
+    return AlmostNordenAlgebra(LieAlgebra.from_brackets(dim, ("t",), brackets))
+
+
+@pytest.fixture(scope="session")
+def filiform8() -> AlmostNordenAlgebra:
+    return filiform(8)
+
+
+@pytest.fixture(scope="session")
+def filiform10() -> AlmostNordenAlgebra:
+    return filiform(10)
+
+
 @pytest.fixture(scope="session")
 def spec_fixture_path() -> Path:
     return DATA_DIR / "table1.spec"

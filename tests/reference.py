@@ -5,12 +5,16 @@ scatters over nonzero components: every index tuple is visited, zero or
 not.  The tests require the library to reproduce them component for
 component.  ``derive_constant_field`` and ``derive_in_direction`` are the
 connection methods the dense curvature loop was written against.
+``killing_form`` is the adjoint-matrix loop, with the raw 0-based rows of
+each ad matrix read through ``.components``.
 """
 
 from nordenlab import (
     AlmostNordenAlgebra,
     ConnectionCoeffs,
+    LieAlgebra,
     Poly,
+    PolyMatrix,
     Tensor,
     Vector,
     vec_sub,
@@ -120,3 +124,23 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
             block_i.append(tuple(block_j))
         out.append(tuple(block_i))
     return tuple(out)
+
+
+def killing_form(self: LieAlgebra) -> PolyMatrix:
+    """B[i][j] = trace(ad X_i · ad X_j), a symmetric matrix of Poly."""
+    ads = [self.ad_matrix(self.basis_vector(i)).components
+           for i in range(1, self.dim + 1)]
+    n = self.dim
+    rows = [[Poly.zero(self.params) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = Poly.zero(self.params)
+            for p in range(n):
+                for q in range(n):
+                    a = ads[i][p][q]
+                    b = ads[j][q][p]
+                    if a.terms and b.terms:
+                        acc = acc + a * b
+            rows[i][j] = acc
+            rows[j][i] = acc
+    return PolyMatrix(self.params, rows)

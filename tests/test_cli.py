@@ -114,6 +114,29 @@ def test_spec_limits_are_input_errors(tmp_path, capsys, body, args, message):
     assert err.count("\n") == 1
 
 
+#: More digits than Python converts to an int (its limit is 4300).
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("body, args", [
+    (f"[brackets]\n1 2 -> 1: t^{LONG}\n", ["check"]),
+    (f"[brackets]\n1 2 -> 1: {LONG}*t\n", ["check"]),
+    (f"[brackets]\n1 {LONG} -> 1: t\n", ["check"]),
+    (f"[brackets]\n1 2 -> {LONG}: t\n", ["check"]),
+    (f"[metric]\ndiag = {LONG}, -1\n", ["check"]),
+    (f"[J]\n0 -{LONG}\n1 0\n", ["check"]),
+    ("", ["check", "--eval", f"t={LONG}"]),
+], ids=["exponent", "coefficient", "bracket-index", "target-index",
+        "metric", "J", "eval"])
+def test_long_integers_are_input_errors(tmp_path, capsys, body, args):
+    spec = tmp_path / "long.spec"
+    spec.write_text("dimension = 2\nparameters = t\n" + body,
+                    encoding="utf-8")
+    assert main(args[:1] + [str(spec)] + args[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # -- check -----------------------------------------------------------------
 
 def test_check_family_all_ok(capsys):
@@ -196,7 +219,8 @@ def test_curvature_skips_nabla_R(monkeypatch, spec_fixture_path, capsys):
         raise AssertionError("nabla_R called")
 
     monkeypatch.setattr(curvature, "nabla_R", refuse)
-    monkeypatch.setattr(report, "nabla_R", refuse)
+    monkeypatch.setattr(curvature, "nabla_R_blocks", refuse)
+    monkeypatch.setattr(report, "nabla_R_blocks", refuse)
     assert main(["curvature", "--family", "table1"]) == 0
     expected = spec_fixture_path.parent / "table1_curvature.txt"
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")

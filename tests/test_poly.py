@@ -1,6 +1,7 @@
 """Exact multivariate polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -179,3 +180,20 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_parse_is_linear_in_the_number_of_terms():
+    params = tuple(f"p{n}" for n in range(60))
+    expected, pieces = {}, []
+    for k in range(3000):
+        a, e = k % 60, k // 60 + 1
+        coeff = Fraction((-1) ** k * (k + 1), 7)
+        expected[tuple(e if n == a else 0 for n in range(60))] = coeff
+        pieces.append(f"{'-' if coeff < 0 else '+'} {abs(coeff)}*p{a}^{e}")
+    text = " ".join(pieces)[2:]  # drop the leading "+ "
+    start = time.perf_counter()
+    p = parse_poly(text, params)
+    elapsed = time.perf_counter() - start
+    assert p.params == params
+    assert p.terms == expected
+    assert elapsed < 2.0  # a term-by-term Poly sum took tens of seconds

@@ -1,11 +1,11 @@
 """The scatter contractions against the dense reference loops.
 
-Connection, curvature and grad R are compared component for component
-with ``tests/reference.py`` on the three-parameter family, the
-Heisenberg and affine fixtures, filiform chains and a dense input.  On
-every invariant (ad-skew) metric grad R must vanish (Milnor, Curvatures
-of left invariant metrics on Lie groups, Adv. Math. 21, 1976), whatever
-the basis.
+Connection, curvature, grad R and the Killing form are compared
+component for component with ``tests/reference.py`` on the
+three-parameter family, the Heisenberg and affine fixtures, filiform
+chains and a dense input.  On every invariant (ad-skew) metric grad R
+must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
+Adv. Math. 21, 1976), whatever the basis.
 """
 
 from fractions import Fraction
@@ -27,11 +27,6 @@ from nordenlab.linalg import RationalMatrix
 #: Every structure constant and connection coefficient of the family at
 #: this point is a plain rational, which keeps the dense case fast.
 POINT = {"l1": Fraction(3, 2), "l2": -2, "l3": Fraction(5, 7)}
-
-
-def filiform(dim):
-    brackets = {(1, k): {k + 1: "t"} for k in range(2, dim)}
-    return AlmostNordenAlgebra(LieAlgebra.from_brackets(dim, ("t",), brackets))
 
 
 def rebased(a, P):
@@ -62,20 +57,12 @@ def sheared(falg):
     return a
 
 
-@pytest.fixture(scope="module")
-def filiform8():
-    return filiform(8)
+FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
+            ("heisenberg6", False), ("affine6", False), ("filiform8", False),
+            ("filiform10", False)]
 
 
-@pytest.fixture(scope="module")
-def filiform10():
-    return filiform(10)
-
-
-@pytest.mark.parametrize("name, invariant", [
-    ("falg", True), ("abelian6", True), ("sheared", True),
-    ("heisenberg6", False), ("affine6", False), ("filiform8", False),
-    ("filiform10", False)])
+@pytest.mark.parametrize("name, invariant", FIXTURES)
 def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     a = request.getfixturevalue(name)
     c = levi_civita(a)
@@ -86,3 +73,12 @@ def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     assert a.check_invariant_metric().ok == invariant
     if invariant:  # Milnor: an ad-skew metric has grad R = 0
         assert is_locally_symmetric(nabla_r)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
+def test_killing_form_matches_dense_reference(name, request):
+    alg = request.getfixturevalue(name).algebra
+    B = alg.killing_form()
+    dense = reference.killing_form(alg)
+    assert B == dense
+    assert B.determinant() == dense.determinant()

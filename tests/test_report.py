@@ -6,6 +6,7 @@ import pytest
 
 from nordenlab import (
     AlmostNordenAlgebra,
+    Geometry,
     LieAlgebra,
     Poly,
     RationalMatrix,
@@ -13,6 +14,7 @@ from nordenlab import (
     compute_report,
     document_for,
 )
+from nordenlab.curvature import nabla_R_blocks
 
 JSON_KEYS = ["classification", "theta", "ricci", "tau", "nabla_j_norm",
              "locally_symmetric", "sectional", "killing_form"]
@@ -135,3 +137,19 @@ def test_degenerate_plane_reporting(degenerate_plane_doc):
     assert "undefined (degenerate plane)" in doc.to_text()
     assert json.loads(doc.to_json())["sectional"][0]["k"] is None
     assert ReportDocument.from_json(doc.to_json()) == doc
+
+
+@pytest.mark.parametrize("name, verdict, blocks", [
+    ("filiform8", False, 1), ("falg", True, 6)])
+def test_local_symmetry_stops_at_first_nonzero_block(name, verdict, blocks,
+                                                     monkeypatch, request):
+    built = []
+
+    def counted(*args):
+        for block in nabla_R_blocks(*args):
+            built.append(block)
+            yield block
+
+    monkeypatch.setattr("nordenlab.report.nabla_R_blocks", counted)
+    assert Geometry(request.getfixturevalue(name)).locally_symmetric is verdict
+    assert len(built) == blocks
