@@ -76,7 +76,7 @@ from .norden import (
     default_metric,
 )
 from .poly import Poly, as_fraction, as_poly, format_poly, parse_poly
-from .report import Geometry, GeometryReport, ReportDocument, compute_report, document_for
+from .report import Geometry, ReportDocument, compute_report, document_for
 from .specfile import AlgebraSpecFile, emit_spec, parse_spec, parse_spec_text
 
 __version__ = "0.1.0"
@@ -92,7 +92,6 @@ __all__ = [
     "DegeneratePlaneError",
     "DimensionMismatchError",
     "Geometry",
-    "GeometryReport",
     "LieAlgebra",
     "NonSymmetricMatrixError",
     "NordenLabError",

@@ -5,9 +5,11 @@ chosen basis are constants (polynomials in the structure-constant
 parameters) and directional derivatives of components vanish.  That makes
 every operation a finite exact contraction:
 
-* the connection comes from the Koszul formula
-      2 g(grad_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y),
-  which for an invariant metric collapses to grad_x y = (1/2)[x, y];
+* the connection is the lowered Koszul tensor
+      T(x, y, z) = g(grad_x y, z),
+      2 T(x, y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y),
+  of :class:`~nordenlab.norden.AlmostNordenAlgebra`, raised with g^-1;
+  for an invariant metric it collapses to grad_x y = (1/2)[x, y];
 * the curvature convention is
       R(x, y)z = grad_x grad_y z - grad_y grad_x z - grad_{[x,y]} z,
       R(x, y, z, u) = g(R(x, y)z, u);
@@ -56,21 +58,13 @@ class ConnectionCoeffs(Tensor):
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     """The unique torsion-free metric connection, from the Koszul formula.
 
-    The lowered coefficients g(grad_i X_j, X_k) are the cyclic sum
-    (G_ijk - G_jki + G_kij) / 2 of the lowered structure constants
-    G_ijk = g([X_i, X_j], X_k); the upper index is then raised with the
-    exact inverse metric.  When the metric is invariant the result equals
-    half the bracket — verified in the tests, not assumed here.
+    The lowered coefficients g(grad_i X_j, X_k) are
+    :attr:`~nordenlab.norden.AlmostNordenAlgebra.T`, built once per
+    algebra; the upper index is raised here with the exact inverse
+    metric.  When the metric is invariant the result equals half the
+    bracket — verified in the tests, not assumed here.
     """
-    lowered: dict[tuple[int, ...], Poly] = {}
-    for (i, j, k), v in a.G.nonzero():
-        half = v / 2
-        _accumulate(lowered, (i, j, k), half)
-        _accumulate(lowered, (k, i, j), -half)
-        _accumulate(lowered, (j, k, i), half)
-    raised = Tensor.from_entries(a.params, a.dim, 3, lowered).contract(
-        2, a.g_inv)
-    return ConnectionCoeffs(a.params, raised.components)
+    return ConnectionCoeffs(a.params, a.T.contract(2, a.g_inv).components)
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:

@@ -25,7 +25,7 @@ from typing import Mapping
 from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix
+from .linalg import PolyMatrix, Tensor
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
 from .report import Geometry
@@ -197,6 +197,25 @@ def expected_ricci(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
     return _l_blocks(params, -1)
 
 
+def _closure(name: str, items, moves) -> dict[tuple[int, ...], Poly]:
+    """The ``(key, value)`` items closed under ``moves(key, value)``, which
+    yields the images of one item under the generating symmetries.  A key
+    reached with two different values is an inconsistency in the stored
+    data and raises :class:`StructureError`."""
+    expected: dict[tuple[int, ...], Poly] = {}
+    frontier = list(items)
+    while frontier:
+        key, value = frontier.pop()
+        if key not in expected:
+            expected[key] = value
+            frontier.extend(moves(key, value))
+        elif expected[key] != value:
+            raise StructureError(
+                f"inconsistent expected {name} data at {key}: "
+                f"{expected[key]} vs {value}")
+    return expected
+
+
 def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
                           ) -> dict[tuple[int, int, int], Poly]:
     """The published F equalities, closed under the F symmetries.
@@ -207,69 +226,33 @@ def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
     acts as a sanity check on the tables.
     """
     var = [Poly.variable(name, params) for name in params]
-    expected: dict[tuple[int, int, int], Poly] = {}
-
-    def put(key: tuple[int, int, int], value: Poly):
-        if key in expected:
-            if expected[key] != value:
-                raise StructureError(
-                    f"inconsistent expected F data at {key}: "
-                    f"{expected[key]} vs {value}")
-        else:
-            expected[key] = value
-
-    for p, items in _F_ITEMS.items():
-        for mult, i, j, k in items:
-            put((i, j, k), var[p - 1] / mult)
 
     def j_image(idx: int) -> tuple[int, int]:
         return (idx + 3, +1) if idx <= 3 else (idx - 3, -1)
 
-    frontier = list(expected.items())
-    while frontier:
-        (i, j, k), value = frontier.pop()
-        moves = []
-        moves.append(((i, k, j), value))
-        ja, sa = j_image(j)
-        jb, sb = j_image(k)
-        moves.append(((i, ja, jb), value * (sa * sb)))
-        for key, val in moves:
-            if key not in expected:
-                expected[key] = val
-                frontier.append((key, val))
-            elif expected[key] != val:
-                raise StructureError(
-                    f"inconsistent expected F data at {key}: "
-                    f"{expected[key]} vs {val}")
-    return expected
+    def moves(key, value):
+        i, j, k = key
+        (ja, sa), (jb, sb) = j_image(j), j_image(k)
+        return (((i, k, j), value), ((i, ja, jb), value * (sa * sb)))
+
+    return _closure("F", (((i, j, k), var[p - 1] / mult)
+                          for p, items in _F_ITEMS.items()
+                          for mult, i, j, k in items), moves)
 
 
 def expected_R_components(params: tuple[str, ...] = PARAM_NAMES
                           ) -> dict[tuple[int, int, int, int], Poly]:
     """The published curvature equalities, closed under the R symmetries
     (antisymmetry in each index pair and pair exchange)."""
-    expected: dict[tuple[int, int, int, int], Poly] = {}
-    for sign, i, j, k, l, kind, args in _R_ITEMS:
-        key = (i, j, k, l)
-        value = _expr(params, kind, args) * sign
-        if key in expected and expected[key] != value:
-            raise StructureError(
-                f"inconsistent expected R data at {key}")
-        expected[key] = value
-    frontier = list(expected.items())
-    while frontier:
-        (i, j, k, l), value = frontier.pop()
-        moves = (((j, i, k, l), -value), ((i, j, l, k), -value),
-                 ((k, l, i, j), value))
-        for key, val in moves:
-            if key not in expected:
-                expected[key] = val
-                frontier.append((key, val))
-            elif expected[key] != val:
-                raise StructureError(
-                    f"inconsistent expected R data at {key}: "
-                    f"{expected[key]} vs {val}")
-    return expected
+
+    def moves(key, value):
+        i, j, k, l = key
+        return (((j, i, k, l), -value), ((i, j, l, k), -value),
+                ((k, l, i, j), value))
+
+    return _closure("R", (((i, j, k, l), _expr(params, kind, args) * sign)
+                          for sign, i, j, k, l, kind, args in _R_ITEMS),
+                    moves)
 
 
 @dataclass(frozen=True)
@@ -391,6 +374,11 @@ class RegressionReport:
         return lines
 
 
+def _one_based(T: Tensor) -> list[tuple[int, ...]]:
+    """The 1-based indices of the nonzero components of ``T``."""
+    return [tuple(i + 1 for i in idx) for idx, _ in T.nonzero()]
+
+
 def regression_report(f: Table1Family) -> RegressionReport:
     """Recompute every published identity of the family and compare.
 
@@ -431,11 +419,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
             add("f-components", f"{mult}*F({i},{j},{k})",
                 Poly.variable(params[p - 1], params),
                 F.component(i, j, k) * mult)
-    unexpected = [
-        (i, j, k)
-        for i in range(1, 7) for j in range(1, 7) for k in range(1, 7)
-        if (i, j, k) not in expected_f and F.component(i, j, k).terms
-    ]
+    unexpected = [key for key in _one_based(F) if key not in expected_f]
     add("f-components", "unlisted-components-zero", (), tuple(unexpected))
 
     # curvature
@@ -444,13 +428,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     for sign, i, j, k, l, kind, args in _R_ITEMS:
         add("curvature", f"R({i},{j},{k},{l})",
             _expr(params, kind, args) * sign, R.component(i, j, k, l))
-    unexpected = [
-        key for key in (
-            (i, j, k, l)
-            for i in range(1, 7) for j in range(1, 7)
-            for k in range(1, 7) for l in range(1, 7))
-        if key not in expected_r and R.component(*key).terms
-    ]
+    unexpected = [key for key in _one_based(R) if key not in expected_r]
     add("curvature", "unlisted-components-zero", (), tuple(unexpected))
     add("curvature-routes", "connection-vs-bracket-formula",
         True, R == curvature_invariant_formula(a))

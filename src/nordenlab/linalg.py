@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -163,48 +164,26 @@ class RationalMatrix:
         n = self.nrows
         work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
                 for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0),
-                         None)
-            if pivot is None:
-                # report 1-based, matching entry() and every other surface
-                raise SingularMatrixError(
-                    f"singular matrix: no pivot at row/column {col + 1}",
-                    column=col + 1)
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = Fraction(1) / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [v - factor * w
-                               for v, w in zip(work[r], work[col])]
+        cols = [c for c, _ in _gauss_jordan(work, n)[0]]
+        if len(cols) < n:
+            col = next(c for c in range(n) if c not in cols)
+            # report 1-based, matching entry() and every other surface
+            raise SingularMatrixError(
+                f"singular matrix: no pivot at row/column {col + 1}",
+                column=col + 1)
         return RationalMatrix([row[n:] for row in work])
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+        """Exact determinant: the product of the Gauss-Jordan pivots,
+        negated once per row swap."""
         if not self.is_square:
             raise DimensionMismatchError(
                 f"determinant of {self.nrows}x{self.ncols} matrix")
-        n = self.nrows
-        work = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0),
-                         None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det *= work[col][col]
-            inv = Fraction(1) / work[col][col]
-            for r in range(col + 1, n):
-                if work[r][col]:
-                    factor = work[r][col] * inv
-                    work[r] = [v - factor * w
-                               for v, w in zip(work[r], work[col])]
-        return det
+        pivots, swaps = _gauss_jordan([list(row) for row in self.rows],
+                                      self.ncols)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return prod((v for _, v in pivots), start=Fraction((-1) ** swaps))
 
     # -- comparison and display -------------------------------------------
 
@@ -293,22 +272,38 @@ def rational_rank(vectors: Iterable[Sequence[RationalLike]]) -> int:
     width = len(work[0])
     if any(len(row) != width for row in work):
         raise DimensionMismatchError("rank of vectors of unequal length")
-    rank = 0
-    for col in range(width):
+    return len(_gauss_jordan(work, width)[0])
+
+
+def _gauss_jordan(work: list[list[Fraction]], ncols: int
+                  ) -> tuple[list[tuple[int, Fraction]], int]:
+    """Reduce the rows ``work`` in place to reduced row echelon form in
+    their first ``ncols`` columns, pivoting on the first nonzero row.
+
+    Returns the ``(column, pivot value)`` of each pivot, before its row
+    is scaled to 1, and the number of row swaps.  A column without a
+    pivot is skipped.
+    """
+    pivots: list[tuple[int, Fraction]] = []
+    swaps = 0
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(work)) if work[r][col]),
                      None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            swaps += 1
+        value = work[rank][col]
+        work[rank] = [v / value for v in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][col]:
                 factor = work[r][col]
                 work[r] = [v - factor * w
                            for v, w in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+        pivots.append((col, value))
+    return pivots, swaps
 
 
 class Tensor:

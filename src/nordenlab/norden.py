@@ -11,7 +11,9 @@ neutral signature (n, n).  On top of that live:
 
 * the associated metric  g~(x, y) = g(x, Jy),
 * the invariance (Killing) condition  g([x,y],z) + g([x,z],y) = 0,
-* the fundamental tensor  F(x, y, z) = g((grad_x J)y, z),
+* the lowered Levi-Civita connection  T(x, y, z) = g(grad_x y, z), from
+  the Koszul formula; one formula for every metric, invariant or not,
+* the fundamental tensor  F(x, y, z) = g((grad_x J)y, z), read from T,
 * the Lie form  theta(z) = g^{ij} F(X_i, X_j, z),
 * membership tests for the classes W0, W1, W2, W3.
 
@@ -29,7 +31,8 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra, Vector
-from .linalg import RationalMatrix, Tensor, _columns, _scatter, signature
+from .linalg import (RationalMatrix, Tensor, _accumulate, _columns, _scatter,
+                     signature)
 from .poly import Poly, RationalLike
 
 Covector = tuple[Poly, ...]
@@ -127,7 +130,8 @@ class AlmostNordenAlgebra:
     inverse metric is computed eagerly and cached.
     """
 
-    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_invariant")
+    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_T",
+                 "_invariant")
 
     def __init__(self, algebra: LieAlgebra,
                  g: RationalMatrix | None = None,
@@ -166,6 +170,7 @@ class AlmostNordenAlgebra:
         object.__setattr__(self, "g_inv", g_inv)
         object.__setattr__(self, "_gJ", g @ J)
         object.__setattr__(self, "_G", None)
+        object.__setattr__(self, "_T", None)
         object.__setattr__(self, "_invariant", None)
 
     def __setattr__(self, name, value):
@@ -220,18 +225,36 @@ class AlmostNordenAlgebra:
     def G(self) -> Tensor:
         """G_ijk = g([X_i, X_j], X_k): the structure constants with the
         upper index lowered.  Computed once; the invariance check and
-        both routes to F read from it."""
+        the connection :attr:`T` read from it."""
         if self._G is None:
             object.__setattr__(self, "_G",
                                self.algebra.gamma.contract(2, self.g))
         return self._G
+
+    @property
+    def T(self) -> Tensor:
+        """T_ijk = g(grad_{X_i} X_j, X_k), the Levi-Civita connection
+        lowered with g: by the Koszul formula the cyclic sum
+        (G_ijk - G_jki + G_kij) / 2.  Computed once; F and the raised
+        connection (:func:`~nordenlab.curvature.levi_civita`) read from
+        it.  For an invariant metric it equals G / 2."""
+        if self._T is None:
+            lowered: dict[tuple[int, ...], Poly] = {}
+            for (i, j, k), v in self.G.nonzero():
+                half = v / 2
+                _accumulate(lowered, (i, j, k), half)
+                _accumulate(lowered, (k, i, j), -half)
+                _accumulate(lowered, (j, k, i), half)
+            object.__setattr__(self, "_T", Tensor.from_entries(
+                self.params, self.dim, 3, lowered))
+        return self._T
 
     def check_invariant_metric(self) -> CheckResult:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.
 
         Holding exactly, this is the Killing-metric condition that makes
         the connection collapse to half the bracket.  The result is
-        cached; it is consulted on every fundamental-tensor build.
+        cached.
         """
         if self._invariant is None:
             G = self.G.components
@@ -249,33 +272,20 @@ class AlmostNordenAlgebra:
     def tensor_F(self) -> Tensor:
         """All components F_ijk = g((grad_{X_i} J) X_j, X_k).
 
-        With T_ijk = g(grad_{X_i} X_j, X_k) and g(Jx, y) = g(x, Jy) (the
-        Norden property),
+        With g(Jx, y) = g(x, Jy) (the Norden property),
 
-            F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k).
+            F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k),
 
-        With an invariant metric the connection is half the bracket, so
-        T = G/2; otherwise T is the Levi-Civita connection lowered with g.
-        The two paths agree whenever both apply.  Nothing is cached here:
-        :class:`~nordenlab.report.Geometry` owns the reuse of F across
-        stages.
+        one scatter of the lowered connection :attr:`T` against J^T in
+        its second slot and against -J^T in its third.  Nothing is cached
+        here: :class:`~nordenlab.report.Geometry` owns the reuse of F
+        across stages.
         """
-        if self.check_invariant_metric().ok:
-            return self._f_from(self.G, Fraction(1, 2))
-        return self._tensor_f_general()
-
-    def _tensor_f_general(self) -> Tensor:
-        from .curvature import levi_civita  # deferred: two-way dependency
-
-        return self._f_from(levi_civita(self).contract(2, self.g), 1)
-
-    def _f_from(self, T: Tensor, factor: RationalLike) -> Tensor:
-        """factor * (T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k))."""
         jt = self.J.transpose()
-        entries = T.nonzero()
+        entries = self.T.nonzero()
         acc: dict[tuple[int, ...], Poly] = {}
-        _scatter(acc, entries, 1, _columns(jt.scale(factor), self.dim))
-        _scatter(acc, entries, 2, _columns(jt.scale(-factor), self.dim))
+        _scatter(acc, entries, 1, _columns(jt, self.dim))
+        _scatter(acc, entries, 2, _columns(-jt, self.dim))
         return Tensor.from_entries(self.params, self.dim, 3, acc)
 
     # -- Lie form and classification --------------------------------------

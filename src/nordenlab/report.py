@@ -5,8 +5,8 @@ serialization.
 (F, the class flags, the Lie form, the connection, R, Ricci and scalar
 curvature, the norm of grad J, local symmetry, the sectional table and
 the Killing form) is computed on first use from its upstream stages and
-kept.  :func:`compute_report` reads every stage of one ``Geometry`` and
-returns a :class:`GeometryReport` of live objects.
+kept.  The report is a ``Geometry``: :func:`compute_report` builds every
+stage of one and returns it.
 
 :class:`ReportDocument` is the same content flattened to strings and
 booleans, with text, CSV, and JSON renderings.  The JSON form
@@ -17,7 +17,7 @@ polynomial text is canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .curvature import (
@@ -111,35 +111,13 @@ class Geometry:
         return self.algebra.algebra.killing_form()
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    """All derived geometry of one algebra, as live polynomial objects;
-    ``sectional`` is laid out as :attr:`Geometry.sectional`."""
-
-    flags: ClassFlags
-    theta: Covector
-    ricci: PolyMatrix
-    tau: Poly
-    nabla_j_norm: Poly
-    locally_symmetric: bool
-    sectional: SectionalTable
-    killing_form: PolyMatrix
-
-
-def compute_report(a: AlmostNordenAlgebra) -> GeometryReport:
-    """Run every pipeline stage once and aggregate the results."""
+def compute_report(a: AlmostNordenAlgebra) -> Geometry:
+    """One :class:`Geometry` of ``a`` with every stage built."""
     geo = Geometry(a)
-    rho, tau = geo.ricci_and_tau
-    return GeometryReport(
-        flags=geo.flags,
-        theta=geo.theta,
-        ricci=rho,
-        tau=tau,
-        nabla_j_norm=geo.nabla_j_norm,
-        locally_symmetric=geo.locally_symmetric,
-        sectional=geo.sectional,
-        killing_form=geo.killing_form,
-    )
+    for name, attr in vars(Geometry).items():
+        if isinstance(attr, cached_property):
+            getattr(geo, name)
+    return geo
 
 
 def _bool_text(value: bool) -> str:
@@ -167,55 +145,44 @@ class ReportDocument:
     killing_form: list = field(default_factory=list)
 
     @classmethod
-    def from_report(cls, report: GeometryReport) -> ReportDocument:
-        flags = report.flags
+    def from_report(cls, geo: Geometry) -> ReportDocument:
+        flags = geo.flags
+        rho, tau = geo.ricci_and_tau
         return cls(
             classification={
                 "label": flags.label(),
                 "w0": flags.w0, "w1": flags.w1,
                 "w2": flags.w2, "w3": flags.w3,
             },
-            theta=[str(t) for t in report.theta],
-            ricci=[[str(v) for v in row]
-                   for row in report.ricci.components],
-            tau=str(report.tau),
-            nabla_j_norm=str(report.nabla_j_norm),
-            locally_symmetric=report.locally_symmetric,
+            theta=[str(t) for t in geo.theta],
+            ricci=[[str(v) for v in row] for row in rho.components],
+            tau=str(tau),
+            nabla_j_norm=str(geo.nabla_j_norm),
+            locally_symmetric=geo.locally_symmetric,
             sectional=[
                 {"plane": pid, "type": ptype,
                  "k": None if value is None else str(value)}
-                for pid, ptype, value in report.sectional
+                for pid, ptype, value in geo.sectional
             ],
             killing_form=[[str(v) for v in row]
-                          for row in report.killing_form.components],
+                          for row in geo.killing_form.components],
         )
 
     # -- renderings --------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            "classification": self.classification,
-            "theta": self.theta,
-            "ricci": self.ricci,
-            "tau": self.tau,
-            "nabla_j_norm": self.nabla_j_norm,
-            "locally_symmetric": self.locally_symmetric,
-            "sectional": self.sectional,
-            "killing_form": self.killing_form,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> ReportDocument:
         data = json.loads(text)
-        expected = {"classification", "theta", "ricci", "tau",
-                    "nabla_j_norm", "locally_symmetric", "sectional",
-                    "killing_form"}
-        missing = expected - set(data)
+        keys = [f.name for f in fields(cls)]
+        missing = set(keys) - set(data)
         if missing:
             raise ValueError(
                 f"report document lacks keys: {sorted(missing)}")
-        return cls(**{key: data[key] for key in expected})
+        return cls(**{key: data[key] for key in keys})
 
     def to_csv(self) -> str:
         rows: list[tuple[str, str]] = []

@@ -25,7 +25,7 @@ Limits, checked before any algebra is built (each violation is a
 * the file is at most :data:`MAX_SPEC_BYTES` bytes (1 MiB);
 * the dimension is at most :data:`MAX_DIMENSION` (20);
 * every bracket coefficient has total degree at most :data:`MAX_DEGREE`
-  (16).
+  (16) and at most :data:`MAX_TERMS` (64) terms.
 
 A bracket line ``i j -> k: p; ...`` declares [X_i, X_j] = sum p * X_k with
 i < j; the mirrored rows follow by antisymmetry.  The metric section takes
@@ -60,6 +60,9 @@ MAX_SPEC_BYTES = 1 << 20
 MAX_DIMENSION = 20
 #: Largest accepted total degree of one bracket coefficient.
 MAX_DEGREE = 16
+#: Most terms in one bracket coefficient: products of coefficients (the
+#: isotropy check squares them) cost the product of their term counts.
+MAX_TERMS = 64
 
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
@@ -271,6 +274,11 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                     f"bracket [X{i},X{j}]: coefficient of X{k} has total "
                     f"degree {coeff.total_degree()}, above the limit of "
                     f"{MAX_DEGREE}", line=lineno)
+            if len(coeff.terms) > MAX_TERMS:
+                raise SpecFileError(
+                    f"bracket [X{i},X{j}]: coefficient of X{k} has "
+                    f"{len(coeff.terms)} terms, above the limit of "
+                    f"{MAX_TERMS}", line=lineno)
             targets.append((k, coeff))
         entries.append((i, j, tuple(targets)))
     return tuple(entries)

@@ -7,7 +7,14 @@ component.  ``derive_constant_field`` and ``derive_in_direction`` are the
 connection methods the dense curvature loop was written against.
 ``killing_form`` is the adjoint-matrix loop, with the raw 0-based rows of
 each ad matrix read through ``.components``.
+
+``levi_civita``, ``tensor_f_invariant`` and ``tensor_f_general`` are the
+two routes to F the library chose between at run time, before F read one
+lowered Koszul tensor: G/2 for an invariant metric, and otherwise the
+Levi-Civita connection lowered again with g.
 """
+
+from fractions import Fraction
 
 from nordenlab import (
     AlmostNordenAlgebra,
@@ -19,6 +26,7 @@ from nordenlab import (
     Vector,
     vec_sub,
 )
+from nordenlab.linalg import _accumulate, _columns, _scatter
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -144,3 +152,42 @@ def killing_form(self: LieAlgebra) -> PolyMatrix:
             rows[i][j] = acc
             rows[j][i] = acc
     return PolyMatrix(self.params, rows)
+
+
+def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
+    """The unique torsion-free metric connection, from the Koszul formula.
+
+    The lowered coefficients g(grad_i X_j, X_k) are the cyclic sum
+    (G_ijk - G_jki + G_kij) / 2 of the lowered structure constants
+    G_ijk = g([X_i, X_j], X_k); the upper index is then raised with the
+    exact inverse metric.
+    """
+    lowered: dict[tuple[int, ...], Poly] = {}
+    for (i, j, k), v in a.G.nonzero():
+        half = v / 2
+        _accumulate(lowered, (i, j, k), half)
+        _accumulate(lowered, (k, i, j), -half)
+        _accumulate(lowered, (j, k, i), half)
+    raised = Tensor.from_entries(a.params, a.dim, 3, lowered).contract(
+        2, a.g_inv)
+    return ConnectionCoeffs(a.params, raised.components)
+
+
+def f_from(a: AlmostNordenAlgebra, T: Tensor, factor) -> Tensor:
+    """factor * (T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k))."""
+    jt = a.J.transpose()
+    entries = T.nonzero()
+    acc: dict[tuple[int, ...], Poly] = {}
+    _scatter(acc, entries, 1, _columns(jt.scale(factor), a.dim))
+    _scatter(acc, entries, 2, _columns(jt.scale(-factor), a.dim))
+    return Tensor.from_entries(a.params, a.dim, 3, acc)
+
+
+def tensor_f_invariant(a: AlmostNordenAlgebra) -> Tensor:
+    """F from half the lowered bracket; valid for an invariant metric."""
+    return f_from(a, a.G, Fraction(1, 2))
+
+
+def tensor_f_general(a: AlmostNordenAlgebra) -> Tensor:
+    """F from the Levi-Civita connection lowered with g."""
+    return f_from(a, levi_civita(a).contract(2, a.g), 1)

@@ -104,7 +104,10 @@ def test_zero_denominator_in_spec_is_input_error(tmp_path, capsys):
     # one byte over the limit, and not UTF-8: size is checked first
     (MINIMAL_SPEC.encode().ljust(specfile.MAX_SPEC_BYTES + 1, b"\xe9"),
      ["check"], "larger than the limit of 1048576 bytes"),
-], ids=["dimension", "degree", "size"])
+    (("dimension = 2\nparameters = s, t\n[brackets]\n1 2 -> 1: "
+      + " + ".join(f"s^{a}*t^{b}" for a in range(5) for b in range(13))
+      ).encode(), ["check"], "has 65 terms, above the limit of 64"),
+], ids=["dimension", "degree", "size", "terms"])
 def test_spec_limits_are_input_errors(tmp_path, capsys, body, args, message):
     spec = tmp_path / "limit.spec"
     spec.write_bytes(body)
@@ -269,14 +272,17 @@ def test_report_is_deterministic(capsys):
 @pytest.mark.parametrize("command, golden", [
     (["report", "--format", "json"], "report.json"),
     (["curvature"], "curvature.txt"),
+    (["check"], "check.txt"),
+    (["classify"], "classify.txt"),
 ])
 @pytest.mark.parametrize("name", ["heisenberg6", "affine6", "filiform12"])
 def test_koszul_route_outputs_are_golden(name, command, golden,
                                          spec_fixture_path, capsys):
-    # none of these metrics is invariant, so F and the connection take
-    # the general Koszul route
+    # none of these metrics is invariant, so `check` fails (exit 1) and
+    # the connection is not half the bracket
     data = spec_fixture_path.parent
-    assert main(command[:1] + [str(data / f"{name}.spec")] + command[1:]) == 0
+    code = 1 if command == ["check"] else 0
+    assert main(command[:1] + [str(data / f"{name}.spec")] + command[1:]) == code
     expected = (data / f"{name}_{golden}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 

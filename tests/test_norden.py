@@ -17,6 +17,7 @@ from nordenlab import (
     check_norden,
     default_J,
     default_metric,
+    levi_civita,
     parse_poly,
     signature,
 )
@@ -156,9 +157,23 @@ def test_tensor_f_symmetries(falg, ftensor):
                 assert twisted == ftensor.component(i, j, k)
 
 
-def test_tensor_f_both_routes_agree(falg):
-    # the invariant-metric shortcut against the honest Koszul route
-    assert falg._tensor_f_general() == falg.tensor_F()
+def test_f_and_connection_share_one_koszul_tensor(filiform8, monkeypatch):
+    # T is built once, reading G once, and neither F nor the connection
+    # asks whether the metric is invariant
+    a = AlmostNordenAlgebra(filiform8.algebra, filiform8.g, filiform8.J)
+    reads = []
+    G = AlmostNordenAlgebra.G
+    monkeypatch.setattr(AlmostNordenAlgebra, "G", property(
+        lambda self: reads.append(self) or G.fget(self)))
+
+    def refuse(self):
+        raise AssertionError("check_invariant_metric called")
+
+    monkeypatch.setattr(AlmostNordenAlgebra, "check_invariant_metric", refuse)
+    a.tensor_F()
+    T = a.T
+    levi_civita(a)
+    assert a.T is T and reads == [a]
 
 
 def test_tensor_f_abelian_vanishes(abelian6):

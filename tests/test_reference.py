@@ -1,9 +1,10 @@
 """The scatter contractions against the dense reference loops.
 
-Connection, curvature, grad R and the Killing form are compared
+Connection, curvature, grad R, the Killing form and F are compared
 component for component with ``tests/reference.py`` on the
 three-parameter family, the Heisenberg and affine fixtures, filiform
-chains and a dense input.  On every invariant (ad-skew) metric grad R
+chains and a dense input.  F must equal G/2 on every invariant metric
+and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
 must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
 Adv. Math. 21, 1976), whatever the basis.
 """
@@ -82,3 +83,12 @@ def test_killing_form_matches_dense_reference(name, request):
     dense = reference.killing_form(alg)
     assert B == dense
     assert B.determinant() == dense.determinant()
+
+
+@pytest.mark.parametrize("name, invariant", FIXTURES)
+def test_tensor_f_matches_both_reference_routes(name, invariant, request):
+    a = request.getfixturevalue(name)
+    route = (reference.tensor_f_invariant if invariant
+             else reference.tensor_f_general)
+    assert a.tensor_F() == route(a)
+    assert levi_civita(a) == reference.levi_civita(a)

@@ -43,8 +43,9 @@ def degenerate_plane_doc():
 def test_compute_report_live_objects(falg):
     report = compute_report(falg)
     assert report.flags.w3 and not report.flags.w0
-    assert isinstance(report.tau, Poly)
-    assert report.tau.is_zero
+    _, tau = report.ricci_and_tau
+    assert isinstance(tau, Poly)
+    assert tau.is_zero
     assert report.nabla_j_norm.is_zero
     assert report.locally_symmetric
     assert len(report.sectional) == 15

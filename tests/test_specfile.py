@@ -12,6 +12,7 @@ from nordenlab import (
     parse_spec,
     parse_spec_text,
 )
+from nordenlab.specfile import MAX_TERMS
 
 MINIMAL = """
 dimension = 2
@@ -107,6 +108,10 @@ def test_limits_are_inclusive():
                            "1 2 -> 3: t^16\n")
     assert spec.dimension == 20
     assert spec.brackets[0][2][0][1].total_degree() == 16
+    terms = " + ".join(f"s^{a}*t^{b}" for a in range(8) for b in range(8))
+    spec = parse_spec_text("dimension = 2\nparameters = s, t\n"
+                           f"[brackets]\n1 2 -> 1: {terms}\n")
+    assert len(spec.brackets[0][2][0][1].terms) == MAX_TERMS == 64
 
 
 def test_error_bad_parameters():
