@@ -89,17 +89,17 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     for (i, p, q), v in gamma:
         by_first[i].append((p, q, v))
         by_second[p].append((i, q, v))
-    upper: dict[tuple[int, ...], Poly] = {}
+    upper: dict[tuple[int, ...], dict] = {}
     for (j, k, p), v in gamma:
+        minus_v = -v
         for i, q, w in by_second[p]:
             if i != j:
-                term = v * w
-                _accumulate(upper, (i, j, k, q), term)
-                _accumulate(upper, (j, i, k, q), -term)
+                _accumulate(upper, (i, j, k, q), v, w)
+                _accumulate(upper, (j, i, k, q), minus_v, w)
     for (i, j, p), v in a.algebra.gamma.nonzero():
         minus_v = -v
         for k, q, w in by_first[p]:
-            _accumulate(upper, (i, j, k, q), minus_v * w)
+            _accumulate(upper, (i, j, k, q), minus_v, w)
     return Tensor.from_entries(a.params, dim, 4, upper).contract(3, a.g)
 
 
@@ -245,7 +245,7 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     entries = R.nonzero()
     for plane in c.coeffs:
         columns = _columns([[-v for v in row] for row in plane], a.dim)
-        acc: dict[tuple[int, ...], Poly] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         for slot in range(4):
             _scatter(acc, entries, slot, columns)
         yield Tensor.from_entries(a.params, a.dim, 4, acc)
@@ -271,9 +271,9 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     indefinite metric — the isotropic Kähler phenomenon.
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
-    total = Poly.zero(a.params)
+    acc: dict[tuple[int, ...], dict] = {}
     for (i, j, k), u in raised.nonzero():
         v = F.components[i][j][k]
         if v.terms:
-            total = total + u * v
-    return total
+            _accumulate(acc, (), u, v)
+    return Tensor.from_entries(a.params, a.dim, 0, acc).components

@@ -96,7 +96,7 @@ class LieAlgebra:
     Jacobi's identity is *not* assumed; :meth:`check_jacobi` decides it.
     """
 
-    __slots__ = ("dim", "params", "gamma", "_pairs")
+    __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobi")
 
     def __init__(self, dim: int, params: Iterable[str],
                  gamma: Sequence[Sequence[Sequence[Poly | RationalLike]]]):
@@ -131,6 +131,7 @@ class LieAlgebra:
                 pairs.setdefault((i, j), []).append((k, v))
         object.__setattr__(self, "_pairs", tuple(
             (i, j, tuple(targets)) for (i, j), targets in pairs.items()))
+        object.__setattr__(self, "_jacobi", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -235,13 +236,19 @@ class LieAlgebra:
         return total
 
     def check_jacobi(self) -> CheckResult:
-        """Exhaustive Jacobi check over all C(dim, 3) basis triples."""
-        violations = []
-        for i, j, k in combinations(range(1, self.dim + 1), 3):
-            residual = self.jacobiator(i, j, k)
-            if not vec_is_zero(residual):
-                violations.append((i, j, k, residual))
-        return CheckResult(not violations, tuple(violations))
+        """Exhaustive Jacobi check over all C(dim, 3) basis triples.
+
+        The result is cached, so validating a family and then checking
+        it runs the triples once."""
+        if self._jacobi is None:
+            violations = []
+            for i, j, k in combinations(range(1, self.dim + 1), 3):
+                residual = self.jacobiator(i, j, k)
+                if not vec_is_zero(residual):
+                    violations.append((i, j, k, residual))
+            object.__setattr__(self, "_jacobi",
+                               CheckResult(not violations, tuple(violations)))
+        return self._jacobi
 
     def ad_matrix(self, x: Vector) -> PolyMatrix:
         """Matrix of ad(x) = [x, .]: column j holds [x, X_j]."""
@@ -264,10 +271,10 @@ class LieAlgebra:
         by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
         for (j, p, q), w in entries:
             by_pair.setdefault((p, q), []).append((j, w))
-        acc: dict[tuple[int, ...], Poly] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         for (i, q, p), v in entries:
             for j, w in by_pair.get((p, q), ()):
-                _accumulate(acc, (i, j), v * w)
+                _accumulate(acc, (i, j), v, w)
         return PolyMatrix.from_entries(self.params, self.dim, 2, acc)
 
     # -- substitution ------------------------------------------------------

@@ -28,9 +28,10 @@ from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     NonSymmetricMatrixError,
+    ParameterMismatchError,
     SingularMatrixError,
 )
-from .poly import Poly, RationalLike, as_fraction
+from .poly import Poly, RationalLike, _add_product, _add_terms, as_fraction
 
 
 class RationalMatrix:
@@ -322,8 +323,15 @@ class Tensor:
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
       axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
     * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
-      0-based index tuples to Poly, where every absent or cancelled entry
-      is one shared zero.
+      0-based index tuples to a Poly or to a term dict, where every
+      absent or cancelled entry is one shared zero.
+
+    ``contract`` and ``trace`` (and every stage built the same way) are
+    multiply-accumulate scatters: :func:`_accumulate` adds each product
+    of two operand polynomials term by term into one mutable term dict
+    per output index, deleting a term as soon as it cancels, and
+    ``from_entries`` wraps each finished dict in one ``Poly`` through the
+    trusted ``Poly._make``.  No intermediate product ``Poly`` is built.
     """
 
     __slots__ = ("dim", "rank", "params", "components", "_nonzero")
@@ -353,13 +361,25 @@ class Tensor:
 
     @classmethod
     def from_entries(cls, params: Iterable[str], dim: int, rank: int,
-                     entries: Mapping[tuple[int, ...], Poly]) -> Tensor:
+                     entries: Mapping[tuple[int, ...], Poly | dict]
+                     ) -> Tensor:
+        params = tuple(params)
         zero = Poly.zero(params)
+        width = len(params)
+
+        def wrap(value):
+            if not value:  # absent, or a Poly or dict with no terms
+                return zero
+            if isinstance(value, Poly):
+                return value
+            if len(next(iter(value))) != width:
+                raise ParameterMismatchError(
+                    f"accumulated terms do not match parameters {params}")
+            return Poly._make(params, value)
 
         def fill(prefix):
             if len(prefix) == rank:
-                value = entries.get(prefix, zero)
-                return value if value.terms else zero
+                return wrap(entries.get(prefix))
             return tuple(fill(prefix + (i,)) for i in range(dim))
 
         tensor = object.__new__(cls)
@@ -402,17 +422,17 @@ class Tensor:
         return self._nonzero
 
     def contract(self, axis: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], Poly] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
         return Tensor.from_entries(self.params, self.dim, self.rank, acc)
 
     def trace(self, a: int, b: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], Poly] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         for idx, v in self.nonzero():
             weight = M[idx[a]][idx[b]]
             if weight:
                 rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
-                _accumulate(acc, rest, v * weight)
+                _accumulate(acc, rest, v, weight)
         return Tensor.from_entries(self.params, self.dim, self.rank - 2,
                                    acc)
 
@@ -437,9 +457,27 @@ class Tensor:
                 f"{len(self.nonzero())} nonzero components)")
 
 
-def _accumulate(acc: dict, key: tuple[int, ...], term: Poly) -> None:
-    prev = acc.get(key)
-    acc[key] = term if prev is None else prev + term
+def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
+    """Add ``v * m`` into ``acc[key]``, a term dict created on first use.
+
+    ``m`` is a rational or a Poly.  Each product of two terms goes
+    straight into the dict and a term is deleted the moment it cancels,
+    so no product ``Poly`` is built and no zero coefficient is kept.
+    Operands over different parameter lists are aligned as ``v * m``
+    would align them, and every product added to one ``acc`` must come
+    out over the parameter list later given to ``Tensor.from_entries``.
+    """
+    terms = acc.get(key)
+    if terms is None:
+        terms = acc[key] = {}
+    if isinstance(m, Poly):
+        if m.params is not v.params:
+            v, m = v._aligned(m)
+        _add_product(terms, v.terms, m.terms)
+    elif m:
+        _add_terms(terms, v.terms, m)
+    if not terms:
+        del acc[key]
 
 
 def _columns(M, dim: int) -> list[list]:
@@ -450,12 +488,12 @@ def _columns(M, dim: int) -> list[list]:
 
 def _scatter(acc: dict, entries, axis: int, columns) -> None:
     """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
-    an entry at index p there sends ``m * value`` to index a for each
-    ``(a, m)`` in ``columns[p]``."""
+    an entry at index p there sends ``value * m`` to index a for each
+    ``(a, m)`` in ``columns[p]``, through :func:`_accumulate`."""
     for idx, v in entries:
         head, tail = idx[:axis], idx[axis + 1:]
         for a, m in columns[idx[axis]]:
-            _accumulate(acc, head + (a,) + tail, v * m)
+            _accumulate(acc, head + (a,) + tail, v, m)
 
 
 

@@ -239,12 +239,12 @@ class AlmostNordenAlgebra:
         connection (:func:`~nordenlab.curvature.levi_civita`) read from
         it.  For an invariant metric it equals G / 2."""
         if self._T is None:
-            lowered: dict[tuple[int, ...], Poly] = {}
+            lowered: dict[tuple[int, ...], dict] = {}
+            half = Fraction(1, 2)
             for (i, j, k), v in self.G.nonzero():
-                half = v / 2
-                _accumulate(lowered, (i, j, k), half)
-                _accumulate(lowered, (k, i, j), -half)
-                _accumulate(lowered, (j, k, i), half)
+                _accumulate(lowered, (i, j, k), v, half)
+                _accumulate(lowered, (k, i, j), v, -half)
+                _accumulate(lowered, (j, k, i), v, half)
             object.__setattr__(self, "_T", Tensor.from_entries(
                 self.params, self.dim, 3, lowered))
         return self._T
@@ -283,7 +283,7 @@ class AlmostNordenAlgebra:
         """
         jt = self.J.transpose()
         entries = self.T.nonzero()
-        acc: dict[tuple[int, ...], Poly] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         _scatter(acc, entries, 1, _columns(jt, self.dim))
         _scatter(acc, entries, 2, _columns(-jt, self.dim))
         return Tensor.from_entries(self.params, self.dim, 3, acc)

@@ -26,12 +26,29 @@ reads the same grammar back:
     var   := [A-Za-z][A-Za-z0-9_]*
 
 Whitespace is insignificant.
+
+Trusted construction
+--------------------
+``Poly(params, terms)`` is the validating constructor: it copies the
+term map, coerces every coefficient and checks every exponent vector.
+The ring operations (``+``, ``-``, negation, ``*``, :meth:`Poly.scale`)
+and :meth:`Poly.with_params` instead wrap a freshly built term map with
+``Poly._make(params, terms)``, which copies and checks nothing.  It
+relies on the invariant that every ``Poly`` already satisfies: ``params``
+is a tuple, ``terms`` is a dict owned by this polynomial alone, its keys
+are tuples of ``len(params)`` non-negative ints and its values are
+nonzero :class:`~fractions.Fraction`.  Only code that builds such a dict
+from ``Poly`` operands may call ``_make``: this module and the
+multiply-accumulate kernel of :mod:`nordenlab.linalg` (``_accumulate``
+and ``Tensor.from_entries``).  Everything else, user input included,
+goes through ``Poly(...)``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import ParameterMismatchError, PolyParseError
@@ -81,6 +98,16 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _make(cls, params: tuple[str, ...],
+              terms: dict[tuple[int, ...], Fraction]) -> Poly:
+        """Wrap a clean term map without copying or checking it (see the
+        module docstring for the invariant the caller guarantees)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "params", params)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -155,7 +182,7 @@ class Poly:
                         f"{params}")
                 new[positions[i]] = e
             terms[tuple(new)] = coeff
-        return Poly(params, terms)
+        return Poly._make(params, terms)
 
     def _occurring(self) -> set[str]:
         """Names of parameters with a nonzero exponent somewhere."""
@@ -174,12 +201,13 @@ class Poly:
         Two lists that each use a parameter the other lacks refuse to
         combine: that is almost always two unrelated families colliding.
         """
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self.params)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            if other.params is self.params or other.params == self.params:
+                return self, other
+        elif isinstance(other, (int, Fraction)):
+            return self, Poly.constant(other, self.params)
+        else:
             return NotImplemented, NotImplemented  # type: ignore[return-value]
-        if self.params == other.params:
-            return self, other
         if all(name in self.params for name in other._occurring()):
             target = self.params or other.params
         elif all(name in other.params for name in self._occurring()):
@@ -197,13 +225,8 @@ class Poly:
         if a is NotImplemented:
             return NotImplemented
         terms = dict(a.terms)
-        for expo, coeff in b.terms.items():
-            acc = terms.get(expo, _ZERO) + coeff
-            if acc:
-                terms[expo] = acc
-            else:
-                terms.pop(expo, None)
-        return Poly(a.params, terms)
+        _add_terms(terms, b.terms)
+        return Poly._make(a.params, terms)
 
     __radd__ = __add__
 
@@ -211,13 +234,16 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        return a + (-b)
+        terms = dict(a.terms)
+        _add_terms(terms, b.terms, -1)
+        return Poly._make(a.params, terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> Poly:
-        return Poly(self.params, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.params,
+                          {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,18 +251,9 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        if not a.terms or not b.terms:
-            return Poly(a.params)
         terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                acc = terms.get(expo, _ZERO) + c1 * c2
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
-        return Poly(a.params, terms)
+        _add_product(terms, a.terms, b.terms)
+        return Poly._make(a.params, terms)
 
     __rmul__ = __mul__
 
@@ -244,9 +261,9 @@ class Poly:
         """Multiply by an exact rational scalar."""
         factor = as_fraction(factor)
         if factor == 0:
-            return Poly(self.params)
-        return Poly(self.params,
-                    {e: c * factor for e, c in self.terms.items()})
+            return Poly._make(self.params, {})
+        return Poly._make(self.params,
+                          {e: c * factor for e, c in self.terms.items()})
 
     def __truediv__(self, divisor: RationalLike) -> Poly:
         divisor = as_fraction(divisor)
@@ -309,6 +326,43 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
+
+
+def _add_terms(terms: dict, source: Mapping, factor: RationalLike = 1
+               ) -> None:
+    """``terms += factor * source`` in place, for a nonzero rational
+    ``factor``; a term is deleted the moment it cancels."""
+    scaled = factor != 1
+    for expo, coeff in source.items():
+        if scaled:
+            coeff = coeff * factor
+        prev = terms.get(expo)
+        if prev is None:
+            terms[expo] = coeff
+        else:
+            coeff += prev
+            if coeff:
+                terms[expo] = coeff
+            else:
+                del terms[expo]
+
+
+def _add_product(terms: dict, left: Mapping, right: Mapping) -> None:
+    """``terms += left * right`` in place, for two term maps over one
+    parameter list; a term is deleted the moment it cancels."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            expo = tuple(map(add, e1, e2))
+            coeff = c1 * c2
+            prev = terms.get(expo)
+            if prev is None:
+                terms[expo] = coeff
+            else:
+                coeff += prev
+                if coeff:
+                    terms[expo] = coeff
+                else:
+                    del terms[expo]
 
 
 def format_poly(p: Poly) -> str:

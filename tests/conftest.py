@@ -5,10 +5,12 @@ covariant derivative of R) takes a couple of seconds, so everything derived
 from it is computed once per session and shared read-only across modules.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from reference import rebased
 from nordenlab import (
     AlmostNordenAlgebra,
     LieAlgebra,
@@ -19,8 +21,13 @@ from nordenlab import (
     nabla_R,
     ricci_and_scalar,
 )
+from nordenlab.linalg import RationalMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
+
+#: Every structure constant and connection coefficient of the family at
+#: this point is a plain rational, which keeps the dense case fast.
+TWIN_POINT = {"l1": Fraction(3, 2), "l2": -2, "l3": Fraction(5, 7)}
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +63,24 @@ def fricci(falg, fcurv):
 @pytest.fixture(scope="session")
 def fnabla_r(falg, fconn, fcurv):
     return nabla_R(falg, fconn, fcurv)
+
+
+@pytest.fixture(scope="session")
+def twin(falg):
+    """The numeric twin of the family at TWIN_POINT."""
+    return falg.evaluate(TWIN_POINT)
+
+
+@pytest.fixture(scope="session")
+def sheared(twin):
+    """The twin in the basis given by P = U U^T, with U the upper unit
+    triangular matrix of ones: every connection coefficient not forced
+    to vanish is nonzero, so the scatter skips nothing."""
+    U = RationalMatrix([[int(j >= i) for j in range(6)] for i in range(6)])
+    a = rebased(twin, U @ U.transpose())
+    # grad_{X_i} X_i = 0 for an invariant metric: 36 of 216 must vanish
+    assert len(levi_civita(a).nonzero()) == 216 - 36
+    return a
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,16 @@ each ad matrix read through ``.components``.
 two routes to F the library chose between at run time, before F read one
 lowered Koszul tensor: G/2 for an invariant metric, and otherwise the
 Levi-Civita connection lowered again with g.
+
+``naive_sum`` is the oracle of the multiply-accumulate kernel
+(``linalg._accumulate`` with ``Tensor.from_entries``): it multiplies term
+by term on named exponents and builds its one result through the
+validating ``Poly(...)`` constructor, never through a ring operation.
+``rebased`` is the change of basis the dense and basis-change tests
+apply to an algebra.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from nordenlab import (
@@ -26,7 +34,8 @@ from nordenlab import (
     Vector,
     vec_sub,
 )
-from nordenlab.linalg import _accumulate, _columns, _scatter
+from nordenlab.errors import ParameterMismatchError
+from nordenlab.linalg import RationalMatrix, _accumulate, _columns, _scatter
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -191,3 +200,39 @@ def tensor_f_invariant(a: AlmostNordenAlgebra) -> Tensor:
 def tensor_f_general(a: AlmostNordenAlgebra) -> Tensor:
     """F from the Levi-Civita connection lowered with g."""
     return f_from(a, levi_civita(a).contract(2, a.g), 1)
+
+
+def naive_sum(params, pairs) -> Poly:
+    """sum of v * m over ``pairs`` of a Poly v and a Poly or rational m,
+    as one Poly over ``params``."""
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for v, m in pairs:
+        if not isinstance(m, Poly):
+            m = Poly((), {(): m})
+        for e1, c1 in v.terms.items():
+            for e2, c2 in m.terms.items():
+                powers = Counter()
+                for name, e in zip(v.params + m.params, e1 + e2):
+                    powers[name] += e
+                if set(+powers) - set(params):
+                    raise ParameterMismatchError(
+                        f"{sorted(+powers)} not all in {params}")
+                expo = tuple(powers[name] for name in params)
+                coeffs[expo] = coeffs.get(expo, 0) + c1 * c2
+    return Poly(params, coeffs)
+
+
+def rebased(a: AlmostNordenAlgebra, P: RationalMatrix) -> AlmostNordenAlgebra:
+    """``a`` written in the basis E_b = sum_i P[i][b] X_i: the brackets,
+    g' = P^T g P and J' = P^-1 J P."""
+    dim, params = a.dim, a.params
+    P_inv = P.inverse()
+    columns = [tuple(Poly.constant(P[i][b], params) for i in range(dim))
+               for b in range(dim)]
+    brackets = {(x + 1, y + 1): dict(enumerate(
+                    P_inv.apply(a.algebra.bracket(columns[x], columns[y])),
+                    start=1))
+                for x in range(dim) for y in range(x + 1, dim)}
+    lie = LieAlgebra.from_brackets(dim, params, brackets)
+    return AlmostNordenAlgebra(lie, P.transpose() @ a.g @ P,
+                               P_inv @ a.J @ P)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nordenlab import AlmostNordenAlgebra, curvature, report, specfile
+from nordenlab import AlmostNordenAlgebra, LieAlgebra, curvature, report, specfile
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -285,6 +285,35 @@ def test_koszul_route_outputs_are_golden(name, command, golden,
     assert main(command[:1] + [str(data / f"{name}.spec")] + command[1:]) == code
     expected = (data / f"{name}_{golden}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("extra, golden", [
+    ([], "table1_report.txt"),
+    (["--format", "csv"], "table1_report.csv"),
+    (["--format", "json"], "table1_report.json"),
+    (["--eval", "l1=3/2,l2=-2,l3=5/7", "--format", "json"],
+     "table1_eval_report.json"),
+])
+def test_table1_report_is_golden(extra, golden, spec_fixture_path, capsys):
+    assert main(["report", "--family", "table1"] + extra) == 0
+    expected = (spec_fixture_path.parent / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_check_runs_jacobi_once(monkeypatch, capsys):
+    # build_table1 validates the family and `check` reports on it: one
+    # pass over the C(6, 3) = 20 basis triples serves both
+    calls = []
+    original = LieAlgebra.jacobiator
+
+    def counted(self, i, j, k):
+        calls.append((i, j, k))
+        return original(self, i, j, k)
+
+    monkeypatch.setattr(LieAlgebra, "jacobiator", counted)
+    assert main(["check", "--family", "table1"]) == 0
+    assert capsys.readouterr().out == CHECK_OK
+    assert len(calls) == 20
 
 
 # -- family ----------------------------------------------------------------
