@@ -61,10 +61,7 @@ from .lie import (
     LieAlgebra,
     Vector,
     format_vector,
-    vec_add,
-    vec_is_zero,
     vec_sub,
-    zero_vector,
 )
 from .linalg import PolyMatrix, RationalMatrix, Tensor, rational_rank, signature
 from .norden import (
@@ -139,8 +136,5 @@ __all__ = [
     "sectional_curvature",
     "signature",
     "square_norm_nabla_J",
-    "vec_add",
-    "vec_is_zero",
     "vec_sub",
-    "zero_vector",
 ]

@@ -145,50 +145,33 @@ def _print_violations(lines: list[str]):
         print(f"    ... and {len(lines) - _MAX_SHOWN_VIOLATIONS} more")
 
 
+def _verdict(name: str, result, describe) -> bool:
+    """Print ``name: ok``, or ``name: FAIL`` and the first violations,
+    each rendered by ``describe``; True on failure."""
+    print(f"{name}: {'ok' if result.ok else 'FAIL'}")
+    _print_violations([describe(*v) for v in result.violations])
+    return not result.ok
+
+
+def _eq22_line(kind: str, *rest) -> str:
+    if kind == "orthogonality":
+        i, j, k, l, residual = rest
+        return f"g([X{i},X{j}],[X{k},X{l}]) = {residual}"
+    i, residual = rest
+    return f"g([X{i},JX{i}],[X{i},JX{i}]) = {residual}"
+
+
 def cmd_check(args) -> int:
     a = _algebra_of(_resolve(args))
-    failed = False
-
-    jacobi = a.algebra.check_jacobi()
-    if jacobi.ok:
-        print("jacobi: ok")
-    else:
-        failed = True
-        print("jacobi: FAIL")
-        _print_violations([
-            f"jacobiator({i},{j},{k}) = {format_vector(vec)}"
-            for i, j, k, vec in jacobi.violations])
-
+    failed = _verdict("jacobi", a.algebra.check_jacobi(), lambda i, j, k, v:
+                      f"jacobiator({i},{j},{k}) = {format_vector(v)}")
     # The Norden pairing is enforced whenever an algebra is constructed,
     # so reaching this point means it holds.
     print("norden: ok")
-
-    invariant = a.check_invariant_metric()
-    if invariant.ok:
-        print("invariant-metric: ok")
-    else:
-        failed = True
-        print("invariant-metric: FAIL")
-        _print_violations([
-            f"g([X{i},X{j}],X{k}) + g([X{i},X{k}],X{j}) = {residual}"
-            for i, j, k, residual in invariant.violations])
-
-    isotropy = check_eq22(a)
-    if isotropy.ok:
-        print("eq22: ok")
-    else:
-        failed = True
-        print("eq22: FAIL")
-        lines = []
-        for violation in isotropy.violations:
-            if violation[0] == "orthogonality":
-                _, i, j, k, l, residual = violation
-                lines.append(f"g([X{i},X{j}],[X{k},X{l}]) = {residual}")
-            else:
-                _, i, residual = violation
-                lines.append(f"g([X{i},JX{i}],[X{i},JX{i}]) = {residual}")
-        _print_violations(lines)
-
+    failed |= _verdict("invariant-metric", a.check_invariant_metric(),
+                       lambda i, j, k, r:
+                       f"g([X{i},X{j}],X{k}) + g([X{i},X{k}],X{j}) = {r}")
+    failed |= _verdict("eq22", check_eq22(a), _eq22_line)
     return 1 if failed else 0
 
 

@@ -13,6 +13,9 @@ every operation a finite exact contraction:
 * the curvature convention is
       R(x, y)z = grad_x grad_y z - grad_y grad_x z - grad_{[x,y]} z,
       R(x, y, z, u) = g(R(x, y)z, u);
+  over an invariant metric the independent second route
+  R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
+  connection;
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
@@ -104,20 +107,15 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
-    """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l]).
+    """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l]), read from
+    :attr:`~nordenlab.norden.AlmostNordenAlgebra.bracket_gram`.
 
     Valid only over an invariant (Killing) metric; used as the
     independent second route for curvature, not as a fast path inside
-    :func:`curvature_R`.
+    :func:`curvature_R`: it never reads the connection.
     """
-    alg = a.algebra
-    dim = a.dim
-    brackets = [[alg.bracket_basis(i, j) for j in range(1, dim + 1)]
-                for i in range(1, dim + 1)]
-    comp = [[[[(a.metric(brackets[i][j], brackets[k][l])) / -4
-               for l in range(dim)] for k in range(dim)]
-             for j in range(dim)] for i in range(dim)]
-    return Tensor(a.params, comp)
+    return Tensor.from_entries(a.params, a.dim, 4, {
+        idx: v / -4 for idx, v in a.bracket_gram.nonzero()})
 
 
 def ricci_and_scalar(a: AlmostNordenAlgebra,

@@ -19,13 +19,13 @@ tables also certify that everything *not* listed is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 from typing import Mapping
 
 from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, Tensor
+from .linalg import PolyMatrix, Tensor, _accumulate, _columns
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
 from .report import Geometry
@@ -315,20 +315,24 @@ def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
     distinct indices, and g([X_i, JX_i], [X_i, JX_i]) = 0 for every i —
     each commutator of a basis vector with its J-image is an isotropic
     vector.  Accepts the family wrapper or any almost Norden algebra.
+
+    Both read the bracket Gram tensor ``a.bracket_gram``: orthogonality
+    is its nonzero components at pairwise distinct quadruples, in
+    row-major order, and with J X_i = sum_b J_bi X_b the isotropy
+    residual of i is sum_{b,d} J_bi J_di g([X_i,X_b],[X_i,X_d]).
     """
     a = f.algebra if isinstance(f, Table1Family) else f
-    alg = a.algebra
-    dim = a.dim
-    violations = []
-    for i, j, k, l in permutations(range(1, dim + 1), 4):
-        residual = a.metric(alg.bracket_basis(i, j), alg.bracket_basis(k, l))
-        if residual.terms:
-            violations.append(("orthogonality", i, j, k, l, residual))
-    for i in range(1, dim + 1):
-        v = alg.bracket(alg.basis_vector(i), a.j_basis(i))
-        residual = a.metric(v, v)
-        if residual.terms:
-            violations.append(("isotropy", i, residual))
+    gram = a.bracket_gram
+    violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
+                  for (i, j, k, l), residual in gram.nonzero()
+                  if len({i, j, k, l}) == 4]
+    rows = gram.components
+    acc: dict[tuple[int, ...], dict] = {}
+    for i, column in enumerate(_columns(a.J, a.dim)):  # J X_i
+        for (b, jb), (d, jd) in product(column, repeat=2):
+            _accumulate(acc, (i,), rows[i][b][i][d], jb * jd)
+    isotropy = Tensor.from_entries(a.params, a.dim, 1, acc).nonzero()
+    violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))
 
 

@@ -13,12 +13,13 @@ transcription error worth surfacing.
 
 Vectors are plain tuples of :class:`~nordenlab.poly.Poly`, one component
 per basis element.
+Jacobi's identity is read from one cached rank-4 Jacobiator tensor, a
+scatter over pairs of nonzero structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, StructureError
@@ -28,27 +29,11 @@ from .poly import Poly, RationalLike, as_poly
 Vector = tuple[Poly, ...]
 
 
-def zero_vector(dim: int, params: Iterable[str] = ()) -> Vector:
-    zero = Poly.zero(params)
-    return (zero,) * dim
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatchError(
             f"vector lengths differ: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero for a in u)
 
 
 def format_vector(u: Vector) -> str:
@@ -96,7 +81,7 @@ class LieAlgebra:
     Jacobi's identity is *not* assumed; :meth:`check_jacobi` decides it.
     """
 
-    __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobi")
+    __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobiator")
 
     def __init__(self, dim: int, params: Iterable[str],
                  gamma: Sequence[Sequence[Sequence[Poly | RationalLike]]]):
@@ -131,7 +116,7 @@ class LieAlgebra:
                 pairs.setdefault((i, j), []).append((k, v))
         object.__setattr__(self, "_pairs", tuple(
             (i, j, tuple(targets)) for (i, j), targets in pairs.items()))
-        object.__setattr__(self, "_jacobi", None)
+        object.__setattr__(self, "_jacobiator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -195,9 +180,6 @@ class LieAlgebra:
         one = Poly.constant(1, self.params)
         return tuple(one if k == i - 1 else zero for k in range(self.dim))
 
-    def zero_vector(self) -> Vector:
-        return zero_vector(self.dim, self.params)
-
     def bracket_rows(self):
         """Nonzero (i, j, {k: coeff}) rows with i < j, 1-based, sorted."""
         for i, j, targets in self._pairs:
@@ -224,31 +206,51 @@ class LieAlgebra:
         self._check_index(j)
         return self.gamma.components[i - 1][j - 1]
 
+    @property
+    def jacobiator_tensor(self) -> Tensor:
+        """J_ijk^q = sum_p (c_ij^p c_pk^q + c_jk^p c_pi^q + c_ki^p c_pj^q)
+        at i < j < k, computed once: one scatter over pairs of nonzero
+        structure constants (c_ab^p, c_pc^q), each product added only at
+        the increasing rotation of (a, b, c).  Any other triple permutes
+        one of these or repeats an index."""
+        if self._jacobiator is None:
+            entries = self.gamma.nonzero()
+            by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
+            for (p, c, q), w in entries:
+                by_first[p].append((c, q, w))
+            acc: dict[tuple[int, ...], dict] = {}
+            for (a, b, p), v in entries:
+                for c, q, w in by_first[p]:
+                    key = min((a, b, c), (b, c, a), (c, a, b))
+                    if key[0] < key[1] < key[2]:
+                        _accumulate(acc, key + (q,), v, w)
+            object.__setattr__(self, "_jacobiator", Tensor.from_entries(
+                self.params, self.dim, 4, acc))
+        return self._jacobiator
+
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
-        """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]."""
+        """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j].
+
+        It is antisymmetric: the :attr:`jacobiator_tensor` row of the
+        sorted triple times the sign of the permutation, and the row
+        stored there is zero when an index repeats."""
         for idx in (i, j, k):
             self._check_index(idx)
-        total = self.zero_vector()
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            total = vec_add(
-                total, self.bracket(self.bracket_basis(a, b),
-                                    self.basis_vector(c)))
-        return total
+        a, b, c = sorted((i, j, k))
+        row = self.jacobiator_tensor.components[a - 1][b - 1][c - 1]
+        if ((i > j) + (j > k) + (i > k)) % 2:
+            return tuple(-v for v in row)
+        return row
 
     def check_jacobi(self) -> CheckResult:
-        """Exhaustive Jacobi check over all C(dim, 3) basis triples.
-
-        The result is cached, so validating a family and then checking
-        it runs the triples once."""
-        if self._jacobi is None:
-            violations = []
-            for i, j, k in combinations(range(1, self.dim + 1), 3):
-                residual = self.jacobiator(i, j, k)
-                if not vec_is_zero(residual):
-                    violations.append((i, j, k, residual))
-            object.__setattr__(self, "_jacobi",
-                               CheckResult(not violations, tuple(violations)))
-        return self._jacobi
+        """Exhaustive Jacobi check over all C(dim, 3) basis triples: one
+        violation per triple i < j < k whose row of
+        :attr:`jacobiator_tensor` is nonzero, in lexicographic order."""
+        J = self.jacobiator_tensor
+        triples = dict.fromkeys(idx[:3] for idx, _ in J.nonzero())
+        violations = tuple((i + 1, j + 1, k + 1, J.components[i][j][k])
+                           for i, j, k in triples)
+        return CheckResult(not violations, violations)
 
     def ad_matrix(self, x: Vector) -> PolyMatrix:
         """Matrix of ad(x) = [x, .]: column j holds [x, X_j]."""

@@ -14,6 +14,8 @@ neutral signature (n, n).  On top of that live:
 * the lowered Levi-Civita connection  T(x, y, z) = g(grad_x y, z), from
   the Koszul formula; one formula for every metric, invariant or not,
 * the fundamental tensor  F(x, y, z) = g((grad_x J)y, z), read from T,
+* the bracket Gram tensor  g([X_i, X_j], [X_k, X_l]), read by the eq22
+  check and the invariant-metric curvature formula,
 * the Lie form  theta(z) = g^{ij} F(X_i, X_j, z),
 * membership tests for the classes W0, W1, W2, W3.
 
@@ -130,7 +132,7 @@ class AlmostNordenAlgebra:
     inverse metric is computed eagerly and cached.
     """
 
-    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_T",
+    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_T", "_gram",
                  "_invariant")
 
     def __init__(self, algebra: LieAlgebra,
@@ -171,6 +173,7 @@ class AlmostNordenAlgebra:
         object.__setattr__(self, "_gJ", g @ J)
         object.__setattr__(self, "_G", None)
         object.__setattr__(self, "_T", None)
+        object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_invariant", None)
 
     def __setattr__(self, name, value):
@@ -207,14 +210,6 @@ class AlmostNordenAlgebra:
                     acc = acc + coeff * xi * yj
         return acc
 
-    def j_apply(self, x: Vector) -> Vector:
-        """J x, componentwise."""
-        return self.J.apply(x)
-
-    def j_basis(self, i: int) -> Vector:
-        """J X_i for a 1-based basis index, as a constant Poly vector."""
-        return self.j_apply(self.algebra.basis_vector(i))
-
     def associated_metric(self) -> RationalMatrix:
         """Matrix of g~(x, y) = g(x, Jy); again symmetric and Norden."""
         return self._gJ
@@ -248,6 +243,25 @@ class AlmostNordenAlgebra:
             object.__setattr__(self, "_T", Tensor.from_entries(
                 self.params, self.dim, 3, lowered))
         return self._T
+
+    @property
+    def bracket_gram(self) -> Tensor:
+        """g([X_i, X_j], [X_k, X_l]) = sum_p G_ijp c_kl^p: one scatter of
+        the lowered constants :attr:`G` against the structure constants,
+        each G_ijp meeting every c_kl^p with the same p.  Computed once;
+        :func:`~nordenlab.family.check_eq22` and
+        :func:`~nordenlab.curvature.curvature_invariant_formula` read it."""
+        if self._gram is None:
+            by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
+            for (k, l, p), w in self.algebra.gamma.nonzero():
+                by_target[p].append((k, l, w))
+            acc: dict[tuple[int, ...], dict] = {}
+            for (i, j, p), v in self.G.nonzero():
+                for k, l, w in by_target[p]:
+                    _accumulate(acc, (i, j, k, l), v, w)
+            object.__setattr__(self, "_gram", Tensor.from_entries(
+                self.params, self.dim, 4, acc))
+        return self._gram
 
     def check_invariant_metric(self) -> CheckResult:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.
@@ -294,7 +308,8 @@ class AlmostNordenAlgebra:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
         return F.trace(0, 1, self.g_inv).components
 
-    def classify(self, F: Tensor) -> ClassFlags:
+    def classify(self, F: Tensor,
+                 theta: Covector | None = None) -> ClassFlags:
         """Exact membership in the four basic classes.
 
         * w0: F = 0.
@@ -304,10 +319,12 @@ class AlmostNordenAlgebra:
         * w3: cyclic sum of F(x, y, z) vanishes.
 
         Identities are checked on all basis triples, which suffices by
-        multilinearity.
+        multilinearity.  ``theta`` is the Lie form of F, computed here
+        when the caller does not pass it.
         """
         comp = F.components
-        theta = self.lie_form(F)
+        if theta is None:
+            theta = self.lie_form(F)
         w0 = F.is_zero
         w3 = _cyclic_sum_vanishes(F)
         w2 = (all(t.is_zero for t in theta)

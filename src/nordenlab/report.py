@@ -45,7 +45,7 @@ class Geometry:
     A stage reads its upstream stages from this object, so F, the
     connection and R are built at most once however many consumers ask:
 
-        F           -> flags, theta, nabla_j_norm
+        F           -> theta, flags (with theta), nabla_j_norm
         connection  -> R -> ricci_and_tau, sectional, locally_symmetric
         killing_form
 
@@ -62,7 +62,7 @@ class Geometry:
 
     @cached_property
     def flags(self) -> ClassFlags:
-        return self.algebra.classify(self.F)
+        return self.algebra.classify(self.F, self.theta)
 
     @cached_property
     def theta(self) -> Covector:

@@ -19,6 +19,7 @@ from nordenlab import (
     curvature_R,
     levi_civita,
     nabla_R,
+    parse_spec_text,
     ricci_and_scalar,
 )
 from nordenlab.linalg import RationalMatrix
@@ -84,6 +85,16 @@ def sheared(twin):
 
 
 @pytest.fixture(scope="session")
+def sheared_family(falg):
+    """The symbolic family under a two-cell shear of its basis: 116
+    nonzero structure constants instead of 72, with up to three terms
+    each, and 176 violations of the commutator orthogonality."""
+    P = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    P[0][1], P[3][5] = Fraction(2, 3), Fraction(-5, 4)
+    return rebased(falg, RationalMatrix(P))
+
+
+@pytest.fixture(scope="session")
 def abelian6() -> AlmostNordenAlgebra:
     return AlmostNordenAlgebra(LieAlgebra.abelian(6))
 
@@ -121,3 +132,33 @@ def filiform10() -> AlmostNordenAlgebra:
 @pytest.fixture(scope="session")
 def spec_fixture_path() -> Path:
     return DATA_DIR / "table1.spec"
+
+
+# -- inputs that fail a structure check --------------------------------------
+
+@pytest.fixture(scope="session")
+def jacobi_violator() -> LieAlgebra:
+    # [X1,X2] = X3, [X1,X3] = X1: the Jacobiator of (1, 2, 3) is -X3
+    return LieAlgebra.from_brackets(3, (), {(1, 2): {3: 1}, (1, 3): {1: 1}})
+
+
+@pytest.fixture(scope="session")
+def orthogonality_violator() -> AlmostNordenAlgebra:
+    # g([X1,X2],[X4,X5]) = g(X3, X3) = 1
+    return AlmostNordenAlgebra(LieAlgebra.from_brackets(
+        6, (), {(1, 2): {3: 1}, (4, 5): {3: 1}}))
+
+
+@pytest.fixture(scope="session")
+def isotropy_violator() -> AlmostNordenAlgebra:
+    # [X1, J X1] = [X1, X4] = X1 is not isotropic
+    return AlmostNordenAlgebra(LieAlgebra.from_brackets(6, (), {(1, 4): {1: 1}}))
+
+
+@pytest.fixture(scope="session")
+def perturbed(spec_fixture_path) -> AlmostNordenAlgebra:
+    """The family with the [X2,X3] row shifted off the identity: Jacobi,
+    invariance and eq22 all fail."""
+    text = spec_fixture_path.read_text(encoding="utf-8")
+    return parse_spec_text(text.replace(
+        "2 3 -> 5: l1; 6: l2\n", "2 3 -> 5: l1 + 1; 6: l2\n")).to_algebra()

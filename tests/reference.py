@@ -19,13 +19,23 @@ by term on named exponents and builds its one result through the
 validating ``Poly(...)`` constructor, never through a ring operation.
 ``rebased`` is the change of basis the dense and basis-change tests
 apply to an algebra.
+
+``jacobiator``, ``check_jacobi``, ``check_eq22`` and
+``curvature_invariant_formula`` are the per-tuple loops the structure
+checks ran before they read the cached Jacobiator and bracket Gram
+tensors: each tuple builds dense bracket vectors and calls ``metric``.
+They are the library's loops, except that the vector helpers they used
+(``vec_add``, ``vec_is_zero``, ``zero_vector``, ``j_basis``) are written
+out inline.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from nordenlab import (
     AlmostNordenAlgebra,
+    CheckResult,
     ConnectionCoeffs,
     LieAlgebra,
     Poly,
@@ -236,3 +246,51 @@ def rebased(a: AlmostNordenAlgebra, P: RationalMatrix) -> AlmostNordenAlgebra:
     lie = LieAlgebra.from_brackets(dim, params, brackets)
     return AlmostNordenAlgebra(lie, P.transpose() @ a.g @ P,
                                P_inv @ a.J @ P)
+
+
+def jacobiator(alg: LieAlgebra, i: int, j: int, k: int) -> Vector:
+    """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]."""
+    total = (Poly.zero(alg.params),) * alg.dim
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        term = alg.bracket(alg.bracket_basis(a, b), alg.basis_vector(c))
+        total = tuple(s + t for s, t in zip(total, term))
+    return total
+
+
+def check_jacobi(alg: LieAlgebra) -> CheckResult:
+    """Exhaustive Jacobi check over all C(dim, 3) basis triples."""
+    violations = []
+    for i, j, k in combinations(range(1, alg.dim + 1), 3):
+        residual = jacobiator(alg, i, j, k)
+        if not all(c.is_zero for c in residual):
+            violations.append((i, j, k, residual))
+    return CheckResult(not violations, tuple(violations))
+
+
+def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
+    """Commutator orthogonality and isotropy conditions."""
+    alg = a.algebra
+    dim = a.dim
+    violations = []
+    for i, j, k, l in permutations(range(1, dim + 1), 4):
+        residual = a.metric(alg.bracket_basis(i, j), alg.bracket_basis(k, l))
+        if residual.terms:
+            violations.append(("orthogonality", i, j, k, l, residual))
+    for i in range(1, dim + 1):
+        v = alg.bracket(alg.basis_vector(i), a.J.apply(alg.basis_vector(i)))
+        residual = a.metric(v, v)
+        if residual.terms:
+            violations.append(("isotropy", i, residual))
+    return CheckResult(not violations, tuple(violations))
+
+
+def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
+    """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l])."""
+    alg = a.algebra
+    dim = a.dim
+    brackets = [[alg.bracket_basis(i, j) for j in range(1, dim + 1)]
+                for i in range(1, dim + 1)]
+    comp = [[[[(a.metric(brackets[i][j], brackets[k][l])) / -4
+               for l in range(dim)] for k in range(dim)]
+             for j in range(dim)] for i in range(dim)]
+    return Tensor(a.params, comp)

@@ -1,10 +1,11 @@
 """End-to-end CLI behavior: exit codes, output text, error channel."""
 
 import json
+import sys
 
 import pytest
 
-from nordenlab import AlmostNordenAlgebra, LieAlgebra, curvature, report, specfile
+from nordenlab import AlmostNordenAlgebra, Tensor, curvature, report, specfile
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -152,13 +153,13 @@ def test_check_fixture_file(spec_fixture_path, capsys):
     assert capsys.readouterr().out == CHECK_OK
 
 
-def test_check_perturbed_spec_names_identity(perturbed_spec, capsys):
+def test_check_perturbed_spec_names_identity(perturbed_spec,
+                                             spec_fixture_path, capsys):
+    # jacobi, invariant-metric and eq22 all FAIL, each naming the
+    # violated instances in a fixed order
     assert main(["check", str(perturbed_spec)]) == 1
-    out = capsys.readouterr().out
-    assert "jacobi: FAIL" in out
-    assert "invariant-metric: FAIL" in out
-    assert "norden: ok" in out
-    assert "g([X2,X3],X5) + g([X2,X5],X3) = -1" in out
+    expected = spec_fixture_path.parent / "perturbed_check.txt"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
 def test_check_abelian_spec(tmp_path, capsys):
@@ -195,6 +196,21 @@ def test_classify_builds_F_once(monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(AlmostNordenAlgebra, "tensor_F", counted)
+    assert main(["classify", "--family", "table1"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_classify_computes_theta_once(monkeypatch, capsys):
+    # the class flags read the Lie form that `classify` also prints
+    calls = []
+    original = AlmostNordenAlgebra.lie_form
+
+    def counted(self, F):
+        calls.append(self)
+        return original(self, F)
+
+    monkeypatch.setattr(AlmostNordenAlgebra, "lie_form", counted)
     assert main(["classify", "--family", "table1"]) == 0
     assert len(calls) == 1
     capsys.readouterr()
@@ -301,19 +317,20 @@ def test_table1_report_is_golden(extra, golden, spec_fixture_path, capsys):
 
 
 def test_check_runs_jacobi_once(monkeypatch, capsys):
-    # build_table1 validates the family and `check` reports on it: one
-    # pass over the C(6, 3) = 20 basis triples serves both
-    calls = []
-    original = LieAlgebra.jacobiator
+    # build_table1 validates the family and `check` reports on it: the
+    # Jacobiator and the bracket Gram tensor are each built once for both
+    builders = []
+    original = Tensor.from_entries.__func__
 
-    def counted(self, i, j, k):
-        calls.append((i, j, k))
-        return original(self, i, j, k)
+    def recorded(cls, *args, **kwargs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(LieAlgebra, "jacobiator", counted)
+    monkeypatch.setattr(Tensor, "from_entries", classmethod(recorded))
     assert main(["check", "--family", "table1"]) == 0
     assert capsys.readouterr().out == CHECK_OK
-    assert len(calls) == 20
+    assert builders.count("jacobiator_tensor") == 1
+    assert builders.count("bracket_gram") == 1
 
 
 # -- family ----------------------------------------------------------------

@@ -17,7 +17,7 @@ import reference
 from nordenlab import Poly, Tensor
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.errors import ParameterMismatchError
-from nordenlab.linalg import RationalMatrix, _accumulate
+from nordenlab.linalg import _accumulate
 from nordenlab.report import compute_report
 
 PARAMS = ("a", "b", "c")
@@ -124,16 +124,6 @@ def test_products_must_land_on_the_tensor_parameters():
     assert T.contract(0, [[Poly.constant(2, ("t",))]]).component(1) == 2 * t
     with pytest.raises(ParameterMismatchError):
         T.contract(0, [[s]])
-
-
-@pytest.fixture(scope="module")
-def sheared_family(falg):
-    """The symbolic family under a two-cell shear of its basis: 116
-    nonzero structure constants instead of 72, with up to three terms
-    each."""
-    P = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-    P[0][1], P[3][5] = Fraction(2, 3), Fraction(-5, 4)
-    return reference.rebased(falg, RationalMatrix(P))
 
 
 def stage_polys(geo):

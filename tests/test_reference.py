@@ -7,12 +7,20 @@ chains and a dense input.  F must equal G/2 on every invariant metric
 and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
 must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
 Adv. Math. 21, 1976), whatever the basis.
+
+The structure checks read the cached Jacobiator and bracket Gram
+tensors; their results must equal the per-tuple loops whole, violations
+in the same order, on the same inputs plus the numeric twin, the
+symbolic sheared family and the inputs built to fail a check.
 """
+
+from itertools import product
 
 import pytest
 
 import reference
-from nordenlab import curvature_R, is_locally_symmetric, levi_civita, nabla_R
+from nordenlab import (check_eq22, curvature_invariant_formula, curvature_R,
+                       is_locally_symmetric, levi_civita, nabla_R)
 
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
@@ -48,3 +56,33 @@ def test_tensor_f_matches_both_reference_routes(name, invariant, request):
              else reference.tensor_f_general)
     assert a.tensor_F() == route(a)
     assert levi_civita(a) == reference.levi_civita(a)
+
+
+#: Every almost Norden input, and how many eq22 violations it has.
+CHECKED = [("falg", 0), ("abelian6", 0), ("twin", 0), ("sheared", 365),
+           ("sheared_family", 176), ("heisenberg6", 0), ("affine6", 0),
+           ("filiform8", 2), ("filiform10", 2),
+           ("orthogonality_violator", 8), ("isotropy_violator", 2),
+           ("perturbed", 8)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CHECKED]
+                         + ["jacobi_violator"])
+def test_jacobiator_matches_per_tuple_reference(name, request):
+    alg = request.getfixturevalue(name)
+    alg = getattr(alg, "algebra", alg)
+    assert alg.check_jacobi() == reference.check_jacobi(alg)
+    # every ordered triple: odd permutations and repeated indices too
+    for i, j, k in product(range(1, alg.dim + 1), repeat=3):
+        assert alg.jacobiator(i, j, k) == reference.jacobiator(alg, i, j, k)
+
+
+@pytest.mark.parametrize("name, count", CHECKED)
+def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
+                                                              request):
+    a = request.getfixturevalue(name)
+    result = check_eq22(a)
+    assert result == reference.check_eq22(a)
+    assert len(result.violations) == count
+    assert (curvature_invariant_formula(a)
+            == reference.curvature_invariant_formula(a))
