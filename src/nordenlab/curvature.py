@@ -19,9 +19,13 @@ every operation a finite exact contraction:
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
-* grad R is a scatter, built one direction block at a time: each nonzero
+* grad R is built one direction block at a time, at its canonical
+  components j < k, l < m, (j, k) <= (l, m) only: each nonzero
   component of R meets each nonzero connection coefficient whose upper
-  index sits in one of its slots;
+  index sits in one of its slots, and a product is made only where it
+  lands on a canonical component.  The rest of each block is copied by
+  the slot symmetries R_jklm = -R_kjlm = -R_jkml = R_lmjk, which R is
+  checked for first; an R without them raises StructureError;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -33,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import DegeneratePlaneError, DimensionMismatchError
+from .errors import (DegeneratePlaneError, DimensionMismatchError,
+                     StructureError)
 from .lie import Vector
-from .linalg import (PolyMatrix, Tensor, _accumulate, _columns, _scatter,
-                     rational_rank)
+from .linalg import PolyMatrix, Tensor, _accumulate, _columns, rational_rank
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, as_fraction
 
@@ -227,6 +231,23 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     return R.trace(0, 3, outer(p.x)).trace(0, 1, outer(p.y)).components / disc
 
 
+def _check_slot_symmetries(R: Tensor) -> None:
+    """Raise :class:`StructureError` naming the first slot symmetry that
+    R breaks.  Each symmetry is an involution, so testing it at the
+    nonzero components suffices."""
+    comp = R.components
+    for (j, k, l, m), v in R.nonzero():
+        minus_v = -v
+        for partner, value, identity in (
+                (comp[k][j][l][m], minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
+                (comp[j][k][m][l], minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
+                (comp[l][m][j][k], v, "R(j,k,l,m) = R(l,m,j,k)")):
+            if partner != value:
+                raise StructureError(
+                    f"curvature tensor violates {identity} at (j,k,l,m) = "
+                    f"({j + 1}, {k + 1}, {l + 1}, {m + 1})")
+
+
 def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                    R: Tensor) -> Iterator[Tensor]:
     """The rank-4 blocks grad_{X_i} R for i = 1..dim, built one at a time.
@@ -236,17 +257,39 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
 
         -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ...
 
-    Each block is a scatter: each nonzero R entry meets each negated
+    grad_i acts as a derivation on every slot, so each block keeps the
+    slot symmetries of R: R_jklm = -R_kjlm = -R_jkml = R_lmjk.  A block
+    is therefore computed only at its canonical components, j < k,
+    l < m and (j, k) <= (l, m): each nonzero R entry meets each negated
     coefficient -Gamma_ix^p whose upper index p sits in one of its four
-    slots, and adds the product at x in that slot.
+    slots, and the product is added at x in that slot only when that
+    output index is canonical.  Each canonical value is then copied to
+    the rest of its orbit with the signs above.  The copy is only sound
+    for an R with those symmetries, so R is checked once, before the
+    first block, and a violation raises :class:`StructureError`.
     """
+    _check_slot_symmetries(R)
     entries = R.nonzero()
     for plane in c.coeffs:
         columns = _columns([[-v for v in row] for row in plane], a.dim)
         acc: dict[tuple[int, ...], dict] = {}
         for slot in range(4):
-            _scatter(acc, entries, slot, columns)
-        yield Tensor.from_entries(a.params, a.dim, 4, acc)
+            pair = 2 if slot < 2 else 0  # the pair this slot leaves as is
+            for idx, v in entries:
+                if idx[pair] >= idx[pair + 1]:
+                    continue
+                head, tail = idx[:slot], idx[slot + 1:]
+                for x, m in columns[idx[slot]]:
+                    j, k, l, n = key = head + (x,) + tail
+                    if j < k and l < n and (j, k) <= (l, n):
+                        _accumulate(acc, key, v, m)
+        orbits: dict[tuple[int, ...], dict] = {}
+        for (j, k, l, m), terms in acc.items():
+            negated = {e: -q for e, q in terms.items()}
+            for key, value in (((j, k, l, m), terms), ((k, j, l, m), negated),
+                               ((j, k, m, l), negated), ((k, j, m, l), terms)):
+                orbits[key] = orbits[key[2:] + key[:2]] = value
+        yield Tensor.from_entries(a.params, a.dim, 4, orbits)
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:

@@ -129,10 +129,18 @@ class RationalMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols]
-             for row in self.rows])
+        # g and J have one nonzero per row: multiply only nonzero entries
+        sparse = [[(q, b) for q, b in enumerate(row) if b]
+                  for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, other_row in zip(row, sparse):
+                if a:
+                    for q, b in other_row:
+                        acc[q] += a * b
+            out.append(acc)
+        return RationalMatrix(out)
 
     def transpose(self) -> RationalMatrix:
         return RationalMatrix(zip(*self.rows))

@@ -5,9 +5,9 @@ Rewriting an algebra in the basis E_b = sum_i P[i][b] X_i (brackets
 transformed, g' = P^T g P, J' = P^-1 J P) changes every component but no
 geometric quantity: the scalar curvature, the norm of grad J, the class
 flags (Ganchev-Borisov, C. R. Acad. Bulg. Sci. 39, 1986), local symmetry
-and the rank of the Killing form must come out the same, and F and R must
-transform as tensors.  P is drawn from a seeded ``random.Random``, so a
-failure reproduces.
+and the rank of the Killing form must come out the same, and F, R and
+grad R must transform as tensors.  P is drawn from a seeded
+``random.Random``, so a failure reproduces.
 """
 
 import random
@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from reference import rebased
-from nordenlab import rational_rank
+from nordenlab import Tensor, nabla_R, rational_rank
 from nordenlab.linalg import RationalMatrix
 from nordenlab.report import Geometry
 
@@ -63,6 +63,12 @@ def pulled_back(T, P):
     return T
 
 
+def nabla_r(geo: Geometry) -> Tensor:
+    """The rank-5 grad R of one geometry."""
+    a = geo.algebra
+    return Tensor(a.params, nabla_R(a, geo.connection, geo.R))
+
+
 def assert_curvature_identities(R):
     """First Bianchi identity and R_ijkl = -R_jikl = -R_ijlk = R_klij."""
     C = R.components
@@ -85,6 +91,7 @@ def test_geometry_is_basis_independent(name, seed, request):
     assert invariants(after) == invariants(before)
     assert after.F == pulled_back(before.F, P)
     assert after.R == pulled_back(before.R, P)
+    assert nabla_r(after) == pulled_back(nabla_r(before), P)
     assert_curvature_identities(after.R)
 
 

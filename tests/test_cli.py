@@ -162,6 +162,17 @@ def test_check_perturbed_spec_names_identity(perturbed_spec,
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+def test_report_perturbed_spec_names_broken_symmetry(perturbed_spec, capsys):
+    # without Jacobi the curvature lacks pair symmetry, so grad R cannot
+    # be filled from its canonical components: an input error, no report
+    assert main(["report", str(perturbed_spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: curvature tensor violates "
+                            "R(j,k,l,m) = R(l,m,j,k) at (j,k,l,m) = "
+                            "(1, 2, 2, 3)\n")
+
+
 def test_check_abelian_spec(tmp_path, capsys):
     spec = tmp_path / "flat.spec"
     spec.write_text(MINIMAL_SPEC, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Connection, curvature tensor, sectional curvature, grad R, |grad J|^2."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from nordenlab import (
     DegeneratePlaneError,
     PlaneSpec,
     Poly,
+    StructureError,
+    Tensor,
     coordinate_plane,
     curvature_R,
     curvature_invariant_formula,
@@ -23,6 +26,8 @@ from nordenlab import (
     square_norm_nabla_J,
     vec_sub,
 )
+from nordenlab import curvature
+from nordenlab.curvature import nabla_R_blocks
 
 P3 = ("l1", "l2", "l3")
 
@@ -272,6 +277,74 @@ def test_heisenberg_is_not_locally_symmetric(heisenberg6):
     #   -R(X1, X2, grad_1 X1, X3) = 0,  -R(X1, X2, X1, -(1/2)X2) = (1/2)R_1212
     # = -(1/2)(-1/4) + (1/2)(3/4) = 1/2
     assert comp5(nr, 1, 1, 2, 1, 3) == Poly.constant(Fraction(1, 2))
+
+
+def with_entries(R, changes):
+    """R with the 0-based components in ``changes`` added to it."""
+    entries = dict(R.nonzero())
+    for idx, delta in changes.items():
+        entries[idx] = entries.get(idx, Poly.zero(R.params)) + delta
+    return Tensor.from_entries(R.params, R.dim, 4, entries)
+
+
+@pytest.mark.parametrize("changes, identity", [
+    # one component of R_1212 = 3/4 moved: its antisymmetric partner lags
+    ({(0, 1, 0, 1): 1}, "R(j,k,l,m) = -R(k,j,l,m)"),
+    # antisymmetric in the first pair only
+    ({(0, 1, 3, 4): 1, (1, 0, 3, 4): -1}, "R(j,k,l,m) = -R(j,k,m,l)"),
+    # antisymmetric in both pairs, but the pair-swapped members dropped
+    ({(0, 1, 3, 4): 1, (1, 0, 3, 4): -1, (0, 1, 4, 3): -1,
+      (1, 0, 4, 3): 1}, "R(j,k,l,m) = R(l,m,j,k)"),
+])
+def test_nabla_r_rejects_a_curvature_without_its_symmetries(
+        heisenberg6, changes, identity):
+    # the blocks are filled from their canonical components by these
+    # symmetries, so an R without them must not yield a grad R at all
+    c = levi_civita(heisenberg6)
+    R = with_entries(curvature_R(heisenberg6, c), changes)
+    with pytest.raises(StructureError, match=re.escape(identity)):
+        nabla_R(heisenberg6, c, R)
+    with pytest.raises(StructureError, match=re.escape(identity)):
+        next(nabla_R_blocks(heisenberg6, c, R))
+
+
+@pytest.mark.parametrize("name", [
+    "falg", "twin", "sheared", "sheared_family", "abelian6", "heisenberg6",
+    "affine6", "filiform8", "filiform10"])
+def test_levi_civita_curvature_passes_the_symmetry_guard(name, request):
+    a = request.getfixturevalue(name)
+    c = levi_civita(a)
+    assert next(nabla_R_blocks(a, c, curvature_R(a, c))).rank == 4
+
+
+def test_nabla_r_rejects_the_curvature_of_a_jacobi_violation(perturbed):
+    # pair symmetry follows from the first Bianchi identity, which needs
+    # the Jacobi identity: the Levi-Civita R of a non-Lie bracket lacks it
+    assert not perturbed.algebra.check_jacobi().ok
+    c = levi_civita(perturbed)
+    with pytest.raises(StructureError, match=re.escape(
+            "R(j,k,l,m) = R(l,m,j,k) at (j,k,l,m) = (1, 2, 2, 3)")):
+        nabla_R(perturbed, c, curvature_R(perturbed, c))
+
+
+def test_nabla_r_makes_products_only_at_canonical_components(falg, fconn,
+                                                             fcurv,
+                                                             monkeypatch):
+    # 2832 of the 25344 products of a scatter over every slot land at
+    # j < k, l < m, (j, k) <= (l, m); only those may be made
+    calls = []
+    real = curvature._accumulate
+
+    def counting(acc, key, v, m=1):
+        j, k, l, n = key
+        assert j < k and l < n and (j, k) <= (l, n), key
+        calls.append(key)
+        real(acc, key, v, m)
+
+    monkeypatch.setattr(curvature, "_accumulate", counting)
+    blocks = list(nabla_R_blocks(falg, fconn, fcurv))
+    assert len(blocks) == 6 and all(block.is_zero for block in blocks)
+    assert 0 < len(calls) <= 2832
 
 
 # -- |grad J|^2 ------------------------------------------------------------

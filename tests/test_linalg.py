@@ -126,6 +126,30 @@ def test_rational_rank():
     assert rational_rank([[1, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1]]) == 3
 
 
+def naive_matmul(a, b):
+    """The textbook triple loop over every entry, zeros included."""
+    return [[sum((a[i][p] * b[p][q] for p in range(a.ncols)), Fraction(0))
+             for q in range(b.ncols)] for i in range(a.nrows)]
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3, 0.1, 0.0])
+def test_matmul_matches_triple_loop(density):
+    rnd = random.Random(int(density * 10) + 77)
+
+    def random_matrix(nrows, ncols):
+        return RationalMatrix(
+            [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+              if rnd.random() < density else 0 for _ in range(ncols)]
+             for _ in range(nrows)])
+
+    for nrows, inner, ncols in [(1, 1, 1), (3, 3, 3), (2, 5, 4), (7, 7, 7)]:
+        a, b = random_matrix(nrows, inner), random_matrix(inner, ncols)
+        product = a @ b
+        expected = naive_matmul(a, b)
+        assert product.rows == tuple(map(tuple, expected))
+        assert all(type(v) is Fraction for row in product.rows for v in row)
+
+
 def test_apply_matches_matmul():
     rnd = random.Random(13)
     m = rand_invertible(rnd, 4)

@@ -2,8 +2,8 @@
 
 Connection, curvature, grad R, the Killing form and F are compared
 component for component with ``tests/reference.py`` on the
-three-parameter family, the Heisenberg and affine fixtures, filiform
-chains and a dense input.  F must equal G/2 on every invariant metric
+three-parameter family, its numeric twin and a symbolic shear of it, the
+Heisenberg and affine fixtures, filiform chains and a dense input.  F must equal G/2 on every invariant metric
 and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
 must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
 Adv. Math. 21, 1976), whatever the basis.
@@ -24,7 +24,7 @@ from nordenlab import (check_eq22, curvature_invariant_formula, curvature_R,
 
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
-            ("filiform10", False)]
+            ("filiform10", False), ("twin", True), ("sheared_family", True)]
 
 
 @pytest.mark.parametrize("name, invariant", FIXTURES)
