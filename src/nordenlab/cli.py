@@ -26,7 +26,7 @@ from .errors import NordenLabError
 from .family import Table1Family, build_table1, check_eq22, regression_report
 from .lie import format_vector
 from .norden import AlmostNordenAlgebra
-from .report import Geometry, document_for
+from .report import Geometry, _rows_text, document_for
 from .specfile import RATIONAL, emit_spec, parse_spec
 
 _MAX_SHOWN_VIOLATIONS = 5
@@ -186,28 +186,21 @@ def cmd_classify(args) -> int:
 
 def cmd_curvature(args) -> int:
     geo = Geometry(_algebra_of(_resolve(args)))
-    dim = geo.algebra.dim
 
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
     shown = 0
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(1, dim + 1):
-                for l in range(k + 1, dim + 1):
-                    if (k, l) < (i, j):
-                        continue
-                    value = geo.R.component(i, j, k, l)
-                    if value.terms:
-                        print(f"  R({i},{j},{k},{l}) = {value}")
-                        shown += 1
+    for (i, j, k, l), value in geo.R.nonzero():  # row-major: lexicographic
+        if i < j and k < l and (i, j) <= (k, l):
+            print(f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {value}")
+            shown += 1
     if not shown:
         print("  (all components vanish)")
 
     rho, tau = geo.ricci_and_tau
     print("ricci:")
-    for row in rho.components:
-        print("  " + "  ".join(str(v) for v in row))
+    for row in _rows_text(rho):
+        print("  " + "  ".join(row))
     print(f"tau: {tau}")
 
     print("sectional curvatures:")

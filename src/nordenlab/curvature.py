@@ -35,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
 from .lie import Vector
-from .linalg import PolyMatrix, Tensor, _accumulate, _columns, rational_rank
+from .linalg import PolyMatrix, Tensor, _accumulate, rational_rank
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, as_fraction
 
@@ -71,7 +72,9 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     metric.  When the metric is invariant the result equals half the
     bracket — verified in the tests, not assumed here.
     """
-    return ConnectionCoeffs(a.params, a.T.contract(2, a.g_inv).components)
+    raised = a.T.contract(2, a.g_inv)
+    return ConnectionCoeffs.from_entries(a.params, a.dim, 3,
+                                         dict(raised.nonzero()))
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
@@ -126,8 +129,8 @@ def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
     rho = R.trace(0, 3, a.g_inv)
-    return (PolyMatrix(a.params, rho.components),
-            rho.trace(0, 1, a.g_inv).components)
+    return (PolyMatrix.from_entries(a.params, a.dim, 2, dict(rho.nonzero())),
+            rho.trace(0, 1, a.g_inv).at(()))
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,11 @@ def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
 
 def _metric_product(a: AlmostNordenAlgebra, u: Sequence[Fraction],
                     v: Sequence[Fraction]) -> Fraction:
-    return sum((coeff * u[i] * v[j]
-                for i, row in enumerate(a.g.rows)
-                for j, coeff in enumerate(row) if coeff),
+    """g(u, v), visiting only the nonzero u_i, g_ij and v_j."""
+    support = [(j, vj) for j, vj in enumerate(v) if vj]
+    return sum((row[j] * ui * vj
+                for ui, row in zip(u, a.g.rows) if ui
+                for j, vj in support if row[j]),
                Fraction(0))
 
 
@@ -214,7 +219,9 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
 
     The spanning vectors are rational, so the denominator is an exact
     rational scalar; a zero denominator is the degenerate-plane error,
-    never a division attempt.
+    never a division attempt.  The numerator sum_{ijkl} x_i y_j y_k x_l
+    R_ijkl reads R only where x_i, y_j, y_k and x_l are all nonzero: one
+    component for a coordinate plane.
     """
     if len(p.x) != a.dim:
         raise DimensionMismatchError(
@@ -224,24 +231,27 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     if disc == 0:
         raise DegeneratePlaneError(
             "sectional curvature of a degenerate plane (discriminant 0)")
-
-    def outer(v):  # v v^T; coordinate planes make most products zero
-        return [[s * t if s and t else 0 for t in v] for s in v]
-
-    return R.trace(0, 3, outer(p.x)).trace(0, 1, outer(p.y)).components / disc
+    xs = [(i, s) for i, s in enumerate(p.x) if s]
+    ys = [(j, t) for j, t in enumerate(p.y) if t]
+    acc: dict[tuple[int, ...], dict] = {}
+    for (i, xi), (l, xl) in product(xs, repeat=2):
+        for (j, yj), (k, yk) in product(ys, repeat=2):
+            v = R.at((i, j, k, l))
+            if v.terms:
+                _accumulate(acc, (), v, xi * yj * yk * xl)
+    return Tensor.from_entries(a.params, a.dim, 0, acc).at(()) / disc
 
 
 def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
     R breaks.  Each symmetry is an involution, so testing it at the
     nonzero components suffices."""
-    comp = R.components
     for (j, k, l, m), v in R.nonzero():
         minus_v = -v
         for partner, value, identity in (
-                (comp[k][j][l][m], minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
-                (comp[j][k][m][l], minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
-                (comp[l][m][j][k], v, "R(j,k,l,m) = R(l,m,j,k)")):
+                (R.at((k, j, l, m)), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
+                (R.at((j, k, m, l)), minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
+                (R.at((l, m, j, k)), v, "R(j,k,l,m) = R(l,m,j,k)")):
             if partner != value:
                 raise StructureError(
                     f"curvature tensor violates {identity} at (j,k,l,m) = "
@@ -270,8 +280,11 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     """
     _check_slot_symmetries(R)
     entries = R.nonzero()
-    for plane in c.coeffs:
-        columns = _columns([[-v for v in row] for row in plane], a.dim)
+    # direction i -> p -> the (x, -Gamma_ix^p), x increasing
+    columns_of = [[[] for _ in range(a.dim)] for _ in range(a.dim)]
+    for (i, x, p), v in c.nonzero():
+        columns_of[i][p].append((x, -v))
+    for columns in columns_of:
         acc: dict[tuple[int, ...], dict] = {}
         for slot in range(4):
             pair = 2 if slot < 2 else 0  # the pair this slot leaves as is
@@ -313,8 +326,8 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
     acc: dict[tuple[int, ...], dict] = {}
-    for (i, j, k), u in raised.nonzero():
-        v = F.components[i][j][k]
+    for idx, u in raised.nonzero():
+        v = F.at(idx)
         if v.terms:
             _accumulate(acc, (), u, v)
-    return Tensor.from_entries(a.params, a.dim, 0, acc).components
+    return Tensor.from_entries(a.params, a.dim, 0, acc).at(())

@@ -326,11 +326,10 @@ def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
     violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
                   for (i, j, k, l), residual in gram.nonzero()
                   if len({i, j, k, l}) == 4]
-    rows = gram.components
     acc: dict[tuple[int, ...], dict] = {}
     for i, column in enumerate(_columns(a.J, a.dim)):  # J X_i
         for (b, jb), (d, jd) in product(column, repeat=2):
-            _accumulate(acc, (i,), rows[i][b][i][d], jb * jd)
+            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
     isotropy = Tensor.from_entries(a.params, a.dim, 1, acc).nonzero()
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))

@@ -84,28 +84,34 @@ class LieAlgebra:
     __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobiator")
 
     def __init__(self, dim: int, params: Iterable[str],
-                 gamma: Sequence[Sequence[Sequence[Poly | RationalLike]]]):
+                 gamma: Tensor | Sequence[Sequence[Sequence[
+                     Poly | RationalLike]]]):
+        """``gamma`` is the rank-3 :class:`~nordenlab.linalg.Tensor` of
+        structure constants, or its dense dim x dim x dim grid."""
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         params = tuple(params)
-        grid = tuple(
-            tuple(tuple(as_poly(v, params) for v in row) for row in plane)
-            for plane in gamma)
-        if len(grid) != dim or any(
-                len(plane) != dim or any(len(row) != dim for row in plane)
-                for plane in grid):
+        if not isinstance(gamma, Tensor):
+            try:
+                gamma = Tensor(params, [[[as_poly(v, params) for v in row]
+                                         for row in plane] for plane in gamma])
+            except DimensionMismatchError:  # ragged; reported as below
+                gamma = None
+        if gamma is None or gamma.dim != dim or gamma.rank != 3:
             raise DimensionMismatchError(
                 f"structure constants must fill a {dim}x{dim}x{dim} array")
-        for i in range(dim):
-            for j in range(i + 1):
-                for k in range(dim):
-                    if grid[i][j][k] != -grid[j][i][k]:
-                        raise StructureError(
-                            "antisymmetry violated: coefficient of "
-                            f"X{k + 1} in [X{i + 1},X{j + 1}] is "
-                            f"{grid[i][j][k]} but in [X{j + 1},X{i + 1}] "
-                            f"is {grid[j][i][k]}")
-        gamma = Tensor(params, grid)
+        # A violation has a nonzero side; report the first (i, j, k) with
+        # i >= j in lexicographic order.
+        broken = [(max(i, j), min(i, j), k)
+                  for (i, j, k), v in gamma.nonzero()
+                  if gamma.at((j, i, k)) != -v]
+        if broken:
+            i, j, k = min(broken)
+            raise StructureError(
+                "antisymmetry violated: coefficient of "
+                f"X{k + 1} in [X{i + 1},X{j + 1}] is "
+                f"{gamma.at((i, j, k))} but in [X{j + 1},X{i + 1}] "
+                f"is {gamma.at((j, i, k))}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "gamma", gamma)
@@ -125,8 +131,7 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, dim: int, params: Iterable[str] = ()) -> LieAlgebra:
-        zero = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, params, zero)
+        return cls.from_brackets(dim, params, {})
 
     @classmethod
     def from_brackets(
@@ -141,8 +146,7 @@ class LieAlgebra:
         filled in automatically.
         """
         params = tuple(params)
-        gamma = [[[Poly.zero(params) for _ in range(dim)]
-                  for _ in range(dim)] for _ in range(dim)]
+        entries: dict[tuple[int, ...], Poly] = {}
         for (i, j), row in brackets.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise StructureError(
@@ -157,9 +161,9 @@ class LieAlgebra:
                         f"bracket [X{i},X{j}]: target X{k} out of range "
                         f"1..{dim}")
                 p = as_poly(coeff, params)
-                gamma[i - 1][j - 1][k - 1] = p
-                gamma[j - 1][i - 1][k - 1] = -p
-        return cls(dim, params, gamma)
+                entries[(i - 1, j - 1, k - 1)] = p
+                entries[(j - 1, i - 1, k - 1)] = -p
+        return cls(dim, params, Tensor.from_entries(params, dim, 3, entries))
 
     # -- accessors ---------------------------------------------------------
 
@@ -204,7 +208,7 @@ class LieAlgebra:
         """[X_i, X_j] for 1-based basis indices, without building vectors."""
         self._check_index(i)
         self._check_index(j)
-        return self.gamma.components[i - 1][j - 1]
+        return self._row(self.gamma, i - 1, j - 1)
 
     @property
     def jacobiator_tensor(self) -> Tensor:
@@ -237,10 +241,14 @@ class LieAlgebra:
         for idx in (i, j, k):
             self._check_index(idx)
         a, b, c = sorted((i, j, k))
-        row = self.jacobiator_tensor.components[a - 1][b - 1][c - 1]
+        row = self._row(self.jacobiator_tensor, a - 1, b - 1, c - 1)
         if ((i > j) + (j > k) + (i > k)) % 2:
             return tuple(-v for v in row)
         return row
+
+    def _row(self, T: Tensor, *head: int) -> Vector:
+        """The components of ``T`` at 0-based ``head + (q,)``, q = 0..dim-1."""
+        return tuple(T.at(head + (q,)) for q in range(self.dim))
 
     def check_jacobi(self) -> CheckResult:
         """Exhaustive Jacobi check over all C(dim, 3) basis triples: one
@@ -248,7 +256,7 @@ class LieAlgebra:
         :attr:`jacobiator_tensor` is nonzero, in lexicographic order."""
         J = self.jacobiator_tensor
         triples = dict.fromkeys(idx[:3] for idx, _ in J.nonzero())
-        violations = tuple((i + 1, j + 1, k + 1, J.components[i][j][k])
+        violations = tuple((i + 1, j + 1, k + 1, self._row(J, i, j, k))
                            for i, j, k in triples)
         return CheckResult(not violations, violations)
 
@@ -287,8 +295,7 @@ class LieAlgebra:
         The result carries an empty parameter list, so all downstream
         arithmetic runs over plain rationals.
         """
-        return LieAlgebra(self.dim, (),
-                          self.gamma.evaluate(assignment).components)
+        return LieAlgebra(self.dim, (), self.gamma.evaluate(assignment))
 
     # -- comparison --------------------------------------------------------
 
@@ -299,7 +306,7 @@ class LieAlgebra:
                 and self.gamma == other.gamma)
 
     def __hash__(self):
-        return hash((self.dim, self.params, self.gamma.components))
+        return hash((self.dim, self.params, self.gamma.nonzero()))
 
     def __repr__(self):
         nonzero = sum(len(t) for _, _, t in self._pairs)

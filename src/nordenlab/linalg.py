@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and over polynomials.
+"""Exact linear algebra over the rationals and over polynomials.
 
 * :class:`RationalMatrix` — entries are :class:`fractions.Fraction`.  Used
   for the metric g, the almost-complex matrix J, and the inverse metric.
@@ -7,10 +7,11 @@
   eigenvalues, no floating point.  Raw indexing is 0-based Python; the
   1-based basis-label accessor is ``entry(i, j)``.
 
-* :class:`Tensor` — the one polynomial array of the package: a dense
-  array of :class:`~nordenlab.poly.Poly` of any rank on one dimension,
-  with 1-based access and the contraction primitives every derived
-  object is built from (structure constants, F, the connection, R).
+* :class:`Tensor` — the one polynomial array of the package: the map
+  of nonzero :class:`~nordenlab.poly.Poly` components of any rank on one
+  dimension, with 1-based access and the contraction primitives every
+  derived object is built from (structure constants, F, the connection,
+  R).
 
 * :class:`PolyMatrix` — a rank-2 :class:`Tensor` with a 1-based
   ``entry(i, j)`` and an exact ``determinant()``.  Used for adjoint
@@ -152,12 +153,13 @@ class RationalMatrix:
                 f"vector of length {len(vec)} against "
                 f"{self.nrows}x{self.ncols} matrix")
         zero_like = vec[0] * 0
+        support = [(p, comp) for p, comp in enumerate(vec) if comp]
         out = []
         for row in self.rows:
             acc = zero_like
-            for coeff, comp in zip(row, vec):
-                if coeff:
-                    acc = acc + coeff * comp
+            for p, comp in support:
+                if row[p]:
+                    acc = acc + row[p] * comp
             out.append(acc)
         return tuple(out)
 
@@ -291,7 +293,8 @@ def _gauss_jordan(work: list[list[Fraction]], ncols: int
 
     Returns the ``(column, pivot value)`` of each pivot, before its row
     is scaled to 1, and the number of row swaps.  A column without a
-    pivot is skipped.
+    pivot is skipped.  Zero entries are neither scaled nor eliminated:
+    only the nonzero entries of the pivot row are read.
     """
     pivots: list[tuple[int, Fraction]] = []
     swaps = 0
@@ -304,24 +307,28 @@ def _gauss_jordan(work: list[list[Fraction]], ncols: int
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
             swaps += 1
-        value = work[rank][col]
-        work[rank] = [v / value for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w
-                           for v, w in zip(work[r], work[rank])]
+        row = work[rank]
+        value = row[col]
+        support = [c for c, v in enumerate(row) if v]
+        for c in support:
+            row[c] /= value
+        for r, other in enumerate(work):
+            factor = other[col]
+            if r != rank and factor:
+                for c in support:
+                    other[c] -= factor * row[c]
         pivots.append((col, value))
     return pivots, swaps
 
 
 class Tensor:
-    """Dense array of polynomials of any rank on one dimension.
-
-    ``components`` is nested tuples, one level per index, with raw
-    0-based storage; ``component`` and item access are 1-based.  The
-    package's index contractions are built on four primitives, which
-    visit only the nonzero components:
+    """Polynomial array of any rank on one dimension, stored as its
+    nonzero map: a dict from 0-based index tuples to the nonzero
+    components, beside ``dim``, ``rank`` and ``params``.  ``at`` reads a
+    0-based index tuple, ``component`` and item access are 1-based, and
+    an index with nothing stored reads one shared zero.  The package's
+    index contractions are built on four primitives, which visit only
+    the nonzero components:
 
     * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
     * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
@@ -331,8 +338,8 @@ class Tensor:
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
       axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
     * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
-      0-based index tuples to a Poly or to a term dict, where every
-      absent or cancelled entry is one shared zero.
+      0-based index tuples to a Poly or to a term dict; absent or
+      cancelled entries are not stored.
 
     ``contract`` and ``trace`` (and every stage built the same way) are
     multiply-accumulate scatters: :func:`_accumulate` adds each product
@@ -340,31 +347,43 @@ class Tensor:
     per output index, deleting a term as soon as it cancels, and
     ``from_entries`` wraps each finished dict in one ``Poly`` through the
     trusted ``Poly._make``.  No intermediate product ``Poly`` is built.
+
+    ``components`` (nested tuples) and ``values()`` are dense views
+    built on demand, kept only for the benchmark's traced replay.
     """
 
-    __slots__ = ("dim", "rank", "params", "components", "_nonzero")
+    __slots__ = ("dim", "rank", "params", "_entries", "_zero", "_nonzero")
 
     def __init__(self, params: Iterable[str], components: Sequence):
+        """A tensor from a dense grid of polynomials, one nesting level
+        per index; only its nonzero entries are kept."""
         dim = len(components)
         rank, probe = 0, components
         while not isinstance(probe, Poly) and len(probe):
             rank, probe = rank + 1, probe[0]
+        entries: dict[tuple[int, ...], Poly] = {}
 
-        def freeze(node, depth):
-            if depth == 0 and isinstance(node, Poly):
-                return node
-            if depth == 0 or isinstance(node, Poly) or len(node) != dim:
+        def walk(node, idx):
+            if len(idx) == rank and isinstance(node, Poly):
+                if node.terms:
+                    entries[idx] = node
+                return
+            if len(idx) == rank or isinstance(node, Poly) or len(node) != dim:
                 raise DimensionMismatchError(
                     "tensor components must fill a cube of polynomials")
-            return tuple(freeze(sub, depth - 1) for sub in node)
+            for i, sub in enumerate(node):
+                walk(sub, idx + (i,))
 
-        self._set(dim, rank, params, freeze(components, rank))
+        walk(components, ())
+        self._set(dim, rank, params, entries)
 
-    def _set(self, dim, rank, params, components):
+    def _set(self, dim, rank, params, entries):
+        params = tuple(params)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_zero", Poly.zero(params))
         object.__setattr__(self, "_nonzero", None)
 
     @classmethod
@@ -372,12 +391,9 @@ class Tensor:
                      entries: Mapping[tuple[int, ...], Poly | dict]
                      ) -> Tensor:
         params = tuple(params)
-        zero = Poly.zero(params)
         width = len(params)
 
         def wrap(value):
-            if not value:  # absent, or a Poly or dict with no terms
-                return zero
             if isinstance(value, Poly):
                 return value
             if len(next(iter(value))) != width:
@@ -385,48 +401,53 @@ class Tensor:
                     f"accumulated terms do not match parameters {params}")
             return Poly._make(params, value)
 
-        def fill(prefix):
-            if len(prefix) == rank:
-                return wrap(entries.get(prefix))
-            return tuple(fill(prefix + (i,)) for i in range(dim))
-
-        tensor = object.__new__(cls)
-        tensor._set(dim, rank, params, fill(()))
+        tensor = object.__new__(cls)  # an empty Poly or dict is not kept
+        tensor._set(dim, rank, params, {
+            idx: wrap(value) for idx, value in entries.items() if value})
         return tensor
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def at(self, idx: tuple[int, ...]) -> Poly:
+        """The component at a 0-based index tuple, unchecked."""
+        return self._entries.get(idx, self._zero)
 
     def component(self, *idx: int) -> Poly:
         if len(idx) != self.rank:
             raise IndexError(
                 f"rank-{self.rank} tensor takes {self.rank} indices, "
                 f"got {len(idx)}")
-        node = self.components
         for i in idx:
             if not (1 <= i <= self.dim):
                 raise IndexError(f"index {i} out of range 1..{self.dim}")
-            node = node[i - 1]
-        return node
+        return self.at(tuple(i - 1 for i in idx))
 
     def __getitem__(self, idx: tuple[int, ...]) -> Poly:
         return self.component(*idx)
 
+    @property
+    def components(self):
+        """Dense nested-tuple view with raw 0-based storage, built on
+        demand; kept only for the benchmark's traced replay."""
+        def fill(prefix):
+            if len(prefix) == self.rank:
+                return self.at(prefix)
+            return tuple(fill(prefix + (i,)) for i in range(self.dim))
+        return fill(())
+
     def values(self) -> list[Poly]:
-        """Every component, in row-major order."""
-        level = [self.components]
-        for _ in range(self.rank):
-            level = [sub for node in level for sub in node]
-        return level
+        """Every component, zeros included, in row-major order; built on
+        demand like ``components``."""
+        return [self.at(idx)
+                for idx in product(range(self.dim), repeat=self.rank)]
 
     def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
         """The nonzero components with their 0-based indices, row-major;
         computed once."""
         if self._nonzero is None:
-            indices = product(range(self.dim), repeat=self.rank)
-            object.__setattr__(self, "_nonzero", tuple(
-                (idx, v) for idx, v in zip(indices, self.values())
-                if v.terms))
+            object.__setattr__(self, "_nonzero",
+                               tuple(sorted(self._entries.items())))
         return self._nonzero
 
     def contract(self, axis: int, M) -> Tensor:
@@ -446,7 +467,7 @@ class Tensor:
 
     @property
     def is_zero(self) -> bool:
-        return not self.nonzero()
+        return not self._entries
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
         """Numeric twin of the same class, parameter-free."""
@@ -458,11 +479,11 @@ class Tensor:
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.rank == other.rank and self.dim == other.dim
-                and self.components == other.components)
+                and self._entries == other._entries)
 
     def __repr__(self):
         return (f"Tensor(rank={self.rank}, dim={self.dim}, "
-                f"{len(self.nonzero())} nonzero components)")
+                f"{len(self._entries)} nonzero components)")
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
@@ -523,7 +544,9 @@ class PolyMatrix(Tensor):
         subset-memoized expansion costs O(2^n) sub-determinants, fine for
         the small matrices this package meets (dim <= ~20).
         """
-        rows = self.components
+        rows: list[dict[int, Poly]] = [{} for _ in range(self.dim)]
+        for (r, c), v in self.nonzero():
+            rows[r][c] = v
         zero = Poly.zero(self.params)
         cache: dict[tuple[int, ...], Poly] = {(): Poly.constant(1, self.params)}
 
@@ -534,8 +557,8 @@ class PolyMatrix(Tensor):
             row = rows[self.dim - len(cols)]
             acc = zero
             for pos, c in enumerate(cols):
-                v = row[c]
-                if not v.terms:
+                v = row.get(c)
+                if v is None:
                     continue
                 sub = minor(cols[:pos] + cols[pos + 1:])
                 term = v * sub

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
@@ -119,9 +118,8 @@ def _cyclic_sum_vanishes(T: Tensor) -> bool:
     """T_ijk + T_jki + T_kij = 0 for all i, j, k.  A nonzero cyclic sum
     has a nonzero term, and the sum is the same for each rotation of the
     triple, so the nonzero components are the only triples to test."""
-    c = T.components
-    return all(not (c[i][j][k] + c[j][k][i] + c[k][i][j]).terms
-               for (i, j, k), _ in T.nonzero())
+    return all(not (v + T.at((j, k, i)) + T.at((k, i, j))).terms
+               for (i, j, k), v in T.nonzero())
 
 
 class AlmostNordenAlgebra:
@@ -268,13 +266,17 @@ class AlmostNordenAlgebra:
 
         Holding exactly, this is the Killing-metric condition that makes
         the connection collapse to half the bracket.  The result is
-        cached.
+        cached.  The residual G_ijk + G_ikj can be nonzero only where one
+        of its terms is, so only the nonzero G_ijk and their (i, k, j)
+        partners are tested, in lexicographic order.
         """
         if self._invariant is None:
-            G = self.G.components
+            G = self.G
+            triples = sorted({t for (i, j, k), _ in G.nonzero()
+                              for t in ((i, j, k), (i, k, j))})
             violations = []
-            for i, j, k in product(range(self.dim), repeat=3):
-                residual = G[i][j][k] + G[i][k][j]
+            for i, j, k in triples:
+                residual = G.at((i, j, k)) + G.at((i, k, j))
                 if residual.terms:
                     violations.append((i + 1, j + 1, k + 1, residual))
             object.__setattr__(self, "_invariant",
@@ -306,7 +308,8 @@ class AlmostNordenAlgebra:
 
     def lie_form(self, F: Tensor) -> Covector:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
-        return F.trace(0, 1, self.g_inv).components
+        theta = F.trace(0, 1, self.g_inv)
+        return tuple(theta.at((k,)) for k in range(self.dim))
 
     def classify(self, F: Tensor,
                  theta: Covector | None = None) -> ClassFlags:
@@ -314,7 +317,8 @@ class AlmostNordenAlgebra:
 
         * w0: F = 0.
         * w1: F is the pure-trace expression
-          (1/4n){g(x,y)θ(z) + g(x,z)θ(y) + g(x,Jy)θ(Jz) + g(x,Jz)θ(Jy)}.
+          (1/4n){g(x,y)θ(z) + g(x,z)θ(y) + g(x,Jy)θ(Jz) + g(x,Jz)θ(Jy)},
+          built as a tensor from the nonzero entries of g, gJ and θ.
         * w2: cyclic sum of F(x, y, Jz) vanishes and θ = 0.
         * w3: cyclic sum of F(x, y, z) vanishes.
 
@@ -322,7 +326,6 @@ class AlmostNordenAlgebra:
         multilinearity.  ``theta`` is the Lie form of F, computed here
         when the caller does not pass it.
         """
-        comp = F.components
         if theta is None:
             theta = self.lie_form(F)
         w0 = F.is_zero
@@ -331,13 +334,17 @@ class AlmostNordenAlgebra:
               and _cyclic_sum_vanishes(F.contract(2, self.J.transpose())))
 
         theta_j = self.J.transpose().apply(theta)  # theta(J X_k) components
-        g, gj = self.g, self._gJ
         scale = Fraction(1, 4 * self.n)
-        w1 = all(
-            not (comp[i][j][k] - (g[i][j] * theta[k] + g[i][k] * theta[j]
-                                  + gj[i][j] * theta_j[k]
-                                  + gj[i][k] * theta_j[j]) * scale).terms
-            for i, j, k in product(range(self.dim), repeat=3))
+        pure: dict[tuple[int, ...], dict] = {}
+        for M, form in ((self.g, theta), (self._gJ, theta_j)):
+            support = [(k, t) for k, t in enumerate(form) if t.terms]
+            for i, row in enumerate(M.rows):
+                for j, m in enumerate(row):
+                    if m:
+                        for k, t in support:  # M(x,y)θ(z) + M(x,z)θ(y)
+                            _accumulate(pure, (i, j, k), t, m * scale)
+                            _accumulate(pure, (i, k, j), t, m * scale)
+        w1 = F == Tensor.from_entries(self.params, self.dim, 3, pure)
 
         return ClassFlags(w0=w0, w1=w1, w2=w2, w3=w3)
 

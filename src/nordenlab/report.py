@@ -120,6 +120,11 @@ def compute_report(a: AlmostNordenAlgebra) -> Geometry:
     return geo
 
 
+def _rows_text(M: PolyMatrix) -> list[list[str]]:
+    """The text of every entry of ``M``, row by row."""
+    return [[str(M.at((i, j))) for j in range(M.dim)] for i in range(M.dim)]
+
+
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
@@ -155,7 +160,7 @@ class ReportDocument:
                 "w2": flags.w2, "w3": flags.w3,
             },
             theta=[str(t) for t in geo.theta],
-            ricci=[[str(v) for v in row] for row in rho.components],
+            ricci=_rows_text(rho),
             tau=str(tau),
             nabla_j_norm=str(geo.nabla_j_norm),
             locally_symmetric=geo.locally_symmetric,
@@ -164,8 +169,7 @@ class ReportDocument:
                  "k": None if value is None else str(value)}
                 for pid, ptype, value in geo.sectional
             ],
-            killing_form=[[str(v) for v in row]
-                          for row in geo.killing_form.components],
+            killing_form=_rows_text(geo.killing_form),
         )
 
     # -- renderings --------------------------------------------------------

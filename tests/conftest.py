@@ -130,6 +130,18 @@ def filiform10() -> AlmostNordenAlgebra:
 
 
 @pytest.fixture(scope="session")
+def filiform20() -> AlmostNordenAlgebra:
+    return filiform(20)
+
+
+@pytest.fixture(scope="session")
+def abelian20() -> AlmostNordenAlgebra:
+    """A spec of twenty dimensions and no bracket: every derived tensor
+    is empty."""
+    return parse_spec_text("dimension = 20\nparameters = t\n").to_algebra()
+
+
+@pytest.fixture(scope="session")
 def spec_fixture_path() -> Path:
     return DATA_DIR / "table1.spec"
 

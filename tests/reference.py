@@ -26,12 +26,20 @@ checks ran before they read the cached Jacobiator and bracket Gram
 tensors: each tuple builds dense bracket vectors and calls ``metric``.
 They are the library's loops, except that the vector helpers they used
 (``vec_add``, ``vec_is_zero``, ``zero_vector``, ``j_basis``) are written
-out inline.
+out inline.  ``check_invariant_metric`` is the per-triple loop over
+every (i, j, k) that the invariance check ran before it walked the
+nonzero lowered constants.
+
+The ``*_grid`` functions build dense nested lists, zeros included, by
+loops that never call a library contraction: the lowered connection
+from ``metric`` and ``bracket_basis``, then Gamma, F, Ricci and the
+bracket Gram tensor.  ``dense_at`` reads one of their entries, so a
+sparse tensor can be compared with them at every index.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from nordenlab import (
     AlmostNordenAlgebra,
@@ -48,6 +56,20 @@ from nordenlab.errors import ParameterMismatchError
 from nordenlab.linalg import RationalMatrix, _accumulate, _columns, _scatter
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
+
+
+def grid(dim: int, rank: int, f, prefix: tuple = ()):
+    """Nested lists of ``f(idx)`` over every 0-based index tuple."""
+    if len(prefix) == rank:
+        return f(prefix)
+    return [grid(dim, rank, f, prefix + (i,)) for i in range(dim)]
+
+
+def dense_at(dense, idx: tuple):
+    """The entry of nested sequences ``dense`` at a 0-based index."""
+    for i in idx:
+        dense = dense[i]
+    return dense
 
 
 def derive_constant_field(c, i: int, w: Vector) -> Vector:
@@ -83,6 +105,11 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     separate routine (:func:`curvature_invariant_formula`) so the two can
     be compared as independent routes.
     """
+    return Tensor(a.params, curvature_R_grid(a, c))
+
+
+def curvature_R_grid(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> list:
+    """The dense components of :func:`curvature_R`."""
     alg = a.algebra
     dim = a.dim
     zero = Poly.zero(a.params)
@@ -101,7 +128,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
                     val = a.metric(vec, basis[l - 1])
                     comp[i - 1][j - 1][k - 1][l - 1] = val
                     comp[j - 1][i - 1][k - 1][l - 1] = -val
-    return Tensor(a.params, comp)
+    return comp
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
@@ -155,6 +182,11 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
 
 def killing_form(self: LieAlgebra) -> PolyMatrix:
     """B[i][j] = trace(ad X_i · ad X_j), a symmetric matrix of Poly."""
+    return PolyMatrix(self.params, killing_form_grid(self))
+
+
+def killing_form_grid(self: LieAlgebra) -> list:
+    """The dense rows of :func:`killing_form`."""
     ads = [self.ad_matrix(self.basis_vector(i)).components
            for i in range(1, self.dim + 1)]
     n = self.dim
@@ -170,7 +202,7 @@ def killing_form(self: LieAlgebra) -> PolyMatrix:
                         acc = acc + a * b
             rows[i][j] = acc
             rows[j][i] = acc
-    return PolyMatrix(self.params, rows)
+    return rows
 
 
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
@@ -286,11 +318,76 @@ def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
     """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l])."""
+    gram = bracket_gram_grid(a)
+    return Tensor(a.params, grid(a.dim, 4,
+                                 lambda idx: dense_at(gram, idx) / -4))
+
+
+def bracket_gram_grid(a: AlmostNordenAlgebra) -> list:
+    """g([X_i, X_j], [X_k, X_l]) at every 0-based (i, j, k, l)."""
     alg = a.algebra
-    dim = a.dim
-    brackets = [[alg.bracket_basis(i, j) for j in range(1, dim + 1)]
-                for i in range(1, dim + 1)]
-    comp = [[[[(a.metric(brackets[i][j], brackets[k][l])) / -4
-               for l in range(dim)] for k in range(dim)]
-             for j in range(dim)] for i in range(dim)]
-    return Tensor(a.params, comp)
+    brackets = [[alg.bracket_basis(i, j) for j in range(1, a.dim + 1)]
+                for i in range(1, a.dim + 1)]
+    return grid(a.dim, 4, lambda idx: a.metric(brackets[idx[0]][idx[1]],
+                                               brackets[idx[2]][idx[3]]))
+
+
+def check_invariant_metric(a: AlmostNordenAlgebra) -> CheckResult:
+    """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples."""
+    G = a.G
+    violations = []
+    for i, j, k in product(range(1, a.dim + 1), repeat=3):
+        residual = G.component(i, j, k) + G.component(i, k, j)
+        if residual.terms:
+            violations.append((i, j, k, residual))
+    return CheckResult(not violations, tuple(violations))
+
+
+def lowered_connection_grid(a: AlmostNordenAlgebra) -> list:
+    """T_ijk = g(grad_{X_i} X_j, X_k) by the Koszul formula
+    (G_ijk - G_jki + G_kij) / 2, with G_ijk = g([X_i, X_j], X_k) from
+    ``metric``."""
+    alg = a.algebra
+    basis = [alg.basis_vector(i) for i in range(1, a.dim + 1)]
+    G = grid(a.dim, 3, lambda idx: a.metric(
+        alg.bracket_basis(idx[0] + 1, idx[1] + 1), basis[idx[2]]))
+    return grid(a.dim, 3, lambda idx: (
+        G[idx[0]][idx[1]][idx[2]] - G[idx[1]][idx[2]][idx[0]]
+        + G[idx[2]][idx[0]][idx[1]]) / 2)
+
+
+def connection_grid(a: AlmostNordenAlgebra) -> list:
+    """Gamma_ij^k = sum_l g^{kl} T_ijl."""
+    T = lowered_connection_grid(a)
+    zero = Poly.zero(a.params)
+
+    def gamma(idx):
+        i, j, k = idx
+        return sum((T[i][j][l] * a.g_inv[k][l] for l in range(a.dim)
+                    if a.g_inv[k][l]), zero)
+    return grid(a.dim, 3, gamma)
+
+
+def tensor_f_grid(a: AlmostNordenAlgebra) -> list:
+    """F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k), with
+    J X_j = sum_b J_bj X_b."""
+    T = lowered_connection_grid(a)
+    zero = Poly.zero(a.params)
+
+    def f(idx):
+        i, j, k = idx
+        return sum((T[i][b][k] * a.J[b][j] - T[i][j][b] * a.J[b][k]
+                    for b in range(a.dim)), zero)
+    return grid(a.dim, 3, f)
+
+
+def ricci_grid(a: AlmostNordenAlgebra, R: Tensor) -> list:
+    """rho_yz = sum_{i,j} g^{ij} R_iyzj, read one component at a time."""
+    zero = Poly.zero(a.params)
+
+    def rho(idx):
+        y, z = idx
+        return sum((R.component(i + 1, y + 1, z + 1, j + 1) * a.g_inv[i][j]
+                    for i in range(a.dim) for j in range(a.dim)
+                    if a.g_inv[i][j]), zero)
+    return grid(a.dim, 2, rho)

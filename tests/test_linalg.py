@@ -7,15 +7,21 @@ import pytest
 
 from nordenlab import (
     DegenerateFormError,
+    DimensionMismatchError,
+    LieAlgebra,
     NonSymmetricMatrixError,
+    ParameterMismatchError,
+    Poly,
     PolyMatrix,
     RationalMatrix,
     SingularMatrixError,
+    Tensor,
     as_poly,
     parse_poly,
     rational_rank,
     signature,
 )
+from nordenlab.linalg import _accumulate
 
 
 def rand_invertible(rnd, n):
@@ -216,3 +222,75 @@ def test_poly_matrix_flags():
     assert not m.is_zero
     assert is_symmetric(m)
     assert not is_symmetric(pm([["l1", "l2"], ["l3", "0"]]))
+
+
+# -- sparse Tensor storage ---------------------------------------------------
+
+T_PARAMS = ("t",)
+T = Poly.variable("t", T_PARAMS)
+
+
+def test_tensor_stores_no_zero_even_after_cancellation():
+    acc = {}
+    _accumulate(acc, (0, 1), T, 2)
+    _accumulate(acc, (0, 1), T, -2)  # cancels: the key is dropped
+    _accumulate(acc, (1, 0), T)
+    tensor = Tensor.from_entries(T_PARAMS, 2, 2,
+                                 {**acc, (1, 1): T - T, (0, 0): {}})
+    assert tensor.nonzero() == (((1, 0), T),)
+    assert repr(tensor) == "Tensor(rank=2, dim=2, 1 nonzero components)"
+    grid = Tensor(T_PARAMS, [[T - T, T], [Poly.zero(T_PARAMS), T * T]])
+    assert [idx for idx, _ in grid.nonzero()] == [(0, 1), (1, 1)]
+    # every other index reads the one shared zero
+    assert grid.component(1, 1) is grid.component(2, 1) is grid.at((0, 0))
+    assert grid.component(1, 1).is_zero
+
+
+def test_nonzero_is_row_major_whatever_the_insertion_order():
+    keys = [(2, 0, 1), (0, 2, 2), (1, 1, 0), (0, 0, 1), (2, 2, 2)]
+    rng = random.Random(7)
+    for _ in range(5):
+        rng.shuffle(keys)
+        tensor = Tensor.from_entries(T_PARAMS, 3, 3, {k: T for k in keys})
+        assert [idx for idx, _ in tensor.nonzero()] == sorted(keys)
+
+
+def test_tensor_from_grid_equals_from_entries():
+    def value(i, j, k):
+        return T * (i - j) + (k if (i + k) % 3 == 0 else 0)
+
+    dim = 3
+    grid = [[[value(i, j, k) for k in range(dim)] for j in range(dim)]
+            for i in range(dim)]
+    dense = Tensor(T_PARAMS, grid)
+    sparse = Tensor.from_entries(T_PARAMS, dim, 3, {
+        (i, j, k): value(i, j, k) for i in range(dim) for j in range(dim)
+        for k in range(dim)})
+    assert dense == sparse and dense.nonzero() == sparse.nonzero()
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                assert dense.component(i + 1, j + 1, k + 1) == grid[i][j][k]
+
+
+def test_equal_lie_algebras_hash_equal():
+    grid = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    grid[0][1][2], grid[1][0][2] = T, -T
+    dense = LieAlgebra(3, T_PARAMS, grid)
+    sparse = LieAlgebra.from_brackets(3, T_PARAMS, {(1, 2): {3: "t"}})
+    assert dense == sparse and hash(dense) == hash(sparse)
+    twins = [alg.evaluate({"t": 2}) for alg in (dense, sparse)]
+    assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
+    assert dense != LieAlgebra.abelian(3, T_PARAMS)
+
+
+def test_ragged_grid_raises():
+    with pytest.raises(DimensionMismatchError):
+        Tensor(T_PARAMS, [[T, T], [T]])
+    with pytest.raises(DimensionMismatchError):
+        Tensor(T_PARAMS, [[T, T], [T, [T, T]]])
+
+
+def test_term_width_mismatch_raises():
+    with pytest.raises(ParameterMismatchError):
+        Tensor.from_entries(T_PARAMS, 2, 1, {(0,): {(1, 0): Fraction(1)}})

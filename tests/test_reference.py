@@ -12,6 +12,11 @@ The structure checks read the cached Jacobiator and bracket Gram
 tensors; their results must equal the per-tuple loops whole, violations
 in the same order, on the same inputs plus the numeric twin, the
 symbolic sheared family and the inputs built to fail a check.
+
+Tensors store only their nonzero components, so each one is also read
+with ``component`` at every 1-based index, zeros included, against the
+dense grids of ``reference``: Gamma, F, R, Ricci, the Killing form, each
+grad R block, the Jacobiator and the bracket Gram tensor.
 """
 
 from itertools import product
@@ -20,7 +25,16 @@ import pytest
 
 import reference
 from nordenlab import (check_eq22, curvature_invariant_formula, curvature_R,
-                       is_locally_symmetric, levi_civita, nabla_R)
+                       is_locally_symmetric, levi_civita, nabla_R,
+                       ricci_and_scalar)
+from nordenlab.curvature import nabla_R_blocks
+
+
+def assert_dense(T, dense):
+    """``T.component`` equals the dense grid at every 1-based index."""
+    for idx in product(range(T.dim), repeat=T.rank):
+        assert T.component(*(i + 1 for i in idx)) == reference.dense_at(
+            dense, idx), idx
 
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
@@ -33,8 +47,14 @@ def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     c = levi_civita(a)
     R = curvature_R(a, c)
     assert R == reference.curvature_R(a, c)
+    assert_dense(R, reference.curvature_R_grid(a, c))
+    assert_dense(ricci_and_scalar(a, R)[0], reference.ricci_grid(a, R))
     nabla_r = nabla_R(a, c, R)
-    assert nabla_r == reference.nabla_R(a, c, R)
+    dense_nabla_r = reference.nabla_R(a, c, R)
+    assert nabla_r == dense_nabla_r
+    for block, dense in zip(nabla_R_blocks(a, c, R), dense_nabla_r,
+                            strict=True):
+        assert_dense(block, dense)
     assert a.check_invariant_metric().ok == invariant
     if invariant:  # Milnor: an ad-skew metric has grad R = 0
         assert is_locally_symmetric(nabla_r)
@@ -46,6 +66,7 @@ def test_killing_form_matches_dense_reference(name, request):
     B = alg.killing_form()
     dense = reference.killing_form(alg)
     assert B == dense
+    assert_dense(B, reference.killing_form_grid(alg))
     assert B.determinant() == dense.determinant()
 
 
@@ -56,6 +77,8 @@ def test_tensor_f_matches_both_reference_routes(name, invariant, request):
              else reference.tensor_f_general)
     assert a.tensor_F() == route(a)
     assert levi_civita(a) == reference.levi_civita(a)
+    assert_dense(a.tensor_F(), reference.tensor_f_grid(a))
+    assert_dense(levi_civita(a), reference.connection_grid(a))
 
 
 #: Every almost Norden input, and how many eq22 violations it has.
@@ -75,6 +98,10 @@ def test_jacobiator_matches_per_tuple_reference(name, request):
     # every ordered triple: odd permutations and repeated indices too
     for i, j, k in product(range(1, alg.dim + 1), repeat=3):
         assert alg.jacobiator(i, j, k) == reference.jacobiator(alg, i, j, k)
+    zero = (0,) * alg.dim  # stored at i < j < k only
+    assert_dense(alg.jacobiator_tensor, reference.grid(alg.dim, 3, lambda t: (
+        reference.jacobiator(alg, *(i + 1 for i in t))
+        if t[0] < t[1] < t[2] else zero)))
 
 
 @pytest.mark.parametrize("name, count", CHECKED)
@@ -86,3 +113,5 @@ def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
     assert len(result.violations) == count
     assert (curvature_invariant_formula(a)
             == reference.curvature_invariant_formula(a))
+    assert_dense(a.bracket_gram, reference.bracket_gram_grid(a))
+    assert a.check_invariant_metric() == reference.check_invariant_metric(a)
