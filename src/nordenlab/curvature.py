@@ -33,7 +33,6 @@ every operation a finite exact contraction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -41,9 +40,10 @@ from typing import Iterator, Sequence
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
 from .lie import Vector
-from .linalg import PolyMatrix, Tensor, _accumulate, rational_rank
+from .linalg import PolyMatrix, Tensor, _accumulate, _support_rank
 from .norden import AlmostNordenAlgebra
-from .poly import Poly, as_fraction
+from .poly import Poly, RationalLike, as_fraction
+from .record import Record
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -99,7 +99,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     for (i, p, q), v in gamma:
         by_first[i].append((p, q, v))
         by_second[p].append((i, q, v))
-    upper: dict[tuple[int, ...], dict] = {}
+    upper: dict[tuple[int, ...], list] = {}
     for (j, k, p), v in gamma:
         minus_v = -v
         for i, q, w in by_second[p]:
@@ -133,20 +133,18 @@ def ricci_and_scalar(a: AlmostNordenAlgebra,
             rho.trace(0, 1, a.g_inv).at(()))
 
 
-@dataclass(frozen=True)
-class PlaneSpec:
+class PlaneSpec(Record):
     """A 2-plane spanned by two constant rational vectors."""
 
-    x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(as_fraction(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(as_fraction(v) for v in self.y))
-        if len(self.x) != len(self.y):
+    def __init__(self, x: Sequence[RationalLike], y: Sequence[RationalLike]):
+        x = tuple(as_fraction(v) for v in x)
+        y = tuple(as_fraction(v) for v in y)
+        if len(x) != len(y):
             raise DimensionMismatchError(
-                f"spanning vectors have lengths {len(self.x)} and "
-                f"{len(self.y)}")
+                f"spanning vectors have lengths {len(x)} and {len(y)}")
+        self._fill(x, y)
 
 
 def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
@@ -157,28 +155,47 @@ def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
     if i == j:
         raise ValueError(f"coordinate plane needs two distinct indices, "
                          f"got ({i}, {j})")
-    x = tuple(Fraction(int(k == i - 1)) for k in range(dim))
-    y = tuple(Fraction(int(k == j - 1)) for k in range(dim))
-    return PlaneSpec(x, y)
+    zero, one = Fraction(0), Fraction(1)
+    return PlaneSpec(tuple(one if k == i - 1 else zero for k in range(dim)),
+                     tuple(one if k == j - 1 else zero for k in range(dim)))
 
 
-def _metric_product(a: AlmostNordenAlgebra, u: Sequence[Fraction],
-                    v: Sequence[Fraction]) -> Fraction:
-    """g(u, v), visiting only the nonzero u_i, g_ij and v_j."""
-    support = [(j, vj) for j, vj in enumerate(v) if vj]
-    return sum((row[j] * ui * vj
-                for ui, row in zip(u, a.g.rows) if ui
-                for j, vj in support if row[j]),
+def _support(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero components of a rational vector, by position."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _image(M, u: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The nonzero components of M u, visiting only the nonzero u_p and
+    the nonzero entries of their columns of M."""
+    columns = M.nonzero_columns()
+    out: dict[int, Fraction] = {}
+    for p, up in u.items():
+        for a, m in columns[p]:
+            out[a] = out.get(a, 0) + m * up
+    return {a: v for a, v in out.items() if v}
+
+
+def _metric_product(a: AlmostNordenAlgebra, u: dict[int, Fraction],
+                    v: dict[int, Fraction]) -> Fraction:
+    """g(u, v) for vectors given by their nonzero components, visiting
+    only the nonzero u_i, v_j and g_ij."""
+    rows = a.g.rows
+    return sum((rows[i][j] * ui * vj
+                for i, ui in u.items() for j, vj in v.items() if rows[i][j]),
                Fraction(0))
+
+
+def _discriminant(a: AlmostNordenAlgebra, x: dict[int, Fraction],
+                  y: dict[int, Fraction]) -> Fraction:
+    gxy = _metric_product(a, x, y)
+    return _metric_product(a, x, x) * _metric_product(a, y, y) - gxy * gxy
 
 
 def plane_discriminant(a: AlmostNordenAlgebra, p: PlaneSpec) -> Fraction:
     """pi_1(x, y, y, x) = g(x,x) g(y,y) - g(x,y)^2 — the denominator of
     sectional curvature; zero exactly for degenerate planes."""
-    gxx = _metric_product(a, p.x, p.x)
-    gyy = _metric_product(a, p.y, p.y)
-    gxy = _metric_product(a, p.x, p.y)
-    return gxx * gyy - gxy * gxy
+    return _discriminant(a, _support(p.x), _support(p.y))
 
 
 def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
@@ -194,21 +211,24 @@ def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
     The labels are tested in that order, so a plane that is both
     holomorphic and metrically degenerate reports "holomorphic".
     Linearly dependent spanning vectors are an error, not a type.
+    J is applied, and both rank tests run, on the nonzero components of
+    x and y only, so a coordinate plane costs about the nonzero entries
+    of two columns of J.
     """
     if len(p.x) != a.dim:
         raise DimensionMismatchError(
             f"plane vectors have length {len(p.x)}, algebra dimension "
             f"{a.dim}")
-    if rational_rank([p.x, p.y]) != 2:
+    x, y = _support(p.x), _support(p.y)
+    if _support_rank([x, y]) != 2:
         raise ValueError("spanning vectors are linearly dependent")
-    jx = a.J.apply(p.x)
-    jy = a.J.apply(p.y)
-    if rational_rank([p.x, p.y, jx, jy]) == 2:
+    jx, jy = _image(a.J, x), _image(a.J, y)
+    if _support_rank([x, y, jx, jy]) == 2:
         return "holomorphic"
     if all(_metric_product(a, ju, v) == 0
-           for ju in (jx, jy) for v in (p.x, p.y)):
+           for ju in (jx, jy) for v in (x, y)):
         return "totally_real"
-    if plane_discriminant(a, p) == 0:
+    if _discriminant(a, x, y) == 0:
         return "degenerate"
     return "generic"
 
@@ -227,17 +247,16 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
         raise DimensionMismatchError(
             f"plane vectors have length {len(p.x)}, algebra dimension "
             f"{a.dim}")
-    disc = plane_discriminant(a, p)
+    x, y = _support(p.x), _support(p.y)
+    disc = _discriminant(a, x, y)
     if disc == 0:
         raise DegeneratePlaneError(
             "sectional curvature of a degenerate plane (discriminant 0)")
-    xs = [(i, s) for i, s in enumerate(p.x) if s]
-    ys = [(j, t) for j, t in enumerate(p.y) if t]
-    acc: dict[tuple[int, ...], dict] = {}
-    for (i, xi), (l, xl) in product(xs, repeat=2):
-        for (j, yj), (k, yk) in product(ys, repeat=2):
+    acc: dict[tuple[int, ...], list] = {}
+    for (i, xi), (l, xl) in product(x.items(), repeat=2):
+        for (j, yj), (k, yk) in product(y.items(), repeat=2):
             v = R.at((i, j, k, l))
-            if v.terms:
+            if v:
                 _accumulate(acc, (), v, xi * yj * yk * xl)
     return Tensor.from_entries(a.params, a.dim, 0, acc).at(()) / disc
 
@@ -285,7 +304,7 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     for (i, x, p), v in c.nonzero():
         columns_of[i][p].append((x, -v))
     for columns in columns_of:
-        acc: dict[tuple[int, ...], dict] = {}
+        acc: dict[tuple[int, ...], list] = {}
         for slot in range(4):
             pair = 2 if slot < 2 else 0  # the pair this slot leaves as is
             for idx, v in entries:
@@ -296,11 +315,12 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                     j, k, l, n = key = head + (x,) + tail
                     if j < k and l < n and (j, k) <= (l, n):
                         _accumulate(acc, key, v, m)
-        orbits: dict[tuple[int, ...], dict] = {}
-        for (j, k, l, m), terms in acc.items():
-            negated = {e: -q for e, q in terms.items()}
-            for key, value in (((j, k, l, m), terms), ((k, j, l, m), negated),
-                               ((j, k, m, l), negated), ((k, j, m, l), terms)):
+        orbits: dict[tuple[int, ...], Poly] = {}
+        for (j, k, l, m), v in Tensor.from_entries(
+                a.params, a.dim, 4, acc).nonzero():
+            minus_v = -v
+            for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
+                               ((j, k, m, l), minus_v), ((k, j, m, l), v)):
                 orbits[key] = orbits[key[2:] + key[:2]] = value
         yield Tensor.from_entries(a.params, a.dim, 4, orbits)
 
@@ -325,9 +345,9 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     indefinite metric — the isotropic Kähler phenomenon.
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
-    acc: dict[tuple[int, ...], dict] = {}
+    acc: dict[tuple[int, ...], list] = {}
     for idx, u in raised.nonzero():
         v = F.at(idx)
-        if v.terms:
+        if v:
             _accumulate(acc, (), u, v)
     return Tensor.from_entries(a.params, a.dim, 0, acc).at(())

@@ -18,16 +18,16 @@ tables also certify that everything *not* listed is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
 from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, Tensor, _accumulate, _columns
+from .linalg import PolyMatrix, Tensor, _accumulate_ratio, _columns
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
+from .record import Record
 from .report import Geometry
 
 PARAM_NAMES = ("l1", "l2", "l3")
@@ -255,12 +255,14 @@ def expected_R_components(params: tuple[str, ...] = PARAM_NAMES
                     moves)
 
 
-@dataclass(frozen=True)
-class Table1Family:
+class Table1Family(Record):
     """The validated 6-dimensional family and its parameter names."""
 
-    params: tuple[str, str, str]
-    algebra: AlmostNordenAlgebra
+    __slots__ = ("params", "algebra")
+
+    def __init__(self, params: tuple[str, str, str],
+                 algebra: AlmostNordenAlgebra):
+        self._fill(params, algebra)
 
     def evaluate(self, assignment: Mapping[str, RationalLike]
                  ) -> AlmostNordenAlgebra:
@@ -326,29 +328,31 @@ def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
     violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
                   for (i, j, k, l), residual in gram.nonzero()
                   if len({i, j, k, l}) == 4]
-    acc: dict[tuple[int, ...], dict] = {}
+    acc: dict[tuple[int, ...], list] = {}
     for i, column in enumerate(_columns(a.J, a.dim)):  # J X_i
-        for (b, jb), (d, jd) in product(column, repeat=2):
-            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
+        for (b, nb, db), (d, nd, dd) in product(column, repeat=2):
+            _accumulate_ratio(acc, (i,), gram.at((i, b, i, d)), nb * nd,
+                              db * dd)
     isotropy = Tensor.from_entries(a.params, a.dim, 1, acc).nonzero()
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class RegressionCheck:
+class RegressionCheck(Record):
     """A single expected-vs-computed comparison."""
 
-    group: str
-    item: str
-    expected: str
-    computed: str
-    passed: bool
+    __slots__ = ("group", "item", "expected", "computed", "passed")
+
+    def __init__(self, group: str, item: str, expected: str, computed: str,
+                 passed: bool):
+        self._fill(group, item, expected, computed, passed)
 
 
-@dataclass(frozen=True)
-class RegressionReport:
-    checks: tuple[RegressionCheck, ...]
+class RegressionReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[RegressionCheck, ...]):
+        self._fill(checks)
 
     @property
     def ok(self) -> bool:

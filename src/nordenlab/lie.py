@@ -19,12 +19,12 @@ scatter over pairs of nonzero structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor, _accumulate
 from .poly import Poly, RationalLike, as_poly
+from .record import Record
 
 Vector = tuple[Poly, ...]
 
@@ -44,7 +44,7 @@ def format_vector(u: Vector) -> str:
         if comp.is_zero:
             continue
         text = str(comp)
-        if len(comp.terms) > 1:
+        if len(comp.nums) > 1:
             parts.append(("+", f"({text})*X{idx}"))
             continue
         sign = "-" if text.startswith("-") else "+"
@@ -59,8 +59,7 @@ def format_vector(u: Vector) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of an exhaustive identity check.
 
     ``violations`` holds one entry per failing identity instance, each a
@@ -68,8 +67,10 @@ class CheckResult:
     residual (a Poly or a Vector of Poly).
     """
 
-    ok: bool
-    violations: tuple = ()
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple = ()):
+        self._fill(ok, violations)
 
     def __bool__(self):
         return self.ok
@@ -222,7 +223,7 @@ class LieAlgebra:
             by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
             for (p, c, q), w in entries:
                 by_first[p].append((c, q, w))
-            acc: dict[tuple[int, ...], dict] = {}
+            acc: dict[tuple[int, ...], list] = {}
             for (a, b, p), v in entries:
                 for c, q, w in by_first[p]:
                     key = min((a, b, c), (b, c, a), (c, a, b))
@@ -281,7 +282,7 @@ class LieAlgebra:
         by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
         for (j, p, q), w in entries:
             by_pair.setdefault((p, q), []).append((j, w))
-        acc: dict[tuple[int, ...], dict] = {}
+        acc: dict[tuple[int, ...], list] = {}
         for (i, q, p), v in entries:
             for j, w in by_pair.get((p, q), ()):
                 _accumulate(acc, (i, j), v, w)

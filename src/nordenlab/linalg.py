@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,13 +32,14 @@ from .errors import (
     ParameterMismatchError,
     SingularMatrixError,
 )
-from .poly import Poly, RationalLike, _add_product, _add_terms, as_fraction
+from .poly import (Poly, RationalLike, _add_product, _add_terms, _canonical,
+                   as_fraction)
 
 
 class RationalMatrix:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_nonzero_columns")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(as_fraction(v) for v in row) for row in rows)
@@ -48,6 +49,7 @@ class RationalMatrix:
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows in matrix input")
         object.__setattr__(self, "rows", grid)
+        object.__setattr__(self, "_nonzero_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -87,6 +89,15 @@ class RationalMatrix:
             raise IndexError(f"entry ({i}, {j}) outside "
                              f"{self.nrows}x{self.ncols} matrix (1-based)")
         return self.rows[i - 1][j - 1]
+
+    def nonzero_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """For each column, the ``(row, entry)`` pairs of its nonzero
+        entries, rows increasing; computed once."""
+        if self._nonzero_columns is None:
+            object.__setattr__(self, "_nonzero_columns", tuple(
+                tuple((i, row[j]) for i, row in enumerate(self.rows) if row[j])
+                for j in range(self.ncols)))
+        return self._nonzero_columns
 
     @property
     def is_symmetric(self) -> bool:
@@ -278,12 +289,37 @@ def signature(m: RationalMatrix) -> tuple[int, int]:
 def rational_rank(vectors: Iterable[Sequence[RationalLike]]) -> int:
     """Rank of a family of rational vectors, by exact row reduction."""
     work = [[as_fraction(v) for v in vec] for vec in vectors]
-    if not work:
-        return 0
-    width = len(work[0])
-    if any(len(row) != width for row in work):
+    if work and any(len(row) != len(work[0]) for row in work):
         raise DimensionMismatchError("rank of vectors of unequal length")
-    return len(_gauss_jordan(work, width)[0])
+    return _support_rank([{i: v for i, v in enumerate(row) if v}
+                          for row in work])
+
+
+def _support_rank(vectors: Iterable[Mapping[int, Fraction]]) -> int:
+    """Rank of rational vectors given by their nonzero components.
+
+    Forward elimination: each vector is reduced by the pivot rows found
+    so far, each 1 at its own pivot column, and what remains of it, if
+    anything, becomes the next pivot row.  Only nonzero entries are
+    read or stored.
+    """
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for vec in vectors:
+        rest = dict(vec)
+        for col, row in pivots:
+            factor = rest.get(col)
+            if factor:
+                for c, v in row.items():
+                    value = rest.get(c, 0) - factor * v
+                    if value:
+                        rest[c] = value
+                    else:
+                        rest.pop(c, None)
+        if rest:
+            col = min(rest)
+            lead = rest[col]
+            pivots.append((col, {c: v / lead for c, v in rest.items()}))
+    return len(pivots)
 
 
 def _gauss_jordan(work: list[list[Fraction]], ncols: int
@@ -338,15 +374,15 @@ class Tensor:
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
       axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
     * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
-      0-based index tuples to a Poly or to a term dict; absent or
-      cancelled entries are not stored.
+      0-based index tuples to a Poly or to an accumulator ``[nums, den]``
+      of :func:`_accumulate`; absent or cancelled entries are not stored.
 
     ``contract`` and ``trace`` (and every stage built the same way) are
     multiply-accumulate scatters: :func:`_accumulate` adds each product
-    of two operand polynomials term by term into one mutable term dict
-    per output index, deleting a term as soon as it cancels, and
-    ``from_entries`` wraps each finished dict in one ``Poly`` through the
-    trusted ``Poly._make``.  No intermediate product ``Poly`` is built.
+    of two operand polynomials term by term, as plain ints, into one
+    accumulator per output index, deleting a term as soon as it cancels,
+    and ``from_entries`` reduces each finished accumulator once into a
+    canonical ``Poly``.  No intermediate product ``Poly`` is built.
 
     ``components`` (nested tuples) and ``values()`` are dense views
     built on demand, kept only for the benchmark's traced replay.
@@ -365,7 +401,7 @@ class Tensor:
 
         def walk(node, idx):
             if len(idx) == rank and isinstance(node, Poly):
-                if node.terms:
+                if node:
                     entries[idx] = node
                 return
             if len(idx) == rank or isinstance(node, Poly) or len(node) != dim:
@@ -388,22 +424,28 @@ class Tensor:
 
     @classmethod
     def from_entries(cls, params: Iterable[str], dim: int, rank: int,
-                     entries: Mapping[tuple[int, ...], Poly | dict]
+                     entries: Mapping[tuple[int, ...], Poly | list]
                      ) -> Tensor:
+        """Each accumulator ``[nums, den]`` is reduced once, in place,
+        and given up to its Poly, so none may be stored twice."""
         params = tuple(params)
         width = len(params)
-
-        def wrap(value):
-            if isinstance(value, Poly):
-                return value
-            if len(next(iter(value))) != width:
-                raise ParameterMismatchError(
-                    f"accumulated terms do not match parameters {params}")
-            return Poly._make(params, value)
-
-        tensor = object.__new__(cls)  # an empty Poly or dict is not kept
-        tensor._set(dim, rank, params, {
-            idx: wrap(value) for idx, value in entries.items() if value})
+        kept: dict[tuple[int, ...], Poly] = {}
+        for idx, value in entries.items():
+            if not isinstance(value, Poly):
+                nums, den = value
+                if not nums:
+                    continue
+                if len(next(iter(nums))) != width:
+                    raise ParameterMismatchError(
+                        f"accumulated terms do not match parameters "
+                        f"{params}")
+                value = _canonical(params, nums, den)
+            elif not value:
+                continue
+            kept[idx] = value
+        tensor = object.__new__(cls)
+        tensor._set(dim, rank, params, kept)
         return tensor
 
     def __setattr__(self, name, value):
@@ -451,12 +493,12 @@ class Tensor:
         return self._nonzero
 
     def contract(self, axis: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], dict] = {}
+        acc: dict[tuple[int, ...], list] = {}
         _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
         return Tensor.from_entries(self.params, self.dim, self.rank, acc)
 
     def trace(self, a: int, b: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], dict] = {}
+        acc: dict[tuple[int, ...], list] = {}
         for idx, v in self.nonzero():
             weight = M[idx[a]][idx[b]]
             if weight:
@@ -487,44 +529,101 @@ class Tensor:
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
-    """Add ``v * m`` into ``acc[key]``, a term dict created on first use.
+    """Add ``v * m`` into ``acc[key]``, an accumulator ``[nums, den]``
+    created on first use: integer numerators over one denominator.
 
-    ``m`` is a rational or a Poly.  Each product of two terms goes
-    straight into the dict and a term is deleted the moment it cancels,
-    so no product ``Poly`` is built and no zero coefficient is kept.
+    ``m`` is a rational or a Poly.  Each product of two terms is a
+    product of ints added straight into ``nums``, and a term is deleted
+    the moment it cancels, as is a key whose accumulator empties, so no
+    product ``Poly`` is built, no zero is kept and nothing is reduced
+    until ``Tensor.from_entries``.  A product over a denominator other
+    than ``den`` moves the accumulator to their lcm (:func:`_rescale`).
     Operands over different parameter lists are aligned as ``v * m``
     would align them, and every product added to one ``acc`` must come
     out over the parameter list later given to ``Tensor.from_entries``.
     """
-    terms = acc.get(key)
-    if terms is None:
-        terms = acc[key] = {}
-    if isinstance(m, Poly):
-        if m.params is not v.params:
-            v, m = v._aligned(m)
-        _add_product(terms, v.terms, m.terms)
-    elif m:
-        _add_terms(terms, v.terms, m)
-    if not terms:
+    if not isinstance(m, Poly):
+        _accumulate_ratio(acc, key, v, m.numerator, m.denominator)
+        return
+    if m.params is not v.params:
+        v, m = v._aligned(m)
+    den = v.den * m.den
+    entry = acc.get(key)
+    if entry is None:
+        nums = {}
+        _add_product(nums, v.nums, m.nums)
+        if nums:
+            acc[key] = [nums, den]
+        return
+    nums = entry[0]
+    _add_product(nums, v.nums, m.nums,
+                 1 if entry[1] == den else _rescale(entry, den))
+    if not nums:
         del acc[key]
 
 
+def _accumulate_ratio(acc: dict, key: tuple[int, ...], v: Poly, num: int,
+                      den: int) -> None:
+    """:func:`_accumulate` for the rational ``m = num / den``, ``den >= 1``,
+    given as its two ints."""
+    if not num or not v.nums:
+        return
+    den *= v.den
+    entry = acc.get(key)
+    if entry is None:
+        acc[key] = [{e: c * num for e, c in v.nums.items()}, den]
+        return
+    nums = entry[0]
+    if entry[1] != den:
+        num *= _rescale(entry, den)
+    _add_terms(nums, v.nums, num)
+    if not nums:
+        del acc[key]
+
+
+def _rescale(entry: list, den: int) -> int:
+    """Bring the accumulator ``entry = [nums, d]``, ``d != den``, onto
+    ``lcm(d, den)``, multiplying its numerators only when ``den`` does
+    not divide ``d``, and return the factor that puts a product over
+    ``den`` on it."""
+    have = entry[1]
+    g = gcd(have, den)
+    if g != den:
+        up = den // g
+        nums = entry[0]
+        for e in nums:
+            nums[e] *= up
+        entry[1] = have * up
+    return have // g
+
+
 def _columns(M, dim: int) -> list[list]:
-    """For each p, the nonzero ``(a, M[a][p])`` of column p."""
-    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
-            for p in range(dim)]
+    """For each p, the nonzero entries of column p of ``M``: ``(a, num,
+    den)`` for a rational ``M[a][p] = num / den``, split here once per
+    column, and ``(a, M[a][p], None)`` for a Poly."""
+    columns = []
+    for p in range(dim):
+        column = []
+        for a in range(dim):
+            m = M[a][p]
+            if m:
+                column.append((a, m, None) if isinstance(m, Poly)
+                              else (a, m.numerator, m.denominator))
+        columns.append(column)
+    return columns
 
 
 def _scatter(acc: dict, entries, axis: int, columns) -> None:
     """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
     an entry at index p there sends ``value * m`` to index a for each
-    ``(a, m)`` in ``columns[p]``, through :func:`_accumulate`."""
+    weight m of ``columns[p]`` at row a (see :func:`_columns`)."""
     for idx, v in entries:
         head, tail = idx[:axis], idx[axis + 1:]
-        for a, m in columns[idx[axis]]:
-            _accumulate(acc, head + (a,) + tail, v, m)
-
-
+        for a, num, den in columns[idx[axis]]:
+            if den is None:
+                _accumulate(acc, head + (a,) + tail, v, num)
+            else:
+                _accumulate_ratio(acc, head + (a,) + tail, v, num, den)
 
 
 class PolyMatrix(Tensor):

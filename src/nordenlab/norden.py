@@ -26,7 +26,6 @@ it for all vectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,6 +34,7 @@ from .lie import CheckResult, LieAlgebra, Vector
 from .linalg import (RationalMatrix, Tensor, _accumulate, _columns, _scatter,
                      signature)
 from .poly import Poly, RationalLike
+from .record import Record
 
 Covector = tuple[Poly, ...]
 
@@ -88,15 +88,14 @@ def check_norden(g: RationalMatrix, J: RationalMatrix) -> CheckResult:
     return CheckResult(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(Record):
     """Membership in each basic class (not mutually exclusive: the
     defining identities all hold vacuously when F = 0)."""
 
-    w0: bool
-    w1: bool
-    w2: bool
-    w3: bool
+    __slots__ = ("w0", "w1", "w2", "w3")
+
+    def __init__(self, w0: bool, w1: bool, w2: bool, w3: bool):
+        self._fill(w0, w1, w2, w3)
 
     def label(self) -> str:
         """Finest class first; the two named classes carry their names."""
@@ -118,7 +117,7 @@ def _cyclic_sum_vanishes(T: Tensor) -> bool:
     """T_ijk + T_jki + T_kij = 0 for all i, j, k.  A nonzero cyclic sum
     has a nonzero term, and the sum is the same for each rotation of the
     triple, so the nonzero components are the only triples to test."""
-    return all(not (v + T.at((j, k, i)) + T.at((k, i, j))).terms
+    return all(not (v + T.at((j, k, i)) + T.at((k, i, j)))
                for (i, j, k), v in T.nonzero())
 
 
@@ -200,11 +199,11 @@ class AlmostNordenAlgebra:
                 f"metric arguments must have length {self.dim}")
         acc = Poly.zero(self.params)
         for i, xi in enumerate(x):
-            if not xi.terms:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
                 coeff = self.g[i][j]
-                if coeff and yj.terms:
+                if coeff and yj:
                     acc = acc + coeff * xi * yj
         return acc
 
@@ -232,7 +231,7 @@ class AlmostNordenAlgebra:
         connection (:func:`~nordenlab.curvature.levi_civita`) read from
         it.  For an invariant metric it equals G / 2."""
         if self._T is None:
-            lowered: dict[tuple[int, ...], dict] = {}
+            lowered: dict[tuple[int, ...], list] = {}
             half = Fraction(1, 2)
             for (i, j, k), v in self.G.nonzero():
                 _accumulate(lowered, (i, j, k), v, half)
@@ -253,7 +252,7 @@ class AlmostNordenAlgebra:
             by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
             for (k, l, p), w in self.algebra.gamma.nonzero():
                 by_target[p].append((k, l, w))
-            acc: dict[tuple[int, ...], dict] = {}
+            acc: dict[tuple[int, ...], list] = {}
             for (i, j, p), v in self.G.nonzero():
                 for k, l, w in by_target[p]:
                     _accumulate(acc, (i, j, k, l), v, w)
@@ -277,7 +276,7 @@ class AlmostNordenAlgebra:
             violations = []
             for i, j, k in triples:
                 residual = G.at((i, j, k)) + G.at((i, k, j))
-                if residual.terms:
+                if residual:
                     violations.append((i + 1, j + 1, k + 1, residual))
             object.__setattr__(self, "_invariant",
                                CheckResult(not violations, tuple(violations)))
@@ -299,7 +298,7 @@ class AlmostNordenAlgebra:
         """
         jt = self.J.transpose()
         entries = self.T.nonzero()
-        acc: dict[tuple[int, ...], dict] = {}
+        acc: dict[tuple[int, ...], list] = {}
         _scatter(acc, entries, 1, _columns(jt, self.dim))
         _scatter(acc, entries, 2, _columns(-jt, self.dim))
         return Tensor.from_entries(self.params, self.dim, 3, acc)
@@ -335,9 +334,9 @@ class AlmostNordenAlgebra:
 
         theta_j = self.J.transpose().apply(theta)  # theta(J X_k) components
         scale = Fraction(1, 4 * self.n)
-        pure: dict[tuple[int, ...], dict] = {}
+        pure: dict[tuple[int, ...], list] = {}
         for M, form in ((self.g, theta), (self._gJ, theta_j)):
-            support = [(k, t) for k, t in enumerate(form) if t.terms]
+            support = [(k, t) for k, t in enumerate(form) if t]
             for i, row in enumerate(M.rows):
                 for j, m in enumerate(row):
                     if m:

@@ -1,17 +1,20 @@
 """Exact multivariate polynomials over the rationals.
 
 The scalar domain for the whole package.  A polynomial is a map from
-exponent vectors to nonzero rational coefficients:
+exponent vectors to integer numerators over one common denominator:
 
-    terms : Dict[Tuple[int, ...], Fraction]
+    nums : Dict[Tuple[int, ...], int]        den : int
 
-with one exponent per parameter, in the order fixed by ``params``.  The
-zero polynomial has an empty term map.  All arithmetic is exact; there is
-no floating point anywhere in this module.
+with one exponent per parameter, in the order fixed by ``params``, and
+coefficient ``nums[e] / den`` at exponent vector ``e``.  This is the
+``fmpq_poly`` layout of FLINT: every ring operation multiplies and adds
+plain ints and reduces once per result.  All arithmetic is exact; there
+is no floating point anywhere in this module.
 
-Coefficients are :class:`fractions.Fraction`, which the standard library
-keeps reduced with a positive denominator, so the usual rational-number
-invariants hold by construction.
+Values read back are :class:`fractions.Fraction`: :attr:`Poly.terms` is
+a read-only ``{exponent vector: Fraction}`` view built on first read,
+and :meth:`Poly.constant_value` and :meth:`Poly.evaluate` return
+Fractions.
 
 Canonical text form
 -------------------
@@ -30,25 +33,37 @@ Whitespace is insignificant.
 Trusted construction
 --------------------
 ``Poly(params, terms)`` is the validating constructor: it copies the
-term map, coerces every coefficient and checks every exponent vector.
-The ring operations (``+``, ``-``, negation, ``*``, :meth:`Poly.scale`)
-and :meth:`Poly.with_params` instead wrap a freshly built term map with
-``Poly._make(params, terms)``, which copies and checks nothing.  It
-relies on the invariant that every ``Poly`` already satisfies: ``params``
-is a tuple, ``terms`` is a dict owned by this polynomial alone, its keys
-are tuples of ``len(params)`` non-negative ints and its values are
-nonzero :class:`~fractions.Fraction`.  Only code that builds such a dict
-from ``Poly`` operands may call ``_make``: this module and the
-multiply-accumulate kernel of :mod:`nordenlab.linalg` (``_accumulate``
-and ``Tensor.from_entries``).  Everything else, user input included,
-goes through ``Poly(...)``.
+term map, coerces every coefficient to a Fraction, checks every exponent
+vector and brings the coefficients over their least common denominator.
+The ring operations (``+``, ``-``, negation, ``*``, :meth:`Poly.scale`,
+``/``) and :meth:`Poly.with_params` instead build their numerators as
+ints and wrap them with ``Poly._make(params, nums, den)``, which copies
+and checks nothing, or with :func:`_canonical`, which first divides out
+``gcd(den, *nums)``.  Both rely on the canonical form that every
+``Poly`` satisfies:
+
+* ``params`` is a tuple;
+* ``nums`` is a dict owned by this polynomial alone, whose keys are
+  tuples of ``len(params)`` non-negative ints and whose values are
+  nonzero ints;
+* ``den`` is an int ``>= 1`` with ``gcd(den, *nums.values()) == 1``;
+* the zero polynomial is ``den == 1`` with no numerators.
+
+The form is unique, so equal polynomials over one parameter list have
+equal ``nums`` and ``den``.  Only code that builds numerators from
+``Poly`` operands may call ``_make`` or :func:`_canonical`: this module
+and the multiply-accumulate kernel of :mod:`nordenlab.linalg`
+(``_accumulate`` and ``Tensor.from_entries``).  Everything else, user
+input included, goes through ``Poly(...)``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import ParameterMismatchError, PolyParseError
@@ -57,6 +72,8 @@ from .errors import ParameterMismatchError, PolyParseError
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -74,14 +91,16 @@ class Poly:
     Instances should be built through :meth:`constant`, :meth:`variable`,
     :func:`parse_poly`, or arithmetic on existing polynomials.  The raw
     constructor normalizes (drops zero terms) and defensively copies.
+    ``nums`` and ``den`` are the stored integer form (see the module
+    docstring); ``terms`` is the same polynomial as Fractions.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "nums", "den", "_terms")
 
     def __init__(self, params: Iterable[str],
                  terms: Mapping[tuple[int, ...], RationalLike] = ()):
-        object.__setattr__(self, "params", tuple(params))
-        width = len(self.params)
+        params = tuple(params)
+        width = len(params)
         clean: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in dict(terms).items():
             expo = tuple(expo)
@@ -89,31 +108,54 @@ class Poly:
                 raise ValueError(
                     f"exponent vector {expo} has length {len(expo)}, "
                     f"expected {width}")
-            if any(e < 0 for e in expo):
+            if expo and min(expo) < 0:
                 raise ValueError(f"negative exponent in {expo}")
             coeff = as_fraction(coeff)
-            if coeff != 0:
+            if coeff:
                 clean[expo] = coeff
-        object.__setattr__(self, "terms", clean)
+        # over the lcm of reduced denominators, gcd(den, *nums) is 1
+        den = 1
+        for c in clean.values():
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+        _setattr(self, "params", params)
+        _setattr(self, "nums", {e: c.numerator * (den // c.denominator)
+                                for e, c in clean.items()})
+        _setattr(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _make(cls, params: tuple[str, ...],
-              terms: dict[tuple[int, ...], Fraction]) -> Poly:
-        """Wrap a clean term map without copying or checking it (see the
-        module docstring for the invariant the caller guarantees)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "params", params)
-        object.__setattr__(p, "terms", terms)
+    def _make(cls, params: tuple[str, ...], nums: dict[tuple[int, ...], int],
+              den: int = 1) -> Poly:
+        """Wrap canonical numerators without copying or checking them
+        (see the module docstring for the invariant the caller
+        guarantees)."""
+        p = _new(cls)
+        _setattr(p, "params", params)
+        _setattr(p, "nums", nums)
+        _setattr(p, "den", den)
         return p
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only ``{exponent vector: Fraction}`` view, built on first
+        read and kept."""
+        try:
+            return self._terms
+        except AttributeError:  # not read before
+            den = self.den
+            view = MappingProxyType({e: Fraction(n, den)
+                                     for e, n in self.nums.items()})
+            _setattr(self, "_terms", view)
+            return view
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, params: Iterable[str] = ()) -> Poly:
-        return cls(params)
+        return cls._make(tuple(params), {})
 
     @classmethod
     def constant(cls, value: RationalLike, params: Iterable[str] = ()) -> Poly:
@@ -126,34 +168,34 @@ class Poly:
         if name not in params:
             raise ValueError(f"unknown parameter {name!r} (have {params})")
         expo = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {expo: Fraction(1)})
+        return cls._make(params, {expo: 1})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
         """True when no parameter actually occurs (includes zero)."""
-        return all(not any(expo) for expo in self.terms)
+        return all(not any(expo) for expo in self.nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
-        if not self.terms:
+        if not self.nums:
             return _ZERO
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def total_degree(self) -> int:
         """Max over terms of the sum of exponents; 0 for the zero poly."""
-        return max((sum(expo) for expo in self.terms), default=0)
+        return max((sum(expo) for expo in self.nums), default=0)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has total degree ``degree`` (or p == 0)."""
-        return all(sum(expo) == degree for expo in self.terms)
+        return all(sum(expo) == degree for expo in self.nums)
 
     # -- parameter reconciliation -----------------------------------------
 
@@ -170,8 +212,8 @@ class Poly:
         for i, name in enumerate(self.params):
             where = params.index(name) if name in params else -1
             positions.append(where)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
+        nums: dict[tuple[int, ...], int] = {}
+        for expo, coeff in self.nums.items():
             new = [0] * len(params)
             for i, e in enumerate(expo):
                 if e == 0:
@@ -181,13 +223,13 @@ class Poly:
                         f"parameter {self.params[i]!r} of {self} is not in "
                         f"{params}")
                 new[positions[i]] = e
-            terms[tuple(new)] = coeff
-        return Poly._make(params, terms)
+            nums[tuple(new)] = coeff
+        return Poly._make(params, nums, self.den)
 
     def _occurring(self) -> set[str]:
         """Names of parameters with a nonzero exponent somewhere."""
         names: set[str] = set()
-        for expo in self.terms:
+        for expo in self.nums:
             for name, e in zip(self.params, expo):
                 if e:
                     names.add(name)
@@ -224,9 +266,7 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms = dict(a.terms)
-        _add_terms(terms, b.terms)
-        return Poly._make(a.params, terms)
+        return _combine(a, b, 1)
 
     __radd__ = __add__
 
@@ -234,16 +274,14 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms = dict(a.terms)
-        _add_terms(terms, b.terms, -1)
-        return Poly._make(a.params, terms)
+        return _combine(a, b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> Poly:
         return Poly._make(self.params,
-                          {e: -c for e, c in self.terms.items()})
+                          {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,19 +289,21 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        _add_product(terms, a.terms, b.terms)
-        return Poly._make(a.params, terms)
+        nums: dict[tuple[int, ...], int] = {}
+        _add_product(nums, a.nums, b.nums)
+        return _canonical(a.params, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, factor: RationalLike) -> Poly:
         """Multiply by an exact rational scalar."""
         factor = as_fraction(factor)
-        if factor == 0:
+        num = factor.numerator
+        if num == 0:
             return Poly._make(self.params, {})
-        return Poly._make(self.params,
-                          {e: c * factor for e, c in self.terms.items()})
+        return _canonical(self.params,
+                          {e: c * num for e, c in self.nums.items()},
+                          self.den * factor.denominator)
 
     def __truediv__(self, divisor: RationalLike) -> Poly:
         divisor = as_fraction(divisor)
@@ -279,22 +319,32 @@ class Poly:
         Parameters that never occur in a term may be omitted from the
         assignment; a missing occurring parameter raises KeyError.
         """
-        values: list[Fraction | None] = []
+        values: list[tuple[int, int] | None] = []
         for name in self.params:
             raw = assignment.get(name)
-            values.append(None if raw is None else as_fraction(raw))
-        total = _ZERO
-        for expo, coeff in self.terms.items():
-            prod = coeff
+            if raw is None:
+                values.append(None)
+            else:
+                raw = as_fraction(raw)
+                values.append((raw.numerator, raw.denominator))
+        total, den = 0, 1  # the sum so far is total / den
+        for expo, num in self.nums.items():
+            term_den = 1
             for i, e in enumerate(expo):
                 if e == 0:
                     continue
                 if values[i] is None:
                     raise KeyError(
                         f"no value for parameter {self.params[i]!r}")
-                prod *= values[i] ** e
-            total += prod
-        return total
+                num *= values[i][0] ** e
+                term_den *= values[i][1] ** e
+            if term_den != den:  # bring both over lcm(den, term_den)
+                g = gcd(den, term_den)
+                total *= term_den // g
+                num *= den // g
+                den = den // g * term_den
+            total += num
+        return Fraction(total, den * self.den)
 
     # -- comparison and display -------------------------------------------
 
@@ -304,22 +354,22 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         if self.params == other.params:
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         if self.is_constant and other.is_constant:
             return self.constant_value() == other.constant_value()
         try:
             a, b = self._aligned(other)
         except ParameterMismatchError:
             return False
-        return a.terms == b.terms
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.params, frozenset(self.terms.items())))
+        return hash((self.params, frozenset(self.nums.items()), self.den))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __str__(self):
         return format_poly(self)
@@ -328,41 +378,71 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
 
-def _add_terms(terms: dict, source: Mapping, factor: RationalLike = 1
-               ) -> None:
-    """``terms += factor * source`` in place, for a nonzero rational
-    ``factor``; a term is deleted the moment it cancels."""
-    scaled = factor != 1
+def _canonical(params: tuple[str, ...], nums: dict[tuple[int, ...], int],
+               den: int) -> Poly:
+    """``nums / den`` as a canonical Poly: ``gcd(den, *nums)`` divided
+    out, and ``den = 1`` for the zero polynomial.  ``nums`` holds no zero
+    and is given up to the result, which divides it in place."""
+    if not nums:
+        return Poly._make(params, nums)
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        for e in nums:
+            nums[e] //= g
+        den //= g
+    return Poly._make(params, nums, den)
+
+
+def _combine(a: Poly, b: Poly, sign: int) -> Poly:
+    """``a + sign * b`` for operands over one parameter list."""
+    da, db = a.den, b.den
+    if da == db:
+        nums = dict(a.nums)
+        _add_terms(nums, b.nums, sign)
+        return _canonical(a.params, nums, da)
+    g = gcd(da, db)
+    up = db // g
+    nums = {e: c * up for e, c in a.nums.items()}
+    _add_terms(nums, b.nums, sign * (da // g))
+    return _canonical(a.params, nums, da * up)
+
+
+def _add_terms(nums: dict, source: Mapping, factor: int = 1) -> None:
+    """``nums += factor * source`` in place, for integer numerators and a
+    nonzero int ``factor``; a term is deleted the moment it cancels."""
     for expo, coeff in source.items():
-        if scaled:
-            coeff = coeff * factor
-        prev = terms.get(expo)
+        if factor != 1:
+            coeff *= factor
+        prev = nums.get(expo)
         if prev is None:
-            terms[expo] = coeff
+            nums[expo] = coeff
         else:
             coeff += prev
             if coeff:
-                terms[expo] = coeff
+                nums[expo] = coeff
             else:
-                del terms[expo]
+                del nums[expo]
 
 
-def _add_product(terms: dict, left: Mapping, right: Mapping) -> None:
-    """``terms += left * right`` in place, for two term maps over one
-    parameter list; a term is deleted the moment it cancels."""
+def _add_product(nums: dict, left: Mapping, right: Mapping,
+                 factor: int = 1) -> None:
+    """``nums += factor * left * right`` in place, for integer numerators
+    over one parameter list and a nonzero int ``factor``; a term is
+    deleted the moment it cancels."""
+    get = nums.get
     for e1, c1 in left.items():
+        c1 *= factor
         for e2, c2 in right.items():
             expo = tuple(map(add, e1, e2))
-            coeff = c1 * c2
-            prev = terms.get(expo)
+            prev = get(expo)
             if prev is None:
-                terms[expo] = coeff
+                nums[expo] = c1 * c2
             else:
-                coeff += prev
+                coeff = prev + c1 * c2
                 if coeff:
-                    terms[expo] = coeff
+                    nums[expo] = coeff
                 else:
-                    del terms[expo]
+                    del nums[expo]
 
 
 def format_poly(p: Poly) -> str:
@@ -371,23 +451,26 @@ def format_poly(p: Poly) -> str:
     The output round-trips through :func:`parse_poly` and is byte-stable,
     which the CLI relies on for deterministic reports.
     """
-    if not p.terms:
+    if not p.nums:
         return "0"
+    den = p.den
     pieces = []
-    for expo in sorted(p.terms, reverse=True):
-        coeff = p.terms[expo]
+    for expo in sorted(p.nums, reverse=True):
+        num = p.nums[expo]
         factors = [
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(p.params, expo) if e
         ]
-        mag = abs(coeff)
+        g = gcd(num, den)
+        mag, q = abs(num) // g, den // g
+        text = str(mag) if q == 1 else f"{mag}/{q}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = text
+        elif text == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
+            body = "*".join([text] + factors)
+        pieces.append(("-" if num < 0 else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:

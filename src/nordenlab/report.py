@@ -17,7 +17,6 @@ polynomial text is canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .curvature import (
@@ -35,6 +34,7 @@ from .errors import DegeneratePlaneError
 from .linalg import PolyMatrix, Tensor
 from .norden import AlmostNordenAlgebra, ClassFlags, Covector
 from .poly import Poly
+from .record import Record
 
 SectionalTable = tuple[tuple[str, str, Poly | None], ...]
 
@@ -129,8 +129,7 @@ def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(Record):
     """String-level report with deterministic renderings.
 
     Field layout matches the JSON object: classification (label and the
@@ -140,14 +139,20 @@ class ReportDocument:
     degenerate planes).
     """
 
-    classification: dict = field(default_factory=dict)
-    theta: list = field(default_factory=list)
-    ricci: list = field(default_factory=list)
-    tau: str = "0"
-    nabla_j_norm: str = "0"
-    locally_symmetric: bool = True
-    sectional: list = field(default_factory=list)
-    killing_form: list = field(default_factory=list)
+    __slots__ = ("classification", "theta", "ricci", "tau", "nabla_j_norm",
+                 "locally_symmetric", "sectional", "killing_form")
+
+    def __init__(self, classification: dict | None = None,
+                 theta: list | None = None, ricci: list | None = None,
+                 tau: str = "0", nabla_j_norm: str = "0",
+                 locally_symmetric: bool = True,
+                 sectional: list | None = None,
+                 killing_form: list | None = None):
+        self._fill({} if classification is None else classification,
+                   [] if theta is None else theta,
+                   [] if ricci is None else ricci, tau, nabla_j_norm,
+                   locally_symmetric, [] if sectional is None else sectional,
+                   [] if killing_form is None else killing_form)
 
     @classmethod
     def from_report(cls, geo: Geometry) -> ReportDocument:
@@ -175,18 +180,17 @@ class ReportDocument:
     # -- renderings --------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = dict(zip(self.__slots__, self._values()))
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> ReportDocument:
         data = json.loads(text)
-        keys = [f.name for f in fields(cls)]
-        missing = set(keys) - set(data)
+        missing = set(cls.__slots__) - set(data)
         if missing:
             raise ValueError(
                 f"report document lacks keys: {sorted(missing)}")
-        return cls(**{key: data[key] for key in keys})
+        return cls(*(data[key] for key in cls.__slots__))
 
     def to_csv(self) -> str:
         rows: list[tuple[str, str]] = []

@@ -39,7 +39,6 @@ so emit-then-parse-then-emit is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -48,6 +47,7 @@ from .lie import LieAlgebra
 from .linalg import RationalMatrix
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, parse_poly
+from .record import Record
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 #: Rationals as written in spec files and ``--eval``: an integer or p/q,
@@ -67,19 +67,19 @@ MAX_TERMS = 64
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
 
-@dataclass(frozen=True)
-class AlgebraSpecFile:
+class AlgebraSpecFile(Record):
     """Parsed, validated content of a spec file.
 
     ``metric`` and ``J`` are None when the file relies on the defaults
     for its dimension.
     """
 
-    dimension: int
-    parameters: tuple[str, ...]
-    metric: RationalMatrix | None
-    J: RationalMatrix | None
-    brackets: tuple[BracketEntry, ...]
+    __slots__ = ("dimension", "parameters", "metric", "J", "brackets")
+
+    def __init__(self, dimension: int, parameters: tuple[str, ...],
+                 metric: RationalMatrix | None, J: RationalMatrix | None,
+                 brackets: tuple[BracketEntry, ...]):
+        self._fill(dimension, parameters, metric, J, brackets)
 
     def to_algebra(self) -> AlmostNordenAlgebra:
         rows = {(i, j): dict(targets) for i, j, targets in self.brackets}
@@ -274,10 +274,10 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                     f"bracket [X{i},X{j}]: coefficient of X{k} has total "
                     f"degree {coeff.total_degree()}, above the limit of "
                     f"{MAX_DEGREE}", line=lineno)
-            if len(coeff.terms) > MAX_TERMS:
+            if len(coeff.nums) > MAX_TERMS:
                 raise SpecFileError(
                     f"bracket [X{i},X{j}]: coefficient of X{k} has "
-                    f"{len(coeff.terms)} terms, above the limit of "
+                    f"{len(coeff.nums)} terms, above the limit of "
                     f"{MAX_TERMS}", line=lineno)
             targets.append((k, coeff))
         entries.append((i, j, tuple(targets)))

@@ -30,6 +30,10 @@ out inline.  ``check_invariant_metric`` is the per-triple loop over
 every (i, j, k) that the invariance check ran before it walked the
 nonzero lowered constants.
 
+``plane_type`` is the plane classifier as it ran before it read only
+the nonzero components of the spanning vectors: J applied to whole
+vectors, and two row reductions of full rows (``dense_rank``).
+
 The ``*_grid`` functions build dense nested lists, zeros included, by
 loops that never call a library contraction: the lowered connection
 from ``metric`` and ``bracket_basis``, then Gamma, F, Ricci and the
@@ -391,3 +395,45 @@ def ricci_grid(a: AlmostNordenAlgebra, R: Tensor) -> list:
                     for i in range(a.dim) for j in range(a.dim)
                     if a.g_inv[i][j]), zero)
     return grid(a.dim, 2, rho)
+
+
+def dense_rank(vectors) -> int:
+    """Rank of rational vectors by Gaussian elimination on full rows."""
+    work = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [v - factor * p for v, p in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def metric_product(a: AlmostNordenAlgebra, u, v) -> Fraction:
+    """g(u, v) = sum_ij u_i g_ij v_j over every index pair."""
+    return sum((u[i] * a.g[i][j] * v[j] for i in range(a.dim)
+                for j in range(a.dim)), Fraction(0))
+
+
+def plane_type(a: AlmostNordenAlgebra, p) -> str:
+    """The plane type from length-dim vectors: J applied to all of x and
+    y, dense rank tests on {x, y} and {x, y, Jx, Jy}, then the four
+    products g(Ju, v) and the discriminant."""
+    if dense_rank([p.x, p.y]) != 2:
+        raise ValueError("spanning vectors are linearly dependent")
+    jx = a.J.apply(p.x)
+    jy = a.J.apply(p.y)
+    if dense_rank([p.x, p.y, jx, jy]) == 2:
+        return "holomorphic"
+    if all(metric_product(a, ju, v) == 0
+           for ju in (jx, jy) for v in (p.x, p.y)):
+        return "totally_real"
+    gxy = metric_product(a, p.x, p.y)
+    if metric_product(a, p.x, p.x) * metric_product(a, p.y, p.y) == gxy ** 2:
+        return "degenerate"
+    return "generic"

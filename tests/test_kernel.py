@@ -1,20 +1,24 @@
 """The multiply-accumulate kernel against its naive oracle, and the
 invariant that the trusted ``Poly._make`` path relies on.
 
-``_accumulate`` adds products straight into term dicts and
-``Tensor.from_entries`` wraps them without re-validation, so the tests
-compare them with ``reference.naive_sum`` on seeded random inputs, and
-check that every component of every pipeline stage would come out of the
+``_accumulate`` adds integer products straight into accumulators of
+numerators over one denominator, rescaling to the lcm when a product
+arrives over another, and ``Tensor.from_entries`` reduces each one once
+without re-validation.  So the tests compare them with
+``reference.naive_sum`` on seeded random inputs, operands over mixed
+denominators included, and check that every component of every pipeline
+stage is in the canonical integer form and would come out of the
 validating constructor unchanged.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import reference
-from nordenlab import Poly, Tensor
+from nordenlab import Poly, Tensor, parse_poly
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.errors import ParameterMismatchError
 from nordenlab.linalg import _accumulate
@@ -71,6 +75,119 @@ def test_accumulate_matches_naive_sum(kind, seed):
              "default": lambda: None}[choice]()
         triples.append((rng.choice(KEYS), v, m))
     assert_matches_oracle(PARAMS, triples)
+
+
+#: Denominators whose lcm moves as products arrive: 4 after 2, 6 after
+#: 3 or 4, 7 coprime to every other.
+DENOMINATORS = (1, 2, 3, 4, 6, 7)
+
+
+def mixed_rational(rng):
+    return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]),
+                    rng.choice(DENOMINATORS))
+
+
+def mixed_poly(rng, params, max_terms=3):
+    """A nonzero Poly whose coefficients have mixed denominators."""
+    return Poly(params, {
+        tuple(rng.randint(0, 2) for _ in params): mixed_rational(rng)
+        for _ in range(rng.randint(1, max_terms))})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_denominators_rescale_and_cancel_exactly(seed):
+    rng = random.Random(100 + seed)
+    triples = []
+    for _ in range(30):
+        v = mixed_poly(rng, PARAMS)
+        m = rng.choice([mixed_poly(rng, PARAMS), mixed_rational(rng), None])
+        key = rng.choice(KEYS[:3])
+        triples.append((key, v, m))
+        if rng.random() < 0.5:  # the same product again, negated: cancels
+            triples.append((key, -v, m))
+    # key (3,): products over 1/2, 1/3 and 1/7 that sum to zero exactly
+    x = Poly.variable("a", PARAMS)
+    triples += [((3,), x, Fraction(1, 2)), ((3,), x, Fraction(1, 3)),
+                ((3,), x.scale(Fraction(1, 7)), Fraction(7, 6)),
+                ((3,), x, Fraction(-3, 4)), ((3,), x, Fraction(-1, 4)),
+                ((3,), x * x.scale(Fraction(2, 7)), Fraction(7, 6)),
+                ((3,), x * x, Fraction(-1, 3))]
+    rng.shuffle(triples)
+    T = fused(PARAMS, triples)
+    assert (3,) not in dict(T.nonzero())
+    assert T.component(4).is_zero and T.component(4).den == 1
+    assert_matches_oracle(PARAMS, triples)
+    for _, p in T.nonzero():
+        assert_canonical(p)
+
+
+def test_rescale_moves_the_accumulator_only_when_needed():
+    x = Poly.variable("a", PARAMS)
+    acc = {}
+    _accumulate(acc, (0,), x, Fraction(1, 4))
+    assert acc[(0,)] == [{(1, 0, 0): 1}, 4]
+    _accumulate(acc, (0,), x, Fraction(1, 2))  # 2 divides 4: no rescale
+    assert acc[(0,)] == [{(1, 0, 0): 3}, 4]
+    _accumulate(acc, (0,), x, Fraction(1, 6))  # lcm(4, 6) = 12
+    assert acc[(0,)] == [{(1, 0, 0): 11}, 12]
+    _accumulate(acc, (0,), x, Fraction(-11, 12))
+    assert (0,) not in acc
+    _accumulate(acc, (0,), x.scale(Fraction(3, 2)), Fraction(2, 3))
+    assert acc[(0,)] == [{(1, 0, 0): 6}, 6]  # reduced only when read
+    assert Tensor.from_entries(PARAMS, 1, 1, acc).component(1) == x
+
+
+def assert_canonical(p):
+    """The stored form: int numerators, no zero, den >= 1, gcd 1, and
+    den 1 for the zero polynomial."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert all(type(e) is tuple and len(e) == len(p.params)
+               for e in p.nums)
+    assert gcd(p.den, *p.nums.values()) == 1
+
+
+def test_hash_of_a_constant_is_the_hash_of_its_value():
+    for q in (Fraction(0), Fraction(3), Fraction(-7, 6), Fraction(5, 4)):
+        assert hash(Poly.constant(q)) == hash(q)
+        assert hash(Poly.constant(q, PARAMS)) == hash(q)
+    assert hash(Poly.constant(3)) == hash(3) and Poly.constant(3) == 3
+
+
+def test_equal_polynomials_from_different_routes_hash_equal():
+    a, b = (Poly.variable(n, PARAMS) for n in "ab")
+    half = Fraction(1, 2)
+    routes = [
+        (a + b) * (a - b),
+        a * a - b * b,
+        parse_poly("a^2 - b^2", PARAMS),
+        Poly(PARAMS, {(2, 0, 0): Fraction(2, 2), (0, 2, 0): -1}),
+        (a * a).scale(half) * 2 - (b * b) / half * half,
+        reference.naive_sum(PARAMS, [(a, a), (b, -b)]),
+        fused(PARAMS, [((0,), a * 3, a.scale(Fraction(1, 3))),
+                       ((0,), b.scale(Fraction(1, 6)), -6 * b)]).component(1),
+    ]
+    for p in routes:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+        assert_canonical(p)
+    assert hash(a.scale(half) + a.scale(half)) == hash(a)
+    assert hash((a + half) - a) == hash(half)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_evaluate_matches_fraction_arithmetic(seed):
+    # evaluate sums integer term values over the lcm of their
+    # denominators; the oracle sums Fractions term by term
+    rng = random.Random(200 + seed)
+    for _ in range(200):
+        p = mixed_poly(rng, PARAMS, max_terms=6) * rng.choice(
+            [1, mixed_poly(rng, PARAMS)])
+        point = {name: mixed_rational(rng) for name in PARAMS}
+        expected = sum((c * point["a"] ** e[0] * point["b"] ** e[1]
+                        * point["c"] ** e[2] for e, c in p.terms.items()),
+                       Fraction(0))
+        got = p.evaluate(point)
+        assert type(got) is Fraction and got == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,6 +269,7 @@ def test_every_stage_satisfies_the_trusted_invariant(name, request):
     count = 0
     for p in stage_polys(geo):
         assert type(p.params) is tuple
+        assert_canonical(p)
         assert all(type(c) is Fraction for c in p.terms.values())
         assert Poly(p.params, p.terms).terms == p.terms
         count += 1

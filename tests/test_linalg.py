@@ -236,7 +236,7 @@ def test_tensor_stores_no_zero_even_after_cancellation():
     _accumulate(acc, (0, 1), T, -2)  # cancels: the key is dropped
     _accumulate(acc, (1, 0), T)
     tensor = Tensor.from_entries(T_PARAMS, 2, 2,
-                                 {**acc, (1, 1): T - T, (0, 0): {}})
+                                 {**acc, (1, 1): T - T, (0, 0): [{}, 1]})
     assert tensor.nonzero() == (((1, 0), T),)
     assert repr(tensor) == "Tensor(rank=2, dim=2, 1 nonzero components)"
     grid = Tensor(T_PARAMS, [[T - T, T], [Poly.zero(T_PARAMS), T * T]])
@@ -293,4 +293,4 @@ def test_ragged_grid_raises():
 
 def test_term_width_mismatch_raises():
     with pytest.raises(ParameterMismatchError):
-        Tensor.from_entries(T_PARAMS, 2, 1, {(0,): {(1, 0): Fraction(1)}})
+        Tensor.from_entries(T_PARAMS, 2, 1, {(0,): [{(1, 0): 1}, 1]})

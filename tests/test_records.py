@@ -1,0 +1,96 @@
+"""The package's value records: plain ``__slots__`` classes with the
+constructor signatures, attributes, equality, hashing and immutability of
+frozen records, and no ``dataclasses`` import in a CLI process."""
+
+import copy
+import inspect
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
+                       LieAlgebra, PlaneSpec, RegressionCheck,
+                       RegressionReport, Table1Family)
+from nordenlab.errors import DimensionMismatchError
+from nordenlab.report import ReportDocument
+from nordenlab.specfile import AlgebraSpecFile
+
+ALGEBRA = AlmostNordenAlgebra(LieAlgebra.abelian(2, ()))
+CHECK = RegressionCheck("tau", "tau", "0", "0", True)
+
+#: (class, constructor parameter names, positional arguments)
+RECORDS = [
+    (CheckResult, ["ok", "violations"], (False, ((1, 2, 3),))),
+    (ClassFlags, ["w0", "w1", "w2", "w3"], (False, True, False, True)),
+    (PlaneSpec, ["x", "y"], ((Fraction(1), Fraction(0)),
+                             (Fraction(0), Fraction(1, 2)))),
+    (Table1Family, ["params", "algebra"], (("a", "b", "c"), ALGEBRA)),
+    (RegressionCheck, ["group", "item", "expected", "computed", "passed"],
+     ("tau", "tau", "0", "0", True)),
+    (RegressionReport, ["checks"], ((CHECK,),)),
+    (ReportDocument, ["classification", "theta", "ricci", "tau",
+                      "nabla_j_norm", "locally_symmetric", "sectional",
+                      "killing_form"],
+     ({"label": "W0"}, ["0"], [["0"]], "0", "0", True, [], [["0"]])),
+    (AlgebraSpecFile, ["dimension", "parameters", "metric", "J",
+                       "brackets"], (2, (), None, None, ())),
+]
+
+
+@pytest.mark.parametrize("cls, names, args", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_fields_equality_and_immutability(cls, names, args):
+    assert list(inspect.signature(cls).parameters) == names
+    record = cls(*args)
+    assert [getattr(record, name) for name in names] == list(args)
+    assert record == cls(**dict(zip(names, args)))
+    other = cls(*args[:-1], (0, 2) if cls is PlaneSpec else "other")
+    assert record != other
+    assert record != tuple(args)
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, names[0])
+    assert not hasattr(record, "__dict__")
+    assert repr(record).startswith(f"{cls.__name__}({names[0]}=")
+    assert copy.copy(record) == record
+    if cls is not Table1Family:  # an algebra cannot be deep-copied
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    try:
+        hash(args)
+    except TypeError:  # a field value is unhashable: so is the record
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*args))
+
+
+def test_record_defaults_and_conversions():
+    assert CheckResult(True) == CheckResult(True, ())
+    assert not CheckResult(False) and CheckResult(True)
+    empty = ReportDocument()
+    assert empty.classification == {} and empty.theta == []
+    assert empty.classification is not ReportDocument().classification
+    assert (empty.tau, empty.nabla_j_norm, empty.locally_symmetric) == (
+        "0", "0", True)
+    plane = PlaneSpec((1, "1/2"), (0, 3))
+    assert plane.x == (Fraction(1), Fraction(1, 2))
+    assert all(type(v) is Fraction for v in plane.x + plane.y)
+    with pytest.raises(DimensionMismatchError):
+        PlaneSpec((1, 0), (0, 1, 0))
+
+
+def test_cli_process_does_not_import_dataclasses():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nordenlab.cli; print('dataclasses' in sys.modules)"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout == "False\n"

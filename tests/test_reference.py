@@ -13,20 +13,28 @@ tensors; their results must equal the per-tuple loops whole, violations
 in the same order, on the same inputs plus the numeric twin, the
 symbolic sheared family and the inputs built to fail a check.
 
+``plane_type`` reads only the nonzero components of its spanning
+vectors; it must give the dense classifier's type on every coordinate
+plane of every input and on seeded random rational planes, holomorphic
+and dependent ones included.
+
 Tensors store only their nonzero components, so each one is also read
 with ``component`` at every 1-based index, zeros included, against the
 dense grids of ``reference``: Gamma, F, R, Ricci, the Killing form, each
 grad R block, the Jacobiator and the bracket Gram tensor.
 """
 
-from itertools import product
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 import reference
-from nordenlab import (check_eq22, curvature_invariant_formula, curvature_R,
+from nordenlab import (PlaneSpec, check_eq22, coordinate_plane,
+                       curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
-                       ricci_and_scalar)
+                       plane_type, ricci_and_scalar, rational_rank)
 from nordenlab.curvature import nabla_R_blocks
 
 
@@ -115,3 +123,46 @@ def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
             == reference.curvature_invariant_formula(a))
     assert_dense(a.bracket_gram, reference.bracket_gram_grid(a))
     assert a.check_invariant_metric() == reference.check_invariant_metric(a)
+
+
+def plane_type_or_error(classify, a, plane):
+    try:
+        return classify(a, plane)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CHECKED])
+def test_plane_types_match_dense_reference(name, request):
+    a = request.getfixturevalue(name)
+    for i, j in combinations(range(1, a.dim + 1), 2):
+        plane = coordinate_plane(a.dim, i, j)
+        assert plane_type(a, plane) == reference.plane_type(a, plane), (i, j)
+    rng = random.Random(a.dim)
+    types = set()
+    for _ in range(60):
+        # mostly-zero vectors, so supports of every size occur
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
+        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
+        for second in (y, a.J.apply(x), [2 * v for v in x],
+                       [u + v for u, v in zip(x, a.J.apply(x))]):
+            plane = PlaneSpec(x, second)
+            got = plane_type_or_error(plane_type, a, plane)
+            assert got == plane_type_or_error(reference.plane_type, a, plane)
+            types.add(got)
+    assert {"holomorphic", "generic",
+            "ValueError: spanning vectors are linearly dependent"} <= types
+
+
+def test_rational_rank_matches_dense_reference():
+    rng = random.Random(3)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                 if rng.random() < 0.5 else 0 for _ in range(width)]
+                for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # a combination of the others
+            rows.append([sum(r[c] for r in rows) for c in range(width)])
+        assert rational_rank(rows) == reference.dense_rank(rows), rows
