@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .errors import NordenLabError
-from .family import Table1Family, build_table1, check_eq22, regression_report
+from .family import build_table1, check_eq22, regression_report
 from .lie import format_vector
 from .norden import AlmostNordenAlgebra
 from .report import Geometry, _rows_text, document_for
@@ -118,24 +118,18 @@ def _parse_assignment(text: str,
     return values
 
 
-def _resolve(args) -> AlmostNordenAlgebra | Table1Family:
+def _resolve(args) -> AlmostNordenAlgebra:
     if (args.spec is None) == (args.family is None):
         raise _CliError("provide exactly one input: a spec file path or "
                         "--family table1")
     if args.family is not None:
-        source: AlmostNordenAlgebra | Table1Family = build_table1()
+        a = build_table1().algebra
     else:
-        source = parse_spec(args.spec)
+        a = parse_spec(args.spec)
     assignment = getattr(args, "assignment", None)
     if assignment is not None:
-        values = _parse_assignment(assignment, tuple(source.params))
-        source = source.evaluate(values)
-    return source
-
-
-def _algebra_of(source: AlmostNordenAlgebra | Table1Family
-                ) -> AlmostNordenAlgebra:
-    return source.algebra if isinstance(source, Table1Family) else source
+        a = a.evaluate(_parse_assignment(assignment, a.params))
+    return a
 
 
 def _print_violations(lines: list[str]):
@@ -162,7 +156,7 @@ def _eq22_line(kind: str, *rest) -> str:
 
 
 def cmd_check(args) -> int:
-    a = _algebra_of(_resolve(args))
+    a = _resolve(args)
     failed = _verdict("jacobi", a.algebra.check_jacobi(), lambda i, j, k, v:
                       f"jacobiator({i},{j},{k}) = {format_vector(v)}")
     # The Norden pairing is enforced whenever an algebra is constructed,
@@ -176,7 +170,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    geo = Geometry(_algebra_of(_resolve(args)))
+    geo = Geometry(_resolve(args))
     print(geo.flags.label())
     print("  ".join(f"{name}={'true' if value else 'false'}"
                     for name, value in geo.flags.as_dict().items()))
@@ -185,7 +179,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    geo = Geometry(_algebra_of(_resolve(args)))
+    geo = Geometry(_resolve(args))
 
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
@@ -212,8 +206,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_report(args) -> int:
-    source = _resolve(args)
-    doc = document_for(_algebra_of(source))
+    doc = document_for(_resolve(args))
     if args.format == "json":
         sys.stdout.write(doc.to_json())
     elif args.format == "csv":

@@ -39,8 +39,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .lie import Vector
-from .linalg import PolyMatrix, Tensor, _accumulate, _support_rank
+from .linalg import PolyMatrix, Tensor, _accumulate, _eliminate, _support
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike, as_fraction
 from .record import Record
@@ -58,10 +57,6 @@ class ConnectionCoeffs(Tensor):
     def coeffs(self):
         return self.components
 
-    def vector(self, i: int, j: int) -> Vector:
-        """grad_{X_i} X_j as a component vector (1-based i, j)."""
-        return tuple(self.component(i, j, k) for k in range(1, self.dim + 1))
-
 
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     """The unique torsion-free metric connection, from the Koszul formula.
@@ -73,8 +68,7 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     bracket — verified in the tests, not assumed here.
     """
     raised = a.T.contract(2, a.g_inv)
-    return ConnectionCoeffs.from_entries(a.params, a.dim, 3,
-                                         dict(raised.nonzero()))
+    return ConnectionCoeffs(a.params, a.dim, 3, dict(raised.nonzero()))
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
@@ -110,7 +104,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
         minus_v = -v
         for k, q, w in by_first[p]:
             _accumulate(upper, (i, j, k, q), minus_v, w)
-    return Tensor.from_entries(a.params, dim, 4, upper).contract(3, a.g)
+    return Tensor(a.params, dim, 4, upper).contract(3, a.g)
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -121,7 +115,7 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
     independent second route for curvature, not as a fast path inside
     :func:`curvature_R`: it never reads the connection.
     """
-    return Tensor.from_entries(a.params, a.dim, 4, {
+    return Tensor(a.params, a.dim, 4, {
         idx: v / -4 for idx, v in a.bracket_gram.nonzero()})
 
 
@@ -129,7 +123,7 @@ def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
     rho = R.trace(0, 3, a.g_inv)
-    return (PolyMatrix.from_entries(a.params, a.dim, 2, dict(rho.nonzero())),
+    return (PolyMatrix(a.params, a.dim, 2, dict(rho.nonzero())),
             rho.trace(0, 1, a.g_inv).at(()))
 
 
@@ -160,11 +154,6 @@ def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
                      tuple(one if k == j - 1 else zero for k in range(dim)))
 
 
-def _support(vec: Sequence[Fraction]) -> dict[int, Fraction]:
-    """The nonzero components of a rational vector, by position."""
-    return {i: v for i, v in enumerate(vec) if v}
-
-
 def _image(M, u: dict[int, Fraction]) -> dict[int, Fraction]:
     """The nonzero components of M u, visiting only the nonzero u_p and
     the nonzero entries of their columns of M."""
@@ -188,14 +177,10 @@ def _metric_product(a: AlmostNordenAlgebra, u: dict[int, Fraction],
 
 def _discriminant(a: AlmostNordenAlgebra, x: dict[int, Fraction],
                   y: dict[int, Fraction]) -> Fraction:
+    """pi_1(x, y, y, x) = g(x,x) g(y,y) - g(x,y)^2, the denominator of
+    sectional curvature; zero exactly for degenerate planes."""
     gxy = _metric_product(a, x, y)
     return _metric_product(a, x, x) * _metric_product(a, y, y) - gxy * gxy
-
-
-def plane_discriminant(a: AlmostNordenAlgebra, p: PlaneSpec) -> Fraction:
-    """pi_1(x, y, y, x) = g(x,x) g(y,y) - g(x,y)^2 — the denominator of
-    sectional curvature; zero exactly for degenerate planes."""
-    return _discriminant(a, _support(p.x), _support(p.y))
 
 
 def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
@@ -220,10 +205,10 @@ def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
             f"plane vectors have length {len(p.x)}, algebra dimension "
             f"{a.dim}")
     x, y = _support(p.x), _support(p.y)
-    if _support_rank([x, y]) != 2:
+    if len(_eliminate([x, y], a.dim)) != 2:
         raise ValueError("spanning vectors are linearly dependent")
     jx, jy = _image(a.J, x), _image(a.J, y)
-    if _support_rank([x, y, jx, jy]) == 2:
+    if len(_eliminate([x, y, jx, jy], a.dim)) == 2:
         return "holomorphic"
     if all(_metric_product(a, ju, v) == 0
            for ju in (jx, jy) for v in (x, y)):
@@ -258,7 +243,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
             v = R.at((i, j, k, l))
             if v:
                 _accumulate(acc, (), v, xi * yj * yk * xl)
-    return Tensor.from_entries(a.params, a.dim, 0, acc).at(()) / disc
+    return Tensor(a.params, a.dim, 0, acc).at(()) / disc
 
 
 def _check_slot_symmetries(R: Tensor) -> None:
@@ -316,13 +301,12 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                     if j < k and l < n and (j, k) <= (l, n):
                         _accumulate(acc, key, v, m)
         orbits: dict[tuple[int, ...], Poly] = {}
-        for (j, k, l, m), v in Tensor.from_entries(
-                a.params, a.dim, 4, acc).nonzero():
+        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero():
             minus_v = -v
             for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
                                ((j, k, m, l), minus_v), ((k, j, m, l), v)):
                 orbits[key] = orbits[key[2:] + key[:2]] = value
-        yield Tensor.from_entries(a.params, a.dim, 4, orbits)
+        yield Tensor(a.params, a.dim, 4, orbits)
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
@@ -350,4 +334,4 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
         v = F.at(idx)
         if v:
             _accumulate(acc, (), u, v)
-    return Tensor.from_entries(a.params, a.dim, 0, acc).at(())
+    return Tensor(a.params, a.dim, 0, acc).at(())

@@ -24,7 +24,7 @@ from typing import Mapping
 from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, Tensor, _accumulate_ratio, _columns
+from .linalg import PolyMatrix, Tensor, _accumulate, _columns
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
 from .record import Record
@@ -182,9 +182,9 @@ def _l_blocks(params: tuple[str, ...], scale: int) -> PolyMatrix:
     L = [[l3 * l3, -(l2 * l3), -(l1 * l3)],
          [-(l2 * l3), l2 * l2, -(l1 * l2)],
          [-(l1 * l3), -(l1 * l2), l1 * l1]]
-    return PolyMatrix(params, [
-        [L[i % 3][j % 3] * (scale if i // 3 == j // 3 else -scale)
-         for j in range(6)] for i in range(6)])
+    return PolyMatrix(params, 6, 2, {
+        (i, j): L[i % 3][j % 3] * (scale if i // 3 == j // 3 else -scale)
+        for i, j in product(range(6), repeat=2)})
 
 
 def expected_killing_form(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
@@ -330,10 +330,9 @@ def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
                   if len({i, j, k, l}) == 4]
     acc: dict[tuple[int, ...], list] = {}
     for i, column in enumerate(_columns(a.J, a.dim)):  # J X_i
-        for (b, nb, db), (d, nd, dd) in product(column, repeat=2):
-            _accumulate_ratio(acc, (i,), gram.at((i, b, i, d)), nb * nd,
-                              db * dd)
-    isotropy = Tensor.from_entries(a.params, a.dim, 1, acc).nonzero()
+        for (b, jb), (d, jd) in product(column, repeat=2):
+            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
+    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero()
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))
 

@@ -19,7 +19,7 @@ scatter over pairs of nonzero structure constants.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor, _accumulate
@@ -27,13 +27,6 @@ from .poly import Poly, RationalLike, as_poly
 from .record import Record
 
 Vector = tuple[Poly, ...]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def format_vector(u: Vector) -> str:
@@ -84,21 +77,14 @@ class LieAlgebra:
 
     __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobiator")
 
-    def __init__(self, dim: int, params: Iterable[str],
-                 gamma: Tensor | Sequence[Sequence[Sequence[
-                     Poly | RationalLike]]]):
+    def __init__(self, dim: int, params: Iterable[str], gamma: Tensor):
         """``gamma`` is the rank-3 :class:`~nordenlab.linalg.Tensor` of
-        structure constants, or its dense dim x dim x dim grid."""
+        structure constants; :meth:`from_brackets` builds it from
+        bracket rows."""
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         params = tuple(params)
-        if not isinstance(gamma, Tensor):
-            try:
-                gamma = Tensor(params, [[[as_poly(v, params) for v in row]
-                                         for row in plane] for plane in gamma])
-            except DimensionMismatchError:  # ragged; reported as below
-                gamma = None
-        if gamma is None or gamma.dim != dim or gamma.rank != 3:
+        if gamma.dim != dim or gamma.rank != 3:
             raise DimensionMismatchError(
                 f"structure constants must fill a {dim}x{dim}x{dim} array")
         # A violation has a nonzero side; report the first (i, j, k) with
@@ -127,6 +113,10 @@ class LieAlgebra:
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return LieAlgebra, (self.dim, self.params, self.gamma)
 
     # -- constructors ------------------------------------------------------
 
@@ -164,7 +154,7 @@ class LieAlgebra:
                 p = as_poly(coeff, params)
                 entries[(i - 1, j - 1, k - 1)] = p
                 entries[(j - 1, i - 1, k - 1)] = -p
-        return cls(dim, params, Tensor.from_entries(params, dim, 3, entries))
+        return cls(dim, params, Tensor(params, dim, 3, entries))
 
     # -- accessors ---------------------------------------------------------
 
@@ -229,7 +219,7 @@ class LieAlgebra:
                     key = min((a, b, c), (b, c, a), (c, a, b))
                     if key[0] < key[1] < key[2]:
                         _accumulate(acc, key + (q,), v, w)
-            object.__setattr__(self, "_jacobiator", Tensor.from_entries(
+            object.__setattr__(self, "_jacobiator", Tensor(
                 self.params, self.dim, 4, acc))
         return self._jacobiator
 
@@ -261,17 +251,6 @@ class LieAlgebra:
                            for i, j, k in triples)
         return CheckResult(not violations, violations)
 
-    def ad_matrix(self, x: Vector) -> PolyMatrix:
-        """Matrix of ad(x) = [x, .]: column j holds [x, X_j]."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError(
-                f"ad argument must have length {self.dim}")
-        cols = [self.bracket(x, self.basis_vector(j))
-                for j in range(1, self.dim + 1)]
-        return PolyMatrix(self.params,
-                          [[cols[j][i] for j in range(self.dim)]
-                           for i in range(self.dim)])
-
     def killing_form(self) -> PolyMatrix:
         """B_ij = trace(ad X_i · ad X_j) = sum_{p,q} c_iq^p c_jp^q.
 
@@ -286,7 +265,7 @@ class LieAlgebra:
         for (i, q, p), v in entries:
             for j, w in by_pair.get((p, q), ()):
                 _accumulate(acc, (i, j), v, w)
-        return PolyMatrix.from_entries(self.params, self.dim, 2, acc)
+        return PolyMatrix(self.params, self.dim, 2, acc)
 
     # -- substitution ------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 * :class:`RationalMatrix` — entries are :class:`fractions.Fraction`.  Used
   for the metric g, the almost-complex matrix J, and the inverse metric.
-  Supports exact inversion (Gauss-Jordan) and exact signature computation
-  by congruence diagonalization (Sylvester's law of inertia) — no
-  eigenvalues, no floating point.  Raw indexing is 0-based Python; the
-  1-based basis-label accessor is ``entry(i, j)``.
+  Its inverse and determinant, :func:`rational_rank` and the plane
+  classifier's rank tests run one sparse Gauss-Jordan elimination
+  (:func:`_eliminate`); :func:`signature` is a separate congruence
+  diagonalization (Sylvester's law of inertia) — no eigenvalues, no
+  floating point.  Raw indexing is 0-based Python; the 1-based
+  basis-label accessor is ``entry(i, j)``.
 
 * :class:`Tensor` — the one polynomial array of the package: the map
   of nonzero :class:`~nordenlab.poly.Poly` components of any rank on one
@@ -14,14 +16,13 @@
   R).
 
 * :class:`PolyMatrix` — a rank-2 :class:`Tensor` with a 1-based
-  ``entry(i, j)`` and an exact ``determinant()``.  Used for adjoint
-  matrices, the Killing form, and the Ricci tensor.
+  ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
+  form and the Ricci tensor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +54,10 @@ class RationalMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return RationalMatrix, (self.rows,)
 
     # -- constructors ------------------------------------------------------
 
@@ -175,37 +180,42 @@ class RationalMatrix:
         return tuple(out)
 
     def inverse(self) -> RationalMatrix:
-        """Exact inverse by Gauss-Jordan elimination with row pivoting.
+        """Exact inverse: :func:`_eliminate` on the rows of ``[self | I]``.
 
-        Raises :class:`SingularMatrixError` carrying the pivot index where
-        elimination found no usable row.
+        Raises :class:`SingularMatrixError` carrying the first column
+        without a pivot.
         """
-        if not self.is_square:
-            raise DimensionMismatchError(
-                f"cannot invert {self.nrows}x{self.ncols} matrix")
-        n = self.nrows
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        cols = [c for c, _ in _gauss_jordan(work, n)[0]]
+        n = self._square("cannot invert")
+        pivots = _eliminate([{**_support(row), n + i: Fraction(1)}
+                             for i, row in enumerate(self.rows)], n)
+        cols = {col for col, _, _ in pivots}
         if len(cols) < n:
             col = next(c for c in range(n) if c not in cols)
             # report 1-based, matching entry() and every other surface
             raise SingularMatrixError(
                 f"singular matrix: no pivot at row/column {col + 1}",
                 column=col + 1)
-        return RationalMatrix([row[n:] for row in work])
+        return RationalMatrix([[row.get(n + c, 0) for c in range(n)]
+                               for _, _, row in sorted(pivots)])
 
     def determinant(self) -> Fraction:
-        """Exact determinant: the product of the Gauss-Jordan pivots,
-        negated once per row swap."""
+        """Exact determinant: the product of the pivots of
+        :func:`_eliminate`, times the sign of the permutation that sends
+        each row to its pivot column."""
+        n = self._square("determinant of")
+        pivots = _eliminate([_support(row) for row in self.rows], n)
+        if len(pivots) < n:
+            return Fraction(0)
+        cols = [col for col, _, _ in pivots]
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i:])
+        return prod((lead for _, lead, _ in pivots),
+                    start=Fraction((-1) ** inversions))
+
+    def _square(self, what: str) -> int:
         if not self.is_square:
             raise DimensionMismatchError(
-                f"determinant of {self.nrows}x{self.ncols} matrix")
-        pivots, swaps = _gauss_jordan([list(row) for row in self.rows],
-                                      self.ncols)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        return prod((v for _, v in pivots), start=Fraction((-1) ** swaps))
+                f"{what} {self.nrows}x{self.ncols} matrix")
+        return self.nrows
 
     # -- comparison and display -------------------------------------------
 
@@ -291,70 +301,55 @@ def rational_rank(vectors: Iterable[Sequence[RationalLike]]) -> int:
     work = [[as_fraction(v) for v in vec] for vec in vectors]
     if work and any(len(row) != len(work[0]) for row in work):
         raise DimensionMismatchError("rank of vectors of unequal length")
-    return _support_rank([{i: v for i, v in enumerate(row) if v}
-                          for row in work])
+    return len(_eliminate([_support(row) for row in work],
+                          len(work[0]) if work else 0))
 
 
-def _support_rank(vectors: Iterable[Mapping[int, Fraction]]) -> int:
-    """Rank of rational vectors given by their nonzero components.
+def _support(vec: Iterable[Fraction]) -> dict[int, Fraction]:
+    """The nonzero components of a rational vector, by position."""
+    return {i: v for i, v in enumerate(vec) if v}
 
-    Forward elimination: each vector is reduced by the pivot rows found
-    so far, each 1 at its own pivot column, and what remains of it, if
-    anything, becomes the next pivot row.  Only nonzero entries are
-    read or stored.
+
+def _eliminate(rows: Iterable[Mapping[int, Fraction]], width: int
+               ) -> list[tuple[int, Fraction, dict[int, Fraction]]]:
+    """Gauss-Jordan elimination of sparse rational rows, given by their
+    nonzero components, with pivots in columns ``0 .. width-1`` only.
+
+    Each row is reduced by the pivot rows found so far.  If a nonzero
+    entry is left in a pivot column, the first such becomes the next
+    pivot: the row is scaled to 1 there and the column is cleared from
+    every earlier pivot row.  Returns ``(column, pivot value before
+    scaling, pivot row)`` per pivot, in the order of the rows that gave
+    them; a row reduced to nothing gives none.  The pivot columns are
+    those of the reduced row echelon form, the pivot rows its rows, and
+    only nonzero entries are read or stored.
     """
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
-    for vec in vectors:
+    pivots: list[tuple[int, Fraction, dict[int, Fraction]]] = []
+    for vec in rows:
         rest = dict(vec)
-        for col, row in pivots:
-            factor = rest.get(col)
-            if factor:
-                for c, v in row.items():
-                    value = rest.get(c, 0) - factor * v
-                    if value:
-                        rest[c] = value
-                    else:
-                        rest.pop(c, None)
-        if rest:
-            col = min(rest)
-            lead = rest[col]
-            pivots.append((col, {c: v / lead for c, v in rest.items()}))
-    return len(pivots)
-
-
-def _gauss_jordan(work: list[list[Fraction]], ncols: int
-                  ) -> tuple[list[tuple[int, Fraction]], int]:
-    """Reduce the rows ``work`` in place to reduced row echelon form in
-    their first ``ncols`` columns, pivoting on the first nonzero row.
-
-    Returns the ``(column, pivot value)`` of each pivot, before its row
-    is scaled to 1, and the number of row swaps.  A column without a
-    pivot is skipped.  Zero entries are neither scaled nor eliminated:
-    only the nonzero entries of the pivot row are read.
-    """
-    pivots: list[tuple[int, Fraction]] = []
-    swaps = 0
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]),
-                     None)
-        if pivot is None:
+        for col, _, row in pivots:
+            _subtract(rest, row, rest.get(col))
+        col = min((c for c in rest if c < width), default=None)
+        if col is None:
             continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            swaps += 1
-        row = work[rank]
-        value = row[col]
-        support = [c for c, v in enumerate(row) if v]
-        for c in support:
-            row[c] /= value
-        for r, other in enumerate(work):
-            factor = other[col]
-            if r != rank and factor:
-                for c in support:
-                    other[c] -= factor * row[c]
-        pivots.append((col, value))
-    return pivots, swaps
+        lead = rest[col]
+        row = {c: v / lead for c, v in rest.items()}
+        for _, _, other in pivots:
+            _subtract(other, row, other.get(col))
+        pivots.append((col, lead, row))
+    return pivots
+
+
+def _subtract(target: dict[int, Fraction], row: Mapping[int, Fraction],
+              factor: Fraction | None) -> None:
+    """``target -= factor * row`` in place, keeping no zero."""
+    if factor:
+        for c, v in row.items():
+            value = target.get(c, 0) - factor * v
+            if value:
+                target[c] = value
+            else:
+                del target[c]
 
 
 class Tensor:
@@ -362,9 +357,13 @@ class Tensor:
     nonzero map: a dict from 0-based index tuples to the nonzero
     components, beside ``dim``, ``rank`` and ``params``.  ``at`` reads a
     0-based index tuple, ``component`` and item access are 1-based, and
-    an index with nothing stored reads one shared zero.  The package's
-    index contractions are built on four primitives, which visit only
-    the nonzero components:
+    an index with nothing stored reads one shared zero.
+
+    ``Tensor(params, dim, rank, entries)`` is the one constructor:
+    ``entries`` maps 0-based index tuples to a Poly or to an accumulator
+    ``[nums, den]`` of :func:`_accumulate`, and absent or cancelled
+    entries are not stored.  The package's index contractions are built
+    on three primitives, which visit only the nonzero components:
 
     * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
     * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
@@ -372,60 +371,23 @@ class Tensor:
       an index is ``contract(axis, g_inv)`` and ``T(.., J x, ..)`` is
       ``contract(axis, J^T)``;
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
-      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly);
-    * ``from_entries(params, dim, rank, entries)``: a tensor from a map of
-      0-based index tuples to a Poly or to an accumulator ``[nums, den]``
-      of :func:`_accumulate`; absent or cancelled entries are not stored.
+      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly).
 
     ``contract`` and ``trace`` (and every stage built the same way) are
     multiply-accumulate scatters: :func:`_accumulate` adds each product
     of two operand polynomials term by term, as plain ints, into one
     accumulator per output index, deleting a term as soon as it cancels,
-    and ``from_entries`` reduces each finished accumulator once into a
+    and the constructor reduces each finished accumulator once into a
     canonical ``Poly``.  No intermediate product ``Poly`` is built.
 
-    ``components`` (nested tuples) and ``values()`` are dense views
-    built on demand, kept only for the benchmark's traced replay.
+    ``components`` (nested tuples) is a dense view built on demand, kept
+    only for the benchmark's traced replay.
     """
 
     __slots__ = ("dim", "rank", "params", "_entries", "_zero", "_nonzero")
 
-    def __init__(self, params: Iterable[str], components: Sequence):
-        """A tensor from a dense grid of polynomials, one nesting level
-        per index; only its nonzero entries are kept."""
-        dim = len(components)
-        rank, probe = 0, components
-        while not isinstance(probe, Poly) and len(probe):
-            rank, probe = rank + 1, probe[0]
-        entries: dict[tuple[int, ...], Poly] = {}
-
-        def walk(node, idx):
-            if len(idx) == rank and isinstance(node, Poly):
-                if node:
-                    entries[idx] = node
-                return
-            if len(idx) == rank or isinstance(node, Poly) or len(node) != dim:
-                raise DimensionMismatchError(
-                    "tensor components must fill a cube of polynomials")
-            for i, sub in enumerate(node):
-                walk(sub, idx + (i,))
-
-        walk(components, ())
-        self._set(dim, rank, params, entries)
-
-    def _set(self, dim, rank, params, entries):
-        params = tuple(params)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_zero", Poly.zero(params))
-        object.__setattr__(self, "_nonzero", None)
-
-    @classmethod
-    def from_entries(cls, params: Iterable[str], dim: int, rank: int,
-                     entries: Mapping[tuple[int, ...], Poly | list]
-                     ) -> Tensor:
+    def __init__(self, params: Iterable[str], dim: int, rank: int,
+                 entries: Mapping[tuple[int, ...], Poly | list]):
         """Each accumulator ``[nums, den]`` is reduced once, in place,
         and given up to its Poly, so none may be stored twice."""
         params = tuple(params)
@@ -444,12 +406,19 @@ class Tensor:
             elif not value:
                 continue
             kept[idx] = value
-        tensor = object.__new__(cls)
-        tensor._set(dim, rank, params, kept)
-        return tensor
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_entries", kept)
+        object.__setattr__(self, "_zero", Poly.zero(params))
+        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return type(self), (self.params, self.dim, self.rank, self._entries)
 
     def at(self, idx: tuple[int, ...]) -> Poly:
         """The component at a 0-based index tuple, unchecked."""
@@ -478,12 +447,6 @@ class Tensor:
             return tuple(fill(prefix + (i,)) for i in range(self.dim))
         return fill(())
 
-    def values(self) -> list[Poly]:
-        """Every component, zeros included, in row-major order; built on
-        demand like ``components``."""
-        return [self.at(idx)
-                for idx in product(range(self.dim), repeat=self.rank)]
-
     def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
         """The nonzero components with their 0-based indices, row-major;
         computed once."""
@@ -495,7 +458,7 @@ class Tensor:
     def contract(self, axis: int, M) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
         _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
-        return Tensor.from_entries(self.params, self.dim, self.rank, acc)
+        return Tensor(self.params, self.dim, self.rank, acc)
 
     def trace(self, a: int, b: int, M) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
@@ -504,8 +467,7 @@ class Tensor:
             if weight:
                 rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
                 _accumulate(acc, rest, v, weight)
-        return Tensor.from_entries(self.params, self.dim, self.rank - 2,
-                                   acc)
+        return Tensor(self.params, self.dim, self.rank - 2, acc)
 
     @property
     def is_zero(self) -> bool:
@@ -513,7 +475,7 @@ class Tensor:
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Tensor:
         """Numeric twin of the same class, parameter-free."""
-        return type(self).from_entries((), self.dim, self.rank, {
+        return type(self)((), self.dim, self.rank, {
             idx: Poly.constant(v.evaluate(assignment))
             for idx, v in self.nonzero()})
 
@@ -536,47 +498,33 @@ def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
     product of ints added straight into ``nums``, and a term is deleted
     the moment it cancels, as is a key whose accumulator empties, so no
     product ``Poly`` is built, no zero is kept and nothing is reduced
-    until ``Tensor.from_entries``.  A product over a denominator other
-    than ``den`` moves the accumulator to their lcm (:func:`_rescale`).
-    Operands over different parameter lists are aligned as ``v * m``
-    would align them, and every product added to one ``acc`` must come
-    out over the parameter list later given to ``Tensor.from_entries``.
+    until the :class:`Tensor` constructor.  A product over a denominator
+    other than ``den`` moves the accumulator to their lcm
+    (:func:`_rescale`).  Operands over different parameter lists are
+    aligned as ``v * m`` would align them, and every product added to
+    one ``acc`` must come out over the parameter list later given to
+    the constructor.
     """
-    if not isinstance(m, Poly):
-        _accumulate_ratio(acc, key, v, m.numerator, m.denominator)
-        return
-    if m.params is not v.params:
-        v, m = v._aligned(m)
-    den = v.den * m.den
-    entry = acc.get(key)
-    if entry is None:
-        nums = {}
-        _add_product(nums, v.nums, m.nums)
-        if nums:
-            acc[key] = [nums, den]
-        return
-    nums = entry[0]
-    _add_product(nums, v.nums, m.nums,
-                 1 if entry[1] == den else _rescale(entry, den))
-    if not nums:
-        del acc[key]
-
-
-def _accumulate_ratio(acc: dict, key: tuple[int, ...], v: Poly, num: int,
-                      den: int) -> None:
-    """:func:`_accumulate` for the rational ``m = num / den``, ``den >= 1``,
-    given as its two ints."""
-    if not num or not v.nums:
-        return
+    if isinstance(m, Poly):
+        if m.params is not v.params:
+            v, m = v._aligned(m)
+        right, factor, den = m.nums, 1, m.den
+    else:
+        right = None
+        factor, den = m.as_integer_ratio()
+        if not factor:
+            return
     den *= v.den
     entry = acc.get(key)
     if entry is None:
-        acc[key] = [{e: c * num for e, c in v.nums.items()}, den]
-        return
+        entry = acc[key] = [{}, den]
+    elif entry[1] != den:
+        factor *= _rescale(entry, den)
     nums = entry[0]
-    if entry[1] != den:
-        num *= _rescale(entry, den)
-    _add_terms(nums, v.nums, num)
+    if right is None:
+        _add_terms(nums, v.nums, factor)
+    else:
+        _add_product(nums, v.nums, right, factor)
     if not nums:
         del acc[key]
 
@@ -598,32 +546,20 @@ def _rescale(entry: list, den: int) -> int:
 
 
 def _columns(M, dim: int) -> list[list]:
-    """For each p, the nonzero entries of column p of ``M``: ``(a, num,
-    den)`` for a rational ``M[a][p] = num / den``, split here once per
-    column, and ``(a, M[a][p], None)`` for a Poly."""
-    columns = []
-    for p in range(dim):
-        column = []
-        for a in range(dim):
-            m = M[a][p]
-            if m:
-                column.append((a, m, None) if isinstance(m, Poly)
-                              else (a, m.numerator, m.denominator))
-        columns.append(column)
-    return columns
+    """For each p, the ``(a, M[a][p])`` pairs of the nonzero entries of
+    column p of ``M``, rationals or Polys."""
+    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
+            for p in range(dim)]
 
 
 def _scatter(acc: dict, entries, axis: int, columns) -> None:
     """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
     an entry at index p there sends ``value * m`` to index a for each
-    weight m of ``columns[p]`` at row a (see :func:`_columns`)."""
+    pair ``(a, m)`` of ``columns[p]`` (see :func:`_columns`)."""
     for idx, v in entries:
         head, tail = idx[:axis], idx[axis + 1:]
-        for a, num, den in columns[idx[axis]]:
-            if den is None:
-                _accumulate(acc, head + (a,) + tail, v, num)
-            else:
-                _accumulate_ratio(acc, head + (a,) + tail, v, num, den)
+        for a, m in columns[idx[axis]]:
+            _accumulate(acc, head + (a,) + tail, v, m)
 
 
 class PolyMatrix(Tensor):

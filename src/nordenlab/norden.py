@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
-from .lie import CheckResult, LieAlgebra, Vector
+from .lie import CheckResult, LieAlgebra
 from .linalg import (RationalMatrix, Tensor, _accumulate, _columns, _scatter,
                      signature)
 from .poly import Poly, RationalLike
@@ -176,6 +176,10 @@ class AlmostNordenAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("AlmostNordenAlgebra is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return AlmostNordenAlgebra, (self.algebra, self.g, self.J)
+
     # -- shape -------------------------------------------------------------
 
     @property
@@ -191,21 +195,6 @@ class AlmostNordenAlgebra:
         return self.algebra.params
 
     # -- metric and J helpers ---------------------------------------------
-
-    def metric(self, x: Vector, y: Vector) -> Poly:
-        """g(x, y) for component vectors of Poly."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError(
-                f"metric arguments must have length {self.dim}")
-        acc = Poly.zero(self.params)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                coeff = self.g[i][j]
-                if coeff and yj:
-                    acc = acc + coeff * xi * yj
-        return acc
 
     def associated_metric(self) -> RationalMatrix:
         """Matrix of g~(x, y) = g(x, Jy); again symmetric and Norden."""
@@ -237,7 +226,7 @@ class AlmostNordenAlgebra:
                 _accumulate(lowered, (i, j, k), v, half)
                 _accumulate(lowered, (k, i, j), v, -half)
                 _accumulate(lowered, (j, k, i), v, half)
-            object.__setattr__(self, "_T", Tensor.from_entries(
+            object.__setattr__(self, "_T", Tensor(
                 self.params, self.dim, 3, lowered))
         return self._T
 
@@ -256,7 +245,7 @@ class AlmostNordenAlgebra:
             for (i, j, p), v in self.G.nonzero():
                 for k, l, w in by_target[p]:
                     _accumulate(acc, (i, j, k, l), v, w)
-            object.__setattr__(self, "_gram", Tensor.from_entries(
+            object.__setattr__(self, "_gram", Tensor(
                 self.params, self.dim, 4, acc))
         return self._gram
 
@@ -301,7 +290,7 @@ class AlmostNordenAlgebra:
         acc: dict[tuple[int, ...], list] = {}
         _scatter(acc, entries, 1, _columns(jt, self.dim))
         _scatter(acc, entries, 2, _columns(-jt, self.dim))
-        return Tensor.from_entries(self.params, self.dim, 3, acc)
+        return Tensor(self.params, self.dim, 3, acc)
 
     # -- Lie form and classification --------------------------------------
 
@@ -343,7 +332,7 @@ class AlmostNordenAlgebra:
                         for k, t in support:  # M(x,y)θ(z) + M(x,z)θ(y)
                             _accumulate(pure, (i, j, k), t, m * scale)
                             _accumulate(pure, (i, k, j), t, m * scale)
-        w1 = F == Tensor.from_entries(self.params, self.dim, 3, pure)
+        w1 = F == Tensor(self.params, self.dim, 3, pure)
 
         return ClassFlags(w0=w0, w1=w1, w2=w2, w3=w3)
 

@@ -53,7 +53,7 @@ The form is unique, so equal polynomials over one parameter list have
 equal ``nums`` and ``den``.  Only code that builds numerators from
 ``Poly`` operands may call ``_make`` or :func:`_canonical`: this module
 and the multiply-accumulate kernel of :mod:`nordenlab.linalg`
-(``_accumulate`` and ``Tensor.from_entries``).  Everything else, user
+(``_accumulate`` and the ``Tensor`` constructor).  Everything else, user
 input included, goes through ``Poly(...)``.
 """
 
@@ -125,6 +125,10 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return Poly, (self.params, dict(self.terms))
 
     @classmethod
     def _make(cls, params: tuple[str, ...], nums: dict[tuple[int, ...], int],
@@ -364,9 +368,14 @@ class Poly:
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
+        # Equality aligns parameter lists, so hash what survives that:
+        # each term's occurring (name, exponent) pairs and numerator.
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.params, frozenset(self.nums.items()), self.den))
+        params = self.params
+        return hash((frozenset(
+            (frozenset((name, e) for name, e in zip(params, expo) if e), c)
+            for expo, c in self.nums.items()), self.den))
 
     def __bool__(self):
         return bool(self.nums)

@@ -5,8 +5,8 @@ scatters over nonzero components: every index tuple is visited, zero or
 not.  The tests require the library to reproduce them component for
 component.  ``derive_constant_field`` and ``derive_in_direction`` are the
 connection methods the dense curvature loop was written against.
-``killing_form`` is the adjoint-matrix loop, with the raw 0-based rows of
-each ad matrix read through ``.components``.
+``killing_form`` is the adjoint-matrix loop over the dense rows of each
+ad matrix (``ad_matrix``).
 
 ``levi_civita``, ``tensor_f_invariant`` and ``tensor_f_general`` are the
 two routes to F the library chose between at run time, before F read one
@@ -14,7 +14,7 @@ lowered Koszul tensor: G/2 for an invariant metric, and otherwise the
 Levi-Civita connection lowered again with g.
 
 ``naive_sum`` is the oracle of the multiply-accumulate kernel
-(``linalg._accumulate`` with ``Tensor.from_entries``): it multiplies term
+(``linalg._accumulate`` with the ``Tensor`` constructor): it multiplies term
 by term on named exponents and builds its one result through the
 validating ``Poly(...)`` constructor, never through a ring operation.
 ``rebased`` is the change of basis the dense and basis-change tests
@@ -34,11 +34,19 @@ nonzero lowered constants.
 the nonzero components of the spanning vectors: J applied to whole
 vectors, and two row reductions of full rows (``dense_rank``).
 
+``gauss_jordan`` is the dense elimination ``RationalMatrix`` ran on full
+rows, swapping rows to pivot column by column, before inverse,
+determinant and rank shared one sparse routine; ``dense_solve`` reads
+the inverse, determinant, rank and first pivot-free column from it.
+
 The ``*_grid`` functions build dense nested lists, zeros included, by
 loops that never call a library contraction: the lowered connection
 from ``metric`` and ``bracket_basis``, then Gamma, F, Ricci and the
 bracket Gram tensor.  ``dense_at`` reads one of their entries, so a
-sparse tensor can be compared with them at every index.
+sparse tensor can be compared with them at every index, and
+``from_grid`` builds a tensor from one.  ``vec_sub``, ``metric``,
+``connection_vector`` and ``ad_matrix`` are the component-vector
+helpers these loops use.
 """
 
 from collections import Counter
@@ -53,10 +61,9 @@ from nordenlab import (
     Poly,
     PolyMatrix,
     Tensor,
-    Vector,
-    vec_sub,
 )
 from nordenlab.errors import ParameterMismatchError
+from nordenlab.lie import Vector
 from nordenlab.linalg import RationalMatrix, _accumulate, _columns, _scatter
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -74,6 +81,46 @@ def dense_at(dense, idx: tuple):
     for i in idx:
         dense = dense[i]
     return dense
+
+
+def from_grid(params, dense, cls=Tensor):
+    """The tensor of class ``cls`` whose components are the nested
+    sequences ``dense``, one nesting level per index."""
+    rank, probe = 0, dense
+    while not isinstance(probe, Poly):
+        rank, probe = rank + 1, probe[0]
+    return cls(params, len(dense), rank, {
+        idx: dense_at(dense, idx)
+        for idx in product(range(len(dense)), repeat=rank)})
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def metric(a: AlmostNordenAlgebra, x: Vector, y: Vector) -> Poly:
+    """g(x, y) for component vectors of Poly."""
+    acc = Poly.zero(a.params)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            coeff = a.g[i][j]
+            if coeff and yj:
+                acc = acc + coeff * xi * yj
+    return acc
+
+
+def connection_vector(c: ConnectionCoeffs, i: int, j: int) -> Vector:
+    """grad_{X_i} X_j as a component vector (1-based i, j)."""
+    return tuple(c.component(i, j, k) for k in range(1, c.dim + 1))
+
+
+def ad_matrix(alg: LieAlgebra, x: Vector) -> list:
+    """Dense rows of ad(x) = [x, .]: column j holds [x, X_j]."""
+    cols = [alg.bracket(x, alg.basis_vector(j))
+            for j in range(1, alg.dim + 1)]
+    return [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
 
 
 def derive_constant_field(c, i: int, w: Vector) -> Vector:
@@ -109,7 +156,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     separate routine (:func:`curvature_invariant_formula`) so the two can
     be compared as independent routes.
     """
-    return Tensor(a.params, curvature_R_grid(a, c))
+    return from_grid(a.params, curvature_R_grid(a, c))
 
 
 def curvature_R_grid(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> list:
@@ -125,11 +172,13 @@ def curvature_R_grid(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> list:
             bij = alg.bracket_basis(i, j)
             for k in range(1, dim + 1):
                 vec = vec_sub(
-                    vec_sub(derive_constant_field(c, i, c.vector(j, k)),
-                            derive_constant_field(c, j, c.vector(i, k))),
+                    vec_sub(derive_constant_field(
+                                c, i, connection_vector(c, j, k)),
+                            derive_constant_field(
+                                c, j, connection_vector(c, i, k))),
                     derive_in_direction(c, bij, k))
                 for l in range(1, dim + 1):
-                    val = a.metric(vec, basis[l - 1])
+                    val = metric(a, vec, basis[l - 1])
                     comp[i - 1][j - 1][k - 1][l - 1] = val
                     comp[j - 1][i - 1][k - 1][l - 1] = -val
     return comp
@@ -186,12 +235,12 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
 
 def killing_form(self: LieAlgebra) -> PolyMatrix:
     """B[i][j] = trace(ad X_i · ad X_j), a symmetric matrix of Poly."""
-    return PolyMatrix(self.params, killing_form_grid(self))
+    return from_grid(self.params, killing_form_grid(self), PolyMatrix)
 
 
 def killing_form_grid(self: LieAlgebra) -> list:
     """The dense rows of :func:`killing_form`."""
-    ads = [self.ad_matrix(self.basis_vector(i)).components
+    ads = [ad_matrix(self, self.basis_vector(i))
            for i in range(1, self.dim + 1)]
     n = self.dim
     rows = [[Poly.zero(self.params) for _ in range(n)] for _ in range(n)]
@@ -223,9 +272,9 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
         _accumulate(lowered, (i, j, k), half)
         _accumulate(lowered, (k, i, j), -half)
         _accumulate(lowered, (j, k, i), half)
-    raised = Tensor.from_entries(a.params, a.dim, 3, lowered).contract(
+    raised = Tensor(a.params, a.dim, 3, lowered).contract(
         2, a.g_inv)
-    return ConnectionCoeffs(a.params, raised.components)
+    return from_grid(a.params, raised.components, ConnectionCoeffs)
 
 
 def f_from(a: AlmostNordenAlgebra, T: Tensor, factor) -> Tensor:
@@ -235,7 +284,7 @@ def f_from(a: AlmostNordenAlgebra, T: Tensor, factor) -> Tensor:
     acc: dict[tuple[int, ...], Poly] = {}
     _scatter(acc, entries, 1, _columns(jt.scale(factor), a.dim))
     _scatter(acc, entries, 2, _columns(jt.scale(-factor), a.dim))
-    return Tensor.from_entries(a.params, a.dim, 3, acc)
+    return Tensor(a.params, a.dim, 3, acc)
 
 
 def tensor_f_invariant(a: AlmostNordenAlgebra) -> Tensor:
@@ -309,12 +358,13 @@ def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
     dim = a.dim
     violations = []
     for i, j, k, l in permutations(range(1, dim + 1), 4):
-        residual = a.metric(alg.bracket_basis(i, j), alg.bracket_basis(k, l))
+        residual = metric(a, alg.bracket_basis(i, j),
+                          alg.bracket_basis(k, l))
         if residual.terms:
             violations.append(("orthogonality", i, j, k, l, residual))
     for i in range(1, dim + 1):
         v = alg.bracket(alg.basis_vector(i), a.J.apply(alg.basis_vector(i)))
-        residual = a.metric(v, v)
+        residual = metric(a, v, v)
         if residual.terms:
             violations.append(("isotropy", i, residual))
     return CheckResult(not violations, tuple(violations))
@@ -323,8 +373,8 @@ def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
     """R_ijkl = -(1/4) g([X_i, X_j], [X_k, X_l])."""
     gram = bracket_gram_grid(a)
-    return Tensor(a.params, grid(a.dim, 4,
-                                 lambda idx: dense_at(gram, idx) / -4))
+    return from_grid(a.params, grid(a.dim, 4,
+                                    lambda idx: dense_at(gram, idx) / -4))
 
 
 def bracket_gram_grid(a: AlmostNordenAlgebra) -> list:
@@ -332,8 +382,8 @@ def bracket_gram_grid(a: AlmostNordenAlgebra) -> list:
     alg = a.algebra
     brackets = [[alg.bracket_basis(i, j) for j in range(1, a.dim + 1)]
                 for i in range(1, a.dim + 1)]
-    return grid(a.dim, 4, lambda idx: a.metric(brackets[idx[0]][idx[1]],
-                                               brackets[idx[2]][idx[3]]))
+    return grid(a.dim, 4, lambda idx: metric(a, brackets[idx[0]][idx[1]],
+                                             brackets[idx[2]][idx[3]]))
 
 
 def check_invariant_metric(a: AlmostNordenAlgebra) -> CheckResult:
@@ -353,8 +403,8 @@ def lowered_connection_grid(a: AlmostNordenAlgebra) -> list:
     ``metric``."""
     alg = a.algebra
     basis = [alg.basis_vector(i) for i in range(1, a.dim + 1)]
-    G = grid(a.dim, 3, lambda idx: a.metric(
-        alg.bracket_basis(idx[0] + 1, idx[1] + 1), basis[idx[2]]))
+    G = grid(a.dim, 3, lambda idx: metric(
+        a, alg.bracket_basis(idx[0] + 1, idx[1] + 1), basis[idx[2]]))
     return grid(a.dim, 3, lambda idx: (
         G[idx[0]][idx[1]][idx[2]] - G[idx[1]][idx[2]][idx[0]]
         + G[idx[2]][idx[0]][idx[1]]) / 2)
@@ -412,6 +462,60 @@ def dense_rank(vectors) -> int:
             work[r] = [v - factor * p for v, p in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def gauss_jordan(work: list[list[Fraction]], ncols: int
+                 ) -> tuple[list[tuple[int, Fraction]], int]:
+    """Reduce the rows ``work`` in place to reduced row echelon form in
+    their first ``ncols`` columns, pivoting on the first nonzero row.
+
+    Returns the ``(column, pivot value)`` of each pivot, before its row
+    is scaled to 1, and the number of row swaps.  A column without a
+    pivot is skipped.  Zero entries are neither scaled nor eliminated:
+    only the nonzero entries of the pivot row are read.
+    """
+    pivots: list[tuple[int, Fraction]] = []
+    swaps = 0
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            swaps += 1
+        row = work[rank]
+        value = row[col]
+        support = [c for c, v in enumerate(row) if v]
+        for c in support:
+            row[c] /= value
+        for r, other in enumerate(work):
+            factor = other[col]
+            if r != rank and factor:
+                for c in support:
+                    other[c] -= factor * row[c]
+        pivots.append((col, value))
+    return pivots, swaps
+
+
+def dense_solve(rows) -> tuple:
+    """``(inverse rows or None, determinant, rank, first column without
+    a pivot, 1-based, or None)`` of a square rational matrix, from
+    :func:`gauss_jordan` on the full rows of ``[rows | I]``."""
+    n = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j))
+                                          for j in range(n)]
+            for i, row in enumerate(rows)]
+    pivots, swaps = gauss_jordan(work, n)
+    cols = [c for c, _ in pivots]
+    if len(cols) < n:
+        missing = next(c for c in range(n) if c not in cols)
+        return None, Fraction(0), len(cols), missing + 1
+    det = Fraction((-1) ** swaps)
+    for _, value in pivots:
+        det *= value
+    return [row[n:] for row in work], det, n, None
 
 
 def metric_product(a: AlmostNordenAlgebra, u, v) -> Fraction:

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from reference import rebased
+from reference import from_grid, rebased
 from nordenlab import Tensor, nabla_R, rational_rank
 from nordenlab.linalg import RationalMatrix
 from nordenlab.report import Geometry
@@ -66,7 +66,7 @@ def pulled_back(T, P):
 def nabla_r(geo: Geometry) -> Tensor:
     """The rank-5 grad R of one geometry."""
     a = geo.algebra
-    return Tensor(a.params, nabla_R(a, geo.connection, geo.R))
+    return from_grid(a.params, nabla_R(a, geo.connection, geo.R))
 
 
 def assert_curvature_identities(R):

@@ -331,13 +331,13 @@ def test_check_runs_jacobi_once(monkeypatch, capsys):
     # build_table1 validates the family and `check` reports on it: the
     # Jacobiator and the bracket Gram tensor are each built once for both
     builders = []
-    original = Tensor.from_entries.__func__
+    original = Tensor.__init__
 
-    def recorded(cls, *args, **kwargs):
+    def recorded(self, *args, **kwargs):
         builders.append(sys._getframe(1).f_code.co_name)
-        return original(cls, *args, **kwargs)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Tensor, "from_entries", classmethod(recorded))
+    monkeypatch.setattr(Tensor, "__init__", recorded)
     assert main(["check", "--family", "table1"]) == 0
     assert capsys.readouterr().out == CHECK_OK
     assert builders.count("jacobiator_tensor") == 1

@@ -3,7 +3,7 @@ invariant that the trusted ``Poly._make`` path relies on.
 
 ``_accumulate`` adds integer products straight into accumulators of
 numerators over one denominator, rescaling to the lcm when a product
-arrives over another, and ``Tensor.from_entries`` reduces each one once
+arrives over another, and the ``Tensor`` constructor reduces each one once
 without re-validation.  So the tests compare them with
 ``reference.naive_sum`` on seeded random inputs, operands over mixed
 denominators included, and check that every component of every pipeline
@@ -13,6 +13,7 @@ validating constructor unchanged.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -47,7 +48,7 @@ def fused(params, keyed_pairs):
             _accumulate(acc, key, v)
         else:
             _accumulate(acc, key, v, m)
-    return Tensor.from_entries(params, len(KEYS), 1, acc)
+    return Tensor(params, len(KEYS), 1, acc)
 
 
 def assert_matches_oracle(params, keyed_pairs):
@@ -134,7 +135,7 @@ def test_rescale_moves_the_accumulator_only_when_needed():
     assert (0,) not in acc
     _accumulate(acc, (0,), x.scale(Fraction(3, 2)), Fraction(2, 3))
     assert acc[(0,)] == [{(1, 0, 0): 6}, 6]  # reduced only when read
-    assert Tensor.from_entries(PARAMS, 1, 1, acc).component(1) == x
+    assert Tensor(PARAMS, 1, 1, acc).component(1) == x
 
 
 def assert_canonical(p):
@@ -237,7 +238,7 @@ def test_products_must_land_on_the_tensor_parameters():
     # product; the terms cannot be read over the tensor's list
     t = Poly.variable("t", ("t",))
     s = Poly.variable("s", ("t", "s"))
-    T = Tensor.from_entries(("t",), 1, 1, {(0,): t})
+    T = Tensor(("t",), 1, 1, {(0,): t})
     assert T.contract(0, [[Poly.constant(2, ("t",))]]).component(1) == 2 * t
     with pytest.raises(ParameterMismatchError):
         T.contract(0, [[s]])
@@ -253,7 +254,8 @@ def stage_polys(geo):
         if not block.is_zero:
             break  # the report stops here too
     for T in tensors:
-        yield from T.values()
+        yield from (T.at(idx)
+                    for idx in product(range(T.dim), repeat=T.rank))
     yield from geo.theta
     yield geo.ricci_and_tau[1]
     yield geo.nabla_j_norm

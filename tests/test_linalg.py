@@ -7,7 +7,6 @@ import pytest
 
 from nordenlab import (
     DegenerateFormError,
-    DimensionMismatchError,
     LieAlgebra,
     NonSymmetricMatrixError,
     ParameterMismatchError,
@@ -16,12 +15,13 @@ from nordenlab import (
     RationalMatrix,
     SingularMatrixError,
     Tensor,
-    as_poly,
     parse_poly,
     rational_rank,
     signature,
 )
 from nordenlab.linalg import _accumulate
+from nordenlab.poly import as_poly
+from reference import from_grid
 
 
 def rand_invertible(rnd, n):
@@ -169,7 +169,8 @@ P3 = ("l1", "l2", "l3")
 
 
 def pm(rows):
-    return PolyMatrix(P3, [[as_poly(c, P3) for c in row] for row in rows])
+    return from_grid(P3, [[as_poly(c, P3) for c in row] for row in rows],
+                     PolyMatrix)
 
 
 def is_symmetric(m):
@@ -208,7 +209,7 @@ def test_poly_matrix_evaluate_commutes_with_determinant():
     for _ in range(6):
         rows = [[parse_poly(f"{rnd.randint(-3, 3)}*l1 + {rnd.randint(-3, 3)}*l2")
                  .with_params(P3) for _ in range(3)] for _ in range(3)]
-        m = PolyMatrix(P3, rows)
+        m = from_grid(P3, rows, PolyMatrix)
         point = {"l1": Fraction(rnd.randint(-4, 4), 3), "l2": rnd.randint(-4, 4),
                  "l3": 0}
         assert m.determinant().evaluate(point) == m.evaluate(point).determinant()
@@ -235,11 +236,12 @@ def test_tensor_stores_no_zero_even_after_cancellation():
     _accumulate(acc, (0, 1), T, 2)
     _accumulate(acc, (0, 1), T, -2)  # cancels: the key is dropped
     _accumulate(acc, (1, 0), T)
-    tensor = Tensor.from_entries(T_PARAMS, 2, 2,
+    tensor = Tensor(T_PARAMS, 2, 2,
                                  {**acc, (1, 1): T - T, (0, 0): [{}, 1]})
     assert tensor.nonzero() == (((1, 0), T),)
     assert repr(tensor) == "Tensor(rank=2, dim=2, 1 nonzero components)"
-    grid = Tensor(T_PARAMS, [[T - T, T], [Poly.zero(T_PARAMS), T * T]])
+    grid = Tensor(T_PARAMS, 2, 2, {(0, 0): T - T, (0, 1): T,
+                                   (1, 0): Poly.zero(T_PARAMS), (1, 1): T * T})
     assert [idx for idx, _ in grid.nonzero()] == [(0, 1), (1, 1)]
     # every other index reads the one shared zero
     assert grid.component(1, 1) is grid.component(2, 1) is grid.at((0, 0))
@@ -251,46 +253,20 @@ def test_nonzero_is_row_major_whatever_the_insertion_order():
     rng = random.Random(7)
     for _ in range(5):
         rng.shuffle(keys)
-        tensor = Tensor.from_entries(T_PARAMS, 3, 3, {k: T for k in keys})
+        tensor = Tensor(T_PARAMS, 3, 3, {k: T for k in keys})
         assert [idx for idx, _ in tensor.nonzero()] == sorted(keys)
 
 
-def test_tensor_from_grid_equals_from_entries():
-    def value(i, j, k):
-        return T * (i - j) + (k if (i + k) % 3 == 0 else 0)
-
-    dim = 3
-    grid = [[[value(i, j, k) for k in range(dim)] for j in range(dim)]
-            for i in range(dim)]
-    dense = Tensor(T_PARAMS, grid)
-    sparse = Tensor.from_entries(T_PARAMS, dim, 3, {
-        (i, j, k): value(i, j, k) for i in range(dim) for j in range(dim)
-        for k in range(dim)})
-    assert dense == sparse and dense.nonzero() == sparse.nonzero()
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                assert dense.component(i + 1, j + 1, k + 1) == grid[i][j][k]
-
-
 def test_equal_lie_algebras_hash_equal():
-    grid = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    grid[0][1][2], grid[1][0][2] = T, -T
-    dense = LieAlgebra(3, T_PARAMS, grid)
-    sparse = LieAlgebra.from_brackets(3, T_PARAMS, {(1, 2): {3: "t"}})
-    assert dense == sparse and hash(dense) == hash(sparse)
-    twins = [alg.evaluate({"t": 2}) for alg in (dense, sparse)]
+    direct = LieAlgebra(3, T_PARAMS, Tensor(T_PARAMS, 3, 3, {
+        (0, 1, 2): T, (1, 0, 2): -T}))
+    rows = LieAlgebra.from_brackets(3, T_PARAMS, {(1, 2): {3: "t"}})
+    assert direct == rows and hash(direct) == hash(rows)
+    twins = [alg.evaluate({"t": 2}) for alg in (direct, rows)]
     assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
-    assert dense != LieAlgebra.abelian(3, T_PARAMS)
-
-
-def test_ragged_grid_raises():
-    with pytest.raises(DimensionMismatchError):
-        Tensor(T_PARAMS, [[T, T], [T]])
-    with pytest.raises(DimensionMismatchError):
-        Tensor(T_PARAMS, [[T, T], [T, [T, T]]])
+    assert direct != LieAlgebra.abelian(3, T_PARAMS)
 
 
 def test_term_width_mismatch_raises():
     with pytest.raises(ParameterMismatchError):
-        Tensor.from_entries(T_PARAMS, 2, 1, {(0,): [{(1, 0): 1}, 1]})
+        Tensor(T_PARAMS, 2, 1, {(0,): [{(1, 0): 1}, 1]})

@@ -182,6 +182,21 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_hash_agrees_with_equality_across_parameter_lists():
+    a, ab, ba = (Poly.variable("a", params)
+                 for params in (("a",), ("a", "b"), ("b", "a")))
+    assert a == ab == ba
+    assert hash(a) == hash(ab) == hash(ba)
+    assert len({a, ab, ba}) == 1
+    p = parse_poly("1/3*a*b^2 - 2*b + 5", ("a", "b"))
+    q = p.with_params(("c", "b", "a"))
+    assert p == q and hash(p) == hash(q)
+    assert p != parse_poly("1/3*a^2*b - 2*b + 5", ("a", "b"))
+    # a constant still hashes as its Fraction
+    half = Poly.constant(Fraction(1, 2), ("a", "b"))
+    assert hash(half) == hash(Fraction(1, 2)) == hash(Poly.constant("1/2"))
+
+
 def test_parse_is_linear_in_the_number_of_terms():
     params = tuple(f"p{n}" for n in range(60))
     expected, pieces = {}, []

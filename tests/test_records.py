@@ -1,6 +1,9 @@
 """The package's value records: plain ``__slots__`` classes with the
 constructor signatures, attributes, equality, hashing and immutability of
-frozen records, and no ``dataclasses`` import in a CLI process."""
+frozen records, and no ``dataclasses`` import in a CLI process.  Records,
+polynomials, matrices, tensors and algebras copy and pickle through
+their validating constructors, and an algebra's copy gives the same
+report."""
 
 import copy
 import inspect
@@ -14,9 +17,10 @@ import pytest
 
 from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
                        LieAlgebra, PlaneSpec, RegressionCheck,
-                       RegressionReport, Table1Family)
+                       RegressionReport, Table1Family, build_table1)
 from nordenlab.errors import DimensionMismatchError
-from nordenlab.report import ReportDocument
+from nordenlab.report import ReportDocument, compute_report, document_for
+from test_reference import FIXTURES
 from nordenlab.specfile import AlgebraSpecFile
 
 ALGEBRA = AlmostNordenAlgebra(LieAlgebra.abelian(2, ()))
@@ -59,9 +63,8 @@ def test_record_fields_equality_and_immutability(cls, names, args):
     assert not hasattr(record, "__dict__")
     assert repr(record).startswith(f"{cls.__name__}({names[0]}=")
     assert copy.copy(record) == record
-    if cls is not Table1Family:  # an algebra cannot be deep-copied
-        assert copy.deepcopy(record) == record
-        assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
     try:
         hash(args)
     except TypeError:  # a field value is unhashable: so is the record
@@ -69,6 +72,31 @@ def test_record_fields_equality_and_immutability(cls, names, args):
             hash(record)
     else:
         assert hash(record) == hash(cls(*args))
+
+
+def round_trips(obj):
+    return copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
+def test_algebras_copy_and_pickle_through_their_constructors(name, request):
+    a = request.getfixturevalue(name)
+    report = document_for(a)
+    for copied in round_trips(a):
+        assert copied == a and copied is not a
+        assert document_for(copied) == report  # a Geometry of the copy
+
+
+def test_family_and_stages_copy_and_pickle():
+    family = build_table1()
+    geo = compute_report(family.algebra)
+    parts = [family, geo.F, geo.connection, geo.R, geo.killing_form,
+             geo.ricci_and_tau[1], family.algebra.g, family.algebra.algebra]
+    for obj in parts:
+        for copied in round_trips(obj):
+            assert type(copied) is type(obj) and copied == obj
+    copied = copy.deepcopy(family)
+    assert compute_report(copied.algebra).R == geo.R
 
 
 def test_record_defaults_and_conversions():

@@ -16,7 +16,11 @@ symbolic sheared family and the inputs built to fail a check.
 ``plane_type`` reads only the nonzero components of its spanning
 vectors; it must give the dense classifier's type on every coordinate
 plane of every input and on seeded random rational planes, holomorphic
-and dependent ones included.
+and dependent ones included.  The one sparse elimination behind it and
+behind ``RationalMatrix.inverse``, ``determinant`` and ``rational_rank``
+must match the dense Gauss-Jordan loop on seeded random matrices,
+singular ones included: the same inverse, determinant and rank, and the
+same first pivot-free column in ``SingularMatrixError``.
 
 Tensors store only their nonzero components, so each one is also read
 with ``component`` at every 1-based index, zeros included, against the
@@ -36,6 +40,8 @@ from nordenlab import (PlaneSpec, check_eq22, coordinate_plane,
                        is_locally_symmetric, levi_civita, nabla_R,
                        plane_type, ricci_and_scalar, rational_rank)
 from nordenlab.curvature import nabla_R_blocks
+from nordenlab.errors import SingularMatrixError
+from nordenlab.linalg import RationalMatrix
 
 
 def assert_dense(T, dense):
@@ -166,3 +172,28 @@ def test_rational_rank_matches_dense_reference():
         if rng.random() < 0.3:  # a combination of the others
             rows.append([sum(r[c] for r in rows) for c in range(width)])
         assert rational_rank(rows) == reference.dense_rank(rows), rows
+    # square matrices: inverse, determinant, rank and the pivot-free column
+    regular = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # one row the sum of the others
+            k = rng.randrange(n)
+            rows[k] = [sum(r[c] for i, r in enumerate(rows) if i != k)
+                       for c in range(n)]
+        inverse, det, rank, column = reference.dense_solve(rows)
+        m = RationalMatrix(rows)
+        assert m.determinant() == det, rows
+        assert rational_rank(rows) == rank, rows
+        if column is None:
+            regular += 1
+            assert m.inverse() == RationalMatrix(inverse), rows
+            assert m @ m.inverse() == RationalMatrix.identity(n)
+        else:
+            singular += 1
+            with pytest.raises(SingularMatrixError) as caught:
+                m.inverse()
+            assert caught.value.column == column, rows
+    assert regular > 50 and singular > 50

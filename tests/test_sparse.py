@@ -1,8 +1,8 @@
 """Sparse storage end to end.
 
-A ``Tensor`` is its nonzero map; its dense views ``components`` and
-``values()`` are kept only for the benchmark's traced replay.  The guard
-makes both raise and runs every pipeline, check and CLI command on every
+A ``Tensor`` is its nonzero map; its dense view ``components`` is kept
+only for the benchmark's traced replay.  The guard makes it raise and
+runs every pipeline, check and CLI command on every
 fixture of ``test_reference``, rebuilt from its spec text so no cached
 stage hides a reader.  The dimension-20 inputs show what sparse storage
 buys: an abelian algebra stores nothing at all, and ``check`` on the
@@ -25,7 +25,6 @@ def no_dense_views(monkeypatch):
         raise AssertionError("a dense Tensor view was read")
 
     monkeypatch.setattr(Tensor, "components", property(refuse))
-    monkeypatch.setattr(Tensor, "values", refuse)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
