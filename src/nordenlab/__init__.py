@@ -36,7 +36,6 @@ from .curvature import (
     square_norm_nabla_J,
 )
 from .errors import (
-    DegenerateFormError,
     DegeneratePlaneError,
     DimensionMismatchError,
     NonSymmetricMatrixError,
@@ -56,7 +55,7 @@ from .family import (
     regression_report,
 )
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, RationalMatrix, Tensor, signature
+from .linalg import PolyMatrix, RationalMatrix, Tensor
 # not in __all__: the benchmark's oracle imports it from the package
 from .linalg import rational_rank  # noqa: F401
 from .norden import (
@@ -78,7 +77,6 @@ __all__ = [
     "CheckResult",
     "ClassFlags",
     "ConnectionCoeffs",
-    "DegenerateFormError",
     "DegeneratePlaneError",
     "DimensionMismatchError",
     "Geometry",
@@ -121,6 +119,5 @@ __all__ = [
     "regression_report",
     "ricci_and_scalar",
     "sectional_curvature",
-    "signature",
     "square_norm_nabla_J",
 ]

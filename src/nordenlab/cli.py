@@ -184,7 +184,7 @@ def cmd_curvature(args) -> int:
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
     shown = 0
-    for (i, j, k, l), value in geo.R.nonzero():  # row-major: lexicographic
+    for (i, j, k, l), value in geo.R.nonzero:  # row-major: lexicographic
         if i < j and k < l and (i, j) <= (k, l):
             print(f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {value}")
             shown += 1

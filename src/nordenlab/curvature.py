@@ -51,8 +51,6 @@ class ConnectionCoeffs(Tensor):
     """Components of a connection: coeffs[i][j][k] is the X_{k+1}-component
     of grad_{X_{i+1}} X_{j+1} (raw storage 0-based, accessors 1-based)."""
 
-    __slots__ = ()
-
     @property
     def coeffs(self):
         return self.components
@@ -68,7 +66,7 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     bracket — verified in the tests, not assumed here.
     """
     raised = a.T.contract(2, a.g_inv)
-    return ConnectionCoeffs(a.params, a.dim, 3, dict(raised.nonzero()))
+    return ConnectionCoeffs(a.params, a.dim, 3, dict(raised.nonzero))
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
@@ -87,7 +85,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     independent routes.
     """
     dim = a.dim
-    gamma = c.nonzero()
+    gamma = c.nonzero
     by_first = [[] for _ in range(dim)]   # p -> (k, q, Gamma_pk^q)
     by_second = [[] for _ in range(dim)]  # p -> (i, q, Gamma_ip^q)
     for (i, p, q), v in gamma:
@@ -100,7 +98,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
             if i != j:
                 _accumulate(upper, (i, j, k, q), v, w)
                 _accumulate(upper, (j, i, k, q), minus_v, w)
-    for (i, j, p), v in a.algebra.gamma.nonzero():
+    for (i, j, p), v in a.algebra.gamma.nonzero:
         minus_v = -v
         for k, q, w in by_first[p]:
             _accumulate(upper, (i, j, k, q), minus_v, w)
@@ -116,14 +114,14 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
     :func:`curvature_R`: it never reads the connection.
     """
     return Tensor(a.params, a.dim, 4, {
-        idx: v / -4 for idx, v in a.bracket_gram.nonzero()})
+        idx: v / -4 for idx, v in a.bracket_gram.nonzero})
 
 
 def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
     rho = R.trace(0, 3, a.g_inv)
-    return (PolyMatrix(a.params, a.dim, 2, dict(rho.nonzero())),
+    return (PolyMatrix(a.params, a.dim, 2, dict(rho.nonzero)),
             rho.trace(0, 1, a.g_inv).at(()))
 
 
@@ -157,7 +155,7 @@ def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
 def _image(M, u: dict[int, Fraction]) -> dict[int, Fraction]:
     """The nonzero components of M u, visiting only the nonzero u_p and
     the nonzero entries of their columns of M."""
-    columns = M.nonzero_columns()
+    columns = M.nonzero_columns
     out: dict[int, Fraction] = {}
     for p, up in u.items():
         for a, m in columns[p]:
@@ -250,7 +248,7 @@ def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
     R breaks.  Each symmetry is an involution, so testing it at the
     nonzero components suffices."""
-    for (j, k, l, m), v in R.nonzero():
+    for (j, k, l, m), v in R.nonzero:
         minus_v = -v
         for partner, value, identity in (
                 (R.at((k, j, l, m)), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
@@ -283,10 +281,10 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     first block, and a violation raises :class:`StructureError`.
     """
     _check_slot_symmetries(R)
-    entries = R.nonzero()
+    entries = R.nonzero
     # direction i -> p -> the (x, -Gamma_ix^p), x increasing
     columns_of = [[[] for _ in range(a.dim)] for _ in range(a.dim)]
-    for (i, x, p), v in c.nonzero():
+    for (i, x, p), v in c.nonzero:
         columns_of[i][p].append((x, -v))
     for columns in columns_of:
         acc: dict[tuple[int, ...], list] = {}
@@ -301,7 +299,7 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                     if j < k and l < n and (j, k) <= (l, n):
                         _accumulate(acc, key, v, m)
         orbits: dict[tuple[int, ...], Poly] = {}
-        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero():
+        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero:
             minus_v = -v
             for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
                                ((j, k, m, l), minus_v), ((k, j, m, l), v)):
@@ -330,7 +328,7 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
     acc: dict[tuple[int, ...], list] = {}
-    for idx, u in raised.nonzero():
+    for idx, u in raised.nonzero:
         v = F.at(idx)
         if v:
             _accumulate(acc, (), u, v)

@@ -38,12 +38,7 @@ class SingularMatrixError(NordenLabError):
 
 
 class NonSymmetricMatrixError(NordenLabError):
-    """A symmetric matrix was required (signature, metric input)."""
-
-
-class DegenerateFormError(NordenLabError):
-    """Congruence reduction of a symmetric form produced a zero diagonal
-    entry: the form is degenerate and has no signature."""
+    """A symmetric matrix was required (metric input)."""
 
 
 class DegeneratePlaneError(NordenLabError):

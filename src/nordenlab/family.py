@@ -24,7 +24,7 @@ from typing import Mapping
 from .curvature import curvature_invariant_formula
 from .errors import StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, Tensor, _accumulate, _columns
+from .linalg import PolyMatrix, Tensor, _accumulate
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike
 from .record import Record
@@ -326,13 +326,13 @@ def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
     a = f.algebra if isinstance(f, Table1Family) else f
     gram = a.bracket_gram
     violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
-                  for (i, j, k, l), residual in gram.nonzero()
+                  for (i, j, k, l), residual in gram.nonzero
                   if len({i, j, k, l}) == 4]
     acc: dict[tuple[int, ...], list] = {}
-    for i, column in enumerate(_columns(a.J, a.dim)):  # J X_i
+    for i, column in enumerate(a.J.nonzero_columns):  # J X_i
         for (b, jb), (d, jd) in product(column, repeat=2):
             _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
-    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero()
+    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))
 
@@ -382,7 +382,7 @@ class RegressionReport(Record):
 
 def _one_based(T: Tensor) -> list[tuple[int, ...]]:
     """The 1-based indices of the nonzero components of ``T``."""
-    return [tuple(i + 1 for i in idx) for idx, _ in T.nonzero()]
+    return [tuple(i + 1 for i in idx) for idx, _ in T.nonzero]
 
 
 def regression_report(f: Table1Family) -> RegressionReport:

@@ -19,6 +19,7 @@ scatter over pairs of nonzero structure constants.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, StructureError
@@ -75,8 +76,6 @@ class LieAlgebra:
     Jacobi's identity is *not* assumed; :meth:`check_jacobi` decides it.
     """
 
-    __slots__ = ("dim", "params", "gamma", "_pairs", "_jacobiator")
-
     def __init__(self, dim: int, params: Iterable[str], gamma: Tensor):
         """``gamma`` is the rank-3 :class:`~nordenlab.linalg.Tensor` of
         structure constants; :meth:`from_brackets` builds it from
@@ -90,7 +89,7 @@ class LieAlgebra:
         # A violation has a nonzero side; report the first (i, j, k) with
         # i >= j in lexicographic order.
         broken = [(max(i, j), min(i, j), k)
-                  for (i, j, k), v in gamma.nonzero()
+                  for (i, j, k), v in gamma.nonzero
                   if gamma.at((j, i, k)) != -v]
         if broken:
             i, j, k = min(broken)
@@ -104,12 +103,11 @@ class LieAlgebra:
         object.__setattr__(self, "gamma", gamma)
         # Nonzero bracket rows (i < j), precomputed for bracket evaluation.
         pairs: dict[tuple[int, int], list] = {}
-        for (i, j, k), v in gamma.nonzero():
+        for (i, j, k), v in gamma.nonzero:
             if i < j:
                 pairs.setdefault((i, j), []).append((k, v))
         object.__setattr__(self, "_pairs", tuple(
             (i, j, tuple(targets)) for (i, j), targets in pairs.items()))
-        object.__setattr__(self, "_jacobiator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -201,27 +199,24 @@ class LieAlgebra:
         self._check_index(j)
         return self._row(self.gamma, i - 1, j - 1)
 
-    @property
+    @cached_property
     def jacobiator_tensor(self) -> Tensor:
         """J_ijk^q = sum_p (c_ij^p c_pk^q + c_jk^p c_pi^q + c_ki^p c_pj^q)
         at i < j < k, computed once: one scatter over pairs of nonzero
         structure constants (c_ab^p, c_pc^q), each product added only at
         the increasing rotation of (a, b, c).  Any other triple permutes
         one of these or repeats an index."""
-        if self._jacobiator is None:
-            entries = self.gamma.nonzero()
-            by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
-            for (p, c, q), w in entries:
-                by_first[p].append((c, q, w))
-            acc: dict[tuple[int, ...], list] = {}
-            for (a, b, p), v in entries:
-                for c, q, w in by_first[p]:
-                    key = min((a, b, c), (b, c, a), (c, a, b))
-                    if key[0] < key[1] < key[2]:
-                        _accumulate(acc, key + (q,), v, w)
-            object.__setattr__(self, "_jacobiator", Tensor(
-                self.params, self.dim, 4, acc))
-        return self._jacobiator
+        entries = self.gamma.nonzero
+        by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
+        for (p, c, q), w in entries:
+            by_first[p].append((c, q, w))
+        acc: dict[tuple[int, ...], list] = {}
+        for (a, b, p), v in entries:
+            for c, q, w in by_first[p]:
+                key = min((a, b, c), (b, c, a), (c, a, b))
+                if key[0] < key[1] < key[2]:
+                    _accumulate(acc, key + (q,), v, w)
+        return Tensor(self.params, self.dim, 4, acc)
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
         """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j].
@@ -246,7 +241,7 @@ class LieAlgebra:
         violation per triple i < j < k whose row of
         :attr:`jacobiator_tensor` is nonzero, in lexicographic order."""
         J = self.jacobiator_tensor
-        triples = dict.fromkeys(idx[:3] for idx, _ in J.nonzero())
+        triples = dict.fromkeys(idx[:3] for idx, _ in J.nonzero)
         violations = tuple((i + 1, j + 1, k + 1, self._row(J, i, j, k))
                            for i, j, k in triples)
         return CheckResult(not violations, violations)
@@ -257,7 +252,7 @@ class LieAlgebra:
         One scatter over pairs of nonzero structure constants: each
         c_iq^p meets every c_jp^q with the same (p, q).
         """
-        entries = self.gamma.nonzero()
+        entries = self.gamma.nonzero
         by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
         for (j, p, q), w in entries:
             by_pair.setdefault((p, q), []).append((j, w))
@@ -286,7 +281,7 @@ class LieAlgebra:
                 and self.gamma == other.gamma)
 
     def __hash__(self):
-        return hash((self.dim, self.params, self.gamma.nonzero()))
+        return hash((self.dim, self.params, self.gamma.nonzero))
 
     def __repr__(self):
         nonzero = sum(len(t) for _, _, t in self._pairs)

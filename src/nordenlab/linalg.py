@@ -4,10 +4,9 @@
   for the metric g, the almost-complex matrix J, and the inverse metric.
   Its inverse and determinant, :func:`rational_rank` and the plane
   classifier's rank tests run one sparse Gauss-Jordan elimination
-  (:func:`_eliminate`); :func:`signature` is a separate congruence
-  diagonalization (Sylvester's law of inertia) — no eigenvalues, no
-  floating point.  Raw indexing is 0-based Python; the 1-based
-  basis-label accessor is ``entry(i, j)``.
+  (:func:`_eliminate`) — no floating point.  Raw indexing is 0-based
+  Python; the 1-based basis-label accessor is ``entry(i, j)``, and
+  ``nonzero_columns`` is its one sparse view, cached.
 
 * :class:`Tensor` — the one polynomial array of the package: the map
   of nonzero :class:`~nordenlab.poly.Poly` components of any rank on one
@@ -23,24 +22,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DegenerateFormError,
-    DimensionMismatchError,
-    NonSymmetricMatrixError,
-    ParameterMismatchError,
-    SingularMatrixError,
-)
+from .errors import (DimensionMismatchError, ParameterMismatchError,
+                     SingularMatrixError)
 from .poly import (Poly, RationalLike, _add_product, _add_terms, _canonical,
                    as_fraction)
 
 
 class RationalMatrix:
     """Immutable dense matrix of exact rationals."""
-
-    __slots__ = ("rows", "_nonzero_columns")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(as_fraction(v) for v in row) for row in rows)
@@ -50,7 +43,6 @@ class RationalMatrix:
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows in matrix input")
         object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_nonzero_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -95,14 +87,13 @@ class RationalMatrix:
                              f"{self.nrows}x{self.ncols} matrix (1-based)")
         return self.rows[i - 1][j - 1]
 
+    @cached_property
     def nonzero_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """For each column, the ``(row, entry)`` pairs of its nonzero
         entries, rows increasing; computed once."""
-        if self._nonzero_columns is None:
-            object.__setattr__(self, "_nonzero_columns", tuple(
-                tuple((i, row[j]) for i, row in enumerate(self.rows) if row[j])
-                for j in range(self.ncols)))
-        return self._nonzero_columns
+        return tuple(
+            tuple((i, row[j]) for i, row in enumerate(self.rows) if row[j])
+            for j in range(self.ncols))
 
     @property
     def is_symmetric(self) -> bool:
@@ -146,18 +137,10 @@ class RationalMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        # g and J have one nonzero per row: multiply only nonzero entries
-        sparse = [[(q, b) for q, b in enumerate(row) if b]
-                  for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for a, other_row in zip(row, sparse):
-                if a:
-                    for q, b in other_row:
-                        acc[q] += a * b
-            out.append(acc)
-        return RationalMatrix(out)
+        # g and J are sparse: multiply only pairs of nonzero entries
+        columns = other.nonzero_columns
+        return RationalMatrix([[sum(row[p] * b for p, b in column if row[p])
+                                for column in columns] for row in self.rows])
 
     def transpose(self) -> RationalMatrix:
         return RationalMatrix(zip(*self.rows))
@@ -233,69 +216,6 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
-def signature(m: RationalMatrix) -> tuple[int, int]:
-    """Signature (positive count, negative count) of a symmetric matrix.
-
-    Congruence diagonalization over the rationals: diagonal pivots are
-    used directly; a zero diagonal with a nonzero off-diagonal entry is
-    repaired by the congruence e_k <- e_k + e_l, which puts 2*A[k][l] on
-    the diagonal.  By Sylvester's law of inertia the diagonal sign counts
-    are invariants of the form.
-
-    Raises :class:`NonSymmetricMatrixError` for non-symmetric input and
-    :class:`DegenerateFormError` when the reduction meets an identically
-    zero row (the form has a kernel, hence no full signature).
-    """
-    if not m.is_square:
-        raise DimensionMismatchError(
-            f"signature of {m.nrows}x{m.ncols} matrix")
-    if not m.is_symmetric:
-        raise NonSymmetricMatrixError(
-            "signature requires a symmetric matrix")
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-
-    def add_into(dst: int, src: int):
-        # Congruence e_dst <- e_dst + e_src: same op on rows and columns.
-        for j in range(n):
-            a[dst][j] += a[src][j]
-        for i in range(n):
-            a[i][dst] += a[i][src]
-
-    def swap(i: int, j: int):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            other = next((l for l in range(k + 1, n) if a[l][l] != 0), None)
-            if other is not None:
-                swap(k, other)
-            else:
-                off = next((l for l in range(k + 1, n) if a[k][l] != 0),
-                           None)
-                if off is None:
-                    raise DegenerateFormError(
-                        f"degenerate symmetric form: basis direction {k} "
-                        f"lies in the kernel after reduction")
-                add_into(k, off)
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            if a[r][k]:
-                factor = a[r][k] / pivot
-                for j in range(n):
-                    a[r][j] -= factor * a[k][j]
-                for i in range(n):
-                    a[i][r] -= factor * a[i][k]
-    return pos, neg
-
-
 def rational_rank(vectors: Iterable[Sequence[RationalLike]]) -> int:
     """Rank of a family of rational vectors, by exact row reduction."""
     work = [[as_fraction(v) for v in vec] for vec in vectors]
@@ -365,11 +285,11 @@ class Tensor:
     entries are not stored.  The package's index contractions are built
     on three primitives, which visit only the nonzero components:
 
-    * ``nonzero()``: the ``(0-based index, Poly)`` pairs, row-major;
+    * ``nonzero``: the ``(0-based index, Poly)`` pairs, row-major;
     * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
-      for a square matrix ``M`` of rationals or polynomials, so raising
-      an index is ``contract(axis, g_inv)`` and ``T(.., J x, ..)`` is
-      ``contract(axis, J^T)``;
+      for a square :class:`RationalMatrix` ``M``, read through its
+      ``nonzero_columns``, so raising an index is ``contract(axis, g_inv)``
+      and ``T(.., J x, ..)`` is ``contract(axis, J^T)``;
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
       axes ``a < b``, two ranks lower (a rank-0 result holds one Poly).
 
@@ -383,8 +303,6 @@ class Tensor:
     ``components`` (nested tuples) is a dense view built on demand, kept
     only for the benchmark's traced replay.
     """
-
-    __slots__ = ("dim", "rank", "params", "_entries", "_zero", "_nonzero")
 
     def __init__(self, params: Iterable[str], dim: int, rank: int,
                  entries: Mapping[tuple[int, ...], Poly | list]):
@@ -411,7 +329,6 @@ class Tensor:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_entries", kept)
         object.__setattr__(self, "_zero", Poly.zero(params))
-        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -447,22 +364,20 @@ class Tensor:
             return tuple(fill(prefix + (i,)) for i in range(self.dim))
         return fill(())
 
+    @cached_property
     def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
         """The nonzero components with their 0-based indices, row-major;
         computed once."""
-        if self._nonzero is None:
-            object.__setattr__(self, "_nonzero",
-                               tuple(sorted(self._entries.items())))
-        return self._nonzero
+        return tuple(sorted(self._entries.items()))
 
-    def contract(self, axis: int, M) -> Tensor:
+    def contract(self, axis: int, M: RationalMatrix) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
-        _scatter(acc, self.nonzero(), axis, _columns(M, self.dim))
+        _scatter(acc, self.nonzero, axis, M.nonzero_columns)
         return Tensor(self.params, self.dim, self.rank, acc)
 
     def trace(self, a: int, b: int, M) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
-        for idx, v in self.nonzero():
+        for idx, v in self.nonzero:
             weight = M[idx[a]][idx[b]]
             if weight:
                 rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
@@ -477,7 +392,7 @@ class Tensor:
         """Numeric twin of the same class, parameter-free."""
         return type(self)((), self.dim, self.rank, {
             idx: Poly.constant(v.evaluate(assignment))
-            for idx, v in self.nonzero()})
+            for idx, v in self.nonzero})
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -545,17 +460,11 @@ def _rescale(entry: list, den: int) -> int:
     return have // g
 
 
-def _columns(M, dim: int) -> list[list]:
-    """For each p, the ``(a, M[a][p])`` pairs of the nonzero entries of
-    column p of ``M``, rationals or Polys."""
-    return [[(a, M[a][p]) for a in range(dim) if M[a][p]]
-            for p in range(dim)]
-
-
 def _scatter(acc: dict, entries, axis: int, columns) -> None:
     """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
     an entry at index p there sends ``value * m`` to index a for each
-    pair ``(a, m)`` of ``columns[p]`` (see :func:`_columns`)."""
+    pair ``(a, m)`` of ``columns[p]``, as in
+    :attr:`RationalMatrix.nonzero_columns`."""
     for idx, v in entries:
         head, tail = idx[:axis], idx[axis + 1:]
         for a, m in columns[idx[axis]]:
@@ -565,8 +474,6 @@ def _scatter(acc: dict, entries, axis: int, columns) -> None:
 class PolyMatrix(Tensor):
     """A square matrix of polynomials: a rank-2 :class:`Tensor` with a
     1-based ``entry`` and an exact ``determinant``."""
-
-    __slots__ = ()
 
     def entry(self, i: int, j: int) -> Poly:
         """Entry at 1-based row ``i``, column ``j``."""
@@ -580,7 +487,7 @@ class PolyMatrix(Tensor):
         the small matrices this package meets (dim <= ~20).
         """
         rows: list[dict[int, Poly]] = [{} for _ in range(self.dim)]
-        for (r, c), v in self.nonzero():
+        for (r, c), v in self.nonzero:
             rows[r][c] = v
         zero = Poly.zero(self.params)
         cache: dict[tuple[int, ...], Poly] = {(): Poly.constant(1, self.params)}

@@ -27,12 +27,12 @@ it for all vectors).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import (RationalMatrix, Tensor, _accumulate, _columns, _scatter,
-                     signature)
+from .linalg import RationalMatrix, Tensor, _accumulate, _scatter
 from .poly import Poly, RationalLike
 from .record import Record
 
@@ -118,7 +118,7 @@ def _cyclic_sum_vanishes(T: Tensor) -> bool:
     has a nonzero term, and the sum is the same for each rotation of the
     triple, so the nonzero components are the only triples to test."""
     return all(not (v + T.at((j, k, i)) + T.at((k, i, j)))
-               for (i, j, k), v in T.nonzero())
+               for (i, j, k), v in T.nonzero)
 
 
 class AlmostNordenAlgebra:
@@ -126,11 +126,9 @@ class AlmostNordenAlgebra:
 
     ``g`` and ``J`` are constant rational matrices (left-invariant tensor
     fields have constant components in a left-invariant frame).  The
-    inverse metric is computed eagerly and cached.
+    inverse metric is computed eagerly; every derived tensor is a
+    ``cached_property``, built on first read.
     """
-
-    __slots__ = ("algebra", "g", "J", "g_inv", "_gJ", "_G", "_T", "_gram",
-                 "_invariant")
 
     def __init__(self, algebra: LieAlgebra,
                  g: RationalMatrix | None = None,
@@ -159,19 +157,14 @@ class AlmostNordenAlgebra:
                 f"(g, J) is not an almost Norden pair: {name} has entry "
                 f"{value} at ({i}, {j})")
         g_inv = g.inverse()  # raises SingularMatrixError if degenerate
-        sig = signature(g)
-        if sig != (n, n):
-            raise StructureError(
-                f"Norden metric must have signature ({n}, {n}), got {sig}")
+        # g needs no inertia test: J is an anti-isometry of g, so it maps
+        # positive definite subspaces onto negative definite ones and back;
+        # the two indices of the nondegenerate g agree, so both are n.
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "g_inv", g_inv)
         object.__setattr__(self, "_gJ", g @ J)
-        object.__setattr__(self, "_G", None)
-        object.__setattr__(self, "_T", None)
-        object.__setattr__(self, "_gram", None)
-        object.__setattr__(self, "_invariant", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlmostNordenAlgebra is immutable")
@@ -202,74 +195,66 @@ class AlmostNordenAlgebra:
 
     # -- structural checks -------------------------------------------------
 
-    @property
+    @cached_property
     def G(self) -> Tensor:
         """G_ijk = g([X_i, X_j], X_k): the structure constants with the
         upper index lowered.  Computed once; the invariance check and
         the connection :attr:`T` read from it."""
-        if self._G is None:
-            object.__setattr__(self, "_G",
-                               self.algebra.gamma.contract(2, self.g))
-        return self._G
+        return self.algebra.gamma.contract(2, self.g)
 
-    @property
+    @cached_property
     def T(self) -> Tensor:
         """T_ijk = g(grad_{X_i} X_j, X_k), the Levi-Civita connection
         lowered with g: by the Koszul formula the cyclic sum
         (G_ijk - G_jki + G_kij) / 2.  Computed once; F and the raised
         connection (:func:`~nordenlab.curvature.levi_civita`) read from
         it.  For an invariant metric it equals G / 2."""
-        if self._T is None:
-            lowered: dict[tuple[int, ...], list] = {}
-            half = Fraction(1, 2)
-            for (i, j, k), v in self.G.nonzero():
-                _accumulate(lowered, (i, j, k), v, half)
-                _accumulate(lowered, (k, i, j), v, -half)
-                _accumulate(lowered, (j, k, i), v, half)
-            object.__setattr__(self, "_T", Tensor(
-                self.params, self.dim, 3, lowered))
-        return self._T
+        lowered: dict[tuple[int, ...], list] = {}
+        half = Fraction(1, 2)
+        for (i, j, k), v in self.G.nonzero:
+            _accumulate(lowered, (i, j, k), v, half)
+            _accumulate(lowered, (k, i, j), v, -half)
+            _accumulate(lowered, (j, k, i), v, half)
+        return Tensor(self.params, self.dim, 3, lowered)
 
-    @property
+    @cached_property
     def bracket_gram(self) -> Tensor:
         """g([X_i, X_j], [X_k, X_l]) = sum_p G_ijp c_kl^p: one scatter of
         the lowered constants :attr:`G` against the structure constants,
         each G_ijp meeting every c_kl^p with the same p.  Computed once;
         :func:`~nordenlab.family.check_eq22` and
         :func:`~nordenlab.curvature.curvature_invariant_formula` read it."""
-        if self._gram is None:
-            by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
-            for (k, l, p), w in self.algebra.gamma.nonzero():
-                by_target[p].append((k, l, w))
-            acc: dict[tuple[int, ...], list] = {}
-            for (i, j, p), v in self.G.nonzero():
-                for k, l, w in by_target[p]:
-                    _accumulate(acc, (i, j, k, l), v, w)
-            object.__setattr__(self, "_gram", Tensor(
-                self.params, self.dim, 4, acc))
-        return self._gram
+        by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
+        for (k, l, p), w in self.algebra.gamma.nonzero:
+            by_target[p].append((k, l, w))
+        acc: dict[tuple[int, ...], list] = {}
+        for (i, j, p), v in self.G.nonzero:
+            for k, l, w in by_target[p]:
+                _accumulate(acc, (i, j, k, l), v, w)
+        return Tensor(self.params, self.dim, 4, acc)
 
     def check_invariant_metric(self) -> CheckResult:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.
 
         Holding exactly, this is the Killing-metric condition that makes
         the connection collapse to half the bracket.  The result is
-        cached.  The residual G_ijk + G_ikj can be nonzero only where one
-        of its terms is, so only the nonzero G_ijk and their (i, k, j)
-        partners are tested, in lexicographic order.
+        computed once.  The residual G_ijk + G_ikj can be nonzero only
+        where one of its terms is, so only the nonzero G_ijk and their
+        (i, k, j) partners are tested, in lexicographic order.
         """
-        if self._invariant is None:
-            G = self.G
-            triples = sorted({t for (i, j, k), _ in G.nonzero()
-                              for t in ((i, j, k), (i, k, j))})
-            violations = []
-            for i, j, k in triples:
-                residual = G.at((i, j, k)) + G.at((i, k, j))
-                if residual:
-                    violations.append((i + 1, j + 1, k + 1, residual))
-            object.__setattr__(self, "_invariant",
-                               CheckResult(not violations, tuple(violations)))
-        return self._invariant
+        return self._invariance
+
+    @cached_property
+    def _invariance(self) -> CheckResult:
+        G = self.G
+        triples = sorted({t for (i, j, k), _ in G.nonzero
+                          for t in ((i, j, k), (i, k, j))})
+        violations = []
+        for i, j, k in triples:
+            residual = G.at((i, j, k)) + G.at((i, k, j))
+            if residual:
+                violations.append((i + 1, j + 1, k + 1, residual))
+        return CheckResult(not violations, tuple(violations))
 
     # -- fundamental tensor ------------------------------------------------
 
@@ -286,10 +271,10 @@ class AlmostNordenAlgebra:
         across stages.
         """
         jt = self.J.transpose()
-        entries = self.T.nonzero()
+        entries = self.T.nonzero
         acc: dict[tuple[int, ...], list] = {}
-        _scatter(acc, entries, 1, _columns(jt, self.dim))
-        _scatter(acc, entries, 2, _columns(-jt, self.dim))
+        _scatter(acc, entries, 1, jt.nonzero_columns)
+        _scatter(acc, entries, 2, (-jt).nonzero_columns)
         return Tensor(self.params, self.dim, 3, acc)
 
     # -- Lie form and classification --------------------------------------

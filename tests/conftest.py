@@ -80,7 +80,7 @@ def sheared(twin):
     U = RationalMatrix([[int(j >= i) for j in range(6)] for i in range(6)])
     a = rebased(twin, U @ U.transpose())
     # grad_{X_i} X_i = 0 for an invariant metric: 36 of 216 must vanish
-    assert len(levi_civita(a).nonzero()) == 216 - 36
+    assert len(levi_civita(a).nonzero) == 216 - 36
     return a
 
 

@@ -64,7 +64,7 @@ from nordenlab import (
 )
 from nordenlab.errors import ParameterMismatchError
 from nordenlab.lie import Vector
-from nordenlab.linalg import RationalMatrix, _accumulate, _columns, _scatter
+from nordenlab.linalg import RationalMatrix, _accumulate, _scatter
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -267,7 +267,7 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     exact inverse metric.
     """
     lowered: dict[tuple[int, ...], Poly] = {}
-    for (i, j, k), v in a.G.nonzero():
+    for (i, j, k), v in a.G.nonzero:
         half = v / 2
         _accumulate(lowered, (i, j, k), half)
         _accumulate(lowered, (k, i, j), -half)
@@ -280,10 +280,10 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
 def f_from(a: AlmostNordenAlgebra, T: Tensor, factor) -> Tensor:
     """factor * (T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k))."""
     jt = a.J.transpose()
-    entries = T.nonzero()
+    entries = T.nonzero
     acc: dict[tuple[int, ...], Poly] = {}
-    _scatter(acc, entries, 1, _columns(jt.scale(factor), a.dim))
-    _scatter(acc, entries, 2, _columns(jt.scale(-factor), a.dim))
+    _scatter(acc, entries, 1, jt.scale(factor).nonzero_columns)
+    _scatter(acc, entries, 2, jt.scale(-factor).nonzero_columns)
     return Tensor(a.params, a.dim, 3, acc)
 
 

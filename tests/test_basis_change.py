@@ -7,7 +7,9 @@ geometric quantity: the scalar curvature, the norm of grad J, the class
 flags (Ganchev-Borisov, C. R. Acad. Bulg. Sci. 39, 1986), local symmetry
 and the rank of the Killing form must come out the same, and F, R and
 grad R must transform as tensors.  P is drawn from a seeded
-``random.Random``, so a failure reproduces.
+``random.Random``, so a failure reproduces.  Every rebased metric has the
+neutral signature (n, n) that the Norden property forces, by Jacobi's
+rule on its leading principal minors.
 """
 
 import random
@@ -17,7 +19,7 @@ from itertools import product
 import pytest
 
 from reference import from_grid, rebased
-from nordenlab import Tensor, nabla_R, rational_rank
+from nordenlab import Tensor, nabla_R, parse_spec, rational_rank
 from nordenlab.linalg import RationalMatrix
 from nordenlab.report import Geometry
 
@@ -82,7 +84,7 @@ def assert_curvature_identities(R):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("name", ["twin", "heisenberg6", "affine6",
+@pytest.mark.parametrize("name", ["falg", "twin", "heisenberg6", "affine6",
                                   "filiform8"])
 def test_geometry_is_basis_independent(name, seed, request):
     a = request.getfixturevalue(name)
@@ -100,3 +102,28 @@ def test_geometry_is_basis_independent(name, seed, request):
     "filiform8", "filiform10"])
 def test_curvature_identities_on_every_fixture(name, request):
     assert_curvature_identities(Geometry(request.getfixturevalue(name)).R)
+
+
+def leading_minors(m: RationalMatrix) -> list[Fraction]:
+    """D_1, ..., D_n: the determinants of the leading k x k blocks."""
+    return [RationalMatrix([row[:k] for row in m.rows[:k]]).determinant()
+            for k in range(1, m.nrows + 1)]
+
+
+@pytest.mark.parametrize("name", ["table1", "heisenberg6", "affine6",
+                                  "filiform12"])
+def test_rebased_metric_has_neutral_signature(name, spec_fixture_path):
+    # Jacobi's rule: when D_1, ..., D_dim are all nonzero, the sign
+    # changes in 1, D_1, ..., D_dim count the negative squares of g
+    a = parse_spec(spec_fixture_path.parent / f"{name}.spec")
+    rng = random.Random(name)
+    checked = 0
+    for _ in range(20):
+        g = rebased(a, random_basis_change(rng, a.dim)).g
+        minors = [Fraction(1)] + leading_minors(g)
+        if not all(minors):
+            continue
+        changes = sum((x > 0) != (y > 0) for x, y in zip(minors, minors[1:]))
+        assert changes == a.dim // 2
+        checked += 1
+    assert checked >= 10

@@ -273,7 +273,7 @@ def test_heisenberg_is_not_locally_symmetric(heisenberg6):
 
 def with_entries(R, changes):
     """R with the 0-based components in ``changes`` added to it."""
-    entries = dict(R.nonzero())
+    entries = dict(R.nonzero)
     for idx, delta in changes.items():
         entries[idx] = entries.get(idx, Poly.zero(R.params)) + delta
     return Tensor(R.params, R.dim, 4, entries)

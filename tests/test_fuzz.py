@@ -8,15 +8,19 @@ value or one just past a spec limit, or insert a stray ``[``, ``=``,
 ``^`` or ``/``.  ``check`` and ``report`` then run in process on the
 result; each must return 0, 1 or 2 and raise nothing, so a singular
 metric, a broken identity or a malformed line ends in a typed error.
+Two more mutations each pass one spec limit, a bracket coefficient with
+one term too many and a file one byte too long; both must exit with 2.
 """
 
 import random
 import re
+from itertools import product
 
 import pytest
 
 from nordenlab.cli import main
-from nordenlab.specfile import MAX_DEGREE, MAX_DIMENSION
+from nordenlab.specfile import (MAX_DEGREE, MAX_DIMENSION, MAX_SPEC_BYTES,
+                                MAX_TERMS)
 
 SPECS = ("table1", "heisenberg6", "affine6", "filiform12")
 #: Small values, and values just past the dimension and degree limits.
@@ -68,3 +72,39 @@ def test_mutated_specs_keep_the_exit_code_contract(name, spec_fixture_path,
             codes.add(code)
         capsys.readouterr()
     assert 2 in codes and 0 in codes  # mutations both break and keep specs
+
+
+def too_many_terms(text: str) -> str:
+    """The first bracket coefficient swapped for one with MAX_TERMS + 1
+    terms, each of degree at most 15, over three added parameters."""
+    terms = [f"u^{i}*v^{j}*w^{k}"
+             for i, j, k in product(range(1, 6), repeat=3)][:MAX_TERMS + 1]
+    text = re.sub(r"^parameters =(.*)$",
+                  lambda m: "parameters = " + ", ".join(
+                      filter(None, (m[1].strip(), "u, v, w"))),
+                  text, count=1, flags=re.M)
+    return re.sub(r"^(\d+ \d+ -> \d+: )[^;\n]*",
+                  lambda m: m[1] + " + ".join(terms), text, count=1,
+                  flags=re.M)
+
+
+def too_long(text: str) -> str:
+    """The file padded with a comment to MAX_SPEC_BYTES + 1 bytes."""
+    pad = MAX_SPEC_BYTES + 1 - len(text.encode("utf-8")) - len("#\n")
+    return text + "#" + "x" * pad + "\n"
+
+
+@pytest.mark.parametrize("mutation, message", [
+    (too_many_terms, "terms, above the limit of"),
+    (too_long, "larger than the limit of"),
+])
+@pytest.mark.parametrize("name", SPECS)
+def test_specs_past_a_limit_exit_with_2(name, mutation, message,
+                                        spec_fixture_path, tmp_path, capsys):
+    text = (spec_fixture_path.parent / f"{name}.spec").read_text(
+        encoding="utf-8")
+    path = tmp_path / "mutated.spec"
+    path.write_text(mutation(text), encoding="utf-8")
+    for command in ("check", "report"):
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err

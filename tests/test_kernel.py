@@ -115,10 +115,10 @@ def test_mixed_denominators_rescale_and_cancel_exactly(seed):
                 ((3,), x * x, Fraction(-1, 3))]
     rng.shuffle(triples)
     T = fused(PARAMS, triples)
-    assert (3,) not in dict(T.nonzero())
+    assert (3,) not in dict(T.nonzero)
     assert T.component(4).is_zero and T.component(4).den == 1
     assert_matches_oracle(PARAMS, triples)
-    for _, p in T.nonzero():
+    for _, p in T.nonzero:
         assert_canonical(p)
 
 
@@ -234,14 +234,14 @@ def test_disjoint_parameter_lists_still_refuse_to_combine():
 
 
 def test_products_must_land_on_the_tensor_parameters():
-    # a matrix over more parameters than the tensor widens every
+    # a weight over more parameters than the tensor widens every
     # product; the terms cannot be read over the tensor's list
     t = Poly.variable("t", ("t",))
     s = Poly.variable("s", ("t", "s"))
-    T = Tensor(("t",), 1, 1, {(0,): t})
-    assert T.contract(0, [[Poly.constant(2, ("t",))]]).component(1) == 2 * t
+    assert fused(("t",), [((0,), t, Poly.constant(2, ("t",)))]).component(
+        1) == 2 * t
     with pytest.raises(ParameterMismatchError):
-        T.contract(0, [[s]])
+        fused(("t",), [((0,), t, s)])
 
 
 def stage_polys(geo):

@@ -3,7 +3,8 @@ constructor signatures, attributes, equality, hashing and immutability of
 frozen records, and no ``dataclasses`` import in a CLI process.  Records,
 polynomials, matrices, tensors and algebras copy and pickle through
 their validating constructors, and an algebra's copy gives the same
-report."""
+report.  A cached stage is built on its first read, and no copy carries
+it."""
 
 import copy
 import inspect
@@ -11,13 +12,15 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
-                       LieAlgebra, PlaneSpec, RegressionCheck,
-                       RegressionReport, Table1Family, build_table1)
+                       LieAlgebra, PlaneSpec, Poly, RationalMatrix,
+                       RegressionCheck, RegressionReport, Table1Family,
+                       Tensor, build_table1, emit_spec, parse_spec_text)
 from nordenlab.errors import DimensionMismatchError
 from nordenlab.report import ReportDocument, compute_report, document_for
 from test_reference import FIXTURES
@@ -97,6 +100,33 @@ def test_family_and_stages_copy_and_pickle():
             assert type(copied) is type(obj) and copied == obj
     copied = copy.deepcopy(family)
     assert compute_report(copied.algebra).R == geo.R
+
+
+def cached_stages(obj) -> set[str]:
+    """The names of the ``cached_property`` stages stored on ``obj``."""
+    return {name for name in vars(obj)
+            if isinstance(getattr(type(obj), name, None), cached_property)}
+
+
+def test_stages_are_built_once_on_first_read_and_never_copied():
+    a = parse_spec_text(emit_spec(build_table1().algebra)).to_algebra()
+    tensor = Tensor(("t",), 2, 1, {(1,): Poly.variable("t", ("t",))})
+    matrix = RationalMatrix([[0, 1], [1, 0]])
+    stages = [
+        (a, ("G", "T", "bracket_gram", "_invariance")),
+        (a.algebra, ("jacobiator_tensor",)),
+        (tensor, ("nonzero",)),
+        (matrix, ("nonzero_columns",)),
+    ]
+    for obj, names in stages:
+        assert not cached_stages(obj), obj
+        first = [getattr(obj, name) for name in names]
+        assert cached_stages(obj) == set(names)
+        assert all(getattr(obj, name) is stage
+                   for name, stage in zip(names, first))
+        for copied in round_trips(obj):
+            assert copied == obj and not cached_stages(copied), obj
+    assert a.check_invariant_metric() is a._invariance
 
 
 def test_record_defaults_and_conversions():

@@ -68,7 +68,7 @@ def test_abelian20_report_stores_nothing(abelian20):
                a.algebra.jacobiator_tensor, geo.F, geo.connection, geo.R,
                geo.ricci_and_tau[0], geo.killing_form,
                *nabla_R_blocks(a, geo.connection, geo.R)]
-    assert all(T.nonzero() == () for T in tensors)
+    assert all(T.nonzero == () for T in tensors)
 
 
 def test_filiform20_check_is_golden(filiform20, tmp_path, spec_fixture_path,
