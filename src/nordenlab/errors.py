@@ -24,6 +24,10 @@ class PolyParseError(NordenLabError):
     """Polynomial text did not conform to the grammar."""
 
 
+class ExponentOverflowError(NordenLabError):
+    """An exponent past the field width of a packed exponent key."""
+
+
 class DimensionMismatchError(NordenLabError):
     """Vector/matrix/tensor operands of incompatible sizes."""
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
 from .poly import (Poly, RationalLike, _add_product, _add_terms, _canonical,
-                   as_fraction)
+                   _guard, as_fraction)
 
 
 class RationalMatrix:
@@ -281,7 +281,7 @@ class Tensor:
 
     ``Tensor(params, dim, rank, entries)`` is the one constructor:
     ``entries`` maps 0-based index tuples to a Poly or to an accumulator
-    ``[nums, den]`` of :func:`_accumulate`, and absent or cancelled
+    of :func:`_accumulate`, each over ``params``, and absent or cancelled
     entries are not stored.  The package's index contractions are built
     on three primitives, which visit only the nonzero components:
 
@@ -306,23 +306,19 @@ class Tensor:
 
     def __init__(self, params: Iterable[str], dim: int, rank: int,
                  entries: Mapping[tuple[int, ...], Poly | list]):
-        """Each accumulator ``[nums, den]`` is reduced once, in place,
-        and given up to its Poly, so none may be stored twice."""
+        """Each accumulator is reduced once, in place, and given up to its
+        Poly, so none may be stored twice."""
         params = tuple(params)
-        width = len(params)
         kept: dict[tuple[int, ...], Poly] = {}
         for idx, value in entries.items():
             if not isinstance(value, Poly):
-                nums, den = value
-                if not nums:
-                    continue
-                if len(next(iter(nums))) != width:
-                    raise ParameterMismatchError(
-                        f"accumulated terms do not match parameters "
-                        f"{params}")
-                value = _canonical(params, nums, den)
-            elif not value:
+                nums, den, over = value
+                value = _canonical(over, nums, den)
+            if not value:
                 continue
+            if value.params != params:
+                raise ParameterMismatchError(f"component {idx} is over "
+                                             f"{value.params}, not {params}")
             kept[idx] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rank", rank)
@@ -406,8 +402,8 @@ class Tensor:
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
-    """Add ``v * m`` into ``acc[key]``, an accumulator ``[nums, den]``
-    created on first use: integer numerators over one denominator.
+    """Add ``v * m`` into ``acc[key]``, an accumulator created on first
+    use: ``[nums, den, params]``, integer numerators over one denominator.
 
     ``m`` is a rational or a Poly.  Each product of two terms is a
     product of ints added straight into ``nums``, and a term is deleted
@@ -416,9 +412,9 @@ def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
     until the :class:`Tensor` constructor.  A product over a denominator
     other than ``den`` moves the accumulator to their lcm
     (:func:`_rescale`).  Operands over different parameter lists are
-    aligned as ``v * m`` would align them, and every product added to
-    one ``acc`` must come out over the parameter list later given to
-    the constructor.
+    aligned as ``v * m`` would align them; every product added to one
+    accumulator must come out over its ``params``, and the constructor
+    checks that these are the tensor's.
     """
     if isinstance(m, Poly):
         if m.params is not v.params:
@@ -430,25 +426,29 @@ def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
         if not factor:
             return
     den *= v.den
+    params = v.params
     entry = acc.get(key)
     if entry is None:
-        entry = acc[key] = [{}, den]
+        entry = acc[key] = [{}, den, params]
+    elif entry[2] is not params and entry[2] != params:
+        raise ParameterMismatchError(
+            f"product over {params} added to terms over {entry[2]}")
     elif entry[1] != den:
         factor *= _rescale(entry, den)
     nums = entry[0]
     if right is None:
         _add_terms(nums, v.nums, factor)
     else:
-        _add_product(nums, v.nums, right, factor)
+        _add_product(nums, v.nums, right, factor, _guard[len(params)])
     if not nums:
         del acc[key]
 
 
 def _rescale(entry: list, den: int) -> int:
-    """Bring the accumulator ``entry = [nums, d]``, ``d != den``, onto
-    ``lcm(d, den)``, multiplying its numerators only when ``den`` does
-    not divide ``d``, and return the factor that puts a product over
-    ``den`` on it."""
+    """Bring the accumulator ``entry = [nums, d, params]``, ``d != den``,
+    onto ``lcm(d, den)``, multiplying its numerators only when ``den``
+    does not divide ``d``, and return the factor that puts a product
+    over ``den`` on it."""
     have = entry[1]
     g = gcd(have, den)
     if g != den:

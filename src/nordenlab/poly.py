@@ -1,18 +1,25 @@
 """Exact multivariate polynomials over the rationals.
 
 The scalar domain for the whole package.  A polynomial is a map from
-exponent vectors to integer numerators over one common denominator:
+packed exponent vectors to integer numerators over one common denominator:
 
-    nums : Dict[Tuple[int, ...], int]        den : int
+    nums : Dict[int, int]        den : int
 
-with one exponent per parameter, in the order fixed by ``params``, and
-coefficient ``nums[e] / den`` at exponent vector ``e``.  This is the
-``fmpq_poly`` layout of FLINT: every ring operation multiplies and adds
-plain ints and reduces once per result.  All arithmetic is exact; there
-is no floating point anywhere in this module.
+with coefficient ``nums[k] / den`` at the exponent vector packed in ``k``:
+one 32-bit field per parameter, the first parameter in the most
+significant field (Monagan and Pearce, CASC 2007).  Each field's top bit
+is a guard, so an exponent is at most :data:`MAX_EXPONENT` (2**31 - 1),
+guard-free keys add field by field without carry, and a monomial product
+is one int addition; one that sets a guard bit raises
+:class:`~nordenlab.errors.ExponentOverflowError` instead of wrapping into
+the next field.  The width is fixed, so keys order as ints exactly as
+their exponent vectors order lexicographically.  This is the ``fmpq_poly``
+layout of FLINT: every ring operation multiplies and adds plain ints and
+reduces once per result.  All arithmetic is exact; there is no floating
+point anywhere in this module.
 
 Values read back are :class:`fractions.Fraction`: :attr:`Poly.terms` is
-a read-only ``{exponent vector: Fraction}`` view built on first read,
+a read-only ``{exponent tuple: Fraction}`` view built on first read,
 and :meth:`Poly.constant_value` and :meth:`Poly.evaluate` return
 Fractions.
 
@@ -33,8 +40,8 @@ Whitespace is insignificant.
 Trusted construction
 --------------------
 ``Poly(params, terms)`` is the validating constructor: it copies the
-term map, coerces every coefficient to a Fraction, checks every exponent
-vector and brings the coefficients over their least common denominator.
+term map, coerces every coefficient to a Fraction, checks and packs
+every exponent vector and brings the coefficients over their lcm.
 The ring operations (``+``, ``-``, negation, ``*``, :meth:`Poly.scale`,
 ``/``) and :meth:`Poly.with_params` instead build their numerators as
 ints and wrap them with ``Poly._make(params, nums, den)``, which copies
@@ -44,8 +51,8 @@ and checks nothing, or with :func:`_canonical`, which first divides out
 
 * ``params`` is a tuple;
 * ``nums`` is a dict owned by this polynomial alone, whose keys are
-  tuples of ``len(params)`` non-negative ints and whose values are
-  nonzero ints;
+  packed ints of ``len(params)`` fields with no guard bit set and whose
+  values are nonzero ints;
 * ``den`` is an int ``>= 1`` with ``gcd(den, *nums.values()) == 1``;
 * the zero polynomial is ``den == 1`` with no numerators.
 
@@ -61,12 +68,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import index, or_
+from struct import pack, unpack
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .errors import ParameterMismatchError, PolyParseError
+from .errors import (ExponentOverflowError, ParameterMismatchError,
+                     PolyParseError)
 
 #: Scalars accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
@@ -74,6 +84,30 @@ RationalLike = Union[Fraction, int, str]
 _ZERO = Fraction(0)
 _new = object.__new__
 _setattr = object.__setattr__
+
+_BITS = 32  # per exponent field (struct "I"), the top one a guard
+MAX_EXPONENT = (1 << _BITS - 1) - 1
+
+
+def _pack(expo: tuple[int, ...]) -> int:
+    """The key of an exponent vector whose entries are 0..MAX_EXPONENT."""
+    return int.from_bytes(pack(f">{len(expo)}I", *expo), "big")
+
+
+def _unpack(key: int, width: int) -> tuple[int, ...]:
+    """The exponent vector of ``width`` fields packed in ``key``."""
+    return unpack(f">{width}I", key.to_bytes(4 * width, "big"))
+
+
+class _Guards(dict):
+    """``_guard[width]``: the guard bits of a key of ``width`` fields."""
+
+    def __missing__(self, width: int) -> int:
+        guard = self[width] = _pack((MAX_EXPONENT + 1,) * width)
+        return guard
+
+
+_guard = _Guards()
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -101,18 +135,21 @@ class Poly:
                  terms: Mapping[tuple[int, ...], RationalLike] = ()):
         params = tuple(params)
         width = len(params)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for expo, coeff in dict(terms).items():
-            expo = tuple(expo)
+            expo = tuple(map(index, expo))  # ints only: floats raise
             if len(expo) != width:
                 raise ValueError(
                     f"exponent vector {expo} has length {len(expo)}, "
                     f"expected {width}")
             if expo and min(expo) < 0:
                 raise ValueError(f"negative exponent in {expo}")
+            if expo and max(expo) > MAX_EXPONENT:
+                raise ExponentOverflowError(
+                    f"exponent above {MAX_EXPONENT} in {expo}")
             coeff = as_fraction(coeff)
             if coeff:
-                clean[expo] = coeff
+                clean[_pack(expo)] = coeff
         # over the lcm of reduced denominators, gcd(den, *nums) is 1
         den = 1
         for c in clean.values():
@@ -131,7 +168,7 @@ class Poly:
         return Poly, (self.params, dict(self.terms))
 
     @classmethod
-    def _make(cls, params: tuple[str, ...], nums: dict[tuple[int, ...], int],
+    def _make(cls, params: tuple[str, ...], nums: dict[int, int],
               den: int = 1) -> Poly:
         """Wrap canonical numerators without copying or checking them
         (see the module docstring for the invariant the caller
@@ -144,14 +181,14 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only ``{exponent vector: Fraction}`` view, built on first
+        """Read-only ``{exponent tuple: Fraction}`` view, built on first
         read and kept."""
         try:
             return self._terms
         except AttributeError:  # not read before
-            den = self.den
-            view = MappingProxyType({e: Fraction(n, den)
-                                     for e, n in self.nums.items()})
+            den, width = self.den, len(self.params)
+            view = MappingProxyType({_unpack(k, width): Fraction(n, den)
+                                     for k, n in self.nums.items()})
             _setattr(self, "_terms", view)
             return view
 
@@ -171,8 +208,8 @@ class Poly:
         params = tuple(params)
         if name not in params:
             raise ValueError(f"unknown parameter {name!r} (have {params})")
-        expo = tuple(1 if p == name else 0 for p in params)
-        return cls._make(params, {expo: 1})
+        return cls._make(params, {
+            1 << _BITS * (len(params) - 1 - params.index(name)): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -183,23 +220,23 @@ class Poly:
     @property
     def is_constant(self) -> bool:
         """True when no parameter actually occurs (includes zero)."""
-        return all(not any(expo) for expo in self.nums)
+        return not any(self.nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
-        if not self.nums:
-            return _ZERO
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self.nums.values())), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)  # 0 packs no power
 
     def total_degree(self) -> int:
         """Max over terms of the sum of exponents; 0 for the zero poly."""
-        return max((sum(expo) for expo in self.nums), default=0)
+        width = len(self.params)
+        return max((sum(_unpack(k, width)) for k in self.nums), default=0)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has total degree ``degree`` (or p == 0)."""
-        return all(sum(expo) == degree for expo in self.nums)
+        width = len(self.params)
+        return all(sum(_unpack(k, width)) == degree for k in self.nums)
 
     # -- parameter reconciliation -----------------------------------------
 
@@ -212,32 +249,22 @@ class Poly:
         params = tuple(params)
         if params == self.params:
             return self
-        positions = []
-        for i, name in enumerate(self.params):
-            where = params.index(name) if name in params else -1
-            positions.append(where)
-        nums: dict[tuple[int, ...], int] = {}
-        for expo, coeff in self.nums.items():
-            new = [0] * len(params)
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                if positions[i] < 0:
-                    raise ParameterMismatchError(
-                        f"parameter {self.params[i]!r} of {self} is not in "
-                        f"{params}")
-                new[positions[i]] = e
-            nums[tuple(new)] = coeff
+        for name in self._occurring():
+            if name not in params:
+                raise ParameterMismatchError(
+                    f"parameter {name!r} of {self} is not in {params}")
+        # the shift that moves each field of a key to its new position
+        shifts = [_BITS * (len(params) - 1 - params.index(name))
+                  if name in params else 0 for name in self.params]
+        width = len(self.params)
+        nums = {sum(e << s for e, s in zip(_unpack(k, width), shifts)): c
+                for k, c in self.nums.items()}
         return Poly._make(params, nums, self.den)
 
-    def _occurring(self) -> set[str]:
-        """Names of parameters with a nonzero exponent somewhere."""
-        names: set[str] = set()
-        for expo in self.nums:
-            for name, e in zip(self.params, expo):
-                if e:
-                    names.add(name)
-        return names
+    def _occurring(self) -> tuple[str, ...]:
+        """Parameters with a nonzero exponent somewhere, in list order."""
+        fields = _unpack(reduce(or_, self.nums, 0), len(self.params))
+        return tuple(name for name, e in zip(self.params, fields) if e)
 
     def _aligned(self, other) -> tuple[Poly, Poly]:
         """Bring two operands onto a common parameter list.
@@ -293,8 +320,8 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        nums: dict[tuple[int, ...], int] = {}
-        _add_product(nums, a.nums, b.nums)
+        nums: dict[int, int] = {}
+        _add_product(nums, a.nums, b.nums, 1, _guard[len(a.params)])
         return _canonical(a.params, nums, a.den * b.den)
 
     __rmul__ = __mul__
@@ -331,10 +358,10 @@ class Poly:
             else:
                 raw = as_fraction(raw)
                 values.append((raw.numerator, raw.denominator))
-        total, den = 0, 1  # the sum so far is total / den
-        for expo, num in self.nums.items():
+        total, den, width = 0, 1, len(self.params)  # the sum is total / den
+        for key, num in self.nums.items():
             term_den = 1
-            for i, e in enumerate(expo):
+            for i, e in enumerate(_unpack(key, width)):
                 if e == 0:
                     continue
                 if values[i] is None:
@@ -374,8 +401,9 @@ class Poly:
             return hash(self.constant_value())
         params = self.params
         return hash((frozenset(
-            (frozenset((name, e) for name, e in zip(params, expo) if e), c)
-            for expo, c in self.nums.items()), self.den))
+            (frozenset((name, e) for name, e in
+                       zip(params, _unpack(k, len(params))) if e), c)
+            for k, c in self.nums.items()), self.den))
 
     def __bool__(self):
         return bool(self.nums)
@@ -433,18 +461,23 @@ def _add_terms(nums: dict, source: Mapping, factor: int = 1) -> None:
                 del nums[expo]
 
 
-def _add_product(nums: dict, left: Mapping, right: Mapping,
-                 factor: int = 1) -> None:
+def _add_product(nums: dict, left: Mapping, right: Mapping, factor: int,
+                 guard: int) -> None:
     """``nums += factor * left * right`` in place, for integer numerators
-    over one parameter list and a nonzero int ``factor``; a term is
-    deleted the moment it cancels."""
+    over one parameter list, its keys' ``guard`` bits and a nonzero int
+    ``factor``; a term is deleted the moment it cancels.  Keys in
+    ``nums`` have no guard bit set, so only a new key is tested."""
     get = nums.get
     for e1, c1 in left.items():
         c1 *= factor
         for e2, c2 in right.items():
-            expo = tuple(map(add, e1, e2))
+            expo = e1 + e2
             prev = get(expo)
             if prev is None:
+                if expo & guard:
+                    raise ExponentOverflowError(
+                        f"exponent above {MAX_EXPONENT} in the product "
+                        f"{_unpack(expo, guard.bit_length() // _BITS)}")
                 nums[expo] = c1 * c2
             else:
                 coeff = prev + c1 * c2
@@ -462,29 +495,22 @@ def format_poly(p: Poly) -> str:
     """
     if not p.nums:
         return "0"
-    den = p.den
+    den, width = p.den, len(p.params)
     pieces = []
-    for expo in sorted(p.nums, reverse=True):
-        num = p.nums[expo]
+    for key in sorted(p.nums, reverse=True):  # as ints: lexicographic
+        num = p.nums[key]
         factors = [
             name if e == 1 else f"{name}^{e}"
-            for name, e in zip(p.params, expo) if e
+            for name, e in zip(p.params, _unpack(key, width)) if e
         ]
         g = gcd(num, den)
         mag, q = abs(num) // g, den // g
         text = str(mag) if q == 1 else f"{mag}/{q}"
-        if not factors:
-            body = text
-        elif text == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([text] + factors)
-        pieces.append(("-" if num < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        pieces.append(("- " if num < 0 else "+ ") + "*".join(factors))
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"

@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import PolyParseError, SpecFileError
+from .errors import ExponentOverflowError, PolyParseError, SpecFileError
 from .lie import LieAlgebra
 from .linalg import RationalMatrix
 from .norden import AlmostNordenAlgebra
@@ -267,7 +267,7 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
             seen_targets.add(k)
             try:
                 coeff = parse_poly(poly_text.strip(), parameters)
-            except PolyParseError as exc:
+            except (PolyParseError, ExponentOverflowError) as exc:
                 raise SpecFileError(str(exc), line=lineno) from exc
             if coeff.total_degree() > MAX_DEGREE:
                 raise SpecFileError(

@@ -17,6 +17,8 @@ Levi-Civita connection lowered again with g.
 (``linalg._accumulate`` with the ``Tensor`` constructor): it multiplies term
 by term on named exponents and builds its one result through the
 validating ``Poly(...)`` constructor, never through a ring operation.
+``format_terms`` is ``format_poly`` written against the tuple-keyed
+``terms`` view, sorting exponent tuples rather than packed keys.
 ``rebased`` is the change of basis the dense and basis-change tests
 apply to an algebra.
 
@@ -315,6 +317,24 @@ def naive_sum(params, pairs) -> Poly:
                 expo = tuple(powers[name] for name in params)
                 coeffs[expo] = coeffs.get(expo, 0) + c1 * c2
     return Poly(params, coeffs)
+
+
+def format_terms(p: Poly) -> str:
+    """The canonical text of ``p``, terms in descending lexicographic
+    order of their exponent tuples."""
+    pieces = []
+    for expo in sorted(p.terms, reverse=True):
+        coeff = p.terms[expo]
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(p.params, expo) if e]
+        text = str(abs(coeff))
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        pieces.append(("-" if coeff < 0 else "+", "*".join(factors)))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in pieces[1:])
 
 
 def rebased(a: AlmostNordenAlgebra, P: RationalMatrix) -> AlmostNordenAlgebra:

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: exit codes, output text, error channel."""
 
 import json
+import random
 import sys
 
 import pytest
 
-from nordenlab import AlmostNordenAlgebra, Tensor, curvature, report, specfile
+import reference
+from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature, report,
+                       specfile)
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -325,6 +328,34 @@ def test_table1_report_is_golden(extra, golden, spec_fixture_path, capsys):
     assert main(["report", "--family", "table1"] + extra) == 0
     expected = (spec_fixture_path.parent / golden).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def many_term_spec(dim: int, n: int, rng: random.Random) -> str:
+    """The filiform chain [X1, Xk] = p_k X(k+1), k = 2..dim-1, where each
+    p_k has ``n`` distinct terms in a, b and c, exponents 0..5 and
+    coefficients 1..9, drawn from ``rng`` and written by the tuple-sorted
+    reference formatter."""
+    params = ("a", "b", "c")
+    lines = [f"dimension = {dim}", "parameters = a, b, c", "", "[brackets]"]
+    for k in range(2, dim):
+        expos = set()
+        while len(expos) < n:
+            expos.add(tuple(rng.randint(0, 5) for _ in params))
+        p = Poly(params, {e: rng.randint(1, 9) for e in sorted(expos)})
+        lines.append(f"1 {k} -> {k + 1}: {reference.format_terms(p)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_many_term_report_is_golden(spec_fixture_path, capsys):
+    # eight terms in three parameters per bracket: every component of
+    # the report is a long polynomial, so this golden pins the term order
+    data = spec_fixture_path.parent
+    spec = data / "manyterm6.spec"
+    assert spec.read_text(encoding="utf-8") == many_term_spec(
+        6, 8, random.Random(1))
+    assert main(["report", str(spec), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        data / "manyterm6_report.json").read_text(encoding="utf-8")
 
 
 def test_check_runs_jacobi_once(monkeypatch, capsys):

@@ -8,7 +8,10 @@ without re-validation.  So the tests compare them with
 ``reference.naive_sum`` on seeded random inputs, operands over mixed
 denominators included, and check that every component of every pipeline
 stage is in the canonical integer form and would come out of the
-validating constructor unchanged.
+validating constructor unchanged.  Terms are keyed by packed exponent
+vectors, so the tests also check that the keys round-trip, print in the
+order of their exponent tuples, and raise instead of wrapping when a
+product passes the field width.
 """
 
 import random
@@ -21,8 +24,11 @@ import pytest
 import reference
 from nordenlab import Poly, Tensor, parse_poly
 from nordenlab.curvature import nabla_R_blocks
-from nordenlab.errors import ParameterMismatchError
+from nordenlab.cli import main
+from nordenlab.errors import (ExponentOverflowError, NordenLabError,
+                              ParameterMismatchError)
 from nordenlab.linalg import _accumulate
+from nordenlab.poly import MAX_EXPONENT, _guard, _pack, _unpack
 from nordenlab.report import compute_report
 
 PARAMS = ("a", "b", "c")
@@ -125,26 +131,43 @@ def test_mixed_denominators_rescale_and_cancel_exactly(seed):
 def test_rescale_moves_the_accumulator_only_when_needed():
     x = Poly.variable("a", PARAMS)
     acc = {}
+
+    def reads(num, den):
+        nums, d, params = acc[(0,)]
+        assert params == PARAMS and d == den
+        assert_packed(nums, PARAMS)
+        assert {_unpack(k, 3): c for k, c in nums.items()} == {
+            (1, 0, 0): num}
+
     _accumulate(acc, (0,), x, Fraction(1, 4))
-    assert acc[(0,)] == [{(1, 0, 0): 1}, 4]
+    reads(1, 4)
     _accumulate(acc, (0,), x, Fraction(1, 2))  # 2 divides 4: no rescale
-    assert acc[(0,)] == [{(1, 0, 0): 3}, 4]
+    reads(3, 4)
     _accumulate(acc, (0,), x, Fraction(1, 6))  # lcm(4, 6) = 12
-    assert acc[(0,)] == [{(1, 0, 0): 11}, 12]
+    reads(11, 12)
     _accumulate(acc, (0,), x, Fraction(-11, 12))
     assert (0,) not in acc
     _accumulate(acc, (0,), x.scale(Fraction(3, 2)), Fraction(2, 3))
-    assert acc[(0,)] == [{(1, 0, 0): 6}, 6]  # reduced only when read
+    reads(6, 6)  # reduced only when read
     assert Tensor(PARAMS, 1, 1, acc).component(1) == x
 
 
+def assert_packed(nums, params):
+    """Every key is an int of ``len(params)`` fields, no guard bit set."""
+    width = len(params)
+    for key in nums:
+        assert type(key) is int and key >= 0 and not key & _guard[width]
+        assert key >> 32 * width == 0
+        assert len(_unpack(key, width)) == width
+        assert _pack(_unpack(key, width)) == key
+
+
 def assert_canonical(p):
-    """The stored form: int numerators, no zero, den >= 1, gcd 1, and
-    den 1 for the zero polynomial."""
+    """The stored form: packed keys, int numerators, no zero, den >= 1,
+    gcd 1, and den 1 for the zero polynomial."""
     assert type(p.den) is int and p.den >= 1
     assert all(type(c) is int and c for c in p.nums.values())
-    assert all(type(e) is tuple and len(e) == len(p.params)
-               for e in p.nums)
+    assert_packed(p.nums, p.params)
     assert gcd(p.den, *p.nums.values()) == 1
 
 
@@ -276,3 +299,101 @@ def test_every_stage_satisfies_the_trusted_invariant(name, request):
         assert Poly(p.params, p.terms).terms == p.terms
         count += 1
     assert count > 1000
+
+
+def test_tensor_refuses_a_component_over_another_parameter_list():
+    # a Poly over ("a",) stored in a tensor over ("x",) would read a as x
+    a = Poly.variable("a", ("a",))
+    with pytest.raises(ParameterMismatchError):
+        Tensor(("x",), 1, 1, {(0,): a})
+    assert Tensor(("a",), 1, 1, {(0,): a}).component(1) == a
+    # one accumulator takes products over one parameter list only
+    acc = {}
+    _accumulate(acc, (0,), Poly.variable("b", ("a", "b")), 2)
+    with pytest.raises(ParameterMismatchError):
+        _accumulate(acc, (0,), a, 3)
+
+
+def test_exponents_up_to_the_field_width():
+    top = MAX_EXPONENT
+    assert top == 2**31 - 1
+    p = Poly(PARAMS, {(top, 0, top): 3, (0, top, 1): Fraction(1, 2)})
+    assert_canonical(p)
+    assert p.terms == {(top, 0, top): 3, (0, top, 1): Fraction(1, 2)}
+    assert parse_poly(str(p), PARAMS) == p and p.total_degree() == 2 * top
+    assert p.evaluate({"a": 1, "b": -1, "c": 1}) == Fraction(5, 2)
+    hi = Poly(PARAMS, {(top, 0, 0): 3})
+    assert (hi * Poly.variable("b", PARAMS)).terms == {(top, 1, 0): 3}
+    for expo in [(top + 1, 0, 0), (0, 0, top + 1), (2**40, 0, 0)]:
+        with pytest.raises(ExponentOverflowError):
+            Poly(PARAMS, {expo: 1})
+    with pytest.raises(NordenLabError):
+        parse_poly(f"a^{top + 1}", PARAMS)
+    with pytest.raises(TypeError):  # a key packs int exponents only
+        Poly(PARAMS, {(1.5, 0, 0): 1})
+
+
+@pytest.mark.parametrize("params", [("a", "b"), ("b", "a")])
+def test_squaring_past_the_field_width_raises_and_never_wraps(params):
+    # a sits in the high field, then in the low field next to b
+    a = Poly.variable("a", params)
+    where = params.index("a")
+    q = a
+    for step in range(1, 31):
+        q = q * q
+        expo = [0, 0]
+        expo[where] = 2**step
+        assert q.terms == {tuple(expo): 1}
+        assert_canonical(q)
+    with pytest.raises(ExponentOverflowError):
+        q * q  # 2**31
+    top = Poly(params, {tuple(MAX_EXPONENT if i == where else 0
+                              for i in range(2)): 1})
+    with pytest.raises(ExponentOverflowError):
+        top * a
+    with pytest.raises(ExponentOverflowError):
+        _accumulate({}, (0,), top, a)
+    expo = [1, 1]
+    expo[where] = MAX_EXPONENT
+    assert (top * Poly.variable("b", params)).terms == {tuple(expo): 1}
+
+
+def test_a_spec_past_the_field_width_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.spec"
+    path.write_text("dimension = 4\nparameters = a\n\n[brackets]\n"
+                    f"1 2 -> 3: a^{MAX_EXPONENT + 1}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 5: exponent above {MAX_EXPONENT} in "
+        f"({MAX_EXPONENT + 1},)\n")
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 12])
+def test_packed_keys_match_tuple_keys(width):
+    rng = random.Random(1000 + width)
+    params = tuple(f"p{i}" for i in range(width))
+    # small exponents, and ones whose sum stays just inside the field
+    exponents = (0, 0, 1, 2, 3, 2**30 - 1)
+    for _ in range(200):
+        expo = tuple(rng.choice((0, 1, 7, MAX_EXPONENT)) for _ in params)
+        assert _unpack(_pack(expo), width) == expo
+
+    def draw():
+        return Poly(params, {
+            tuple(rng.choice(exponents) for _ in params): random_rational(rng)
+            for _ in range(rng.randint(0, 6))})
+
+    for _ in range(40):
+        v, m = draw(), draw()
+        for p in (v, m, v * m):
+            assert_canonical(p)
+            assert str(p) == reference.format_terms(p)
+            assert Poly(params, p.terms) == p
+        assert (v * m).terms == reference.naive_sum(params, [(v, m)]).terms
+    pairs = [(draw(), rng.choice([draw(), random_rational(rng)]))
+             for _ in range(30)]
+    acc = {}
+    for v, m in pairs:
+        _accumulate(acc, (0,), v, m)
+    got = Tensor(params, 1, 1, acc).component(1)
+    assert got.terms == reference.naive_sum(params, pairs).terms

@@ -190,8 +190,8 @@ def test_tensor_stores_no_zero_even_after_cancellation():
     _accumulate(acc, (0, 1), T, 2)
     _accumulate(acc, (0, 1), T, -2)  # cancels: the key is dropped
     _accumulate(acc, (1, 0), T)
-    tensor = Tensor(T_PARAMS, 2, 2,
-                                 {**acc, (1, 1): T - T, (0, 0): [{}, 1]})
+    tensor = Tensor(T_PARAMS, 2, 2, {**acc, (1, 1): T - T,
+                                     (0, 0): [{}, 1, T_PARAMS]})
     assert tensor.nonzero == (((1, 0), T),)
     assert repr(tensor) == "Tensor(rank=2, dim=2, 1 nonzero components)"
     grid = Tensor(T_PARAMS, 2, 2, {(0, 0): T - T, (0, 1): T,
@@ -223,4 +223,4 @@ def test_equal_lie_algebras_hash_equal():
 
 def test_term_width_mismatch_raises():
     with pytest.raises(ParameterMismatchError):
-        Tensor(T_PARAMS, 2, 1, {(0,): [{(1, 0): 1}, 1]})
+        Tensor(T_PARAMS, 2, 1, {(0,): [{1 << 32: 1}, 1, ("t", "s")]})
