@@ -243,13 +243,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NordenLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_CliError, NordenLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

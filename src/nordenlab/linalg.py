@@ -103,25 +103,6 @@ class RationalMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_shape(self, other: RationalMatrix):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs "
-                f"{other.nrows}x{other.ncols}")
-
-    def __add__(self, other: RationalMatrix) -> RationalMatrix:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: RationalMatrix) -> RationalMatrix:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self) -> RationalMatrix:
         return self.scale(-1)
 

@@ -30,12 +30,15 @@ vectors, e.g. ``"1/4*l2^2 + 1/4*l3^2"`` or ``"-l2"``.  :func:`parse_poly`
 reads the same grammar back:
 
     poly  := term (('+' | '-') term)*
-    term  := coeff ('*' factor)* | factor ('*' factor)*
-    factor:= var ('^' int)?
-    coeff := int | int '/' int
+    term  := '-'* factor ('*' factor)*
+    factor:= coeff | var ('^' int)?
+    coeff := int ('/' int)?
     var   := [A-Za-z][A-Za-z0-9_]*
 
-Whitespace is insignificant.
+So a term may open with several '-' signs (``-l2``, ``l1 - -l2``), a
+coefficient may stand at any factor position (``l1*1/2``), a repeated
+variable adds its exponents, and every '*' is followed by a factor: a
+trailing '*' is an error.  Whitespace may stand between any two symbols.
 
 Trusted construction
 --------------------
@@ -81,7 +84,6 @@ from .errors import (ExponentOverflowError, ParameterMismatchError,
 #: Scalars accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
 
-_ZERO = Fraction(0)
 _new = object.__new__
 _setattr = object.__setattr__
 
@@ -513,36 +515,24 @@ def format_poly(p: Poly) -> str:
     return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*/^]))")
+# The grammar of the module docstring as patterns.  A term runs from its
+# '-' signs to the next '+' or '-', and each '*'-separated piece of its
+# factor list must be one whole factor.  The list is split, not matched
+# by a repeated group, since the regex engine keeps a backtracking frame
+# per repetition: hundreds of bytes per factor.
+VARIABLE = r"[A-Za-z][A-Za-z0-9_]*"
+_COEFF = r"(\d+)(?:\s*/\s*(\d+))?"
+_POWER = rf"({VARIABLE})(?:\s*\^\s*(\d+))?"
+_FACTOR = re.compile(rf"\s*(?:{_COEFF}|{_POWER})\s*")
+_TERM = re.compile(r"(?P<signs>[-\s]*)(?P<factors>[^-+]*)(?P<sep>[-+]?)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolyParseError(
-                f"unexpected character {stripped[0]!r} in polynomial "
-                f"{text!r}")
-        if m.group("int") is not None:
-            digits = m.group("int")
-            try:
-                tokens.append(("int", int(digits)))
-            except ValueError:  # more digits than Python converts
-                raise PolyParseError(
-                    f"integer of {len(digits)} digits in polynomial is "
-                    f"too long") from None
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python converts
+        raise PolyParseError(f"integer of {len(digits)} digits in polynomial "
+                             f"is too long") from None
 
 
 def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
@@ -550,94 +540,45 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
 
     When ``params`` is given, every variable must belong to it and the
     result is expressed over exactly that list.  Without ``params`` the
-    parameter list is the sorted set of variables that occur.
+    parameter list is the sorted set of variables written (``x^0`` too).
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text or text.isspace():
         raise PolyParseError(f"empty polynomial text {text!r}")
-
     known = None if params is None else tuple(params)
     seen: set[str] = set()
-    # Each parsed term: (sign, Fraction coeff, {name: exponent})
-    terms: list[tuple[int, Fraction, dict[str, int]]] = []
-    i = 0
-
-    def expect_int(what: str) -> int:
-        nonlocal i
-        if i >= len(tokens) or tokens[i][0] != "int":
-            raise PolyParseError(f"expected {what} in polynomial {text!r}")
-        value = tokens[i][1]
-        i += 1
-        return value
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i] == ("op", "-"):
-            sign = -sign
-            i += 1
-        if i < len(tokens) and tokens[i] == ("op", "+"):
-            raise PolyParseError(f"misplaced '+' in polynomial {text!r}")
-        coeff = Fraction(1)
-        powers: dict[str, int] = {}
-        first = True
-        while True:
-            if i >= len(tokens):
-                if first:
+    terms: list[tuple[Fraction, dict[str, int]]] = []
+    pos, sign = 0, 1  # a '-' between terms is the next term's sign
+    while True:
+        m = _TERM.match(text, pos)
+        num, den, powers = sign * (-1) ** m["signs"].count("-"), 1, {}
+        for piece in m["factors"].split("*"):
+            factor = _FACTOR.fullmatch(piece)
+            if factor is None:
+                raise PolyParseError(f"cannot read the term at column "
+                                     f"{pos + 1} of polynomial {text!r}")
+            n, d, name, power = factor.groups()
+            if n:
+                num *= _int(n)
+                den *= _int(d or "1")
+                if not den:
                     raise PolyParseError(
-                        f"dangling sign in polynomial {text!r}")
-                break
-            kind, value = tokens[i]
-            if kind == "int":
-                i += 1
-                num = value
-                if i < len(tokens) and tokens[i] == ("op", "/"):
-                    i += 1
-                    den = expect_int("denominator")
-                    if den == 0:
-                        raise PolyParseError(
-                            f"zero denominator in polynomial {text!r}")
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif kind == "name":
-                i += 1
-                if known is not None and value not in known:
-                    raise PolyParseError(
-                        f"unknown parameter {value!r} in polynomial "
-                        f"{text!r}")
-                seen.add(value)
-                power = 1
-                if i < len(tokens) and tokens[i] == ("op", "^"):
-                    i += 1
-                    power = expect_int("exponent")
-                powers[value] = powers.get(value, 0) + power
+                        f"zero denominator in polynomial {text!r}")
+            elif known is not None and name not in known:
+                raise PolyParseError(f"unknown parameter {name!r} in "
+                                     f"polynomial {text!r}")
             else:
-                raise PolyParseError(
-                    f"expected coefficient or variable in polynomial "
-                    f"{text!r}")
-            first = False
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                continue
+                seen.add(name)
+                powers[name] = powers.get(name, 0) + _int(power or "1")
+        terms.append((Fraction(num, den), powers))
+        if not m["sep"]:
             break
-        terms.append((sign, coeff, powers))
-        if i < len(tokens):
-            kind, value = tokens[i]
-            if kind != "op" or value not in "+-":
-                raise PolyParseError(
-                    f"expected '+' or '-' between terms in polynomial "
-                    f"{text!r}")
-            if value == "+":
-                i += 1  # '-' stays: consumed as the next term's sign
-                if i >= len(tokens):
-                    raise PolyParseError(
-                        f"trailing '+' in polynomial {text!r}")
+        pos, sign = m.end(), -1 if m["sep"] == "-" else 1
 
     plist = known if known is not None else tuple(sorted(seen))
     acc: dict[tuple[int, ...], Fraction] = {}
-    for sign, coeff, powers in terms:
+    for coeff, powers in terms:
         expo = tuple(powers.get(name, 0) for name in plist)
-        acc[expo] = acc.get(expo, _ZERO) + sign * coeff
+        acc[expo] = acc.get(expo, 0) + coeff
     return Poly(plist, acc)
 
 

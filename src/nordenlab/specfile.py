@@ -46,10 +46,10 @@ from .errors import ExponentOverflowError, PolyParseError, SpecFileError
 from .lie import LieAlgebra
 from .linalg import RationalMatrix
 from .norden import AlmostNordenAlgebra
-from .poly import Poly, parse_poly
+from .poly import VARIABLE, Poly, parse_poly
 from .record import Record
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = re.compile(rf"{VARIABLE}\Z")
 #: Rationals as written in spec files and ``--eval``: an integer or p/q,
 #: with a nonzero denominator.
 RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?\Z")

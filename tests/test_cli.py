@@ -3,12 +3,14 @@
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import reference
 from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature, report,
                        specfile)
+from nordenlab import family as family_mod
 from nordenlab.cli import main
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
@@ -77,6 +79,10 @@ def test_eval_validation(capsys):
     capsys.readouterr()
     assert main(base + ["l1=1,l2=oops,l3=1"]) == 2          # not rational
     capsys.readouterr()
+    assert main(base + ["l1=1,,l2=2,l3=3"]) == 0            # empty piece
+    capsys.readouterr()
+    assert main(base + ["l1=1,l2,l3=3"]) == 2               # no '='
+    assert "must look like name=value, got 'l2'" in capsys.readouterr().err
     # the spec-file grammar: an integer or p/q, nothing else
     for bad in ("0.5", "1e5", "1/0"):
         assert main(base + [f"l1=1,l2={bad},l3=1"]) == 2
@@ -142,6 +148,21 @@ def test_long_integers_are_input_errors(tmp_path, capsys, body, args):
     assert main(args[:1] + [str(spec)] + args[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_trailing_star_in_a_bracket_is_input_error(tmp_path, capsys, command,
+                                                   spec_fixture_path):
+    text = spec_fixture_path.read_text(encoding="utf-8")
+    assert "\n1 2 -> 4: l2; 5: l3\n" in text  # line 16
+    spec = tmp_path / "star.spec"
+    spec.write_text(text.replace("1 2 -> 4: l2;", "1 2 -> 4: l2*;"),
+                    encoding="utf-8")
+    assert main([command, str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 16: cannot read the term at column "
+                            "1 of polynomial 'l2*'\n")
 
 
 # -- check -----------------------------------------------------------------
@@ -389,6 +410,23 @@ def test_family_regression_summary(capsys):
     assert "f-components: ok (121 checks)" in lines
     assert "curvature: ok (73 checks)" in lines
     assert lines[-1] == "all identities verified"
+
+
+def test_family_regression_failure_exits_1(monkeypatch, capsys):
+    real = family_mod.expected_killing_form
+
+    def off_by_one(params):  # B(1,1) one more than the computed value
+        B = real(params)
+        return SimpleNamespace(
+            entry=lambda i, j: B.entry(i, j) + int(i == j == 1))
+
+    monkeypatch.setattr(family_mod, "expected_killing_form", off_by_one)
+    assert main(["family", "--table1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "killing-form: FAIL (1 of 22 checks)" in lines
+    assert lines[-1] == ("  killing-form/B(1,1): expected 4*l3^2 + 1, "
+                         "computed 4*l3^2")
+    assert "all identities verified" not in lines
 
 
 def test_family_emit_spec_matches_fixture(spec_fixture_path, capsys):

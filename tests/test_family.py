@@ -4,6 +4,7 @@ import pytest
 
 from nordenlab import (
     AlmostNordenAlgebra,
+    CheckResult,
     LieAlgebra,
     Poly,
     StructureError,
@@ -57,6 +58,24 @@ def test_self_validation_catches_tampered_rows(monkeypatch):
     # drop one target from [X2, X3]; metric invariance must now fail
     monkeypatch.setitem(family_mod._BRACKET_ROWS, (2, 3), {5: (1, +1)})
     with pytest.raises(StructureError):
+        build_table1()
+
+
+def test_build_refuses_a_non_invariant_metric(monkeypatch):
+    failed = CheckResult(False, ((1, 2, 4, Poly.constant(3, P3)),))
+    monkeypatch.setattr(AlmostNordenAlgebra, "check_invariant_metric",
+                        lambda self: failed)
+    with pytest.raises(StructureError,
+                       match=r"not invariant: residual 3 at \(1,2,4\)"):
+        build_table1()
+
+
+def test_build_refuses_an_eq22_failure(monkeypatch):
+    failed = CheckResult(False, (("isotropy", 2, Poly.constant(1, P3)),))
+    monkeypatch.setattr(family_mod, "check_eq22", lambda f: failed)
+    with pytest.raises(StructureError,
+                       match="violate orthogonality/isotropy: "
+                             r"\('isotropy', 2, "):
         build_table1()
 
 

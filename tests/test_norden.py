@@ -6,6 +6,7 @@ import pytest
 
 from nordenlab import (
     AlmostNordenAlgebra,
+    ClassFlags,
     LieAlgebra,
     NonSymmetricMatrixError,
     Poly,
@@ -233,6 +234,10 @@ def test_classify_family(falg, ftensor):
     assert (flags.w0, flags.w1, flags.w2, flags.w3) == (
         False, False, False, True)
     assert flags.label() == "W3 (quasi-Kähler with Norden metric)"
+
+
+def test_label_names_w1_alone():
+    assert ClassFlags(False, True, False, False).label() == "W1"
 
 
 def test_classify_family_w2_residual(falg, ftensor):

@@ -212,3 +212,105 @@ def test_parse_is_linear_in_the_number_of_terms():
     assert p.params == params
     assert p.terms == expected
     assert elapsed < 2.0  # a term-by-term Poly sum took tens of seconds
+
+
+# -- the grammar -------------------------------------------------------------
+
+SPACES = ("", "", " ", "  ", "\t")
+
+
+def render_term(rnd, coeff, expo, names, minus):
+    """One term of ``coeff * prod(names ** expo)`` as text: ``minus`` is
+    how many '-' the separator before it gives, its own leading '-' run
+    makes the total parity the sign, its coefficient is split across
+    factors and each power is split into ``x`` and ``x^k`` pieces, all
+    in random order with random spacing.  Returns the text and the names
+    written."""
+    def sp():
+        return rnd.choice(SPACES)
+
+    factors, written = [], set()
+    for name, e in zip(names, expo):
+        while e:
+            k = rnd.randint(1, e)
+            factors.append(name if k == 1 else f"{name}{sp()}^{sp()}{k}")
+            e -= k
+            written.add(name)
+    if rnd.random() < 0.2:
+        name = rnd.choice(names)
+        factors.append(f"{name}^0")
+        written.add(name)
+    num, den = abs(coeff.numerator), coeff.denominator
+    if num != den or not factors or rnd.random() < 0.3:
+        split = rnd.choice([d for d in range(1, num + 1) if num % d == 0]
+                           or [1])
+        factors.append(f"{split}{sp()}/{sp()}{den}")
+        if split != num or rnd.random() < 0.3:
+            factors.append(str(num // split))
+    rnd.shuffle(factors)
+    run = rnd.choice([0, 2]) + (minus + (coeff < 0)) % 2
+    body = f"{sp()}*{sp()}".join(factors)
+    return "".join(f"-{sp()}" for _ in range(run)) + body, written
+
+
+def test_parse_reads_random_renderings_of_known_terms():
+    rnd = random.Random(20261018)
+    names = ("b2", "a", "c_d")
+    declared = names + ("unused",)
+    for _ in range(300):
+        expected: dict[tuple[int, ...], Fraction] = {}
+        pieces, written = [], set()
+        for n in range(rnd.randint(1, 5)):
+            coeff = Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+            expo = tuple(rnd.choice([0, 0, 1, 2, 3, 5]) for _ in names)
+            expected[expo] = expected.get(expo, 0) + coeff
+            sep = rnd.choice(["+", "-", "+ -"]) if n else ""
+            text, names_written = render_term(rnd, coeff, expo, names,
+                                              sep.count("-"))
+            pieces.append(f"{sep}{rnd.choice(SPACES)}{text}")
+            written |= names_written
+        text = rnd.choice(SPACES).join(pieces)
+        want = Poly(names, expected)
+        inferred = parse_poly(text)
+        assert inferred == want, text
+        assert inferred.params == tuple(sorted(written)), text
+        exact = parse_poly(text, declared)
+        assert exact == want and exact.params == declared, text
+
+
+@pytest.mark.parametrize("text, column", [
+    ("l1*", 1), ("2*", 1), ("l1 -", 5), ("+l1", 1), ("l1 -+ l2", 5),
+    ("l1**l2", 1), ("l1^-2", 1), ("2l1", 1), ("l1/2", 1), ("1/2/3", 1),
+    ("l1^2^3", 1), ("l1 & l2", 1),
+], ids=["trailing-star", "trailing-star-after-coefficient", "dangling-sign",
+        "leading-plus", "plus-after-minus", "double-star",
+        "negative-exponent", "no-star-between-factors",
+        "variable-over-integer", "two-slashes", "power-of-power",
+        "unknown-character"])
+def test_parse_refuses_text_outside_the_grammar(text, column):
+    for params in (None, P3):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, params)
+        assert str(exc.value) == (f"cannot read the term at column {column} "
+                                  f"of polynomial {text!r}")
+
+
+@pytest.mark.parametrize("text, params, message", [
+    (" \t", None, "empty polynomial text ' \\t'"),
+    ("l1*2/0", None, "zero denominator in polynomial 'l1*2/0'"),
+    ("l1 + mu", P3, "unknown parameter 'mu' in polynomial 'l1 + mu'"),
+    ("1" * 5000 + "*l1", None,
+     "integer of 5000 digits in polynomial is too long"),
+], ids=["empty", "zero-denominator", "unknown-parameter", "long-integer"])
+def test_parse_names_the_semantic_fault(text, params, message):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, params)
+    assert str(exc.value) == message
+
+
+def test_parse_handles_megabyte_runs():
+    # a '-' run of even length before a variable, and a space run before
+    # a trailing '*': both read in linear time, with no recursion
+    assert parse_poly("-" * (1 << 20) + "l1") == Poly.variable("l1", ("l1",))
+    with pytest.raises(PolyParseError):
+        parse_poly("l1" + " " * (1 << 20) + "*")

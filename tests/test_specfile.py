@@ -140,6 +140,8 @@ def test_error_bad_bracket_lines():
     raises_on_line(base + "1 2 -> 7: l1\n", 4)     # target out of range
     raises_on_line(base + "1 2 -> 3: l1; 3: l1\n", 4)  # duplicate target
     raises_on_line(base + "1 2 -> 3: l1 +\n", 4)   # bad polynomial
+    raises_on_line(base + "1 2 -> 3: l1*\n", 4)    # trailing '*'
+    raises_on_line(base + "1 2 -> 3 l1\n", 4)      # target without ':'
     raises_on_line(base + "1 2 -> 3: mu\n", 4)     # undeclared parameter
     raises_on_line(base + "1 2 -> 3: l1\n1 2 -> 4: l1\n", 5)  # dup pair
 
