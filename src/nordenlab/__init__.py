@@ -21,103 +21,45 @@ or from a spec file, reading single stages from one lazy pipeline::
     print(geo.flags.label(), geo.ricci_and_tau[1])
 """
 
-from .curvature import (
-    ConnectionCoeffs,
-    PlaneSpec,
-    coordinate_plane,
-    curvature_R,
-    curvature_invariant_formula,
-    is_locally_symmetric,
-    levi_civita,
-    nabla_R,
-    plane_type,
-    ricci_and_scalar,
-    sectional_curvature,
-    square_norm_nabla_J,
-)
-from .errors import (
-    DegeneratePlaneError,
-    DimensionMismatchError,
-    NonSymmetricMatrixError,
-    NordenLabError,
-    ParameterMismatchError,
-    PolyParseError,
-    SingularMatrixError,
-    SpecFileError,
-    StructureError,
-)
-from .family import (
-    RegressionCheck,
-    RegressionReport,
-    Table1Family,
-    build_table1,
-    check_eq22,
-    regression_report,
-)
-from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, RationalMatrix, Tensor
-# not in __all__: the benchmark's oracle imports it from the package
-from .linalg import rational_rank  # noqa: F401
-from .norden import (
-    AlmostNordenAlgebra,
-    ClassFlags,
-    check_norden,
-    default_J,
-    default_metric,
-)
-from .poly import Poly, format_poly, parse_poly
-from .report import Geometry, ReportDocument, compute_report, document_for
-from .specfile import AlgebraSpecFile, emit_spec, parse_spec, parse_spec_text
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraSpecFile",
-    "AlmostNordenAlgebra",
-    "CheckResult",
-    "ClassFlags",
-    "ConnectionCoeffs",
-    "DegeneratePlaneError",
-    "DimensionMismatchError",
-    "Geometry",
-    "LieAlgebra",
-    "NonSymmetricMatrixError",
-    "NordenLabError",
-    "ParameterMismatchError",
-    "PlaneSpec",
-    "Poly",
-    "PolyMatrix",
-    "PolyParseError",
-    "RationalMatrix",
-    "RegressionCheck",
-    "RegressionReport",
-    "ReportDocument",
-    "SingularMatrixError",
-    "SpecFileError",
-    "StructureError",
-    "Table1Family",
-    "Tensor",
-    "build_table1",
-    "check_eq22",
-    "check_norden",
-    "compute_report",
-    "coordinate_plane",
-    "curvature_R",
-    "curvature_invariant_formula",
-    "default_J",
-    "default_metric",
-    "document_for",
-    "emit_spec",
-    "format_poly",
-    "is_locally_symmetric",
-    "levi_civita",
-    "nabla_R",
-    "parse_poly",
-    "parse_spec",
-    "parse_spec_text",
-    "plane_type",
-    "regression_report",
-    "ricci_and_scalar",
-    "sectional_curvature",
-    "square_norm_nabla_J",
-]
+# Each public name and the submodule that defines it.  The submodules are
+# imported on first access (PEP 562), so a CLI call compiles only what its
+# subcommand runs.
+_EXPORTS = {name: module for module, names in {
+    "curvature": "ConnectionCoeffs PlaneSpec coordinate_plane curvature_R "
+                 "curvature_invariant_formula is_locally_symmetric "
+                 "levi_civita nabla_R plane_type ricci_and_scalar "
+                 "sectional_curvature square_norm_nabla_J",
+    "errors": "DegeneratePlaneError DimensionMismatchError "
+              "NonSymmetricMatrixError NordenLabError ParameterMismatchError "
+              "PolyParseError SingularMatrixError SpecFileError StructureError",
+    "family": "RegressionCheck RegressionReport Table1Family build_table1 "
+              "regression_report",
+    "lie": "CheckResult LieAlgebra",
+    "linalg": "PolyMatrix RationalMatrix Tensor",
+    "norden": "AlmostNordenAlgebra ClassFlags check_eq22 check_norden "
+              "default_J default_metric",
+    "poly": "Poly format_poly parse_poly",
+    "report": "Geometry ReportDocument compute_report document_for",
+    "specfile": "AlgebraSpecFile emit_spec parse_spec parse_spec_text",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+# not in __all__: the benchmark's oracle imports it from the package
+_EXPORTS["rational_rank"] = "linalg"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

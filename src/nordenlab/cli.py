@@ -23,11 +23,11 @@ import sys
 from fractions import Fraction
 
 from .errors import NordenLabError
-from .family import build_table1, check_eq22, regression_report
 from .lie import format_vector
-from .norden import AlmostNordenAlgebra
-from .report import Geometry, _rows_text, document_for
-from .specfile import RATIONAL, emit_spec, parse_spec
+from .norden import AlmostNordenAlgebra, check_eq22
+
+# Each subcommand imports the stages it runs, so a call compiles only
+# those modules: ``check`` and ``classify`` never load curvature or report.
 
 _MAX_SHOWN_VIOLATIONS = 5
 
@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_assignment(text: str,
                       params: tuple[str, ...]) -> dict[str, Fraction]:
+    from .specfile import RATIONAL
+
     values: dict[str, Fraction] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -123,8 +125,10 @@ def _resolve(args) -> AlmostNordenAlgebra:
         raise _CliError("provide exactly one input: a spec file path or "
                         "--family table1")
     if args.family is not None:
+        from .family import build_table1
         a = build_table1().algebra
     else:
+        from .specfile import parse_spec
         a = parse_spec(args.spec)
     assignment = getattr(args, "assignment", None)
     if assignment is not None:
@@ -170,15 +174,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    geo = Geometry(_resolve(args))
-    print(geo.flags.label())
+    a = _resolve(args)
+    F = a.tensor_F()  # Geometry's wiring of F, theta and flags, sans report
+    theta = a.lie_form(F)
+    flags = a.classify(F, theta)
+    print(flags.label())
     print("  ".join(f"{name}={'true' if value else 'false'}"
-                    for name, value in geo.flags.as_dict().items()))
-    print(f"lie form theta: {format_vector(geo.theta)}")
+                    for name, value in flags.as_dict().items()))
+    print(f"lie form theta: {format_vector(theta)}")
     return 0
 
 
 def cmd_curvature(args) -> int:
+    from .report import Geometry, _rows_text
+
     geo = Geometry(_resolve(args))
 
     print("curvature components (representatives with i<j, k<l, "
@@ -206,6 +215,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import document_for
+
     doc = document_for(_resolve(args))
     if args.format == "json":
         sys.stdout.write(doc.to_json())
@@ -219,8 +230,11 @@ def cmd_report(args) -> int:
 def cmd_family(args) -> int:
     if not args.table1:
         raise _CliError("select a family: --table1")
+    from .family import build_table1, regression_report
+
     family = build_table1()
     if args.emit_spec:
+        from .specfile import emit_spec
         sys.stdout.write(emit_spec(family.algebra))
         return 0
     rep = regression_report(family)

@@ -21,14 +21,12 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping
 
-from .curvature import curvature_invariant_formula
 from .errors import StructureError
-from .lie import CheckResult, LieAlgebra
-from .linalg import PolyMatrix, Tensor, _accumulate
-from .norden import AlmostNordenAlgebra
+from .lie import LieAlgebra
+from .linalg import PolyMatrix, Tensor
+from .norden import AlmostNordenAlgebra, check_eq22
 from .poly import Poly, RationalLike
 from .record import Record
-from .report import Geometry
 
 PARAM_NAMES = ("l1", "l2", "l3")
 
@@ -310,33 +308,6 @@ def build_table1(params: tuple[str, str, str] = PARAM_NAMES) -> Table1Family:
     return family
 
 
-def check_eq22(f: Table1Family | AlmostNordenAlgebra) -> CheckResult:
-    """Commutator orthogonality and isotropy conditions.
-
-    ok iff g([X_i,X_j], [X_k,X_l]) = 0 for every quadruple of pairwise
-    distinct indices, and g([X_i, JX_i], [X_i, JX_i]) = 0 for every i —
-    each commutator of a basis vector with its J-image is an isotropic
-    vector.  Accepts the family wrapper or any almost Norden algebra.
-
-    Both read the bracket Gram tensor ``a.bracket_gram``: orthogonality
-    is its nonzero components at pairwise distinct quadruples, in
-    row-major order, and with J X_i = sum_b J_bi X_b the isotropy
-    residual of i is sum_{b,d} J_bi J_di g([X_i,X_b],[X_i,X_d]).
-    """
-    a = f.algebra if isinstance(f, Table1Family) else f
-    gram = a.bracket_gram
-    violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
-                  for (i, j, k, l), residual in gram.nonzero
-                  if len({i, j, k, l}) == 4]
-    acc: dict[tuple[int, ...], list] = {}
-    for i, column in enumerate(a.J.nonzero_columns):  # J X_i
-        for (b, jb), (d, jd) in product(column, repeat=2):
-            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
-    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero
-    violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
-    return CheckResult(not violations, tuple(violations))
-
-
 class RegressionCheck(Record):
     """A single expected-vs-computed comparison."""
 
@@ -392,6 +363,9 @@ def regression_report(f: Table1Family) -> RegressionReport:
     curvature-routes, ricci, tau, sectional, nabla-j-norm, nabla-r,
     killing-form.  Every comparison is exact polynomial equality.
     """
+    from .curvature import curvature_invariant_formula
+    from .report import Geometry
+
     a = f.algebra
     alg = a.algebra
     params = f.params

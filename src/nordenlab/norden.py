@@ -15,7 +15,7 @@ neutral signature (n, n).  On top of that live:
   the Koszul formula; one formula for every metric, invariant or not,
 * the fundamental tensor  F(x, y, z) = g((grad_x J)y, z), read from T,
 * the bracket Gram tensor  g([X_i, X_j], [X_k, X_l]), read by the eq22
-  check and the invariant-metric curvature formula,
+  check (:func:`check_eq22`) and the invariant-metric curvature formula,
 * the Lie form  theta(z) = g^{ij} F(X_i, X_j, z),
 * membership tests for the classes W0, W1, W2, W3.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
@@ -222,7 +223,7 @@ class AlmostNordenAlgebra:
         """g([X_i, X_j], [X_k, X_l]) = sum_p G_ijp c_kl^p: one scatter of
         the lowered constants :attr:`G` against the structure constants,
         each G_ijp meeting every c_kl^p with the same p.  Computed once;
-        :func:`~nordenlab.family.check_eq22` and
+        :func:`check_eq22` and
         :func:`~nordenlab.curvature.curvature_invariant_formula` read it."""
         by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
         for (k, l, p), w in self.algebra.gamma.nonzero:
@@ -338,3 +339,31 @@ class AlmostNordenAlgebra:
     def __repr__(self):
         return (f"AlmostNordenAlgebra(dim={self.dim}, "
                 f"params={self.params})")
+
+
+def check_eq22(f) -> CheckResult:
+    """Commutator orthogonality and isotropy conditions.
+
+    ok iff g([X_i,X_j], [X_k,X_l]) = 0 for every quadruple of pairwise
+    distinct indices, and g([X_i, JX_i], [X_i, JX_i]) = 0 for every i —
+    each commutator of a basis vector with its J-image is an isotropic
+    vector.  Accepts an almost Norden algebra, or the family wrapper
+    :class:`~nordenlab.family.Table1Family` that holds one.
+
+    Both read the bracket Gram tensor ``a.bracket_gram``: orthogonality
+    is its nonzero components at pairwise distinct quadruples, in
+    row-major order, and with J X_i = sum_b J_bi X_b the isotropy
+    residual of i is sum_{b,d} J_bi J_di g([X_i,X_b],[X_i,X_d]).
+    """
+    a = f if isinstance(f, AlmostNordenAlgebra) else f.algebra
+    gram = a.bracket_gram
+    violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
+                  for (i, j, k, l), residual in gram.nonzero
+                  if len({i, j, k, l}) == 4]
+    acc: dict[tuple[int, ...], list] = {}
+    for i, column in enumerate(a.J.nonzero_columns):  # J X_i
+        for (b, jb), (d, jd) in product(column, repeat=2):
+            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
+    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero
+    violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
+    return CheckResult(not violations, tuple(violations))

@@ -535,6 +535,14 @@ def _int(digits: str) -> int:
                              f"is too long") from None
 
 
+def _shown(text: str) -> str:
+    """``repr(text)``, cut to its first 20 characters and its length when
+    longer than 40, so that an error line stays short on any input."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r} of {len(text)} characters"
+
+
 def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
     """Parse polynomial text.
 
@@ -543,10 +551,11 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
     parameter list is the sorted set of variables written (``x^0`` too).
     """
     if not text or text.isspace():
-        raise PolyParseError(f"empty polynomial text {text!r}")
+        raise PolyParseError(f"empty polynomial text {_shown(text)}")
     known = None if params is None else tuple(params)
     seen: set[str] = set()
-    terms: list[tuple[Fraction, dict[str, int]]] = []
+    # coefficient sums, keyed by each term's sorted (name, power) pairs
+    sums: dict[tuple[tuple[str, int], ...], Fraction | int] = {}
     pos, sign = 0, 1  # a '-' between terms is the next term's sign
     while True:
         m = _TERM.match(text, pos)
@@ -555,28 +564,32 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
             factor = _FACTOR.fullmatch(piece)
             if factor is None:
                 raise PolyParseError(f"cannot read the term at column "
-                                     f"{pos + 1} of polynomial {text!r}")
+                                     f"{pos + 1} of polynomial {_shown(text)}")
             n, d, name, power = factor.groups()
             if n:
                 num *= _int(n)
                 den *= _int(d or "1")
                 if not den:
                     raise PolyParseError(
-                        f"zero denominator in polynomial {text!r}")
+                        f"zero denominator in polynomial {_shown(text)}")
             elif known is not None and name not in known:
-                raise PolyParseError(f"unknown parameter {name!r} in "
-                                     f"polynomial {text!r}")
+                raise PolyParseError(f"unknown parameter {_shown(name)} in "
+                                     f"polynomial {_shown(text)}")
             else:
                 seen.add(name)
                 powers[name] = powers.get(name, 0) + _int(power or "1")
-        terms.append((Fraction(num, den), powers))
+        key = tuple(sorted(powers.items()))
+        # an integer coefficient adds as an int, without Fraction's gcd
+        sums[key] = sums.get(key, 0) + (Fraction(num, den) if den > 1
+                                        else num)
         if not m["sep"]:
             break
         pos, sign = m.end(), -1 if m["sep"] == "-" else 1
 
     plist = known if known is not None else tuple(sorted(seen))
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for coeff, powers in terms:
+    acc: dict[tuple[int, ...], Fraction | int] = {}
+    for key, coeff in sums.items():
+        powers = dict(key)
         expo = tuple(powers.get(name, 0) for name in plist)
         acc[expo] = acc.get(expo, 0) + coeff
     return Poly(plist, acc)

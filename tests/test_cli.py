@@ -165,6 +165,16 @@ def test_trailing_star_in_a_bracket_is_input_error(tmp_path, capsys, command,
                             "1 of polynomial 'l2*'\n")
 
 
+def test_overlong_polynomial_text_is_one_short_error_line(tmp_path, capsys):
+    spec = tmp_path / "spaces.spec"
+    spec.write_text("dimension = 2\nparameters = t\n[brackets]\n1 2 -> 1: t"
+                    + " " * 1_000_000 + "*\n", encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4:") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
 # -- check -----------------------------------------------------------------
 
 def test_check_family_all_ok(capsys):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -301,7 +302,10 @@ def test_parse_refuses_text_outside_the_grammar(text, column):
     ("l1 + mu", P3, "unknown parameter 'mu' in polynomial 'l1 + mu'"),
     ("1" * 5000 + "*l1", None,
      "integer of 5000 digits in polynomial is too long"),
-], ids=["empty", "zero-denominator", "unknown-parameter", "long-integer"])
+    ("l1" + " " * 100 + "+ mu", P3, "unknown parameter 'mu' in polynomial "
+     "'l1                  ' of 106 characters"),
+], ids=["empty", "zero-denominator", "unknown-parameter", "long-integer",
+        "long-text-cut"])
 def test_parse_names_the_semantic_fault(text, params, message):
     with pytest.raises(PolyParseError) as exc:
         parse_poly(text, params)
@@ -314,3 +318,16 @@ def test_parse_handles_megabyte_runs():
     assert parse_poly("-" * (1 << 20) + "l1") == Poly.variable("l1", ("l1",))
     with pytest.raises(PolyParseError):
         parse_poly("l1" + " " * (1 << 20) + "*")
+
+
+def test_parse_sums_repeated_terms_as_it_reads_them():
+    # half a million terms share one monomial, so they share one sum
+    text = "+".join(["x"] * (1 << 19))
+    tracemalloc.start()
+    try:
+        p = parse_poly(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == Poly.variable("x", ("x",)) * 524288
+    assert peak < 32 << 20
