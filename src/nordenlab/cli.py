@@ -87,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_assignment(text: str,
                       params: tuple[str, ...]) -> dict[str, Fraction]:
+    from .poly import _shown
     from .specfile import RATIONAL
 
     values: dict[str, Fraction] = {}
@@ -95,28 +96,28 @@ def _parse_assignment(text: str,
         if not piece:
             continue
         name, eq, raw = piece.partition("=")
-        name = name.strip()
-        raw = raw.strip()
+        name, raw = name.strip(), raw.strip()
         if not eq or not name or not raw:
             raise _CliError(f"--eval entries must look like name=value, "
-                            f"got {piece!r}")
+                            f"got {_shown(piece)}")
         if name not in params:
-            raise _CliError(f"--eval names unknown parameter {name!r} "
-                            f"(parameters: {', '.join(params) or 'none'})")
+            known = _shown(", ".join(params), str) or "none"
+            raise _CliError(f"--eval names unknown parameter {_shown(name)} "
+                            f"(parameters: {known})")
         if name in values:
-            raise _CliError(f"--eval assigns {name!r} twice")
+            raise _CliError(f"--eval assigns {_shown(name)} twice")
         if not RATIONAL.match(raw):
-            raise _CliError(f"--eval value for {name!r} is not a "
-                            f"rational number p or p/q: {raw!r}")
+            raise _CliError(f"--eval value for {_shown(name)} is not a "
+                            f"rational number p or p/q: {_shown(raw)}")
         try:
             values[name] = Fraction(raw)
         except ValueError:  # more digits than Python converts
-            raise _CliError(f"--eval value for {name!r} has {len(raw)} "
+            raise _CliError(f"--eval value for {_shown(name)} has {len(raw)} "
                             f"characters, too long to read") from None
     missing = [p for p in params if p not in values]
     if missing:
         raise _CliError("--eval must assign every parameter; missing: "
-                        + ", ".join(missing))
+                        + _shown(", ".join(missing), str))
     return values
 
 
@@ -136,18 +137,15 @@ def _resolve(args) -> AlmostNordenAlgebra:
     return a
 
 
-def _print_violations(lines: list[str]):
-    for line in lines[:_MAX_SHOWN_VIOLATIONS]:
-        print(f"    {line}")
-    if len(lines) > _MAX_SHOWN_VIOLATIONS:
-        print(f"    ... and {len(lines) - _MAX_SHOWN_VIOLATIONS} more")
-
-
 def _verdict(name: str, result, describe) -> bool:
     """Print ``name: ok``, or ``name: FAIL`` and the first violations,
     each rendered by ``describe``; True on failure."""
     print(f"{name}: {'ok' if result.ok else 'FAIL'}")
-    _print_violations([describe(*v) for v in result.violations])
+    for v in result.violations[:_MAX_SHOWN_VIOLATIONS]:
+        print(f"    {describe(*v)}")
+    if len(result.violations) > _MAX_SHOWN_VIOLATIONS:
+        print(f"    ... and {len(result.violations) - _MAX_SHOWN_VIOLATIONS}"
+              " more")
     return not result.ok
 
 
@@ -186,7 +184,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .report import Geometry, _rows_text
+    from .report import Geometry, _curvature_lines, _rows_text
 
     geo = Geometry(_resolve(args))
 
@@ -201,16 +199,7 @@ def cmd_curvature(args) -> int:
         print("  (all components vanish)")
 
     rho, tau = geo.ricci_and_tau
-    print("ricci:")
-    for row in _rows_text(rho):
-        print("  " + "  ".join(row))
-    print(f"tau: {tau}")
-
-    print("sectional curvatures:")
-    for pid, ptype, value in geo.sectional:
-        shown_value = ("undefined (degenerate plane)" if value is None
-                       else value)
-        print(f"  {pid}  {ptype}  {shown_value}")
+    print("\n".join(_curvature_lines(_rows_text(rho), tau, geo.sectional)))
     return 0
 
 

@@ -12,7 +12,9 @@ every operation a finite exact contraction:
   for an invariant metric it collapses to grad_x y = (1/2)[x, y];
 * the curvature convention is
       R(x, y)z = grad_x grad_y z - grad_y grad_x z - grad_{[x,y]} z,
-      R(x, y, z, u) = g(R(x, y)z, u);
+      R(x, y, z, u) = g(R(x, y)z, u),
+  read in one pass from the connection and T, never raised or lowered:
+      R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl);
   over an invariant metric the independent second route
   R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
   connection;
@@ -70,39 +72,36 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
-    """All components R_ijkl = g(R(X_i, X_j)X_k, X_l).
+    """All components R_ijkl = g(R(X_i, X_j)X_k, X_l), in one pass.
 
-    Composed from the nonzero connection coefficients: the upper
-    component
+    g lowers Gamma_ip^q to the Koszul tensor T_ipl, so R is read from the
+    connection and T directly, with no upper-index tensor between:
 
-        R_ijk^q = sum_p (Gamma_jk^p Gamma_ip^q - Gamma_ik^p Gamma_jp^q
-                         - c_ij^p Gamma_pk^q)
+        R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl)
 
-    (Gamma the connection, c the structure constants) is scattered pair by
-    pair and then lowered with g.  Never computed from the
-    invariant-metric bracket formula, which stays a separate routine
-    (:func:`curvature_invariant_formula`) so the two can be compared as
-    independent routes.
+    (Gamma the connection, c the structure constants), each product
+    scattered pair by pair with T bucketed by its contracted index p.
+    Never computed from the invariant-metric bracket formula, which stays
+    a separate routine (:func:`curvature_invariant_formula`) so the two
+    can be compared as independent routes.
     """
-    dim = a.dim
-    gamma = c.nonzero
-    by_first = [[] for _ in range(dim)]   # p -> (k, q, Gamma_pk^q)
-    by_second = [[] for _ in range(dim)]  # p -> (i, q, Gamma_ip^q)
-    for (i, p, q), v in gamma:
-        by_first[i].append((p, q, v))
-        by_second[p].append((i, q, v))
-    upper: dict[tuple[int, ...], list] = {}
-    for (j, k, p), v in gamma:
+    by_first = [[] for _ in range(a.dim)]   # p -> (k, l, T_pkl)
+    by_second = [[] for _ in range(a.dim)]  # p -> (i, l, T_ipl)
+    for (i, p, l), w in a.T.nonzero:
+        by_first[i].append((p, l, w))
+        by_second[p].append((i, l, w))
+    acc: dict[tuple[int, ...], list] = {}
+    for (j, k, p), v in c.nonzero:
         minus_v = -v
-        for i, q, w in by_second[p]:
+        for i, l, w in by_second[p]:
             if i != j:
-                _accumulate(upper, (i, j, k, q), v, w)
-                _accumulate(upper, (j, i, k, q), minus_v, w)
+                _accumulate(acc, (i, j, k, l), v, w)
+                _accumulate(acc, (j, i, k, l), minus_v, w)
     for (i, j, p), v in a.algebra.gamma.nonzero:
         minus_v = -v
-        for k, q, w in by_first[p]:
-            _accumulate(upper, (i, j, k, q), minus_v, w)
-    return Tensor(a.params, dim, 4, upper).contract(3, a.g)
+        for k, l, w in by_first[p]:
+            _accumulate(acc, (i, j, k, l), minus_v, w)
+    return Tensor(a.params, a.dim, 4, acc)
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:

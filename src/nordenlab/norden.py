@@ -207,9 +207,10 @@ class AlmostNordenAlgebra:
     def T(self) -> Tensor:
         """T_ijk = g(grad_{X_i} X_j, X_k), the Levi-Civita connection
         lowered with g: by the Koszul formula the cyclic sum
-        (G_ijk - G_jki + G_kij) / 2.  Computed once; F and the raised
-        connection (:func:`~nordenlab.curvature.levi_civita`) read from
-        it.  For an invariant metric it equals G / 2."""
+        (G_ijk - G_jki + G_kij) / 2.  Computed once; F, the raised
+        connection (:func:`~nordenlab.curvature.levi_civita`) and R
+        (:func:`~nordenlab.curvature.curvature_R`) read from it.  For an
+        invariant metric it equals G / 2."""
         lowered: dict[tuple[int, ...], list] = {}
         half = Fraction(1, 2)
         for (i, j, k), v in self.G.nonzero:

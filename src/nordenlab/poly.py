@@ -148,7 +148,8 @@ class Poly:
                 raise ValueError(f"negative exponent in {expo}")
             if expo and max(expo) > MAX_EXPONENT:
                 raise ExponentOverflowError(
-                    f"exponent above {MAX_EXPONENT} in {expo}")
+                    f"exponent above {MAX_EXPONENT} in "
+                    f"{_shown(str(expo), str)}")
             coeff = as_fraction(coeff)
             if coeff:
                 clean[_pack(expo)] = coeff
@@ -535,11 +536,12 @@ def _int(digits: str) -> int:
                              f"is too long") from None
 
 
-def _shown(text: str) -> str:
-    """``repr(text)``, cut to its first 20 characters and its length when
-    longer than 40, so that an error line stays short on any input."""
+def _shown(text: str, quote=repr) -> str:
+    """``quote(text)``, cut to the ``repr`` of its first 20 characters and
+    its length when longer than 40: every error line that echoes outside
+    input reads it through here, so it stays short on any input."""
     if len(text) <= 40:
-        return repr(text)
+        return quote(text)
     return f"{text[:20]!r} of {len(text)} characters"
 
 

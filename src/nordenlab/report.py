@@ -129,6 +129,21 @@ def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _curvature_lines(ricci, tau, sectional, between=()) -> list[str]:
+    """The ricci rows (entry texts), ``tau:``, the ``between`` lines and
+    the sectional table of (plane, type, value) triples, value None for a
+    degenerate plane: the layout ``curvature`` and the text report share."""
+    lines = ["ricci:"]
+    lines.extend("  " + "  ".join(row) for row in ricci)
+    lines.append(f"tau: {tau}")
+    lines.extend(between)
+    lines.append("sectional curvatures:")
+    for plane, ptype, value in sectional:
+        shown = "undefined (degenerate plane)" if value is None else value
+        lines.append(f"  {plane}  {ptype}  {shown}")
+    return lines
+
+
 class ReportDocument(Record):
     """String-level report with deterministic renderings.
 
@@ -224,17 +239,11 @@ class ReportDocument(Record):
             f"{flag}={_bool_text(self.classification[flag])}"
             for flag in ("w0", "w1", "w2", "w3")))
         lines.append("lie form theta: " + "  ".join(self.theta))
-        lines.append("ricci:")
-        lines.extend("  " + "  ".join(row) for row in self.ricci)
-        lines.append(f"tau: {self.tau}")
-        lines.append(f"square norm of grad J: {self.nabla_j_norm}")
-        lines.append("locally symmetric: "
-                     + _bool_text(self.locally_symmetric))
-        lines.append("sectional curvatures:")
-        for entry in self.sectional:
-            value = entry["k"]
-            shown = "undefined (degenerate plane)" if value is None else value
-            lines.append(f"  {entry['plane']}  {entry['type']}  {shown}")
+        lines.extend(_curvature_lines(
+            self.ricci, self.tau,
+            [(e["plane"], e["type"], e["k"]) for e in self.sectional],
+            (f"square norm of grad J: {self.nabla_j_norm}",
+             f"locally symmetric: {_bool_text(self.locally_symmetric)}")))
         lines.append("killing form:")
         lines.extend("  " + "  ".join(row) for row in self.killing_form)
         return "\n".join(lines) + "\n"

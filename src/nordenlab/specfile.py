@@ -46,7 +46,7 @@ from .errors import ExponentOverflowError, PolyParseError, SpecFileError
 from .lie import LieAlgebra
 from .linalg import RationalMatrix
 from .norden import AlmostNordenAlgebra
-from .poly import VARIABLE, Poly, parse_poly
+from .poly import VARIABLE, Poly, _shown, parse_poly
 from .record import Record
 
 _NAME = re.compile(rf"{VARIABLE}\Z")
@@ -100,7 +100,7 @@ def _convert(kind, token: str, lineno: int):
 def _fraction(token: str, lineno: int) -> Fraction:
     token = token.strip()
     if not RATIONAL.match(token):
-        raise SpecFileError(f"not a rational number: {token!r}",
+        raise SpecFileError(f"not a rational number: {_shown(token)}",
                             line=lineno)
     return _convert(Fraction, token, lineno)
 
@@ -115,7 +115,7 @@ def _meaningful_lines(text: str):
 def _key_value(line: str, key: str, lineno: int) -> str:
     head, eq, tail = line.partition("=")
     if head.strip() != key or not eq:
-        raise SpecFileError(f"expected '{key} = ...', got {line!r}",
+        raise SpecFileError(f"expected '{key} = ...', got {_shown(line)}",
                             line=lineno)
     return tail.strip()
 
@@ -148,7 +148,7 @@ def parse_spec_text(text: str) -> AlgebraSpecFile:
         names = [p.strip() for p in params_text.split(",")]
         for name in names:
             if not _NAME.match(name):
-                raise SpecFileError(f"invalid parameter name {name!r}",
+                raise SpecFileError(f"invalid parameter name {_shown(name)}",
                                     line=lineno)
         if len(set(names)) != len(names):
             raise SpecFileError("duplicate parameter name", line=lineno)
@@ -161,15 +161,15 @@ def parse_spec_text(text: str) -> AlgebraSpecFile:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in ("metric", "J", "brackets"):
-                raise SpecFileError(f"unknown section [{name}]",
+                raise SpecFileError(f"unknown section [{_shown(name, str)}]",
                                     line=lineno)
             if name in sections:
                 raise SpecFileError(f"duplicate section [{name}]",
                                     line=lineno)
             current = sections.setdefault(name, [])
         elif current is None:
-            raise SpecFileError(f"content outside any section: {line!r}",
-                                line=lineno)
+            raise SpecFileError(f"content outside any section: "
+                                f"{_shown(line)}", line=lineno)
         else:
             current.append((lineno, line))
 
@@ -227,7 +227,7 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
         if not m:
             raise SpecFileError(
                 f"bracket line must look like 'I J -> K: poly; ...', "
-                f"got {line!r}", line=lineno)
+                f"got {_shown(line)}", line=lineno)
         i, j = (_convert(int, m.group(n), lineno) for n in (1, 2))
         for idx in (i, j):
             if not (1 <= idx <= dim):
@@ -249,12 +249,12 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
             if not colon:
                 raise SpecFileError(
                     f"bracket target must look like 'K: poly', got "
-                    f"{piece.strip()!r}", line=lineno)
+                    f"{_shown(piece.strip())}", line=lineno)
             head = head.strip()
             if not head.isdigit():
                 raise SpecFileError(
                     f"bracket target index must be an integer, got "
-                    f"{head!r}", line=lineno)
+                    f"{_shown(head)}", line=lineno)
             k = _convert(int, head, lineno)
             if not (1 <= k <= dim):
                 raise SpecFileError(

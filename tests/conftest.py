@@ -85,6 +85,15 @@ def sheared(twin):
 
 
 @pytest.fixture(scope="session")
+def sheared_heisenberg6(heisenberg6):
+    """heisenberg6 in the basis of the ``sheared`` fixture: a general,
+    non-invariant metric whose lowered connection T (68 nonzero) and
+    raised connection (118 nonzero) have different patterns."""
+    U = RationalMatrix([[int(j >= i) for j in range(6)] for i in range(6)])
+    return rebased(heisenberg6, U @ U.transpose())
+
+
+@pytest.fixture(scope="session")
 def sheared_family(falg):
     """The symbolic family under a two-cell shear of its basis: 116
     nonzero structure constants instead of 72, with up to three terms

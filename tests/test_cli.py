@@ -175,6 +175,75 @@ def test_overlong_polynomial_text_is_one_short_error_line(tmp_path, capsys):
     assert len(err.encode()) < 300
 
 
+#: Each refusal that echoes outside input, fed 100,000 characters of it
+#: (a 4000-digit exponent for the Poly constructor; a 100,000-character
+#: parameter name for the --eval refusals that list the parameters).
+HUGE = 100_000
+ECHOES = {
+    "key-value": ("x" * HUGE + "\nparameters = t\n", []),
+    "parameter-name": ("dimension = 2\nparameters = " + "1" * HUGE + "\n",
+                       []),
+    "section": (MINIMAL_SPEC + "[" + "x" * HUGE + "]\n", []),
+    "outside-section": (MINIMAL_SPEC + "x" * HUGE + "\n", []),
+    "rational": (MINIMAL_SPEC + "[metric]\ndiag = " + "a" * HUGE + ", 1\n",
+                 []),
+    "bracket-line": (MINIMAL_SPEC + "[brackets]\n" + "x" * HUGE + "\n", []),
+    "bracket-target": (MINIMAL_SPEC + "[brackets]\n1 2 -> " + "x" * HUGE
+                       + "\n", []),
+    "target-index": (MINIMAL_SPEC + "[brackets]\n1 2 -> " + "a" * HUGE
+                     + ": 1\n", []),
+    "eval-entry": ("dimension = 2\nparameters = t\n", ["--eval", "x" * HUGE]),
+    "eval-name": ("dimension = 2\nparameters = t\n",
+                  ["--eval", "q" * HUGE + "=1"]),
+    "eval-value": ("dimension = 2\nparameters = t\n",
+                   ["--eval", "t=" + "a" * HUGE]),
+    "eval-digits": ("dimension = 2\nparameters = t\n",
+                    ["--eval", "t=" + "9" * HUGE]),
+    "exponent": ("dimension = 2\nparameters = t\n[brackets]\n1 2 -> 1: t^"
+                 + "9" * 4000 + "\n", []),
+    "eval-parameters": ("dimension = 2\nparameters = " + "p" * HUGE + "\n",
+                        ["--eval", "q=1"]),
+    "eval-missing": ("dimension = 2\nparameters = " + "p" * HUGE + "\n",
+                     ["--eval", ""]),
+}
+
+
+@pytest.mark.parametrize("name", ECHOES)
+def test_echoed_input_is_cut_to_one_short_error_line(tmp_path, capsys, name):
+    text, args = ECHOES[name]
+    spec = tmp_path / "echo.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 300
+
+
+@pytest.mark.parametrize("text, args, message", [
+    ("[foo]\n", [], "line 3: unknown section [foo]"),
+    ("stray\n", [], "line 3: content outside any section: 'stray'"),
+    ("[brackets]\n1 2 -> a: t\n", [],
+     "line 4: bracket target index must be an integer, got 'a'"),
+    ("[brackets]\n1 2 -> 1: t^2147483648\n", [],
+     "line 4: exponent above 2147483647 in (2147483648,)"),
+    ("", ["--eval", "t=abc"],
+     "--eval value for 't' is not a rational number p or p/q: 'abc'"),
+    ("", ["--eval", "q=1"],
+     "--eval names unknown parameter 'q' (parameters: t)"),
+    ("", ["--eval", ""], "--eval must assign every parameter; missing: t"),
+], ids=["section", "outside-section", "target-index", "exponent", "eval",
+        "eval-parameters", "eval-missing"])
+def test_short_echoed_input_is_shown_whole(tmp_path, capsys, text, args,
+                                           message):
+    spec = tmp_path / "short.spec"
+    spec.write_text("dimension = 2\nparameters = t\n" + text,
+                    encoding="utf-8")
+    assert main(["check", str(spec)] + args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- check -----------------------------------------------------------------
 
 def test_check_family_all_ok(capsys):

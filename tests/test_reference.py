@@ -3,7 +3,10 @@
 Connection, curvature, grad R, the Killing form and F are compared
 component for component with ``tests/reference.py`` on the
 three-parameter family, its numeric twin and a symbolic shear of it, the
-Heisenberg and affine fixtures, filiform chains and a dense input.  F must equal G/2 on every invariant metric
+Heisenberg and affine fixtures, filiform chains, a dense input and a
+sheared Heisenberg algebra.  On the last, a general metric whose lowered
+and raised connections differ in pattern, the dense loops are the only
+independent route to R.  F must equal G/2 on every invariant metric
 and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
 must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
 Adv. Math. 21, 1976), whatever the basis.
@@ -52,7 +55,8 @@ def assert_dense(T, dense):
 
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
-            ("filiform10", False), ("twin", True), ("sheared_family", True)]
+            ("filiform10", False), ("twin", True), ("sheared_family", True),
+            ("sheared_heisenberg6", False)]
 
 
 @pytest.mark.parametrize("name, invariant", FIXTURES)
