@@ -14,7 +14,9 @@ every operation a finite exact contraction:
       R(x, y)z = grad_x grad_y z - grad_y grad_x z - grad_{[x,y]} z,
       R(x, y, z, u) = g(R(x, y)z, u),
   read in one pass from the connection and T, never raised or lowered:
-      R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl);
+      R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl),
+  each product made once, at i < j, and the i > j half filled by
+  negation;
   over an invariant metric the independent second route
   R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
   connection;
@@ -22,12 +24,13 @@ every operation a finite exact contraction:
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
 * grad R is built one direction block at a time, at its canonical
-  components j < k, l < m, (j, k) <= (l, m) only: each nonzero
-  component of R meets each nonzero connection coefficient whose upper
-  index sits in one of its slots, and a product is made only where it
-  lands on a canonical component.  The rest of each block is copied by
-  the slot symmetries R_jklm = -R_kjlm = -R_jkml = R_lmjk, which R is
-  checked for first; an R without them raises StructureError;
+  components j < k, l < m, (j, k) <= (l, m) only: R's nonzeros are
+  bucketed once by the index in each slot, each nonzero connection
+  coefficient visits the bucket of its upper index, and a product is
+  made only where it lands on a canonical component.  The rest of each
+  block is copied by the slot symmetries R_jklm = -R_kjlm = -R_jkml =
+  R_lmjk, which R is checked for first; an R without them raises
+  StructureError;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -79,11 +82,16 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
 
         R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl)
 
-    (Gamma the connection, c the structure constants), each product
-    scattered pair by pair with T bucketed by its contracted index p.
-    Never computed from the invariant-metric bracket formula, which stays
-    a separate routine (:func:`curvature_invariant_formula`) so the two
-    can be compared as independent routes.
+    (Gamma the connection, c the structure constants), with T bucketed
+    by its contracted index p.  Each product Gamma_jk^p T_ipl belongs at
+    (i, j, k, l) and, negated, at (j, i, k, l); it is made once and
+    added at whichever of the two has the smaller first index, and
+    c_ij^p T_pkl is made at i < j only.  The i > j half is then the
+    negation of the finished i < j half (c is antisymmetric, which
+    :class:`~nordenlab.lie.LieAlgebra` checks).  Never computed from the
+    invariant-metric bracket formula, which stays a separate routine
+    (:func:`curvature_invariant_formula`) so the two can be compared as
+    independent routes.
     """
     by_first = [[] for _ in range(a.dim)]   # p -> (k, l, T_pkl)
     by_second = [[] for _ in range(a.dim)]  # p -> (i, l, T_ipl)
@@ -94,14 +102,18 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     for (j, k, p), v in c.nonzero:
         minus_v = -v
         for i, l, w in by_second[p]:
-            if i != j:
+            if i < j:
                 _accumulate(acc, (i, j, k, l), v, w)
+            elif i > j:
                 _accumulate(acc, (j, i, k, l), minus_v, w)
     for (i, j, p), v in a.algebra.gamma.nonzero:
-        minus_v = -v
-        for k, l, w in by_first[p]:
-            _accumulate(acc, (i, j, k, l), minus_v, w)
-    return Tensor(a.params, a.dim, 4, acc)
+        if i < j:
+            minus_v = -v
+            for k, l, w in by_first[p]:
+                _accumulate(acc, (i, j, k, l), minus_v, w)
+    half = Tensor(a.params, a.dim, 4, acc).nonzero
+    return Tensor(a.params, a.dim, 4, dict(
+        half + tuple(((j, i, k, l), -v) for (i, j, k, l), v in half)))
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -271,39 +283,52 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     grad_i acts as a derivation on every slot, so each block keeps the
     slot symmetries of R: R_jklm = -R_kjlm = -R_jkml = R_lmjk.  A block
     is therefore computed only at its canonical components, j < k,
-    l < m and (j, k) <= (l, m): each nonzero R entry meets each negated
-    coefficient -Gamma_ix^p whose upper index p sits in one of its four
-    slots, and the product is added at x in that slot only when that
-    output index is canonical.  Each canonical value is then copied to
+    l < m and (j, k) <= (l, m).  Before the first block, each nonzero R
+    entry goes into the bucket of the index in each of its four slots,
+    with the range of x for which the entry with x in that slot is a
+    canonical index (none when the pair the slot leaves is not
+    increasing).  Each negated coefficient -Gamma_ix^p of direction i
+    walks the bucket at p, and a product is made only for the entries
+    whose range holds x.  Each canonical value is then copied to
     the rest of its orbit with the signs above.  The copy is only sound
     for an R with those symmetries, so R is checked once, before the
     first block, and a violation raises :class:`StructureError`.
     """
     _check_slot_symmetries(R)
-    entries = R.nonzero
-    # direction i -> p -> the (x, -Gamma_ix^p), x increasing
-    columns_of = [[[] for _ in range(a.dim)] for _ in range(a.dim)]
+    # p -> (lo, hi, head, tail, R entry): the entry holds p in the slot
+    # between head and tail, and head + (x,) + tail is canonical exactly
+    # for lo <= x < hi
+    dim = a.dim
+    bucket = [[] for _ in range(dim)]
+    for (j, k, l, n), v in R.nonzero:
+        if l < n:
+            # (x, k, l, n): x < k and (x, k) <= (l, n)
+            bucket[j].append((0, min(k, l + (k <= n)), (), (k, l, n), v))
+            if j <= l:  # (j, x, l, n): j < x and (j, x) <= (l, n)
+                bucket[k].append((j + 1, dim if j < l else n + 1, (j,),
+                                  (l, n), v))
+        if j < k:
+            # (j, k, x, n): x < n and (j, k) <= (x, n)
+            bucket[l].append((j + (k > n), n, (j, k), (n,), v))
+            if j <= l:  # (j, k, l, x): l < x and (j, k) <= (l, x)
+                bucket[n].append((k if j == l else l + 1, dim, (j, k, l),
+                                  (), v))
+    coeffs_of = [[] for _ in range(dim)]  # i -> (x, p, -Gamma_ix^p)
     for (i, x, p), v in c.nonzero:
-        columns_of[i][p].append((x, -v))
-    for columns in columns_of:
+        coeffs_of[i].append((x, p, -v))
+    for coeffs in coeffs_of:
         acc: dict[tuple[int, ...], list] = {}
-        for slot in range(4):
-            pair = 2 if slot < 2 else 0  # the pair this slot leaves as is
-            for idx, v in entries:
-                if idx[pair] >= idx[pair + 1]:
-                    continue
-                head, tail = idx[:slot], idx[slot + 1:]
-                for x, m in columns[idx[slot]]:
-                    j, k, l, n = key = head + (x,) + tail
-                    if j < k and l < n and (j, k) <= (l, n):
-                        _accumulate(acc, key, v, m)
+        for x, p, m in coeffs:
+            for lo, hi, head, tail, v in bucket[p]:
+                if lo <= x < hi:
+                    _accumulate(acc, head + (x,) + tail, v, m)
         orbits: dict[tuple[int, ...], Poly] = {}
-        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero:
+        for (j, k, l, m), v in Tensor(a.params, dim, 4, acc).nonzero:
             minus_v = -v
             for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
                                ((j, k, m, l), minus_v), ((k, j, m, l), v)):
                 orbits[key] = orbits[key[2:] + key[:2]] = value
-        yield Tensor(a.params, a.dim, 4, orbits)
+        yield Tensor(a.params, dim, 4, orbits)
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:

@@ -147,9 +147,12 @@ class Poly:
             if expo and min(expo) < 0:
                 raise ValueError(f"negative exponent in {expo}")
             if expo and max(expo) > MAX_EXPONENT:
+                try:
+                    shown = _shown(str(expo), str)
+                except ValueError:  # past the int-to-str digit limit
+                    shown = f"an exponent of {max(expo).bit_length()} bits"
                 raise ExponentOverflowError(
-                    f"exponent above {MAX_EXPONENT} in "
-                    f"{_shown(str(expo), str)}")
+                    f"exponent above {MAX_EXPONENT} in {shown}")
             coeff = as_fraction(coeff)
             if coeff:
                 clean[_pack(expo)] = coeff
@@ -383,19 +386,21 @@ class Poly:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
+        # Poly first: a Poly operand then never reaches the ABC instance
+        # check that (int, Fraction) costs
+        if isinstance(other, Poly):
+            if self.params == other.params:
+                return self.den == other.den and self.nums == other.nums
+            if self.is_constant and other.is_constant:
+                return self.constant_value() == other.constant_value()
+            try:
+                a, b = self._aligned(other)
+            except ParameterMismatchError:
+                return False
+            return a.den == b.den and a.nums == b.nums
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.params == other.params:
-            return self.den == other.den and self.nums == other.nums
-        if self.is_constant and other.is_constant:
-            return self.constant_value() == other.constant_value()
-        try:
-            a, b = self._aligned(other)
-        except ParameterMismatchError:
-            return False
-        return a.den == b.den and a.nums == b.nums
+        return NotImplemented
 
     def __hash__(self):
         # Equality aligns parameter lists, so hash what survives that:

@@ -20,7 +20,8 @@ validating ``Poly(...)`` constructor, never through a ring operation.
 ``format_terms`` is ``format_poly`` written against the tuple-keyed
 ``terms`` view, sorting exponent tuples rather than packed keys.
 ``rebased`` is the change of basis the dense and basis-change tests
-apply to an algebra.
+apply to an algebra, and ``many_term_spec`` the seeded many-term
+filiform chain they and the CLI goldens read.
 
 ``jacobiator``, ``check_jacobi``, ``check_eq22`` and
 ``curvature_invariant_formula`` are the per-tuple loops the structure
@@ -51,6 +52,7 @@ sparse tensor can be compared with them at every index, and
 helpers these loops use.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -335,6 +337,22 @@ def format_terms(p: Poly) -> str:
         return "0"
     out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
     return out + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+def many_term_spec(dim: int, n: int, rng: random.Random) -> str:
+    """The filiform chain [X1, Xk] = p_k X(k+1), k = 2..dim-1, where each
+    p_k has ``n`` distinct terms in a, b and c, exponents 0..5 and
+    coefficients 1..9, drawn from ``rng`` and written by the tuple-sorted
+    reference formatter."""
+    params = ("a", "b", "c")
+    lines = [f"dimension = {dim}", "parameters = a, b, c", "", "[brackets]"]
+    for k in range(2, dim):
+        expos = set()
+        while len(expos) < n:
+            expos.add(tuple(rng.randint(0, 5) for _ in params))
+        p = Poly(params, {e: rng.randint(1, 9) for e in sorted(expos)})
+        lines.append(f"1 {k} -> {k + 1}: {format_terms(p)}")
+    return "\n".join(lines) + "\n"
 
 
 def rebased(a: AlmostNordenAlgebra, P: RationalMatrix) -> AlmostNordenAlgebra:

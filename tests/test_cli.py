@@ -430,28 +430,12 @@ def test_table1_report_is_golden(extra, golden, spec_fixture_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-def many_term_spec(dim: int, n: int, rng: random.Random) -> str:
-    """The filiform chain [X1, Xk] = p_k X(k+1), k = 2..dim-1, where each
-    p_k has ``n`` distinct terms in a, b and c, exponents 0..5 and
-    coefficients 1..9, drawn from ``rng`` and written by the tuple-sorted
-    reference formatter."""
-    params = ("a", "b", "c")
-    lines = [f"dimension = {dim}", "parameters = a, b, c", "", "[brackets]"]
-    for k in range(2, dim):
-        expos = set()
-        while len(expos) < n:
-            expos.add(tuple(rng.randint(0, 5) for _ in params))
-        p = Poly(params, {e: rng.randint(1, 9) for e in sorted(expos)})
-        lines.append(f"1 {k} -> {k + 1}: {reference.format_terms(p)}")
-    return "\n".join(lines) + "\n"
-
-
 def test_many_term_report_is_golden(spec_fixture_path, capsys):
     # eight terms in three parameters per bracket: every component of
     # the report is a long polynomial, so this golden pins the term order
     data = spec_fixture_path.parent
     spec = data / "manyterm6.spec"
-    assert spec.read_text(encoding="utf-8") == many_term_spec(
+    assert spec.read_text(encoding="utf-8") == reference.many_term_spec(
         6, 8, random.Random(1))
     assert main(["report", str(spec), "--format", "json"]) == 0
     assert capsys.readouterr().out == (

@@ -140,6 +140,24 @@ def test_curvature_components_are_quadratic(fcurv):
                     assert v.is_homogeneous(2)
 
 
+def test_curvature_makes_each_product_once_at_i_below_j(falg, fconn,
+                                                      fcurv, monkeypatch):
+    # each Gamma.T product belongs at (i, j, k, l) and, negated, at
+    # (j, i, k, l): it is added once, at i < j, and the i > j half is
+    # filled by negation (adding it at both makes 2208 calls)
+    keys = []
+    real = curvature._accumulate
+
+    def counting(acc, key, v, m=1):
+        assert key[0] < key[1], key
+        keys.append(key)
+        real(acc, key, v, m)
+
+    monkeypatch.setattr(curvature, "_accumulate", counting)
+    assert curvature_R(falg, fconn) == fcurv
+    assert len(keys) == 1104
+
+
 def test_curvature_two_routes_agree(falg, fcurv):
     assert curvature_invariant_formula(falg) == fcurv
 

@@ -333,6 +333,18 @@ def test_exponents_up_to_the_field_width():
         Poly(PARAMS, {(1.5, 0, 0): 1})
 
 
+def test_an_exponent_past_the_digit_limit_is_one_short_overflow_error():
+    # str() of an int of more than 4300 digits raises ValueError, so the
+    # message names the exponent by its bit length
+    huge = 10**5000
+    with pytest.raises(ExponentOverflowError) as caught:
+        Poly(("t",), {(huge,): 1})
+    message = str(caught.value)
+    assert message == (f"exponent above {MAX_EXPONENT} in an exponent of "
+                       f"{huge.bit_length()} bits")
+    assert len(message.encode()) < 300
+
+
 @pytest.mark.parametrize("params", [("a", "b"), ("b", "a")])
 def test_squaring_past_the_field_width_raises_and_never_wraps(params):
     # a sits in the high field, then in the low field next to b

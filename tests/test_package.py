@@ -3,6 +3,7 @@ lazily, each on first access, and a CLI call loads only the modules its
 subcommand runs.  ``check`` and ``classify`` never load the curvature
 stages, the report or ``json``."""
 
+import os
 import pickle
 import subprocess
 import sys
@@ -28,7 +29,8 @@ print(*sorted(sys.modules))
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args],
-                          env={"PYTHONPATH": str(ROOT / "src")},
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                                   PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, check=True, **kwargs)
 
 

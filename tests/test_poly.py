@@ -149,6 +149,20 @@ def test_promotion_of_constants():
     assert (c * p).params == ("l1",)
 
 
+def test_equality_with_each_kind_of_operand():
+    two, l1 = Poly.constant(2, P3), Poly.variable("l1", P3)
+    assert two == 2 and 2 == two and two != 3 and l1 != 2
+    assert Poly.constant("1/2", P3) == Fraction(1, 2) != l1
+    # a Poly over other parameters is aligned first, or unequal if it
+    # has one that cannot be aligned
+    assert l1 == Poly.variable("l1", ("l1",)) != two
+    assert two == Poly.constant(2, ("mu",))
+    assert l1 != Poly.variable("mu", ("mu",))
+    # anything else is not a number to compare with
+    assert two.__eq__("2") is NotImplemented
+    assert two != "2" and two != None and two != [2]
+
+
 def test_disjoint_params_refuse_to_mix():
     a = Poly.variable("l1", ("l1",))
     b = Poly.variable("mu", ("mu",))

@@ -8,6 +8,7 @@ it."""
 
 import copy
 import inspect
+import os
 import pickle
 import subprocess
 import sys
@@ -149,6 +150,6 @@ def test_cli_process_does_not_import_dataclasses():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, nordenlab.cli; print('dataclasses' in sys.modules)"],
-        env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
-        check=True)
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"

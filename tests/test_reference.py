@@ -41,7 +41,8 @@ import reference
 from nordenlab import (PlaneSpec, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
-                       plane_type, ricci_and_scalar, rational_rank)
+                       parse_spec_text, plane_type, ricci_and_scalar,
+                       rational_rank)
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.errors import SingularMatrixError
 from nordenlab.linalg import RationalMatrix
@@ -59,9 +60,9 @@ FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("sheared_heisenberg6", False)]
 
 
-@pytest.mark.parametrize("name, invariant", FIXTURES)
-def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
-    a = request.getfixturevalue(name)
+def assert_curvature_matches_dense_reference(a):
+    """R, its Ricci matrix and every grad R block equal the dense loops;
+    returns grad R."""
     c = levi_civita(a)
     R = curvature_R(a, c)
     assert R == reference.curvature_R(a, c)
@@ -73,9 +74,34 @@ def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     for block, dense in zip(nabla_R_blocks(a, c, R), dense_nabla_r,
                             strict=True):
         assert_dense(block, dense)
+    return nabla_r
+
+
+@pytest.mark.parametrize("name, invariant", FIXTURES)
+def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
+    a = request.getfixturevalue(name)
+    nabla_r = assert_curvature_matches_dense_reference(a)
     assert a.check_invariant_metric().ok == invariant
     if invariant:  # Milnor: an ad-skew metric has grad R = 0
         assert is_locally_symmetric(nabla_r)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_many_term_curvature_and_nabla_match_dense_reference(seed):
+    # four terms in three parameters per bracket: every product of R and
+    # grad R is a product of multi-term polynomials
+    spec = reference.many_term_spec(6, 4, random.Random(seed))
+    assert_curvature_matches_dense_reference(
+        parse_spec_text(spec).to_algebra())
+
+
+def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
+    # R is built at i < j and negated into i > j: that antisymmetry must
+    # hold for a bracket that is no Lie bracket too (grad R refuses this R)
+    c = levi_civita(perturbed)
+    R = curvature_R(perturbed, c)
+    assert R == reference.curvature_R(perturbed, c)
+    assert_dense(R, reference.curvature_R_grid(perturbed, c))
 
 
 @pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
