@@ -23,14 +23,12 @@ every operation a finite exact contraction:
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
-* grad R is built one direction block at a time, at its canonical
-  components j < k, l < m, (j, k) <= (l, m) only: R's nonzeros are
-  bucketed once by the index in each slot, each nonzero connection
-  coefficient visits the bucket of its upper index, and a product is
-  made only where it lands on a canonical component.  The rest of each
-  block is copied by the slot symmetries R_jklm = -R_kjlm = -R_jkml =
-  R_lmjk, which R is checked for first; an R without them raises
-  StructureError;
+* grad R is built one direction block at a time from one contraction,
+      (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk,
+      Q_jklm = -sum_x Gamma_ij^x R_xklm,
+  made at the canonical components j < k, l < m, (j, k) <= (l, m) only
+  and copied over each orbit by R's slot symmetries, which R is checked
+  for first (an R without them raises StructureError);
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -280,55 +278,49 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
 
         -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ...
 
-    grad_i acts as a derivation on every slot, so each block keeps the
-    slot symmetries of R: R_jklm = -R_kjlm = -R_jkml = R_lmjk.  A block
-    is therefore computed only at its canonical components, j < k,
-    l < m and (j, k) <= (l, m).  Before the first block, each nonzero R
-    entry goes into the bucket of the index in each of its four slots,
-    with the range of x for which the entry with x in that slot is a
-    canonical index (none when the pair the slot leaves is not
-    increasing).  Each negated coefficient -Gamma_ix^p of direction i
-    walks the bucket at p, and a product is made only for the entries
-    whose range holds x.  Each canonical value is then copied to
-    the rest of its orbit with the signs above.  The copy is only sound
-    for an R with those symmetries, so R is checked once, before the
-    first block, and a violation raises :class:`StructureError`.
+    grad_i is a derivation, so each block keeps the slot symmetries of R,
+    R_jklm = -R_kjlm = -R_jkml = R_lmjk, and by them the four corrections
+    are one contraction read four ways (the second by antisymmetry, the
+    third and fourth by pair symmetry):
+
+        Q_jklm = -sum_x Gamma_ij^x R_xklm,
+        (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk.
+
+    A block is made only at its canonical components, j < k, l < m and
+    (j, k) <= (l, m).  R's nonzeros with l < m are bucketed once by first
+    index x; a product -Gamma_ij^x R_xklm, k != j (at k = j its two
+    places cancel), is added, negated if k < j, at the sorted pair
+    {j, k} + (l, m) and at (l, m) + {j, k}, wherever that is canonical,
+    and each canonical value is copied over its orbit.  That is sound
+    only for an R with those symmetries, so R is checked before the
+    first block and a violation raises :class:`StructureError`.
     """
     _check_slot_symmetries(R)
-    # p -> (lo, hi, head, tail, R entry): the entry holds p in the slot
-    # between head and tail, and head + (x,) + tail is canonical exactly
-    # for lo <= x < hi
-    dim = a.dim
-    bucket = [[] for _ in range(dim)]
-    for (j, k, l, n), v in R.nonzero:
-        if l < n:
-            # (x, k, l, n): x < k and (x, k) <= (l, n)
-            bucket[j].append((0, min(k, l + (k <= n)), (), (k, l, n), v))
-            if j <= l:  # (j, x, l, n): j < x and (j, x) <= (l, n)
-                bucket[k].append((j + 1, dim if j < l else n + 1, (j,),
-                                  (l, n), v))
-        if j < k:
-            # (j, k, x, n): x < n and (j, k) <= (x, n)
-            bucket[l].append((j + (k > n), n, (j, k), (n,), v))
-            if j <= l:  # (j, k, l, x): l < x and (j, k) <= (l, x)
-                bucket[n].append((k if j == l else l + 1, dim, (j, k, l),
-                                  (), v))
-    coeffs_of = [[] for _ in range(dim)]  # i -> (x, p, -Gamma_ix^p)
-    for (i, x, p), v in c.nonzero:
-        coeffs_of[i].append((x, p, -v))
+    by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), R_xklm), l < m
+    for (x, k, l, m), v in R.nonzero:
+        if l < m:
+            by_first[x].append((k, (l, m), v))
+    coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, -Gamma_ij^x, Gamma)
+    for (i, j, x), v in c.nonzero:
+        coeffs_of[i].append((j, x, -v, v))
     for coeffs in coeffs_of:
         acc: dict[tuple[int, ...], list] = {}
-        for x, p, m in coeffs:
-            for lo, hi, head, tail, v in bucket[p]:
-                if lo <= x < hi:
-                    _accumulate(acc, head + (x,) + tail, v, m)
+        for j, x, minus_g, g in coeffs:
+            for k, tail, v in by_first[x]:
+                if j == k:
+                    continue
+                pair, w = ((j, k), minus_g) if j < k else ((k, j), g)
+                if pair <= tail:
+                    _accumulate(acc, pair + tail, v, w)
+                if tail <= pair:
+                    _accumulate(acc, tail + pair, v, w)
         orbits: dict[tuple[int, ...], Poly] = {}
-        for (j, k, l, m), v in Tensor(a.params, dim, 4, acc).nonzero:
+        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero:
             minus_v = -v
             for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
                                ((j, k, m, l), minus_v), ((k, j, m, l), v)):
                 orbits[key] = orbits[key[2:] + key[:2]] = value
-        yield Tensor(a.params, dim, 4, orbits)
+        yield Tensor(a.params, a.dim, 4, orbits)
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:

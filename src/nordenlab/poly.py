@@ -121,6 +121,16 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _distinct(params: Iterable[str]) -> tuple[str, ...]:
+    """``params`` as a tuple.  A name listed twice would get two exponent
+    fields that print alike yet compare unequal, so it is refused."""
+    params = tuple(params)
+    if len(set(params)) < len(params):
+        name = next(p for n, p in enumerate(params) if p in params[:n])
+        raise ValueError(f"parameter {_shown(str(name))} is listed twice")
+    return params
+
+
 class Poly:
     """Immutable exact polynomial in named parameters.
 
@@ -135,7 +145,7 @@ class Poly:
 
     def __init__(self, params: Iterable[str],
                  terms: Mapping[tuple[int, ...], RationalLike] = ()):
-        params = tuple(params)
+        params = _distinct(params)
         width = len(params)
         clean: dict[int, Fraction] = {}
         for expo, coeff in dict(terms).items():
@@ -202,7 +212,7 @@ class Poly:
 
     @classmethod
     def zero(cls, params: Iterable[str] = ()) -> Poly:
-        return cls._make(tuple(params), {})
+        return cls._make(_distinct(params), {})
 
     @classmethod
     def constant(cls, value: RationalLike, params: Iterable[str] = ()) -> Poly:
@@ -211,7 +221,7 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str, params: Iterable[str]) -> Poly:
-        params = tuple(params)
+        params = _distinct(params)
         if name not in params:
             raise ValueError(f"unknown parameter {name!r} (have {params})")
         return cls._make(params, {
@@ -252,7 +262,7 @@ class Poly:
         Every parameter that actually occurs must be present in the new
         list; this is how constants are promoted into a parameter space.
         """
-        params = tuple(params)
+        params = _distinct(params)
         if params == self.params:
             return self
         for name in self._occurring():
@@ -555,19 +565,24 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
 
     When ``params`` is given, every variable must belong to it and the
     result is expressed over exactly that list.  Without ``params`` the
-    parameter list is the sorted set of variables written (``x^0`` too).
+    parameter list is the sorted set of variables written (``x^0`` too),
+    found by one scan before the terms, so each term's coefficient is
+    summed straight under its exponent vector.
     """
     if not text or text.isspace():
         raise PolyParseError(f"empty polynomial text {_shown(text)}")
-    known = None if params is None else tuple(params)
-    seen: set[str] = set()
-    # coefficient sums, keyed by each term's sorted (name, power) pairs
-    sums: dict[tuple[tuple[str, int], ...], Fraction | int] = {}
+    plist = tuple(sorted({m[0] for m in re.finditer(VARIABLE, text)})
+                  if params is None else params)
+    field = {name: n for n, name in enumerate(plist)}
+    zero = [0] * len(plist)
+    # coefficient sums under their exponent vectors, added as read
+    sums: dict[tuple[int, ...], Fraction | int] = {}
     pos, sign = 0, 1  # a '-' between terms is the next term's sign
     while True:
         m = _TERM.match(text, pos)
-        num, den, powers = sign * (-1) ** m["signs"].count("-"), 1, {}
-        for piece in m["factors"].split("*"):
+        signs, factors, sep = m.groups()
+        num, den, expo = -sign if signs.count("-") & 1 else sign, 1, zero[:]
+        for piece in factors.split("*"):
             factor = _FACTOR.fullmatch(piece)
             if factor is None:
                 raise PolyParseError(f"cannot read the term at column "
@@ -575,31 +590,24 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
             n, d, name, power = factor.groups()
             if n:
                 num *= _int(n)
-                den *= _int(d or "1")
-                if not den:
-                    raise PolyParseError(
-                        f"zero denominator in polynomial {_shown(text)}")
-            elif known is not None and name not in known:
+                if d:
+                    den *= _int(d)
+                    if not den:
+                        raise PolyParseError(
+                            f"zero denominator in polynomial {_shown(text)}")
+            elif name in field:
+                expo[field[name]] += _int(power) if power else 1
+            else:
                 raise PolyParseError(f"unknown parameter {_shown(name)} in "
                                      f"polynomial {_shown(text)}")
-            else:
-                seen.add(name)
-                powers[name] = powers.get(name, 0) + _int(power or "1")
-        key = tuple(sorted(powers.items()))
+        key = tuple(expo)
         # an integer coefficient adds as an int, without Fraction's gcd
         sums[key] = sums.get(key, 0) + (Fraction(num, den) if den > 1
                                         else num)
-        if not m["sep"]:
+        if not sep:
             break
-        pos, sign = m.end(), -1 if m["sep"] == "-" else 1
-
-    plist = known if known is not None else tuple(sorted(seen))
-    acc: dict[tuple[int, ...], Fraction | int] = {}
-    for key, coeff in sums.items():
-        powers = dict(key)
-        expo = tuple(powers.get(name, 0) for name in plist)
-        acc[expo] = acc.get(expo, 0) + coeff
-    return Poly(plist, acc)
+        pos, sign = m.end(), -1 if sep == "-" else 1
+    return Poly(plist, sums)
 
 
 def as_poly(value: Poly | RationalLike, params: Iterable[str]) -> Poly:

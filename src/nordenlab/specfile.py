@@ -154,9 +154,9 @@ def parse_spec_text(text: str) -> AlgebraSpecFile:
             raise SpecFileError("duplicate parameter name", line=lineno)
         parameters = tuple(names)
 
-    # Split the remainder into sections.
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current: list[tuple[int, str]] | None = None
+    # Split the remainder into sections: name -> (header line, body)
+    sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
+    current: tuple[int, list[tuple[int, str]]] | None = None
     for lineno, line in lines[2:]:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
@@ -166,27 +166,27 @@ def parse_spec_text(text: str) -> AlgebraSpecFile:
             if name in sections:
                 raise SpecFileError(f"duplicate section [{name}]",
                                     line=lineno)
-            current = sections.setdefault(name, [])
+            current = sections[name] = (lineno, [])
         elif current is None:
             raise SpecFileError(f"content outside any section: "
                                 f"{_shown(line)}", line=lineno)
         else:
-            current.append((lineno, line))
+            current[1].append((lineno, line))
 
-    metric = _parse_matrix_section(sections.get("metric"), dim,
-                                   allow_diag=True)
-    J = _parse_matrix_section(sections.get("J"), dim, allow_diag=False)
-    brackets = _parse_bracket_section(sections.get("brackets", []), dim,
-                                      parameters)
+    metric = _parse_matrix_section(sections, "metric", dim, allow_diag=True)
+    J = _parse_matrix_section(sections, "J", dim, allow_diag=False)
+    brackets = _parse_bracket_section(sections.get("brackets", (0, []))[1],
+                                      dim, parameters)
     return AlgebraSpecFile(dim, parameters, metric, J, brackets)
 
 
-def _parse_matrix_section(body: list[tuple[int, str]] | None, dim: int,
+def _parse_matrix_section(sections: dict, name: str, dim: int,
                           allow_diag: bool) -> RationalMatrix | None:
-    if body is None:
+    if name not in sections:
         return None
+    header, body = sections[name]
     if not body:
-        raise SpecFileError("matrix section is empty")
+        raise SpecFileError(f"[{name}] section is empty", line=header)
     first_lineno, first = body[0]
     if allow_diag and first.startswith("diag"):
         if len(body) > 1:

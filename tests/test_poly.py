@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from nordenlab import ParameterMismatchError, Poly, PolyParseError, parse_poly
+from nordenlab import (LieAlgebra, ParameterMismatchError, Poly,
+                       PolyParseError, parse_poly)
 
 P3 = ("l1", "l2", "l3")
 
@@ -179,6 +180,24 @@ def test_with_params_embedding():
     assert q.with_params(("l1",)) == p
     with pytest.raises(ParameterMismatchError):
         parse_poly("l1 + l2", params=P3).with_params(("l1",))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(("x", "x"), {(1, 0): 1}),
+    lambda: Poly.zero(("x", "y", "x")),
+    lambda: Poly.constant(2, ("x", "y", "x")),
+    lambda: Poly.variable("y", ("x", "y", "x")),
+    lambda: Poly.variable("x", ("x",)).with_params(("x", "y", "x")),
+    lambda: parse_poly("x", ("x", "y", "x")),
+    lambda: LieAlgebra.from_brackets(2, ("x", "x"), {(1, 2): {1: "x"}}),
+], ids=["constructor", "zero", "constant", "variable", "with-params",
+        "parse", "lie-algebra"])
+def test_a_parameter_list_that_repeats_a_name_is_refused(build):
+    # its two fields for x would print alike yet compare unequal:
+    # parse_poly("x", ("x", "y", "x")) read as x*x
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == "parameter 'x' is listed twice"
 
 
 def test_degree_and_homogeneity():

@@ -33,12 +33,12 @@ grad R block, the Jacobiator and the bracket Gram tensor.
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 import reference
-from nordenlab import (PlaneSpec, check_eq22, coordinate_plane,
+from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
@@ -93,6 +93,39 @@ def test_many_term_curvature_and_nabla_match_dense_reference(seed):
     spec = reference.many_term_spec(6, 4, random.Random(seed))
     assert_curvature_matches_dense_reference(
         parse_spec_text(spec).to_algebra())
+
+
+def slot_symmetric_tensor(a, rng):
+    """A rank-4 tensor over ``a``'s parameters with R_jklm = -R_kjlm =
+    -R_jkml = R_lmjk and, in general, no first Bianchi identity: seeded
+    values at about half the components j < k, l < m, (j, k) <= (l, m),
+    each copied over its orbit."""
+    entries = {}
+    pairs = combinations(range(a.dim), 2)
+    for (j, k), (l, m) in combinations_with_replacement(pairs, 2):
+        if rng.random() < 0.5:
+            continue
+        v = Poly(a.params, {tuple(rng.randint(0, 1) for _ in a.params):
+                            Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+        for key, value in (((j, k, l, m), v), ((k, j, l, m), -v),
+                           ((j, k, m, l), -v), ((k, j, m, l), v)):
+            entries[key] = entries[key[2:] + key[:2]] = value
+    return Tensor(a.params, a.dim, 4, entries)
+
+
+@pytest.mark.parametrize("name", ["heisenberg6", "sheared_heisenberg6",
+                                  "falg"])
+def test_nabla_r_needs_only_the_slot_symmetries_it_checks(name, request):
+    # grad R is read from one contraction through R's slot symmetries,
+    # not through the first Bianchi identity, which these tensors break
+    a = request.getfixturevalue(name)
+    c = levi_civita(a)
+    R = slot_symmetric_tensor(a, random.Random(name))
+    assert any(R.at((j, k, l, m)) + R.at((k, l, j, m)) + R.at((l, j, k, m))
+               for j, k, l, m in product(range(a.dim), repeat=4))
+    for block, dense in zip(nabla_R_blocks(a, c, R),
+                            reference.nabla_R(a, c, R), strict=True):
+        assert_dense(block, dense)
 
 
 def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):

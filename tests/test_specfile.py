@@ -89,6 +89,7 @@ def raises_on_line(text, lineno):
         parse_spec_text(text)
     assert exc.value.line == lineno
     assert str(exc.value).startswith(f"line {lineno}:")
+    return str(exc.value)
 
 
 def test_error_missing_header():
@@ -152,6 +153,13 @@ def test_error_bad_matrix_sections():
     raises_on_line(base + "[metric]\n1 0\n", 4)              # missing row
     raises_on_line(base + "[metric]\n1 0\n0 x\n", 5)         # bad rational
     raises_on_line(base + "[J]\ndiag = 1, -1\n", 4)          # J has no diag
+    # an empty section is refused on its header's line
+    for sections, lineno, name in (
+            ("[metric]\n[J]\ndiag = 1, 1\n", 3, "metric"),
+            ("[J]\n[brackets]\n", 3, "J"),
+            ("[brackets]\n1 2 -> 1: 1\n[metric]\n", 5, "metric")):
+        assert raises_on_line(base + sections, lineno) == (
+            f"line {lineno}: [{name}] section is empty")
 
 
 def test_semantic_errors_surface_from_construction():
