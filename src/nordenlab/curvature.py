@@ -22,7 +22,9 @@ every operation a finite exact contraction:
   connection;
 * Ricci and the scalar curvature are g-traces of R;
 * sectional curvature of a plane spanned by constant rational vectors is
-  R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2);
+  R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2); the report's table of the
+  coordinate planes reads R_ijji, g and J directly, and the plane
+  routines serve arbitrary planes;
 * grad R is built one direction block at a time from one contraction,
       (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk,
       Q_jklm = -sum_x Gamma_ij^x R_xklm,
@@ -37,7 +39,7 @@ every operation a finite exact contraction:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
@@ -190,6 +192,19 @@ def _discriminant(a: AlmostNordenAlgebra, x: dict[int, Fraction],
     return _metric_product(a, x, x) * _metric_product(a, y, y) - gxy * gxy
 
 
+def _spanning(a: AlmostNordenAlgebra, p: PlaneSpec) -> tuple[dict, dict]:
+    """The nonzero components of the vectors spanning ``p``, which must
+    have the algebra's dimension and be linearly independent."""
+    if len(p.x) != a.dim:
+        raise DimensionMismatchError(
+            f"plane vectors have length {len(p.x)}, algebra dimension "
+            f"{a.dim}")
+    x, y = _support(p.x), _support(p.y)
+    if len(_eliminate([x, y], a.dim)) != 2:
+        raise ValueError("spanning vectors are linearly dependent")
+    return x, y
+
+
 def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
     """One of "holomorphic", "totally_real", "degenerate", "generic".
 
@@ -207,13 +222,7 @@ def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
     x and y only, so a coordinate plane costs about the nonzero entries
     of two columns of J.
     """
-    if len(p.x) != a.dim:
-        raise DimensionMismatchError(
-            f"plane vectors have length {len(p.x)}, algebra dimension "
-            f"{a.dim}")
-    x, y = _support(p.x), _support(p.y)
-    if len(_eliminate([x, y], a.dim)) != 2:
-        raise ValueError("spanning vectors are linearly dependent")
+    x, y = _spanning(a, p)
     jx, jy = _image(a.J, x), _image(a.J, y)
     if len(_eliminate([x, y, jx, jy], a.dim)) == 2:
         return "holomorphic"
@@ -231,15 +240,11 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
 
     The spanning vectors are rational, so the denominator is an exact
     rational scalar; a zero denominator is the degenerate-plane error,
-    never a division attempt.  The numerator sum_{ijkl} x_i y_j y_k x_l
-    R_ijkl reads R only where x_i, y_j, y_k and x_l are all nonzero: one
-    component for a coordinate plane.
+    never a division attempt; dependent vectors are refused as in
+    :func:`plane_type`.  The numerator sum_{ijkl} x_i y_j y_k x_l R_ijkl
+    reads R only where x_i, y_j, y_k and x_l are all nonzero.
     """
-    if len(p.x) != a.dim:
-        raise DimensionMismatchError(
-            f"plane vectors have length {len(p.x)}, algebra dimension "
-            f"{a.dim}")
-    x, y = _support(p.x), _support(p.y)
+    x, y = _spanning(a, p)
     disc = _discriminant(a, x, y)
     if disc == 0:
         raise DegeneratePlaneError(
@@ -253,17 +258,49 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     return Tensor(a.params, a.dim, 0, acc).at(()) / disc
 
 
+def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
+                         ) -> Iterator[tuple[int, int, str, Poly | None]]:
+    """(i, j, type, k) for each coordinate plane span{X_i, X_j}, 0-based
+    i < j, as :func:`plane_type` and :func:`sectional_curvature` give
+    them (k None where g_ii g_jj - g_ij^2 = 0), read from g's rows, J's
+    nonzero columns and R_ijji: J keeps the plane exactly when its
+    columns i and j are nonzero in rows i and j only, and g(J X_u, X_v)
+    = sum_r J_ru g_rv, multiplied only where g_rv is nonzero.
+    """
+    g, columns = a.g.rows, a.J.nonzero_columns
+    for i, j in combinations(range(a.dim), 2):
+        disc = g[i][i] * g[j][j]
+        if g[i][j]:
+            disc -= g[i][j] * g[i][j]
+        if all(r in (i, j) for r, _ in columns[i] + columns[j]):
+            ptype = "holomorphic"
+        elif not any(sum(m * g[r][v] for r, m in columns[u] if g[r][v])
+                     for u in (i, j) for v in (i, j)):
+            ptype = "totally_real"
+        else:
+            ptype = "generic" if disc else "degenerate"
+        k = R.at((i, j, j, i))
+        yield i, j, ptype, (k / disc if k else k) if disc else None
+
+
 def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
     R breaks.  Each symmetry is an involution, so testing it at the
-    nonzero components suffices."""
-    for (j, k, l, m), v in R.nonzero:
-        minus_v = -v
-        for partner, value, identity in (
-                (R.at((k, j, l, m)), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
-                (R.at((j, k, m, l)), minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
-                (R.at((l, m, j, k)), v, "R(j,k,l,m) = R(l,m,j,k)")):
-            if partner != value:
+    nonzero components suffices, and once per pair: not again at the
+    later of two stored partners."""
+    stored = dict(R.nonzero)
+    for idx, v in R.nonzero:
+        j, k, l, m = idx
+        minus_v = None
+        for partner, negated, identity in (
+                ((k, j, l, m), True, "R(j,k,l,m) = -R(k,j,l,m)"),
+                ((j, k, m, l), True, "R(j,k,l,m) = -R(j,k,m,l)"),
+                ((l, m, j, k), False, "R(j,k,l,m) = R(l,m,j,k)")):
+            if partner < idx and partner in stored:
+                continue
+            if negated and minus_v is None:
+                minus_v = -v
+            if stored.get(partner, 0) != (minus_v if negated else v):
                 raise StructureError(
                     f"curvature tensor violates {identity} at (j,k,l,m) = "
                     f"({j + 1}, {k + 1}, {l + 1}, {m + 1})")

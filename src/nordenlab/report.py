@@ -21,16 +21,13 @@ from functools import cached_property
 
 from .curvature import (
     ConnectionCoeffs,
-    coordinate_plane,
+    coordinate_sectional,
     curvature_R,
     levi_civita,
     nabla_R_blocks,
-    plane_type,
     ricci_and_scalar,
-    sectional_curvature,
     square_norm_nabla_J,
 )
-from .errors import DegeneratePlaneError
 from .linalg import PolyMatrix, Tensor
 from .norden import AlmostNordenAlgebra, ClassFlags, Covector
 from .poly import Poly
@@ -94,17 +91,8 @@ class Geometry:
         """One (plane-id, plane-type, value) triple per coordinate plane
         span{X_i, X_j}, i < j; the value is None exactly for metrically
         degenerate planes, where sectional curvature is undefined."""
-        a = self.algebra
-        table = []
-        for i in range(1, a.dim + 1):
-            for j in range(i + 1, a.dim + 1):
-                plane = coordinate_plane(a.dim, i, j)
-                try:
-                    value = sectional_curvature(a, self.R, plane)
-                except DegeneratePlaneError:
-                    value = None
-                table.append((f"a{i}{j}", plane_type(a, plane), value))
-        return tuple(table)
+        return tuple((f"a{i + 1}{j + 1}", ptype, value) for i, j, ptype, value
+                     in coordinate_sectional(self.algebra, self.R))
 
     @cached_property
     def killing_form(self) -> PolyMatrix:

@@ -122,6 +122,23 @@ def heisenberg6() -> AlmostNordenAlgebra:
     return AlmostNordenAlgebra(LieAlgebra.from_brackets(6, (), {(1, 2): {3: 1}}))
 
 
+@pytest.fixture(scope="session")
+def null_heisenberg6() -> AlmostNordenAlgebra:
+    """heisenberg6 in a basis with a null vector, g(E4, E4) = 0: its
+    coordinate planes take all four types, and a34 is degenerate with
+    R_3443 = 1/4."""
+    text = (DATA_DIR / "null_heisenberg6.spec").read_text(encoding="utf-8")
+    return parse_spec_text(text).to_algebra()
+
+
+@pytest.fixture(scope="session")
+def degenerate_plane() -> AlmostNordenAlgebra:
+    # nondegenerate Norden metric whose a12 coordinate plane is null
+    g = RationalMatrix([[1, 1, 1, 0], [1, 1, 0, 1],
+                        [1, 0, -1, -1], [0, 1, -1, -1]])
+    return AlmostNordenAlgebra(LieAlgebra.abelian(4), g=g)
+
+
 def filiform(dim: int) -> AlmostNordenAlgebra:
     """The filiform chain [X1, Xk] = t*X(k+1), k = 2..dim-1."""
     brackets = {(1, k): {k + 1: "t"} for k in range(2, dim)}

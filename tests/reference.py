@@ -37,6 +37,10 @@ nonzero lowered constants.
 the nonzero components of the spanning vectors: J applied to whole
 vectors, and two row reductions of full rows (``dense_rank``).
 
+``check_slot_symmetries`` is the guard ``nabla_R_blocks`` ran before it
+compared each pair of partner components once: all three slot
+symmetries tested at every nonzero component of R.
+
 ``gauss_jordan`` is the dense elimination ``RationalMatrix`` ran on full
 rows, swapping rows to pivot column by column, before inverse,
 determinant and rank shared one sparse routine; ``dense_solve`` reads
@@ -66,7 +70,7 @@ from nordenlab import (
     PolyMatrix,
     Tensor,
 )
-from nordenlab.errors import ParameterMismatchError
+from nordenlab.errors import ParameterMismatchError, StructureError
 from nordenlab.lie import Vector
 from nordenlab.linalg import RationalMatrix, _accumulate, _scatter
 
@@ -235,6 +239,21 @@ def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:
             block_i.append(tuple(block_j))
         out.append(tuple(block_i))
     return tuple(out)
+
+
+def check_slot_symmetries(R: Tensor) -> None:
+    """Raise :class:`StructureError` naming the first slot symmetry that
+    R breaks, comparing all three at every nonzero component."""
+    for (j, k, l, m), v in R.nonzero:
+        minus_v = -v
+        for partner, value, identity in (
+                (R.at((k, j, l, m)), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
+                (R.at((j, k, m, l)), minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
+                (R.at((l, m, j, k)), v, "R(j,k,l,m) = R(l,m,j,k)")):
+            if partner != value:
+                raise StructureError(
+                    f"curvature tensor violates {identity} at (j,k,l,m) = "
+                    f"({j + 1}, {k + 1}, {l + 1}, {m + 1})")
 
 
 def killing_form(self: LieAlgebra) -> PolyMatrix:

@@ -417,6 +417,20 @@ def test_koszul_route_outputs_are_golden(name, command, golden,
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("command, golden", [
+    (["curvature"], "curvature.txt"),
+    (["report", "--format", "json"], "report.json"),
+])
+def test_null_plane_outputs_are_golden(command, golden, spec_fixture_path,
+                                       capsys):
+    # every plane type, and a degenerate plane where R_3443 = 1/4
+    data = spec_fixture_path.parent
+    spec = str(data / "null_heisenberg6.spec")
+    assert main(command[:1] + [spec] + command[1:]) == 0
+    expected = data / f"null_heisenberg6_{golden}"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("extra, golden", [
     ([], "table1_report.txt"),
     (["--format", "csv"], "table1_report.csv"),

@@ -221,6 +221,19 @@ def test_plane_type_rejects_dependent_vectors(falg):
         plane_type(falg, PlaneSpec((1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("x, y", [((1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)),
+                                  ((0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))])
+def test_sectional_curvature_rejects_dependent_vectors_as_plane_type_does(
+        falg, fcurv, x, y):
+    # a dependent pair has discriminant 0, but it spans no plane at all
+    plane = PlaneSpec(x, y)
+    for route in (lambda: plane_type(falg, plane),
+                  lambda: sectional_curvature(falg, fcurv, plane)):
+        with pytest.raises(ValueError, match=re.escape(
+                "spanning vectors are linearly dependent")):
+            route()
+
+
 def test_coordinate_plane_validation():
     with pytest.raises(ValueError):
         coordinate_plane(6, 3, 3)

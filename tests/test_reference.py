@@ -3,8 +3,9 @@
 Connection, curvature, grad R, the Killing form and F are compared
 component for component with ``tests/reference.py`` on the
 three-parameter family, its numeric twin and a symbolic shear of it, the
-Heisenberg and affine fixtures, filiform chains, a dense input and a
-sheared Heisenberg algebra.  On the last, a general metric whose lowered
+Heisenberg and affine fixtures, filiform chains, a dense input,
+Heisenberg in a basis with a null vector, and a sheared Heisenberg
+algebra.  On the last, a general metric whose lowered
 and raised connections differ in pattern, the dense loops are the only
 independent route to R.  F must equal G/2 on every invariant metric
 and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
@@ -25,6 +26,13 @@ must match the dense Gauss-Jordan loop on seeded random matrices,
 singular ones included: the same inverse, determinant and rank, and the
 same first pivot-free column in ``SingularMatrixError``.
 
+The report's sectional table, read from R_ijji, g and J, must equal
+``plane_type`` and ``sectional_curvature`` on every coordinate plane of
+every input, a null coordinate plane and a Heisenberg basis with all
+four plane types included.  The guard that compares each pair of R's
+slot partners once must raise the message of the all-pairs loop, or
+pass with it, on seeded perturbed copies of R.
+
 Tensors store only their nonzero components, so each one is also read
 with ``component`` at every 1-based index, zeros included, against the
 dense grids of ``reference``: Gamma, F, R, Ricci, the Killing form, each
@@ -42,9 +50,11 @@ from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
-                       rational_rank)
-from nordenlab.curvature import nabla_R_blocks
-from nordenlab.errors import SingularMatrixError
+                       rational_rank, sectional_curvature)
+from nordenlab.curvature import (_check_slot_symmetries, coordinate_sectional,
+                                 nabla_R_blocks)
+from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
+                              StructureError)
 from nordenlab.linalg import RationalMatrix
 
 
@@ -57,7 +67,7 @@ def assert_dense(T, dense):
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
             ("filiform10", False), ("twin", True), ("sheared_family", True),
-            ("sheared_heisenberg6", False)]
+            ("sheared_heisenberg6", False), ("null_heisenberg6", False)]
 
 
 def assert_curvature_matches_dense_reference(a):
@@ -126,6 +136,63 @@ def test_nabla_r_needs_only_the_slot_symmetries_it_checks(name, request):
     for block, dense in zip(nabla_R_blocks(a, c, R),
                             reference.nabla_R(a, c, R), strict=True):
         assert_dense(block, dense)
+
+
+def guard_message(check, R):
+    """The message of the StructureError ``check(R)`` raises, or None."""
+    try:
+        check(R)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["heisenberg6", "sheared_heisenberg6",
+                                  "null_heisenberg6", "falg"])
+def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
+    # the guard compares each pair of partners once; the reference loop
+    # compares all three identities at every nonzero, so the first
+    # violation, and its message, must be the same
+    a = request.getfixturevalue(name)
+    R = curvature_R(a, levi_civita(a))
+    rng = random.Random(name)
+    messages = set()
+    for _ in range(150):
+        entries = dict(R.nonzero)
+        for _ in range(rng.randint(1, 2)):
+            idx = rng.choice(sorted(entries))
+            delta = Poly.constant(
+                Fraction(rng.randint(1, 5), rng.randint(1, 3)), a.params)
+            kind = rng.choice(["add", "negate", "drop", "pair", "orbit"])
+            if kind == "add":  # any index, stored or not
+                idx = tuple(rng.randrange(a.dim) for _ in range(4))
+                entries[idx] = entries.get(idx, Poly.zero(a.params)) + delta
+            elif kind == "negate":
+                entries[idx] = -entries[idx]
+            elif kind == "drop":
+                del entries[idx]
+            elif kind == "pair":  # antisymmetric in both pairs, not swapped
+                (j, k), (l, m) = (rng.sample(range(a.dim), 2),
+                                  rng.sample(range(a.dim), 2))
+                for key, sign in (((j, k, l, m), 1), ((k, j, l, m), -1),
+                                  ((j, k, m, l), -1), ((k, j, m, l), 1)):
+                    entries[key] = (entries.get(key, Poly.zero(a.params))
+                                    + sign * delta)
+            else:  # negate a whole orbit: every symmetry still holds
+                j, k, l, m = idx
+                orbit = {(j, k, l, m), (k, j, l, m),
+                         (j, k, m, l), (k, j, m, l)}
+                for key in orbit | {key[2:] + key[:2] for key in orbit}:
+                    if key in entries:
+                        entries[key] = -entries[key]
+        perturbed = Tensor(a.params, a.dim, 4, entries)
+        message = guard_message(_check_slot_symmetries, perturbed)
+        assert message == guard_message(reference.check_slot_symmetries,
+                                        perturbed)
+        messages.add(message)
+    assert None in messages
+    for identity in ("-R(k,j,l,m)", "-R(j,k,m,l)", "= R(l,m,j,k)"):
+        assert any(identity in m for m in messages if m), identity
 
 
 def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
@@ -223,6 +290,37 @@ def test_plane_types_match_dense_reference(name, request):
             types.add(got)
     assert {"holomorphic", "generic",
             "ValueError: spanning vectors are linearly dependent"} <= types
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + ["degenerate_plane"])
+def test_coordinate_sectional_matches_the_plane_routines(name, request):
+    # the report's table reads R_ijji, g and J directly; the general plane
+    # routines are its independent route
+    a = request.getfixturevalue(name)
+    R = curvature_R(a, levi_civita(a))
+    table = list(coordinate_sectional(a, R))
+    assert [(i, j) for i, j, _, _ in table] == list(
+        combinations(range(a.dim), 2))
+    for i, j, ptype, value in table:
+        plane = coordinate_plane(a.dim, i + 1, j + 1)
+        try:
+            expected = sectional_curvature(a, R, plane)
+        except DegeneratePlaneError:
+            expected = None
+        assert (ptype, value) == (plane_type(a, plane), expected), (i, j)
+
+
+def test_null_heisenberg6_has_every_plane_type(null_heisenberg6):
+    # a degenerate coordinate plane with R_ijji != 0 reads None, not R/0
+    a = null_heisenberg6
+    R = curvature_R(a, levi_civita(a))
+    table = list(coordinate_sectional(a, R))
+    assert {ptype for _, _, ptype, _ in table} == {
+        "holomorphic", "totally_real", "degenerate", "generic"}
+    assert [(i, j) for i, j, ptype, value in table
+            if ptype == "degenerate" and value is None and R.at((i, j, j, i))
+            ] == [(2, 3)]
 
 
 def test_rational_rank_matches_dense_reference():

@@ -5,11 +5,8 @@ import json
 import pytest
 
 from nordenlab import (
-    AlmostNordenAlgebra,
     Geometry,
-    LieAlgebra,
     Poly,
-    RationalMatrix,
     ReportDocument,
     compute_report,
     document_for,
@@ -33,11 +30,8 @@ def ndoc(family):
 
 
 @pytest.fixture(scope="module")
-def degenerate_plane_doc():
-    # nondegenerate Norden metric whose a12 coordinate plane is null
-    g = RationalMatrix([[1, 1, 1, 0], [1, 1, 0, 1],
-                        [1, 0, -1, -1], [0, 1, -1, -1]])
-    return document_for(AlmostNordenAlgebra(LieAlgebra.abelian(4), g=g))
+def degenerate_plane_doc(degenerate_plane):
+    return document_for(degenerate_plane)
 
 
 def test_compute_report_live_objects(falg):
