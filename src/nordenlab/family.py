@@ -11,14 +11,16 @@ failure raises.
 family from scratch — fundamental-tensor components, curvature
 components, Ricci, scalar and sectional curvatures, the vanishing norm
 of grad J, local symmetry, and the Killing form — and compares each
-against expected values stored here as data.  Expected tensors are
-closed under the exact symmetries of F and R before comparison, so the
-tables also certify that everything *not* listed is zero.
+against expected values stored here as data.  Each call builds them
+afresh from shared expressions, each distinct one once; nothing is
+cached between calls.  Expected tensors are closed under the exact
+symmetries of F and R before comparison, so the tables also certify
+that everything *not* listed is zero.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Mapping
 
 from .errors import StructureError
@@ -154,23 +156,18 @@ _SECTIONAL_ITEMS: tuple[tuple, ...] = (
 )
 
 
-def _expr(params: tuple[str, ...], kind: str, args: tuple[int, ...]) -> Poly:
+def _expressions(params: tuple[str, ...]) -> dict[tuple, Poly]:
+    """Each distinct ``(kind, args)`` of :data:`_R_ITEMS` and
+    :data:`_SECTIONAL_ITEMS` to its expression over ``params``."""
     var = [Poly.variable(name, params) for name in params]
-    if kind == "zero":
-        return Poly.zero(params)
-    if kind == "pp":
-        a, b = args
-        return (var[a - 1] * var[a - 1] + var[b - 1] * var[b - 1]) / 4
-    if kind == "pm":
-        a, b = args
-        return (var[a - 1] * var[a - 1] - var[b - 1] * var[b - 1]) / 4
-    if kind == "sq":
-        (a,) = args
-        return (var[a - 1] * var[a - 1]) / 4
-    if kind == "prod":
-        a, b = args
-        return (var[a - 1] * var[b - 1]) / 4
-    raise ValueError(f"unknown expression kind {kind!r}")
+    sq = [v * v for v in var]
+    forms = {"zero": lambda: Poly.zero(params),
+             "pp": lambda a, b: (sq[a - 1] + sq[b - 1]) / 4,
+             "pm": lambda a, b: (sq[a - 1] - sq[b - 1]) / 4,
+             "sq": lambda a: sq[a - 1] / 4,
+             "prod": lambda a, b: var[a - 1] * var[b - 1] / 4}
+    return {(kind, args): forms[kind](*args) for kind, args in
+            dict.fromkeys(item[-2:] for item in _R_ITEMS + _SECTIONAL_ITEMS)}
 
 
 def _l_blocks(params: tuple[str, ...], scale: int) -> PolyMatrix:
@@ -196,22 +193,28 @@ def expected_ricci(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
 
 
 def _closure(name: str, items, moves) -> dict[tuple[int, ...], Poly]:
-    """The ``(key, value)`` items closed under ``moves(key, value)``, which
-    yields the images of one item under the generating symmetries.  A key
-    reached with two different values is an inconsistency in the stored
-    data and raises :class:`StructureError`."""
-    expected: dict[tuple[int, ...], Poly] = {}
+    """The ``(key, sign, value)`` items, meaning ``sign * value`` at
+    ``key``, closed under ``moves(key, sign)``: the ``(key, sign)`` images
+    of one item under the generating symmetries.  A key reached with two
+    different values is an inconsistency in the stored data and raises
+    :class:`StructureError`.  Polys are built once per (sign, value) and
+    compared only where a key is reached from another value or sign."""
     frontier = list(items)
+    values = {id(value): value for _, _, value in frontier}
+    made = {(sign, n): value if sign > 0 else -value
+            for n, value in values.items() for sign in (1, -1)}
+    reached: dict[tuple[int, ...], tuple[int, int]] = {}
     while frontier:
-        key, value = frontier.pop()
-        if key not in expected:
-            expected[key] = value
-            frontier.extend(moves(key, value))
-        elif expected[key] != value:
-            raise StructureError(
-                f"inconsistent expected {name} data at {key}: "
-                f"{expected[key]} vs {value}")
-    return expected
+        key, sign, value = frontier.pop()
+        here = sign, id(value)
+        first = reached.get(key)
+        if first is None:
+            reached[key] = here
+            frontier.extend((k, s, value) for k, s in moves(key, sign))
+        elif first != here and made[first] != made[here]:
+            raise StructureError(f"inconsistent expected {name} data at "
+                                 f"{key}: {made[first]} vs {made[here]}")
+    return {key: made[first] for key, first in reached.items()}
 
 
 def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
@@ -224,16 +227,19 @@ def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
     acts as a sanity check on the tables.
     """
     var = [Poly.variable(name, params) for name in params]
+    shares = {(p, abs(mult)): var[p - 1] / abs(mult)  # built once each
+              for p, items in _F_ITEMS.items() for mult, *_ in items}
 
     def j_image(idx: int) -> tuple[int, int]:
         return (idx + 3, +1) if idx <= 3 else (idx - 3, -1)
 
-    def moves(key, value):
+    def moves(key, sign):
         i, j, k = key
         (ja, sa), (jb, sb) = j_image(j), j_image(k)
-        return (((i, k, j), value), ((i, ja, jb), value * (sa * sb)))
+        return (((i, k, j), sign), ((i, ja, jb), sign * sa * sb))
 
-    return _closure("F", (((i, j, k), var[p - 1] / mult)
+    return _closure("F", (((i, j, k), 1 if mult > 0 else -1,
+                           shares[p, abs(mult)])
                           for p, items in _F_ITEMS.items()
                           for mult, i, j, k in items), moves)
 
@@ -242,13 +248,18 @@ def expected_R_components(params: tuple[str, ...] = PARAM_NAMES
                           ) -> dict[tuple[int, int, int, int], Poly]:
     """The published curvature equalities, closed under the R symmetries
     (antisymmetry in each index pair and pair exchange)."""
+    return _expected_R(_expressions(params))
 
-    def moves(key, value):
+
+def _expected_R(exprs: dict[tuple, Poly]) -> dict[tuple, Poly]:
+    """The same over a table built by :func:`_expressions`."""
+
+    def moves(key, sign):
         i, j, k, l = key
-        return (((j, i, k, l), -value), ((i, j, l, k), -value),
-                ((k, l, i, j), value))
+        return (((j, i, k, l), -sign), ((i, j, l, k), -sign),
+                ((k, l, i, j), sign))
 
-    return _closure("R", (((i, j, k, l), _expr(params, kind, args) * sign)
+    return _closure("R", (((i, j, k, l), sign, exprs[kind, args])
                           for sign, i, j, k, l, kind, args in _R_ITEMS),
                     moves)
 
@@ -332,11 +343,7 @@ class RegressionReport(Record):
         return tuple(c for c in self.checks if not c.passed)
 
     def groups(self) -> list[str]:
-        seen = []
-        for c in self.checks:
-            if c.group not in seen:
-                seen.append(c.group)
-        return seen
+        return list(dict.fromkeys(c.group for c in self.checks))
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -395,19 +402,20 @@ def regression_report(f: Table1Family) -> RegressionReport:
     # f-components
     expected_f = expected_F_components(params)
     for p, items in sorted(_F_ITEMS.items()):
+        var = Poly.variable(params[p - 1], params)
         for mult, i, j, k in items:
-            add("f-components", f"{mult}*F({i},{j},{k})",
-                Poly.variable(params[p - 1], params),
+            add("f-components", f"{mult}*F({i},{j},{k})", var,
                 F.component(i, j, k) * mult)
     unexpected = [key for key in _one_based(F) if key not in expected_f]
     add("f-components", "unlisted-components-zero", (), tuple(unexpected))
 
     # curvature
     R = geo.R
-    expected_r = expected_R_components(params)
+    exprs = _expressions(params)
+    expected_r = _expected_R(exprs)
     for sign, i, j, k, l, kind, args in _R_ITEMS:
-        add("curvature", f"R({i},{j},{k},{l})",
-            _expr(params, kind, args) * sign, R.component(i, j, k, l))
+        add("curvature", f"R({i},{j},{k},{l})", exprs[kind, args] * sign,
+            R.component(i, j, k, l))
     unexpected = [key for key in _one_based(R) if key not in expected_r]
     add("curvature", "unlisted-components-zero", (), tuple(unexpected))
     add("curvature-routes", "connection-vs-bracket-formula",
@@ -416,10 +424,8 @@ def regression_report(f: Table1Family) -> RegressionReport:
     # ricci and tau
     rho, tau = geo.ricci_and_tau
     exp_rho = expected_ricci(params)
-    for i in range(1, 7):
-        for j in range(i, 7):
-            add("ricci", f"rho({i},{j})", exp_rho.entry(i, j),
-                rho.entry(i, j))
+    for i, j in combinations_with_replacement(range(1, 7), 2):
+        add("ricci", f"rho({i},{j})", exp_rho.entry(i, j), rho.entry(i, j))
     add("tau", "tau", Poly.zero(params), tau)
 
     # sectional curvatures of the coordinate planes
@@ -427,8 +433,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     for i, j, ptype, sign, kind, args in _SECTIONAL_ITEMS:
         got_type, got_value = computed[f"a{i}{j}"]
         add("sectional", f"type(a{i}{j})", ptype, got_type)
-        add("sectional", f"k(a{i}{j})", _expr(params, kind, args) * sign,
-            got_value)
+        add("sectional", f"k(a{i}{j})", exprs[kind, args] * sign, got_value)
 
     # vanishing norm of grad J
     add("nabla-j-norm", "square-norm", Poly.zero(params), geo.nabla_j_norm)
@@ -439,11 +444,8 @@ def regression_report(f: Table1Family) -> RegressionReport:
     # Killing form
     B = geo.killing_form
     exp_B = expected_killing_form(params)
-    for i in range(1, 7):
-        for j in range(i, 7):
-            add("killing-form", f"B({i},{j})", exp_B.entry(i, j),
-                B.entry(i, j))
-    add("killing-form", "determinant", Poly.zero(params),
-        B.determinant())
+    for i, j in combinations_with_replacement(range(1, 7), 2):
+        add("killing-form", f"B({i},{j})", exp_B.entry(i, j), B.entry(i, j))
+    add("killing-form", "determinant", Poly.zero(params), B.determinant())
 
     return RegressionReport(tuple(checks))

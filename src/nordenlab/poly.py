@@ -121,6 +121,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """The reduced ``(numerator, denominator)`` of a rational scalar, read
+    directly from an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        value = as_fraction(value)
+    return value.as_integer_ratio()
+
+
 def _distinct(params: Iterable[str]) -> tuple[str, ...]:
     """``params`` as a tuple.  A name listed twice would get two exponent
     fields that print alike yet compare unequal, so it is refused."""
@@ -343,20 +351,30 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, factor: RationalLike) -> Poly:
-        """Multiply by an exact rational scalar."""
-        factor = as_fraction(factor)
-        num = factor.numerator
+        """Multiply by an exact rational scalar.  An int (not a bool) or a
+        Fraction is read as its numerator and denominator, with no Fraction
+        arithmetic, and anything else through :func:`as_fraction`.
+        Scaling by 1 returns this polynomial itself."""
+        num, den = _ratio(factor)
         if num == 0:
             return Poly._make(self.params, {})
-        return _canonical(self.params,
-                          {e: c * num for e, c in self.nums.items()},
-                          self.den * factor.denominator)
+        return self._scaled(num, den)
 
     def __truediv__(self, divisor: RationalLike) -> Poly:
-        divisor = as_fraction(divisor)
-        if divisor == 0:
+        """``scale(1 / divisor)``, the divisor read as :meth:`scale` reads
+        its factor and that reciprocal never built as a Fraction."""
+        num, den = _ratio(divisor)
+        if num == 0:
             raise ZeroDivisionError("division of Poly by zero rational")
-        return self.scale(Fraction(1) / divisor)
+        return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
+
+    def _scaled(self, num: int, den: int) -> Poly:
+        """``self * num / den`` for coprime ints, ``num != 0 < den``."""
+        if num == den:
+            return self
+        return _canonical(self.params,
+                          {e: c * num for e, c in self.nums.items()},
+                          self.den * den)
 
     # -- evaluation --------------------------------------------------------
 

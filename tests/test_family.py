@@ -1,5 +1,8 @@
 """The three-parameter six-dimensional family and its regression data."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from nordenlab import (
@@ -174,6 +177,47 @@ def test_regression_report_all_green(family):
     assert "f-components: ok (121 checks)" in lines
     assert "curvature: ok (73 checks)" in lines
     assert all(": ok (" in line for line in lines)
+
+
+def test_regression_checks_are_golden(family):
+    golden = Path(__file__).parent / "data" / "table1_regression.txt"
+    lines = ["\t".join((c.group, c.item, c.expected, c.computed,
+                        str(c.passed))) + "\n"
+             for c in regression_report(family).checks]
+    assert lines == golden.read_text(encoding="utf-8").splitlines(True)
+
+
+def test_regression_builds_its_tables_in_every_call(family, monkeypatch):
+    assert regression_report(family).ok
+    first = family_mod._R_ITEMS[0]
+    monkeypatch.setattr(family_mod, "_R_ITEMS",
+                        ((-first[0],) + first[1:],) + family_mod._R_ITEMS[1:])
+    failures = regression_report(family).failures()
+    assert [(c.group, c.item, c.expected, c.computed) for c in failures] == [
+        ("curvature", "R(1,2,2,1)", "1/4*l2^2 + 1/4*l3^2",
+         "-1/4*l2^2 - 1/4*l3^2")]
+    monkeypatch.undo()
+    assert regression_report(family).ok
+
+
+# -- the tables' consistency guard -------------------------------------------
+
+def test_inconsistent_r_data_is_refused(monkeypatch):
+    monkeypatch.setattr(family_mod, "_R_ITEMS", family_mod._R_ITEMS + (
+        (+1, 2, 1, 1, 2, "pp", (2, 3)),))
+    with pytest.raises(StructureError, match=re.escape(
+            "inconsistent expected R data at (1, 2, 2, 1): "
+            "1/4*l2^2 + 1/4*l3^2 vs -1/4*l2^2 - 1/4*l3^2")):
+        expected_R_components()
+
+
+def test_inconsistent_f_data_is_refused(monkeypatch):
+    monkeypatch.setitem(family_mod._F_ITEMS, 1,
+                        family_mod._F_ITEMS[1] + ((-2, 1, 1, 6),))
+    with pytest.raises(StructureError, match=re.escape(
+            "inconsistent expected F data at (1, 4, 3): "
+            "1/2*l1 vs -1/2*l1")):
+        expected_F_components()
 
 
 # -- perturbed family ------------------------------------------------------

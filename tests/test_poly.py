@@ -64,6 +64,44 @@ def test_scale_and_divide():
         p / 0
 
 
+def fraction_scaled(p, factor):
+    """``p * factor`` built coefficient by coefficient through Fractions
+    and the validating constructor: the reference for the int route."""
+    return Poly(p.params, {e: c * factor for e, c in p.terms.items()})
+
+
+SCALARS = ([n for n in range(-12, 13) if n] + [10**30]
+           + [Fraction(3, 4), Fraction(-5, 6), Fraction(7), Fraction(-1),
+              Fraction(1, 10**20), Fraction(-22, 7), "3/4"])
+
+
+def test_scalar_operations_match_the_fraction_route():
+    rnd = random.Random(20)
+    polys = [rand_poly(rnd) for _ in range(15)] + [
+        Poly.zero(P3), parse_poly("6*l1 - 4*l2 + 10"),
+        parse_poly("1/6*l1^2 - 3/4*l3")]
+    for p in polys:
+        for x in SCALARS:
+            for got, want in ((p.scale(x), fraction_scaled(p, Fraction(x))),
+                              (p / x, fraction_scaled(p, 1 / Fraction(x)))):
+                assert (got.params, got.nums, got.den) == (
+                    want.params, want.nums, want.den), (str(p), x)
+
+
+def test_scalar_edge_cases():
+    p = parse_poly("1/6*l1^2 - 3/4*l3", P3)
+    zero = p.scale(0)
+    assert zero.is_zero and zero.nums == {} and zero.den == 1
+    assert p.scale(1) is p and p / 1 is p and p * Fraction(1) is p
+    for divisor in (0, Fraction(0), "0"):
+        with pytest.raises(ZeroDivisionError):
+            p / divisor
+    for op in (lambda: p.scale(True), lambda: p / True, lambda: p * True,
+               lambda: p.scale(1.5), lambda: p / 1.5):
+        with pytest.raises(TypeError, match="not a rational value"):
+            op()
+
+
 def test_format_examples():
     assert str(parse_poly("0")) == "0"
     assert str(parse_poly("-l2")) == "-l2"
