@@ -15,8 +15,8 @@ every operation a finite exact contraction:
       R(x, y, z, u) = g(R(x, y)z, u),
   read in one pass from the connection and T, never raised or lowered:
       R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl),
-  each product made once, at i < j, and the i > j half filled by
-  negation;
+  each product made once, at i < j and, where Jacobi gives R pair
+  symmetry, at k < l, (i, j) <= (k, l) too; the rest by symmetry;
   over an invariant metric the independent second route
   R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
   connection;
@@ -86,13 +86,16 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     by its contracted index p.  Each product Gamma_jk^p T_ipl belongs at
     (i, j, k, l) and, negated, at (j, i, k, l); it is made once and
     added at whichever of the two has the smaller first index, and
-    c_ij^p T_pkl is made at i < j only.  The i > j half is then the
-    negation of the finished i < j half (c is antisymmetric, which
-    :class:`~nordenlab.lie.LieAlgebra` checks).  Never computed from the
+    c_ij^p T_pkl is made at i < j only (c is antisymmetric, which
+    :class:`~nordenlab.lie.LieAlgebra` checks).  As R_ijkl = -R_ijlk,
+    and R_ijkl = R_klij where the cached Jacobiator vanishes (first
+    Bianchi identity), products are then made at k < l, (i, j) <= (k, l)
+    only, each value written over its orbit; otherwise the i > j half is
+    the negation of the i < j half.  Never computed from the
     invariant-metric bracket formula, which stays a separate routine
-    (:func:`curvature_invariant_formula`) so the two can be compared as
-    independent routes.
+    (:func:`curvature_invariant_formula`): the two are independent routes.
     """
+    canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
     by_first = [[] for _ in range(a.dim)]   # p -> (k, l, T_pkl)
     by_second = [[] for _ in range(a.dim)]  # p -> (i, l, T_ipl)
     for (i, p, l), w in a.T.nonzero:
@@ -102,18 +105,30 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     for (j, k, p), v in c.nonzero:
         minus_v = -v
         for i, l, w in by_second[p]:
-            if i < j:
-                _accumulate(acc, (i, j, k, l), v, w)
-            elif i > j:
-                _accumulate(acc, (j, i, k, l), minus_v, w)
+            pair, u = ((i, j), v) if i < j else ((j, i), minus_v)
+            if i != j and (not canonical or k < l and pair <= (k, l)):
+                _accumulate(acc, pair + (k, l), u, w)
     for (i, j, p), v in a.algebra.gamma.nonzero:
         if i < j:
             minus_v = -v
             for k, l, w in by_first[p]:
-                _accumulate(acc, (i, j, k, l), minus_v, w)
-    half = Tensor(a.params, a.dim, 4, acc).nonzero
-    return Tensor(a.params, a.dim, 4, dict(
-        half + tuple(((j, i, k, l), -v) for (i, j, k, l), v in half)))
+                if not canonical or k < l and (i, j) <= (k, l):
+                    _accumulate(acc, (i, j, k, l), minus_v, w)
+    rows: dict[tuple[int, int], list] = {}  # i < j
+    for (i, j, k, l), v in Tensor(a.params, a.dim, 4, acc).nonzero:
+        minus_v = -v  # rows[i, j] holds ((k, l), R_ijkl, R_jikl)
+        rows.setdefault((i, j), []).append(((k, l), v, minus_v))
+        if canonical:
+            rows[i, j].append(((l, k), minus_v, v))
+            if (i, j) != (k, l):
+                rows.setdefault((k, l), []).extend(
+                    (((i, j), v, minus_v), ((j, i), minus_v, v)))
+    for row in rows.values():
+        row.sort()
+    return Tensor(a.params, a.dim, 4, {  # row-major, as nonzero sorts it
+        (i, j) + tail: v if i < j else minus_v
+        for i, j in sorted(h for pair in rows for h in (pair, pair[::-1]))
+        for tail, v, minus_v in rows[min(i, j), max(i, j)]})
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -283,11 +298,36 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
         yield i, j, ptype, (k / disc if k else k) if disc else None
 
 
+def _slot_symmetric(R: Tensor) -> bool:
+    """Whether R_jklm = -R_kjlm = -R_jkml = R_lmjk, in one pass: exactly
+    when each nonzero is +-R at its orbit's representative (j < k, l < m,
+    (j, k) <= (l, m), first in row-major order) and the nonzeros fill
+    whole orbits of 8 (4 where (j, k) = (l, m)), as none with j = k or
+    l = m can.  The one negation per orbit checks the representative
+    against R_kjlm, which the -R members are then compared with: by
+    identity first, as :func:`curvature_R` stores one object there."""
+    minus, filled = {}, 0  # representative -> R_kjlm; orbit places met
+    for idx, v in R.nonzero:
+        j, k, l, m = idx
+        p, q = (j, k) if j < k else (k, j), (l, m) if l < m else (m, l)
+        rep = p + q if p <= q else q + p
+        if idx == rep:
+            filled += 4 if p == q else 8
+            minus[rep] = w = R.at((k, j, l, m))
+            if -w != v:
+                return False
+        want = R.at(rep) if (j < k) == (l < m) else minus.get(rep)
+        if v is not want and v != want:
+            return False
+    return filled == len(R.nonzero)
+
+
 def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
-    R breaks.  Each symmetry is an involution, so testing it at the
-    nonzero components suffices, and once per pair: not again at the
-    later of two stored partners."""
+    R breaks, if :func:`_slot_symmetric` refuses it: each symmetry is an
+    involution, so it is tested at the nonzeros, once per stored pair."""
+    if _slot_symmetric(R):
+        return
     stored = dict(R.nonzero)
     for idx, v in R.nonzero:
         j, k, l, m = idx

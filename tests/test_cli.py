@@ -473,6 +473,30 @@ def test_check_runs_jacobi_once(monkeypatch, capsys):
     assert builders.count("bracket_gram") == 1
 
 
+@pytest.mark.parametrize("extra, golden", [
+    ([], "table1_report.txt"),
+    (["--eval", "l1=3/2,l2=-2,l3=5/7", "--format", "json"],
+     "table1_eval_report.json"),
+])
+def test_report_on_a_spec_builds_the_jacobiator_once(extra, golden,
+                                                     spec_fixture_path,
+                                                     monkeypatch, capsys):
+    # R takes its canonical route on the Jacobi verdict, which is read
+    # from the Jacobiator cached on the one algebra the report is about
+    builders = []
+    original = Tensor.__init__
+
+    def recorded(self, *args, **kwargs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", recorded)
+    assert main(["report", str(spec_fixture_path)] + extra) == 0
+    expected = (spec_fixture_path.parent / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+    assert builders.count("jacobiator_tensor") == 1
+
+
 # -- family ----------------------------------------------------------------
 
 def test_family_requires_selection(capsys):

@@ -26,6 +26,7 @@ from nordenlab import (
 from nordenlab import curvature
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.lie import format_vector
+import reference
 from reference import connection_vector as grad, metric, vec_sub
 
 P3 = ("l1", "l2", "l3")
@@ -140,21 +141,41 @@ def test_curvature_components_are_quadratic(fcurv):
                     assert v.is_homogeneous(2)
 
 
-def test_curvature_makes_each_product_once_at_i_below_j(falg, fconn,
-                                                      fcurv, monkeypatch):
-    # each Gamma.T product belongs at (i, j, k, l) and, negated, at
-    # (j, i, k, l): it is added once, at i < j, and the i > j half is
-    # filled by negation (adding it at both makes 2208 calls)
+def accumulated_keys(monkeypatch):
+    """The key of every product ``curvature_R`` adds, collected while the
+    real accumulation runs."""
     keys = []
     real = curvature._accumulate
 
     def counting(acc, key, v, m=1):
-        assert key[0] < key[1], key
         keys.append(key)
         real(acc, key, v, m)
 
     monkeypatch.setattr(curvature, "_accumulate", counting)
+    return keys
+
+
+def test_curvature_makes_products_at_canonical_keys_once_jacobi_holds(
+        falg, fconn, fcurv, monkeypatch):
+    # Jacobi holds, so R_ijkl = R_klij: each product is made only at
+    # i < j, k < l, (i, j) <= (k, l), and the orbit filled from there
+    # (the i < j route below makes 1104)
+    keys = accumulated_keys(monkeypatch)
     assert curvature_R(falg, fconn) == fcurv
+    assert all(i < j and k < l and (i, j) <= (k, l) for i, j, k, l in keys)
+    assert len(keys) == 282
+
+
+def test_curvature_makes_each_product_once_at_i_below_j(perturbed,
+                                                      monkeypatch):
+    # without Jacobi no pair symmetry is assumed: each Gamma.T product
+    # belongs at (i, j, k, l) and, negated, at (j, i, k, l); it is added
+    # once, at i < j, and the i > j half is filled by negation
+    c = levi_civita(perturbed)
+    keys = accumulated_keys(monkeypatch)
+    assert curvature_R(perturbed, c) == reference.curvature_R(perturbed, c)
+    assert all(i < j for i, j, _, _ in keys)
+    assert any(k > l or (i, j) > (k, l) for i, j, k, l in keys)
     assert len(keys) == 1104
 
 

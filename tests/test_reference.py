@@ -51,8 +51,8 @@ from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
                        rational_rank, sectional_curvature)
-from nordenlab.curvature import (_check_slot_symmetries, coordinate_sectional,
-                                 nabla_R_blocks)
+from nordenlab.curvature import (_check_slot_symmetries, _slot_symmetric,
+                                 coordinate_sectional, nabla_R_blocks)
 from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
                               StructureError)
 from nordenlab.linalg import RationalMatrix
@@ -90,6 +90,7 @@ def assert_curvature_matches_dense_reference(a):
 @pytest.mark.parametrize("name, invariant", FIXTURES)
 def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     a = request.getfixturevalue(name)
+    assert a.algebra.check_jacobi().ok  # so R takes its canonical route
     nabla_r = assert_curvature_matches_dense_reference(a)
     assert a.check_invariant_metric().ok == invariant
     if invariant:  # Milnor: an ad-skew metric has grad R = 0
@@ -103,6 +104,18 @@ def test_many_term_curvature_and_nabla_match_dense_reference(seed):
     spec = reference.many_term_spec(6, 4, random.Random(seed))
     assert_curvature_matches_dense_reference(
         parse_spec_text(spec).to_algebra())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_curvature_matches_dense_reference_on_many_terms(seed):
+    # sixteen terms per bracket at dim 8: R is made at its canonical
+    # components only and filled over each orbit, the dense loops make
+    # every component
+    a = parse_spec_text(reference.many_term_spec(
+        8, 16, random.Random(seed))).to_algebra()
+    assert a.algebra.check_jacobi().ok
+    c = levi_civita(a)
+    assert curvature_R(a, c) == reference.curvature_R(a, c)
 
 
 def slot_symmetric_tensor(a, rng):
@@ -150,9 +163,10 @@ def guard_message(check, R):
 @pytest.mark.parametrize("name", ["heisenberg6", "sheared_heisenberg6",
                                   "null_heisenberg6", "falg"])
 def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
-    # the guard compares each pair of partners once; the reference loop
-    # compares all three identities at every nonzero, so the first
-    # violation, and its message, must be the same
+    # the pass against each orbit's representative must accept exactly
+    # what the reference loop accepts, and where it refuses, the guard's
+    # pairwise loop must name the reference loop's first violation; that
+    # loop compares all three identities at every nonzero
     a = request.getfixturevalue(name)
     R = curvature_R(a, levi_civita(a))
     rng = random.Random(name)
@@ -189,10 +203,43 @@ def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
         message = guard_message(_check_slot_symmetries, perturbed)
         assert message == guard_message(reference.check_slot_symmetries,
                                         perturbed)
+        assert _slot_symmetric(perturbed) == (message is None)
         messages.add(message)
     assert None in messages
     for identity in ("-R(k,j,l,m)", "-R(j,k,m,l)", "= R(l,m,j,k)"):
         assert any(identity in m for m in messages if m), identity
+
+
+@pytest.mark.parametrize("case", ["diagonal", "missing", "antisymmetric",
+                                  "representative", "signs", "copies"])
+@pytest.mark.parametrize("name", ["heisenberg6", "falg"])
+def test_slot_symmetry_guard_on_crafted_tensors(name, case, request):
+    # each break is of a kind the representative pass must catch; equal
+    # values stored as distinct objects must pass it on equality alone
+    a = request.getfixturevalue(name)
+    R = curvature_R(a, levi_civita(a))
+    entries = dict(R.nonzero)
+    reps = [(idx, w) for idx, w in R.nonzero
+            if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:]]
+    # an orbit of 8 where R has one, else of 4 (heisenberg6 has none of 8)
+    (i, j, k, l), v = max(reps, key=lambda rep: rep[0][:2] != rep[0][2:])
+    if case == "diagonal":  # a nonzero entry with j = k
+        entries[(i, i, k, l)] = v
+    elif case == "missing":  # an orbit missing one member
+        del entries[(l, k, j, i)]
+    elif case == "antisymmetric":  # R_klij right, R_lkij = +R_ijkl wrong
+        entries[(l, k, i, j)] = v
+    elif case == "representative":  # absent, its orbit-mates stored
+        del entries[(i, j, k, l)]
+    elif case == "signs":  # every -R_ijkl member agrees with the rest
+        for key in ((j, i, k, l), (i, j, l, k), (l, k, i, j), (k, l, j, i)):
+            entries[key] = v
+    else:
+        entries = {idx: -(-w) for idx, w in entries.items()}
+    T = Tensor(a.params, a.dim, 4, entries)
+    message = guard_message(_check_slot_symmetries, T)
+    assert message == guard_message(reference.check_slot_symmetries, T)
+    assert _slot_symmetric(T) == (message is None) == (case == "copies")
 
 
 def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
