@@ -184,19 +184,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import _representatives
     from .report import Geometry, _curvature_lines, _rows_text
 
     geo = Geometry(_resolve(args))
 
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
-    shown = 0
-    for (i, j, k, l), value in geo.R.nonzero:  # row-major: lexicographic
-        if i < j and k < l and (i, j) <= (k, l):
-            print(f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {value}")
-            shown += 1
-    if not shown:
-        print("  (all components vanish)")
+    shown = [f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {value}"
+             for (i, j, k, l), value in _representatives(geo.R)]
+    print("\n".join(shown or ["  (all components vanish)"]))
 
     rho, tau = geo.ricci_and_tau
     print("\n".join(_curvature_lines(_rows_text(rho), tau, geo.sectional)))

@@ -16,7 +16,7 @@ every operation a finite exact contraction:
   read in one pass from the connection and T, never raised or lowered:
       R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl),
   each product made once, at i < j and, where Jacobi gives R pair
-  symmetry, at k < l, (i, j) <= (k, l) too; the rest by symmetry;
+  symmetry, at k < l, (i, j) <= (k, l) too, where R is then stored;
   over an invariant metric the independent second route
   R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
   connection;
@@ -28,9 +28,9 @@ every operation a finite exact contraction:
 * grad R is built one direction block at a time from one contraction,
       (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk,
       Q_jklm = -sum_x Gamma_ij^x R_xklm,
-  made at the canonical components j < k, l < m, (j, k) <= (l, m) only
-  and copied over each orbit by R's slot symmetries, which R is checked
-  for first (an R without them raises StructureError);
+  made and stored at the canonical components j < k, l < m,
+  (j, k) <= (l, m) only; an R stored in full is first checked for its
+  slot symmetries (an R without them raises StructureError);
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
@@ -39,6 +39,7 @@ every operation a finite exact contraction:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -59,6 +60,43 @@ class ConnectionCoeffs(Tensor):
     @property
     def coeffs(self):
         return self.components
+
+
+class _SlotSymmetric(Tensor):
+    """A rank-4 tensor with T_jklm = -T_kjlm = -T_jkml = T_lmjk, stored at
+    its canonical components j < k, l < m, (j, k) <= (l, m) only.  ``at``
+    reads an index at its orbit's representative, negated after an odd
+    number of swaps (each negation made once); ``nonzero`` is the full
+    row-major view, built on first read; ``==`` compares full tensors."""
+
+    def at(self, idx: tuple[int, ...]) -> Poly:
+        j, k, l, m = idx
+        p, q = (j, k) if j < k else (k, j), (l, m) if l < m else (m, l)
+        rep = p + q if p <= q else q + p
+        if j == k or l == m or rep not in self._entries:
+            return self._zero
+        return self._minus[rep] if (j > k) != (l > m) else self._entries[rep]
+
+    @cached_property
+    def _minus(self) -> dict[tuple[int, ...], Poly]:
+        return {rep: -v for rep, v in self._entries.items()}
+
+    def _items(self) -> Iterator[tuple[tuple[int, ...], Poly]]:
+        for (j, k, l, m), v in self._entries.items():
+            w = self._minus[j, k, l, m]
+            yield from (((j, k, l, m), v), ((k, j, l, m), w),
+                        ((j, k, m, l), w), ((k, j, m, l), v))
+            if (j, k) != (l, m):
+                yield from (((l, m, j, k), v), ((m, l, j, k), w),
+                            ((l, m, k, j), w), ((m, l, k, j), v))
+
+    def __eq__(self, other):
+        if isinstance(other, _SlotSymmetric) or not isinstance(other, Tensor):
+            return super().__eq__(other)
+        size = sum(4 if rep[:2] == rep[2:] else 8 for rep in self._entries)
+        return (self.rank == other.rank and self.dim == other.dim
+                and len(other._entries) == size and all(
+                    self.at(idx) == v for idx, v in other._entries.items()))
 
 
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
@@ -90,9 +128,10 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     :class:`~nordenlab.lie.LieAlgebra` checks).  As R_ijkl = -R_ijlk,
     and R_ijkl = R_klij where the cached Jacobiator vanishes (first
     Bianchi identity), products are then made at k < l, (i, j) <= (k, l)
-    only, each value written over its orbit; otherwise the i > j half is
-    the negation of the i < j half.  Never computed from the
-    invariant-metric bracket formula, which stays a separate routine
+    only, and R is stored there alone, read through its symmetries;
+    otherwise the i > j half is the negation of the i < j half, and R is
+    stored in full.  Never computed from the invariant-metric bracket
+    formula, which stays a separate routine
     (:func:`curvature_invariant_formula`): the two are independent routes.
     """
     canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
@@ -114,21 +153,11 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
             for k, l, w in by_first[p]:
                 if not canonical or k < l and (i, j) <= (k, l):
                     _accumulate(acc, (i, j, k, l), minus_v, w)
-    rows: dict[tuple[int, int], list] = {}  # i < j
-    for (i, j, k, l), v in Tensor(a.params, a.dim, 4, acc).nonzero:
-        minus_v = -v  # rows[i, j] holds ((k, l), R_ijkl, R_jikl)
-        rows.setdefault((i, j), []).append(((k, l), v, minus_v))
-        if canonical:
-            rows[i, j].append(((l, k), minus_v, v))
-            if (i, j) != (k, l):
-                rows.setdefault((k, l), []).extend(
-                    (((i, j), v, minus_v), ((j, i), minus_v, v)))
-    for row in rows.values():
-        row.sort()
-    return Tensor(a.params, a.dim, 4, {  # row-major, as nonzero sorts it
-        (i, j) + tail: v if i < j else minus_v
-        for i, j in sorted(h for pair in rows for h in (pair, pair[::-1]))
-        for tail, v, minus_v in rows[min(i, j), max(i, j)]})
+    if canonical:
+        return _SlotSymmetric(a.params, a.dim, 4, acc)
+    half = Tensor(a.params, a.dim, 4, acc)._entries  # i < j
+    return Tensor(a.params, a.dim, 4, {**half, **{
+        (j, i, k, l): -v for (i, j, k, l), v in half.items()}})
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -278,9 +307,10 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
     """(i, j, type, k) for each coordinate plane span{X_i, X_j}, 0-based
     i < j, as :func:`plane_type` and :func:`sectional_curvature` give
     them (k None where g_ii g_jj - g_ij^2 = 0), read from g's rows, J's
-    nonzero columns and R_ijji: J keeps the plane exactly when its
-    columns i and j are nonzero in rows i and j only, and g(J X_u, X_v)
-    = sum_r J_ru g_rv, multiplied only where g_rv is nonzero.
+    nonzero columns and R_ijji = -R_ijij: J keeps the plane exactly when
+    its columns i and j are nonzero in rows i and j only, and
+    g(J X_u, X_v) = sum_r J_ru g_rv, multiplied only where g_rv is
+    nonzero.
     """
     g, columns = a.g.rows, a.J.nonzero_columns
     for i, j in combinations(range(a.dim), 2):
@@ -294,40 +324,21 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
             ptype = "totally_real"
         else:
             ptype = "generic" if disc else "degenerate"
-        k = R.at((i, j, j, i))
-        yield i, j, ptype, (k / disc if k else k) if disc else None
+        k = R.at((i, j, i, j))  # a representative: no negation to read
+        yield i, j, ptype, (k / -disc if k else k) if disc else None
 
 
-def _slot_symmetric(R: Tensor) -> bool:
-    """Whether R_jklm = -R_kjlm = -R_jkml = R_lmjk, in one pass: exactly
-    when each nonzero is +-R at its orbit's representative (j < k, l < m,
-    (j, k) <= (l, m), first in row-major order) and the nonzeros fill
-    whole orbits of 8 (4 where (j, k) = (l, m)), as none with j = k or
-    l = m can.  The one negation per orbit checks the representative
-    against R_kjlm, which the -R members are then compared with: by
-    identity first, as :func:`curvature_R` stores one object there."""
-    minus, filled = {}, 0  # representative -> R_kjlm; orbit places met
-    for idx, v in R.nonzero:
-        j, k, l, m = idx
-        p, q = (j, k) if j < k else (k, j), (l, m) if l < m else (m, l)
-        rep = p + q if p <= q else q + p
-        if idx == rep:
-            filled += 4 if p == q else 8
-            minus[rep] = w = R.at((k, j, l, m))
-            if -w != v:
-                return False
-        want = R.at(rep) if (j < k) == (l < m) else minus.get(rep)
-        if v is not want and v != want:
-            return False
-    return filled == len(R.nonzero)
+def _representatives(R: Tensor) -> list[tuple[tuple[int, ...], Poly]]:
+    """R's nonzero components at i < j, k < l, (i, j) <= (k, l), row-major,
+    whether R is stored there alone or in full."""
+    return sorted(((i, j, k, l), v) for (i, j, k, l), v in R._entries.items()
+                  if i < j and k < l and (i, j) <= (k, l))
 
 
 def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
-    R breaks, if :func:`_slot_symmetric` refuses it: each symmetry is an
-    involution, so it is tested at the nonzeros, once per stored pair."""
-    if _slot_symmetric(R):
-        return
+    R breaks: each symmetry is an involution, so it is tested at the
+    nonzeros, once per stored pair."""
     stored = dict(R.nonzero)
     for idx, v in R.nonzero:
         j, k, l, m = idx
@@ -364,17 +375,19 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
         (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk.
 
     A block is made only at its canonical components, j < k, l < m and
-    (j, k) <= (l, m).  R's nonzeros with l < m are bucketed once by first
+    (j, k) <= (l, m).  R's entries with l < m are bucketed once by first
     index x; a product -Gamma_ij^x R_xklm, k != j (at k = j its two
     places cancel), is added, negated if k < j, at the sorted pair
     {j, k} + (l, m) and at (l, m) + {j, k}, wherever that is canonical,
-    and each canonical value is copied over its orbit.  That is sound
-    only for an R with those symmetries, so R is checked before the
-    first block and a violation raises :class:`StructureError`.
+    where the block is stored.  That is sound only for an R with those
+    symmetries: an R stored at its canonical components has them, and
+    one stored in full is checked before the first block, a violation
+    raising :class:`StructureError`.
     """
-    _check_slot_symmetries(R)
+    if not isinstance(R, _SlotSymmetric):
+        _check_slot_symmetries(R)
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), R_xklm), l < m
-    for (x, k, l, m), v in R.nonzero:
+    for (x, k, l, m), v in R._items():
         if l < m:
             by_first[x].append((k, (l, m), v))
     coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, -Gamma_ij^x, Gamma)
@@ -391,13 +404,7 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                     _accumulate(acc, pair + tail, v, w)
                 if tail <= pair:
                     _accumulate(acc, tail + pair, v, w)
-        orbits: dict[tuple[int, ...], Poly] = {}
-        for (j, k, l, m), v in Tensor(a.params, a.dim, 4, acc).nonzero:
-            minus_v = -v
-            for key, value in (((j, k, l, m), v), ((k, j, l, m), minus_v),
-                               ((j, k, m, l), minus_v), ((k, j, m, l), v)):
-                orbits[key] = orbits[key[2:] + key[:2]] = value
-        yield Tensor(a.params, a.dim, 4, orbits)
+        yield _SlotSymmetric(a.params, a.dim, 4, acc)
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .errors import StructureError
 from .lie import LieAlgebra
-from .linalg import PolyMatrix, Tensor
+from .linalg import PolyMatrix
 from .norden import AlmostNordenAlgebra, check_eq22
 from .poly import Poly, RationalLike
 from .record import Record
@@ -358,9 +358,9 @@ class RegressionReport(Record):
         return lines
 
 
-def _one_based(T: Tensor) -> list[tuple[int, ...]]:
-    """The 1-based indices of the nonzero components of ``T``."""
-    return [tuple(i + 1 for i in idx) for idx, _ in T.nonzero]
+def _one_based(items) -> list[tuple[int, ...]]:
+    """The 1-based indices of (0-based index, value) ``items``."""
+    return [tuple(i + 1 for i in idx) for idx, _ in items]
 
 
 def regression_report(f: Table1Family) -> RegressionReport:
@@ -370,7 +370,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     curvature-routes, ricci, tau, sectional, nabla-j-norm, nabla-r,
     killing-form.  Every comparison is exact polynomial equality.
     """
-    from .curvature import curvature_invariant_formula
+    from .curvature import _representatives, curvature_invariant_formula
     from .report import Geometry
 
     a = f.algebra
@@ -379,8 +379,10 @@ def regression_report(f: Table1Family) -> RegressionReport:
     checks: list[RegressionCheck] = []
 
     def add(group: str, item: str, expected, computed):
-        checks.append(RegressionCheck(group, item, str(expected),
-                                      str(computed), expected == computed))
+        passed = expected == computed  # equal values print alike
+        text = str(expected)
+        checks.append(RegressionCheck(group, item, text, text if passed
+                                      else str(computed), passed))
 
     # structure
     add("structure", "jacobi", True, alg.check_jacobi().ok)
@@ -406,7 +408,8 @@ def regression_report(f: Table1Family) -> RegressionReport:
         for mult, i, j, k in items:
             add("f-components", f"{mult}*F({i},{j},{k})", var,
                 F.component(i, j, k) * mult)
-    unexpected = [key for key in _one_based(F) if key not in expected_f]
+    unexpected = [key for key in _one_based(F.nonzero)
+                  if key not in expected_f]
     add("f-components", "unlisted-components-zero", (), tuple(unexpected))
 
     # curvature
@@ -416,7 +419,8 @@ def regression_report(f: Table1Family) -> RegressionReport:
     for sign, i, j, k, l, kind, args in _R_ITEMS:
         add("curvature", f"R({i},{j},{k},{l})", exprs[kind, args] * sign,
             R.component(i, j, k, l))
-    unexpected = [key for key in _one_based(R) if key not in expected_r]
+    unexpected = [key for key in _one_based(_representatives(R))
+                  if key not in expected_r]
     add("curvature", "unlisted-components-zero", (), tuple(unexpected))
     add("curvature-routes", "connection-vs-bracket-formula",
         True, R == curvature_invariant_formula(a))

@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -253,6 +253,9 @@ def _subtract(target: dict[int, Fraction], row: Mapping[int, Fraction],
                 del target[c]
 
 
+_zero_over = lru_cache(Poly.zero)  # validated once per parameter tuple
+
+
 class Tensor:
     """Polynomial array of any rank on one dimension, stored as its
     nonzero map: a dict from 0-based index tuples to the nonzero
@@ -305,7 +308,7 @@ class Tensor:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_entries", kept)
-        object.__setattr__(self, "_zero", Poly.zero(params))
+        object.__setattr__(self, "_zero", _zero_over(params))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -341,11 +344,15 @@ class Tensor:
             return tuple(fill(prefix + (i,)) for i in range(self.dim))
         return fill(())
 
+    def _items(self) -> Iterable[tuple[tuple[int, ...], Poly]]:
+        """The pairs of :attr:`nonzero`, in no set order."""
+        return self._entries.items()
+
     @cached_property
     def nonzero(self) -> tuple[tuple[tuple[int, ...], Poly], ...]:
         """The nonzero components with their 0-based indices, row-major;
         computed once."""
-        return tuple(sorted(self._entries.items()))
+        return tuple(sorted(self._items()))
 
     def contract(self, axis: int, M: RationalMatrix) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
@@ -354,7 +361,7 @@ class Tensor:
 
     def trace(self, a: int, b: int, M) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
-        for idx, v in self.nonzero:
+        for idx, v in self._items():
             weight = M[idx[a]][idx[b]]
             if weight:
                 rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
@@ -369,7 +376,7 @@ class Tensor:
         """Numeric twin of the same class, parameter-free."""
         return type(self)((), self.dim, self.rank, {
             idx: Poly.constant(v.evaluate(assignment))
-            for idx, v in self.nonzero})
+            for idx, v in self._entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -379,7 +386,7 @@ class Tensor:
 
     def __repr__(self):
         return (f"Tensor(rank={self.rank}, dim={self.dim}, "
-                f"{len(self._entries)} nonzero components)")
+                f"{len(self.nonzero)} nonzero components)")
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 import reference
-from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature, report,
-                       specfile)
+from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature,
+                       parse_spec_text, report, specfile)
 from nordenlab import family as family_mod
 from nordenlab.cli import main
 
@@ -274,6 +274,23 @@ def test_report_perturbed_spec_names_broken_symmetry(perturbed_spec, capsys):
     assert captured.err == ("error: curvature tensor violates "
                             "R(j,k,l,m) = R(l,m,j,k) at (j,k,l,m) = "
                             "(1, 2, 2, 3)\n")
+
+
+def test_curvature_of_perturbed_spec_lists_representatives(perturbed_spec,
+                                                           capsys):
+    # without Jacobi R is stored in full: the listing keeps only the
+    # components with i < j, k < l, (i, j) <= (k, l)
+    assert main(["curvature", str(perturbed_spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = lines[1:lines.index("ricci:")]
+    a = parse_spec_text(perturbed_spec.read_text(encoding="utf-8")
+                        ).to_algebra()
+    c = reference.levi_civita(a)
+    assert listed == [
+        f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {v}"
+        for (i, j, k, l), v in reference.curvature_R(a, c).nonzero
+        if i < j and k < l and (i, j) <= (k, l)]
+    assert len(listed) == 87
 
 
 def test_check_abelian_spec(tmp_path, capsys):

@@ -23,9 +23,11 @@ from nordenlab import (
     sectional_curvature,
     square_norm_nabla_J,
 )
-from nordenlab import curvature
+from nordenlab import curvature, regression_report
+from nordenlab.cli import main
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.lie import format_vector
+from nordenlab.report import document_for
 import reference
 from reference import connection_vector as grad, metric, vec_sub
 
@@ -158,8 +160,8 @@ def accumulated_keys(monkeypatch):
 def test_curvature_makes_products_at_canonical_keys_once_jacobi_holds(
         falg, fconn, fcurv, monkeypatch):
     # Jacobi holds, so R_ijkl = R_klij: each product is made only at
-    # i < j, k < l, (i, j) <= (k, l), and the orbit filled from there
-    # (the i < j route below makes 1104)
+    # i < j, k < l, (i, j) <= (k, l), where R is stored (the i < j route
+    # below makes 1104)
     keys = accumulated_keys(monkeypatch)
     assert curvature_R(falg, fconn) == fcurv
     assert all(i < j and k < l and (i, j) <= (k, l) for i, j, k, l in keys)
@@ -177,6 +179,49 @@ def test_curvature_makes_each_product_once_at_i_below_j(perturbed,
     assert all(i < j for i, j, _, _ in keys)
     assert any(k > l or (i, j) > (k, l) for i, j, k, l in keys)
     assert len(keys) == 1104
+
+
+@pytest.mark.parametrize("change", ["member", "extra", "missing"])
+def test_canonical_curvature_equality_reads_every_index(fcurv, change):
+    # R is stored at its canonical components only, but == against a
+    # plain tensor compares every index, in both operand orders
+    (j, k, l, m), v = next((idx, v) for idx, v in fcurv.nonzero
+                           if idx[0] < idx[1] and idx[:2] < idx[2:])
+    entries = dict(fcurv.nonzero)
+    if change == "member":  # R_mlkj = R_jklm, not its negation
+        entries[m, l, k, j] = -v
+    elif change == "extra":  # a nonzero entry with j = k
+        entries[j, j, l, m] = v
+    else:
+        del entries[m, l, k, j]
+    plain = Tensor(fcurv.params, fcurv.dim, 4, entries)
+    assert fcurv != plain and plain != fcurv
+    assert not fcurv == plain and not plain == fcurv
+    assert fcurv == Tensor(fcurv.params, fcurv.dim, 4, dict(fcurv.nonzero))
+
+
+def test_report_and_regression_read_r_at_its_canonical_components(
+        family, filiform10, monkeypatch):
+    # Ricci, the sectional table, the grad R verdict, the regression's
+    # checks and the CLI's listing never build R's full row-major view
+    def expanded(self):
+        raise AssertionError("the full view of R was built")
+
+    monkeypatch.setattr(curvature._SlotSymmetric, "nonzero",
+                        property(expanded))
+    assert regression_report(family).ok
+    for a in (family.algebra, filiform10):
+        document_for(a)
+    assert main(["curvature", "--family", "table1"]) == 0
+
+
+def test_family_nabla_r_view_matches_the_dense_loops(falg, fconn, fnabla_r):
+    # c08 walks this view as five levels of nested tuples
+    dense = reference.nabla_R(falg, fconn, reference.curvature_R(falg, fconn))
+    assert fnabla_r == dense
+    assert all(isinstance(level, tuple) for level in (
+        fnabla_r, fnabla_r[0], fnabla_r[0][0], fnabla_r[0][0][0],
+        fnabla_r[0][0][0][0]))
 
 
 def test_curvature_two_routes_agree(falg, fcurv):

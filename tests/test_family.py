@@ -200,6 +200,20 @@ def test_regression_builds_its_tables_in_every_call(family, monkeypatch):
     assert regression_report(family).ok
 
 
+def test_unlisted_curvature_components_are_named_by_canonical_key(
+        family, monkeypatch):
+    # R is stored one entry per orbit, so a component missing from the
+    # expected table is named once, at its orbit's representative
+    real = family_mod._expected_R
+    orbit = {(1, 2, 1, 3), (2, 1, 1, 3), (1, 2, 3, 1), (2, 1, 3, 1),
+             (1, 3, 1, 2), (3, 1, 1, 2), (1, 3, 2, 1), (3, 1, 2, 1)}
+    monkeypatch.setattr(family_mod, "_expected_R", lambda exprs: {
+        key: v for key, v in real(exprs).items() if key not in orbit})
+    failures = regression_report(family).failures()
+    assert [(c.group, c.item, c.expected, c.computed) for c in failures] == [
+        ("curvature", "unlisted-components-zero", "()", "((1, 2, 1, 3),)")]
+
+
 # -- the tables' consistency guard -------------------------------------------
 
 def test_inconsistent_r_data_is_refused(monkeypatch):

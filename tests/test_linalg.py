@@ -221,6 +221,15 @@ def test_equal_lie_algebras_hash_equal():
     assert direct != LieAlgebra.abelian(3, T_PARAMS)
 
 
+def test_tensors_share_one_zero_per_parameter_list():
+    assert Tensor(T_PARAMS, 2, 1, {}).at((0,)) is Tensor(
+        ("t",), 3, 2, {}).at((1, 2))
+    for _ in range(2):  # a refused list is refused every time
+        with pytest.raises(ValueError) as exc:
+            Tensor(("t", "s", "t"), 2, 1, {})
+        assert str(exc.value) == "parameter 't' is listed twice"
+
+
 def test_term_width_mismatch_raises():
     with pytest.raises(ParameterMismatchError):
         Tensor(T_PARAMS, 2, 1, {(0,): [{1 << 32: 1}, 1, ("t", "s")]})

@@ -36,9 +36,14 @@ pass with it, on seeded perturbed copies of R.
 Tensors store only their nonzero components, so each one is also read
 with ``component`` at every 1-based index, zeros included, against the
 dense grids of ``reference``: Gamma, F, R, Ricci, the Killing form, each
-grad R block, the Jacobiator and the bracket Gram tensor.
+grad R block, the Jacobiator and the bracket Gram tensor.  R and each
+grad R block are stored at their canonical components only, so they are
+also read through ``nonzero``, ``==`` against a plain tensor in both
+operand orders, ``evaluate``, ``copy`` and ``pickle``.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -51,7 +56,7 @@ from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
                        rational_rank, sectional_curvature)
-from nordenlab.curvature import (_check_slot_symmetries, _slot_symmetric,
+from nordenlab.curvature import (_SlotSymmetric, _check_slot_symmetries,
                                  coordinate_sectional, nabla_R_blocks)
 from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
                               StructureError)
@@ -70,20 +75,56 @@ FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("sheared_heisenberg6", False), ("null_heisenberg6", False)]
 
 
-def assert_curvature_matches_dense_reference(a):
-    """R, its Ricci matrix and every grad R block equal the dense loops;
-    returns grad R."""
+def assert_canonical_reads_as_dense(T, dense, rebuilt=True):
+    """``T`` is stored at its canonical components j < k, l < m,
+    (j, k) <= (l, m) only, and reads as the dense grid at every index
+    through ``at``, ``component``, ``nonzero``, ``repr``, ``==`` in both
+    operand orders against a plain Tensor, ``copy`` and, if ``rebuilt``,
+    ``deepcopy``, ``pickle`` and ``evaluate`` (seconds on thousand-term
+    components)."""
+    assert type(T) is _SlotSymmetric
+    assert all(j < k and l < m and (j, k) <= (l, m)
+               for j, k, l, m in T._entries)
+    for idx in product(range(T.dim), repeat=4):
+        want = reference.dense_at(dense, idx)
+        assert T.at(idx) == want, idx
+        assert T.component(*(i + 1 for i in idx)) == want, idx
+    plain = reference.from_grid(T.params, dense)
+    assert type(plain) is Tensor and T.nonzero == plain.nonzero
+    assert repr(T) == repr(plain)
+    assert T == plain and plain == T and not T != plain and not plain != T
+    rebuilds = [copy.copy]
+    if rebuilt:
+        rebuilds += [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+    for rebuild in rebuilds:
+        twin = rebuild(T)
+        assert type(twin) is _SlotSymmetric and twin._entries == T._entries
+        assert twin == plain and plain == twin
+    if not rebuilt:
+        return
+    point = {name: Fraction(n + 2, n + 3) for n, name in enumerate(T.params)}
+    numeric, dense_numeric = T.evaluate(point), plain.evaluate(point)
+    assert type(numeric) is _SlotSymmetric
+    assert set(numeric._entries) <= set(T._entries)
+    assert numeric == dense_numeric and dense_numeric == numeric
+
+
+def assert_curvature_matches_dense_reference(a, rebuilt=True):
+    """R, its Ricci matrix and every grad R block equal the dense loops,
+    R and each block stored at their canonical components (each block
+    read through ``rebuilt`` surfaces as well); returns grad R."""
     c = levi_civita(a)
     R = curvature_R(a, c)
-    assert R == reference.curvature_R(a, c)
-    assert_dense(R, reference.curvature_R_grid(a, c))
+    dense_R = reference.curvature_R_grid(a, c)
+    assert_canonical_reads_as_dense(R, dense_R)
     assert_dense(ricci_and_scalar(a, R)[0], reference.ricci_grid(a, R))
     nabla_r = nabla_R(a, c, R)
-    dense_nabla_r = reference.nabla_R(a, c, R)
+    dense_nabla_r = reference.nabla_R(a, c,
+                                      reference.from_grid(a.params, dense_R))
     assert nabla_r == dense_nabla_r
     for block, dense in zip(nabla_R_blocks(a, c, R), dense_nabla_r,
                             strict=True):
-        assert_dense(block, dense)
+        assert_canonical_reads_as_dense(block, dense, rebuilt)
     return nabla_r
 
 
@@ -108,14 +149,14 @@ def test_many_term_curvature_and_nabla_match_dense_reference(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_canonical_curvature_matches_dense_reference_on_many_terms(seed):
-    # sixteen terms per bracket at dim 8: R is made at its canonical
-    # components only and filled over each orbit, the dense loops make
-    # every component
+    # sixteen terms per bracket at dim 8: R and each grad R block are
+    # made and stored at their canonical components only, the dense
+    # loops make every component; blocks of up to 1811 terms a component
+    # are not rebuilt (every FIXTURES block is)
     a = parse_spec_text(reference.many_term_spec(
         8, 16, random.Random(seed))).to_algebra()
     assert a.algebra.check_jacobi().ok
-    c = levi_civita(a)
-    assert curvature_R(a, c) == reference.curvature_R(a, c)
+    assert_curvature_matches_dense_reference(a, rebuilt=False)
 
 
 def slot_symmetric_tensor(a, rng):
@@ -203,7 +244,6 @@ def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
         message = guard_message(_check_slot_symmetries, perturbed)
         assert message == guard_message(reference.check_slot_symmetries,
                                         perturbed)
-        assert _slot_symmetric(perturbed) == (message is None)
         messages.add(message)
     assert None in messages
     for identity in ("-R(k,j,l,m)", "-R(j,k,m,l)", "= R(l,m,j,k)"):
@@ -214,8 +254,8 @@ def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
                                   "representative", "signs", "copies"])
 @pytest.mark.parametrize("name", ["heisenberg6", "falg"])
 def test_slot_symmetry_guard_on_crafted_tensors(name, case, request):
-    # each break is of a kind the representative pass must catch; equal
-    # values stored as distinct objects must pass it on equality alone
+    # each break is of a kind the guard must catch; equal values stored
+    # as distinct objects must pass it on equality alone
     a = request.getfixturevalue(name)
     R = curvature_R(a, levi_civita(a))
     entries = dict(R.nonzero)
@@ -239,14 +279,16 @@ def test_slot_symmetry_guard_on_crafted_tensors(name, case, request):
     T = Tensor(a.params, a.dim, 4, entries)
     message = guard_message(_check_slot_symmetries, T)
     assert message == guard_message(reference.check_slot_symmetries, T)
-    assert _slot_symmetric(T) == (message is None) == (case == "copies")
+    assert (message is None) == (case == "copies")
 
 
 def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
     # R is built at i < j and negated into i > j: that antisymmetry must
-    # hold for a bracket that is no Lie bracket too (grad R refuses this R)
+    # hold for a bracket that is no Lie bracket too (grad R refuses this
+    # R); without pair symmetry R is stored in full
     c = levi_civita(perturbed)
     R = curvature_R(perturbed, c)
+    assert type(R) is Tensor and len(R.nonzero) == 636
     assert R == reference.curvature_R(perturbed, c)
     assert_dense(R, reference.curvature_R_grid(perturbed, c))
 
