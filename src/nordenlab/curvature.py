@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import PolyMatrix, Tensor, _accumulate, _eliminate, _support
+from .linalg import PolyMatrix, Tensor, _accumulate, _support, rational_rank
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike, as_fraction
 from .record import Record
@@ -109,7 +109,7 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     bracket — verified in the tests, not assumed here.
     """
     raised = a.T.contract(2, a.g_inv)
-    return ConnectionCoeffs(a.params, a.dim, 3, dict(raised.nonzero))
+    return ConnectionCoeffs(a.params, a.dim, 3, raised._entries)
 
 
 def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
@@ -176,7 +176,7 @@ def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
     rho = R.trace(0, 3, a.g_inv)
-    return (PolyMatrix(a.params, a.dim, 2, dict(rho.nonzero)),
+    return (PolyMatrix(a.params, a.dim, 2, rho._entries),
             rho.trace(0, 1, a.g_inv).at(()))
 
 
@@ -207,46 +207,30 @@ def coordinate_plane(dim: int, i: int, j: int) -> PlaneSpec:
                      tuple(one if k == j - 1 else zero for k in range(dim)))
 
 
-def _image(M, u: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The nonzero components of M u, visiting only the nonzero u_p and
-    the nonzero entries of their columns of M."""
-    columns = M.nonzero_columns
-    out: dict[int, Fraction] = {}
-    for p, up in u.items():
-        for a, m in columns[p]:
-            out[a] = out.get(a, 0) + m * up
-    return {a: v for a, v in out.items() if v}
+def _metric_product(a: AlmostNordenAlgebra, u: Sequence[Fraction],
+                    v: Sequence[Fraction]) -> Fraction:
+    """g(u, v) = u . (g v) for rational component vectors."""
+    return sum((ui * gv for ui, gv in zip(u, a.g.apply(v))), Fraction(0))
 
 
-def _metric_product(a: AlmostNordenAlgebra, u: dict[int, Fraction],
-                    v: dict[int, Fraction]) -> Fraction:
-    """g(u, v) for vectors given by their nonzero components, visiting
-    only the nonzero u_i, v_j and g_ij."""
-    rows = a.g.rows
-    return sum((rows[i][j] * ui * vj
-                for i, ui in u.items() for j, vj in v.items() if rows[i][j]),
-               Fraction(0))
-
-
-def _discriminant(a: AlmostNordenAlgebra, x: dict[int, Fraction],
-                  y: dict[int, Fraction]) -> Fraction:
+def _discriminant(a: AlmostNordenAlgebra, x: Sequence[Fraction],
+                  y: Sequence[Fraction]) -> Fraction:
     """pi_1(x, y, y, x) = g(x,x) g(y,y) - g(x,y)^2, the denominator of
     sectional curvature; zero exactly for degenerate planes."""
     gxy = _metric_product(a, x, y)
     return _metric_product(a, x, x) * _metric_product(a, y, y) - gxy * gxy
 
 
-def _spanning(a: AlmostNordenAlgebra, p: PlaneSpec) -> tuple[dict, dict]:
-    """The nonzero components of the vectors spanning ``p``, which must
-    have the algebra's dimension and be linearly independent."""
+def _spanning(a: AlmostNordenAlgebra, p: PlaneSpec) -> tuple[tuple, tuple]:
+    """The vectors spanning ``p``, which must have the algebra's
+    dimension and be linearly independent."""
     if len(p.x) != a.dim:
         raise DimensionMismatchError(
             f"plane vectors have length {len(p.x)}, algebra dimension "
             f"{a.dim}")
-    x, y = _support(p.x), _support(p.y)
-    if len(_eliminate([x, y], a.dim)) != 2:
+    if rational_rank([p.x, p.y]) != 2:
         raise ValueError("spanning vectors are linearly dependent")
-    return x, y
+    return p.x, p.y
 
 
 def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
@@ -262,13 +246,10 @@ def plane_type(a: AlmostNordenAlgebra, p: PlaneSpec) -> str:
     The labels are tested in that order, so a plane that is both
     holomorphic and metrically degenerate reports "holomorphic".
     Linearly dependent spanning vectors are an error, not a type.
-    J is applied, and both rank tests run, on the nonzero components of
-    x and y only, so a coordinate plane costs about the nonzero entries
-    of two columns of J.
     """
     x, y = _spanning(a, p)
-    jx, jy = _image(a.J, x), _image(a.J, y)
-    if len(_eliminate([x, y, jx, jy], a.dim)) == 2:
+    jx, jy = a.J.apply(x), a.J.apply(y)
+    if rational_rank([x, y, jx, jy]) == 2:
         return "holomorphic"
     if all(_metric_product(a, ju, v) == 0
            for ju in (jx, jy) for v in (x, y)):
@@ -293,6 +274,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     if disc == 0:
         raise DegeneratePlaneError(
             "sectional curvature of a degenerate plane (discriminant 0)")
+    x, y = _support(x), _support(y)
     acc: dict[tuple[int, ...], list] = {}
     for (i, xi), (l, xl) in product(x.items(), repeat=2):
         for (j, yj), (k, yk) in product(y.items(), repeat=2):
@@ -337,21 +319,14 @@ def _representatives(R: Tensor) -> list[tuple[tuple[int, ...], Poly]]:
 
 def _check_slot_symmetries(R: Tensor) -> None:
     """Raise :class:`StructureError` naming the first slot symmetry that
-    R breaks: each symmetry is an involution, so it is tested at the
-    nonzeros, once per stored pair."""
-    stored = dict(R.nonzero)
-    for idx, v in R.nonzero:
-        j, k, l, m = idx
-        minus_v = None
-        for partner, negated, identity in (
-                ((k, j, l, m), True, "R(j,k,l,m) = -R(k,j,l,m)"),
-                ((j, k, m, l), True, "R(j,k,l,m) = -R(j,k,m,l)"),
-                ((l, m, j, k), False, "R(j,k,l,m) = R(l,m,j,k)")):
-            if partner < idx and partner in stored:
-                continue
-            if negated and minus_v is None:
-                minus_v = -v
-            if stored.get(partner, 0) != (minus_v if negated else v):
+    R breaks, testing all three at every nonzero component, row-major."""
+    for (j, k, l, m), v in R.nonzero:
+        minus_v = -v
+        for partner, value, identity in (
+                ((k, j, l, m), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
+                ((j, k, m, l), minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
+                ((l, m, j, k), v, "R(j,k,l,m) = R(l,m,j,k)")):
+            if R.at(partner) != value:
                 raise StructureError(
                     f"curvature tensor violates {identity} at (j,k,l,m) = "
                     f"({j + 1}, {k + 1}, {l + 1}, {m + 1})")

@@ -20,6 +20,7 @@ scatter over pairs of nonzero structure constants.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, StructureError
@@ -101,15 +102,11 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "gamma", gamma)
-        # Nonzero bracket rows (i < j), precomputed for bracket evaluation.
-        pairs: dict[tuple[int, int], list] = {}
-        for (i, j, k), v in gamma.nonzero:
-            if i < j:
-                pairs.setdefault((i, j), []).append((k, v))
-        object.__setattr__(self, "_pairs", tuple(
-            (i, j, tuple(targets)) for (i, j), targets in pairs.items()))
 
     def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebra is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("LieAlgebra is immutable")
 
     def __reduce__(self):
@@ -175,8 +172,9 @@ class LieAlgebra:
 
     def bracket_rows(self):
         """Nonzero (i, j, {k: coeff}) rows with i < j, 1-based, sorted."""
-        for i, j, targets in self._pairs:
-            yield i + 1, j + 1, {k + 1: p for k, p in targets}
+        upper = ((idx, p) for idx, p in self.gamma.nonzero if idx[0] < idx[1])
+        for (i, j), row in groupby(upper, lambda entry: entry[0][:2]):
+            yield i + 1, j + 1, {k + 1: p for (_, _, k), p in row}
 
     # -- core operations ---------------------------------------------------
 
@@ -185,12 +183,8 @@ class LieAlgebra:
             raise DimensionMismatchError(
                 f"bracket arguments must have length {self.dim}")
         acc = [Poly.zero(self.params)] * self.dim
-        for i, j, targets in self._pairs:
-            factor = x[i] * y[j] - x[j] * y[i]
-            if not factor:
-                continue
-            for k, coeff in targets:
-                acc[k] = acc[k] + factor * coeff
+        for (i, j, k), coeff in self.gamma.nonzero:
+            acc[k] = acc[k] + x[i] * y[j] * coeff
         return tuple(acc)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
@@ -284,6 +278,6 @@ class LieAlgebra:
         return hash((self.dim, self.params, self.gamma.nonzero))
 
     def __repr__(self):
-        nonzero = sum(len(t) for _, _, t in self._pairs)
+        nonzero = len(self.gamma.nonzero) // 2  # antisymmetric: half at i < j
         return (f"LieAlgebra(dim={self.dim}, params={self.params}, "
                 f"{nonzero} nonzero bracket coefficients)")

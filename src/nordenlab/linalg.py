@@ -47,6 +47,9 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RationalMatrix is immutable")
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
         return RationalMatrix, (self.rows,)
@@ -284,8 +287,8 @@ class Tensor:
     and the constructor reduces each finished accumulator once into a
     canonical ``Poly``.  No intermediate product ``Poly`` is built.
 
-    ``components`` (nested tuples) is a dense view built on demand, kept
-    only for the benchmark's traced replay.
+    ``components`` (nested tuples) is a dense view built on demand, read
+    by ``nabla_R``, the tests and the benchmark's traced replay.
     """
 
     def __init__(self, params: Iterable[str], dim: int, rank: int,
@@ -313,6 +316,9 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Tensor is immutable")
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
         return type(self), (self.params, self.dim, self.rank, self._entries)
@@ -337,7 +343,7 @@ class Tensor:
     @property
     def components(self):
         """Dense nested-tuple view with raw 0-based storage, built on
-        demand; kept only for the benchmark's traced replay."""
+        demand (see the class docstring for its readers)."""
         def fill(prefix):
             if len(prefix) == self.rank:
                 return self.at(prefix)

@@ -170,6 +170,9 @@ class AlmostNordenAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("AlmostNordenAlgebra is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AlmostNordenAlgebra is immutable")
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
         return AlmostNordenAlgebra, (self.algebra, self.g, self.J)

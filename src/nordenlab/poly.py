@@ -187,6 +187,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
         return Poly, (self.params, dict(self.terms))
@@ -419,8 +422,6 @@ class Poly:
         if isinstance(other, Poly):
             if self.params == other.params:
                 return self.den == other.den and self.nums == other.nums
-            if self.is_constant and other.is_constant:
-                return self.constant_value() == other.constant_value()
             try:
                 a, b = self._aligned(other)
             except ParameterMismatchError:

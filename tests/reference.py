@@ -33,13 +33,16 @@ out inline.  ``check_invariant_metric`` is the per-triple loop over
 every (i, j, k) that the invariance check ran before it walked the
 nonzero lowered constants.
 
-``plane_type`` is the plane classifier as it ran before it read only
-the nonzero components of the spanning vectors: J applied to whole
-vectors, and two row reductions of full rows (``dense_rank``).
+``plane_type`` is the plane classifier written against dense rows: J
+applied to whole vectors, and two row reductions of full rows
+(``dense_rank``).
 
-``check_slot_symmetries`` is the guard ``nabla_R_blocks`` ran before it
-compared each pair of partner components once: all three slot
-symmetries tested at every nonzero component of R.
+``sectional_curvature`` reads R(x, y, y, x) from a dense R grid by
+ring operations, with the discriminant from ``metric_product``.
+
+``check_slot_symmetries`` is the guard ``nabla_R_blocks`` runs on an R
+stored in full, written against ``at``: all three slot symmetries
+tested at every nonzero component of R.
 
 ``gauss_jordan`` is the dense elimination ``RationalMatrix`` ran on full
 rows, swapping rows to pivot column by column, before inverse,
@@ -70,7 +73,8 @@ from nordenlab import (
     PolyMatrix,
     Tensor,
 )
-from nordenlab.errors import ParameterMismatchError, StructureError
+from nordenlab.errors import (DegeneratePlaneError, ParameterMismatchError,
+                              StructureError)
 from nordenlab.lie import Vector
 from nordenlab.linalg import RationalMatrix, _accumulate, _scatter
 
@@ -598,3 +602,23 @@ def plane_type(a: AlmostNordenAlgebra, p) -> str:
     if metric_product(a, p.x, p.x) * metric_product(a, p.y, p.y) == gxy ** 2:
         return "degenerate"
     return "generic"
+
+
+def sectional_curvature(a: AlmostNordenAlgebra, dense_R, p) -> Poly:
+    """R(x, y, y, x) / pi_1(x, y, y, x) from the dense R grid, summed by
+    ring operations over every index tuple whose coefficient
+    x_i y_j y_k x_l is nonzero, with pi_1 from ``metric_product``."""
+    if dense_rank([p.x, p.y]) != 2:
+        raise ValueError("spanning vectors are linearly dependent")
+    gxy = metric_product(a, p.x, p.y)
+    disc = (metric_product(a, p.x, p.x) * metric_product(a, p.y, p.y)
+            - gxy ** 2)
+    if disc == 0:
+        raise DegeneratePlaneError(
+            "sectional curvature of a degenerate plane (discriminant 0)")
+    terms = [dense_at(dense_R, (i, j, k, l)) * (xi * yj * yk * xl)
+             for i, xi in enumerate(p.x) if xi
+             for j, yj in enumerate(p.y) if yj
+             for k, yk in enumerate(p.y) if yk
+             for l, xl in enumerate(p.x) if xl]
+    return sum(terms, Poly.zero(a.params)) / disc

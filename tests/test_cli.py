@@ -276,12 +276,16 @@ def test_report_perturbed_spec_names_broken_symmetry(perturbed_spec, capsys):
                             "(1, 2, 2, 3)\n")
 
 
-def test_curvature_of_perturbed_spec_lists_representatives(perturbed_spec,
-                                                           capsys):
+def test_curvature_of_perturbed_spec_lists_representatives(
+        perturbed_spec, spec_fixture_path, capsys):
     # without Jacobi R is stored in full: the listing keeps only the
-    # components with i < j, k < l, (i, j) <= (k, l)
+    # components with i < j, k < l, (i, j) <= (k, l); the golden pins
+    # the whole output, Ricci, tau and the sectional table included
     assert main(["curvature", str(perturbed_spec)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    expected = spec_fixture_path.parent / "perturbed_curvature.txt"
+    assert out == expected.read_text(encoding="utf-8")
+    lines = out.splitlines()
     listed = lines[1:lines.index("ricci:")]
     a = parse_spec_text(perturbed_spec.read_text(encoding="utf-8")
                         ).to_algebra()

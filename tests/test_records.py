@@ -1,6 +1,8 @@
 """The package's value records: plain ``__slots__`` classes with the
 constructor signatures, attributes, equality, hashing and immutability of
-frozen records, and no ``dataclasses`` import in a CLI process.  Records,
+frozen records, and no ``dataclasses`` import in a CLI process.
+Polynomials, matrices, tensors (a canonically stored R too) and algebras
+refuse assignment and deletion alike and still read as before.  Records,
 polynomials, matrices, tensors and algebras copy and pickle through
 their validating constructors, and an algebra's copy gives the same
 report.  A cached stage is built on its first read, and no copy carries
@@ -19,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
-                       LieAlgebra, PlaneSpec, Poly, RationalMatrix,
-                       RegressionCheck, RegressionReport, Table1Family,
-                       Tensor, build_table1, emit_spec, parse_spec_text)
+                       LieAlgebra, PlaneSpec, Poly, PolyMatrix,
+                       RationalMatrix, RegressionCheck, RegressionReport,
+                       Table1Family, Tensor, build_table1, curvature_R,
+                       emit_spec, levi_civita, parse_spec_text)
+from nordenlab.curvature import _SlotSymmetric
 from nordenlab.errors import DimensionMismatchError
 from nordenlab.report import ReportDocument, compute_report, document_for
 from test_reference import FIXTURES
@@ -128,6 +132,57 @@ def test_stages_are_built_once_on_first_read_and_never_copied():
         for copied in round_trips(obj):
             assert copied == obj and not cached_stages(copied), obj
     assert a.check_invariant_metric() is a._invariance
+
+
+def heisenberg6():
+    text = (Path(__file__).parent / "data" / "heisenberg6.spec").read_text(
+        encoding="utf-8")
+    return parse_spec_text(text).to_algebra()
+
+
+def canonical_R():
+    a = heisenberg6()
+    R = curvature_R(a, levi_civita(a))
+    assert type(R) is _SlotSymmetric
+    return R
+
+
+TVAR = Poly.variable("t", ("t",))
+TENSOR_FIELDS = ("dim", "rank", "params", "_entries", "_zero", "nonzero")
+
+#: Each immutable value class that is not a Record: a builder, the class
+#: its refusals name, and the attributes to delete (the constructor's,
+#: then cached stages, each read first).
+FROZEN = {
+    "Poly": (lambda: TVAR + 1, "Poly", ("params", "nums", "den")),
+    "RationalMatrix": (lambda: RationalMatrix([[0, 1], [1, 0]]),
+                       "RationalMatrix", ("rows", "nonzero_columns")),
+    "Tensor": (lambda: Tensor(("t",), 2, 1, {(1,): TVAR}), "Tensor",
+               TENSOR_FIELDS),
+    "PolyMatrix": (lambda: PolyMatrix(("t",), 2, 2, {(0, 1): TVAR}), "Tensor",
+                   TENSOR_FIELDS),
+    "canonical R": (canonical_R, "Tensor", TENSOR_FIELDS + ("_minus",)),
+    "LieAlgebra": (lambda: heisenberg6().algebra, "LieAlgebra",
+                   ("dim", "params", "gamma", "jacobiator_tensor")),
+    "AlmostNordenAlgebra": (heisenberg6, "AlmostNordenAlgebra",
+                            ("algebra", "g", "J", "g_inv", "_gJ", "G")),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN)
+def test_deleting_an_attribute_is_refused(case):
+    build, owner, names = FROZEN[case]
+    obj, twin = build(), build()
+    message = f"^{owner} is immutable$"
+    for name in names:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, name)
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, name, None)
+        assert getattr(obj, name) is before
+        assert before == getattr(twin, name)
+    assert obj == twin and repr(obj) == repr(twin)
 
 
 def test_record_defaults_and_conversions():

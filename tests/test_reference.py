@@ -17,10 +17,13 @@ tensors; their results must equal the per-tuple loops whole, violations
 in the same order, on the same inputs plus the numeric twin, the
 symbolic sheared family and the inputs built to fail a check.
 
-``plane_type`` reads only the nonzero components of its spanning
-vectors; it must give the dense classifier's type on every coordinate
-plane of every input and on seeded random rational planes, holomorphic
-and dependent ones included.  The one sparse elimination behind it and
+``plane_type`` must give the dense classifier's type on every
+coordinate plane of every input and on seeded random rational planes,
+holomorphic and dependent ones included.  On the same seeded planes
+``sectional_curvature``, which reads R only where x_i, y_j, y_k and x_l
+are all nonzero, must equal R(x, y, y, x) summed over the dense R grid
+and divided by the dense discriminant, and raise the same
+``DegeneratePlaneError`` or ``ValueError`` exactly where that raises.  The one sparse elimination behind it and
 behind ``RationalMatrix.inverse``, ``determinant`` and ``rational_rank``
 must match the dense Gauss-Jordan loop on seeded random matrices,
 singular ones included: the same inverse, determinant and rank, and the
@@ -29,9 +32,9 @@ same first pivot-free column in ``SingularMatrixError``.
 The report's sectional table, read from R_ijji, g and J, must equal
 ``plane_type`` and ``sectional_curvature`` on every coordinate plane of
 every input, a null coordinate plane and a Heisenberg basis with all
-four plane types included.  The guard that compares each pair of R's
-slot partners once must raise the message of the all-pairs loop, or
-pass with it, on seeded perturbed copies of R.
+four plane types included.  The slot-symmetry guard must raise the
+message of the reference loop, or pass with it, on seeded perturbed
+copies of R and on crafted breaks.
 
 Tensors store only their nonzero components, so each one is also read
 with ``component`` at every 1-based index, zeros included, against the
@@ -204,10 +207,8 @@ def guard_message(check, R):
 @pytest.mark.parametrize("name", ["heisenberg6", "sheared_heisenberg6",
                                   "null_heisenberg6", "falg"])
 def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
-    # the pass against each orbit's representative must accept exactly
-    # what the reference loop accepts, and where it refuses, the guard's
-    # pairwise loop must name the reference loop's first violation; that
-    # loop compares all three identities at every nonzero
+    # the guard must accept exactly what the reference loop accepts and,
+    # where it refuses, name that loop's first violation
     a = request.getfixturevalue(name)
     R = curvature_R(a, levi_civita(a))
     rng = random.Random(name)
@@ -350,11 +351,27 @@ def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
     assert a.check_invariant_metric() == reference.check_invariant_metric(a)
 
 
-def plane_type_or_error(classify, a, plane):
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the plane error it raises."""
     try:
-        return classify(a, plane)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+        return f(*args)
+    except (ValueError, DegeneratePlaneError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def seeded_planes(a):
+    """240 seeded planes: 60 pairs of mostly-zero rational vectors x, y,
+    so supports of every size occur, each x paired with y, Jx, 2x and
+    x + Jx."""
+    rng = random.Random(a.dim)
+    for _ in range(60):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
+        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
+        for second in (y, a.J.apply(x), [2 * v for v in x],
+                       [u + v for u, v in zip(x, a.J.apply(x))]):
+            yield PlaneSpec(x, second)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CHECKED])
@@ -363,22 +380,32 @@ def test_plane_types_match_dense_reference(name, request):
     for i, j in combinations(range(1, a.dim + 1), 2):
         plane = coordinate_plane(a.dim, i, j)
         assert plane_type(a, plane) == reference.plane_type(a, plane), (i, j)
-    rng = random.Random(a.dim)
     types = set()
-    for _ in range(60):
-        # mostly-zero vectors, so supports of every size occur
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
-        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-             if rng.random() < 0.4 else 0 for _ in range(a.dim)]
-        for second in (y, a.J.apply(x), [2 * v for v in x],
-                       [u + v for u, v in zip(x, a.J.apply(x))]):
-            plane = PlaneSpec(x, second)
-            got = plane_type_or_error(plane_type, a, plane)
-            assert got == plane_type_or_error(reference.plane_type, a, plane)
-            types.add(got)
+    for plane in seeded_planes(a):
+        got = outcome(plane_type, a, plane)
+        assert got == outcome(reference.plane_type, a, plane)
+        types.add(got)
     assert {"holomorphic", "generic",
             "ValueError: spanning vectors are linearly dependent"} <= types
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CHECKED])
+def test_sectional_curvature_matches_dense_reference(name, request):
+    # off the coordinate planes too: the library accumulates R where
+    # x_i, y_j, y_k and x_l are all nonzero, the reference sums the dense
+    # R grid by ring operations
+    a = request.getfixturevalue(name)
+    c = levi_civita(a)
+    R, dense_R = curvature_R(a, c), reference.curvature_R_grid(a, c)
+    kinds = set()
+    for plane in seeded_planes(a):
+        got = outcome(sectional_curvature, a, R, plane)
+        assert got == outcome(reference.sectional_curvature, a, dense_R,
+                              plane)
+        if outcome(plane_type, a, plane) == "degenerate":
+            assert got.startswith("DegeneratePlaneError: ")
+        kinds.add(got.split(":")[0] if isinstance(got, str) else "value")
+    assert {"value", "ValueError"} <= kinds
 
 
 @pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
