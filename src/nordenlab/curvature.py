@@ -34,6 +34,11 @@ every operation a finite exact contraction:
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
+
+R and grad R meet each operand with a whole bucket of partners, so they
+flatten their operands once per stage and hand their products to the
+batch kernel :func:`~nordenlab.linalg._multiply_accumulate`; every other
+stage here calls :func:`~nordenlab.linalg._accumulate` per product.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import PolyMatrix, Tensor, _accumulate, _support, rational_rank
+from .linalg import (PolyMatrix, Tensor, _accumulate, _multiply_accumulate,
+                     _operands, _support, rational_rank)
 from .norden import AlmostNordenAlgebra
 from .poly import Poly, RationalLike, as_fraction
 from .record import Record
@@ -62,12 +69,21 @@ class ConnectionCoeffs(Tensor):
         return self.components
 
 
+#: The members of the orbit of a representative (j, k, l, m) as the
+#: positions they read it at, each with 1 where it is negated: the first
+#: four alone where (j, k) = (l, m).
+_ORBIT = (((0, 1, 2, 3), 0), ((1, 0, 2, 3), 1), ((0, 1, 3, 2), 1),
+          ((1, 0, 3, 2), 0), ((2, 3, 0, 1), 0), ((3, 2, 0, 1), 1),
+          ((2, 3, 1, 0), 1), ((3, 2, 1, 0), 0))
+
+
 class _SlotSymmetric(Tensor):
     """A rank-4 tensor with T_jklm = -T_kjlm = -T_jkml = T_lmjk, stored at
     its canonical components j < k, l < m, (j, k) <= (l, m) only.  ``at``
     reads an index at its orbit's representative, negated after an odd
     number of swaps (each negation made once); ``nonzero`` is the full
-    row-major view, built on first read; ``==`` compares full tensors."""
+    row-major view, built on first read; ``trace`` builds only the
+    members its weights keep; ``==`` compares full tensors."""
 
     def at(self, idx: tuple[int, ...]) -> Poly:
         j, k, l, m = idx
@@ -82,13 +98,26 @@ class _SlotSymmetric(Tensor):
         return {rep: -v for rep, v in self._entries.items()}
 
     def _items(self) -> Iterator[tuple[tuple[int, ...], Poly]]:
-        for (j, k, l, m), v in self._entries.items():
-            w = self._minus[j, k, l, m]
-            yield from (((j, k, l, m), v), ((k, j, l, m), w),
-                        ((j, k, m, l), w), ((k, j, m, l), v))
-            if (j, k) != (l, m):
-                yield from (((l, m, j, k), v), ((m, l, j, k), w),
-                            ((l, m, k, j), w), ((m, l, k, j), v))
+        for rep, v in self._entries.items():
+            values = v, self._minus[rep]
+            for (p, q, r, s), odd in _ORBIT[:4 if rep[:2] == rep[2:] else 8]:
+                yield (rep[p], rep[q], rep[r], rep[s]), values[odd]
+
+    def trace(self, a: int, b: int, M) -> Tensor:
+        """:meth:`Tensor.trace`, reading each member's slots ``a`` and
+        ``b`` from its representative and building only the members
+        whose weight is nonzero."""
+        kept = [s for s in range(4) if s not in (a, b)]
+        orbit = [(at[a], at[b], at[kept[0]], at[kept[1]], odd)
+                 for at, odd in _ORBIT]
+        acc: dict[tuple[int, ...], list] = {}
+        for rep, v in self._entries.items():
+            values = v, self._minus[rep]
+            for p, q, r, s, odd in orbit[:4 if rep[:2] == rep[2:] else 8]:
+                weight = M[rep[p]][rep[q]]
+                if weight:
+                    _accumulate(acc, (rep[r], rep[s]), values[odd], weight)
+        return Tensor(self.params, self.dim, 2, acc)
 
     def __eq__(self, other):
         if isinstance(other, _SlotSymmetric) or not isinstance(other, Tensor):
@@ -130,34 +159,64 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     Bianchi identity), products are then made at k < l, (i, j) <= (k, l)
     only, and R is stored there alone, read through its symmetries;
     otherwise the i > j half is the negation of the i < j half, and R is
-    stored in full.  Never computed from the invariant-metric bracket
-    formula, which stays a separate routine
-    (:func:`curvature_invariant_formula`): the two are independent routes.
+    stored in full.  Gamma, c and T are flattened once, and the
+    products, Gamma's then c's, go to the batch kernel.  Never computed
+    from the invariant-metric bracket formula, which stays a separate
+    routine (:func:`curvature_invariant_formula`): the two are
+    independent routes.
     """
     canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
-    by_first = [[] for _ in range(a.dim)]   # p -> (k, l, T_pkl)
-    by_second = [[] for _ in range(a.dim)]  # p -> (i, l, T_ipl)
-    for (i, p, l), w in a.T.nonzero:
-        by_first[i].append((p, l, w))
-        by_second[p].append((i, l, w))
+    T = a.T.nonzero
+    streams = ((c.nonzero, _connection_products),
+               ([(idx, v) for idx, v in a.algebra.gamma.nonzero
+                 if idx[0] < idx[1]], _bracket_products))
+    # both streams add to one set of accumulators, over one denominator
+    den = lcm(*(v.den for left, _ in streams for _, v in left))
     acc: dict[tuple[int, ...], list] = {}
-    for (j, k, p), v in c.nonzero:
-        minus_v = -v
-        for i, l, w in by_second[p]:
-            pair, u = ((i, j), v) if i < j else ((j, i), minus_v)
-            if i != j and (not canonical or k < l and pair <= (k, l)):
-                _accumulate(acc, pair + (k, l), u, w)
-    for (i, j, p), v in a.algebra.gamma.nonzero:
-        if i < j:
-            minus_v = -v
-            for k, l, w in by_first[p]:
-                if not canonical or k < l and (i, j) <= (k, l):
-                    _accumulate(acc, (i, j, k, l), minus_v, w)
+    for left, products in streams:
+        params, left_terms, t_terms, stage_den = _operands(
+            [v for _, v in left], [w for _, w in T], den)
+        _multiply_accumulate(acc, products(
+            a.dim, canonical, zip(left, left_terms), zip(T, t_terms)),
+            stage_den, params)
     if canonical:
         return _SlotSymmetric(a.params, a.dim, 4, acc)
     half = Tensor(a.params, a.dim, 4, acc)._entries  # i < j
     return Tensor(a.params, a.dim, 4, {**half, **{
         (j, i, k, l): -v for (i, j, k, l), v in half.items()}})
+
+
+def _connection_products(dim, canonical, connection, T):
+    """Gamma_jk^p T_ipl at (i, j, k, l) if i < j, negated at (j, i, k, l)
+    if j < i, for T bucketed by its second index p."""
+    by_second = [[] for _ in range(dim)]  # p -> (i, l, T_ipl)
+    for ((i, p, l), _), w in T:
+        by_second[p].append((i, l, w))
+    for ((j, k, p), _), v in connection:
+        minus_v = _negated(v)
+        for i, l, w in by_second[p]:
+            pair, u = ((i, j), v) if i < j else ((j, i), minus_v)
+            if i != j and (not canonical or k < l and pair <= (k, l)):
+                yield pair + (k, l), u, w
+
+
+def _bracket_products(dim, canonical, bracket, T):
+    """-c_ij^p T_pkl at (i, j, k, l), for c at i < j and T bucketed by
+    its first index p (at k < l alone if ``canonical``)."""
+    by_first = [[] for _ in range(dim)]  # p -> (k, l, T_pkl)
+    for ((p, k, l), _), w in T:
+        if not canonical or k < l:
+            by_first[p].append((k, l, w))
+    for ((i, j, p), _), v in bracket:
+        minus_v = _negated(v)
+        for k, l, w in by_first[p]:
+            if not canonical or (i, j) <= (k, l):
+                yield (i, j, k, l), minus_v, w
+
+
+def _negated(terms: tuple) -> tuple:
+    """Flattened terms, negated."""
+    return tuple([(e, -n) for e, n in terms])
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -354,32 +413,41 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     index x; a product -Gamma_ij^x R_xklm, k != j (at k = j its two
     places cancel), is added, negated if k < j, at the sorted pair
     {j, k} + (l, m) and at (l, m) + {j, k}, wherever that is canonical,
-    where the block is stored.  That is sound only for an R with those
-    symmetries: an R stored at its canonical components has them, and
-    one stored in full is checked before the first block, a violation
-    raising :class:`StructureError`.
+    where the block is stored; R and Gamma are flattened once, and each
+    block's products go to the batch kernel.  That is sound only for an
+    R with those symmetries: an R stored at its canonical components has
+    them, and one stored in full is checked before the first block, a
+    violation raising :class:`StructureError`.
     """
     if not isinstance(R, _SlotSymmetric):
         _check_slot_symmetries(R)
+    members = [(idx, v) for idx, v in R._items() if idx[2] < idx[3]]
+    gammas = c.nonzero
+    params, r_terms, g_terms, den = _operands(
+        [v for _, v in members], [v for _, v in gammas])
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), R_xklm), l < m
-    for (x, k, l, m), v in R._items():
-        if l < m:
-            by_first[x].append((k, (l, m), v))
+    for ((x, k, l, m), _), v in zip(members, r_terms):
+        by_first[x].append((k, (l, m), v))
     coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, -Gamma_ij^x, Gamma)
-    for (i, j, x), v in c.nonzero:
-        coeffs_of[i].append((j, x, -v, v))
+    for ((i, j, x), _), g in zip(gammas, g_terms):
+        coeffs_of[i].append((j, x, _negated(g), g))
     for coeffs in coeffs_of:
-        acc: dict[tuple[int, ...], list] = {}
-        for j, x, minus_g, g in coeffs:
-            for k, tail, v in by_first[x]:
-                if j == k:
-                    continue
-                pair, w = ((j, k), minus_g) if j < k else ((k, j), g)
-                if pair <= tail:
-                    _accumulate(acc, pair + tail, v, w)
-                if tail <= pair:
-                    _accumulate(acc, tail + pair, v, w)
-        yield _SlotSymmetric(a.params, a.dim, 4, acc)
+        yield _SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
+            {}, _block_products(coeffs, by_first), den, params))
+
+
+def _block_products(coeffs, by_first):
+    """The products -Gamma_ij^x R_xklm of one block, k != j, at the
+    canonical keys {j, k} + (l, m) and (l, m) + {j, k}."""
+    for j, x, minus_g, g in coeffs:
+        for k, tail, v in by_first[x]:
+            if j == k:
+                continue
+            pair, w = ((j, k), minus_g) if j < k else ((k, j), g)
+            if pair <= tail:
+                yield pair + tail, v, w
+            if tail <= pair:
+                yield tail + pair, v, w
 
 
 def nabla_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor) -> Array5:

@@ -17,19 +17,27 @@
 * :class:`PolyMatrix` — a rank-2 :class:`Tensor` with a 1-based
   ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
   form and the Ricci tensor.
+
+R and grad R hand their products to the batch kernel
+:func:`_multiply_accumulate`, as a stream of operands flattened once per
+stage by :func:`_operands`, since each operand there meets a whole bucket
+of partners.  Every other stage calls :func:`_accumulate` per product; in
+the contractions and traces an operand meets one or two rational weights,
+so a flattened copy would be read once or twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, prod
+from functools import cached_property, lru_cache, reduce
+from math import gcd, lcm, prod
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
 from .poly import (Poly, RationalLike, _add_product, _add_terms, _canonical,
-                   _guard, as_fraction)
+                   _guard, _overflow, as_fraction)
 
 
 class RationalMatrix:
@@ -285,7 +293,9 @@ class Tensor:
     of two operand polynomials term by term, as plain ints, into one
     accumulator per output index, deleting a term as soon as it cancels,
     and the constructor reduces each finished accumulator once into a
-    canonical ``Poly``.  No intermediate product ``Poly`` is built.
+    canonical ``Poly``.  No intermediate product ``Poly`` is built.  R and
+    grad R feed the same accumulators through the batch kernel
+    :func:`_multiply_accumulate` instead (see the module docstring).
 
     ``components`` (nested tuples) is a dense view built on demand, read
     by ``nabla_R``, the tests and the benchmark's traced replay.
@@ -436,6 +446,77 @@ def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
         _add_product(nums, v.nums, right, factor, _guard[len(params)])
     if not nums:
         del acc[key]
+
+
+def _multiply_accumulate(acc: dict, products, den: int,
+                         params: tuple[str, ...]) -> dict:
+    """Add a stream of ``(key, left_terms, right_terms)`` products, terms
+    from :func:`_operands`, into ``acc`` (accumulators of
+    :func:`_accumulate`, each over ``den``) and return it.  The term loop
+    is :func:`~nordenlab.poly._add_product`'s, inlined: a new key is
+    tested for guard bits, and a term or key is deleted as soon as it
+    cancels.  A product meeting terms over another parameter list raises
+    :class:`ParameterMismatchError`.
+    """
+    guard = _guard[len(params)]
+    for key, left, right in products:
+        entry = acc.get(key)
+        if entry is None:
+            nums = {}
+            acc[key] = [nums, den, params]
+        elif entry[2] is not params and entry[2] != params:
+            raise ParameterMismatchError(
+                f"product over {params} added to terms over {entry[2]}")
+        else:
+            nums = entry[0]
+        for e1, c1 in left:
+            for e2, c2 in right:
+                expo = e1 + e2
+                prev = nums.get(expo)
+                if prev is None:
+                    if expo & guard:
+                        raise _overflow(expo, guard)
+                    nums[expo] = c1 * c2
+                else:
+                    coeff = prev + c1 * c2
+                    if coeff:
+                        nums[expo] = coeff
+                    else:
+                        del nums[expo]
+        if not nums:
+            del acc[key]
+    return acc
+
+
+def _operands(left: Sequence[Poly], right: Sequence[Poly],
+              left_den: int = 0) -> tuple[tuple[str, ...], list, list, int]:
+    """``(params, left_terms, right_terms, den)`` for products of a
+    ``left`` and a ``right`` operand, each side over one list.
+
+    ``params`` is the list :meth:`Poly._aligned` gives such a product (a
+    probe per side carries the parameters occurring on it).  Operands
+    become ``(packed key, numerator)`` pairs over ``params`` and their
+    side's denominator, the lcm of the side's (or ``left_den``); one
+    already over both is the tuple of its items.  ``den`` is the product
+    of the two denominators.
+    """
+    lists = [side[0].params for side in (left, right) if side]
+    params = lists[0] if lists else ()
+    if lists and lists[0] != lists[-1]:
+        probes = [Poly._make(side[0].params, {
+            reduce(or_, (e for v in side for e in v.nums), 0): 1})
+            for side in (left, right)]
+        params = probes[0]._aligned(probes[1])[0].params
+    den, sides = 1, []
+    for side, d in ((left, left_den or lcm(*(v.den for v in left))),
+                    (right, lcm(*(v.den for v in right)))):
+        if side and side[0].params != params:
+            side = [v.with_params(params) for v in side]
+        den *= d
+        sides.append([tuple(v.nums.items()) if v.den == d else
+                      tuple([(e, n * (d // v.den)) for e, n in v.nums.items()])
+                      for v in side])
+    return params, sides[0], sides[1], den
 
 
 def _rescale(entry: list, den: int) -> int:

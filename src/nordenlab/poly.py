@@ -62,9 +62,11 @@ and checks nothing, or with :func:`_canonical`, which first divides out
 The form is unique, so equal polynomials over one parameter list have
 equal ``nums`` and ``den``.  Only code that builds numerators from
 ``Poly`` operands may call ``_make`` or :func:`_canonical`: this module
-and the multiply-accumulate kernel of :mod:`nordenlab.linalg`
-(``_accumulate`` and the ``Tensor`` constructor).  Everything else, user
-input included, goes through ``Poly(...)``.
+and the multiply-accumulate kernels of :mod:`nordenlab.linalg`
+(``_accumulate``; the batch kernel ``_multiply_accumulate`` and
+``_operands``, which flattens its operands; and the ``Tensor``
+constructor).  Everything else, user input included, goes through
+``Poly(...)``.
 """
 
 from __future__ import annotations
@@ -512,9 +514,7 @@ def _add_product(nums: dict, left: Mapping, right: Mapping, factor: int,
             prev = get(expo)
             if prev is None:
                 if expo & guard:
-                    raise ExponentOverflowError(
-                        f"exponent above {MAX_EXPONENT} in the product "
-                        f"{_unpack(expo, guard.bit_length() // _BITS)}")
+                    raise _overflow(expo, guard)
                 nums[expo] = c1 * c2
             else:
                 coeff = prev + c1 * c2
@@ -522,6 +522,13 @@ def _add_product(nums: dict, left: Mapping, right: Mapping, factor: int,
                     nums[expo] = coeff
                 else:
                     del nums[expo]
+
+
+def _overflow(expo: int, guard: int) -> ExponentOverflowError:
+    """The error for a product key that sets one of ``guard``'s bits."""
+    return ExponentOverflowError(
+        f"exponent above {MAX_EXPONENT} in the product "
+        f"{_unpack(expo, guard.bit_length() // _BITS)}")
 
 
 def format_poly(p: Poly) -> str:

@@ -477,6 +477,19 @@ def test_many_term_report_is_golden(spec_fixture_path, capsys):
         data / "manyterm6_report.json").read_text(encoding="utf-8")
 
 
+def test_sheared_report_is_golden(sheared_family, spec_fixture_path, capsys):
+    # the dense symbolic case: table1 under a two-cell shear, 116 nonzero
+    # structure constants of up to three terms and a grad R whose
+    # products all cancel
+    data = spec_fixture_path.parent
+    spec = data / "sheared_table1.spec"
+    assert spec.read_text(encoding="utf-8") == specfile.emit_spec(
+        sheared_family)
+    assert main(["report", str(spec), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        data / "sheared_table1_report.json").read_text(encoding="utf-8")
+
+
 def test_check_runs_jacobi_once(monkeypatch, capsys):
     # build_table1 validates the family and `check` reports on it: the
     # Jacobiator and the bracket Gram tensor are each built once for both

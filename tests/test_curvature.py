@@ -26,6 +26,7 @@ from nordenlab import (
 from nordenlab import curvature, regression_report
 from nordenlab.cli import main
 from nordenlab.curvature import nabla_R_blocks
+from nordenlab.errors import ParameterMismatchError
 from nordenlab.lie import format_vector
 from nordenlab.report import document_for
 import reference
@@ -143,17 +144,22 @@ def test_curvature_components_are_quadratic(fcurv):
                     assert v.is_homogeneous(2)
 
 
-def accumulated_keys(monkeypatch):
-    """The key of every product ``curvature_R`` adds, collected while the
-    real accumulation runs."""
+def accumulated_keys(monkeypatch, check=lambda key: None):
+    """The key of every product ``curvature`` gives the batch kernel,
+    collected (each passed to ``check`` first) while the real
+    accumulation runs."""
     keys = []
-    real = curvature._accumulate
+    real = curvature._multiply_accumulate
 
-    def counting(acc, key, v, m=1):
-        keys.append(key)
-        real(acc, key, v, m)
+    def counting(acc, products, den, params):
+        def seen():
+            for product in products:
+                check(product[0])
+                keys.append(product[0])
+                yield product
+        return real(acc, seen(), den, params)
 
-    monkeypatch.setattr(curvature, "_accumulate", counting)
+    monkeypatch.setattr(curvature, "_multiply_accumulate", counting)
     return keys
 
 
@@ -421,19 +427,70 @@ def test_nabla_r_makes_products_only_at_canonical_components(falg, fconn,
                                                              monkeypatch):
     # 2832 of the 25344 products of a scatter over every slot land at
     # j < k, l < m, (j, k) <= (l, m); only those may be made
-    calls = []
-    real = curvature._accumulate
-
-    def counting(acc, key, v, m=1):
+    def canonical(key):
         j, k, l, n = key
         assert j < k and l < n and (j, k) <= (l, n), key
-        calls.append(key)
-        real(acc, key, v, m)
 
-    monkeypatch.setattr(curvature, "_accumulate", counting)
+    calls = accumulated_keys(monkeypatch, canonical)
     blocks = list(nabla_R_blocks(falg, fconn, fcurv))
     assert len(blocks) == 6 and all(block.is_zero for block in blocks)
     assert 0 < len(calls) <= 2832
+
+
+@pytest.fixture(scope="module")
+def mixed_lists(falg):
+    """table1 and its twin at (2, 3, 5), each with its connection and R:
+    the same algebra over ('l1', 'l2', 'l3') and over no parameters."""
+    twin = falg.evaluate({"l1": 2, "l2": 3, "l3": 5})
+    out = {}
+    for name, a in (("symbolic", falg), ("twin", twin)):
+        c = levi_civita(a)
+        out[name] = (a, c, curvature_R(a, c))
+    return out
+
+
+@pytest.mark.parametrize("algebra, gamma, curv, outcome", [
+    ("twin", "symbolic", "symbolic", "zero"),
+    ("symbolic", "twin", "twin", "zero"),
+    ("symbolic", "symbolic", "twin", "nonzero"),
+    ("twin", "symbolic", "twin", "component (0, 2, 1, 2) is over "
+     "('l1', 'l2', 'l3'), not ()"),
+    ("twin", "twin", "symbolic", "component (0, 2, 1, 2) is over "
+     "('l1', 'l2', 'l3'), not ()")])
+def test_nabla_r_checks_the_parameter_lists_of_its_products(
+        mixed_lists, algebra, gamma, curv, outcome):
+    # the products are over the list their operands align to, not the
+    # block's: a block over () refuses a nonzero product over P3, and
+    # one whose products all cancel is zero whatever their list
+    a = mixed_lists[algebra][0]
+    c, R = mixed_lists[gamma][1], mixed_lists[curv][2]
+    if outcome in ("zero", "nonzero"):
+        blocks = list(nabla_R_blocks(a, c, R))
+        assert len(blocks) == 6
+        assert all(block.is_zero == (outcome == "zero") for block in blocks)
+    else:
+        with pytest.raises(ParameterMismatchError, match=re.escape(outcome)):
+            list(nabla_R_blocks(a, c, R))
+
+
+@pytest.mark.parametrize("algebra, gamma, stored, error", [
+    ("symbolic", "symbolic", 72, None),
+    ("symbolic", "twin", 96, None),
+    ("twin", "twin", 72, None),
+    ("twin", "symbolic", None,
+     "product over () added to terms over ('l1', 'l2', 'l3')")])
+def test_curvature_checks_the_parameter_lists_of_its_products(
+        mixed_lists, algebra, gamma, stored, error):
+    # a connection over P3 given with the twin: its products are over P3,
+    # the structure constants' over (), and they meet at one component
+    a, c = mixed_lists[algebra][0], mixed_lists[gamma][1]
+    if error is None:
+        R = curvature_R(a, c)
+        assert type(R).__name__ == "_SlotSymmetric" and R.params == a.params
+        assert len(R._entries) == stored
+    else:
+        with pytest.raises(ParameterMismatchError, match=re.escape(error)):
+            curvature_R(a, c)
 
 
 # -- |grad J|^2 ------------------------------------------------------------

@@ -15,6 +15,7 @@ product passes the field width.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -27,7 +28,7 @@ from nordenlab.curvature import nabla_R_blocks
 from nordenlab.cli import main
 from nordenlab.errors import (ExponentOverflowError, NordenLabError,
                               ParameterMismatchError)
-from nordenlab.linalg import _accumulate
+from nordenlab.linalg import _accumulate, _multiply_accumulate, _operands
 from nordenlab.poly import MAX_EXPONENT, _guard, _pack, _unpack
 from nordenlab.report import compute_report
 
@@ -45,9 +46,20 @@ def random_poly(rng, params, max_terms=4):
         for _ in range(rng.randint(0, max_terms))})
 
 
-def fused(params, keyed_pairs):
-    """The tensor the kernel builds from ``(key, v, m)`` triples; m is
-    None for the default factor."""
+def fused(params, keyed_pairs, kernel=_accumulate):
+    """The tensor ``kernel`` builds from ``(key, v, m)`` triples; m is
+    None for the default factor.  The batch kernel takes them as one
+    stream of products of v and m, each m a Poly over ``params``, with
+    both sides flattened once by ``_operands``."""
+    if kernel is _multiply_accumulate:
+        weights = [m if isinstance(m, Poly) else
+                   Poly.constant(1 if m is None else m, params)
+                   for _, _, m in keyed_pairs]
+        over, left, right, den = _operands([v for _, v, _ in keyed_pairs],
+                                           weights)
+        acc = kernel({}, zip([key for key, _, _ in keyed_pairs], left,
+                             right), den, over)
+        return Tensor(params, len(KEYS), 1, acc)
     acc = {}
     for key, v, m in keyed_pairs:
         if m is None:
@@ -57,8 +69,8 @@ def fused(params, keyed_pairs):
     return Tensor(params, len(KEYS), 1, acc)
 
 
-def assert_matches_oracle(params, keyed_pairs):
-    T = fused(params, keyed_pairs)
+def assert_matches_oracle(params, keyed_pairs, kernel=_accumulate):
+    T = fused(params, keyed_pairs, kernel)
     for key in KEYS:
         expected = reference.naive_sum(params, [
             (v, 1 if m is None else m)
@@ -81,7 +93,8 @@ def test_accumulate_matches_naive_sum(kind, seed):
              "poly": lambda: random_poly(rng, PARAMS),
              "default": lambda: None}[choice]()
         triples.append((rng.choice(KEYS), v, m))
-    assert_matches_oracle(PARAMS, triples)
+    for kernel in (_accumulate, _multiply_accumulate):
+        assert_matches_oracle(PARAMS, triples, kernel)
 
 
 #: Denominators whose lcm moves as products arrive: 4 after 2, 6 after
@@ -120,12 +133,35 @@ def test_mixed_denominators_rescale_and_cancel_exactly(seed):
                 ((3,), x * x.scale(Fraction(2, 7)), Fraction(7, 6)),
                 ((3,), x * x, Fraction(-1, 3))]
     rng.shuffle(triples)
-    T = fused(PARAMS, triples)
-    assert (3,) not in dict(T.nonzero)
-    assert T.component(4).is_zero and T.component(4).den == 1
-    assert_matches_oracle(PARAMS, triples)
-    for _, p in T.nonzero:
-        assert_canonical(p)
+    # the batch kernel brings each side over the lcm of its denominators
+    # before any product is made
+    assert len({v.den for _, v, _ in triples}) > 2
+    for kernel in (_accumulate, _multiply_accumulate):
+        T = fused(PARAMS, triples, kernel)
+        assert (3,) not in dict(T.nonzero)
+        assert T.component(4).is_zero and T.component(4).den == 1
+        assert_matches_oracle(PARAMS, triples, kernel)
+        for _, p in T.nonzero:
+            assert_canonical(p)
+
+
+def test_batch_kernel_drops_a_sum_that_cancels():
+    # the key is deleted when its last term cancels, and a later product
+    # starts it afresh
+    x, y = (Poly.variable(n, PARAMS) for n in "ab")
+    half = Fraction(1, 2)
+    triples = [((0,), x, y), ((1,), x, x), ((0,), -x, y),
+               ((2,), x.scale(half), y), ((2,), x, y.scale(-half))]
+    acc = {}
+    over, left, right, den = _operands([v for _, v, _ in triples],
+                                       [m for _, _, m in triples])
+    _multiply_accumulate(acc, zip([k for k, _, _ in triples], left, right),
+                         den, over)
+    assert list(acc) == [(1,)]
+    _multiply_accumulate(acc, [((0,), left[0], right[0])], den, over)
+    assert list(acc) == [(1,), (0,)]
+    T = Tensor(PARAMS, len(KEYS), 1, acc)
+    assert T.nonzero == (((0,), x * y), ((1,), x * x))
 
 
 def test_rescale_moves_the_accumulator_only_when_needed():
@@ -256,6 +292,23 @@ def test_disjoint_parameter_lists_still_refuse_to_combine():
         reference.naive_sum(("a",), [(u, x)])
 
 
+def test_batch_operands_are_aligned_once_as_their_products_would_be():
+    a = Poly.variable("a", ("a",))
+    ab_a, ab_b = (Poly.variable(n, ("a", "b")) for n in "ab")
+    half = Poly.constant(Fraction(1, 2))
+    for left, right in [([a], [ab_a]), ([ab_a], [a]), ([half], [ab_b, ab_a]),
+                        ([ab_b, ab_a], [a, a]), ([a, a], [])]:
+        over, lt, rt, den = _operands(left, right)
+        products = {(i, j): v * m for i, v in enumerate(left)
+                    for j, m in enumerate(right)}
+        assert all(p.params == over for p in products.values())
+        acc = _multiply_accumulate({}, [
+            ((i, j), lt[i], rt[j]) for i, j in products], den, over)
+        assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
+    with pytest.raises(ParameterMismatchError):
+        _operands([a], [Poly.variable("x", ("x",))])
+
+
 def test_products_must_land_on_the_tensor_parameters():
     # a weight over more parameters than the tensor widens every
     # product; the terms cannot be read over the tensor's list
@@ -312,6 +365,12 @@ def test_tensor_refuses_a_component_over_another_parameter_list():
     _accumulate(acc, (0,), Poly.variable("b", ("a", "b")), 2)
     with pytest.raises(ParameterMismatchError):
         _accumulate(acc, (0,), a, 3)
+    # and so does one the batch kernel adds to
+    over, left, right, den = _operands([a], [a])
+    assert over == ("a",)
+    with pytest.raises(ParameterMismatchError, match=re.escape(
+            "product over ('a',) added to terms over ('a', 'b')")):
+        _multiply_accumulate(acc, [((0,), left[0], right[0])], den, over)
 
 
 def test_exponents_up_to_the_field_width():
@@ -365,6 +424,16 @@ def test_squaring_past_the_field_width_raises_and_never_wraps(params):
         top * a
     with pytest.raises(ExponentOverflowError):
         _accumulate({}, (0,), top, a)
+    # the batch kernel tests each new key as _add_product does, with
+    # the same message
+    with pytest.raises(ExponentOverflowError) as single:
+        top * a
+    over, left, right, den = _operands([top], [a])
+    with pytest.raises(ExponentOverflowError) as batch:
+        _multiply_accumulate({}, [((0,), left[0], right[0])], den, over)
+    assert str(batch.value) == str(single.value)
+    assert str(single.value).startswith(
+        f"exponent above {MAX_EXPONENT} in the product (")
     expo = [1, 1]
     expo[where] = MAX_EXPONENT
     assert (top * Poly.variable("b", params)).terms == {tuple(expo): 1}
