@@ -35,10 +35,11 @@ every operation a finite exact contraction:
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
 
-R and grad R meet each operand with a whole bucket of partners, so they
-flatten their operands once per stage and hand their products to the
-batch kernel :func:`~nordenlab.linalg._multiply_accumulate`; every other
-stage here calls :func:`~nordenlab.linalg._accumulate` per product.
+R, grad R and the norm of grad J multiply two polynomials: they flatten
+their operands once per stage and hand their products to the batch
+kernel :func:`~nordenlab.poly._multiply_accumulate`.  Ricci and the
+sectional curvatures weight R by rationals through
+:func:`~nordenlab.linalg._accumulate`.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import (PolyMatrix, Tensor, _accumulate, _multiply_accumulate,
-                     _operands, _support, rational_rank)
+from .linalg import PolyMatrix, Tensor, _accumulate, _support, rational_rank
 from .norden import AlmostNordenAlgebra
-from .poly import Poly, RationalLike, as_fraction
+from .poly import (Poly, RationalLike, _multiply_accumulate, _operands,
+                   as_fraction)
 from .record import Record
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -470,9 +471,8 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     indefinite metric — the isotropic Kähler phenomenon.
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
-    acc: dict[tuple[int, ...], list] = {}
-    for idx, u in raised.nonzero:
-        v = F.at(idx)
-        if v:
-            _accumulate(acc, (), u, v)
-    return Tensor(a.params, a.dim, 0, acc).at(())
+    pairs = [(u, v) for idx, u in raised.nonzero if (v := F.at(idx))]
+    params, left, right, den = _operands([u for u, _ in pairs],
+                                         [v for _, v in pairs])
+    return Tensor(a.params, a.dim, 0, _multiply_accumulate(
+        {}, [((), u, v) for u, v in zip(left, right)], den, params)).at(())

@@ -18,26 +18,23 @@
   ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
   form and the Ricci tensor.
 
-R and grad R hand their products to the batch kernel
-:func:`_multiply_accumulate`, as a stream of operands flattened once per
-stage by :func:`_operands`, since each operand there meets a whole bucket
-of partners.  Every other stage calls :func:`_accumulate` per product; in
-the contractions and traces an operand meets one or two rational weights,
-so a flattened copy would be read once or twice.
+A polynomial times a rational, as in every contraction and trace, goes
+to :func:`_accumulate`, one call per product.  A product of two
+polynomials goes to the batch kernel
+:func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
+flattened once per stage by :func:`~nordenlab.poly._operands`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from math import gcd, lcm, prod
-from operator import or_
+from functools import cached_property, lru_cache
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
-from .poly import (Poly, RationalLike, _add_product, _add_terms, _canonical,
-                   _guard, _overflow, as_fraction)
+from .poly import Poly, RationalLike, _add_terms, _canonical, as_fraction
 
 
 class RationalMatrix:
@@ -288,14 +285,14 @@ class Tensor:
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
       axes ``a < b``, two ranks lower (a rank-0 result holds one Poly).
 
-    ``contract`` and ``trace`` (and every stage built the same way) are
-    multiply-accumulate scatters: :func:`_accumulate` adds each product
-    of two operand polynomials term by term, as plain ints, into one
-    accumulator per output index, deleting a term as soon as it cancels,
-    and the constructor reduces each finished accumulator once into a
-    canonical ``Poly``.  No intermediate product ``Poly`` is built.  R and
-    grad R feed the same accumulators through the batch kernel
-    :func:`_multiply_accumulate` instead (see the module docstring).
+    ``contract`` and ``trace`` are multiply-accumulate scatters:
+    :func:`_accumulate` adds each component times a rational weight term
+    by term, as plain ints, into one accumulator per output index,
+    deleting a term as soon as it cancels, and the constructor reduces
+    each finished accumulator once into a canonical ``Poly``.  No
+    intermediate ``Poly`` is built.  The stages that multiply two
+    polynomials fill accumulators of the same form through the batch
+    kernel (see the module docstring).
 
     ``components`` (nested tuples) is a dense view built on demand, read
     by ``nabla_R``, the tests and the benchmark's traced replay.
@@ -406,29 +403,22 @@ class Tensor:
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
-    """Add ``v * m`` into ``acc[key]``, an accumulator created on first
-    use: ``[nums, den, params]``, integer numerators over one denominator.
+    """Add ``v * m``, for an int or Fraction ``m``, into ``acc[key]``, an
+    accumulator created on first use: ``[nums, den, params]``, integer
+    numerators over one denominator.
 
-    ``m`` is a rational or a Poly.  Each product of two terms is a
-    product of ints added straight into ``nums``, and a term is deleted
-    the moment it cancels, as is a key whose accumulator empties, so no
-    product ``Poly`` is built, no zero is kept and nothing is reduced
-    until the :class:`Tensor` constructor.  A product over a denominator
-    other than ``den`` moves the accumulator to their lcm
-    (:func:`_rescale`).  Operands over different parameter lists are
-    aligned as ``v * m`` would align them; every product added to one
-    accumulator must come out over its ``params``, and the constructor
-    checks that these are the tensor's.
+    Each term of ``v`` is scaled as an int and added straight into
+    ``nums``, and a term is deleted the moment it cancels, as is a key
+    whose accumulator empties, so no ``Poly`` is built, no zero is kept
+    and nothing is reduced until the :class:`Tensor` constructor.  A
+    product over a denominator other than ``den`` moves the accumulator
+    to their lcm (:func:`_rescale`).  Every product added to one
+    accumulator must be over its ``params``, and the constructor checks
+    that these are the tensor's.
     """
-    if isinstance(m, Poly):
-        if m.params is not v.params:
-            v, m = v._aligned(m)
-        right, factor, den = m.nums, 1, m.den
-    else:
-        right = None
-        factor, den = m.as_integer_ratio()
-        if not factor:
-            return
+    factor, den = m.as_integer_ratio()
+    if not factor:
+        return
     den *= v.den
     params = v.params
     entry = acc.get(key)
@@ -440,83 +430,9 @@ def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
     elif entry[1] != den:
         factor *= _rescale(entry, den)
     nums = entry[0]
-    if right is None:
-        _add_terms(nums, v.nums, factor)
-    else:
-        _add_product(nums, v.nums, right, factor, _guard[len(params)])
+    _add_terms(nums, v.nums, factor)
     if not nums:
         del acc[key]
-
-
-def _multiply_accumulate(acc: dict, products, den: int,
-                         params: tuple[str, ...]) -> dict:
-    """Add a stream of ``(key, left_terms, right_terms)`` products, terms
-    from :func:`_operands`, into ``acc`` (accumulators of
-    :func:`_accumulate`, each over ``den``) and return it.  The term loop
-    is :func:`~nordenlab.poly._add_product`'s, inlined: a new key is
-    tested for guard bits, and a term or key is deleted as soon as it
-    cancels.  A product meeting terms over another parameter list raises
-    :class:`ParameterMismatchError`.
-    """
-    guard = _guard[len(params)]
-    for key, left, right in products:
-        entry = acc.get(key)
-        if entry is None:
-            nums = {}
-            acc[key] = [nums, den, params]
-        elif entry[2] is not params and entry[2] != params:
-            raise ParameterMismatchError(
-                f"product over {params} added to terms over {entry[2]}")
-        else:
-            nums = entry[0]
-        for e1, c1 in left:
-            for e2, c2 in right:
-                expo = e1 + e2
-                prev = nums.get(expo)
-                if prev is None:
-                    if expo & guard:
-                        raise _overflow(expo, guard)
-                    nums[expo] = c1 * c2
-                else:
-                    coeff = prev + c1 * c2
-                    if coeff:
-                        nums[expo] = coeff
-                    else:
-                        del nums[expo]
-        if not nums:
-            del acc[key]
-    return acc
-
-
-def _operands(left: Sequence[Poly], right: Sequence[Poly],
-              left_den: int = 0) -> tuple[tuple[str, ...], list, list, int]:
-    """``(params, left_terms, right_terms, den)`` for products of a
-    ``left`` and a ``right`` operand, each side over one list.
-
-    ``params`` is the list :meth:`Poly._aligned` gives such a product (a
-    probe per side carries the parameters occurring on it).  Operands
-    become ``(packed key, numerator)`` pairs over ``params`` and their
-    side's denominator, the lcm of the side's (or ``left_den``); one
-    already over both is the tuple of its items.  ``den`` is the product
-    of the two denominators.
-    """
-    lists = [side[0].params for side in (left, right) if side]
-    params = lists[0] if lists else ()
-    if lists and lists[0] != lists[-1]:
-        probes = [Poly._make(side[0].params, {
-            reduce(or_, (e for v in side for e in v.nums), 0): 1})
-            for side in (left, right)]
-        params = probes[0]._aligned(probes[1])[0].params
-    den, sides = 1, []
-    for side, d in ((left, left_den or lcm(*(v.den for v in left))),
-                    (right, lcm(*(v.den for v in right)))):
-        if side and side[0].params != params:
-            side = [v.with_params(params) for v in side]
-        den *= d
-        sides.append([tuple(v.nums.items()) if v.den == d else
-                      tuple([(e, n * (d // v.den)) for e, n in v.nums.items()])
-                      for v in side])
-    return params, sides[0], sides[1], den
 
 
 def _rescale(entry: list, den: int) -> int:

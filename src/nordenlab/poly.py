@@ -61,12 +61,12 @@ and checks nothing, or with :func:`_canonical`, which first divides out
 
 The form is unique, so equal polynomials over one parameter list have
 equal ``nums`` and ``den``.  Only code that builds numerators from
-``Poly`` operands may call ``_make`` or :func:`_canonical`: this module
-and the multiply-accumulate kernels of :mod:`nordenlab.linalg`
-(``_accumulate``; the batch kernel ``_multiply_accumulate`` and
-``_operands``, which flattens its operands; and the ``Tensor``
-constructor).  Everything else, user input included, goes through
-``Poly(...)``.
+``Poly`` operands may call ``_make`` or :func:`_canonical`: this module,
+whose :func:`_multiply_accumulate` is the one loop that multiplies terms
+(for ``*`` and for every tensor stage), and the ``Tensor`` constructor
+of :mod:`nordenlab.linalg`, which reduces the accumulators of that
+kernel and of ``linalg._accumulate``.  Everything else, user input
+included, goes through ``Poly(...)``.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from math import gcd, lcm
 from operator import index, or_
 from struct import pack, unpack
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (ExponentOverflowError, ParameterMismatchError,
                      PolyParseError)
@@ -349,9 +349,10 @@ class Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        nums: dict[int, int] = {}
-        _add_product(nums, a.nums, b.nums, 1, _guard[len(a.params)])
-        return _canonical(a.params, nums, a.den * b.den)
+        acc = _multiply_accumulate({}, [((), a.nums.items(), b.nums.items())],
+                                   a.den * b.den, a.params)
+        nums, den, _ = acc.get((), ({}, 1, None))
+        return _canonical(a.params, nums, den)
 
     __rmul__ = __mul__
 
@@ -500,28 +501,87 @@ def _add_terms(nums: dict, source: Mapping, factor: int = 1) -> None:
                 del nums[expo]
 
 
-def _add_product(nums: dict, left: Mapping, right: Mapping, factor: int,
-                 guard: int) -> None:
-    """``nums += factor * left * right`` in place, for integer numerators
-    over one parameter list, its keys' ``guard`` bits and a nonzero int
-    ``factor``; a term is deleted the moment it cancels.  Keys in
-    ``nums`` have no guard bit set, so only a new key is tested."""
-    get = nums.get
-    for e1, c1 in left.items():
-        c1 *= factor
-        for e2, c2 in right.items():
-            expo = e1 + e2
-            prev = get(expo)
-            if prev is None:
-                if expo & guard:
-                    raise _overflow(expo, guard)
-                nums[expo] = c1 * c2
-            else:
-                coeff = prev + c1 * c2
-                if coeff:
-                    nums[expo] = coeff
+def _multiply_accumulate(acc: dict, products, den: int,
+                         params: tuple[str, ...]) -> dict:
+    """Add a stream of ``(key, left_terms, right_terms)`` products into
+    ``acc`` and return it: the one loop that multiplies terms.  Terms are
+    ``(packed key, numerator)`` pairs over ``params``, as
+    :func:`_operands` flattens them, and ``acc`` maps a key to its
+    accumulator ``[nums, den, params]``, integer numerators over ``den``,
+    made on first use.  Keys in ``nums`` have no guard bit set, so only a
+    new key is tested, and a term or key is deleted as soon as it
+    cancels.  A product meeting terms over another parameter list raises
+    :class:`ParameterMismatchError`.
+    """
+    guard = _guard[len(params)]
+    for key, left, right in products:
+        entry = acc.get(key)
+        if entry is None:
+            nums = {}
+            acc[key] = [nums, den, params]
+        elif entry[2] is not params and entry[2] != params:
+            raise ParameterMismatchError(
+                f"product over {params} added to terms over {entry[2]}")
+        else:
+            nums = entry[0]
+        for e1, c1 in left:
+            for e2, c2 in right:
+                expo = e1 + e2
+                prev = nums.get(expo)
+                if prev is None:
+                    if expo & guard:
+                        raise _overflow(expo, guard)
+                    nums[expo] = c1 * c2
                 else:
-                    del nums[expo]
+                    coeff = prev + c1 * c2
+                    if coeff:
+                        nums[expo] = coeff
+                    else:
+                        del nums[expo]
+        if not nums:
+            del acc[key]
+    return acc
+
+
+def _operands(left: Sequence[Poly], right: Sequence[Poly],
+              left_den: int = 0) -> tuple[tuple[str, ...], list, list, int]:
+    """``(params, left_terms, right_terms, den)`` for the products of a
+    ``left`` and a ``right`` operand in :func:`_multiply_accumulate`.
+
+    ``params`` is the list :meth:`Poly._aligned` gives the product of two
+    probes, one per side: the sum of a monomial per parameter list on the
+    side, carrying the parameters occurring on it, so a side aligns as a
+    sum of its operands would, and refuses as it would with
+    :class:`ParameterMismatchError`.  Operands become ``(packed key,
+    numerator)`` pairs over ``params`` and their side's denominator, the
+    lcm of the side's (or ``left_den``); one already over both is the
+    tuple of its items.  ``den`` is the product of the two denominators.
+    """
+    lists = {v.params for side in (left, right) for v in side}
+    if len(lists) < 2:
+        params = lists.pop() if lists else ()
+    else:
+        probes = []
+        for side in (left, right):
+            keys: dict[tuple[str, ...], int] = {}  # list -> OR of its keys
+            for v in side:
+                keys[v.params] = reduce(or_, v.nums, keys.get(v.params, 0))
+            probes.append(sum((Poly._make(over, {key: 1})
+                               for over, key in keys.items()), Poly.zero()))
+        params = probes[0]._aligned(probes[1])[0].params
+    den, sides = 1, []
+    for side, d in ((left, left_den or lcm(*(v.den for v in left))),
+                    (right, lcm(*(v.den for v in right)))):
+        den *= d
+        terms = []
+        for v in side:
+            if v.params != params:
+                v = v.with_params(params)
+            up = d // v.den
+            terms.append(tuple(v.nums.items()) if up == 1 else
+                         tuple([(e, n * up) for e, n in v.nums.items()]))
+        sides.append(terms)
+    return params, sides[0], sides[1], den
 
 
 def _overflow(expo: int, guard: int) -> ExponentOverflowError:

@@ -5,12 +5,13 @@ covariant derivative of R) takes a couple of seconds, so everything derived
 from it is computed once per session and shared read-only across modules.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from reference import rebased
+from reference import many_term_spec, rebased
 from nordenlab import (
     AlmostNordenAlgebra,
     LieAlgebra,
@@ -158,6 +159,28 @@ def filiform10() -> AlmostNordenAlgebra:
 @pytest.fixture(scope="session")
 def filiform20() -> AlmostNordenAlgebra:
     return filiform(20)
+
+
+def many_term(seed: int) -> AlmostNordenAlgebra:
+    """The filiform chain of ``many_term_spec(8, 16, Random(seed))``:
+    every structure constant has sixteen terms in three parameters."""
+    return parse_spec_text(many_term_spec(8, 16, random.Random(seed))
+                           ).to_algebra()
+
+
+@pytest.fixture(scope="session")
+def many_term0() -> AlmostNordenAlgebra:
+    return many_term(0)
+
+
+@pytest.fixture(scope="session")
+def many_term1() -> AlmostNordenAlgebra:
+    return many_term(1)
+
+
+@pytest.fixture(scope="session")
+def many_term2() -> AlmostNordenAlgebra:
+    return many_term(2)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,9 @@ two routes to F the library chose between at run time, before F read one
 lowered Koszul tensor: G/2 for an invariant metric, and otherwise the
 Levi-Civita connection lowered again with g.
 
-``naive_sum`` is the oracle of the multiply-accumulate kernel
-(``linalg._accumulate`` with the ``Tensor`` constructor): it multiplies term
-by term on named exponents and builds its one result through the
+``naive_sum`` is the oracle of the multiply-accumulate kernels
+(``linalg._accumulate`` and ``poly._multiply_accumulate``, with the
+``Tensor`` constructor): it multiplies term by term on named exponents and builds its one result through the
 validating ``Poly(...)`` constructor, never through a ring operation.
 ``format_terms`` is ``format_poly`` written against the tuple-keyed
 ``terms`` view, sorting exponent tuples rather than packed keys.
@@ -52,7 +52,8 @@ the inverse, determinant, rank and first pivot-free column from it.
 The ``*_grid`` functions build dense nested lists, zeros included, by
 loops that never call a library contraction: the lowered connection
 from ``metric`` and ``bracket_basis``, then Gamma, F, Ricci and the
-bracket Gram tensor.  ``dense_at`` reads one of their entries, so a
+bracket Gram tensor.  ``square_norm_nabla_J`` contracts the F grid
+with three inverse metrics over every index tuple.  ``dense_at`` reads one of their entries, so a
 sparse tensor can be compared with them at every index, and
 ``from_grid`` builds a tensor from one.  ``vec_sub``, ``metric``,
 ``connection_vector`` and ``ad_matrix`` are the component-vector
@@ -494,6 +495,18 @@ def tensor_f_grid(a: AlmostNordenAlgebra) -> list:
         return sum((T[i][b][k] * a.J[b][j] - T[i][j][b] * a.J[b][k]
                     for b in range(a.dim)), zero)
     return grid(a.dim, 3, f)
+
+
+def square_norm_nabla_J(a: AlmostNordenAlgebra) -> Poly:
+    """g^ij g^kl g^pq F_ikp F_jlq, summed over every index tuple of the
+    dense F grid by ring operations."""
+    F, g_inv = tensor_f_grid(a), a.g_inv
+    total = Poly.zero(a.params)
+    for i, j, k, l, p, q in product(range(a.dim), repeat=6):
+        weight = g_inv[i][j] * g_inv[k][l] * g_inv[p][q]
+        if weight:
+            total += F[i][k][p] * F[j][l][q] * weight
+    return total
 
 
 def ricci_grid(a: AlmostNordenAlgebra, R: Tensor) -> list:

@@ -490,6 +490,18 @@ def test_sheared_report_is_golden(sheared_family, spec_fixture_path, capsys):
         data / "sheared_table1_report.json").read_text(encoding="utf-8")
 
 
+def test_sheared_check_is_golden(spec_fixture_path, capsys):
+    # the dense case fails eq22 (exit 1): its residuals, read from the
+    # bracket Gram tensor of multi-term structure constants, have
+    # fractional coefficients
+    data = spec_fixture_path.parent
+    assert main(["check", str(data / "sheared_table1.spec")]) == 1
+    out = capsys.readouterr().out
+    assert out == (data / "sheared_table1_check.txt").read_text(
+        encoding="utf-8")
+    assert "eq22: FAIL" in out and "/" in out
+
+
 def test_check_runs_jacobi_once(monkeypatch, capsys):
     # build_table1 validates the family and `check` reports on it: the
     # Jacobiator and the bracket Gram tensor are each built once for both

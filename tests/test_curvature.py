@@ -501,6 +501,20 @@ def test_norm_nabla_j_family_is_isotropic(falg, ftensor):
     assert not ftensor.is_zero  # isotropic, not integrable-trivial
 
 
+@pytest.mark.parametrize("algebra, tensor", [("symbolic", "twin"),
+                                             ("twin", "symbolic")])
+def test_norm_nabla_j_of_mixed_parameter_lists(mixed_lists, algebra,
+                                               tensor):
+    # table1 with F from its twin at (2, 3, 5), and the reverse: the
+    # products are over F's list and all cancel, so the norm is the zero
+    # over the algebra's list
+    a = mixed_lists[algebra][0]
+    F = mixed_lists[tensor][0].tensor_F()
+    assert not F.is_zero and F.params != a.params
+    norm = square_norm_nabla_J(a, F)
+    assert norm.is_zero and norm.params == a.params
+
+
 def test_norm_nabla_j_affine_fixture(affine6):
     # definite restriction: nonzero F forces a nonzero norm here
     norm = square_norm_nabla_J(affine6, affine6.tensor_F())

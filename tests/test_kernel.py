@@ -1,17 +1,19 @@
-"""The multiply-accumulate kernel against its naive oracle, and the
+"""The multiply-accumulate kernels against their naive oracle, and the
 invariant that the trusted ``Poly._make`` path relies on.
 
-``_accumulate`` adds integer products straight into accumulators of
-numerators over one denominator, rescaling to the lcm when a product
-arrives over another, and the ``Tensor`` constructor reduces each one once
-without re-validation.  So the tests compare them with
+``_accumulate`` adds a Poly times a rational straight into accumulators
+of integer numerators over one denominator, rescaling to the lcm when a
+product arrives over another.  ``_multiply_accumulate`` adds a stream of
+Poly-by-Poly products, each side flattened once by ``_operands``, into
+accumulators of the same form.  The ``Tensor`` constructor reduces each
+one once without re-validation.  So the tests compare them with
 ``reference.naive_sum`` on seeded random inputs, operands over mixed
-denominators included, and check that every component of every pipeline
-stage is in the canonical integer form and would come out of the
-validating constructor unchanged.  Terms are keyed by packed exponent
-vectors, so the tests also check that the keys round-trip, print in the
-order of their exponent tuples, and raise instead of wrapping when a
-product passes the field width.
+denominators and mixed parameter lists included, and check that every
+component of every pipeline stage is in the canonical integer form and
+would come out of the validating constructor unchanged.  Terms are
+keyed by packed exponent vectors, so the tests also check that the keys
+round-trip, print in the order of their exponent tuples, and raise
+instead of wrapping when a product passes the field width.
 """
 
 import random
@@ -28,8 +30,9 @@ from nordenlab.curvature import nabla_R_blocks
 from nordenlab.cli import main
 from nordenlab.errors import (ExponentOverflowError, NordenLabError,
                               ParameterMismatchError)
-from nordenlab.linalg import _accumulate, _multiply_accumulate, _operands
-from nordenlab.poly import MAX_EXPONENT, _guard, _pack, _unpack
+from nordenlab.linalg import _accumulate
+from nordenlab.poly import (MAX_EXPONENT, _guard, _multiply_accumulate,
+                            _operands, _pack, _unpack)
 from nordenlab.report import compute_report
 
 PARAMS = ("a", "b", "c")
@@ -46,31 +49,32 @@ def random_poly(rng, params, max_terms=4):
         for _ in range(rng.randint(0, max_terms))})
 
 
-def fused(params, keyed_pairs, kernel=_accumulate):
-    """The tensor ``kernel`` builds from ``(key, v, m)`` triples; m is
-    None for the default factor.  The batch kernel takes them as one
-    stream of products of v and m, each m a Poly over ``params``, with
-    both sides flattened once by ``_operands``."""
-    if kernel is _multiply_accumulate:
-        weights = [m if isinstance(m, Poly) else
-                   Poly.constant(1 if m is None else m, params)
-                   for _, _, m in keyed_pairs]
-        over, left, right, den = _operands([v for _, v, _ in keyed_pairs],
-                                           weights)
-        acc = kernel({}, zip([key for key, _, _ in keyed_pairs], left,
-                             right), den, over)
-        return Tensor(params, len(KEYS), 1, acc)
-    acc = {}
+def fused(params, keyed_pairs):
+    """The tensor of ``(key, v, m)`` triples, m None for the default
+    factor, made as the package makes it: ``v * m`` for a rational m by
+    ``_accumulate``, and the products with a Poly m as one stream to the
+    batch kernel, both sides flattened once by ``_operands``.  Each
+    accumulator is checked to be over ``params``; the two sums meet in
+    the components."""
+    rational = {}
     for key, v, m in keyed_pairs:
         if m is None:
-            _accumulate(acc, key, v)
-        else:
-            _accumulate(acc, key, v, m)
-    return Tensor(params, len(KEYS), 1, acc)
+            _accumulate(rational, key, v)
+        elif not isinstance(m, Poly):
+            _accumulate(rational, key, v, m)
+    products = [(key, v, m) for key, v, m in keyed_pairs
+                if isinstance(m, Poly)]
+    over, left, right, den = _operands([v for _, v, _ in products],
+                                       [m for _, _, m in products])
+    batch = _multiply_accumulate({}, zip([key for key, _, _ in products],
+                                         left, right), den, over)
+    sums = [Tensor(params, len(KEYS), 1, acc) for acc in (rational, batch)]
+    return Tensor(params, len(KEYS), 1, {
+        key: sums[0].at(key) + sums[1].at(key) for key in KEYS})
 
 
-def assert_matches_oracle(params, keyed_pairs, kernel=_accumulate):
-    T = fused(params, keyed_pairs, kernel)
+def assert_matches_oracle(params, keyed_pairs):
+    T = fused(params, keyed_pairs)
     for key in KEYS:
         expected = reference.naive_sum(params, [
             (v, 1 if m is None else m)
@@ -93,8 +97,7 @@ def test_accumulate_matches_naive_sum(kind, seed):
              "poly": lambda: random_poly(rng, PARAMS),
              "default": lambda: None}[choice]()
         triples.append((rng.choice(KEYS), v, m))
-    for kernel in (_accumulate, _multiply_accumulate):
-        assert_matches_oracle(PARAMS, triples, kernel)
+    assert_matches_oracle(PARAMS, triples)
 
 
 #: Denominators whose lcm moves as products arrive: 4 after 2, 6 after
@@ -136,13 +139,12 @@ def test_mixed_denominators_rescale_and_cancel_exactly(seed):
     # the batch kernel brings each side over the lcm of its denominators
     # before any product is made
     assert len({v.den for _, v, _ in triples}) > 2
-    for kernel in (_accumulate, _multiply_accumulate):
-        T = fused(PARAMS, triples, kernel)
-        assert (3,) not in dict(T.nonzero)
-        assert T.component(4).is_zero and T.component(4).den == 1
-        assert_matches_oracle(PARAMS, triples, kernel)
-        for _, p in T.nonzero:
-            assert_canonical(p)
+    T = fused(PARAMS, triples)
+    assert (3,) not in dict(T.nonzero)
+    assert T.component(4).is_zero and T.component(4).den == 1
+    assert_matches_oracle(PARAMS, triples)
+    for _, p in T.nonzero:
+        assert_canonical(p)
 
 
 def test_batch_kernel_drops_a_sum_that_cancels():
@@ -287,7 +289,7 @@ def test_disjoint_parameter_lists_still_refuse_to_combine():
     u = Poly.variable("a", ("a",))
     x = Poly.variable("x", ("x",))
     with pytest.raises(ParameterMismatchError):
-        _accumulate({}, (0,), u, x)
+        fused(("a",), [((0,), u, x)])
     with pytest.raises(ParameterMismatchError):
         reference.naive_sum(("a",), [(u, x)])
 
@@ -307,6 +309,30 @@ def test_batch_operands_are_aligned_once_as_their_products_would_be():
         assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
     with pytest.raises(ParameterMismatchError):
         _operands([a], [Poly.variable("x", ("x",))])
+
+
+def test_a_side_over_mixed_lists_is_aligned_whole():
+    # a side's probe carries the parameters occurring on each of its
+    # lists, so every operand lands on one list that holds them all:
+    # ("a",) cannot hold b, and () holds constants only
+    a = Poly.variable("a", ("a",))
+    ab_a, ab_b = (Poly.variable(n, ("a", "b")) for n in "ab")
+    half = Poly.constant(Fraction(1, 2))
+    for left, right in [([ab_b, ab_a], [half, a]), ([a, ab_b], [ab_a]),
+                        ([half, a], [ab_b, a]), ([a], [half, ab_b])]:
+        over, lt, rt, den = _operands(left, right)
+        assert over == ("a", "b")
+        products = {(i, j): (v * m).with_params(over)
+                    for i, v in enumerate(left) for j, m in enumerate(right)}
+        acc = _multiply_accumulate({}, [
+            ((i, j), lt[i], rt[j]) for i, j in products], den, over)
+        assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
+    x = Poly.variable("x", ("x",))
+    with pytest.raises(ParameterMismatchError, match=re.escape(
+            "cannot combine polynomials over ('a',) and ('x',)")):
+        _operands([a, x], [half])
+    with pytest.raises(ParameterMismatchError):
+        _operands([half], [ab_b, x])
 
 
 def test_products_must_land_on_the_tensor_parameters():
@@ -422,10 +448,8 @@ def test_squaring_past_the_field_width_raises_and_never_wraps(params):
                               for i in range(2)): 1})
     with pytest.raises(ExponentOverflowError):
         top * a
-    with pytest.raises(ExponentOverflowError):
-        _accumulate({}, (0,), top, a)
-    # the batch kernel tests each new key as _add_product does, with
-    # the same message
+    # the batch kernel tests each new key, with one message whether the
+    # product comes from `*` or from operands flattened by _operands
     with pytest.raises(ExponentOverflowError) as single:
         top * a
     over, left, right, den = _operands([top], [a])
@@ -473,8 +497,5 @@ def test_packed_keys_match_tuple_keys(width):
         assert (v * m).terms == reference.naive_sum(params, [(v, m)]).terms
     pairs = [(draw(), rng.choice([draw(), random_rational(rng)]))
              for _ in range(30)]
-    acc = {}
-    for v, m in pairs:
-        _accumulate(acc, (0,), v, m)
-    got = Tensor(params, 1, 1, acc).component(1)
+    got = fused(params, [((0,), v, m) for v, m in pairs]).component(1)
     assert got.terms == reference.naive_sum(params, pairs).terms

@@ -1,7 +1,7 @@
 """The scatter contractions against the dense reference loops.
 
-Connection, curvature, grad R, the Killing form and F are compared
-component for component with ``tests/reference.py`` on the
+Connection, curvature, grad R, the Killing form, F and the square norm
+of grad J are compared with ``tests/reference.py`` on the
 three-parameter family, its numeric twin and a symbolic shear of it, the
 Heisenberg and affine fixtures, filiform chains, a dense input,
 Heisenberg in a basis with a null vector, and a sheared Heisenberg
@@ -15,7 +15,11 @@ Adv. Math. 21, 1976), whatever the basis.
 The structure checks read the cached Jacobiator and bracket Gram
 tensors; their results must equal the per-tuple loops whole, violations
 in the same order, on the same inputs plus the numeric twin, the
-symbolic sheared family and the inputs built to fail a check.
+symbolic sheared family and the inputs built to fail a check.  The
+Killing form, the Jacobiator, the bracket Gram tensor and the norm of
+grad J are also compared on three seeded filiform chains with sixteen
+terms a structure constant, so every product they make is one of
+many-term polynomials.
 
 ``plane_type`` must give the dense classifier's type on every
 coordinate plane of every input and on seeded random rational planes,
@@ -58,7 +62,8 @@ from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
-                       rational_rank, sectional_curvature)
+                       rational_rank, sectional_curvature,
+                       square_norm_nabla_J)
 from nordenlab.curvature import (_SlotSymmetric, _check_slot_symmetries,
                                  coordinate_sectional, nabla_R_blocks)
 from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
@@ -76,6 +81,9 @@ FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
             ("filiform10", False), ("twin", True), ("sheared_family", True),
             ("sheared_heisenberg6", False), ("null_heisenberg6", False)]
+
+#: The sixteen-term chains of ``conftest.many_term``, seeds 0, 1 and 2.
+MANY_TERMS = ["many_term0", "many_term1", "many_term2"]
 
 
 def assert_canonical_reads_as_dense(T, dense, rebuilt=True):
@@ -294,7 +302,8 @@ def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
     assert_dense(R, reference.curvature_R_grid(perturbed, c))
 
 
-@pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + MANY_TERMS)
 def test_killing_form_matches_dense_reference(name, request):
     alg = request.getfixturevalue(name).algebra
     B = alg.killing_form()
@@ -324,7 +333,7 @@ CHECKED = [("falg", 0), ("abelian6", 0), ("twin", 0), ("sheared", 365),
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CHECKED]
-                         + ["jacobi_violator"])
+                         + ["jacobi_violator"] + MANY_TERMS)
 def test_jacobiator_matches_per_tuple_reference(name, request):
     alg = request.getfixturevalue(name)
     alg = getattr(alg, "algebra", alg)
@@ -338,7 +347,8 @@ def test_jacobiator_matches_per_tuple_reference(name, request):
         if t[0] < t[1] < t[2] else zero)))
 
 
-@pytest.mark.parametrize("name, count", CHECKED)
+@pytest.mark.parametrize("name, count", CHECKED
+                         + [(name, 2) for name in MANY_TERMS])
 def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
                                                               request):
     a = request.getfixturevalue(name)
@@ -349,6 +359,19 @@ def test_eq22_and_bracket_curvature_match_per_tuple_reference(name, count,
             == reference.curvature_invariant_formula(a))
     assert_dense(a.bracket_gram, reference.bracket_gram_grid(a))
     assert a.check_invariant_metric() == reference.check_invariant_metric(a)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + MANY_TERMS)
+def test_square_norm_nabla_j_matches_dense_reference(name, request):
+    # the library contracts the nonzero components of F raised three
+    # times with F; the reference sums every index tuple of the dense grid
+    a = request.getfixturevalue(name)
+    norm = square_norm_nabla_J(a, a.tensor_F())
+    assert norm == reference.square_norm_nabla_J(a)
+    assert norm.params == a.params
+    if name in MANY_TERMS:  # products of sixteen-term polynomials
+        assert len(norm.nums) > 600
 
 
 def outcome(f, *args):
