@@ -35,10 +35,11 @@ every operation a finite exact contraction:
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.
 
-R, grad R and the norm of grad J multiply two polynomials: they flatten
-their operands once per stage and hand their products to the batch
-kernel :func:`~nordenlab.poly._multiply_accumulate`.  Ricci and the
-sectional curvatures weight R by rationals through
+R, grad R and the norm of grad J hand their products of two polynomials
+to the batch kernel :func:`~nordenlab.poly._multiply_accumulate`,
+reading c, T and the connection from the ``flat`` form each tensor
+computes once; R's members and the norm's pairs are flattened per call.
+Ricci and the sectional curvatures weight R by rationals through
 :func:`~nordenlab.linalg._accumulate`.
 """
 
@@ -52,9 +53,10 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import PolyMatrix, Tensor, _accumulate, _support, rational_rank
+from .linalg import (PolyMatrix, Tensor, _accumulate, _aligned, _support,
+                     rational_rank)
 from .norden import AlmostNordenAlgebra
-from .poly import (Poly, RationalLike, _multiply_accumulate, _operands,
+from .poly import (Poly, RationalLike, _flatten, _multiply_accumulate,
                    as_fraction)
 from .record import Record
 
@@ -160,26 +162,23 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     Bianchi identity), products are then made at k < l, (i, j) <= (k, l)
     only, and R is stored there alone, read through its symmetries;
     otherwise the i > j half is the negation of the i < j half, and R is
-    stored in full.  Gamma, c and T are flattened once, and the
-    products, Gamma's then c's, go to the batch kernel.  Never computed
-    from the invariant-metric bracket formula, which stays a separate
-    routine (:func:`curvature_invariant_formula`): the two are
+    stored in full.  The products, Gamma's then c's, read ``flat`` forms
+    (scaled to one denominator as they are negated) in the batch kernel.
+    Never computed from the invariant-metric bracket formula, which stays
+    a separate routine (:func:`curvature_invariant_formula`): the two are
     independent routes.
     """
     canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
-    T = a.T.nonzero
-    streams = ((c.nonzero, _connection_products),
-               ([(idx, v) for idx, v in a.algebra.gamma.nonzero
-                 if idx[0] < idx[1]], _bracket_products))
+    streams = [(*_aligned(left, a.T), products) for left, products in (
+        (c, _connection_products), (a.algebra.gamma, _bracket_products))]
     # both streams add to one set of accumulators, over one denominator
-    den = lcm(*(v.den for left, _ in streams for _, v in left))
+    den = lcm(*(left.flat[0] for left, _, _ in streams))
     acc: dict[tuple[int, ...], list] = {}
-    for left, products in streams:
-        params, left_terms, t_terms, stage_den = _operands(
-            [v for _, v in left], [w for _, w in T], den)
+    for left, T, products in streams:
+        (d, terms), (t_den, t_terms) = left.flat, T.flat
         _multiply_accumulate(acc, products(
-            a.dim, canonical, zip(left, left_terms), zip(T, t_terms)),
-            stage_den, params)
+            a.dim, canonical, den // d, zip(left.nonzero, terms),
+            zip(T.nonzero, t_terms)), den * t_den, T.params)
     if canonical:
         return _SlotSymmetric(a.params, a.dim, 4, acc)
     half = Tensor(a.params, a.dim, 4, acc)._entries  # i < j
@@ -187,37 +186,39 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
         (j, i, k, l): -v for (i, j, k, l), v in half.items()}})
 
 
-def _connection_products(dim, canonical, connection, T):
-    """Gamma_jk^p T_ipl at (i, j, k, l) if i < j, negated at (j, i, k, l)
-    if j < i, for T bucketed by its second index p."""
+def _connection_products(dim, canonical, up, connection, T):
+    """Gamma_jk^p T_ipl, Gamma's terms times ``up``, at (i, j, k, l) if
+    i < j, negated at (j, i, k, l) if j < i, for T bucketed by p."""
     by_second = [[] for _ in range(dim)]  # p -> (i, l, T_ipl)
     for ((i, p, l), _), w in T:
         by_second[p].append((i, l, w))
     for ((j, k, p), _), v in connection:
-        minus_v = _negated(v)
+        v, minus_v = v if up == 1 else _scaled(v, up), _scaled(v, -up)
         for i, l, w in by_second[p]:
             pair, u = ((i, j), v) if i < j else ((j, i), minus_v)
             if i != j and (not canonical or k < l and pair <= (k, l)):
                 yield pair + (k, l), u, w
 
 
-def _bracket_products(dim, canonical, bracket, T):
-    """-c_ij^p T_pkl at (i, j, k, l), for c at i < j and T bucketed by
-    its first index p (at k < l alone if ``canonical``)."""
+def _bracket_products(dim, canonical, up, bracket, T):
+    """-c_ij^p T_pkl, c's terms times ``up``, at (i, j, k, l) for i < j,
+    with T bucketed by p (at k < l alone if ``canonical``)."""
     by_first = [[] for _ in range(dim)]  # p -> (k, l, T_pkl)
     for ((p, k, l), _), w in T:
         if not canonical or k < l:
             by_first[p].append((k, l, w))
     for ((i, j, p), _), v in bracket:
-        minus_v = _negated(v)
+        if i > j:
+            continue
+        minus_v = _scaled(v, -up)
         for k, l, w in by_first[p]:
             if not canonical or (i, j) <= (k, l):
                 yield (i, j, k, l), minus_v, w
 
 
-def _negated(terms: tuple) -> tuple:
-    """Flattened terms, negated."""
-    return tuple([(e, -n) for e, n in terms])
+def _scaled(terms: tuple, factor: int) -> tuple:
+    """Flattened terms, times ``factor``."""
+    return tuple([(e, n * factor) for e, n in terms])
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -414,27 +415,27 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     index x; a product -Gamma_ij^x R_xklm, k != j (at k = j its two
     places cancel), is added, negated if k < j, at the sorted pair
     {j, k} + (l, m) and at (l, m) + {j, k}, wherever that is canonical,
-    where the block is stored; R and Gamma are flattened once, and each
-    block's products go to the batch kernel.  That is sound only for an
-    R with those symmetries: an R stored at its canonical components has
-    them, and one stored in full is checked before the first block, a
-    violation raising :class:`StructureError`.
+    where the block is stored; R's members (flattened here, not kept on R)
+    and ``c.flat`` feed each block's products to the batch kernel.  That
+    is sound only for an R with those symmetries: an R stored at its
+    canonical components has them, and one stored in full is checked
+    before the first block, a violation raising :class:`StructureError`.
     """
     if not isinstance(R, _SlotSymmetric):
         _check_slot_symmetries(R)
+    R, c = _aligned(R, c)
     members = [(idx, v) for idx, v in R._items() if idx[2] < idx[3]]
-    gammas = c.nonzero
-    params, r_terms, g_terms, den = _operands(
-        [v for _, v in members], [v for _, v in gammas])
+    r_den, r_terms = _flatten([v for _, v in members])  # not kept on R
+    g_den, g_terms = c.flat
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), R_xklm), l < m
     for ((x, k, l, m), _), v in zip(members, r_terms):
         by_first[x].append((k, (l, m), v))
     coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, -Gamma_ij^x, Gamma)
-    for ((i, j, x), _), g in zip(gammas, g_terms):
-        coeffs_of[i].append((j, x, _negated(g), g))
+    for ((i, j, x), _), g in zip(c.nonzero, g_terms):
+        coeffs_of[i].append((j, x, _scaled(g, -1), g))
     for coeffs in coeffs_of:
         yield _SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
-            {}, _block_products(coeffs, by_first), den, params))
+            {}, _block_products(coeffs, by_first), r_den * g_den, c.params))
 
 
 def _block_products(coeffs, by_first):
@@ -472,7 +473,8 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     """
     raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
     pairs = [(u, v) for idx, u in raised.nonzero if (v := F.at(idx))]
-    params, left, right, den = _operands([u for u, _ in pairs],
-                                         [v for _, v in pairs])
+    u_den, left = _flatten([u for u, _ in pairs])
+    v_den, right = _flatten([v for _, v in pairs])
     return Tensor(a.params, a.dim, 0, _multiply_accumulate(
-        {}, [((), u, v) for u, v in zip(left, right)], den, params)).at(())
+        {}, [((), u, v) for u, v in zip(left, right)], u_den * v_den,
+        F.params)).at(())

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor
-from .poly import Poly, RationalLike, _multiply_accumulate, _operands, as_poly
+from .poly import Poly, RationalLike, _multiply_accumulate, as_poly
 from .record import Record
 
 Vector = tuple[Poly, ...]
@@ -197,21 +197,20 @@ class LieAlgebra:
     def jacobiator_tensor(self) -> Tensor:
         """J_ijk^q = sum_p (c_ij^p c_pk^q + c_jk^p c_pi^q + c_ki^p c_pj^q)
         at i < j < k, computed once: one scatter over pairs of nonzero
-        structure constants (c_ab^p, c_pc^q), flattened once, each product
-        handed to the batch kernel only at the increasing rotation of
-        (a, b, c).  Any other triple permutes one of these or repeats an
-        index."""
+        structure constants (c_ab^p, c_pc^q), read from ``gamma.flat``,
+        each product handed to the batch kernel only at the increasing
+        rotation of (a, b, c).  Any other triple permutes one of these or
+        repeats an index."""
         entries = self.gamma.nonzero
-        values = [v for _, v in entries]
-        params, left, right, den = _operands(values, values)
+        den, terms = self.gamma.flat
         by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
-        for ((p, c, q), _), w in zip(entries, right):
+        for ((p, c, q), _), w in zip(entries, terms):
             by_first[p].append((c, q, w))
         return Tensor(self.params, self.dim, 4, _multiply_accumulate({}, (
-            (key + (q,), v, w) for ((a, b, p), _), v in zip(entries, left)
+            (key + (q,), v, w) for ((a, b, p), _), v in zip(entries, terms)
             for c, q, w in by_first[p]
             for key in [min((a, b, c), (b, c, a), (c, a, b))]
-            if key[0] < key[1] < key[2]), den, params))
+            if key[0] < key[1] < key[2]), den * den, self.gamma.params))
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
         """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j].
@@ -244,19 +243,18 @@ class LieAlgebra:
     def killing_form(self) -> PolyMatrix:
         """B_ij = trace(ad X_i · ad X_j) = sum_{p,q} c_iq^p c_jp^q.
 
-        One scatter over pairs of nonzero structure constants, flattened
-        once: each c_iq^p meets every c_jp^q with the same (p, q) in the
-        batch kernel.
+        One scatter over pairs of nonzero structure constants, read from
+        ``gamma.flat``: each c_iq^p meets every c_jp^q with the same
+        (p, q) in the batch kernel.
         """
         entries = self.gamma.nonzero
-        values = [v for _, v in entries]
-        params, left, right, den = _operands(values, values)
+        den, terms = self.gamma.flat
         by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
-        for ((j, p, q), _), w in zip(entries, right):
+        for ((j, p, q), _), w in zip(entries, terms):
             by_pair.setdefault((p, q), []).append((j, w))
         return PolyMatrix(self.params, self.dim, 2, _multiply_accumulate({}, (
-            ((i, j), v, w) for ((i, q, p), _), v in zip(entries, left)
-            for j, w in by_pair.get((p, q), ())), den, params))
+            ((i, j), v, w) for ((i, q, p), _), v in zip(entries, terms)
+            for j, w in by_pair.get((p, q), ())), den * den, self.gamma.params))
 
     # -- substitution ------------------------------------------------------
 

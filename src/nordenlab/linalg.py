@@ -22,19 +22,22 @@ A polynomial times a rational, as in every contraction and trace, goes
 to :func:`_accumulate`, one call per product.  A product of two
 polynomials goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
-flattened once per stage by :func:`~nordenlab.poly._operands`.
+read from :attr:`Tensor.flat`, which each tensor computes once, after
+:func:`_aligned` has brought two tensors over one parameter list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd, prod
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
-from .poly import Poly, RationalLike, _add_terms, _canonical, as_fraction
+from .poly import (Poly, RationalLike, _add_terms, _canonical, _flatten,
+                   _unpack, as_fraction)
 
 
 class RationalMatrix:
@@ -292,7 +295,7 @@ class Tensor:
     each finished accumulator once into a canonical ``Poly``.  No
     intermediate ``Poly`` is built.  The stages that multiply two
     polynomials fill accumulators of the same form through the batch
-    kernel (see the module docstring).
+    kernel, reading ``flat`` (see the module docstring).
 
     ``components`` (nested tuples) is a dense view built on demand, read
     by ``nabla_R``, the tests and the benchmark's traced replay.
@@ -366,6 +369,12 @@ class Tensor:
         """The nonzero components with their 0-based indices, row-major;
         computed once."""
         return tuple(sorted(self._items()))
+
+    @cached_property
+    def flat(self) -> tuple[int, tuple]:
+        """:attr:`nonzero`'s components flattened for the batch kernel, as
+        :func:`~nordenlab.poly._flatten` gives them; computed once."""
+        return _flatten([v for _, v in self.nonzero])
 
     def contract(self, axis: int, M: RationalMatrix) -> Tensor:
         acc: dict[tuple[int, ...], list] = {}
@@ -449,6 +458,23 @@ def _rescale(entry: list, den: int) -> int:
             nums[e] *= up
         entry[1] = have * up
     return have // g
+
+
+def _aligned(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor]:
+    """The two tensors over the list :meth:`Poly._aligned` gives the
+    product of their probes, each the monomial of the parameters
+    occurring in its tensor, so their components align as their products
+    would, or refuse with :class:`ParameterMismatchError`."""
+    if left.params == right.params:
+        return left, right
+    probes = []
+    for t in (left, right):
+        key = reduce(or_, (k for v in t._entries.values() for k in v.nums), 0)
+        probes.append(Poly(t.params, {_unpack(key, len(t.params)): 1}))
+    params = probes[0]._aligned(probes[1])[0].params
+    return tuple(t if t.params == params else type(t)(params, t.dim, t.rank, {
+        idx: v.with_params(params) for idx, v in t._entries.items()})
+        for t in (left, right))
 
 
 def _scatter(acc: dict, entries, axis: int, columns) -> None:

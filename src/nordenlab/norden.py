@@ -34,7 +34,7 @@ from typing import Mapping
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
 from .linalg import RationalMatrix, Tensor, _accumulate, _scatter
-from .poly import Poly, RationalLike, _multiply_accumulate, _operands
+from .poly import Poly, RationalLike, _multiply_accumulate
 from .record import Record
 
 Covector = tuple[Poly, ...]
@@ -226,19 +226,17 @@ class AlmostNordenAlgebra:
     def bracket_gram(self) -> Tensor:
         """g([X_i, X_j], [X_k, X_l]) = sum_p G_ijp c_kl^p: one scatter of
         the lowered constants :attr:`G` against the structure constants,
-        both flattened once, each G_ijp meeting every c_kl^p with the same
-        p in the batch kernel.  Computed once;
-        :func:`check_eq22` and
+        both read flat, each G_ijp meeting every c_kl^p with the same p
+        in the batch kernel.  Computed once; :func:`check_eq22` and
         :func:`~nordenlab.curvature.curvature_invariant_formula` read it."""
-        G, gamma = self.G.nonzero, self.algebra.gamma.nonzero
-        params, left, right, den = _operands([v for _, v in G],
-                                             [w for _, w in gamma])
+        G, gamma = self.G, self.algebra.gamma  # both over gamma.params
+        (g_den, left), (c_den, right) = G.flat, gamma.flat
         by_target = [[] for _ in range(self.dim)]  # p -> (k, l, c_kl^p)
-        for ((k, l, p), _), w in zip(gamma, right):
+        for ((k, l, p), _), w in zip(gamma.nonzero, right):
             by_target[p].append((k, l, w))
         return Tensor(self.params, self.dim, 4, _multiply_accumulate({}, (
-            ((i, j, k, l), v, w) for ((i, j, p), _), v in zip(G, left)
-            for k, l, w in by_target[p]), den, params))
+            ((i, j, k, l), v, w) for ((i, j, p), _), v in zip(G.nonzero, left)
+            for k, l, w in by_target[p]), g_den * c_den, gamma.params))
 
     def check_invariant_metric(self) -> CheckResult:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.

@@ -63,9 +63,10 @@ The form is unique, so equal polynomials over one parameter list have
 equal ``nums`` and ``den``.  Only code that builds numerators from
 ``Poly`` operands may call ``_make`` or :func:`_canonical`: this module,
 whose :func:`_multiply_accumulate` is the one loop that multiplies terms
-(for ``*`` and for every tensor stage), and the ``Tensor`` constructor
-of :mod:`nordenlab.linalg`, which reduces the accumulators of that
-kernel and of ``linalg._accumulate``.  Everything else, user input
+(for ``*``, and for every tensor stage from the terms that
+``Tensor.flat`` caches), and the ``Tensor`` constructor of
+:mod:`nordenlab.linalg`, which reduces the accumulators of that kernel
+and of ``linalg._accumulate``.  Everything else, user input
 included, goes through ``Poly(...)``.
 """
 
@@ -505,13 +506,13 @@ def _multiply_accumulate(acc: dict, products, den: int,
                          params: tuple[str, ...]) -> dict:
     """Add a stream of ``(key, left_terms, right_terms)`` products into
     ``acc`` and return it: the one loop that multiplies terms.  Terms are
-    ``(packed key, numerator)`` pairs over ``params``, as
-    :func:`_operands` flattens them, and ``acc`` maps a key to its
-    accumulator ``[nums, den, params]``, integer numerators over ``den``,
-    made on first use.  Keys in ``nums`` have no guard bit set, so only a
-    new key is tested, and a term or key is deleted as soon as it
-    cancels.  A product meeting terms over another parameter list raises
-    :class:`ParameterMismatchError`.
+    ``(packed key, numerator)`` pairs over ``params``, as :func:`_flatten`
+    gives them (``Tensor.flat`` caches a tensor's), every product over
+    ``den``, and ``acc`` maps a key to its accumulator ``[nums, den,
+    params]``, integer numerators made on first use.  Keys in ``nums``
+    have no guard bit set, so only a new key is tested, and a term or key
+    is deleted as soon as it cancels.  A product meeting terms over
+    another parameter list raises :class:`ParameterMismatchError`.
     """
     guard = _guard[len(params)]
     for key, left, right in products:
@@ -543,45 +544,15 @@ def _multiply_accumulate(acc: dict, products, den: int,
     return acc
 
 
-def _operands(left: Sequence[Poly], right: Sequence[Poly],
-              left_den: int = 0) -> tuple[tuple[str, ...], list, list, int]:
-    """``(params, left_terms, right_terms, den)`` for the products of a
-    ``left`` and a ``right`` operand in :func:`_multiply_accumulate`.
-
-    ``params`` is the list :meth:`Poly._aligned` gives the product of two
-    probes, one per side: the sum of a monomial per parameter list on the
-    side, carrying the parameters occurring on it, so a side aligns as a
-    sum of its operands would, and refuses as it would with
-    :class:`ParameterMismatchError`.  Operands become ``(packed key,
-    numerator)`` pairs over ``params`` and their side's denominator, the
-    lcm of the side's (or ``left_den``); one already over both is the
-    tuple of its items.  ``den`` is the product of the two denominators.
-    """
-    lists = {v.params for side in (left, right) for v in side}
-    if len(lists) < 2:
-        params = lists.pop() if lists else ()
-    else:
-        probes = []
-        for side in (left, right):
-            keys: dict[tuple[str, ...], int] = {}  # list -> OR of its keys
-            for v in side:
-                keys[v.params] = reduce(or_, v.nums, keys.get(v.params, 0))
-            probes.append(sum((Poly._make(over, {key: 1})
-                               for over, key in keys.items()), Poly.zero()))
-        params = probes[0]._aligned(probes[1])[0].params
-    den, sides = 1, []
-    for side, d in ((left, left_den or lcm(*(v.den for v in left))),
-                    (right, lcm(*(v.den for v in right)))):
-        den *= d
-        terms = []
-        for v in side:
-            if v.params != params:
-                v = v.with_params(params)
-            up = d // v.den
-            terms.append(tuple(v.nums.items()) if up == 1 else
-                         tuple([(e, n * up) for e, n in v.nums.items()]))
-        sides.append(terms)
-    return params, sides[0], sides[1], den
+def _flatten(values: Sequence[Poly]) -> tuple[int, tuple]:
+    """``(den, terms)``: each of ``values`` as a tuple of ``(packed key,
+    numerator)`` pairs over ``den``, the lcm of their denominators, as
+    :func:`_multiply_accumulate` reads its operands."""
+    den = lcm(*(v.den for v in values))
+    return den, tuple([
+        tuple(v.nums.items()) if v.den == den else
+        tuple([(e, n * (den // v.den)) for e, n in v.nums.items()])
+        for v in values])
 
 
 def _overflow(expo: int, guard: int) -> ExponentOverflowError:

@@ -4,36 +4,40 @@ invariant that the trusted ``Poly._make`` path relies on.
 ``_accumulate`` adds a Poly times a rational straight into accumulators
 of integer numerators over one denominator, rescaling to the lcm when a
 product arrives over another.  ``_multiply_accumulate`` adds a stream of
-Poly-by-Poly products, each side flattened once by ``_operands``, into
-accumulators of the same form.  The ``Tensor`` constructor reduces each
-one once without re-validation.  So the tests compare them with
-``reference.naive_sum`` on seeded random inputs, operands over mixed
-denominators and mixed parameter lists included, and check that every
-component of every pipeline stage is in the canonical integer form and
-would come out of the validating constructor unchanged.  Terms are
-keyed by packed exponent vectors, so the tests also check that the keys
-round-trip, print in the order of their exponent tuples, and raise
-instead of wrapping when a product passes the field width.
+Poly-by-Poly products into accumulators of the same form, each side read
+from the ``flat`` form of a tensor of its operands, two tensors over
+different parameter lists first brought onto one by ``_aligned``.  The
+``Tensor`` constructor reduces each one once without re-validation.  So
+the tests compare them with ``reference.naive_sum`` on seeded random
+inputs, operands over mixed denominators and mixed parameter lists
+included, and check that every component of every pipeline stage is in
+the canonical integer form and would come out of the validating
+constructor unchanged.  Terms are keyed by packed exponent vectors, so
+the tests also check that the keys round-trip, print in the order of
+their exponent tuples, and raise instead of wrapping when a product
+passes the field width.
 """
 
+import copy
 import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import reference
-from nordenlab import Poly, Tensor, parse_poly
-from nordenlab.curvature import nabla_R_blocks
+from nordenlab import Poly, Tensor, curvature, linalg, parse_poly, poly
+from nordenlab.curvature import curvature_R, levi_civita, nabla_R_blocks
 from nordenlab.cli import main
 from nordenlab.errors import (ExponentOverflowError, NordenLabError,
                               ParameterMismatchError)
-from nordenlab.linalg import _accumulate
+from nordenlab.linalg import _accumulate, _aligned
 from nordenlab.poly import (MAX_EXPONENT, _guard, _multiply_accumulate,
-                            _operands, _pack, _unpack)
+                            _pack, _unpack)
 from nordenlab.report import compute_report
+from test_reference import FIXTURES
 
 PARAMS = ("a", "b", "c")
 KEYS = [(k,) for k in range(4)]
@@ -49,28 +53,48 @@ def random_poly(rng, params, max_terms=4):
         for _ in range(rng.randint(0, max_terms))})
 
 
+def operands(left, right):
+    """``(params, left_terms, right_terms, den)`` for the products of a
+    ``left`` and a ``right`` operand, each side over one parameter list,
+    made as the package makes them: each side a rank-1 tensor, the two
+    aligned by ``_aligned`` and read from their ``flat`` form, a zero
+    operand with no terms; ``den`` is that of every product."""
+    sides = [Tensor(side[0].params if side else (), len(side), 1,
+                    {(i,): v for i, v in enumerate(side)})
+             for side in (left, right)]
+    sides = _aligned(*sides)
+    den, terms = 1, []
+    for T in sides:
+        d, flat = T.flat
+        at = dict(zip([i for (i,), _ in T.nonzero], flat))
+        den *= d
+        terms.append([at.get(i, ()) for i in range(T.dim)])
+    return sides[0].params, terms[0], terms[1], den
+
+
 def fused(params, keyed_pairs):
     """The tensor of ``(key, v, m)`` triples, m None for the default
     factor, made as the package makes it: ``v * m`` for a rational m by
-    ``_accumulate``, and the products with a Poly m as one stream to the
-    batch kernel, both sides flattened once by ``_operands``.  Each
-    accumulator is checked to be over ``params``; the two sums meet in
-    the components."""
-    rational = {}
+    ``_accumulate``, and the products with a Poly m, those of each pair
+    of parameter lists as one stream to the batch kernel, read through
+    :func:`operands`.  Each accumulator is checked to be over
+    ``params``; the sums meet in the components."""
+    rational, streams = {}, {}
     for key, v, m in keyed_pairs:
-        if m is None:
-            _accumulate(rational, key, v)
-        elif not isinstance(m, Poly):
-            _accumulate(rational, key, v, m)
-    products = [(key, v, m) for key, v, m in keyed_pairs
-                if isinstance(m, Poly)]
-    over, left, right, den = _operands([v for _, v, _ in products],
-                                       [m for _, _, m in products])
-    batch = _multiply_accumulate({}, zip([key for key, _, _ in products],
-                                         left, right), den, over)
-    sums = [Tensor(params, len(KEYS), 1, acc) for acc in (rational, batch)]
+        if isinstance(m, Poly):
+            streams.setdefault((v.params, m.params), []).append((key, v, m))
+        else:
+            _accumulate(rational, key, v, *([] if m is None else [m]))
+    sums = [Tensor(params, len(KEYS), 1, rational)]
+    for products in streams.values():
+        over, left, right, den = operands([v for _, v, _ in products],
+                                          [m for _, _, m in products])
+        sums.append(Tensor(params, len(KEYS), 1, _multiply_accumulate(
+            {}, zip([key for key, _, _ in products], left, right), den,
+            over)))
     return Tensor(params, len(KEYS), 1, {
-        key: sums[0].at(key) + sums[1].at(key) for key in KEYS})
+        key: sum((T.at(key) for T in sums[1:]), sums[0].at(key))
+        for key in KEYS})
 
 
 def assert_matches_oracle(params, keyed_pairs):
@@ -155,8 +179,8 @@ def test_batch_kernel_drops_a_sum_that_cancels():
     triples = [((0,), x, y), ((1,), x, x), ((0,), -x, y),
                ((2,), x.scale(half), y), ((2,), x, y.scale(-half))]
     acc = {}
-    over, left, right, den = _operands([v for _, v, _ in triples],
-                                       [m for _, _, m in triples])
+    over, left, right, den = operands([v for _, v, _ in triples],
+                                      [m for _, _, m in triples])
     _multiply_accumulate(acc, zip([k for k, _, _ in triples], left, right),
                          den, over)
     assert list(acc) == [(1,)]
@@ -300,7 +324,7 @@ def test_batch_operands_are_aligned_once_as_their_products_would_be():
     half = Poly.constant(Fraction(1, 2))
     for left, right in [([a], [ab_a]), ([ab_a], [a]), ([half], [ab_b, ab_a]),
                         ([ab_b, ab_a], [a, a]), ([a, a], [])]:
-        over, lt, rt, den = _operands(left, right)
+        over, lt, rt, den = operands(left, right)
         products = {(i, j): v * m for i, v in enumerate(left)
                     for j, m in enumerate(right)}
         assert all(p.params == over for p in products.values())
@@ -308,31 +332,7 @@ def test_batch_operands_are_aligned_once_as_their_products_would_be():
             ((i, j), lt[i], rt[j]) for i, j in products], den, over)
         assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
     with pytest.raises(ParameterMismatchError):
-        _operands([a], [Poly.variable("x", ("x",))])
-
-
-def test_a_side_over_mixed_lists_is_aligned_whole():
-    # a side's probe carries the parameters occurring on each of its
-    # lists, so every operand lands on one list that holds them all:
-    # ("a",) cannot hold b, and () holds constants only
-    a = Poly.variable("a", ("a",))
-    ab_a, ab_b = (Poly.variable(n, ("a", "b")) for n in "ab")
-    half = Poly.constant(Fraction(1, 2))
-    for left, right in [([ab_b, ab_a], [half, a]), ([a, ab_b], [ab_a]),
-                        ([half, a], [ab_b, a]), ([a], [half, ab_b])]:
-        over, lt, rt, den = _operands(left, right)
-        assert over == ("a", "b")
-        products = {(i, j): (v * m).with_params(over)
-                    for i, v in enumerate(left) for j, m in enumerate(right)}
-        acc = _multiply_accumulate({}, [
-            ((i, j), lt[i], rt[j]) for i, j in products], den, over)
-        assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
-    x = Poly.variable("x", ("x",))
-    with pytest.raises(ParameterMismatchError, match=re.escape(
-            "cannot combine polynomials over ('a',) and ('x',)")):
-        _operands([a, x], [half])
-    with pytest.raises(ParameterMismatchError):
-        _operands([half], [ab_b, x])
+        operands([a], [Poly.variable("x", ("x",))])
 
 
 def test_products_must_land_on_the_tensor_parameters():
@@ -380,6 +380,55 @@ def test_every_stage_satisfies_the_trusted_invariant(name, request):
     assert count > 1000
 
 
+@pytest.mark.parametrize("name", ["falg", "filiform8"])
+def test_each_shared_tensor_is_flattened_once_per_report(name, request,
+                                                         monkeypatch):
+    # gamma feeds the Jacobiator, the Killing form and R, T both streams
+    # of R, and the connection R and grad R; R itself is read once, so
+    # its members are flattened without being kept on it
+    a = copy.deepcopy(request.getfixturevalue(name))  # nothing cached
+    calls = []
+
+    def counted(values):
+        calls.append([id(v) for v in values])
+        return flatten(values)
+
+    flatten = poly._flatten
+    monkeypatch.setattr(linalg, "_flatten", counted)
+    monkeypatch.setattr(curvature, "_flatten", counted)
+    geo = compute_report(a)
+    for T in (a.algebra.gamma, a.T, geo.connection):
+        assert calls.count([id(v) for _, v in T.nonzero]) == 1
+    assert "flat" not in vars(geo.R)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES])
+def test_flat_tensors_rebuild_their_components_and_multiply_exactly(
+        name, request):
+    # each flattened component is its Poly over the tensor's lcm, and the
+    # products of two flat tensors, summed by first index, are the naive
+    # sums of their Poly products
+    a = request.getfixturevalue(name)
+    c = levi_civita(a)
+    for T in (a.algebra.gamma, a.G, a.T, c, a.tensor_F(), curvature_R(a, c)):
+        den, terms = T.flat
+        assert den == lcm(*(v.den for _, v in T.nonzero))
+        assert len(terms) == len(T.nonzero)
+        width = len(T.params)
+        for (_, v), flat in zip(T.nonzero, terms):
+            assert Poly(T.params, {_unpack(k, width): Fraction(n, den)
+                                   for k, n in flat}) == v
+        pairs = list(zip(T.nonzero, terms))
+        shifted = pairs[1:] + pairs[:1]
+        got = Tensor(T.params, T.dim, 1, _multiply_accumulate({}, [
+            (idx[:1], u, w) for ((idx, _), u), (_, w) in zip(pairs, shifted)],
+            den * den, T.params))
+        for i in range(T.dim):
+            assert got.at((i,)) == reference.naive_sum(T.params, [
+                (v, w) for ((idx, v), _), ((_, w), _) in zip(pairs, shifted)
+                if idx[0] == i])
+
+
 def test_tensor_refuses_a_component_over_another_parameter_list():
     # a Poly over ("a",) stored in a tensor over ("x",) would read a as x
     a = Poly.variable("a", ("a",))
@@ -392,7 +441,7 @@ def test_tensor_refuses_a_component_over_another_parameter_list():
     with pytest.raises(ParameterMismatchError):
         _accumulate(acc, (0,), a, 3)
     # and so does one the batch kernel adds to
-    over, left, right, den = _operands([a], [a])
+    over, left, right, den = operands([a], [a])
     assert over == ("a",)
     with pytest.raises(ParameterMismatchError, match=re.escape(
             "product over ('a',) added to terms over ('a', 'b')")):
@@ -449,10 +498,10 @@ def test_squaring_past_the_field_width_raises_and_never_wraps(params):
     with pytest.raises(ExponentOverflowError):
         top * a
     # the batch kernel tests each new key, with one message whether the
-    # product comes from `*` or from operands flattened by _operands
+    # product comes from `*` or from two flattened tensors
     with pytest.raises(ExponentOverflowError) as single:
         top * a
-    over, left, right, den = _operands([top], [a])
+    over, left, right, den = operands([top], [a])
     with pytest.raises(ExponentOverflowError) as batch:
         _multiply_accumulate({}, [((0,), left[0], right[0])], den, over)
     assert str(batch.value) == str(single.value)
