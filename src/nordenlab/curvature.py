@@ -25,12 +25,12 @@ every operation a finite exact contraction:
   R(x,y,y,x) / (g(x,x)g(y,y) - g(x,y)^2); the report's table of the
   coordinate planes reads R_ijji, g and J directly, and the plane
   routines serve arbitrary planes;
-* grad R is built one direction block at a time from one contraction,
+* grad R = 0 by theorem where Jacobi holds and g is ad-skew (Milnor 1976,
+  section 7; O'Neill 1983, ch. 11), so the report builds none of it there;
+  else each direction block is made and stored at j < k, l < m and
+  (j, k) <= (l, m) only, once an R stored in full passes its slot check:
       (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk,
-      Q_jklm = -sum_x Gamma_ij^x R_xklm,
-  made and stored at the canonical components j < k, l < m,
-  (j, k) <= (l, m) only; an R stored in full is first checked for its
-  slot symmetries (an R without them raises StructureError);
+      Q_jklm = -sum_x Gamma_ij^x R_xklm;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
   isotropic Kähler.

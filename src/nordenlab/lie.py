@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, StructureError
+from .errors import DimensionMismatchError, ParameterMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor
 from .poly import Poly, RationalLike, _multiply_accumulate, as_poly
 from .record import Record
@@ -87,6 +87,9 @@ class LieAlgebra:
         if gamma.dim != dim or gamma.rank != 3:
             raise DimensionMismatchError(
                 f"structure constants must fill a {dim}x{dim}x{dim} array")
+        if gamma.params != params:
+            raise ParameterMismatchError(f"structure constants are over "
+                                         f"{gamma.params}, not {params}")
         # A violation has a nonzero side; report the first (i, j, k) with
         # i >= j in lexicographic order.
         broken = [(max(i, j), min(i, j), k)

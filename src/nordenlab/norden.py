@@ -242,24 +242,30 @@ class AlmostNordenAlgebra:
         """g([X_i,X_j],X_k) + g([X_i,X_k],X_j) = 0 over all basis triples.
 
         Holding exactly, this is the Killing-metric condition that makes
-        the connection collapse to half the bracket.  The result is
-        computed once.  The residual G_ijk + G_ikj can be nonzero only
-        where one of its terms is, so only the nonzero G_ijk and their
-        (i, k, j) partners are tested, in lexicographic order.
+        the connection collapse to half the bracket, and with Jacobi it
+        gives grad R = 0 (Milnor 1976, section 7; O'Neill 1983, ch. 11).
+        The result is computed once: ``ok`` is :attr:`_ad_skew`, and
+        only a failing check lists its violations.
         """
         return self._invariance
 
     @cached_property
+    def _ad_skew(self) -> bool:
+        return next(self._residuals(), None) is None
+
+    @cached_property
     def _invariance(self) -> CheckResult:
+        ok = self._ad_skew
+        return CheckResult(ok, () if ok else tuple(self._residuals()))
+
+    def _residuals(self):
+        """(i, j, k, G_ijk + G_ikj), 1-based, at each nonzero residual in
+        order: only a nonzero G_ijk and its (i, k, j) partner can have one."""
         G = self.G
-        triples = sorted({t for (i, j, k), _ in G.nonzero
-                          for t in ((i, j, k), (i, k, j))})
-        violations = []
-        for i, j, k in triples:
-            residual = G.at((i, j, k)) + G.at((i, k, j))
-            if residual:
-                violations.append((i + 1, j + 1, k + 1, residual))
-        return CheckResult(not violations, tuple(violations))
+        for i, j, k in sorted({t for (i, j, k), _ in G.nonzero
+                               for t in ((i, j, k), (i, k, j))}):
+            if residual := G.at((i, j, k)) + G.at((i, k, j)):
+                yield i + 1, j + 1, k + 1, residual
 
     # -- fundamental tensor ------------------------------------------------
 

@@ -46,8 +46,10 @@ class Geometry:
         connection  -> R -> ricci_and_tau, sectional, locally_symmetric
         killing_form
 
-    ``locally_symmetric`` keeps only the verdict: it builds grad R one
-    direction block at a time and stops at the first nonzero block.
+    ``locally_symmetric`` is True by theorem where Jacobi holds and g is
+    ad-skew (grad = ad/2 is a derivation: Milnor, Adv. Math. 21, 1976,
+    section 7; O'Neill, Semi-Riemannian Geometry, 1983, ch. 11); else
+    grad R is built one block at a time, up to the first nonzero block.
     """
 
     def __init__(self, a: AlmostNordenAlgebra):
@@ -83,8 +85,10 @@ class Geometry:
 
     @cached_property
     def locally_symmetric(self) -> bool:
-        return all(block.is_zero for block in nabla_R_blocks(
-            self.algebra, self.connection, self.R))
+        a = self.algebra
+        return (a.algebra.jacobiator_tensor.is_zero and a._ad_skew) or all(
+            block.is_zero for block in nabla_R_blocks(
+                a, self.connection, self.R))
 
     @cached_property
     def sectional(self) -> SectionalTable:

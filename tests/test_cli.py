@@ -490,6 +490,16 @@ def test_sheared_report_is_golden(sheared_family, spec_fixture_path, capsys):
         data / "sheared_table1_report.json").read_text(encoding="utf-8")
 
 
+def test_sheared_eval_report_is_golden(spec_fixture_path, capsys):
+    # the dense case at a rational point, parameter-free: Jacobi holds
+    # and the metric is ad-skew, so grad R = 0 is decided by theorem
+    data = spec_fixture_path.parent
+    assert main(["report", str(data / "sheared_table1.spec"), "--eval",
+                 "l1=2,l2=-1/3,l3=7", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        data / "sheared_table1_eval_report.json").read_text(encoding="utf-8")
+
+
 def test_sheared_check_is_golden(spec_fixture_path, capsys):
     # the dense case fails eq22 (exit 1): its residuals, read from the
     # bracket Gram tensor of multi-term structure constants, have

@@ -7,6 +7,7 @@ import pytest
 
 from nordenlab import (
     LieAlgebra,
+    ParameterMismatchError,
     Poly,
     StructureError,
     Tensor,
@@ -39,6 +40,18 @@ def test_rejects_non_antisymmetric_gamma():
     gamma = Tensor((), 2, 3, {(0, 1, 0): Poly.constant(1)})
     with pytest.raises(StructureError):
         LieAlgebra(2, (), gamma)
+
+
+def test_rejects_gamma_over_another_parameter_list():
+    # the mismatch would otherwise surface only in a derived tensor
+    a = Poly.variable("a", ("a",))
+    gamma = Tensor(("a",), 3, 3, {(0, 1, 2): a, (1, 0, 2): -a})
+    with pytest.raises(ParameterMismatchError,
+                       match=r"over \('a',\), not \('x',\)"):
+        LieAlgebra(3, ("x",), gamma)
+    with pytest.raises(ParameterMismatchError):
+        LieAlgebra(3, (), gamma)
+    assert LieAlgebra(3, ["a"], gamma).params == ("a",)
 
 
 def test_from_brackets_validation():

@@ -118,7 +118,7 @@ def test_stages_are_built_once_on_first_read_and_never_copied():
     tensor = Tensor(("t",), 2, 1, {(1,): Poly.variable("t", ("t",))})
     matrix = RationalMatrix([[0, 1], [1, 0]])
     stages = [
-        (a, ("G", "T", "bracket_gram", "_invariance")),
+        (a, ("G", "T", "bracket_gram", "_ad_skew", "_invariance")),
         (a.algebra, ("jacobiator_tensor",)),
         (tensor, ("nonzero",)),
         (matrix, ("nonzero_columns",)),

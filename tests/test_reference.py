@@ -10,7 +10,11 @@ and raised connections differ in pattern, the dense loops are the only
 independent route to R.  F must equal G/2 on every invariant metric
 and the Levi-Civita connection lowered with g on the others.  On every invariant (ad-skew) metric grad R
 must vanish (Milnor, Curvatures of left invariant metrics on Lie groups,
-Adv. Math. 21, 1976), whatever the basis.
+Adv. Math. 21, 1976), whatever the basis.  The report answers that
+verdict by the theorem where Jacobi holds and g is ad-skew, so its
+answer must equal the computed grad R blocks on every input, on seeded
+shears and twins of the family, and on seeded ad-skew brackets that
+fail Jacobi, where the theorem does not apply and grad R is nonzero.
 
 The structure checks read the cached Jacobiator and bracket Gram
 tensors; their results must equal the per-tuple loops whole, violations
@@ -58,7 +62,8 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 import reference
-from nordenlab import (PlaneSpec, Poly, Tensor, check_eq22, coordinate_plane,
+from nordenlab import (AlmostNordenAlgebra, Geometry, LieAlgebra, PlaneSpec,
+                       Poly, Tensor, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
                        is_locally_symmetric, levi_civita, nabla_R,
                        parse_spec_text, plane_type, ricci_and_scalar,
@@ -147,6 +152,72 @@ def test_curvature_and_nabla_match_dense_reference(name, invariant, request):
     assert a.check_invariant_metric().ok == invariant
     if invariant:  # Milnor: an ad-skew metric has grad R = 0
         assert is_locally_symmetric(nabla_r)
+
+
+def computed_verdict(a) -> bool:
+    """grad R = 0 decided from every block, never by the theorem."""
+    c = levi_civita(a)
+    return all(block.is_zero
+               for block in nabla_R_blocks(a, c, curvature_R(a, c)))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + MANY_TERMS)
+def test_local_symmetry_verdict_matches_the_computed_blocks(name, request):
+    a = request.getfixturevalue(name)
+    assert Geometry(a).locally_symmetric is computed_verdict(a)
+
+
+def seeded_shear(falg, seed: int) -> AlmostNordenAlgebra:
+    """The family in the basis P = I + N, N nonzero at (1, 2) and (4, 6)
+    (1-based) with seeded rationals: the benchmark's sheared copy."""
+    rng = random.Random(seed)
+    P = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    for i, j in ((0, 1), (3, 5)):
+        P[i][j] = Fraction(rng.choice([n for n in range(-9, 10) if n]),
+                           rng.randint(1, 9))
+    return reference.rebased(falg, RationalMatrix(P))
+
+
+def ad_skew_brackets(seed: int) -> AlmostNordenAlgebra:
+    """c_ij^k = g^kk G_ijk for a seeded totally antisymmetric G over
+    g = diag(1, 1, 1, -1, -1, -1), all 20 of its values nonzero: g is
+    ad-skew by construction, and Jacobi fails."""
+    rng = random.Random(seed)
+    brackets: dict = {}
+    for i, j, k in combinations(range(6), 3):
+        v = rng.choice([-3, -2, -1, 1, 2, 3])
+        for (x, y, z), w in (((i, j, k), v), ((i, k, j), -v), ((j, k, i), v)):
+            brackets.setdefault((x + 1, y + 1), {})[z + 1] = (
+                w if z < 3 else -w)
+    return AlmostNordenAlgebra(LieAlgebra.from_brackets(6, (), brackets))
+
+
+@pytest.mark.parametrize("kind, seed", [("shear", s) for s in range(4)]
+                         + [("twin", 0), ("twin", 1)]
+                         + [("ad_skew", s) for s in range(4)])
+def test_theorem_verdict_holds_only_where_jacobi_does(kind, seed, falg):
+    # the theorem needs both conditions: the ad-skew brackets have the
+    # invariant metric but not Jacobi, and a nonzero grad R
+    if kind == "shear":
+        a = seeded_shear(falg, seed)
+    elif kind == "twin":
+        a = falg.evaluate([{"l1": 2, "l2": Fraction(-1, 3), "l3": 7},
+                           {"l1": Fraction(-5, 4), "l2": 3,
+                            "l3": Fraction(1, 2)}][seed])
+    else:
+        a = ad_skew_brackets(seed)
+    lie = kind != "ad_skew"
+    assert a.check_invariant_metric().ok
+    assert a.algebra.check_jacobi().ok is lie
+    assert Geometry(a).locally_symmetric is computed_verdict(a) is lie
+
+
+def test_theorem_verdict_leaves_the_jacobi_violation_refused(perturbed):
+    assert not perturbed.algebra.check_jacobi().ok
+    with pytest.raises(StructureError, match=r"R\(j,k,l,m\) = R\(l,m,j,k\) "
+                       r"at \(j,k,l,m\) = \(1, 2, 2, 3\)"):
+        Geometry(perturbed).locally_symmetric
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -135,7 +135,8 @@ def test_degenerate_plane_reporting(degenerate_plane_doc):
 
 
 @pytest.mark.parametrize("name, verdict, blocks", [
-    ("filiform8", False, 1), ("falg", True, 6)])
+    ("filiform8", False, 1), ("falg", True, 0), ("sheared", True, 0),
+    ("affine6", True, 6)])
 def test_local_symmetry_stops_at_first_nonzero_block(name, verdict, blocks,
                                                      monkeypatch, request):
     built = []
@@ -145,6 +146,9 @@ def test_local_symmetry_stops_at_first_nonzero_block(name, verdict, blocks,
             built.append(block)
             yield block
 
+    # Jacobi and an ad-skew metric (falg, sheared) decide it by theorem,
+    # with no block; affine6's metric is not ad-skew, so its zero is
+    # computed from all six blocks
     monkeypatch.setattr("nordenlab.report.nabla_R_blocks", counted)
     assert Geometry(request.getfixturevalue(name)).locally_symmetric is verdict
     assert len(built) == blocks
