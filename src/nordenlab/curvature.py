@@ -33,12 +33,13 @@ every operation a finite exact contraction:
       Q_jklm = -sum_x Gamma_ij^x R_xklm;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
-  isotropic Kähler.
+  isotropic Kähler; it is summed in the batch kernel from ``F.flat``,
+  building no tensor but the rank-0 result.
 
 R, grad R and the norm of grad J hand their products of two polynomials
 to the batch kernel :func:`~nordenlab.poly._multiply_accumulate`,
-reading c, T and the connection from the ``flat`` form each tensor
-computes once; R's members and the norm's pairs are flattened per call.
+reading c, T, the connection and F from the ``flat`` form each tensor
+computes once; R's members are flattened per call.
 Ricci and the sectional curvatures weight R by rationals through
 :func:`~nordenlab.linalg._accumulate`.
 """
@@ -466,15 +467,26 @@ def is_locally_symmetric(nabla_r: Array5) -> bool:
 
 
 def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
-    """The scalar g^{ij} g^{kl} g^{pq} F_ikp F_jlq.
+    """The scalar g^{ij} g^{kl} g^{pq} F_ikp F_jlq, summed in the batch
+    kernel from ``F.flat``: three passes raise F's slots with g^-1's
+    entries as constant operands over D (``g_inv.column_terms``), each
+    reading the last one's sums unreduced, and a rank-0 stream multiplies
+    the result with F, so the answer is the only Poly built.
 
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
-    raised = F.contract(0, a.g_inv).contract(1, a.g_inv).contract(2, a.g_inv)
-    pairs = [(u, v) for idx, u in raised.nonzero if (v := F.at(idx))]
-    u_den, left = _flatten([u for u, _ in pairs])
-    v_den, right = _flatten([v for _, v in pairs])
+    f_den, terms = F.flat
+    d, columns = a.g_inv.column_terms
+    own = {idx: v for (idx, _), v in zip(F.nonzero, terms)}
+    raised, den = own.items(), f_den
+    for axis in range(3):
+        den *= d
+        acc = _multiply_accumulate({}, (
+            (idx[:axis] + (b,) + idx[axis + 1:], w, v)
+            for idx, v in raised for b, w in columns[idx[axis]]),
+            den, F.params)
+        raised = [(idx, nums.items()) for idx, (nums, _, _) in acc.items()]
     return Tensor(a.params, a.dim, 0, _multiply_accumulate(
-        {}, [((), u, v) for u, v in zip(left, right)], u_den * v_den,
-        F.params)).at(())
+        {}, (((), u, own[idx]) for idx, u in raised if idx in own),
+        den * f_den, F.params)).at(())

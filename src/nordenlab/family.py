@@ -320,13 +320,22 @@ def build_table1(params: tuple[str, str, str] = PARAM_NAMES) -> Table1Family:
 
 
 class RegressionCheck(Record):
-    """A single expected-vs-computed comparison."""
+    """A single expected-vs-computed comparison.  The two values are kept
+    as given, and ``expected`` and ``computed`` format them when read."""
 
-    __slots__ = ("group", "item", "expected", "computed", "passed")
+    __slots__ = ("group", "item", "_expected", "_computed", "passed")
 
-    def __init__(self, group: str, item: str, expected: str, computed: str,
+    def __init__(self, group: str, item: str, expected, computed,
                  passed: bool):
         self._fill(group, item, expected, computed, passed)
+
+    @property
+    def expected(self) -> str:
+        return str(self._expected)
+
+    @property
+    def computed(self) -> str:
+        return str(self._computed)
 
 
 class RegressionReport(Record):
@@ -380,10 +389,8 @@ def regression_report(f: Table1Family) -> RegressionReport:
     checks: list[RegressionCheck] = []
 
     def add(group: str, item: str, expected, computed):
-        passed = expected == computed  # equal values print alike
-        text = str(expected)
-        checks.append(RegressionCheck(group, item, text, text if passed
-                                      else str(computed), passed))
+        checks.append(RegressionCheck(group, item, expected, computed,
+                                      expected == computed))
 
     # structure
     add("structure", "jacobi", True, alg.check_jacobi().ok)

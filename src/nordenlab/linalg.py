@@ -18,19 +18,22 @@
   ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
   form and the Ricci tensor.
 
-A polynomial times a rational, as in every contraction and trace, goes
-to :func:`_accumulate`, one call per product.  A product of two
-polynomials goes to the batch kernel
+A polynomial times a rational, as in ``Tensor.contract`` and
+``Tensor.trace``, goes to :func:`_accumulate`, one call per product.  A
+product of two polynomials goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
 read from :attr:`Tensor.flat`, which each tensor computes once, after
-:func:`_aligned` has brought two tensors over one parameter list.
+:func:`_aligned` has brought two tensors over one parameter list.  The
+class flags' cyclic sums and the norm of grad J weight F by rationals in
+that kernel too, straight from ``F.flat``: a matrix's entries are
+constant operands there (:attr:`RationalMatrix.column_terms`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -105,6 +108,16 @@ class RationalMatrix:
         return tuple(
             tuple((i, row[j]) for i, row in enumerate(self.rows) if row[j])
             for j in range(self.ncols))
+
+    @cached_property
+    def column_terms(self) -> tuple[int, tuple]:
+        """``(D, columns)``: :attr:`nonzero_columns` with each entry m as
+        the batch kernel's constant operand ``((0, m * D),)``, D the lcm
+        of the entries' denominators; computed once."""
+        columns = self.nonzero_columns
+        d = lcm(*(m.denominator for column in columns for _, m in column))
+        return d, tuple(tuple((a, ((0, m.numerator * (d // m.denominator)),))
+                              for a, m in column) for column in columns)
 
     @property
     def is_symmetric(self) -> bool:

@@ -114,12 +114,20 @@ class ClassFlags(Record):
         return {"w0": self.w0, "w1": self.w1, "w2": self.w2, "w3": self.w3}
 
 
-def _cyclic_sum_vanishes(T: Tensor) -> bool:
-    """T_ijk + T_jki + T_kij = 0 for all i, j, k.  A nonzero cyclic sum
-    has a nonzero term, and the sum is the same for each rotation of the
-    triple, so the nonzero components are the only triples to test."""
-    return all(not (v + T.at((j, k, i)) + T.at((k, i, j)))
-               for (i, j, k), v in T.nonzero)
+def _cyclic_sum_vanishes(F: Tensor, M: RationalMatrix | None = None) -> bool:
+    """F'_ijk + F'_jki + F'_kij = 0 for all i, j, k, F' = F or
+    ``F.contract(2, M)``, summed in the batch kernel from ``F.flat``: each
+    nonzero component, times M's weights at its third slot, goes to the
+    sum of its rotation class min((i, j, k), (j, k, i), (k, i, j)), which
+    holds F'_iii once (zero iff 3 F'_iii is).  The kernel deletes a sum
+    as it cancels, so the sums vanish iff none is left."""
+    den, terms = F.flat
+    d, columns = (M.column_terms if M is not None else
+                  (1, [((p, ((0, 1),)),) for p in range(F.dim)]))
+    return not _multiply_accumulate({}, (
+        (min((i, j, k), (j, k, i), (k, i, j)), w, v)
+        for ((i, j, p), _), v in zip(F.nonzero, terms)
+        for k, w in columns[p]), den * d, F.params)
 
 
 class AlmostNordenAlgebra:
@@ -307,17 +315,19 @@ class AlmostNordenAlgebra:
         * w3: cyclic sum of F(x, y, z) vanishes.
 
         Identities are checked on all basis triples, which suffices by
-        multilinearity.  ``theta`` is the Lie form of F, computed here
-        when the caller does not pass it.
+        multilinearity.  Both cyclic sums are summed in the batch kernel
+        from ``F.flat`` (:func:`_cyclic_sum_vanishes`), so w1's is the
+        only tensor built here.  ``theta`` is the Lie form of F, computed
+        here when the caller does not pass it.
         """
         if theta is None:
             theta = self.lie_form(F)
+        jt = self.J.transpose()
         w0 = F.is_zero
         w3 = _cyclic_sum_vanishes(F)
-        w2 = (all(t.is_zero for t in theta)
-              and _cyclic_sum_vanishes(F.contract(2, self.J.transpose())))
+        w2 = all(t.is_zero for t in theta) and _cyclic_sum_vanishes(F, jt)
 
-        theta_j = self.J.transpose().apply(theta)  # theta(J X_k) components
+        theta_j = jt.apply(theta)  # theta(J X_k) components
         scale = Fraction(1, 4 * self.n)
         pure: dict[tuple[int, ...], list] = {}
         for M, form in ((self.g, theta), (self._gJ, theta_j)):

@@ -1,10 +1,13 @@
 """Immutable value records.
 
 A :class:`Record` subclass names its fields in ``__slots__``, in
-constructor order, and fills them with :meth:`Record._fill`.  Records
-compare and hash by their field values, raise ``AttributeError`` on
-assignment and copy and pickle through their constructor: the frozen
-value semantics, without generating classes at import time.
+constructor order, and fills them with :meth:`Record._fill`.  A slot
+named with a leading underscore holds its value as given, and the field
+is the property of the same name without it, which may format the value
+when read.  Records compare and hash by their field values, raise
+``AttributeError`` on assignment and copy and pickle through their
+constructor: the frozen value semantics, without generating classes at
+import time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name.lstrip("_"))
+                     for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -41,6 +45,6 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+        fields = ", ".join(f"{name.lstrip('_')}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({fields})"

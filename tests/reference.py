@@ -53,9 +53,11 @@ The ``*_grid`` functions build dense nested lists, zeros included, by
 loops that never call a library contraction: the lowered connection
 from ``metric`` and ``bracket_basis``, then Gamma, F, Ricci and the
 bracket Gram tensor.  ``square_norm_nabla_J`` contracts the F grid
-with three inverse metrics over every index tuple.  ``dense_at`` reads one of their entries, so a
-sparse tensor can be compared with them at every index, and
-``from_grid`` builds a tensor from one.  ``vec_sub``, ``metric``,
+with three inverse metrics over every index tuple, and ``classify``
+tests the four class identities on it at every index triple.
+``dense_at`` reads one of their entries, so a sparse tensor can be
+compared with them at every index, and ``from_grid`` builds a tensor
+from one.  ``vec_sub``, ``metric``,
 ``connection_vector`` and ``ad_matrix`` are the component-vector
 helpers these loops use.
 """
@@ -507,6 +509,36 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra) -> Poly:
         if weight:
             total += F[i][k][p] * F[j][l][q] * weight
     return total
+
+
+def classify(a: AlmostNordenAlgebra) -> tuple[bool, bool, bool, bool]:
+    """(w0, w1, w2, w3) read from the dense F grid by ring operations:
+    theta_k = g^ij F_ijk; w1 compares F with the pure-trace expression at
+    every (i, j, k); w3 sums F cyclically at every (i, j, k), and w2 (with
+    theta = 0) sums F_ijk' = sum_p J_pk F_ijp, F(x, y, Jz), the same way."""
+    F, g, J, dim = tensor_f_grid(a), a.g, a.J, a.dim
+    zero = Poly.zero(a.params)
+    triples = list(product(range(dim), repeat=3))
+    theta = [sum((F[i][j][k] * a.g_inv[i][j] for i, j in
+                  product(range(dim), repeat=2)), zero) for k in range(dim)]
+    theta_j = [sum((theta[p] * J[p][k] for p in range(dim)), zero)
+               for k in range(dim)]
+    g_j = [[sum(g[x][b] * J[b][y] for b in range(dim)) for y in range(dim)]
+           for x in range(dim)]
+    f_j = grid(dim, 3, lambda idx: sum(
+        (F[idx[0]][idx[1]][p] * J[p][idx[2]] for p in range(dim)), zero))
+
+    def cyclic_zero(T):
+        return all(not (T[i][j][k] + T[j][k][i] + T[k][i][j])
+                   for i, j, k in triples)
+
+    w0 = all(not F[i][j][k] for i, j, k in triples)
+    w1 = all(F[i][j][k] == (
+        theta[k] * g[i][j] + theta[j] * g[i][k] + theta_j[k] * g_j[i][j]
+        + theta_j[j] * g_j[i][k]) * Fraction(1, 4 * a.n)
+        for i, j, k in triples)
+    w2 = all(not t for t in theta) and cyclic_zero(f_j)
+    return w0, w1, w2, cyclic_zero(F)
 
 
 def ricci_grid(a: AlmostNordenAlgebra, R: Tensor) -> list:

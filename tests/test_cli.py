@@ -512,6 +512,15 @@ def test_sheared_check_is_golden(spec_fixture_path, capsys):
     assert "eq22: FAIL" in out and "/" in out
 
 
+def test_sheared_classify_is_golden(spec_fixture_path, capsys):
+    # theta = 0, so both cyclic sums run, and the weights of J^T (over
+    # 12) and of g^-1 (over 144) are not all units
+    data = spec_fixture_path.parent
+    assert main(["classify", str(data / "sheared_table1.spec")]) == 0
+    assert capsys.readouterr().out == (
+        data / "sheared_table1_classify.txt").read_text(encoding="utf-8")
+
+
 def test_check_runs_jacobi_once(monkeypatch, capsys):
     # build_table1 validates the family and `check` reports on it: the
     # Jacobiator and the bracket Gram tensor are each built once for both

@@ -384,8 +384,9 @@ def test_every_stage_satisfies_the_trusted_invariant(name, request):
 def test_each_shared_tensor_is_flattened_once_per_report(name, request,
                                                          monkeypatch):
     # gamma feeds the Jacobiator, the Killing form and R, T both streams
-    # of R, and the connection R and grad R; R itself is read once, so
-    # its members are flattened without being kept on it
+    # of R, the connection R and grad R, and F the class flags and the
+    # norm of grad J; R itself is read once, so its members are
+    # flattened without being kept on it
     a = copy.deepcopy(request.getfixturevalue(name))  # nothing cached
     calls = []
 
@@ -397,9 +398,33 @@ def test_each_shared_tensor_is_flattened_once_per_report(name, request,
     monkeypatch.setattr(linalg, "_flatten", counted)
     monkeypatch.setattr(curvature, "_flatten", counted)
     geo = compute_report(a)
-    for T in (a.algebra.gamma, a.T, geo.connection):
+    for T in (a.algebra.gamma, a.T, geo.connection, geo.F):
         assert calls.count([id(v) for _, v in T.nonzero]) == 1
     assert "flat" not in vars(geo.R)
+
+
+@pytest.mark.parametrize("name", ["falg", "sheared_family", "filiform8"])
+def test_classify_and_the_norm_build_no_intermediate_tensor(
+        name, request, monkeypatch):
+    # the cyclic sums (both of them where theta = 0, as on the first two)
+    # and the triple raise are summed in the batch kernel from F.flat:
+    # the norm builds its rank-0 result alone, and classify only w1's
+    # pure-trace tensor
+    a = copy.deepcopy(request.getfixturevalue(name))
+    F = a.tensor_F()
+    theta = a.lie_form(F)
+    built = []
+    init = Tensor.__init__
+
+    def counted(self, params, dim, rank, entries):
+        built.append(rank)
+        init(self, params, dim, rank, entries)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    curvature.square_norm_nabla_J(a, F)
+    assert built == [0]
+    a.classify(F, theta)
+    assert built == [0, 3]
 
 
 @pytest.mark.parametrize("name", [name for name, _ in FIXTURES])

@@ -1,6 +1,8 @@
 """Almost complex structure + Norden metric layer."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,6 +22,7 @@ from nordenlab import (
     levi_civita,
     parse_poly,
 )
+from nordenlab.norden import _cyclic_sum_vanishes
 from reference import from_grid
 
 P3 = ("l1", "l2", "l3")
@@ -272,3 +275,91 @@ def test_classify_survives_numeric_specialization(falg):
     flags = member.classify(member.tensor_F())
     assert (flags.w0, flags.w1, flags.w2, flags.w3) == (
         False, False, False, True)
+
+
+# -- the cyclic sums of classify, against their Poly-sum definition ---------
+
+ST = ("s", "t")
+PS, PT = (Poly.variable(name, ST) for name in ST)
+#: a J-like matrix with non-unit rational entries: columns (2, 3/2, 0),
+#: (-2/3, 0, 0) and (0, 0, 1/5)
+WEIGHTS = RationalMatrix([[2, Fraction(-2, 3), 0], [Fraction(3, 2), 0, 0],
+                          [0, 0, Fraction(1, 5)]])
+
+
+def cyclic_definition(F, M=None):
+    """F'_ijk + F'_jki + F'_kij == 0 at every (i, j, k) by Poly sums, with
+    F'_ija = sum_p M[a][p] F_ijp, or F' = F without ``M``."""
+    zero = Poly.zero(F.params)
+
+    def f(i, j, a):
+        if M is None:
+            return F.at((i, j, a))
+        return sum((F.at((i, j, p)) * M[a][p] for p in range(F.dim)), zero)
+    return all(not (f(i, j, k) + f(j, k, i) + f(k, i, j))
+               for i, j, k in product(range(F.dim), repeat=3))
+
+
+def assert_cyclic(entries, expected, M=None):
+    F = Tensor(ST, 3, 3, entries)
+    assert cyclic_definition(F, M) is expected
+    assert _cyclic_sum_vanishes(F, M) is expected
+
+
+def test_a_cyclic_sum_only_at_i_i_i_is_found():
+    # the (i, i, i) class holds F_iii once; the sum there is 3 F_iii
+    assert_cyclic({(1, 1, 1): PT}, False)
+    assert_cyclic({(1, 1, 1): PT, (0, 1, 2): PS, (1, 2, 0): -PS}, False)
+
+
+def test_a_cyclic_sum_only_at_i_i_j_is_found():
+    assert_cyclic({(0, 0, 2): PT}, False)
+    assert_cyclic({(0, 0, 2): PT, (0, 2, 0): -PT}, True)
+    assert_cyclic({(0, 0, 2): PT, (0, 2, 0): -PT, (2, 0, 0): PS}, False)
+
+
+def test_three_rotations_that_cancel_vanish():
+    assert_cyclic({(0, 1, 2): PS, (1, 2, 0): PT, (2, 0, 1): -PS - PT}, True)
+    assert_cyclic({(0, 1, 2): PS, (1, 2, 0): PT, (2, 0, 1): -PS}, False)
+    # the other orientation is a class of its own
+    assert_cyclic({(0, 1, 2): PS, (0, 2, 1): -PS}, False)
+
+
+def test_cyclic_sums_of_F_times_non_unit_rational_weights():
+    # F.contract(2, W) is Fprime exactly when F = Fprime.contract(2, W^-1)
+    Fprime = Tensor(ST, 3, 3, {(0, 1, 2): PS, (1, 2, 0): PT,
+                               (2, 0, 1): -PS - PT, (1, 1, 0): PS * PT,
+                               (1, 0, 1): -PS * PT})
+    F = Fprime.contract(2, WEIGHTS.inverse())
+    assert F.contract(2, WEIGHTS) == Fprime and F != Fprime
+    assert_cyclic(F._entries, True, WEIGHTS)
+    assert_cyclic(F._entries, False)
+    assert_cyclic({(0, 1, 0): PT}, False, WEIGHTS)
+    assert_cyclic({(2, 2, 2): PT}, False, WEIGHTS)
+
+
+def test_the_zero_tensor_has_vanishing_cyclic_sums():
+    assert_cyclic({}, True)
+    assert_cyclic({}, True, WEIGHTS)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cyclic_sums_match_the_definition_on_seeded_tensors(seed):
+    # G_ijk - G_jki has every cyclic sum zero; dropping or perturbing one
+    # component of it breaks one class
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    G = {idx: PS * coeff() + PT * PT * coeff() + coeff()
+         for idx in product(range(3), repeat=3) if rng.random() < 0.4}
+    zero = Poly.zero(ST)
+    F = {(i, j, k): G.get((i, j, k), zero) - G.get((j, k, i), zero)
+         for i, j, k in product(range(3), repeat=3)}
+    weights = RationalMatrix([[coeff() if rng.random() < 0.6 else 0
+                               for _ in range(3)] for _ in range(3)])
+    for entries in (F, {**F, rng.choice(list(F)): PS * coeff()}):
+        assert_cyclic(entries, cyclic_definition(Tensor(ST, 3, 3, entries)))
+        assert_cyclic(entries, cyclic_definition(
+            Tensor(ST, 3, 3, entries), weights), weights)

@@ -445,6 +445,18 @@ def test_square_norm_nabla_j_matches_dense_reference(name, request):
         assert len(norm.nums) > 600
 
 
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + MANY_TERMS)
+def test_classify_matches_dense_reference(name, request):
+    # the library sums each rotation class of F's nonzero components in
+    # the batch kernel; the reference sums every (i, j, k) of the dense grid
+    a = request.getfixturevalue(name)
+    F = a.tensor_F()
+    flags = a.classify(F)
+    assert (flags.w0, flags.w1, flags.w2, flags.w3) == reference.classify(a)
+    assert a.classify(F, a.lie_form(F)) == flags
+
+
 def outcome(f, *args):
     """``f(*args)``, or the type and message of the plane error it raises."""
     try:
