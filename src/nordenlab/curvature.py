@@ -27,8 +27,9 @@ every operation a finite exact contraction:
   routines serve arbitrary planes;
 * grad R = 0 by theorem where Jacobi holds and g is ad-skew (Milnor 1976,
   section 7; O'Neill 1983, ch. 11), so the report builds none of it there;
-  else each direction block is made and stored at j < k, l < m and
-  (j, k) <= (l, m) only, once an R stored in full passes its slot check:
+  else its verdict stops at the first nonzero component
+  (:func:`nabla_R_witness`); a block is made and stored at j < k, l < m
+  and (j, k) <= (l, m) only, once an R stored in full passes its check:
       (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk,
       Q_jklm = -sum_x Gamma_ij^x R_xklm;
 * the square norm of grad J is the triple g-contraction of the
@@ -39,7 +40,7 @@ every operation a finite exact contraction:
 R, grad R and the norm of grad J hand their products of two polynomials
 to the batch kernel :func:`~nordenlab.poly._multiply_accumulate`,
 reading c, T, the connection and F from the ``flat`` form each tensor
-computes once; R's members are flattened per call.
+computes once; R's stored entries are flattened per call.
 Ricci and the sectional curvatures weight R by rationals through
 :func:`~nordenlab.linalg._accumulate`.
 """
@@ -57,8 +58,8 @@ from .errors import (DegeneratePlaneError, DimensionMismatchError,
 from .linalg import (PolyMatrix, Tensor, _accumulate, _aligned, _support,
                      rational_rank)
 from .norden import AlmostNordenAlgebra
-from .poly import (Poly, RationalLike, _flatten, _multiply_accumulate,
-                   as_fraction)
+from .poly import (Poly, RationalLike, _first_nonzero, _flatten,
+                   _multiply_accumulate, as_fraction)
 from .record import Record
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -398,55 +399,73 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                    R: Tensor) -> Iterator[Tensor]:
     """The rank-4 blocks grad_{X_i} R for i = 1..dim, built one at a time.
 
-    The components of R are constants, so the directional-derivative term
-    drops and only the four slot corrections survive:
-
-        -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ...
-
-    grad_i is a derivation, so each block keeps the slot symmetries of R,
-    R_jklm = -R_kjlm = -R_jkml = R_lmjk, and by them the four corrections
-    are one contraction read four ways (the second by antisymmetry, the
-    third and fourth by pair symmetry):
-
-        Q_jklm = -sum_x Gamma_ij^x R_xklm,
-        (grad_i R)_jklm = Q_jklm - Q_kjlm + Q_lmjk - Q_mljk.
-
-    A block is made only at its canonical components, j < k, l < m and
-    (j, k) <= (l, m).  R's entries with l < m are bucketed once by first
-    index x; a product -Gamma_ij^x R_xklm, k != j (at k = j its two
-    places cancel), is added, negated if k < j, at the sorted pair
-    {j, k} + (l, m) and at (l, m) + {j, k}, wherever that is canonical,
-    where the block is stored; R's members (flattened here, not kept on R)
-    and ``c.flat`` feed each block's products to the batch kernel.  That
-    is sound only for an R with those symmetries: an R stored at its
-    canonical components has them, and one stored in full is checked
-    before the first block, a violation raising :class:`StructureError`.
+    R's components are constants, so only the four slot corrections
+    -R(grad_i X_j, ., ., .) - R(., grad_i X_k, ., .) - ... survive; grad_i
+    is a derivation, so a block keeps R's slot symmetries and by them the
+    four are one contraction read four ways (Q in the module docstring).
+    A block is made and stored only at its canonical components, j < k,
+    l < m and (j, k) <= (l, m), from the products of :func:`_block_streams`.
     """
-    if not isinstance(R, _SlotSymmetric):
+    den, params, blocks = _block_streams(a, c, R)
+    for products in blocks:
+        yield _SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
+            {}, products, den, params))
+
+
+def nabla_R_witness(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
+                    R: Tensor) -> tuple[int, ...] | None:
+    """The 0-based (i, j, k, l, m) of grad R's first nonzero component, in
+    block then row-major canonical order, or None: the products of
+    :func:`nabla_R_blocks`, each component summed whole, one at a time."""
+    den, params, blocks = _block_streams(a, c, R)
+    for i, products in enumerate(blocks):
+        key = _first_nonzero(products, den, params)
+        if key is not None:
+            return (i, *key)
+    return None
+
+
+def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
+    """``(den, params, blocks)``: each grad R block's products over
+    ``den``, made lazily.  R's members with l < m, bucketed by first
+    index x, are its stored entries, flattened once: a canonical entry
+    at (j, k, l, m), (l, m, j, k) and, its sign on Gamma's side, at
+    (k, j, l, m), (m, l, j, k); an R stored in full, once it passes the
+    slot check the products need, at l < m.  A product -Gamma_ij^x R_xklm,
+    k != j (at k = j its two places cancel), is added, negated if k < j,
+    at {j, k} + (l, m) and (l, m) + {j, k}, wherever that is canonical."""
+    canonical = isinstance(R, _SlotSymmetric)
+    if not canonical:
         _check_slot_symmetries(R)
     R, c = _aligned(R, c)
-    members = [(idx, v) for idx, v in R._items() if idx[2] < idx[3]]
-    r_den, r_terms = _flatten([v for _, v in members])  # not kept on R
+    entries = [(idx, v) for idx, v in R._entries.items()
+               if canonical or idx[2] < idx[3]]
+    r_den, r_terms = _flatten([v for _, v in entries])
     g_den, g_terms = c.flat
-    by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), R_xklm), l < m
-    for ((x, k, l, m), _), v in zip(members, r_terms):
-        by_first[x].append((k, (l, m), v))
-    coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, -Gamma_ij^x, Gamma)
+    by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), v, R_xklm < 0)
+    for ((j, k, l, m), _), v in zip(entries, r_terms):
+        by_first[j].append((k, (l, m), v, 0))
+        if canonical:
+            by_first[k].append((j, (l, m), v, 1))
+            if (j, k) != (l, m):
+                by_first[l].append((m, (j, k), v, 0))
+                by_first[m].append((l, (j, k), v, 1))
+    coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, (-Gamma_ij^x, Gamma))
     for ((i, j, x), _), g in zip(c.nonzero, g_terms):
-        coeffs_of[i].append((j, x, _scaled(g, -1), g))
-    for coeffs in coeffs_of:
-        yield _SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
-            {}, _block_products(coeffs, by_first), r_den * g_den, c.params))
+        coeffs_of[i].append((j, x, (_scaled(g, -1), g)))
+    return r_den * g_den, c.params, (
+        _block_products(coeffs, by_first) for coeffs in coeffs_of)
 
 
 def _block_products(coeffs, by_first):
     """The products -Gamma_ij^x R_xklm of one block, k != j, at the
     canonical keys {j, k} + (l, m) and (l, m) + {j, k}."""
-    for j, x, minus_g, g in coeffs:
-        for k, tail, v in by_first[x]:
+    for j, x, signed in coeffs:
+        for k, tail, v, odd in by_first[x]:
             if j == k:
                 continue
-            pair, w = ((j, k), minus_g) if j < k else ((k, j), g)
+            pair, w = ((j, k), signed[odd]) if j < k else (
+                (k, j), signed[1 - odd])
             if pair <= tail:
                 yield pair + tail, v, w
             if tail <= pair:

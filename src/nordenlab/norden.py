@@ -34,7 +34,7 @@ from typing import Mapping
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
 from .linalg import RationalMatrix, Tensor, _accumulate, _scatter
-from .poly import Poly, RationalLike, _multiply_accumulate
+from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
 from .record import Record
 
 Covector = tuple[Poly, ...]
@@ -119,15 +119,15 @@ def _cyclic_sum_vanishes(F: Tensor, M: RationalMatrix | None = None) -> bool:
     ``F.contract(2, M)``, summed in the batch kernel from ``F.flat``: each
     nonzero component, times M's weights at its third slot, goes to the
     sum of its rotation class min((i, j, k), (j, k, i), (k, i, j)), which
-    holds F'_iii once (zero iff 3 F'_iii is).  The kernel deletes a sum
-    as it cancels, so the sums vanish iff none is left."""
+    holds F'_iii once (zero iff 3 F'_iii is), class by class up to the
+    first left nonzero (:func:`~nordenlab.poly._first_nonzero`)."""
     den, terms = F.flat
     d, columns = (M.column_terms if M is not None else
                   (1, [((p, ((0, 1),)),) for p in range(F.dim)]))
-    return not _multiply_accumulate({}, (
+    return _first_nonzero((
         (min((i, j, k), (j, k, i), (k, i, j)), w, v)
         for ((i, j, p), _), v in zip(F.nonzero, terms)
-        for k, w in columns[p]), den * d, F.params)
+        for k, w in columns[p]), den * d, F.params) is None
 
 
 class AlmostNordenAlgebra:

@@ -544,6 +544,20 @@ def _multiply_accumulate(acc: dict, products, den: int,
     return acc
 
 
+def _first_nonzero(products, den: int, params: tuple[str, ...]):
+    """The least key of a :func:`_multiply_accumulate` stream whose sum is
+    nonzero, or None: the products, grouped by key, go to one kernel call
+    key by key in sorted order, and since the kernel deletes a sum as it
+    cancels, the stream stops once a finished key is left."""
+    groups: dict = {}
+    for item in products:
+        groups.setdefault(item[0], []).append(item)
+    acc: dict = {}
+    return next(iter(_multiply_accumulate(acc, (
+        item for key in sorted(groups) if not acc for item in groups[key]),
+        den, params)), None)
+
+
 def _flatten(values: Sequence[Poly]) -> tuple[int, tuple]:
     """``(den, terms)``: each of ``values`` as a tuple of ``(packed key,
     numerator)`` pairs over ``den``, the lcm of their denominators, as

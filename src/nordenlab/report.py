@@ -24,7 +24,7 @@ from .curvature import (
     coordinate_sectional,
     curvature_R,
     levi_civita,
-    nabla_R_blocks,
+    nabla_R_witness,
     ricci_and_scalar,
     square_norm_nabla_J,
 )
@@ -43,13 +43,14 @@ class Geometry:
     connection and R are built at most once however many consumers ask:
 
         F           -> theta, flags (with theta), nabla_j_norm
-        connection  -> R -> ricci_and_tau, sectional, locally_symmetric
+        connection  -> R -> ricci_and_tau, sectional, nabla_R_witness
         killing_form
 
     ``locally_symmetric`` is True by theorem where Jacobi holds and g is
     ad-skew (grad = ad/2 is a derivation: Milnor, Adv. Math. 21, 1976,
     section 7; O'Neill, Semi-Riemannian Geometry, 1983, ch. 11); else
-    grad R is built one block at a time, up to the first nonzero block.
+    grad R is summed one component at a time up to the first nonzero
+    one, ``nabla_R_witness``, which ``locally_symmetric`` reads.
     """
 
     def __init__(self, a: AlmostNordenAlgebra):
@@ -84,11 +85,17 @@ class Geometry:
         return ricci_and_scalar(self.algebra, self.R)
 
     @cached_property
-    def locally_symmetric(self) -> bool:
+    def nabla_R_witness(self) -> tuple[int, ...] | None:
+        """grad R's first nonzero component, 0-based (i, j, k, l, m), or
+        None: by the theorem, with nothing computed, where it holds."""
         a = self.algebra
-        return (a.algebra.jacobiator_tensor.is_zero and a._ad_skew) or all(
-            block.is_zero for block in nabla_R_blocks(
-                a, self.connection, self.R))
+        if a.algebra.jacobiator_tensor.is_zero and a._ad_skew:
+            return None
+        return nabla_R_witness(a, self.connection, self.R)
+
+    @cached_property
+    def locally_symmetric(self) -> bool:
+        return self.nabla_R_witness is None
 
     @cached_property
     def sectional(self) -> SectionalTable:

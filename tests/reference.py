@@ -21,7 +21,8 @@ validating ``Poly(...)`` constructor, never through a ring operation.
 ``terms`` view, sorting exponent tuples rather than packed keys.
 ``rebased`` is the change of basis the dense and basis-change tests
 apply to an algebra, and ``many_term_spec`` the seeded many-term
-filiform chain they and the CLI goldens read.
+filiform chain they and the CLI goldens read; ``worst_spec`` is that
+chain at every spec limit, the largest input a spec file may give.
 
 ``jacobiator``, ``check_jacobi``, ``check_eq22`` and
 ``curvature_invariant_formula`` are the per-tuple loops the structure
@@ -80,6 +81,7 @@ from nordenlab.errors import (DegeneratePlaneError, ParameterMismatchError,
                               StructureError)
 from nordenlab.lie import Vector
 from nordenlab.linalg import RationalMatrix, _accumulate, _scatter
+from nordenlab.specfile import MAX_DEGREE, MAX_TERMS
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
 
@@ -370,12 +372,32 @@ def many_term_spec(dim: int, n: int, rng: random.Random) -> str:
     p_k has ``n`` distinct terms in a, b and c, exponents 0..5 and
     coefficients 1..9, drawn from ``rng`` and written by the tuple-sorted
     reference formatter."""
-    params = ("a", "b", "c")
-    lines = [f"dimension = {dim}", "parameters = a, b, c", "", "[brackets]"]
+    def exponents():
+        return tuple(rng.randint(0, 5) for _ in range(3))
+    return _chain_spec(dim, ("a", "b", "c"), n, exponents, rng)
+
+
+def worst_spec(dim: int, rng: random.Random) -> str:
+    """The chain of :func:`many_term_spec` at the spec limits: p_k in
+    six parameters a..f, with ``MAX_TERMS`` distinct terms, each of total
+    degree ``MAX_DEGREE``."""
+    def exponents():
+        cuts = sorted(rng.randint(0, MAX_DEGREE) for _ in range(5))
+        return tuple(b - a for a, b in zip((0, *cuts), (*cuts, MAX_DEGREE)))
+    return _chain_spec(dim, tuple("abcdef"), MAX_TERMS, exponents, rng)
+
+
+def _chain_spec(dim: int, params: tuple, n: int, exponents,
+                rng: random.Random) -> str:
+    """The spec text of [X1, Xk] = p_k X(k+1), k = 2..dim-1, each p_k
+    with ``n`` distinct exponent vectors drawn by ``exponents`` and
+    coefficients 1..9 drawn from ``rng``."""
+    lines = [f"dimension = {dim}", f"parameters = {', '.join(params)}", "",
+             "[brackets]"]
     for k in range(2, dim):
         expos = set()
         while len(expos) < n:
-            expos.add(tuple(rng.randint(0, 5) for _ in params))
+            expos.add(exponents())
         p = Poly(params, {e: rng.randint(1, 9) for e in sorted(expos)})
         lines.append(f"1 {k} -> {k + 1}: {format_terms(p)}")
     return "\n".join(lines) + "\n"

@@ -374,7 +374,8 @@ def test_curvature_skips_nabla_R(monkeypatch, spec_fixture_path, capsys):
 
     monkeypatch.setattr(curvature, "nabla_R", refuse)
     monkeypatch.setattr(curvature, "nabla_R_blocks", refuse)
-    monkeypatch.setattr(report, "nabla_R_blocks", refuse)
+    monkeypatch.setattr(curvature, "_block_streams", refuse)
+    monkeypatch.setattr(report, "nabla_R_witness", refuse)
     assert main(["curvature", "--family", "table1"]) == 0
     expected = spec_fixture_path.parent / "table1_curvature.txt"
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")

@@ -190,6 +190,31 @@ def test_batch_kernel_drops_a_sum_that_cancels():
     assert T.nonzero == (((0,), x * y), ((1,), x * x))
 
 
+@pytest.mark.parametrize("case, first", [
+    ("first", (0,)), ("last", (3,)), ("cancel", None), ("empty", None)])
+def test_first_nonzero_sums_whole_groups_in_key_order(case, first,
+                                                     monkeypatch):
+    # hand-made groups, streamed out of key order: a key is nonzero only
+    # once all its products are in, the answer is the least such key, and
+    # no product of a later key reaches the kernel
+    x, y = (Poly.variable(n, PARAMS) for n in "ab")
+    cancel = [((3,), x, y), ((0,), x, y), ((1,), x, x), ((2,), y, y),
+              ((1,), -x, x), ((0,), -x, y), ((2,), -y, y), ((3,), x, -y)]
+    triples = {"first": cancel[:5] + cancel[6:],  # (0,) keeps x*y
+               "last": cancel[1:],  # (3,) keeps -x*y
+               "cancel": cancel, "empty": []}[case]
+    over, left, right, den = operands([v for _, v, _ in triples],
+                                      [m for _, _, m in triples])
+    stream = zip([k for k, _, _ in triples], left, right)
+    summed, kernel = [], poly._multiply_accumulate
+    monkeypatch.setattr(poly, "_multiply_accumulate", (
+        lambda acc, products, *rest: kernel(acc, (
+            summed.append(p[0]) or p for p in products), *rest)))
+    assert poly._first_nonzero(stream, den, over) == first
+    assert summed == sorted(k for k, _, _ in triples
+                            if first is None or k <= first)
+
+
 def test_rescale_moves_the_accumulator_only_when_needed():
     x = Poly.variable("a", PARAMS)
     acc = {}

@@ -15,6 +15,9 @@ verdict by the theorem where Jacobi holds and g is ad-skew, so its
 answer must equal the computed grad R blocks on every input, on seeded
 shears and twins of the family, and on seeded ad-skew brackets that
 fail Jacobi, where the theorem does not apply and grad R is nonzero.
+The witness of that verdict, the first nonzero canonical component,
+must be nonzero in its whole block, with every component before it zero
+in that block and the earlier ones, on R stored canonically and in full.
 
 The structure checks read the cached Jacobiator and bracket Gram
 tensors; their results must equal the per-tuple loops whole, violations
@@ -70,10 +73,12 @@ from nordenlab import (AlmostNordenAlgebra, Geometry, LieAlgebra, PlaneSpec,
                        rational_rank, sectional_curvature,
                        square_norm_nabla_J)
 from nordenlab.curvature import (_SlotSymmetric, _check_slot_symmetries,
-                                 coordinate_sectional, nabla_R_blocks)
+                                 coordinate_sectional, nabla_R_blocks,
+                                 nabla_R_witness)
 from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
                               StructureError)
 from nordenlab.linalg import RationalMatrix
+from nordenlab.specfile import MAX_DEGREE, MAX_TERMS
 
 
 def assert_dense(T, dense):
@@ -166,6 +171,45 @@ def computed_verdict(a) -> bool:
 def test_local_symmetry_verdict_matches_the_computed_blocks(name, request):
     a = request.getfixturevalue(name)
     assert Geometry(a).locally_symmetric is computed_verdict(a)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["canonical", "full"])
+@pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
+                         + MANY_TERMS)
+def test_nabla_R_witness_is_the_first_nonzero_component_of_the_blocks(
+        name, full, request):
+    # the whole blocks are the independent route: the witness is nonzero
+    # there, every canonical component before it, in its block and in
+    # every earlier one, is zero, and it is None exactly when they all
+    # vanish; an R stored in full that passes the slot check gives the
+    # answer of its canonical copy, and the report keeps the same one
+    a = request.getfixturevalue(name)
+    c = levi_civita(a)
+    R = curvature_R(a, c)
+    if full:
+        R = Tensor(a.params, a.dim, 4, dict(R.nonzero))
+    blocks = list(nabla_R_blocks(a, c, R))
+    witness = nabla_R_witness(a, c, R)
+    assert (witness is None) is all(block.is_zero for block in blocks)
+    if witness is not None:
+        i, j, k, l, m = witness
+        assert j < k and l < m and (j, k) <= (l, m)
+        assert not blocks[i].at((j, k, l, m)).is_zero
+        assert all((n, *key) >= witness
+                   for n, block in enumerate(blocks) for key in block._entries)
+    assert Geometry(a).nabla_R_witness == witness
+
+
+def test_worst_spec_sits_at_every_limit():
+    # six parameters, and every coefficient of MAX_TERMS terms, each of
+    # total degree MAX_DEGREE: the spec the limits allow at its largest
+    a = parse_spec_text(reference.worst_spec(8, random.Random(1))).to_algebra()
+    assert len(a.params) == 6
+    constants = [v for (i, _, _), v in a.algebra.gamma.nonzero if i == 0]
+    assert len(constants) == 6
+    for v in constants:
+        assert len(v.nums) == MAX_TERMS
+        assert {sum(e) for e in v.terms} == {MAX_DEGREE}
 
 
 def seeded_shear(falg, seed: int) -> AlmostNordenAlgebra:

@@ -11,7 +11,7 @@ from nordenlab import (
     compute_report,
     document_for,
 )
-from nordenlab.curvature import nabla_R_blocks
+from nordenlab.curvature import _block_products, nabla_R_witness
 
 JSON_KEYS = ["classification", "theta", "ricci", "tau", "nabla_j_norm",
              "locally_symmetric", "sectional", "killing_form"]
@@ -139,16 +139,24 @@ def test_degenerate_plane_reporting(degenerate_plane_doc):
     ("affine6", True, 6)])
 def test_local_symmetry_stops_at_first_nonzero_block(name, verdict, blocks,
                                                      monkeypatch, request):
-    built = []
+    calls, reached = [], []
 
-    def counted(*args):
-        for block in nabla_R_blocks(*args):
-            built.append(block)
-            yield block
+    def counted_witness(*args):
+        calls.append(nabla_R_witness(*args))
+        return calls[-1]
+
+    def counted_block(*args):
+        reached.append(args)
+        return _block_products(*args)
 
     # Jacobi and an ad-skew metric (falg, sheared) decide it by theorem,
-    # with no block; affine6's metric is not ad-skew, so its zero is
-    # computed from all six blocks
-    monkeypatch.setattr("nordenlab.report.nabla_R_blocks", counted)
-    assert Geometry(request.getfixturevalue(name)).locally_symmetric is verdict
-    assert len(built) == blocks
+    # with no call to the witness; affine6's metric is not ad-skew, so
+    # its zero is computed from all six blocks' products
+    monkeypatch.setattr("nordenlab.report.nabla_R_witness", counted_witness)
+    monkeypatch.setattr("nordenlab.curvature._block_products", counted_block)
+    geo = Geometry(request.getfixturevalue(name))
+    assert geo.locally_symmetric is verdict
+    assert len(reached) == blocks
+    assert calls == ([] if blocks == 0 else [geo.nabla_R_witness])
+    if not verdict:
+        assert geo.nabla_R_witness[0] == blocks - 1
