@@ -16,7 +16,8 @@ every operation a finite exact contraction:
   read in one pass from the connection and T, never raised or lowered:
       R_ijkl = sum_p (Gamma_jk^p T_ipl - Gamma_ik^p T_jpl - c_ij^p T_pkl),
   each product made once, at i < j and, where Jacobi gives R pair
-  symmetry, at k < l, (i, j) <= (k, l) too, where R is then stored;
+  symmetry, at k < l, (i, j) <= (k, l) too, where R is then stored
+  (T's row of p, sorted by l, is walked at l > k alone there);
   over an invariant metric the independent second route
   R = -(1/4) g([x,y],[z,u]) reads the bracket Gram tensor, never the
   connection;
@@ -47,6 +48,7 @@ Ricci and the sectional curvatures weight R by rationals through
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -190,15 +192,30 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
 
 def _connection_products(dim, canonical, up, connection, T):
     """Gamma_jk^p T_ipl, Gamma's terms times ``up``, at (i, j, k, l) if
-    i < j, negated at (j, i, k, l) if j < i, for T bucketed by p."""
-    by_second = [[] for _ in range(dim)]  # p -> (i, l, T_ipl)
+    i < j, negated at (j, i, k, l) if j < i, for T bucketed by p.  If
+    ``canonical``, each bucket is sorted by l and a Gamma_jk^p walks only
+    its l > k, found by bisection, keeping {i, j} <= (k, l) by comparing
+    i and j with k."""
+    by_second = [[] for _ in range(dim)]  # p -> (l, i, T_ipl)
     for ((i, p, l), _), w in T:
-        by_second[p].append((i, l, w))
+        by_second[p].append((l, i, w))
+    if canonical:
+        for row in by_second:
+            row.sort()  # (l, i) is unique in a row: w is never compared
     for ((j, k, p), _), v in connection:
         v, minus_v = v if up == 1 else _scaled(v, up), _scaled(v, -up)
-        for i, l, w in by_second[p]:
+        if canonical:
+            row = by_second[p]
+            for l, i, w in row[bisect_left(row, (k + 1,)):]:
+                if i < j:
+                    if i < k or i == k and j <= l:
+                        yield (i, j, k, l), v, w
+                elif j < i and (j < k or j == k and i <= l):
+                    yield (j, i, k, l), minus_v, w
+            continue
+        for l, i, w in by_second[p]:
             pair, u = ((i, j), v) if i < j else ((j, i), minus_v)
-            if i != j and (not canonical or k < l and pair <= (k, l)):
+            if i != j:
                 yield pair + (k, l), u, w
 
 

@@ -19,6 +19,7 @@ scatter over pairs of nonzero structure constants.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
@@ -201,19 +202,32 @@ class LieAlgebra:
         """J_ijk^q = sum_p (c_ij^p c_pk^q + c_jk^p c_pi^q + c_ki^p c_pj^q)
         at i < j < k, computed once: one scatter over pairs of nonzero
         structure constants (c_ab^p, c_pc^q), read from ``gamma.flat``,
-        each product handed to the batch kernel only at the increasing
-        rotation of (a, b, c).  Any other triple permutes one of these or
-        repeats an index."""
+        each product handed to the batch kernel at the increasing
+        rotation of (a, b, c).  Only the pairs that have one are made:
+        c_ab^p meets the row of p, sorted by c, at c < a and c > b if
+        a < b, and at b < c < a if a > b, found by bisection.  Any other
+        triple permutes one of these or repeats an index."""
         entries = self.gamma.nonzero
         den, terms = self.gamma.flat
         by_first = [[] for _ in range(self.dim)]  # p -> (c, q, c_pc^q)
         for ((p, c, q), _), w in zip(entries, terms):
             by_first[p].append((c, q, w))
-        return Tensor(self.params, self.dim, 4, _multiply_accumulate({}, (
-            (key + (q,), v, w) for ((a, b, p), _), v in zip(entries, terms)
-            for c, q, w in by_first[p]
-            for key in [min((a, b, c), (b, c, a), (c, a, b))]
-            if key[0] < key[1] < key[2]), den * den, self.gamma.params))
+
+        def products():
+            for ((a, b, p), _), v in zip(entries, terms):
+                row = by_first[p]
+                if a < b:
+                    for c, q, w in row[:bisect_left(row, (a,))]:
+                        yield (c, a, b, q), v, w
+                    for c, q, w in row[bisect_left(row, (b + 1,)):]:
+                        yield (a, b, c, q), v, w
+                else:
+                    for c, q, w in row[bisect_left(row, (b + 1,)):
+                                       bisect_left(row, (a,))]:
+                        yield (b, c, a, q), v, w
+
+        return Tensor(self.params, self.dim, 4, _multiply_accumulate(
+            {}, products(), den * den, self.gamma.params))
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
         """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j].
@@ -247,17 +261,24 @@ class LieAlgebra:
         """B_ij = trace(ad X_i · ad X_j) = sum_{p,q} c_iq^p c_jp^q.
 
         One scatter over pairs of nonzero structure constants, read from
-        ``gamma.flat``: each c_iq^p meets every c_jp^q with the same
-        (p, q) in the batch kernel.
+        ``gamma.flat``: each c_iq^p meets the c_jp^q with the same (p, q)
+        and j >= i in the batch kernel, found by bisection in the (p, q)
+        row, sorted by j.  B is symmetric for any structure constants
+        (a trace is invariant under cycling), so the entries at i > j are
+        the mirrored entries at i < j.
         """
         entries = self.gamma.nonzero
         den, terms = self.gamma.flat
         by_pair: dict[tuple[int, int], list] = {}  # (p, q) -> (j, c_jp^q)
         for ((j, p, q), _), w in zip(entries, terms):
             by_pair.setdefault((p, q), []).append((j, w))
-        return PolyMatrix(self.params, self.dim, 2, _multiply_accumulate({}, (
-            ((i, j), v, w) for ((i, q, p), _), v in zip(entries, terms)
-            for j, w in by_pair.get((p, q), ())), den * den, self.gamma.params))
+        products = (((i, j), v, w) for ((i, q, p), _), v in zip(entries, terms)
+                    for row in [by_pair.get((p, q), ())]
+                    for j, w in row[bisect_left(row, (i,)):])
+        upper = Tensor(self.params, self.dim, 2, _multiply_accumulate(
+            {}, products, den * den, self.gamma.params))._entries
+        return PolyMatrix(self.params, self.dim, 2, {**upper, **{
+            (j, i): v for (i, j), v in upper.items() if i != j}})
 
     # -- substitution ------------------------------------------------------
 

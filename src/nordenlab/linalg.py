@@ -18,15 +18,16 @@
   ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
   form and the Ricci tensor.
 
-A polynomial times a rational, as in ``Tensor.contract`` and
-``Tensor.trace``, goes to :func:`_accumulate`, one call per product.  A
-product of two polynomials goes to the batch kernel
+A product of two polynomials goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
 read from :attr:`Tensor.flat`, which each tensor computes once, after
-:func:`_aligned` has brought two tensors over one parameter list.  The
-class flags' cyclic sums and the norm of grad J weight F by rationals in
-that kernel too, straight from ``F.flat``: a matrix's entries are
-constant operands there (:attr:`RationalMatrix.column_terms`).
+:func:`_aligned` has brought two tensors over one parameter list.  A
+stage that reads a tensor flat for that kernel anyway weights it by
+rationals there too, a matrix's entries as constant operands
+(:attr:`RationalMatrix.column_terms`): F from ``T.flat``, the class
+flags' cyclic sums and the norm of grad J from ``F.flat``.  Every other
+polynomial times a rational, as in ``Tensor.contract`` and
+``Tensor.trace``, goes to :func:`_accumulate`, one call per product.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import RationalMatrix, Tensor, _accumulate, _scatter
+from .linalg import RationalMatrix, Tensor, _accumulate
 from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
 from .record import Record
 
@@ -284,17 +284,28 @@ class AlmostNordenAlgebra:
 
             F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k),
 
-        one scatter of the lowered connection :attr:`T` against J^T in
-        its second slot and against -J^T in its third.  Nothing is cached
-        here: :class:`~nordenlab.report.Geometry` owns the reuse of F
-        across stages.
+        one batch-kernel stream from ``T.flat``: each component of the
+        lowered connection :attr:`T` meets J^T's entries, as constant
+        operands (``column_terms``), in its second slot with weight w and
+        in its third with -w.  Nothing is cached here:
+        :class:`~nordenlab.report.Geometry` owns the reuse of F across
+        stages.
         """
-        jt = self.J.transpose()
-        entries = self.T.nonzero
-        acc: dict[tuple[int, ...], list] = {}
-        _scatter(acc, entries, 1, jt.nonzero_columns)
-        _scatter(acc, entries, 2, (-jt).nonzero_columns)
-        return Tensor(self.params, self.dim, 3, acc)
+        T = self.T
+        t_den, terms = T.flat
+        d, columns = self.J.transpose().column_terms
+        minus = [[(a, ((0, -n),)) for a, ((_, n),) in column]
+                 for column in columns]
+
+        def products():
+            for ((i, j, k), _), v in zip(T.nonzero, terms):
+                for a, w in columns[j]:
+                    yield (i, a, k), v, w
+                for a, w in minus[k]:
+                    yield (i, j, a), v, w
+
+        return Tensor(self.params, self.dim, 3, _multiply_accumulate(
+            {}, products(), t_den * d, T.params))
 
     # -- Lie form and classification --------------------------------------
 

@@ -26,7 +26,11 @@ symbolic sheared family and the inputs built to fail a check.  The
 Killing form, the Jacobiator, the bracket Gram tensor and the norm of
 grad J are also compared on three seeded filiform chains with sixteen
 terms a structure constant, so every product they make is one of
-many-term polynomials.
+many-term polynomials.  The Jacobiator and the Killing form are compared
+on seeded random bracket tables of dimension 5 to 7 too, rational and
+polynomial, all failing Jacobi, which between them reach every slice of
+the Jacobiator's walk; the Killing form's kernel products are counted,
+made at i <= j only.
 
 ``plane_type`` must give the dense classifier's type on every
 coordinate plane of every input and on seeded random rational planes,
@@ -68,9 +72,9 @@ import reference
 from nordenlab import (AlmostNordenAlgebra, Geometry, LieAlgebra, PlaneSpec,
                        Poly, Tensor, check_eq22, coordinate_plane,
                        curvature_invariant_formula, curvature_R,
-                       is_locally_symmetric, levi_civita, nabla_R,
-                       parse_spec_text, plane_type, ricci_and_scalar,
-                       rational_rank, sectional_curvature,
+                       is_locally_symmetric, levi_civita, lie, nabla_R,
+                       parse_poly, parse_spec_text, plane_type,
+                       ricci_and_scalar, rational_rank, sectional_curvature,
                        square_norm_nabla_J)
 from nordenlab.curvature import (_SlotSymmetric, _check_slot_symmetries,
                                  coordinate_sectional, nabla_R_blocks,
@@ -418,9 +422,12 @@ def test_curvature_of_a_jacobi_violation_matches_dense_reference(perturbed):
 
 
 @pytest.mark.parametrize("name", [name for name, _ in FIXTURES]
-                         + MANY_TERMS)
+                         + MANY_TERMS + ["perturbed", "jacobi_violator"])
 def test_killing_form_matches_dense_reference(name, request):
-    alg = request.getfixturevalue(name).algebra
+    # B is made at i <= j and mirrored, which needs no Jacobi identity:
+    # the last two fail it
+    alg = request.getfixturevalue(name)
+    alg = getattr(alg, "algebra", alg)
     B = alg.killing_form()
     dense = reference.killing_form(alg)
     assert B == dense
@@ -428,7 +435,9 @@ def test_killing_form_matches_dense_reference(name, request):
     assert B.determinant() == dense.determinant()
 
 
-@pytest.mark.parametrize("name, invariant", FIXTURES)
+@pytest.mark.parametrize("name, invariant", FIXTURES
+                         + [(name, False) for name in MANY_TERMS]
+                         + [("perturbed", False)])
 def test_tensor_f_matches_both_reference_routes(name, invariant, request):
     a = request.getfixturevalue(name)
     route = (reference.tensor_f_invariant if invariant
@@ -447,11 +456,9 @@ CHECKED = [("falg", 0), ("abelian6", 0), ("twin", 0), ("sheared", 365),
            ("perturbed", 8)]
 
 
-@pytest.mark.parametrize("name", [name for name, _ in CHECKED]
-                         + ["jacobi_violator"] + MANY_TERMS)
-def test_jacobiator_matches_per_tuple_reference(name, request):
-    alg = request.getfixturevalue(name)
-    alg = getattr(alg, "algebra", alg)
+def assert_jacobiator_matches_reference(alg):
+    """``check_jacobi``, ``jacobiator`` at every ordered triple and every
+    component of ``jacobiator_tensor`` equal the per-tuple loops."""
     assert alg.check_jacobi() == reference.check_jacobi(alg)
     # every ordered triple: odd permutations and repeated indices too
     for i, j, k in product(range(1, alg.dim + 1), repeat=3):
@@ -460,6 +467,117 @@ def test_jacobiator_matches_per_tuple_reference(name, request):
     assert_dense(alg.jacobiator_tensor, reference.grid(alg.dim, 3, lambda t: (
         reference.jacobiator(alg, *(i + 1 for i in t))
         if t[0] < t[1] < t[2] else zero)))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CHECKED]
+                         + ["jacobi_violator"] + MANY_TERMS)
+def test_jacobiator_matches_per_tuple_reference(name, request):
+    alg = request.getfixturevalue(name)
+    assert_jacobiator_matches_reference(getattr(alg, "algebra", alg))
+
+
+#: Seeded random bracket tables, as (dim, coefficient kind, seed).
+RANDOM_TABLES = [(5, "rational", 0), (5, "polynomial", 1),
+                 (6, "rational", 2), (6, "polynomial", 3),
+                 (7, "rational", 4), (7, "polynomial", 5)]
+
+
+def random_table(dim: int, kind: str, seed: int) -> LieAlgebra:
+    """A seeded random bracket table: each [X_i, X_j], i < j < dim, is
+    nonzero with probability 3/4 (1/3 at odd seeds), on about half the
+    basis, with rational coefficients or polynomial ones in a and b.
+    X_dim brackets to zero with everything, so its row of structure
+    constants is empty though other brackets reach it."""
+    rng = random.Random(seed)
+    params = ("a", "b") if kind == "polynomial" else ()
+    density = 1 / 3 if seed % 2 else 3 / 4
+
+    def coefficient():
+        if not params:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                            rng.randint(1, 3))
+        return parse_poly(rng.choice(
+            ["a", "-b", "a - 2*b", "a*b + 1/2", "3", "-a^2 + b"]), params)
+
+    brackets = {}
+    for i, j in combinations(range(1, dim), 2):
+        row = {k: coefficient() for k in range(1, dim + 1)
+               if rng.random() < 0.5}
+        if row and rng.random() < density:
+            brackets[i, j] = row
+    return LieAlgebra.from_brackets(dim, params, brackets)
+
+
+def jacobiator_slices(alg: LieAlgebra) -> set:
+    """Where the Jacobiator's walk meets the row of p, sorted by c, for
+    each c_ab^p: the slice kept (c < a or c > b if a < b, b < c < a if
+    a > b) with each end of the row it holds, a c equal to a or b (a
+    bisection bound, dropped) in either order of a and b, and an empty
+    row."""
+    rows: dict = {}
+    for (p, c, _), _ in alg.gamma.nonzero:
+        rows.setdefault(p, []).append(c)
+    seen = set()
+    for (a, b, p), _ in alg.gamma.nonzero:
+        cs = rows.get(p)
+        if cs is None:
+            seen.add("empty row")
+            continue
+        for c in cs:
+            if c in (a, b):
+                seen.add(("bound", "a < b" if a < b else "a > b"))
+            kept = ("c < a" if a < b and c < a else "c > b" if a < b < c
+                    else "b < c < a" if b < c < a else None)
+            for end, at in (("first", cs[0]), ("last", cs[-1])):
+                if kept and c == at:
+                    seen.add((kept, end))
+    return seen
+
+
+def test_random_tables_reach_every_jacobiator_slice():
+    seen = set().union(*(jacobiator_slices(random_table(*t))
+                         for t in RANDOM_TABLES))
+    assert seen == {(kept, end) for kept in ("c < a", "c > b", "b < c < a")
+                    for end in ("first", "last")} | {
+        ("bound", "a < b"), ("bound", "a > b"), "empty row"}
+    assert not any(random_table(*t).check_jacobi() for t in RANDOM_TABLES)
+
+
+@pytest.mark.parametrize("dim, kind, seed", RANDOM_TABLES)
+def test_jacobiator_matches_oracle_on_random_tables(dim, kind, seed):
+    assert_jacobiator_matches_reference(random_table(dim, kind, seed))
+
+
+@pytest.mark.parametrize("dim, kind, seed", RANDOM_TABLES)
+def test_killing_form_matches_oracle_on_random_tables(dim, kind, seed):
+    alg = random_table(dim, kind, seed)
+    assert alg.killing_form() == reference.killing_form(alg)
+
+
+@pytest.mark.parametrize("name, made", [("falg", 132),
+                                        ("sheared_family", 251)])
+def test_killing_form_makes_products_at_i_up_to_j_only(name, made, request,
+                                                       monkeypatch):
+    # B_ij = B_ji: products are made at i <= j only, then mirrored (192
+    # and 410 at every (i, j)); the Jacobiator makes only the products at
+    # an increasing rotation, 240 and 702
+    alg = request.getfixturevalue(name).algebra
+    keys = []
+    real = lie._multiply_accumulate
+
+    def counting(acc, products, den, params):
+        products = list(products)
+        keys.append([key for key, _, _ in products])
+        return real(acc, products, den, params)
+
+    monkeypatch.setattr(lie, "_multiply_accumulate", counting)
+    assert alg.killing_form() == reference.killing_form(alg)
+    fresh = LieAlgebra(alg.dim, alg.params, alg.gamma)
+    assert fresh.jacobiator_tensor == alg.jacobiator_tensor
+    killing, jacobiator = keys
+    assert all(i <= j for i, j in killing) and len(killing) == made
+    assert all(a < b < c for a, b, c, _ in jacobiator)
+    assert len(jacobiator) == {"falg": 240, "sheared_family": 702}[name]
 
 
 @pytest.mark.parametrize("name, count", CHECKED
