@@ -38,12 +38,12 @@ every operation a finite exact contraction:
   isotropic Kähler; it is summed in the batch kernel from ``F.flat``,
   building no tensor but the rank-0 result.
 
-R, grad R and the norm of grad J hand their products of two polynomials
-to the batch kernel :func:`~nordenlab.poly._multiply_accumulate`,
-reading c, T, the connection and F from the ``flat`` form each tensor
-computes once; R's stored entries are flattened per call.
-Ricci and the sectional curvatures weight R by rationals through
-:func:`~nordenlab.linalg._accumulate`.
+Every stage here sums its products in the batch kernel
+:func:`~nordenlab.poly._multiply_accumulate`, reading c, T, the
+connection and F from the ``flat`` form each tensor computes once and
+R's stored entries flattened per call; Ricci, the scalar curvature and
+the sectional curvatures weight R by rationals there as constant
+operands.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import (PolyMatrix, Tensor, _accumulate, _aligned, _support,
-                     rational_rank)
+from .linalg import (PolyMatrix, RationalMatrix, Tensor, _aligned, _support,
+                     _weighted_sum, rational_rank)
 from .norden import AlmostNordenAlgebra
 from .poly import (Poly, RationalLike, _first_nonzero, _flatten,
                    _multiply_accumulate, as_fraction)
@@ -110,21 +110,27 @@ class _SlotSymmetric(Tensor):
             for (p, q, r, s), odd in _ORBIT[:4 if rep[:2] == rep[2:] else 8]:
                 yield (rep[p], rep[q], rep[r], rep[s]), values[odd]
 
-    def trace(self, a: int, b: int, M) -> Tensor:
+    def trace(self, a: int, b: int, M: RationalMatrix) -> Tensor:
         """:meth:`Tensor.trace`, reading each member's slots ``a`` and
         ``b`` from its representative and building only the members
-        whose weight is nonzero."""
+        whose weight is nonzero, from the stored entries flattened and
+        negated once each."""
         kept = [s for s in range(4) if s not in (a, b)]
         orbit = [(at[a], at[b], at[kept[0]], at[kept[1]], odd)
                  for at, odd in _ORBIT]
-        acc: dict[tuple[int, ...], list] = {}
-        for rep, v in self._entries.items():
-            values = v, self._minus[rep]
-            for p, q, r, s, odd in orbit[:4 if rep[:2] == rep[2:] else 8]:
-                weight = M[rep[p]][rep[q]]
-                if weight:
-                    _accumulate(acc, (rep[r], rep[s]), values[odd], weight)
-        return Tensor(self.params, self.dim, 2, acc)
+        den, terms = _flatten(list(self._entries.values()))
+        d, grid = M.operands
+
+        def products():
+            for rep, v in zip(self._entries, terms):
+                values = v, _scaled(v, -1)
+                for p, q, r, s, odd in orbit[:4 if rep[:2] == rep[2:] else 8]:
+                    w = grid[rep[p]][rep[q]]
+                    if w:
+                        yield (rep[r], rep[s]), values[odd], w
+
+        return Tensor(self.params, self.dim, 2, _multiply_accumulate(
+            {}, products(), den * d, self.params))
 
     def __eq__(self, other):
         if isinstance(other, _SlotSymmetric) or not isinstance(other, Tensor):
@@ -355,13 +361,11 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
         raise DegeneratePlaneError(
             "sectional curvature of a degenerate plane (discriminant 0)")
     x, y = _support(x), _support(y)
-    acc: dict[tuple[int, ...], list] = {}
-    for (i, xi), (l, xl) in product(x.items(), repeat=2):
-        for (j, yj), (k, yk) in product(y.items(), repeat=2):
-            v = R.at((i, j, k, l))
-            if v:
-                _accumulate(acc, (), v, xi * yj * yk * xl)
-    return Tensor(a.params, a.dim, 0, acc).at(()) / disc
+    return _weighted_sum(a.params, a.dim, 0, [
+        ((), v, xi * yj * yk * xl)
+        for (i, xi), (l, xl) in product(x.items(), repeat=2)
+        for (j, yj), (k, yk) in product(y.items(), repeat=2)
+        if (v := R.at((i, j, k, l)))]).at(()) / disc
 
 
 def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor

@@ -18,30 +18,31 @@
   ``entry(i, j)`` and an exact ``determinant()``.  Used for the Killing
   form and the Ricci tensor.
 
-A product of two polynomials goes to the batch kernel
+Every sum of products goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
 read from :attr:`Tensor.flat`, which each tensor computes once, after
 :func:`_aligned` has brought two tensors over one parameter list.  A
-stage that reads a tensor flat for that kernel anyway weights it by
-rationals there too, a matrix's entries as constant operands
-(:attr:`RationalMatrix.column_terms`): F from ``T.flat``, the class
-flags' cyclic sums and the norm of grad J from ``F.flat``.  Every other
-polynomial times a rational, as in ``Tensor.contract`` and
-``Tensor.trace``, goes to :func:`_accumulate`, one call per product.
+rational weight m is a constant operand ``((0, m * D),)`` over one
+denominator D; a matrix makes its operands once
+(:attr:`RationalMatrix.operands`, by column
+:attr:`RationalMatrix.column_terms`), so ``Tensor.contract``,
+``Tensor.trace`` and F weight a tensor's flat terms by a matrix in the
+kernel too.  Loose ``(index, Poly, rational)`` items are summed there
+by :func:`_weighted_sum`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
-from .poly import (Poly, RationalLike, _add_terms, _canonical, _flatten,
-                   _unpack, as_fraction)
+from .poly import (Poly, RationalLike, _canonical, _flatten,
+                   _multiply_accumulate, _unpack, as_fraction)
 
 
 class RationalMatrix:
@@ -111,14 +112,21 @@ class RationalMatrix:
             for j in range(self.ncols))
 
     @cached_property
+    def operands(self) -> tuple[int, tuple]:
+        """``(D, grid)``: each entry m as the batch kernel's constant
+        operand ``((0, m * D),)``, empty where m is 0, D the lcm of the
+        entries' denominators; computed once."""
+        d = lcm(*(m.denominator for row in self.rows for m in row))
+        return d, tuple(tuple(((0, m.numerator * (d // m.denominator)),)
+                              if m else () for m in row) for row in self.rows)
+
+    @cached_property
     def column_terms(self) -> tuple[int, tuple]:
-        """``(D, columns)``: :attr:`nonzero_columns` with each entry m as
-        the batch kernel's constant operand ``((0, m * D),)``, D the lcm
-        of the entries' denominators; computed once."""
-        columns = self.nonzero_columns
-        d = lcm(*(m.denominator for column in columns for _, m in column))
-        return d, tuple(tuple((a, ((0, m.numerator * (d // m.denominator)),))
-                              for a, m in column) for column in columns)
+        """``(D, columns)``: :attr:`nonzero_columns` with each entry as
+        its operand in :attr:`operands`; computed once."""
+        d, grid = self.operands
+        return d, tuple(tuple((a, grid[a][j]) for a, _ in column)
+                        for j, column in enumerate(self.nonzero_columns))
 
     @property
     def is_symmetric(self) -> bool:
@@ -290,26 +298,24 @@ class Tensor:
 
     ``Tensor(params, dim, rank, entries)`` is the one constructor:
     ``entries`` maps 0-based index tuples to a Poly or to an accumulator
-    of :func:`_accumulate`, each over ``params``, and absent or cancelled
+    of the batch kernel, each over ``params``, and absent or cancelled
     entries are not stored.  The package's index contractions are built
     on three primitives, which visit only the nonzero components:
 
     * ``nonzero``: the ``(0-based index, Poly)`` pairs, row-major;
     * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
       for a square :class:`RationalMatrix` ``M``, read through its
-      ``nonzero_columns``, so raising an index is ``contract(axis, g_inv)``
+      ``column_terms``, so raising an index is ``contract(axis, g_inv)``
       and ``T(.., J x, ..)`` is ``contract(axis, J^T)``;
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
-      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly).
+      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly),
+      read through M's ``operands``.
 
-    ``contract`` and ``trace`` are multiply-accumulate scatters:
-    :func:`_accumulate` adds each component times a rational weight term
-    by term, as plain ints, into one accumulator per output index,
-    deleting a term as soon as it cancels, and the constructor reduces
-    each finished accumulator once into a canonical ``Poly``.  No
-    intermediate ``Poly`` is built.  The stages that multiply two
-    polynomials fill accumulators of the same form through the batch
-    kernel, reading ``flat`` (see the module docstring).
+    ``contract`` and ``trace`` are one kernel stream each: ``flat``'s
+    terms times M's constant operands, added as plain ints into one
+    accumulator per output index, a term deleted as soon as it cancels;
+    the constructor reduces each finished accumulator once into a
+    canonical ``Poly``, and no intermediate ``Poly`` is built.
 
     ``components`` (nested tuples) is a dense view built on demand, read
     by ``nabla_R``, the tests and the benchmark's traced replay.
@@ -391,17 +397,20 @@ class Tensor:
         return _flatten([v for _, v in self.nonzero])
 
     def contract(self, axis: int, M: RationalMatrix) -> Tensor:
-        acc: dict[tuple[int, ...], list] = {}
-        _scatter(acc, self.nonzero, axis, M.nonzero_columns)
-        return Tensor(self.params, self.dim, self.rank, acc)
+        den, terms = self.flat
+        d, columns = M.column_terms
+        return Tensor(self.params, self.dim, self.rank, _multiply_accumulate(
+            {}, ((idx[:axis] + (a,) + idx[axis + 1:], v, w)
+                 for (idx, _), v in zip(self.nonzero, terms)
+                 for a, w in columns[idx[axis]]), den * d, self.params))
 
-    def trace(self, a: int, b: int, M) -> Tensor:
-        acc: dict[tuple[int, ...], list] = {}
-        for idx, v in self._items():
-            weight = M[idx[a]][idx[b]]
-            if weight:
-                rest = idx[:a] + idx[a + 1:b] + idx[b + 1:]
-                _accumulate(acc, rest, v, weight)
+    def trace(self, a: int, b: int, M: RationalMatrix) -> Tensor:
+        den, terms = self.flat
+        d, grid = M.operands
+        acc = _multiply_accumulate({}, (
+            (idx[:a] + idx[a + 1:b] + idx[b + 1:], v, w)
+            for (idx, _), v in zip(self.nonzero, terms)
+            if (w := grid[idx[a]][idx[b]])), den * d, self.params)
         return Tensor(self.params, self.dim, self.rank - 2, acc)
 
     @property
@@ -425,55 +434,6 @@ class Tensor:
                 f"{len(self.nonzero)} nonzero components)")
 
 
-def _accumulate(acc: dict, key: tuple[int, ...], v: Poly, m=1) -> None:
-    """Add ``v * m``, for an int or Fraction ``m``, into ``acc[key]``, an
-    accumulator created on first use: ``[nums, den, params]``, integer
-    numerators over one denominator.
-
-    Each term of ``v`` is scaled as an int and added straight into
-    ``nums``, and a term is deleted the moment it cancels, as is a key
-    whose accumulator empties, so no ``Poly`` is built, no zero is kept
-    and nothing is reduced until the :class:`Tensor` constructor.  A
-    product over a denominator other than ``den`` moves the accumulator
-    to their lcm (:func:`_rescale`).  Every product added to one
-    accumulator must be over its ``params``, and the constructor checks
-    that these are the tensor's.
-    """
-    factor, den = m.as_integer_ratio()
-    if not factor:
-        return
-    den *= v.den
-    params = v.params
-    entry = acc.get(key)
-    if entry is None:
-        entry = acc[key] = [{}, den, params]
-    elif entry[2] is not params and entry[2] != params:
-        raise ParameterMismatchError(
-            f"product over {params} added to terms over {entry[2]}")
-    elif entry[1] != den:
-        factor *= _rescale(entry, den)
-    nums = entry[0]
-    _add_terms(nums, v.nums, factor)
-    if not nums:
-        del acc[key]
-
-
-def _rescale(entry: list, den: int) -> int:
-    """Bring the accumulator ``entry = [nums, d, params]``, ``d != den``,
-    onto ``lcm(d, den)``, multiplying its numerators only when ``den``
-    does not divide ``d``, and return the factor that puts a product
-    over ``den`` on it."""
-    have = entry[1]
-    g = gcd(have, den)
-    if g != den:
-        up = den // g
-        nums = entry[0]
-        for e in nums:
-            nums[e] *= up
-        entry[1] = have * up
-    return have // g
-
-
 def _aligned(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor]:
     """The two tensors over the list :meth:`Poly._aligned` gives the
     product of their probes, each the monomial of the parameters
@@ -491,15 +451,22 @@ def _aligned(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor]:
         for t in (left, right))
 
 
-def _scatter(acc: dict, entries, axis: int, columns) -> None:
-    """Add ``columns[p]`` applied at ``axis`` of every entry into ``acc``:
-    an entry at index p there sends ``value * m`` to index a for each
-    pair ``(a, m)`` of ``columns[p]``, as in
-    :attr:`RationalMatrix.nonzero_columns`."""
-    for idx, v in entries:
-        head, tail = idx[:axis], idx[axis + 1:]
-        for a, m in columns[idx[axis]]:
-            _accumulate(acc, head + (a,) + tail, v, m)
+def _weighted_sum(params: tuple[str, ...], dim: int, rank: int,
+                  items: Sequence[tuple[tuple[int, ...], Poly, Fraction]]
+                  ) -> Tensor:
+    """The tensor of ``sum v * m`` over loose ``(index, v, m)`` items, each
+    v a Poly over ``params`` and m a nonzero int or Fraction: the values
+    flattened once, each m a constant operand over the lcm of their
+    denominators, and one kernel call."""
+    for idx, v, _ in items:
+        if v.params != params:
+            raise ParameterMismatchError(f"component {idx} is over "
+                                         f"{v.params}, not {params}")
+    den, terms = _flatten([v for _, v, _ in items])
+    d = lcm(*(m.denominator for _, _, m in items))
+    return Tensor(params, dim, rank, _multiply_accumulate({}, (
+        (idx, t, ((0, m.numerator * (d // m.denominator)),))
+        for (idx, _, m), t in zip(items, terms)), den * d, params))
 
 
 class PolyMatrix(Tensor):

@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import RationalMatrix, Tensor, _accumulate
+from .linalg import RationalMatrix, Tensor, _weighted_sum
 from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
 from .record import Record
 
@@ -218,17 +218,19 @@ class AlmostNordenAlgebra:
     def T(self) -> Tensor:
         """T_ijk = g(grad_{X_i} X_j, X_k), the Levi-Civita connection
         lowered with g: by the Koszul formula the cyclic sum
-        (G_ijk - G_jki + G_kij) / 2.  Computed once; F, the raised
+        (G_ijk - G_jki + G_kij) / 2, one batch-kernel stream from
+        ``G.flat`` over twice its denominator, against the constant
+        operands 1 and -1.  Computed once; F, the raised
         connection (:func:`~nordenlab.curvature.levi_civita`) and R
         (:func:`~nordenlab.curvature.curvature_R`) read from it.  For an
         invariant metric it equals G / 2."""
-        lowered: dict[tuple[int, ...], list] = {}
-        half = Fraction(1, 2)
-        for (i, j, k), v in self.G.nonzero:
-            _accumulate(lowered, (i, j, k), v, half)
-            _accumulate(lowered, (k, i, j), v, -half)
-            _accumulate(lowered, (j, k, i), v, half)
-        return Tensor(self.params, self.dim, 3, lowered)
+        G = self.G
+        den, terms = G.flat
+        plus, minus = ((0, 1),), ((0, -1),)
+        return Tensor(self.params, self.dim, 3, _multiply_accumulate({}, (
+            item for ((i, j, k), _), v in zip(G.nonzero, terms)
+            for item in (((i, j, k), v, plus), ((k, i, j), v, minus),
+                         ((j, k, i), v, plus))), 2 * den, self.params))
 
     @cached_property
     def bracket_gram(self) -> Tensor:
@@ -340,16 +342,12 @@ class AlmostNordenAlgebra:
 
         theta_j = jt.apply(theta)  # theta(J X_k) components
         scale = Fraction(1, 4 * self.n)
-        pure: dict[tuple[int, ...], list] = {}
-        for M, form in ((self.g, theta), (self._gJ, theta_j)):
-            support = [(k, t) for k, t in enumerate(form) if t]
-            for i, row in enumerate(M.rows):
-                for j, m in enumerate(row):
-                    if m:
-                        for k, t in support:  # M(x,y)θ(z) + M(x,z)θ(y)
-                            _accumulate(pure, (i, j, k), t, m * scale)
-                            _accumulate(pure, (i, k, j), t, m * scale)
-        w1 = F == Tensor(self.params, self.dim, 3, pure)
+        w1 = F == _weighted_sum(self.params, self.dim, 3, [
+            (idx, t, m * scale)
+            for M, form in ((self.g, theta), (self._gJ, theta_j))
+            for i, row in enumerate(M.rows) for j, m in enumerate(row) if m
+            for k, t in enumerate(form) if t
+            for idx in ((i, j, k), (i, k, j))])  # M(x,y)θ(z) + M(x,z)θ(y)
 
         return ClassFlags(w0=w0, w1=w1, w2=w2, w3=w3)
 
@@ -391,10 +389,9 @@ def check_eq22(f) -> CheckResult:
     violations = [("orthogonality", i + 1, j + 1, k + 1, l + 1, residual)
                   for (i, j, k, l), residual in gram.nonzero
                   if len({i, j, k, l}) == 4]
-    acc: dict[tuple[int, ...], list] = {}
-    for i, column in enumerate(a.J.nonzero_columns):  # J X_i
-        for (b, jb), (d, jd) in product(column, repeat=2):
-            _accumulate(acc, (i,), gram.at((i, b, i, d)), jb * jd)
-    isotropy = Tensor(a.params, a.dim, 1, acc).nonzero
+    isotropy = _weighted_sum(a.params, a.dim, 1, [
+        ((i,), gram.at((i, b, i, d)), jb * jd)
+        for i, column in enumerate(a.J.nonzero_columns)  # J X_i
+        for (b, jb), (d, jd) in product(column, repeat=2)]).nonzero
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
     return CheckResult(not violations, tuple(violations))

@@ -64,10 +64,10 @@ equal ``nums`` and ``den``.  Only code that builds numerators from
 ``Poly`` operands may call ``_make`` or :func:`_canonical`: this module,
 whose :func:`_multiply_accumulate` is the one loop that multiplies terms
 (for ``*``, and for every tensor stage from the terms that
-``Tensor.flat`` caches), and the ``Tensor`` constructor of
-:mod:`nordenlab.linalg`, which reduces the accumulators of that kernel
-and of ``linalg._accumulate``.  Everything else, user input
-included, goes through ``Poly(...)``.
+``Tensor.flat`` caches, a rational weight a constant operand), and the
+``Tensor`` constructor of :mod:`nordenlab.linalg`, which reduces that
+kernel's accumulators.  Everything else, user input included, goes
+through ``Poly(...)``.
 """
 
 from __future__ import annotations

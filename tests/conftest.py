@@ -133,6 +133,15 @@ def null_heisenberg6() -> AlmostNordenAlgebra:
 
 
 @pytest.fixture(scope="session")
+def scaled_table1() -> AlmostNordenAlgebra:
+    """table1 with the metric diag(1/2, 1/3, 2, -1/2, -1/3, -2): g and
+    g^-1 weigh every contraction over a denominator above 1, the metric
+    is not invariant and grad R is nonzero."""
+    text = (DATA_DIR / "scaled_table1.spec").read_text(encoding="utf-8")
+    return parse_spec_text(text).to_algebra()
+
+
+@pytest.fixture(scope="session")
 def degenerate_plane() -> AlmostNordenAlgebra:
     # nondegenerate Norden metric whose a12 coordinate plane is null
     g = RationalMatrix([[1, 1, 1, 0], [1, 1, 0, 1],

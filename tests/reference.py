@@ -11,12 +11,15 @@ ad matrix (``ad_matrix``).
 ``levi_civita``, ``tensor_f_invariant`` and ``tensor_f_general`` are the
 two routes to F the library chose between at run time, before F read one
 lowered Koszul tensor: G/2 for an invariant metric, and otherwise the
-Levi-Civita connection lowered again with g.
+Levi-Civita connection lowered again with g.  They, ``contract`` and
+``lowered_constants`` sum plain ``Poly`` products, never the library's kernel or
+``Tensor.contract``.
 
-``naive_sum`` is the oracle of the multiply-accumulate kernels
-(``linalg._accumulate`` and ``poly._multiply_accumulate``, with the
-``Tensor`` constructor): it multiplies term by term on named exponents and builds its one result through the
-validating ``Poly(...)`` constructor, never through a ring operation.
+``naive_sum`` is the oracle of the batch kernel
+(``poly._multiply_accumulate``, with the ``Tensor`` constructor), a
+rational weight included: it multiplies term by term on named exponents
+and builds its one result through the validating ``Poly(...)``
+constructor, never through a ring operation.
 ``format_terms`` is ``format_poly`` written against the tuple-keyed
 ``terms`` view, sorting exponent tuples rather than packed keys.
 ``rebased`` is the change of basis the dense and basis-change tests
@@ -80,7 +83,7 @@ from nordenlab import (
 from nordenlab.errors import (DegeneratePlaneError, ParameterMismatchError,
                               StructureError)
 from nordenlab.lie import Vector
-from nordenlab.linalg import RationalMatrix, _accumulate, _scatter
+from nordenlab.linalg import RationalMatrix
 from nordenlab.specfile import MAX_DEGREE, MAX_TERMS
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -290,6 +293,23 @@ def killing_form_grid(self: LieAlgebra) -> list:
     return rows
 
 
+def contract(T: Tensor, axis: int, M: RationalMatrix) -> Tensor:
+    """T'[.., a, ..] = sum_p M[a][p] T[.., p, ..], by Poly sums."""
+    acc: dict[tuple[int, ...], Poly] = {}
+    for idx, v in T.nonzero:
+        for a in range(T.dim):
+            m = M[a][idx[axis]]
+            if m:
+                key = idx[:axis] + (a,) + idx[axis + 1:]
+                acc[key] = acc.get(key, Poly.zero(T.params)) + v * m
+    return Tensor(T.params, T.dim, T.rank, acc)
+
+
+def lowered_constants(a: AlmostNordenAlgebra) -> Tensor:
+    """G_ijk = g([X_i, X_j], X_k), by :func:`contract`."""
+    return contract(a.algebra.gamma, 2, a.g)
+
+
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     """The unique torsion-free metric connection, from the Koszul formula.
 
@@ -299,34 +319,32 @@ def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
     exact inverse metric.
     """
     lowered: dict[tuple[int, ...], Poly] = {}
-    for (i, j, k), v in a.G.nonzero:
+    for (i, j, k), v in lowered_constants(a).nonzero:
         half = v / 2
-        _accumulate(lowered, (i, j, k), half)
-        _accumulate(lowered, (k, i, j), -half)
-        _accumulate(lowered, (j, k, i), half)
-    raised = Tensor(a.params, a.dim, 3, lowered).contract(
-        2, a.g_inv)
+        for key, term in (((i, j, k), half), ((k, i, j), -half),
+                          ((j, k, i), half)):
+            lowered[key] = lowered.get(key, Poly.zero(a.params)) + term
+    raised = contract(Tensor(a.params, a.dim, 3, lowered), 2, a.g_inv)
     return from_grid(a.params, raised.components, ConnectionCoeffs)
 
 
 def f_from(a: AlmostNordenAlgebra, T: Tensor, factor) -> Tensor:
     """factor * (T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k))."""
     jt = a.J.transpose()
-    entries = T.nonzero
-    acc: dict[tuple[int, ...], Poly] = {}
-    _scatter(acc, entries, 1, jt.scale(factor).nonzero_columns)
-    _scatter(acc, entries, 2, jt.scale(-factor).nonzero_columns)
-    return Tensor(a.params, a.dim, 3, acc)
+    left, right = contract(T, 1, jt), contract(T, 2, jt)
+    return Tensor(a.params, a.dim, 3, {
+        idx: (left.at(idx) - right.at(idx)) * factor
+        for idx in product(range(a.dim), repeat=3)})
 
 
 def tensor_f_invariant(a: AlmostNordenAlgebra) -> Tensor:
     """F from half the lowered bracket; valid for an invariant metric."""
-    return f_from(a, a.G, Fraction(1, 2))
+    return f_from(a, lowered_constants(a), Fraction(1, 2))
 
 
 def tensor_f_general(a: AlmostNordenAlgebra) -> Tensor:
     """F from the Levi-Civita connection lowered with g."""
-    return f_from(a, levi_civita(a).contract(2, a.g), 1)
+    return f_from(a, contract(levi_civita(a), 2, a.g), 1)
 
 
 def naive_sum(params, pairs) -> Poly:

@@ -501,6 +501,24 @@ def test_sheared_eval_report_is_golden(spec_fixture_path, capsys):
         data / "sheared_table1_eval_report.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command, golden", [
+    (["report", "--format", "json"], "report.json"),
+    (["classify"], "classify.txt"),
+])
+def test_scaled_metric_outputs_are_golden(command, golden, spec_fixture_path,
+                                          capsys):
+    # table1 with the metric diag(1/2, 1/3, 2, -1/2, -1/3, -2): every
+    # weight of g and g^-1 has a denominator above 1
+    data = spec_fixture_path.parent
+    spec = data / "scaled_table1.spec"
+    assert spec.read_text(encoding="utf-8") == spec_fixture_path.read_text(
+        encoding="utf-8").replace("diag = 1, 1, 1, -1, -1, -1",
+                                  "diag = 1/2, 1/3, 2, -1/2, -1/3, -2")
+    assert main(command[:1] + [str(spec)] + command[1:]) == 0
+    assert capsys.readouterr().out == (
+        data / f"scaled_table1_{golden}").read_text(encoding="utf-8")
+
+
 def test_sheared_check_is_golden(spec_fixture_path, capsys):
     # the dense case fails eq22 (exit 1): its residuals, read from the
     # bracket Gram tensor of multi-term structure constants, have

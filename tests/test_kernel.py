@@ -1,18 +1,18 @@
-"""The multiply-accumulate kernels against their naive oracle, and the
-invariant that the trusted ``Poly._make`` path relies on.
+"""The batch kernel against its naive oracle, and the invariant that the
+trusted ``Poly._make`` path relies on.
 
-``_accumulate`` adds a Poly times a rational straight into accumulators
-of integer numerators over one denominator, rescaling to the lcm when a
-product arrives over another.  ``_multiply_accumulate`` adds a stream of
-Poly-by-Poly products into accumulators of the same form, each side read
-from the ``flat`` form of a tensor of its operands, two tensors over
-different parameter lists first brought onto one by ``_aligned``.  The
-``Tensor`` constructor reduces each one once without re-validation.  So
-the tests compare them with ``reference.naive_sum`` on seeded random
-inputs, operands over mixed denominators and mixed parameter lists
-included, and check that every component of every pipeline stage is in
-the canonical integer form and would come out of the validating
-constructor unchanged.  Terms are keyed by packed exponent vectors, so
+``_multiply_accumulate`` adds a stream of products into accumulators of
+integer numerators over one denominator.  A Poly-by-Poly product reads
+each side from the ``flat`` form of a tensor of its operands, two
+tensors over different parameter lists first brought onto one by
+``_aligned``; a Poly times a rational reads the rational as a constant
+operand over the lcm of the weights' denominators (``_weighted_sum``).
+The ``Tensor`` constructor reduces each accumulator once without
+re-validation.  So the tests compare the sums with
+``reference.naive_sum`` on seeded random inputs, operands over mixed
+denominators and mixed parameter lists included, and check that every
+component of every pipeline stage is in the canonical integer form and
+would come out of the validating constructor unchanged.  Terms are keyed by packed exponent vectors, so
 the tests also check that the keys round-trip, print in the order of
 their exponent tuples, and raise instead of wrapping when a product
 passes the field width.
@@ -33,7 +33,7 @@ from nordenlab.curvature import curvature_R, levi_civita, nabla_R_blocks
 from nordenlab.cli import main
 from nordenlab.errors import (ExponentOverflowError, NordenLabError,
                               ParameterMismatchError)
-from nordenlab.linalg import _accumulate, _aligned
+from nordenlab.linalg import _aligned, _weighted_sum
 from nordenlab.poly import (MAX_EXPONENT, _guard, _multiply_accumulate,
                             _pack, _unpack)
 from nordenlab.report import compute_report
@@ -74,18 +74,19 @@ def operands(left, right):
 
 def fused(params, keyed_pairs):
     """The tensor of ``(key, v, m)`` triples, m None for the default
-    factor, made as the package makes it: ``v * m`` for a rational m by
-    ``_accumulate``, and the products with a Poly m, those of each pair
-    of parameter lists as one stream to the batch kernel, read through
-    :func:`operands`.  Each accumulator is checked to be over
-    ``params``; the sums meet in the components."""
-    rational, streams = {}, {}
+    factor 1, made as the package makes it: the products ``v * m`` with
+    a nonzero rational m by ``_weighted_sum``, one batch-kernel call
+    with each m a constant operand, and the products with a Poly m,
+    those of each pair of parameter lists as one stream to the batch
+    kernel, read through :func:`operands`.  Each accumulator is checked
+    to be over ``params``; the sums meet in the components."""
+    rational, streams = [], {}
     for key, v, m in keyed_pairs:
         if isinstance(m, Poly):
             streams.setdefault((v.params, m.params), []).append((key, v, m))
-        else:
-            _accumulate(rational, key, v, *([] if m is None else [m]))
-    sums = [Tensor(params, len(KEYS), 1, rational)]
+        elif m != 0:
+            rational.append((key, v, 1 if m is None else m))
+    sums = [_weighted_sum(params, len(KEYS), 1, rational)]
     for products in streams.values():
         over, left, right, den = operands([v for _, v, _ in products],
                                           [m for _, _, m in products])
@@ -213,30 +214,6 @@ def test_first_nonzero_sums_whole_groups_in_key_order(case, first,
     assert poly._first_nonzero(stream, den, over) == first
     assert summed == sorted(k for k, _, _ in triples
                             if first is None or k <= first)
-
-
-def test_rescale_moves_the_accumulator_only_when_needed():
-    x = Poly.variable("a", PARAMS)
-    acc = {}
-
-    def reads(num, den):
-        nums, d, params = acc[(0,)]
-        assert params == PARAMS and d == den
-        assert_packed(nums, PARAMS)
-        assert {_unpack(k, 3): c for k, c in nums.items()} == {
-            (1, 0, 0): num}
-
-    _accumulate(acc, (0,), x, Fraction(1, 4))
-    reads(1, 4)
-    _accumulate(acc, (0,), x, Fraction(1, 2))  # 2 divides 4: no rescale
-    reads(3, 4)
-    _accumulate(acc, (0,), x, Fraction(1, 6))  # lcm(4, 6) = 12
-    reads(11, 12)
-    _accumulate(acc, (0,), x, Fraction(-11, 12))
-    assert (0,) not in acc
-    _accumulate(acc, (0,), x.scale(Fraction(3, 2)), Fraction(2, 3))
-    reads(6, 6)  # reduced only when read
-    assert Tensor(PARAMS, 1, 1, acc).component(1) == x
 
 
 def assert_packed(nums, params):
@@ -485,11 +462,16 @@ def test_tensor_refuses_a_component_over_another_parameter_list():
     with pytest.raises(ParameterMismatchError):
         Tensor(("x",), 1, 1, {(0,): a})
     assert Tensor(("a",), 1, 1, {(0,): a}).component(1) == a
+    with pytest.raises(ParameterMismatchError):  # nor in a weighted sum
+        _weighted_sum(("x",), 1, 1, [((0,), a, 2)])
+    assert _weighted_sum(("a",), 1, 1, [((0,), a, 2)]).component(1) == 2 * a
     # one accumulator takes products over one parameter list only
-    acc = {}
-    _accumulate(acc, (0,), Poly.variable("b", ("a", "b")), 2)
+    acc, b = {}, Poly.variable("b", ("a", "b"))
+    _multiply_accumulate(acc, [((0,), b.nums.items(), ((0, 2),))], 1,
+                         b.params)
     with pytest.raises(ParameterMismatchError):
-        _accumulate(acc, (0,), a, 3)
+        _multiply_accumulate(acc, [((0,), a.nums.items(), ((0, 3),))], 1,
+                             a.params)
     # and so does one the batch kernel adds to
     over, left, right, den = operands([a], [a])
     assert over == ("a",)

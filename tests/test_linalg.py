@@ -16,8 +16,7 @@ from nordenlab import (
     parse_poly,
     rational_rank,
 )
-from nordenlab.linalg import _accumulate
-from nordenlab.poly import as_poly
+from nordenlab.poly import _multiply_accumulate, as_poly
 from reference import from_grid
 
 
@@ -139,7 +138,8 @@ def test_poly_matrix_entry_and_trace():
     m = pm([["l1", "l2"], ["l3", "l1"]])
     assert m.entry(1, 2) == parse_poly("l2", P3)
     assert m.entry(2, 1) == m.component(2, 1) == parse_poly("l3", P3)
-    assert m.trace(0, 1, [[1, 0], [0, 1]]).components == parse_poly("2*l1", P3)
+    trace = m.trace(0, 1, RationalMatrix([[1, 0], [0, 1]]))
+    assert trace.components == parse_poly("2*l1", P3)
     with pytest.raises(IndexError):
         m.entry(3, 1)
 
@@ -186,10 +186,11 @@ T = Poly.variable("t", T_PARAMS)
 
 
 def test_tensor_stores_no_zero_even_after_cancellation():
-    acc = {}
-    _accumulate(acc, (0, 1), T, 2)
-    _accumulate(acc, (0, 1), T, -2)  # cancels: the key is dropped
-    _accumulate(acc, (1, 0), T)
+    acc, t = {}, tuple(T.nums.items())
+    _multiply_accumulate(acc, [((0, 1), t, ((0, 2),))], 1, T_PARAMS)
+    _multiply_accumulate(acc, [((0, 1), t, ((0, -2),))], 1,
+                         T_PARAMS)  # cancels: the key is dropped
+    _multiply_accumulate(acc, [((1, 0), t, ((0, 1),))], 1, T_PARAMS)
     tensor = Tensor(T_PARAMS, 2, 2, {**acc, (1, 1): T - T,
                                      (0, 0): [{}, 1, T_PARAMS]})
     assert tensor.nonzero == (((1, 0), T),)

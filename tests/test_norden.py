@@ -213,8 +213,8 @@ def test_from_entries_shares_one_zero():
     assert T.nonzero == (((1, 0), p),)
     assert T.component(2, 1) == p
     # sum_{a,b} M[a][b] T[a][b] is a rank-0 tensor holding one Poly
-    assert T.trace(0, 1, [[1, 0], [0, 1]]).components.is_zero
-    assert T.trace(0, 1, [[0, 2], [3, 0]]).components == 3 * p
+    assert T.trace(0, 1, RationalMatrix([[1, 0], [0, 1]])).components.is_zero
+    assert T.trace(0, 1, RationalMatrix([[0, 2], [3, 0]])).components == 3 * p
 
 
 def test_contract_identity_and_metric_round_trip(falg, ftensor):

@@ -94,7 +94,8 @@ def assert_dense(T, dense):
 FIXTURES = [("falg", True), ("abelian6", True), ("sheared", True),
             ("heisenberg6", False), ("affine6", False), ("filiform8", False),
             ("filiform10", False), ("twin", True), ("sheared_family", True),
-            ("sheared_heisenberg6", False), ("null_heisenberg6", False)]
+            ("sheared_heisenberg6", False), ("null_heisenberg6", False),
+            ("scaled_table1", False)]
 
 #: The sixteen-term chains of ``conftest.many_term``, seeds 0, 1 and 2.
 MANY_TERMS = ["many_term0", "many_term1", "many_term2"]
