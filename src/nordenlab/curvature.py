@@ -449,28 +449,26 @@ def nabla_R_witness(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
 def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
     """``(den, params, blocks)``: each grad R block's products over
     ``den``, made lazily.  R's members with l < m, bucketed by first
-    index x, are its stored entries, flattened once: a canonical entry
-    at (j, k, l, m), (l, m, j, k) and, its sign on Gamma's side, at
-    (k, j, l, m), (m, l, j, k); an R stored in full, once it passes the
-    slot check the products need, at l < m.  A product -Gamma_ij^x R_xklm,
-    k != j (at k = j its two places cancel), is added, negated if k < j,
-    at {j, k} + (l, m) and (l, m) + {j, k}, wherever that is canonical."""
-    canonical = isinstance(R, _SlotSymmetric)
-    if not canonical:
+    index x, are its canonical entries, flattened once: each at
+    (j, k, l, m), (l, m, j, k) and, its sign on Gamma's side, at
+    (k, j, l, m), (m, l, j, k).  An R stored in full must first pass the
+    slot check these placements need, and is then kept at its canonical
+    entries alone.  A product -Gamma_ij^x R_xklm, k != j (at k = j its
+    two places cancel), is added, negated if k < j, at {j, k} + (l, m)
+    and (l, m) + {j, k}, wherever that is canonical."""
+    if not isinstance(R, _SlotSymmetric):
         _check_slot_symmetries(R)
+        R = _SlotSymmetric(R.params, R.dim, 4, dict(_representatives(R)))
     R, c = _aligned(R, c)
-    entries = [(idx, v) for idx, v in R._entries.items()
-               if canonical or idx[2] < idx[3]]
-    r_den, r_terms = _flatten([v for _, v in entries])
+    r_den, r_terms = _flatten(list(R._entries.values()))
     g_den, g_terms = c.flat
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), v, R_xklm < 0)
-    for ((j, k, l, m), _), v in zip(entries, r_terms):
+    for (j, k, l, m), v in zip(R._entries, r_terms):
         by_first[j].append((k, (l, m), v, 0))
-        if canonical:
-            by_first[k].append((j, (l, m), v, 1))
-            if (j, k) != (l, m):
-                by_first[l].append((m, (j, k), v, 0))
-                by_first[m].append((l, (j, k), v, 1))
+        by_first[k].append((j, (l, m), v, 1))
+        if (j, k) != (l, m):
+            by_first[l].append((m, (j, k), v, 0))
+            by_first[m].append((l, (j, k), v, 1))
     coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, (-Gamma_ij^x, Gamma))
     for ((i, j, x), _), g in zip(c.nonzero, g_terms):
         coeffs_of[i].append((j, x, (_scaled(g, -1), g)))

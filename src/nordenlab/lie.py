@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 from .errors import DimensionMismatchError, ParameterMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor
 from .poly import Poly, RationalLike, _multiply_accumulate, as_poly
-from .record import Record
+from .record import Frozen, Record
 
 Vector = tuple[Poly, ...]
 
@@ -72,7 +72,7 @@ class CheckResult(Record):
         return self.ok
 
 
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Finite-dimensional algebra over exact polynomial scalars.
 
     Jacobi's identity is *not* assumed; :meth:`check_jacobi` decides it.
@@ -103,19 +103,10 @@ class LieAlgebra:
                 f"X{k + 1} in [X{i + 1},X{j + 1}] is "
                 f"{gamma.at((i, j, k))} but in [X{j + 1},X{i + 1}] "
                 f"is {gamma.at((j, i, k))}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "gamma", gamma)
+        self._set(dim=dim, params=params, gamma=gamma)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not setattr
-        return LieAlgebra, (self.dim, self.params, self.gamma)
+    def _args(self):
+        return self.dim, self.params, self.gamma
 
     # -- constructors ------------------------------------------------------
 
@@ -291,12 +282,6 @@ class LieAlgebra:
         return LieAlgebra(self.dim, (), self.gamma.evaluate(assignment))
 
     # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return (self.dim == other.dim and self.params == other.params
-                and self.gamma == other.gamma)
 
     def __hash__(self):
         return hash((self.dim, self.params, self.gamma.nonzero))

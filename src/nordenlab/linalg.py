@@ -43,9 +43,10 @@ from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
 from .poly import (Poly, RationalLike, _canonical, _flatten,
                    _multiply_accumulate, _unpack, as_fraction)
+from .record import Frozen
 
 
-class RationalMatrix:
+class RationalMatrix(Frozen):
     """Immutable dense matrix of exact rationals."""
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
@@ -55,17 +56,10 @@ class RationalMatrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows in matrix input")
-        object.__setattr__(self, "rows", grid)
+        self._set(rows=grid)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not setattr
-        return RationalMatrix, (self.rows,)
+    def _args(self):
+        return self.rows,
 
     # -- constructors ------------------------------------------------------
 
@@ -216,14 +210,6 @@ class RationalMatrix:
 
     # -- comparison and display -------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(str(v) for v in row) for row in self.rows)
@@ -289,7 +275,7 @@ def _subtract(target: dict[int, Fraction], row: Mapping[int, Fraction],
 _zero_over = lru_cache(Poly.zero)  # validated once per parameter tuple
 
 
-class Tensor:
+class Tensor(Frozen):
     """Polynomial array of any rank on one dimension, stored as its
     nonzero map: a dict from 0-based index tuples to the nonzero
     components, beside ``dim``, ``rank`` and ``params``.  ``at`` reads a
@@ -337,21 +323,11 @@ class Tensor:
                 raise ParameterMismatchError(f"component {idx} is over "
                                              f"{value.params}, not {params}")
             kept[idx] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_entries", kept)
-        object.__setattr__(self, "_zero", _zero_over(params))
+        self._set(dim=dim, rank=rank, params=params, _entries=kept,
+                  _zero=_zero_over(params))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Tensor is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not setattr
-        return type(self), (self.params, self.dim, self.rank, self._entries)
+    def _args(self):
+        return self.params, self.dim, self.rank, self._entries
 
     def at(self, idx: tuple[int, ...]) -> Poly:
         """The component at a 0-based index tuple, unchecked."""

@@ -35,7 +35,7 @@ from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureEr
 from .lie import CheckResult, LieAlgebra
 from .linalg import RationalMatrix, Tensor, _weighted_sum
 from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
-from .record import Record
+from .record import Frozen, Record
 
 Covector = tuple[Poly, ...]
 
@@ -130,7 +130,7 @@ def _cyclic_sum_vanishes(F: Tensor, M: RationalMatrix | None = None) -> bool:
         for k, w in columns[p]), den * d, F.params) is None
 
 
-class AlmostNordenAlgebra:
+class AlmostNordenAlgebra(Frozen):
     """Lie algebra + compatible (g, J) pair, validated at construction.
 
     ``g`` and ``J`` are constant rational matrices (left-invariant tensor
@@ -169,21 +169,12 @@ class AlmostNordenAlgebra:
         # g needs no inertia test: J is an anti-isometry of g, so it maps
         # positive definite subspaces onto negative definite ones and back;
         # the two indices of the nondegenerate g agree, so both are n.
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "g_inv", g_inv)
-        object.__setattr__(self, "_gJ", g @ J)
+        self._set(algebra=algebra, g=g, J=J, g_inv=g_inv, _gJ=g @ J)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlmostNordenAlgebra is immutable")
+    def _args(self):
+        return self.algebra, self.g, self.J
 
-    def __delattr__(self, name):
-        raise AttributeError("AlmostNordenAlgebra is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not setattr
-        return AlmostNordenAlgebra, (self.algebra, self.g, self.J)
+    __hash__ = None
 
     # -- shape -------------------------------------------------------------
 
@@ -358,12 +349,6 @@ class AlmostNordenAlgebra:
         """Numeric twin with structure constants evaluated first."""
         return AlmostNordenAlgebra(self.algebra.evaluate(assignment),
                                    self.g, self.J)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlmostNordenAlgebra):
-            return NotImplemented
-        return (self.algebra == other.algebra and self.g == other.g
-                and self.J == other.J)
 
     def __repr__(self):
         return (f"AlmostNordenAlgebra(dim={self.dim}, "

@@ -83,6 +83,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (ExponentOverflowError, ParameterMismatchError,
                      PolyParseError)
+from .record import Frozen
 
 #: Scalars accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
@@ -142,7 +143,7 @@ def _distinct(params: Iterable[str]) -> tuple[str, ...]:
     return params
 
 
-class Poly:
+class Poly(Frozen):
     """Immutable exact polynomial in named parameters.
 
     Instances should be built through :meth:`constant`, :meth:`variable`,
@@ -182,20 +183,11 @@ class Poly:
         for c in clean.values():
             if den % c.denominator:
                 den = lcm(den, c.denominator)
-        _setattr(self, "params", params)
-        _setattr(self, "nums", {e: c.numerator * (den // c.denominator)
-                                for e, c in clean.items()})
-        _setattr(self, "den", den)
+        self._set(params=params, den=den, nums={
+            e: c.numerator * (den // c.denominator) for e, c in clean.items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not setattr
-        return Poly, (self.params, dict(self.terms))
+    def _args(self):
+        return self.params, dict(self.terms)
 
     @classmethod
     def _make(cls, params: tuple[str, ...], nums: dict[int, int],

@@ -12,6 +12,7 @@ from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature,
                        parse_spec_text, report, specfile)
 from nordenlab import family as family_mod
 from nordenlab.cli import main
+from test_reference import ad_skew_brackets
 
 CHECK_OK = "jacobi: ok\nnorden: ok\ninvariant-metric: ok\neq22: ok\n"
 
@@ -517,6 +518,26 @@ def test_scaled_metric_outputs_are_golden(command, golden, spec_fixture_path,
     assert main(command[:1] + [str(spec)] + command[1:]) == 0
     assert capsys.readouterr().out == (
         data / f"scaled_table1_{golden}").read_text(encoding="utf-8")
+
+
+def test_ad_skew_spec_outputs_are_golden(spec_fixture_path, capsys):
+    # an ad-skew metric on brackets that fail Jacobi: R is stored in full,
+    # passes the slot check, and grad R is nonzero
+    data = spec_fixture_path.parent
+    spec = data / "adskew6.spec"
+    text = spec.read_text(encoding="utf-8")
+    assert text == specfile.emit_spec(ad_skew_brackets(0))
+    a = parse_spec_text(text).to_algebra()
+    R = curvature.curvature_R(a, curvature.levi_civita(a))
+    assert type(R) is Tensor
+    assert main(["report", str(spec), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (data / "adskew6_report.json").read_text(encoding="utf-8")
+    assert json.loads(out)["locally_symmetric"] is False
+    assert main(["check", str(spec)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line[0] != " "] == [
+        "jacobi: FAIL", "norden: ok", "invariant-metric: ok", "eq22: FAIL"]
 
 
 def test_sheared_check_is_golden(spec_fixture_path, capsys):

@@ -6,8 +6,11 @@ refuse assignment and deletion alike and still read as before.  Records,
 polynomials, matrices, tensors and algebras copy and pickle through
 their validating constructors, and an algebra's copy gives the same
 report.  A cached stage is built on its first read, and no copy carries
-it."""
+it.  That protocol is declared once, by ``record.Frozen``: polynomials,
+matrices, Lie algebras and records of hashable fields hash, and tensors
+and almost Norden algebras do not."""
 
+import ast
 import copy
 import inspect
 import os
@@ -27,6 +30,7 @@ from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
                        emit_spec, levi_civita, parse_spec_text)
 from nordenlab.curvature import _SlotSymmetric
 from nordenlab.errors import DimensionMismatchError
+from nordenlab.record import Frozen, Record
 from nordenlab.report import ReportDocument, compute_report, document_for
 from test_reference import FIXTURES
 from nordenlab.specfile import AlgebraSpecFile
@@ -63,6 +67,7 @@ def test_record_fields_equality_and_immutability(cls, names, args):
     other = cls(*args[:-1], (0, 2) if cls is PlaneSpec else "other")
     assert record != other
     assert record != tuple(args)
+    assert record.__eq__(tuple(args)) is NotImplemented
     for name in names + ["extra"]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -183,6 +188,44 @@ def test_deleting_an_attribute_is_refused(case):
         assert getattr(obj, name) is before
         assert before == getattr(twin, name)
     assert obj == twin and repr(obj) == repr(twin)
+
+
+#: Whether each value class hashes: equal values hash alike where it does.
+HASHABLE = {"Poly": True, "RationalMatrix": True, "Tensor": False,
+            "PolyMatrix": False, "canonical R": False, "LieAlgebra": True,
+            "AlmostNordenAlgebra": False, "ConnectionCoeffs": False}
+BUILDERS = {case: build for case, (build, _, _) in FROZEN.items()}
+BUILDERS["ConnectionCoeffs"] = lambda: levi_civita(heisenberg6())
+
+
+@pytest.mark.parametrize("case", HASHABLE)
+def test_hashability_and_equality_with_another_type(case):
+    build = BUILDERS[case]
+    obj = build()
+    assert isinstance(obj, Frozen)
+    if HASHABLE[case]:
+        assert hash(obj) == hash(build())
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert obj.__eq__("other") is NotImplemented
+    assert obj != "other" and not obj == "other"
+
+
+def test_the_value_protocol_is_defined_in_record_py_alone():
+    protocol = {"__setattr__", "__delattr__", "__reduce__"}
+    found = set()
+    for path in sorted(Path(inspect.getfile(Frozen)).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found |= {(path.name, name) for name in names if name in protocol}
+    assert found == {("record.py", name) for name in protocol}
+    assert all(issubclass(cls, Record) for cls, _, _ in RECORDS)
 
 
 def test_record_defaults_and_conversions():
