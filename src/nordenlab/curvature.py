@@ -57,7 +57,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      StructureError)
-from .linalg import (PolyMatrix, RationalMatrix, Tensor, _aligned, _support,
+from .linalg import (PolyMatrix, RationalMatrix, Tensor, _over, _support,
                      _weighted_sum, rational_rank)
 from .norden import AlmostNordenAlgebra
 from .poly import (Poly, RationalLike, _first_nonzero, _flatten,
@@ -115,6 +115,7 @@ class _SlotSymmetric(Tensor):
         ``b`` from its representative and building only the members
         whose weight is nonzero, from the stored entries flattened and
         negated once each."""
+        self._check_weights((a, b), M)
         kept = [s for s in range(4) if s not in (a, b)]
         orbit = [(at[a], at[b], at[kept[0]], at[kept[1]], odd)
                  for at, odd in _ORBIT]
@@ -178,17 +179,17 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     a separate routine (:func:`curvature_invariant_formula`): the two are
     independent routes.
     """
+    _over(a.params, c)
     canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
-    streams = [(*_aligned(left, a.T), products) for left, products in (
-        (c, _connection_products), (a.algebra.gamma, _bracket_products))]
+    streams = (c, _connection_products), (a.algebra.gamma, _bracket_products)
     # both streams add to one set of accumulators, over one denominator
-    den = lcm(*(left.flat[0] for left, _, _ in streams))
+    den = lcm(*(left.flat[0] for left, _ in streams))
     acc: dict[tuple[int, ...], list] = {}
-    for left, T, products in streams:
-        (d, terms), (t_den, t_terms) = left.flat, T.flat
+    for left, products in streams:
+        (d, terms), (t_den, t_terms) = left.flat, a.T.flat
         _multiply_accumulate(acc, products(
             a.dim, canonical, den // d, zip(left.nonzero, terms),
-            zip(T.nonzero, t_terms)), den * t_den, T.params)
+            zip(a.T.nonzero, t_terms)), den * t_den, a.params)
     if canonical:
         return _SlotSymmetric(a.params, a.dim, 4, acc)
     half = Tensor(a.params, a.dim, 4, acc)._entries  # i < j
@@ -261,6 +262,7 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
 def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
+    _over(a.params, R)
     rho = R.trace(0, 3, a.g_inv)
     return (PolyMatrix(a.params, a.dim, 2, rho._entries),
             rho.trace(0, 1, a.g_inv).at(()))
@@ -355,6 +357,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     :func:`plane_type`.  The numerator sum_{ijkl} x_i y_j y_k x_l R_ijkl
     reads R only where x_i, y_j, y_k and x_l are all nonzero.
     """
+    _over(a.params, R)
     x, y = _spanning(a, p)
     disc = _discriminant(a, x, y)
     if disc == 0:
@@ -378,6 +381,7 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
     g(J X_u, X_v) = sum_r J_ru g_rv, multiplied only where g_rv is
     nonzero.
     """
+    _over(a.params, R)
     g, columns = a.g.rows, a.J.nonzero_columns
     for i, j in combinations(range(a.dim), 2):
         disc = g[i][i] * g[j][j]
@@ -427,10 +431,9 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     A block is made and stored only at its canonical components, j < k,
     l < m and (j, k) <= (l, m), from the products of :func:`_block_streams`.
     """
-    den, params, blocks = _block_streams(a, c, R)
-    for products in blocks:
-        yield _SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
-            {}, products, den, params))
+    den, blocks = _block_streams(a, c, R)  # c and R checked at the call
+    return (_SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
+        {}, products, den, a.params)) for products in blocks)
 
 
 def nabla_R_witness(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
@@ -438,16 +441,16 @@ def nabla_R_witness(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     """The 0-based (i, j, k, l, m) of grad R's first nonzero component, in
     block then row-major canonical order, or None: the products of
     :func:`nabla_R_blocks`, each component summed whole, one at a time."""
-    den, params, blocks = _block_streams(a, c, R)
+    den, blocks = _block_streams(a, c, R)
     for i, products in enumerate(blocks):
-        key = _first_nonzero(products, den, params)
+        key = _first_nonzero(products, den, a.params)
         if key is not None:
             return (i, *key)
     return None
 
 
 def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
-    """``(den, params, blocks)``: each grad R block's products over
+    """``(den, blocks)``: each grad R block's products over
     ``den``, made lazily.  R's members with l < m, bucketed by first
     index x, are its canonical entries, flattened once: each at
     (j, k, l, m), (l, m, j, k) and, its sign on Gamma's side, at
@@ -456,10 +459,10 @@ def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
     entries alone.  A product -Gamma_ij^x R_xklm, k != j (at k = j its
     two places cancel), is added, negated if k < j, at {j, k} + (l, m)
     and (l, m) + {j, k}, wherever that is canonical."""
+    _over(a.params, c, R)
     if not isinstance(R, _SlotSymmetric):
         _check_slot_symmetries(R)
         R = _SlotSymmetric(R.params, R.dim, 4, dict(_representatives(R)))
-    R, c = _aligned(R, c)
     r_den, r_terms = _flatten(list(R._entries.values()))
     g_den, g_terms = c.flat
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), v, R_xklm < 0)
@@ -472,7 +475,7 @@ def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
     coeffs_of = [[] for _ in range(a.dim)]  # i -> (j, x, (-Gamma_ij^x, Gamma))
     for ((i, j, x), _), g in zip(c.nonzero, g_terms):
         coeffs_of[i].append((j, x, (_scaled(g, -1), g)))
-    return r_den * g_den, c.params, (
+    return r_den * g_den, (
         _block_products(coeffs, by_first) for coeffs in coeffs_of)
 
 
@@ -514,6 +517,7 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
+    _over(a.params, F)
     f_den, terms = F.flat
     d, columns = a.g_inv.column_terms
     own = {idx: v for (idx, _), v in zip(F.nonzero, terms)}
@@ -523,8 +527,8 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
         acc = _multiply_accumulate({}, (
             (idx[:axis] + (b,) + idx[axis + 1:], w, v)
             for idx, v in raised for b, w in columns[idx[axis]]),
-            den, F.params)
-        raised = [(idx, nums.items()) for idx, (nums, _, _) in acc.items()]
+            den, a.params)
+        raised = [(idx, nums.items()) for idx, (nums, _) in acc.items()]
     return Tensor(a.params, a.dim, 0, _multiply_accumulate(
         {}, (((), u, own[idx]) for idx, u in raised if idx in own),
-        den * f_den, F.params)).at(())
+        den * f_den, a.params)).at(())

@@ -20,8 +20,8 @@
 
 Every sum of products goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
-read from :attr:`Tensor.flat`, which each tensor computes once, after
-:func:`_aligned` has brought two tensors over one parameter list.  A
+read from :attr:`Tensor.flat`, which each tensor computes once, all
+over one parameter list (:func:`_over` refuses a tensor over another).  A
 rational weight m is a constant operand ``((0, m * D),)`` over one
 denominator D; a matrix makes its operands once
 (:attr:`RationalMatrix.operands`, by column
@@ -34,15 +34,14 @@ by :func:`_weighted_sum`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import lcm, prod
-from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
                      SingularMatrixError)
 from .poly import (Poly, RationalLike, _canonical, _flatten,
-                   _multiply_accumulate, _unpack, as_fraction)
+                   _multiply_accumulate, as_fraction)
 from .record import Frozen
 
 
@@ -290,12 +289,12 @@ class Tensor(Frozen):
 
     * ``nonzero``: the ``(0-based index, Poly)`` pairs, row-major;
     * ``contract(axis, M)``: ``T'[.., a, ..] = sum_p M[a][p] T[.., p, ..]``
-      for a square :class:`RationalMatrix` ``M``, read through its
+      for a dim x dim :class:`RationalMatrix` ``M``, read through its
       ``column_terms``, so raising an index is ``contract(axis, g_inv)``
       and ``T(.., J x, ..)`` is ``contract(axis, J^T)``;
     * ``trace(a, b, M)``: ``sum_{p,q} M[p][q] T[.., p, .., q, ..]`` over
-      axes ``a < b``, two ranks lower (a rank-0 result holds one Poly),
-      read through M's ``operands``.
+      axes ``0 <= a < b < rank``, two ranks lower (a rank-0 result holds
+      one Poly), read through M's ``operands``; both refuse another M.
 
     ``contract`` and ``trace`` are one kernel stream each: ``flat``'s
     terms times M's constant operands, added as plain ints into one
@@ -309,20 +308,18 @@ class Tensor(Frozen):
 
     def __init__(self, params: Iterable[str], dim: int, rank: int,
                  entries: Mapping[tuple[int, ...], Poly | list]):
-        """Each accumulator is reduced once, in place, and given up to its
-        Poly, so none may be stored twice."""
+        """Each accumulator is reduced once, in place, over ``params`` and
+        given up to its Poly, so none may be stored twice."""
         params = tuple(params)
         kept: dict[tuple[int, ...], Poly] = {}
         for idx, value in entries.items():
             if not isinstance(value, Poly):
-                nums, den, over = value
-                value = _canonical(over, nums, den)
-            if not value:
-                continue
-            if value.params != params:
+                value = _canonical(params, *value)
+            elif value.params != params:
                 raise ParameterMismatchError(f"component {idx} is over "
                                              f"{value.params}, not {params}")
-            kept[idx] = value
+            if value:
+                kept[idx] = value
         self._set(dim=dim, rank=rank, params=params, _entries=kept,
                   _zero=_zero_over(params))
 
@@ -372,7 +369,16 @@ class Tensor(Frozen):
         :func:`~nordenlab.poly._flatten` gives them; computed once."""
         return _flatten([v for _, v in self.nonzero])
 
+    def _check_weights(self, axes: tuple[int, ...], M: RationalMatrix):
+        """Refuse axes not increasing in range(rank), or M not dim x dim."""
+        if not all(p < q for p, q in zip((-1, *axes), (*axes, self.rank))):
+            raise IndexError(f"axes {axes} out of order or range({self.rank})")
+        if (M.nrows, M.ncols) != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"matrix is {M.nrows}x{M.ncols}, tensor dimension {self.dim}")
+
     def contract(self, axis: int, M: RationalMatrix) -> Tensor:
+        self._check_weights((axis,), M)
         den, terms = self.flat
         d, columns = M.column_terms
         return Tensor(self.params, self.dim, self.rank, _multiply_accumulate(
@@ -381,6 +387,7 @@ class Tensor(Frozen):
                  for a, w in columns[idx[axis]]), den * d, self.params))
 
     def trace(self, a: int, b: int, M: RationalMatrix) -> Tensor:
+        self._check_weights((a, b), M)
         den, terms = self.flat
         d, grid = M.operands
         acc = _multiply_accumulate({}, (
@@ -410,21 +417,10 @@ class Tensor(Frozen):
                 f"{len(self.nonzero)} nonzero components)")
 
 
-def _aligned(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor]:
-    """The two tensors over the list :meth:`Poly._aligned` gives the
-    product of their probes, each the monomial of the parameters
-    occurring in its tensor, so their components align as their products
-    would, or refuse with :class:`ParameterMismatchError`."""
-    if left.params == right.params:
-        return left, right
-    probes = []
-    for t in (left, right):
-        key = reduce(or_, (k for v in t._entries.values() for k in v.nums), 0)
-        probes.append(Poly(t.params, {_unpack(key, len(t.params)): 1}))
-    params = probes[0]._aligned(probes[1])[0].params
-    return tuple(t if t.params == params else type(t)(params, t.dim, t.rank, {
-        idx: v.with_params(params) for idx, v in t._entries.items()})
-        for t in (left, right))
+def _over(params: tuple[str, ...], *tensors: Tensor) -> None:
+    """Refuse, before any product, a tensor not over ``params``."""
+    if foreign := [t.params for t in tensors if t.params != params]:
+        raise ParameterMismatchError(f"tensor over {foreign[0]}, not {params}")
 
 
 def _weighted_sum(params: tuple[str, ...], dim: int, rank: int,

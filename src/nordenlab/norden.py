@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import RationalMatrix, Tensor, _weighted_sum
+from .linalg import RationalMatrix, Tensor, _over, _weighted_sum
 from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
 from .record import Frozen, Record
 
@@ -304,6 +304,7 @@ class AlmostNordenAlgebra(Frozen):
 
     def lie_form(self, F: Tensor) -> Covector:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
+        _over(self.params, F)
         theta = F.trace(0, 1, self.g_inv)
         return tuple(theta.at((k,)) for k in range(self.dim))
 
@@ -324,6 +325,7 @@ class AlmostNordenAlgebra(Frozen):
         only tensor built here.  ``theta`` is the Lie form of F, computed
         here when the caller does not pass it.
         """
+        _over(self.params, F)
         if theta is None:
             theta = self.lie_form(F)
         jt = self.J.transpose()

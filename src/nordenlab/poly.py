@@ -344,7 +344,7 @@ class Poly(Frozen):
             return NotImplemented
         acc = _multiply_accumulate({}, [((), a.nums.items(), b.nums.items())],
                                    a.den * b.den, a.params)
-        nums, den, _ = acc.get((), ({}, 1, None))
+        nums, den = acc.get((), ({}, 1))
         return _canonical(a.params, nums, den)
 
     __rmul__ = __mul__
@@ -498,23 +498,19 @@ def _multiply_accumulate(acc: dict, products, den: int,
                          params: tuple[str, ...]) -> dict:
     """Add a stream of ``(key, left_terms, right_terms)`` products into
     ``acc`` and return it: the one loop that multiplies terms.  Terms are
-    ``(packed key, numerator)`` pairs over ``params``, as :func:`_flatten`
-    gives them (``Tensor.flat`` caches a tensor's), every product over
-    ``den``, and ``acc`` maps a key to its accumulator ``[nums, den,
-    params]``, integer numerators made on first use.  Keys in ``nums``
-    have no guard bit set, so only a new key is tested, and a term or key
-    is deleted as soon as it cancels.  A product meeting terms over
-    another parameter list raises :class:`ParameterMismatchError`.
+    ``(packed key, numerator)`` pairs over ``params``, every operand's one
+    list, as :func:`_flatten` gives them (``Tensor.flat`` caches a
+    tensor's), every product over ``den``, and ``acc`` maps a key to its
+    accumulator ``[nums, den]``, integer numerators made on first use.
+    Keys in ``nums`` have no guard bit set, so only a new key is tested,
+    and a term or key is deleted as soon as it cancels.
     """
     guard = _guard[len(params)]
     for key, left, right in products:
         entry = acc.get(key)
         if entry is None:
             nums = {}
-            acc[key] = [nums, den, params]
-        elif entry[2] is not params and entry[2] != params:
-            raise ParameterMismatchError(
-                f"product over {params} added to terms over {entry[2]}")
+            acc[key] = [nums, den]
         else:
             nums = entry[0]
         for e1, c1 in left:

@@ -23,7 +23,7 @@ from nordenlab import (
     sectional_curvature,
     square_norm_nabla_J,
 )
-from nordenlab import curvature, regression_report
+from nordenlab import curvature, lie, linalg, norden, poly, regression_report
 from nordenlab.cli import main
 from nordenlab.curvature import nabla_R_blocks
 from nordenlab.errors import ParameterMismatchError
@@ -439,50 +439,82 @@ def test_nabla_r_makes_products_only_at_canonical_components(falg, fconn,
 
 @pytest.fixture(scope="module")
 def mixed_lists(falg):
-    """table1 and its twin at (2, 3, 5), each with its connection and R:
-    the same algebra over ('l1', 'l2', 'l3') and over no parameters."""
+    """table1 and its twin at (2, 3, 5), each with its connection, R and
+    F: the same algebra over ('l1', 'l2', 'l3') and over no parameters."""
     twin = falg.evaluate({"l1": 2, "l2": 3, "l3": 5})
     out = {}
     for name, a in (("symbolic", falg), ("twin", twin)):
         c = levi_civita(a)
-        out[name] = (a, c, curvature_R(a, c))
+        out[name] = (a, c, curvature_R(a, c), a.tensor_F())
     return out
 
 
-@pytest.mark.parametrize("algebra, gamma, curv, outcome", [
-    ("twin", "symbolic", "symbolic", "zero"),
-    ("symbolic", "twin", "twin", "zero"),
-    ("symbolic", "symbolic", "twin", "nonzero"),
-    ("twin", "symbolic", "twin", "component (0, 2, 1, 2) is over "
-     "('l1', 'l2', 'l3'), not ()"),
-    ("twin", "twin", "symbolic", "component (0, 2, 1, 2) is over "
-     "('l1', 'l2', 'l3'), not ()")])
+def refusal(a, other):
+    """The error a stage of ``a`` raises for a tensor of ``other``."""
+    return re.escape(f"tensor over {other.params}, not {a.params}")
+
+
+#: The ten stages that take tensors beside their algebra, each given the
+#: connection, R and F of another algebra; ``coordinate_sectional`` is a
+#: generator, so its result is consumed.
+STAGES = {
+    "curvature_R": lambda a, c, R, F: curvature_R(a, c),
+    "ricci_and_scalar": lambda a, c, R, F: ricci_and_scalar(a, R),
+    "sectional_curvature": lambda a, c, R, F: sectional_curvature(
+        a, R, curvature.coordinate_plane(6, 1, 2)),
+    "coordinate_sectional": lambda a, c, R, F: list(
+        curvature.coordinate_sectional(a, R)),
+    "nabla_R_blocks": lambda a, c, R, F: nabla_R_blocks(a, c, R),
+    "nabla_R_witness": lambda a, c, R, F: curvature.nabla_R_witness(a, c, R),
+    "nabla_R": lambda a, c, R, F: nabla_R(a, c, R),
+    "square_norm_nabla_J": lambda a, c, R, F: square_norm_nabla_J(a, F),
+    "lie_form": lambda a, c, R, F: a.lie_form(F),
+    "classify": lambda a, c, R, F: a.classify(F),
+}
+
+
+@pytest.mark.parametrize("algebra, tensors", [("symbolic", "twin"),
+                                              ("twin", "symbolic")])
+@pytest.mark.parametrize("stage", STAGES)
+def test_stages_refuse_a_tensor_over_another_parameter_list(
+        mixed_lists, stage, algebra, tensors, monkeypatch):
+    # table1 with the twin's tensors, and the reverse: refused before the
+    # batch kernel makes any product, wherever a module calls it
+    a, other = mixed_lists[algebra][0], mixed_lists[tensors]
+    calls = []
+    for module in (curvature, norden, linalg, lie, poly):
+        monkeypatch.setattr(module, "_multiply_accumulate",
+                            lambda *args: calls.append(args))
+    with pytest.raises(ParameterMismatchError, match=refusal(a, other[0])):
+        STAGES[stage](a, *other[1:])
+    assert calls == []
+
+
+@pytest.mark.parametrize("algebra, gamma, curv", [
+    ("twin", "symbolic", "symbolic"), ("symbolic", "twin", "twin"),
+    ("symbolic", "symbolic", "twin"), ("twin", "symbolic", "twin"),
+    ("twin", "twin", "symbolic")])
 def test_nabla_r_checks_the_parameter_lists_of_its_products(
-        mixed_lists, algebra, gamma, curv, outcome):
-    # the products are over the list their operands align to, not the
-    # block's: a block over () refuses a nonzero product over P3, and
-    # one whose products all cancel is zero whatever their list
+        mixed_lists, algebra, gamma, curv):
+    # a connection or an R over a list other than the algebra's is
+    # refused, whichever it is and whether or not the blocks would cancel
     a = mixed_lists[algebra][0]
     c, R = mixed_lists[gamma][1], mixed_lists[curv][2]
-    if outcome in ("zero", "nonzero"):
-        blocks = list(nabla_R_blocks(a, c, R))
-        assert len(blocks) == 6
-        assert all(block.is_zero == (outcome == "zero") for block in blocks)
-    else:
-        with pytest.raises(ParameterMismatchError, match=re.escape(outcome)):
-            list(nabla_R_blocks(a, c, R))
+    other = mixed_lists["twin" if algebra == "symbolic" else "symbolic"][0]
+    with pytest.raises(ParameterMismatchError, match=refusal(a, other)):
+        list(nabla_R_blocks(a, c, R))
 
 
 @pytest.mark.parametrize("algebra, gamma, stored, error", [
     ("symbolic", "symbolic", 72, None),
-    ("symbolic", "twin", 96, None),
+    ("symbolic", "twin", None,
+     "tensor over (), not ('l1', 'l2', 'l3')"),
     ("twin", "twin", 72, None),
     ("twin", "symbolic", None,
-     "product over () added to terms over ('l1', 'l2', 'l3')")])
+     "tensor over ('l1', 'l2', 'l3'), not ()")])
 def test_curvature_checks_the_parameter_lists_of_its_products(
         mixed_lists, algebra, gamma, stored, error):
-    # a connection over P3 given with the twin: its products are over P3,
-    # the structure constants' over (), and they meet at one component
+    # R is made over the algebra's list, from a connection over it alone
     a, c = mixed_lists[algebra][0], mixed_lists[gamma][1]
     if error is None:
         R = curvature_R(a, c)
@@ -505,14 +537,12 @@ def test_norm_nabla_j_family_is_isotropic(falg, ftensor):
                                              ("twin", "symbolic")])
 def test_norm_nabla_j_of_mixed_parameter_lists(mixed_lists, algebra,
                                                tensor):
-    # table1 with F from its twin at (2, 3, 5), and the reverse: the
-    # products are over F's list and all cancel, so the norm is the zero
-    # over the algebra's list
-    a = mixed_lists[algebra][0]
-    F = mixed_lists[tensor][0].tensor_F()
+    # table1 with F from its twin at (2, 3, 5), and the reverse: their
+    # products would all cancel, but F is refused before any is made
+    a, (other, _, _, F) = mixed_lists[algebra][0], mixed_lists[tensor]
     assert not F.is_zero and F.params != a.params
-    norm = square_norm_nabla_J(a, F)
-    assert norm.is_zero and norm.params == a.params
+    with pytest.raises(ParameterMismatchError, match=refusal(a, other)):
+        square_norm_nabla_J(a, F)
 
 
 def test_norm_nabla_j_affine_fixture(affine6):

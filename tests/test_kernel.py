@@ -3,16 +3,18 @@ trusted ``Poly._make`` path relies on.
 
 ``_multiply_accumulate`` adds a stream of products into accumulators of
 integer numerators over one denominator.  A Poly-by-Poly product reads
-each side from the ``flat`` form of a tensor of its operands, two
-tensors over different parameter lists first brought onto one by
-``_aligned``; a Poly times a rational reads the rational as a constant
-operand over the lcm of the weights' denominators (``_weighted_sum``).
-The ``Tensor`` constructor reduces each accumulator once without
+each side from the ``flat`` form of a tensor of its operands, both over
+one parameter list (``*`` first aligns its two operands, and a stage
+refuses a tensor over another list than its algebra's); a Poly times a
+rational reads the rational as a constant operand over the lcm of the
+weights' denominators (``_weighted_sum``).  The ``Tensor`` constructor
+reduces each accumulator once, over its own list, without
 re-validation.  So the tests compare the sums with
 ``reference.naive_sum`` on seeded random inputs, operands over mixed
-denominators and mixed parameter lists included, and check that every
-component of every pipeline stage is in the canonical integer form and
-would come out of the validating constructor unchanged.  Terms are keyed by packed exponent vectors, so
+denominators and pairs over mixed parameter lists included, and check
+that every component of every pipeline stage is in the canonical
+integer form and would come out of the validating constructor
+unchanged.  Terms are keyed by packed exponent vectors, so
 the tests also check that the keys round-trip, print in the order of
 their exponent tuples, and raise instead of wrapping when a product
 passes the field width.
@@ -20,7 +22,6 @@ passes the field width.
 
 import copy
 import random
-import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -33,7 +34,7 @@ from nordenlab.curvature import curvature_R, levi_civita, nabla_R_blocks
 from nordenlab.cli import main
 from nordenlab.errors import (ExponentOverflowError, NordenLabError,
                               ParameterMismatchError)
-from nordenlab.linalg import _aligned, _weighted_sum
+from nordenlab.linalg import _weighted_sum
 from nordenlab.poly import (MAX_EXPONENT, _guard, _multiply_accumulate,
                             _pack, _unpack)
 from nordenlab.report import compute_report
@@ -53,44 +54,44 @@ def random_poly(rng, params, max_terms=4):
         for _ in range(rng.randint(0, max_terms))})
 
 
-def operands(left, right):
-    """``(params, left_terms, right_terms, den)`` for the products of a
-    ``left`` and a ``right`` operand, each side over one parameter list,
-    made as the package makes them: each side a rank-1 tensor, the two
-    aligned by ``_aligned`` and read from their ``flat`` form, a zero
-    operand with no terms; ``den`` is that of every product."""
-    sides = [Tensor(side[0].params if side else (), len(side), 1,
-                    {(i,): v for i, v in enumerate(side)})
-             for side in (left, right)]
-    sides = _aligned(*sides)
+def operands(params, left, right):
+    """``(left_terms, right_terms, den)`` for the products of a ``left``
+    and a ``right`` operand, made as the package makes them: each side a
+    rank-1 tensor over ``params`` (which refuses an operand over another
+    list) read from its ``flat`` form, a zero operand with no terms;
+    ``den`` is that of every product."""
     den, terms = 1, []
-    for T in sides:
+    for side in (left, right):
+        T = Tensor(params, len(side), 1,
+                   {(i,): v for i, v in enumerate(side)})
         d, flat = T.flat
         at = dict(zip([i for (i,), _ in T.nonzero], flat))
         den *= d
         terms.append([at.get(i, ()) for i in range(T.dim)])
-    return sides[0].params, terms[0], terms[1], den
+    return terms[0], terms[1], den
 
 
 def fused(params, keyed_pairs):
     """The tensor of ``(key, v, m)`` triples, m None for the default
     factor 1, made as the package makes it: the products ``v * m`` with
     a nonzero rational m by ``_weighted_sum``, one batch-kernel call
-    with each m a constant operand, and the products with a Poly m,
-    those of each pair of parameter lists as one stream to the batch
-    kernel, read through :func:`operands`.  Each accumulator is checked
-    to be over ``params``; the sums meet in the components."""
+    with each m a constant operand, and the products with a Poly m, each
+    pair aligned as ``v * m`` aligns it, those over each parameter list
+    one stream to the batch kernel, read through :func:`operands`.  The
+    sums meet in the components, which the tensor over ``params``
+    checks."""
     rational, streams = [], {}
     for key, v, m in keyed_pairs:
         if isinstance(m, Poly):
-            streams.setdefault((v.params, m.params), []).append((key, v, m))
+            v, m = v._aligned(m)
+            streams.setdefault(v.params, []).append((key, v, m))
         elif m != 0:
             rational.append((key, v, 1 if m is None else m))
     sums = [_weighted_sum(params, len(KEYS), 1, rational)]
-    for products in streams.values():
-        over, left, right, den = operands([v for _, v, _ in products],
-                                          [m for _, _, m in products])
-        sums.append(Tensor(params, len(KEYS), 1, _multiply_accumulate(
+    for over, products in streams.items():
+        left, right, den = operands(over, [v for _, v, _ in products],
+                                    [m for _, _, m in products])
+        sums.append(Tensor(over, len(KEYS), 1, _multiply_accumulate(
             {}, zip([key for key, _, _ in products], left, right), den,
             over)))
     return Tensor(params, len(KEYS), 1, {
@@ -180,12 +181,12 @@ def test_batch_kernel_drops_a_sum_that_cancels():
     triples = [((0,), x, y), ((1,), x, x), ((0,), -x, y),
                ((2,), x.scale(half), y), ((2,), x, y.scale(-half))]
     acc = {}
-    over, left, right, den = operands([v for _, v, _ in triples],
-                                      [m for _, _, m in triples])
+    left, right, den = operands(PARAMS, [v for _, v, _ in triples],
+                                [m for _, _, m in triples])
     _multiply_accumulate(acc, zip([k for k, _, _ in triples], left, right),
-                         den, over)
+                         den, PARAMS)
     assert list(acc) == [(1,)]
-    _multiply_accumulate(acc, [((0,), left[0], right[0])], den, over)
+    _multiply_accumulate(acc, [((0,), left[0], right[0])], den, PARAMS)
     assert list(acc) == [(1,), (0,)]
     T = Tensor(PARAMS, len(KEYS), 1, acc)
     assert T.nonzero == (((0,), x * y), ((1,), x * x))
@@ -204,14 +205,14 @@ def test_first_nonzero_sums_whole_groups_in_key_order(case, first,
     triples = {"first": cancel[:5] + cancel[6:],  # (0,) keeps x*y
                "last": cancel[1:],  # (3,) keeps -x*y
                "cancel": cancel, "empty": []}[case]
-    over, left, right, den = operands([v for _, v, _ in triples],
-                                      [m for _, _, m in triples])
+    left, right, den = operands(PARAMS, [v for _, v, _ in triples],
+                                [m for _, _, m in triples])
     stream = zip([k for k, _, _ in triples], left, right)
     summed, kernel = [], poly._multiply_accumulate
     monkeypatch.setattr(poly, "_multiply_accumulate", (
         lambda acc, products, *rest: kernel(acc, (
             summed.append(p[0]) or p for p in products), *rest)))
-    assert poly._first_nonzero(stream, den, over) == first
+    assert poly._first_nonzero(stream, den, PARAMS) == first
     assert summed == sorted(k for k, _, _ in triples
                             if first is None or k <= first)
 
@@ -320,21 +321,24 @@ def test_disjoint_parameter_lists_still_refuse_to_combine():
         reference.naive_sum(("a",), [(u, x)])
 
 
-def test_batch_operands_are_aligned_once_as_their_products_would_be():
-    a = Poly.variable("a", ("a",))
+def test_batch_operands_are_over_one_parameter_list():
+    # the kernel's products are those of `*` when both sides are over
+    # the tensors' one list; a side over another list is refused
     ab_a, ab_b = (Poly.variable(n, ("a", "b")) for n in "ab")
-    half = Poly.constant(Fraction(1, 2))
-    for left, right in [([a], [ab_a]), ([ab_a], [a]), ([half], [ab_b, ab_a]),
-                        ([ab_b, ab_a], [a, a]), ([a, a], [])]:
-        over, lt, rt, den = operands(left, right)
+    half = Poly.constant(Fraction(1, 2), ("a", "b"))
+    for left, right in [([ab_a], [ab_b]), ([half], [ab_b, ab_a]),
+                        ([ab_b, ab_a], [ab_a, half]), ([ab_a, ab_a], [])]:
+        lt, rt, den = operands(("a", "b"), left, right)
         products = {(i, j): v * m for i, v in enumerate(left)
                     for j, m in enumerate(right)}
-        assert all(p.params == over for p in products.values())
         acc = _multiply_accumulate({}, [
-            ((i, j), lt[i], rt[j]) for i, j in products], den, over)
-        assert Tensor(over, 2, 2, acc) == Tensor(over, 2, 2, products)
-    with pytest.raises(ParameterMismatchError):
-        operands([a], [Poly.variable("x", ("x",))])
+            ((i, j), lt[i], rt[j]) for i, j in products], den, ("a", "b"))
+        assert Tensor(("a", "b"), 2, 2, acc) == Tensor(("a", "b"), 2, 2,
+                                                       products)
+    for left, right in [([Poly.variable("a", ("a",))], [ab_a]),
+                        ([ab_a], [Poly.constant(Fraction(1, 2))])]:
+        with pytest.raises(ParameterMismatchError):
+            operands(("a", "b"), left, right)
 
 
 def test_products_must_land_on_the_tensor_parameters():
@@ -465,19 +469,6 @@ def test_tensor_refuses_a_component_over_another_parameter_list():
     with pytest.raises(ParameterMismatchError):  # nor in a weighted sum
         _weighted_sum(("x",), 1, 1, [((0,), a, 2)])
     assert _weighted_sum(("a",), 1, 1, [((0,), a, 2)]).component(1) == 2 * a
-    # one accumulator takes products over one parameter list only
-    acc, b = {}, Poly.variable("b", ("a", "b"))
-    _multiply_accumulate(acc, [((0,), b.nums.items(), ((0, 2),))], 1,
-                         b.params)
-    with pytest.raises(ParameterMismatchError):
-        _multiply_accumulate(acc, [((0,), a.nums.items(), ((0, 3),))], 1,
-                             a.params)
-    # and so does one the batch kernel adds to
-    over, left, right, den = operands([a], [a])
-    assert over == ("a",)
-    with pytest.raises(ParameterMismatchError, match=re.escape(
-            "product over ('a',) added to terms over ('a', 'b')")):
-        _multiply_accumulate(acc, [((0,), left[0], right[0])], den, over)
 
 
 def test_exponents_up_to_the_field_width():
@@ -533,9 +524,9 @@ def test_squaring_past_the_field_width_raises_and_never_wraps(params):
     # product comes from `*` or from two flattened tensors
     with pytest.raises(ExponentOverflowError) as single:
         top * a
-    over, left, right, den = operands([top], [a])
+    left, right, den = operands(params, [top], [a])
     with pytest.raises(ExponentOverflowError) as batch:
-        _multiply_accumulate({}, [((0,), left[0], right[0])], den, over)
+        _multiply_accumulate({}, [((0,), left[0], right[0])], den, params)
     assert str(batch.value) == str(single.value)
     assert str(single.value).startswith(
         f"exponent above {MAX_EXPONENT} in the product (")

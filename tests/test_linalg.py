@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nordenlab import (
+    DimensionMismatchError,
     LieAlgebra,
     ParameterMismatchError,
     Poly,
@@ -16,6 +17,7 @@ from nordenlab import (
     parse_poly,
     rational_rank,
 )
+from nordenlab import linalg
 from nordenlab.poly import _multiply_accumulate, as_poly
 from reference import from_grid
 
@@ -144,6 +146,42 @@ def test_poly_matrix_entry_and_trace():
         m.entry(3, 1)
 
 
+#: Calls of a dim-2 tensor's contraction primitives with a matrix of the
+#: wrong size or axes out of range, each with the error it must raise.
+BAD_WEIGHTS = {
+    "contract-3x3": (lambda m: m.contract(0, RationalMatrix.identity(3)),
+                     DimensionMismatchError),
+    "contract-1x1": (lambda m: m.contract(0, RationalMatrix([[2]])),
+                     DimensionMismatchError),
+    "contract-2x3": (lambda m: m.contract(1, RationalMatrix([[1, 0, 0]] * 2)),
+                     DimensionMismatchError),
+    "trace-3x3": (lambda m: m.trace(0, 1, RationalMatrix.identity(3)),
+                  DimensionMismatchError),
+    "contract-axis-2": (lambda m: m.contract(2, RationalMatrix.identity(2)),
+                        IndexError),
+    "contract-axis--1": (lambda m: m.contract(-1, RationalMatrix.identity(2)),
+                         IndexError),
+    "trace-1-0": (lambda m: m.trace(1, 0, RationalMatrix([[1, 1], [1, 1]])),
+                  IndexError),
+    "trace-0-0": (lambda m: m.trace(0, 0, RationalMatrix.identity(2)),
+                  IndexError),
+    "trace-0-2": (lambda m: m.trace(0, 2, RationalMatrix.identity(2)),
+                  IndexError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_WEIGHTS)
+def test_contract_and_trace_refuse_a_bad_matrix_or_axis(case, monkeypatch):
+    # refused once per call, before the kernel makes any product: a 3x3
+    # matrix used to store components at index 2 of a dim-2 tensor, and
+    # trace(1, 0) to return a "rank-0" tensor of two-index components
+    call, error = BAD_WEIGHTS[case]
+    m = pm([["l1", "l2"], ["l3", "l1"]])
+    monkeypatch.setattr(linalg, "_multiply_accumulate", None)
+    with pytest.raises(error):
+        call(m)
+
+
 def test_poly_matrix_determinant():
     m = pm([["l1", "l2"], ["l3", "l1"]])
     assert m.determinant() == parse_poly("l1^2 - l2*l3", P3)
@@ -192,7 +230,7 @@ def test_tensor_stores_no_zero_even_after_cancellation():
                          T_PARAMS)  # cancels: the key is dropped
     _multiply_accumulate(acc, [((1, 0), t, ((0, 1),))], 1, T_PARAMS)
     tensor = Tensor(T_PARAMS, 2, 2, {**acc, (1, 1): T - T,
-                                     (0, 0): [{}, 1, T_PARAMS]})
+                                     (0, 0): [{}, 1]})
     assert tensor.nonzero == (((1, 0), T),)
     assert repr(tensor) == "Tensor(rank=2, dim=2, 1 nonzero components)"
     grid = Tensor(T_PARAMS, 2, 2, {(0, 0): T - T, (0, 1): T,
@@ -233,4 +271,4 @@ def test_tensors_share_one_zero_per_parameter_list():
 
 def test_term_width_mismatch_raises():
     with pytest.raises(ParameterMismatchError):
-        Tensor(T_PARAMS, 2, 1, {(0,): [{1 << 32: 1}, 1, ("t", "s")]})
+        Tensor(T_PARAMS, 2, 1, {(0,): Poly.variable("s", ("t", "s"))})
