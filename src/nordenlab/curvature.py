@@ -179,7 +179,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
     a separate routine (:func:`curvature_invariant_formula`): the two are
     independent routes.
     """
-    _over(a.params, c)
+    _over(a, 3, c)
     canonical = a.algebra.jacobiator_tensor.is_zero  # check_jacobi().ok
     streams = (c, _connection_products), (a.algebra.gamma, _bracket_products)
     # both streams add to one set of accumulators, over one denominator
@@ -262,7 +262,7 @@ def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
 def ricci_and_scalar(a: AlmostNordenAlgebra,
                      R: Tensor) -> tuple[PolyMatrix, Poly]:
     """Ricci matrix rho[y][z] = g^{ij} R_iyzj and scalar tau = g^{ij} rho_ij."""
-    _over(a.params, R)
+    _over(a, 4, R)
     rho = R.trace(0, 3, a.g_inv)
     return (PolyMatrix(a.params, a.dim, 2, rho._entries),
             rho.trace(0, 1, a.g_inv).at(()))
@@ -357,7 +357,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
     :func:`plane_type`.  The numerator sum_{ijkl} x_i y_j y_k x_l R_ijkl
     reads R only where x_i, y_j, y_k and x_l are all nonzero.
     """
-    _over(a.params, R)
+    _over(a, 4, R)
     x, y = _spanning(a, p)
     disc = _discriminant(a, x, y)
     if disc == 0:
@@ -372,7 +372,7 @@ def sectional_curvature(a: AlmostNordenAlgebra, R: Tensor,
 
 
 def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
-                         ) -> Iterator[tuple[int, int, str, Poly | None]]:
+                         ) -> tuple[tuple[int, int, str, Poly | None], ...]:
     """(i, j, type, k) for each coordinate plane span{X_i, X_j}, 0-based
     i < j, as :func:`plane_type` and :func:`sectional_curvature` give
     them (k None where g_ii g_jj - g_ij^2 = 0), read from g's rows, J's
@@ -381,8 +381,9 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
     g(J X_u, X_v) = sum_r J_ru g_rv, multiplied only where g_rv is
     nonzero.
     """
-    _over(a.params, R)
+    _over(a, 4, R)
     g, columns = a.g.rows, a.J.nonzero_columns
+    table = []
     for i, j in combinations(range(a.dim), 2):
         disc = g[i][i] * g[j][j]
         if g[i][j]:
@@ -395,7 +396,8 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
         else:
             ptype = "generic" if disc else "degenerate"
         k = R.at((i, j, i, j))  # a representative: no negation to read
-        yield i, j, ptype, (k / -disc if k else k) if disc else None
+        table.append((i, j, ptype, (k / -disc if k else k) if disc else None))
+    return tuple(table)
 
 
 def _representatives(R: Tensor) -> list[tuple[tuple[int, ...], Poly]]:
@@ -459,7 +461,8 @@ def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
     entries alone.  A product -Gamma_ij^x R_xklm, k != j (at k = j its
     two places cancel), is added, negated if k < j, at {j, k} + (l, m)
     and (l, m) + {j, k}, wherever that is canonical."""
-    _over(a.params, c, R)
+    _over(a, 3, c)
+    _over(a, 4, R)
     if not isinstance(R, _SlotSymmetric):
         _check_slot_symmetries(R)
         R = _SlotSymmetric(R.params, R.dim, 4, dict(_representatives(R)))
@@ -517,7 +520,7 @@ def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
-    _over(a.params, F)
+    _over(a, 3, F)
     f_den, terms = F.flat
     d, columns = a.g_inv.column_terms
     own = {idx: v for (idx, _), v in zip(F.nonzero, terms)}

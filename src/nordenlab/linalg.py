@@ -21,7 +21,8 @@
 Every sum of products goes to the batch kernel
 :func:`~nordenlab.poly._multiply_accumulate`, in a stream of operands
 read from :attr:`Tensor.flat`, which each tensor computes once, all
-over one parameter list (:func:`_over` refuses a tensor over another).  A
+over one parameter list (:func:`_over` refuses a tensor over another, or
+of another dimension or rank, before a stage's first product).  A
 rational weight m is a constant operand ``((0, m * D),)`` over one
 denominator D; a matrix makes its operands once
 (:attr:`RationalMatrix.operands`, by column
@@ -417,10 +418,15 @@ class Tensor(Frozen):
                 f"{len(self.nonzero)} nonzero components)")
 
 
-def _over(params: tuple[str, ...], *tensors: Tensor) -> None:
-    """Refuse, before any product, a tensor not over ``params``."""
-    if foreign := [t.params for t in tensors if t.params != params]:
-        raise ParameterMismatchError(f"tensor over {foreign[0]}, not {params}")
+def _over(a, rank: int, t: Tensor) -> None:
+    """Refuse, before any product, a tensor ``t`` not over the parameter
+    list of the algebra ``a``, or not of ``a.dim`` and ``rank``."""
+    if t.params != a.params:
+        raise ParameterMismatchError(f"tensor over {t.params}, not {a.params}")
+    if (t.dim, t.rank) != (a.dim, rank):
+        raise DimensionMismatchError(
+            f"tensor of dimension {t.dim} and rank {t.rank}, not dimension "
+            f"{a.dim} and rank {rank}")
 
 
 def _weighted_sum(params: tuple[str, ...], dim: int, rank: int,

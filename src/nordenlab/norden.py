@@ -74,18 +74,13 @@ def check_norden(g: RationalMatrix, J: RationalMatrix) -> CheckResult:
             f"must be square of equal size")
     violations = []
     n = g.nrows
-    jj = J @ J
-    for i in range(n):
-        for j in range(n):
-            value = jj[i][j] + (1 if i == j else 0)
-            if value:
-                violations.append(("J^2+I", i + 1, j + 1, value))
-    twisted = J.transpose() @ g @ J
-    for i in range(n):
-        for j in range(n):
-            value = twisted[i][j] + g[i][j]
-            if value:
-                violations.append(("J^T*g*J+g", i + 1, j + 1, value))
+    for name, left, right in (
+            ("J^2+I", J @ J, RationalMatrix.diagonal([1] * n)),
+            ("J^T*g*J+g", J.transpose() @ g @ J, g)):
+        for i in range(n):
+            for j in range(n):
+                if value := left[i][j] + right[i][j]:
+                    violations.append((name, i + 1, j + 1, value))
     return CheckResult(not violations, tuple(violations))
 
 
@@ -151,12 +146,10 @@ class AlmostNordenAlgebra(Frozen):
             g = default_metric(n)
         if J is None:
             J = default_J(n)
-        if g.nrows != dim or g.ncols != dim:
-            raise DimensionMismatchError(
-                f"metric is {g.nrows}x{g.ncols}, algebra dimension {dim}")
-        if J.nrows != dim or J.ncols != dim:
-            raise DimensionMismatchError(
-                f"J is {J.nrows}x{J.ncols}, algebra dimension {dim}")
+        for name, M in (("metric", g), ("J", J)):
+            if M.nrows != dim or M.ncols != dim:
+                raise DimensionMismatchError(
+                    f"{name} is {M.nrows}x{M.ncols}, algebra dimension {dim}")
         if not g.is_symmetric:
             raise NonSymmetricMatrixError("metric matrix must be symmetric")
         compat = check_norden(g, J)
@@ -304,7 +297,7 @@ class AlmostNordenAlgebra(Frozen):
 
     def lie_form(self, F: Tensor) -> Covector:
         """theta_k = g^{ij} F_ijk, the metric trace of F."""
-        _over(self.params, F)
+        _over(self, 3, F)
         theta = F.trace(0, 1, self.g_inv)
         return tuple(theta.at((k,)) for k in range(self.dim))
 
@@ -325,7 +318,7 @@ class AlmostNordenAlgebra(Frozen):
         only tensor built here.  ``theta`` is the Lie form of F, computed
         here when the caller does not pass it.
         """
-        _over(self.params, F)
+        _over(self, 3, F)
         if theta is None:
             theta = self.lie_form(F)
         jt = self.J.transpose()

@@ -173,11 +173,7 @@ class ReportDocument(Record):
         flags = geo.flags
         rho, tau = geo.ricci_and_tau
         return cls(
-            classification={
-                "label": flags.label(),
-                "w0": flags.w0, "w1": flags.w1,
-                "w2": flags.w2, "w3": flags.w3,
-            },
+            classification={"label": flags.label(), **flags.as_dict()},
             theta=[str(t) for t in geo.theta],
             ricci=_rows_text(rho),
             tau=str(tau),

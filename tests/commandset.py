@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
 BUNDLED = ("table1", "heisenberg6", "affine6", "filiform12", "sheared_table1",
-           "null_heisenberg6", "manyterm6", "adskew6")
+           "scaled_table1", "null_heisenberg6", "manyterm6", "adskew6")
 FORMS = (["check"], ["classify"], ["curvature"], ["report"],
          ["report", "--format", "csv"], ["report", "--format", "json"])
 #: One more than ``poly.MAX_EXPONENT``, the largest exponent a packed
@@ -76,7 +76,7 @@ def commands() -> list[list[str]]:
               ["heisenberg6.spec"], ["affine6.spec"], ["filiform10.spec"],
               ["filiform12.spec"], ["sheared_table1.spec"],
               ["sheared_table1.spec", "--eval", "l1=2,l2=-1/3,l3=7"],
-              ["perturbed.spec"])
+              ["scaled_table1.spec"], ["perturbed.spec"])
     out = [form[:1] + source + form[1:] for source in inputs for form in FORMS]
     out += [["family", "--table1"], ["family", "--table1", "--emit-spec"]]
     out += [[c, "filiform20.spec"] for c in ("check", "report", "curvature")]

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, output text, error channel."""
 
+import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -639,3 +641,59 @@ def test_family_emit_spec_matches_fixture(spec_fixture_path, capsys):
     assert main(["family", "--table1", "--emit-spec"]) == 0
     assert capsys.readouterr().out == spec_fixture_path.read_text(
         encoding="utf-8")
+
+
+# -- the command set -------------------------------------------------------
+
+#: The golden CLI outputs under tests/data, as file-name patterns.
+GOLDEN_PATTERNS = ("*_report.txt", "*_report.csv", "*_report.json",
+                   "*_curvature.txt", "*_check.txt", "*_classify.txt",
+                   "table1_family.txt", "table1.spec")
+
+#: Each golden CLI output, with the command-set line that prints it and
+#: that line's exit code.
+GOLDEN_COMMANDS = {
+    "table1_report.txt": ("report --family table1", 0),
+    "table1_report.csv": ("report --family table1 --format csv", 0),
+    "table1_report.json": ("report --family table1 --format json", 0),
+    "table1_eval_report.json": ("report --family table1 --eval "
+                                "l1=3/2,l2=-2,l3=5/7 --format json", 0),
+    "sheared_table1_eval_report.json": (
+        "report sheared_table1.spec --eval l1=2,l2=-1/3,l3=7 --format json",
+        0),
+    "table1_curvature.txt": ("curvature --family table1", 0),
+    "table1_family.txt": ("family --table1", 0),
+    "table1.spec": ("family --table1 --emit-spec", 0),
+    **{f"{name}_report.json": (f"report {name}.spec --format json", 0)
+       for name in ("heisenberg6", "affine6", "filiform12", "manyterm6",
+                    "sheared_table1", "scaled_table1", "null_heisenberg6",
+                    "adskew6")},
+    **{f"{name}_curvature.txt": (f"curvature {name}.spec", 0)
+       for name in ("heisenberg6", "affine6", "filiform12",
+                    "null_heisenberg6", "perturbed")},
+    **{f"{name}_check.txt": (f"check {name}.spec", 1)
+       for name in ("heisenberg6", "affine6", "filiform12", "filiform20",
+                    "sheared_table1", "perturbed")},
+    **{f"{name}_classify.txt": (f"classify {name}.spec", 0)
+       for name in ("heisenberg6", "affine6", "filiform12",
+                    "sheared_table1", "scaled_table1")},
+}
+
+
+def test_command_set_prints_every_golden_cli_output():
+    # tests/commandset.py runs each command as a child process and records
+    # its exit code and the sha256 of its stdout: every golden CLI output
+    # has a command there, whose recorded bytes are the golden file's
+    data = Path(__file__).parent / "data"
+    goldens = {p.name for pattern in GOLDEN_PATTERNS
+               for p in data.glob(pattern)}
+    assert goldens == set(GOLDEN_COMMANDS)
+    recorded = {}
+    for line in (data / "commandset.txt").read_text(
+            encoding="utf-8").splitlines():
+        args, code, stdout, _ = line.rsplit(" ", 3)
+        recorded[args] = int(code), stdout
+    assert {name: recorded.get(args)
+            for name, (args, _) in GOLDEN_COMMANDS.items()} == {
+        name: (code, hashlib.sha256((data / name).read_bytes()).hexdigest())
+        for name, (_, code) in GOLDEN_COMMANDS.items()}

@@ -26,7 +26,7 @@ from nordenlab import (
 from nordenlab import curvature, lie, linalg, norden, poly, regression_report
 from nordenlab.cli import main
 from nordenlab.curvature import nabla_R_blocks
-from nordenlab.errors import ParameterMismatchError
+from nordenlab.errors import DimensionMismatchError, ParameterMismatchError
 from nordenlab.lie import format_vector
 from nordenlab.report import document_for
 import reference
@@ -454,16 +454,15 @@ def refusal(a, other):
     return re.escape(f"tensor over {other.params}, not {a.params}")
 
 
-#: The ten stages that take tensors beside their algebra, each given the
-#: connection, R and F of another algebra; ``coordinate_sectional`` is a
-#: generator, so its result is consumed.
+#: The ten stages that take tensors beside their algebra, each called with
+#: the algebra and the connection, R and F a refusal test gives it.
 STAGES = {
     "curvature_R": lambda a, c, R, F: curvature_R(a, c),
     "ricci_and_scalar": lambda a, c, R, F: ricci_and_scalar(a, R),
     "sectional_curvature": lambda a, c, R, F: sectional_curvature(
-        a, R, curvature.coordinate_plane(6, 1, 2)),
-    "coordinate_sectional": lambda a, c, R, F: list(
-        curvature.coordinate_sectional(a, R)),
+        a, R, curvature.coordinate_plane(a.dim, 1, 2)),
+    "coordinate_sectional": lambda a, c, R, F: curvature.coordinate_sectional(
+        a, R),
     "nabla_R_blocks": lambda a, c, R, F: nabla_R_blocks(a, c, R),
     "nabla_R_witness": lambda a, c, R, F: curvature.nabla_R_witness(a, c, R),
     "nabla_R": lambda a, c, R, F: nabla_R(a, c, R),
@@ -473,21 +472,64 @@ STAGES = {
 }
 
 
-@pytest.mark.parametrize("algebra, tensors", [("symbolic", "twin"),
-                                              ("twin", "symbolic")])
-@pytest.mark.parametrize("stage", STAGES)
-def test_stages_refuse_a_tensor_over_another_parameter_list(
-        mixed_lists, stage, algebra, tensors, monkeypatch):
-    # table1 with the twin's tensors, and the reverse: refused before the
-    # batch kernel makes any product, wherever a module calls it
-    a, other = mixed_lists[algebra][0], mixed_lists[tensors]
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The calls the batch kernel gets, patched out wherever a module
+    calls it."""
     calls = []
     for module in (curvature, norden, linalg, lie, poly):
         monkeypatch.setattr(module, "_multiply_accumulate",
                             lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("algebra, tensors", [("symbolic", "twin"),
+                                              ("twin", "symbolic")])
+@pytest.mark.parametrize("stage", STAGES)
+def test_stages_refuse_a_tensor_over_another_parameter_list(
+        mixed_lists, stage, algebra, tensors, kernel_calls):
+    # table1 with the twin's tensors, and the reverse: refused before the
+    # batch kernel makes any product
+    a, other = mixed_lists[algebra][0], mixed_lists[tensors]
     with pytest.raises(ParameterMismatchError, match=refusal(a, other[0])):
         STAGES[stage](a, *other[1:])
-    assert calls == []
+    assert kernel_calls == []
+
+
+@pytest.fixture(scope="module")
+def misshapen(falg, filiform8, filiform10):
+    """Per case, an algebra with the connection, R and F its stages are
+    given: filiform 10 with filiform 8's and the reverse (one parameter
+    list, another dimension), and table1 with R where the connection or
+    F is read and F where R is read."""
+    own = {}
+    for name, a in (("table1", falg), ("filiform8", filiform8),
+                    ("filiform10", filiform10)):
+        c = levi_civita(a)
+        own[name] = (a, c, curvature_R(a, c), a.tensor_F())
+    a, _, R, F = own["table1"]
+    return {"filiform10-given-filiform8": (own["filiform10"][0],
+                                            *own["filiform8"][1:]),
+            "filiform8-given-filiform10": (own["filiform8"][0],
+                                            *own["filiform10"][1:]),
+            "R-and-F-swapped": (a, R, F, R)}
+
+
+@pytest.mark.parametrize("case", ["filiform10-given-filiform8",
+                                  "filiform8-given-filiform10",
+                                  "R-and-F-swapped"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_stages_refuse_a_tensor_of_another_dimension_or_rank(
+        misshapen, stage, case, kernel_calls):
+    # over the algebra's own parameter list, but of another shape:
+    # refused, naming both shapes, before the batch kernel makes any product
+    a, *tensors = misshapen[case]
+    dim = tensors[0].dim
+    with pytest.raises(DimensionMismatchError, match=(
+            rf"^tensor of dimension {dim} and rank [34], "
+            rf"not dimension {a.dim} and rank [34]$")):
+        STAGES[stage](a, *tensors)
+    assert kernel_calls == []
 
 
 @pytest.mark.parametrize("algebra, gamma, curv", [
