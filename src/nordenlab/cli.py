@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_assignment(text: str,
                       params: tuple[str, ...]) -> dict[str, Fraction]:
     from .poly import _shown
-    from .specfile import RATIONAL
+    from .specfile import MAX_DIGITS, RATIONAL
 
     values: dict[str, Fraction] = {}
     for piece in text.split(","):
@@ -109,11 +109,10 @@ def _parse_assignment(text: str,
         if not RATIONAL.match(raw):
             raise _CliError(f"--eval value for {_shown(name)} is not a "
                             f"rational number p or p/q: {_shown(raw)}")
-        try:
-            values[name] = Fraction(raw)
-        except ValueError:  # more digits than Python converts
+        if max(map(len, raw.lstrip("+-").split("/"))) > MAX_DIGITS:
             raise _CliError(f"--eval value for {_shown(name)} has {len(raw)} "
-                            f"characters, too long to read") from None
+                            f"characters, too long to read")
+        values[name] = Fraction(raw)
     missing = [p for p in params if p not in values]
     if missing:
         raise _CliError("--eval must assign every parameter; missing: "

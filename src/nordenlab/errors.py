@@ -28,6 +28,11 @@ class ExponentOverflowError(NordenLabError):
     """An exponent past the field width of a packed exponent key."""
 
 
+class DigitLimitError(NordenLabError):
+    """A number with more digits than Python converts to text (4300 by
+    default), so a result holding it cannot be printed."""
+
+
 class DimensionMismatchError(NordenLabError):
     """Vector/matrix/tensor operands of incompatible sizes."""
 

@@ -1,7 +1,7 @@
 """The built-in 3-parameter family on a 6-dimensional Lie algebra.
 
 `build_table1` constructs the family: fifteen bracket rows in three
-parameters (default names l1, l2, l3), the standard J and the neutral
+parameters (:data:`PARAM_NAMES`: l1, l2, l3), the standard J and the neutral
 diagonal metric.  Construction validates rather than trusts the data —
 Jacobi, the Norden pairing, metric invariance, and the orthogonality /
 isotropy conditions on commutators are all checked exactly, and any
@@ -156,12 +156,12 @@ _SECTIONAL_ITEMS: tuple[tuple, ...] = (
 )
 
 
-def _expressions(params: tuple[str, ...]) -> dict[tuple, Poly]:
+def _expressions() -> dict[tuple, Poly]:
     """Each distinct ``(kind, args)`` of :data:`_R_ITEMS` and
-    :data:`_SECTIONAL_ITEMS` to its expression over ``params``."""
-    var = [Poly.variable(name, params) for name in params]
+    :data:`_SECTIONAL_ITEMS` to its expression over :data:`PARAM_NAMES`."""
+    var = [Poly.variable(name, PARAM_NAMES) for name in PARAM_NAMES]
     sq = [v * v for v in var]
-    forms = {"zero": lambda: Poly.zero(params),
+    forms = {"zero": lambda: Poly.zero(PARAM_NAMES),
              "pp": lambda a, b: (sq[a - 1] + sq[b - 1]) / 4,
              "pm": lambda a, b: (sq[a - 1] - sq[b - 1]) / 4,
              "sq": lambda a: sq[a - 1] / 4,
@@ -170,26 +170,26 @@ def _expressions(params: tuple[str, ...]) -> dict[tuple, Poly]:
             dict.fromkeys(item[-2:] for item in _R_ITEMS + _SECTIONAL_ITEMS)}
 
 
-def _l_blocks(params: tuple[str, ...], scale: int) -> PolyMatrix:
+def _l_blocks(scale: int) -> PolyMatrix:
     """scale * [[L, -L], [-L, L]], with L the 3x3 symmetric building
     block of the Killing form and Ricci."""
-    l1, l2, l3 = (Poly.variable(name, params) for name in params)
+    l1, l2, l3 = (Poly.variable(name, PARAM_NAMES) for name in PARAM_NAMES)
     L = [[l3 * l3, -(l2 * l3), -(l1 * l3)],
          [-(l2 * l3), l2 * l2, -(l1 * l2)],
          [-(l1 * l3), -(l1 * l2), l1 * l1]]
-    return PolyMatrix(params, 6, 2, {
+    return PolyMatrix(PARAM_NAMES, 6, 2, {
         (i, j): L[i % 3][j % 3] * (scale if i // 3 == j // 3 else -scale)
         for i, j in product(range(6), repeat=2)})
 
 
-def expected_killing_form(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
+def expected_killing_form() -> PolyMatrix:
     """4 * [[L, -L], [-L, L]] with the standard L block."""
-    return _l_blocks(params, 4)
+    return _l_blocks(4)
 
 
-def expected_ricci(params: tuple[str, ...] = PARAM_NAMES) -> PolyMatrix:
+def expected_ricci() -> PolyMatrix:
     """[[-L, L], [L, -L]]: the published component table in block form."""
-    return _l_blocks(params, -1)
+    return _l_blocks(-1)
 
 
 def _closure(name: str, items, moves) -> dict[tuple[int, ...], Poly]:
@@ -217,8 +217,7 @@ def _closure(name: str, items, moves) -> dict[tuple[int, ...], Poly]:
     return {key: made[first] for key, first in reached.items()}
 
 
-def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
-                          ) -> dict[tuple[int, int, int], Poly]:
+def expected_F_components() -> dict[tuple[int, int, int], Poly]:
     """The published F equalities, closed under the F symmetries.
 
     Closure uses F(x,y,z) = F(x,z,y) and F(x,Jy,Jz) = F(x,y,z); any
@@ -226,7 +225,7 @@ def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
     inconsistency in the stored data would raise, so the closure also
     acts as a sanity check on the tables.
     """
-    var = [Poly.variable(name, params) for name in params]
+    var = [Poly.variable(name, PARAM_NAMES) for name in PARAM_NAMES]
     shares = {(p, abs(mult)): var[p - 1] / abs(mult)  # built once each
               for p, items in _F_ITEMS.items() for mult, *_ in items}
 
@@ -244,11 +243,10 @@ def expected_F_components(params: tuple[str, ...] = PARAM_NAMES
                           for mult, i, j, k in items), moves)
 
 
-def expected_R_components(params: tuple[str, ...] = PARAM_NAMES
-                          ) -> dict[tuple[int, int, int, int], Poly]:
+def expected_R_components() -> dict[tuple[int, int, int, int], Poly]:
     """The published curvature equalities, closed under the R symmetries
     (antisymmetry in each index pair and pair exchange)."""
-    return _expected_R(_expressions(params))
+    return _expected_R(_expressions())
 
 
 def _expected_R(exprs: dict[tuple, Poly]) -> dict[tuple, Poly]:
@@ -265,13 +263,12 @@ def _expected_R(exprs: dict[tuple, Poly]) -> dict[tuple, Poly]:
 
 
 class Table1Family(Record):
-    """The validated 6-dimensional family and its parameter names."""
+    """The validated 6-dimensional family over :data:`PARAM_NAMES`."""
 
-    __slots__ = ("params", "algebra")
+    __slots__ = ("algebra",)
 
-    def __init__(self, params: tuple[str, str, str],
-                 algebra: AlmostNordenAlgebra):
-        self._fill(params, algebra)
+    def __init__(self, algebra: AlmostNordenAlgebra):
+        self._fill(algebra)
 
     def evaluate(self, assignment: Mapping[str, RationalLike]
                  ) -> AlmostNordenAlgebra:
@@ -279,7 +276,7 @@ class Table1Family(Record):
         return self.algebra.evaluate(assignment)
 
 
-def build_table1(params: tuple[str, str, str] = PARAM_NAMES) -> Table1Family:
+def build_table1() -> Table1Family:
     """Construct and fully validate the 3-parameter family.
 
     Raises :class:`StructureError` if any stored bracket row fails
@@ -287,18 +284,14 @@ def build_table1(params: tuple[str, str, str] = PARAM_NAMES) -> Table1Family:
     orthogonality/isotropy conditions — a transcription defect in the
     data tables, were it ever to happen, cannot slip through silently.
     """
-    if len(params) != 3:
-        raise ValueError(f"exactly three parameter names required, "
-                         f"got {params!r}")
-    var = {p: Poly.variable(name, params)
-           for p, name in enumerate(params, start=1)}
+    var = [Poly.variable(name, PARAM_NAMES) for name in PARAM_NAMES]
     brackets = {
-        pair: {k: var[p] * sign for k, (p, sign) in row.items()}
+        pair: {k: var[p - 1] * sign for k, (p, sign) in row.items()}
         for pair, row in _BRACKET_ROWS.items()
     }
-    lie = LieAlgebra.from_brackets(6, params, brackets)
+    lie = LieAlgebra.from_brackets(6, PARAM_NAMES, brackets)
     algebra = AlmostNordenAlgebra(lie)  # Norden pairing checked here
-    family = Table1Family(tuple(params), algebra)
+    family = Table1Family(algebra)
 
     jacobi = lie.check_jacobi()
     if not jacobi.ok:
@@ -323,11 +316,14 @@ class RegressionCheck(Record):
     """A single expected-vs-computed comparison.  The two values are kept
     as given, and ``expected`` and ``computed`` format them when read."""
 
-    __slots__ = ("group", "item", "_expected", "_computed", "passed")
+    __slots__ = ("group", "item", "_expected", "_computed")
 
-    def __init__(self, group: str, item: str, expected, computed,
-                 passed: bool):
-        self._fill(group, item, expected, computed, passed)
+    def __init__(self, group: str, item: str, expected, computed):
+        self._fill(group, item, expected, computed)
+
+    @property
+    def passed(self) -> bool:
+        return self._expected == self._computed
 
     @property
     def expected(self) -> str:
@@ -385,12 +381,11 @@ def regression_report(f: Table1Family) -> RegressionReport:
 
     a = f.algebra
     alg = a.algebra
-    params = f.params
+    params = PARAM_NAMES
     checks: list[RegressionCheck] = []
 
     def add(group: str, item: str, expected, computed):
-        checks.append(RegressionCheck(group, item, expected, computed,
-                                      expected == computed))
+        checks.append(RegressionCheck(group, item, expected, computed))
 
     # structure
     add("structure", "jacobi", True, alg.check_jacobi().ok)
@@ -410,7 +405,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
         all(t.is_zero for t in geo.theta))
 
     # f-components
-    expected_f = expected_F_components(params)
+    expected_f = expected_F_components()
     for p, items in sorted(_F_ITEMS.items()):
         var = Poly.variable(params[p - 1], params)
         for mult, i, j, k in items:
@@ -422,7 +417,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
 
     # curvature
     R = geo.R
-    exprs = _expressions(params)
+    exprs = _expressions()
     expected_r = _expected_R(exprs)
     for sign, i, j, k, l, kind, args in _R_ITEMS:
         add("curvature", f"R({i},{j},{k},{l})", exprs[kind, args] * sign,
@@ -435,7 +430,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
 
     # ricci and tau
     rho, tau = geo.ricci_and_tau
-    exp_rho = expected_ricci(params)
+    exp_rho = expected_ricci()
     for i, j in combinations_with_replacement(range(1, 7), 2):
         add("ricci", f"rho({i},{j})", exp_rho.entry(i, j), rho.entry(i, j))
     add("tau", "tau", Poly.zero(params), tau)
@@ -456,7 +451,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
 
     # Killing form
     B = geo.killing_form
-    exp_B = expected_killing_form(params)
+    exp_B = expected_killing_form()
     for i, j in combinations_with_replacement(range(1, 7), 2):
         add("killing-form", f"B({i},{j})", exp_B.entry(i, j), B.entry(i, j))
     add("killing-form", "determinant", Poly.zero(params), B.determinant())

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, ParameterMismatchError, StructureError
+from .errors import DimensionMismatchError, StructureError
 from .linalg import PolyMatrix, Tensor
 from .poly import Poly, RationalLike, _multiply_accumulate, as_poly
 from .record import Frozen, Record
@@ -63,10 +63,14 @@ class CheckResult(Record):
     residual (a Poly or a Vector of Poly).
     """
 
-    __slots__ = ("ok", "violations")
+    __slots__ = ("violations",)
 
-    def __init__(self, ok: bool, violations: tuple = ()):
-        self._fill(ok, violations)
+    def __init__(self, violations: tuple):
+        self._fill(violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self):
         return self.ok
@@ -78,19 +82,16 @@ class LieAlgebra(Frozen):
     Jacobi's identity is *not* assumed; :meth:`check_jacobi` decides it.
     """
 
-    def __init__(self, dim: int, params: Iterable[str], gamma: Tensor):
+    def __init__(self, gamma: Tensor):
         """``gamma`` is the rank-3 :class:`~nordenlab.linalg.Tensor` of
-        structure constants; :meth:`from_brackets` builds it from
-        bracket rows."""
+        structure constants, which fixes ``dim`` and ``params``;
+        :meth:`from_brackets` builds it from bracket rows."""
+        dim = gamma.dim
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        params = tuple(params)
-        if gamma.dim != dim or gamma.rank != 3:
+        if gamma.rank != 3:
             raise DimensionMismatchError(
                 f"structure constants must fill a {dim}x{dim}x{dim} array")
-        if gamma.params != params:
-            raise ParameterMismatchError(f"structure constants are over "
-                                         f"{gamma.params}, not {params}")
         # A violation has a nonzero side; report the first (i, j, k) with
         # i >= j in lexicographic order.
         broken = [(max(i, j), min(i, j), k)
@@ -103,10 +104,10 @@ class LieAlgebra(Frozen):
                 f"X{k + 1} in [X{i + 1},X{j + 1}] is "
                 f"{gamma.at((i, j, k))} but in [X{j + 1},X{i + 1}] "
                 f"is {gamma.at((j, i, k))}")
-        self._set(dim=dim, params=params, gamma=gamma)
+        self._set(dim=dim, params=gamma.params, gamma=gamma)
 
     def _args(self):
-        return self.dim, self.params, self.gamma
+        return self.gamma,
 
     # -- constructors ------------------------------------------------------
 
@@ -144,7 +145,7 @@ class LieAlgebra(Frozen):
                 p = as_poly(coeff, params)
                 entries[(i - 1, j - 1, k - 1)] = p
                 entries[(j - 1, i - 1, k - 1)] = -p
-        return cls(dim, params, Tensor(params, dim, 3, entries))
+        return cls(Tensor(params, dim, 3, entries))
 
     # -- accessors ---------------------------------------------------------
 
@@ -246,7 +247,7 @@ class LieAlgebra(Frozen):
         triples = dict.fromkeys(idx[:3] for idx, _ in J.nonzero)
         violations = tuple((i + 1, j + 1, k + 1, self._row(J, i, j, k))
                            for i, j, k in triples)
-        return CheckResult(not violations, violations)
+        return CheckResult(violations)
 
     def killing_form(self) -> PolyMatrix:
         """B_ij = trace(ad X_i · ad X_j) = sum_{p,q} c_iq^p c_jp^q.
@@ -279,12 +280,13 @@ class LieAlgebra(Frozen):
         The result carries an empty parameter list, so all downstream
         arithmetic runs over plain rationals.
         """
-        return LieAlgebra(self.dim, (), self.gamma.evaluate(assignment))
+        return LieAlgebra(self.gamma.evaluate(assignment))
 
     # -- comparison --------------------------------------------------------
 
     def __hash__(self):
-        return hash((self.dim, self.params, self.gamma.nonzero))
+        # equality is gamma's, which ignores parameter lists; so does this
+        return hash((self.dim, self.gamma.nonzero))
 
     def __repr__(self):
         nonzero = len(self.gamma.nonzero) // 2  # antisymmetric: half at i < j

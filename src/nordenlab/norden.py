@@ -81,7 +81,7 @@ def check_norden(g: RationalMatrix, J: RationalMatrix) -> CheckResult:
             for j in range(n):
                 if value := left[i][j] + right[i][j]:
                     violations.append((name, i + 1, j + 1, value))
-    return CheckResult(not violations, tuple(violations))
+    return CheckResult(tuple(violations))
 
 
 class ClassFlags(Record):
@@ -238,28 +238,23 @@ class AlmostNordenAlgebra(Frozen):
         Holding exactly, this is the Killing-metric condition that makes
         the connection collapse to half the bracket, and with Jacobi it
         gives grad R = 0 (Milnor 1976, section 7; O'Neill 1983, ch. 11).
-        The result is computed once: ``ok`` is :attr:`_ad_skew`, and
-        only a failing check lists its violations.
+        The result is computed once (:attr:`_invariance`).
         """
         return self._invariance
 
     @cached_property
-    def _ad_skew(self) -> bool:
-        return next(self._residuals(), None) is None
-
-    @cached_property
     def _invariance(self) -> CheckResult:
-        ok = self._ad_skew
-        return CheckResult(ok, () if ok else tuple(self._residuals()))
-
-    def _residuals(self):
-        """(i, j, k, G_ijk + G_ikj), 1-based, at each nonzero residual in
-        order: only a nonzero G_ijk and its (i, k, j) partner can have one."""
+        """(i, j, k, G_ijk + G_ikj), 1-based, at each nonzero residual:
+        one kernel stream adding each G_ijk at (i, j, k) and (i, k, j)."""
         G = self.G
-        for i, j, k in sorted({t for (i, j, k), _ in G.nonzero
-                               for t in ((i, j, k), (i, k, j))}):
-            if residual := G.at((i, j, k)) + G.at((i, k, j)):
-                yield i + 1, j + 1, k + 1, residual
+        den, terms = G.flat
+        one = ((0, 1),)
+        residual = Tensor(self.params, self.dim, 3, _multiply_accumulate({}, (
+            item for ((i, j, k), _), v in zip(G.nonzero, terms)
+            for item in (((i, j, k), v, one), ((i, k, j), v, one))),
+            den, self.params))
+        return CheckResult(tuple((i + 1, j + 1, k + 1, v)
+                                 for (i, j, k), v in residual.nonzero))
 
     # -- fundamental tensor ------------------------------------------------
 
@@ -374,4 +369,4 @@ def check_eq22(f) -> CheckResult:
         for i, column in enumerate(a.J.nonzero_columns)  # J X_i
         for (b, jb), (d, jd) in product(column, repeat=2)]).nonzero
     violations += [("isotropy", i + 1, v) for (i,), v in isotropy]
-    return CheckResult(not violations, tuple(violations))
+    return CheckResult(tuple(violations))

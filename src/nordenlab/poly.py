@@ -81,8 +81,8 @@ from struct import pack, unpack
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import (ExponentOverflowError, ParameterMismatchError,
-                     PolyParseError)
+from .errors import (DigitLimitError, ExponentOverflowError,
+                     ParameterMismatchError, PolyParseError)
 from .record import Frozen
 
 #: Scalars accepted wherever a rational number is expected.
@@ -582,7 +582,12 @@ def format_poly(p: Poly) -> str:
         ]
         g = gcd(num, den)
         mag, q = abs(num) // g, den // g
-        text = str(mag) if q == 1 else f"{mag}/{q}"
+        try:
+            text = str(mag) if q == 1 else f"{mag}/{q}"
+        except ValueError:  # more digits than Python prints
+            bits = max(mag, q).bit_length()
+            raise DigitLimitError(f"a coefficient of {bits} bits is too "
+                                  f"long to print") from None
         if text != "1" or not factors:
             factors.insert(0, text)
         pieces.append(("- " if num < 0 else "+ ") + "*".join(factors))

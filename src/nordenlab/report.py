@@ -89,7 +89,8 @@ class Geometry:
         """grad R's first nonzero component, 0-based (i, j, k, l, m), or
         None: by the theorem, with nothing computed, where it holds."""
         a = self.algebra
-        if a.algebra.jacobiator_tensor.is_zero and a._ad_skew:
+        if (a.algebra.jacobiator_tensor.is_zero
+                and a.check_invariant_metric().ok):
             return None
         return nabla_R_witness(a, self.connection, self.R)
 
@@ -156,17 +157,11 @@ class ReportDocument(Record):
     __slots__ = ("classification", "theta", "ricci", "tau", "nabla_j_norm",
                  "locally_symmetric", "sectional", "killing_form")
 
-    def __init__(self, classification: dict | None = None,
-                 theta: list | None = None, ricci: list | None = None,
-                 tau: str = "0", nabla_j_norm: str = "0",
-                 locally_symmetric: bool = True,
-                 sectional: list | None = None,
-                 killing_form: list | None = None):
-        self._fill({} if classification is None else classification,
-                   [] if theta is None else theta,
-                   [] if ricci is None else ricci, tau, nabla_j_norm,
-                   locally_symmetric, [] if sectional is None else sectional,
-                   [] if killing_form is None else killing_form)
+    def __init__(self, classification: dict, theta: list, ricci: list,
+                 tau: str, nabla_j_norm: str, locally_symmetric: bool,
+                 sectional: list, killing_form: list):
+        self._fill(classification, theta, ricci, tau, nabla_j_norm,
+                   locally_symmetric, sectional, killing_form)
 
     @classmethod
     def from_report(cls, geo: Geometry) -> ReportDocument:

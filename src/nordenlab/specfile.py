@@ -25,7 +25,11 @@ Limits, checked before any algebra is built (each violation is a
 * the file is at most :data:`MAX_SPEC_BYTES` bytes (1 MiB);
 * the dimension is at most :data:`MAX_DIMENSION` (20);
 * every bracket coefficient has total degree at most :data:`MAX_DEGREE`
-  (16) and at most :data:`MAX_TERMS` (64) terms.
+  (16) and at most :data:`MAX_TERMS` (64) terms;
+* the numbers of each of [metric], [J] and [brackets] (every term of every
+  bracket coefficient), written over their least common denominator,
+  have numerators of at most :data:`MAX_DIGITS` (20) digits, and so has
+  that denominator.
 
 A bracket line ``i j -> k: p; ...`` declares [X_i, X_j] = sum p * X_k with
 i < j; the mirrored rows follow by antisymmetry.  The metric section takes
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import ExponentOverflowError, PolyParseError, SpecFileError
@@ -63,6 +68,10 @@ MAX_DEGREE = 16
 #: Most terms in one bracket coefficient: products of coefficients (the
 #: isotropy check squares them) cost the product of their term counts.
 MAX_TERMS = 64
+#: Most digits of a section's common denominator and of each numerator
+#: over it, and of an ``--eval`` value's numerator and denominator: the
+#: exact inverse of a dense metric has entries about 20 times as long.
+MAX_DIGITS = 20
 
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
@@ -103,6 +112,21 @@ def _fraction(token: str, lineno: int) -> Fraction:
         raise SpecFileError(f"not a rational number: {_shown(token)}",
                             line=lineno)
     return _convert(Fraction, token, lineno)
+
+
+def _limit_digits(section: str, numbers: list[tuple[int, int, int]]):
+    """Refuse the ``(line, numerator, denominator)`` numbers of a section
+    when their least common denominator, or a numerator over it, has more
+    than :data:`MAX_DIGITS` digits: the batch kernel reads a matrix, and
+    all the structure constants, as integers over one denominator."""
+    bound = 10 ** MAX_DIGITS
+    common, den = lcm(*(d for _, _, d in numbers)), 1
+    for lineno, n, d in numbers:
+        den = lcm(den, d)
+        if den >= bound or abs(n) * (common // d) >= bound:
+            raise SpecFileError(
+                f"[{section}] over its common denominator has a number with "
+                f"more digits than the limit of {MAX_DIGITS}", line=lineno)
 
 
 def _meaningful_lines(text: str):
@@ -198,6 +222,8 @@ def _parse_matrix_section(sections: dict, name: str, dim: int,
             raise SpecFileError(
                 f"diagonal has {len(entries)} entries, expected {dim}",
                 line=first_lineno)
+        _limit_digits(name, [(first_lineno, v.numerator, v.denominator)
+                             for v in entries])
         return RationalMatrix.diagonal(entries)
     if len(body) != dim:
         raise SpecFileError(
@@ -211,6 +237,8 @@ def _parse_matrix_section(sections: dict, name: str, dim: int,
                 f"matrix row has {len(tokens)} entries, expected {dim}",
                 line=lineno)
         rows.append([_fraction(tok, lineno) for tok in tokens])
+    _limit_digits(name, [(lineno, v.numerator, v.denominator)
+                         for (lineno, _), row in zip(body, rows) for v in row])
     return RationalMatrix(rows)
 
 
@@ -222,6 +250,7 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                            ) -> tuple[BracketEntry, ...]:
     entries: list[BracketEntry] = []
     seen_pairs: set[tuple[int, int]] = set()
+    numbers: list[tuple[int, int, int]] = []
     for lineno, line in body:
         m = _BRACKET_LINE.match(line)
         if not m:
@@ -279,8 +308,10 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                     f"bracket [X{i},X{j}]: coefficient of X{k} has "
                     f"{len(coeff.nums)} terms, above the limit of "
                     f"{MAX_TERMS}", line=lineno)
+            numbers += [(lineno, n, coeff.den) for n in coeff.nums.values()]
             targets.append((k, coeff))
         entries.append((i, j, tuple(targets)))
+    _limit_digits("brackets", numbers)
     return tuple(entries)
 
 

@@ -453,7 +453,7 @@ def check_jacobi(alg: LieAlgebra) -> CheckResult:
         residual = jacobiator(alg, i, j, k)
         if not all(c.is_zero for c in residual):
             violations.append((i, j, k, residual))
-    return CheckResult(not violations, tuple(violations))
+    return CheckResult(tuple(violations))
 
 
 def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
@@ -471,7 +471,7 @@ def check_eq22(a: AlmostNordenAlgebra) -> CheckResult:
         residual = metric(a, v, v)
         if residual.terms:
             violations.append(("isotropy", i, residual))
-    return CheckResult(not violations, tuple(violations))
+    return CheckResult(tuple(violations))
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -498,7 +498,7 @@ def check_invariant_metric(a: AlmostNordenAlgebra) -> CheckResult:
         residual = G.component(i, j, k) + G.component(i, k, j)
         if residual.terms:
             violations.append((i, j, k, residual))
-    return CheckResult(not violations, tuple(violations))
+    return CheckResult(tuple(violations))
 
 
 def lowered_connection_grid(a: AlmostNordenAlgebra) -> list:

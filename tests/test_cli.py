@@ -134,6 +134,38 @@ def test_spec_limits_are_input_errors(tmp_path, capsys, body, args, message):
 LONG = "9" * 5000
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "report"])
+def test_a_value_too_long_to_print_is_an_input_error(tmp_path, capsys,
+                                                     command):
+    # within every limit: p = a1^16 + ... + a64^16 at a_i = 1/q_i, each q_i
+    # of MAX_DIGITS digits, has a denominator of about 20,000 digits
+    names = [f"a{i}" for i in range(1, 65)]
+    spec = tmp_path / "wide.spec"
+    spec.write_text(f"dimension = 2\nparameters = {', '.join(names)}\n"
+                    "[brackets]\n1 2 -> 2: "
+                    + " + ".join(f"{name}^16" for name in names) + "\n",
+                    encoding="utf-8")
+    low = 10 ** (specfile.MAX_DIGITS - 1)
+    point = ",".join(f"{name}=1/{low + i}" for i, name in enumerate(names))
+    assert main([command, str(spec), "--eval", point]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a coefficient of ")
+    assert err.endswith(" bits is too long to print\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("digits, code", [(specfile.MAX_DIGITS, 0),
+                                           (specfile.MAX_DIGITS + 1, 2)])
+def test_eval_values_take_at_most_max_digits(tmp_path, capsys, digits, code):
+    spec = tmp_path / "eval.spec"
+    spec.write_text("dimension = 2\nparameters = t\n", encoding="utf-8")
+    for value in ("9" * digits, "-1/" + "9" * digits):
+        assert main(["check", str(spec), "--eval", f"t={value}"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: --eval value for 't' "
+                       f"has {len(value)} characters, too long to read\n")
+
+
 @pytest.mark.parametrize("body, args", [
     (f"[brackets]\n1 2 -> 1: t^{LONG}\n", ["check"]),
     (f"[brackets]\n1 2 -> 1: {LONG}*t\n", ["check"]),
@@ -623,8 +655,8 @@ def test_family_regression_summary(capsys):
 def test_family_regression_failure_exits_1(monkeypatch, capsys):
     real = family_mod.expected_killing_form
 
-    def off_by_one(params):  # B(1,1) one more than the computed value
-        B = real(params)
+    def off_by_one():  # B(1,1) one more than the computed value
+        B = real()
         return SimpleNamespace(
             entry=lambda i, j: B.entry(i, j) + int(i == j == 1))
 

@@ -32,21 +32,8 @@ P3 = ("l1", "l2", "l3")
 
 def test_build_returns_validated_family(family):
     assert isinstance(family, Table1Family)
-    assert family.params == P3
     assert family.algebra.dim == 6
     assert family.algebra.params == P3
-
-
-def test_build_rejects_wrong_parameter_count():
-    with pytest.raises(ValueError):
-        build_table1(("a", "b"))
-
-
-def test_build_with_custom_parameter_names():
-    fam = build_table1(("a", "b", "c"))
-    assert fam.params == ("a", "b", "c")
-    g = fam.algebra.algebra
-    assert format_vector(g.bracket_basis(2, 3)) == "a*X5 + b*X6"
 
 
 def test_bracket_row_spot_checks(falg):
@@ -65,7 +52,7 @@ def test_self_validation_catches_tampered_rows(monkeypatch):
 
 
 def test_build_refuses_a_non_invariant_metric(monkeypatch):
-    failed = CheckResult(False, ((1, 2, 4, Poly.constant(3, P3)),))
+    failed = CheckResult(((1, 2, 4, Poly.constant(3, P3)),))
     monkeypatch.setattr(AlmostNordenAlgebra, "check_invariant_metric",
                         lambda self: failed)
     with pytest.raises(StructureError,
@@ -74,7 +61,7 @@ def test_build_refuses_a_non_invariant_metric(monkeypatch):
 
 
 def test_build_refuses_an_eq22_failure(monkeypatch):
-    failed = CheckResult(False, (("isotropy", 2, Poly.constant(1, P3)),))
+    failed = CheckResult((("isotropy", 2, Poly.constant(1, P3)),))
     monkeypatch.setattr(family_mod, "check_eq22", lambda f: failed)
     with pytest.raises(StructureError,
                        match="violate orthogonality/isotropy: "

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nordenlab import (
+    DimensionMismatchError,
     LieAlgebra,
-    ParameterMismatchError,
     Poly,
     StructureError,
     Tensor,
@@ -39,19 +39,18 @@ def test_rejects_non_antisymmetric_gamma():
     # mirror entry (1, 0, 0) left at 0
     gamma = Tensor((), 2, 3, {(0, 1, 0): Poly.constant(1)})
     with pytest.raises(StructureError):
-        LieAlgebra(2, (), gamma)
+        LieAlgebra(gamma)
 
 
-def test_rejects_gamma_over_another_parameter_list():
-    # the mismatch would otherwise surface only in a derived tensor
+def test_gamma_fixes_dimension_and_parameters():
     a = Poly.variable("a", ("a",))
     gamma = Tensor(("a",), 3, 3, {(0, 1, 2): a, (1, 0, 2): -a})
-    with pytest.raises(ParameterMismatchError,
-                       match=r"over \('a',\), not \('x',\)"):
-        LieAlgebra(3, ("x",), gamma)
-    with pytest.raises(ParameterMismatchError):
-        LieAlgebra(3, (), gamma)
-    assert LieAlgebra(3, ["a"], gamma).params == ("a",)
+    lie = LieAlgebra(gamma)
+    assert (lie.dim, lie.params) == (3, ("a",))
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        LieAlgebra(Tensor((), 0, 3, {}))
+    with pytest.raises(DimensionMismatchError, match="fill a 3x3x3 array"):
+        LieAlgebra(Tensor(("a",), 3, 2, {}))
 
 
 def test_from_brackets_validation():

@@ -251,13 +251,19 @@ def test_nonzero_is_row_major_whatever_the_insertion_order():
 
 
 def test_equal_lie_algebras_hash_equal():
-    direct = LieAlgebra(3, T_PARAMS, Tensor(T_PARAMS, 3, 3, {
+    direct = LieAlgebra(Tensor(T_PARAMS, 3, 3, {
         (0, 1, 2): T, (1, 0, 2): -T}))
     rows = LieAlgebra.from_brackets(3, T_PARAMS, {(1, 2): {3: "t"}})
     assert direct == rows and hash(direct) == hash(rows)
     twins = [alg.evaluate({"t": 2}) for alg in (direct, rows)]
     assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
     assert direct != LieAlgebra.abelian(3, T_PARAMS)
+    # equality is gamma's, which ignores parameter lists; so does hash
+    constant = {(1, 2): {3: 5}}
+    bare, over_a = (LieAlgebra.from_brackets(3, params, constant)
+                    for params in ((), ("a",)))
+    assert bare.params != over_a.params
+    assert bare == over_a and hash(bare) == hash(over_a)
 
 
 def test_tensors_share_one_zero_per_parameter_list():

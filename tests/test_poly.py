@@ -9,6 +9,7 @@ import pytest
 
 from nordenlab import (LieAlgebra, ParameterMismatchError, Poly,
                        PolyParseError, parse_poly)
+from nordenlab.errors import DigitLimitError
 
 P3 = ("l1", "l2", "l3")
 
@@ -112,6 +113,15 @@ def test_format_examples():
 def test_format_descending_lex_order():
     p = parse_poly("l3 + l2 + l1 + l1*l2 + 1")
     assert str(p) == "l1*l2 + l1 + l2 + l3 + 1"
+
+
+def test_a_coefficient_python_cannot_print_is_a_typed_error():
+    # str() of an int of more than 4300 digits raises ValueError
+    huge = 10 ** 5000
+    for p in (Poly.constant(huge), Poly.variable("t", ("t",)) / huge):
+        with pytest.raises(DigitLimitError, match=f"of {huge.bit_length()} "
+                                                  "bits is too long to print"):
+            str(p)
 
 
 def test_evaluate_examples():

@@ -573,7 +573,7 @@ def test_killing_form_makes_products_at_i_up_to_j_only(name, made, request,
 
     monkeypatch.setattr(lie, "_multiply_accumulate", counting)
     assert alg.killing_form() == reference.killing_form(alg)
-    fresh = LieAlgebra(alg.dim, alg.params, alg.gamma)
+    fresh = LieAlgebra(alg.gamma)
     assert fresh.jacobiator_tensor == alg.jacobiator_tensor
     killing, jacobiator = keys
     assert all(i <= j for i, j in killing) and len(killing) == made

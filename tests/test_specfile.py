@@ -12,7 +12,7 @@ from nordenlab import (
     parse_spec,
     parse_spec_text,
 )
-from nordenlab.specfile import MAX_TERMS
+from nordenlab.specfile import MAX_DIGITS, MAX_TERMS
 
 MINIMAL = """
 dimension = 2
@@ -113,6 +113,36 @@ def test_limits_are_inclusive():
     spec = parse_spec_text("dimension = 2\nparameters = s, t\n"
                            f"[brackets]\n1 2 -> 1: {terms}\n")
     assert len(spec.brackets[0][2][0][1].terms) == MAX_TERMS == 64
+
+
+@pytest.mark.parametrize("section", [
+    "[metric]\ndiag = {n}, -1\n", "[metric]\ndiag = 1/{n}, -1\n",
+    "[J]\n0 -{n}\n1 0\n", "[J]\n0 1/{n}\n-1 0\n",
+    "[brackets]\n1 2 -> 1: {n}*t\n", "[brackets]\n1 2 -> 1: 1/{n}*t + 1\n",
+], ids=["metric", "metric-denominator", "J", "J-denominator", "bracket",
+        "bracket-denominator"])
+def test_numbers_take_at_most_max_digits(section):
+    head = "dimension = 2\nparameters = t\n"
+    parse_spec_text(head + section.format(n="9" * MAX_DIGITS))
+    message = raises_on_line(
+        head + section.format(n="9" * (MAX_DIGITS + 1)), 4)
+    assert f"the limit of {MAX_DIGITS}" in message
+
+
+def test_a_bracket_term_is_limited_after_its_factors_are_multiplied():
+    # each factor has MAX_DIGITS digits, their product twice as many
+    n = "9" * MAX_DIGITS
+    raises_on_line("dimension = 2\nparameters = t\n[brackets]\n"
+                   f"1 2 -> 1: {n}*{n}*t\n", 4)
+
+
+def test_a_section_is_limited_over_its_common_denominator():
+    # each denominator has half the digits, their lcm more than all of them
+    p, q = 10 ** (MAX_DIGITS // 2 + 1) - 1, 10 ** (MAX_DIGITS // 2 + 1) + 1
+    head = "dimension = 2\nparameters = t\n"
+    raises_on_line(head + f"[metric]\n1/{p} 0\n0 -1/{q}\n", 5)
+    raises_on_line(head + f"[brackets]\n1 2 -> 1: 1/{p}*t; 2: 1/{q}\n", 4)
+    parse_spec_text(head + f"[metric]\n1/{p} 0\n0 -1/{p}\n")
 
 
 def test_error_bad_parameters():
