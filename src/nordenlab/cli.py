@@ -183,7 +183,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import _representatives
+    from .curvature import _RSymmetric
     from .report import Geometry, _curvature_lines, _rows_text
 
     geo = Geometry(_resolve(args))
@@ -191,7 +191,7 @@ def cmd_curvature(args) -> int:
     print("curvature components (representatives with i<j, k<l, "
           "(i,j) <= (k,l)):")
     shown = [f"  R({i + 1},{j + 1},{k + 1},{l + 1}) = {value}"
-             for (i, j, k, l), value in _representatives(geo.R)]
+             for (i, j, k, l), value in _RSymmetric.canonical(geo.R)]
     print("\n".join(shown or ["  (all components vanish)"]))
 
     rho, tau = geo.ricci_and_tau

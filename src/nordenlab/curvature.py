@@ -35,33 +35,32 @@ every operation a finite exact contraction:
       Q_jklm = -sum_x Gamma_ij^x R_xklm;
 * the square norm of grad J is the triple g-contraction of the
   fundamental tensor with itself — zero exactly when the structure is
-  isotropic Kähler; it is summed in the batch kernel from ``F.flat``,
+  isotropic Kähler; it is summed in the batch kernel from F's entries at
+  j <= k, where F is stored, each orbit counted once per member,
   building no tensor but the rank-0 result.
 
 Every stage here sums its products in the batch kernel
-:func:`~nordenlab.poly._multiply_accumulate`, reading c, T, the
-connection and F from the ``flat`` form each tensor computes once and
-R's stored entries flattened per call; Ricci, the scalar curvature and
-the sectional curvatures weight R by rationals there as constant
-operands.
+:func:`~nordenlab.poly._multiply_accumulate`, reading c, T and the
+connection from the ``flat`` form each tensor computes once, and R and
+F from their stored entries, flattened once (``stored_flat``); Ricci,
+the scalar curvature and the sectional curvatures weight R by rationals
+there as constant operands.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 from typing import Iterator, Sequence
 
-from .errors import (DegeneratePlaneError, DimensionMismatchError,
-                     StructureError)
-from .linalg import (PolyMatrix, RationalMatrix, Tensor, _over, _support,
+from .errors import DegeneratePlaneError, DimensionMismatchError
+from .linalg import (PolyMatrix, Tensor, _over, _SlotSymmetric, _support,
                      _weighted_sum, rational_rank)
-from .norden import AlmostNordenAlgebra
-from .poly import (Poly, RationalLike, _first_nonzero, _flatten,
-                   _multiply_accumulate, as_fraction)
+from .norden import AlmostNordenAlgebra, _FSymmetric
+from .poly import (Poly, RationalLike, _first_nonzero, _multiply_accumulate,
+                   _scaled, as_fraction)
 from .record import Record
 
 Array5 = tuple  # 5 levels of nested tuples of Poly
@@ -76,21 +75,14 @@ class ConnectionCoeffs(Tensor):
         return self.components
 
 
-#: The members of the orbit of a representative (j, k, l, m) as the
-#: positions they read it at, each with 1 where it is negated: the first
-#: four alone where (j, k) = (l, m).
-_ORBIT = (((0, 1, 2, 3), 0), ((1, 0, 2, 3), 1), ((0, 1, 3, 2), 1),
-          ((1, 0, 3, 2), 0), ((2, 3, 0, 1), 0), ((3, 2, 0, 1), 1),
-          ((2, 3, 1, 0), 1), ((3, 2, 1, 0), 0))
+class _RSymmetric(_SlotSymmetric):
+    """T_jklm = -T_kjlm = -T_jkml = T_lmjk, stored at j < k, l < m,
+    (j, k) <= (l, m): R where Jacobi holds, and each grad R block."""
 
-
-class _SlotSymmetric(Tensor):
-    """A rank-4 tensor with T_jklm = -T_kjlm = -T_jkml = T_lmjk, stored at
-    its canonical components j < k, l < m, (j, k) <= (l, m) only.  ``at``
-    reads an index at its orbit's representative, negated after an odd
-    number of swaps (each negation made once); ``nonzero`` is the full
-    row-major view, built on first read; ``trace`` builds only the
-    members its weights keep; ``==`` compares full tensors."""
+    _ORBIT = (((0, 1, 2, 3), 0), ((1, 0, 2, 3), 1), ((0, 1, 3, 2), 1),
+              ((1, 0, 3, 2), 0), ((2, 3, 0, 1), 0), ((3, 2, 0, 1), 1),
+              ((2, 3, 1, 0), 1), ((3, 2, 1, 0), 0))
+    _NAMES = "curvature tensor", "R", "j,k,l,m"
 
     def at(self, idx: tuple[int, ...]) -> Poly:
         j, k, l, m = idx
@@ -99,47 +91,6 @@ class _SlotSymmetric(Tensor):
         if j == k or l == m or rep not in self._entries:
             return self._zero
         return self._minus[rep] if (j > k) != (l > m) else self._entries[rep]
-
-    @cached_property
-    def _minus(self) -> dict[tuple[int, ...], Poly]:
-        return {rep: -v for rep, v in self._entries.items()}
-
-    def _items(self) -> Iterator[tuple[tuple[int, ...], Poly]]:
-        for rep, v in self._entries.items():
-            values = v, self._minus[rep]
-            for (p, q, r, s), odd in _ORBIT[:4 if rep[:2] == rep[2:] else 8]:
-                yield (rep[p], rep[q], rep[r], rep[s]), values[odd]
-
-    def trace(self, a: int, b: int, M: RationalMatrix) -> Tensor:
-        """:meth:`Tensor.trace`, reading each member's slots ``a`` and
-        ``b`` from its representative and building only the members
-        whose weight is nonzero, from the stored entries flattened and
-        negated once each."""
-        self._check_weights((a, b), M)
-        kept = [s for s in range(4) if s not in (a, b)]
-        orbit = [(at[a], at[b], at[kept[0]], at[kept[1]], odd)
-                 for at, odd in _ORBIT]
-        den, terms = _flatten(list(self._entries.values()))
-        d, grid = M.operands
-
-        def products():
-            for rep, v in zip(self._entries, terms):
-                values = v, _scaled(v, -1)
-                for p, q, r, s, odd in orbit[:4 if rep[:2] == rep[2:] else 8]:
-                    w = grid[rep[p]][rep[q]]
-                    if w:
-                        yield (rep[r], rep[s]), values[odd], w
-
-        return Tensor(self.params, self.dim, 2, _multiply_accumulate(
-            {}, products(), den * d, self.params))
-
-    def __eq__(self, other):
-        if isinstance(other, _SlotSymmetric) or not isinstance(other, Tensor):
-            return super().__eq__(other)
-        size = sum(4 if rep[:2] == rep[2:] else 8 for rep in self._entries)
-        return (self.rank == other.rank and self.dim == other.dim
-                and len(other._entries) == size and all(
-                    self.at(idx) == v for idx, v in other._entries.items()))
 
 
 def levi_civita(a: AlmostNordenAlgebra) -> ConnectionCoeffs:
@@ -191,7 +142,7 @@ def curvature_R(a: AlmostNordenAlgebra, c: ConnectionCoeffs) -> Tensor:
             a.dim, canonical, den // d, zip(left.nonzero, terms),
             zip(a.T.nonzero, t_terms)), den * t_den, a.params)
     if canonical:
-        return _SlotSymmetric(a.params, a.dim, 4, acc)
+        return _RSymmetric(a.params, a.dim, 4, acc)
     half = Tensor(a.params, a.dim, 4, acc)._entries  # i < j
     return Tensor(a.params, a.dim, 4, {**half, **{
         (j, i, k, l): -v for (i, j, k, l), v in half.items()}})
@@ -240,11 +191,6 @@ def _bracket_products(dim, canonical, up, bracket, T):
         for k, l, w in by_first[p]:
             if not canonical or (i, j) <= (k, l):
                 yield (i, j, k, l), minus_v, w
-
-
-def _scaled(terms: tuple, factor: int) -> tuple:
-    """Flattened terms, times ``factor``."""
-    return tuple([(e, n * factor) for e, n in terms])
 
 
 def curvature_invariant_formula(a: AlmostNordenAlgebra) -> Tensor:
@@ -400,28 +346,6 @@ def coordinate_sectional(a: AlmostNordenAlgebra, R: Tensor
     return tuple(table)
 
 
-def _representatives(R: Tensor) -> list[tuple[tuple[int, ...], Poly]]:
-    """R's nonzero components at i < j, k < l, (i, j) <= (k, l), row-major,
-    whether R is stored there alone or in full."""
-    return sorted(((i, j, k, l), v) for (i, j, k, l), v in R._entries.items()
-                  if i < j and k < l and (i, j) <= (k, l))
-
-
-def _check_slot_symmetries(R: Tensor) -> None:
-    """Raise :class:`StructureError` naming the first slot symmetry that
-    R breaks, testing all three at every nonzero component, row-major."""
-    for (j, k, l, m), v in R.nonzero:
-        minus_v = -v
-        for partner, value, identity in (
-                ((k, j, l, m), minus_v, "R(j,k,l,m) = -R(k,j,l,m)"),
-                ((j, k, m, l), minus_v, "R(j,k,l,m) = -R(j,k,m,l)"),
-                ((l, m, j, k), v, "R(j,k,l,m) = R(l,m,j,k)")):
-            if R.at(partner) != value:
-                raise StructureError(
-                    f"curvature tensor violates {identity} at (j,k,l,m) = "
-                    f"({j + 1}, {k + 1}, {l + 1}, {m + 1})")
-
-
 def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
                    R: Tensor) -> Iterator[Tensor]:
     """The rank-4 blocks grad_{X_i} R for i = 1..dim, built one at a time.
@@ -434,7 +358,7 @@ def nabla_R_blocks(a: AlmostNordenAlgebra, c: ConnectionCoeffs,
     l < m and (j, k) <= (l, m), from the products of :func:`_block_streams`.
     """
     den, blocks = _block_streams(a, c, R)  # c and R checked at the call
-    return (_SlotSymmetric(a.params, a.dim, 4, _multiply_accumulate(
+    return (_RSymmetric(a.params, a.dim, 4, _multiply_accumulate(
         {}, products, den, a.params)) for products in blocks)
 
 
@@ -463,10 +387,8 @@ def _block_streams(a: AlmostNordenAlgebra, c: ConnectionCoeffs, R: Tensor):
     and (l, m) + {j, k}, wherever that is canonical."""
     _over(a, 3, c)
     _over(a, 4, R)
-    if not isinstance(R, _SlotSymmetric):
-        _check_slot_symmetries(R)
-        R = _SlotSymmetric(R.params, R.dim, 4, dict(_representatives(R)))
-    r_den, r_terms = _flatten(list(R._entries.values()))
+    R = _RSymmetric.checked(R)
+    r_den, r_terms = R.stored_flat
     g_den, g_terms = c.flat
     by_first = [[] for _ in range(a.dim)]  # x -> (k, (l, m), v, R_xklm < 0)
     for (j, k, l, m), v in zip(R._entries, r_terms):
@@ -512,26 +434,32 @@ def is_locally_symmetric(nabla_r: Array5) -> bool:
 
 def square_norm_nabla_J(a: AlmostNordenAlgebra, F: Tensor) -> Poly:
     """The scalar g^{ij} g^{kl} g^{pq} F_ikp F_jlq, summed in the batch
-    kernel from ``F.flat``: three passes raise F's slots with g^-1's
-    entries as constant operands over D (``g_inv.column_terms``), each
-    reading the last one's sums unreduced, and a rank-0 stream multiplies
-    the result with F, so the answer is the only Poly built.
+    kernel from F's stored entries at k <= p: three passes raise slot 0
+    of them, slot 1 of both members of each orbit, then slot 2 at l <= q
+    alone (the raised F is symmetric there too), doubled at l < q, with
+    g^-1's entries as constant operands, each pass reading the last one's
+    sums unreduced; a rank-0 stream multiplies the result with F's stored
+    entries, so the answer is the only Poly built.
 
     Vanishing of this norm with F itself nonzero is only possible over an
     indefinite metric — the isotropic Kähler phenomenon.
     """
     _over(a, 3, F)
-    f_den, terms = F.flat
+    F = _FSymmetric.checked(F)
+    f_den, terms = F.stored_flat
     d, columns = a.g_inv.column_terms
-    own = {idx: v for (idx, _), v in zip(F.nonzero, terms)}
-    raised, den = own.items(), f_den
-    for axis in range(3):
-        den *= d
-        acc = _multiply_accumulate({}, (
-            (idx[:axis] + (b,) + idx[axis + 1:], w, v)
-            for idx, v in raised for b, w in columns[idx[axis]]),
-            den, a.params)
-        raised = [(idx, nums.items()) for idx, (nums, _) in acc.items()]
-    return Tensor(a.params, a.dim, 0, _multiply_accumulate(
-        {}, (((), u, own[idx]) for idx, u in raised if idx in own),
-        den * f_den, a.params)).at(())
+    own = dict(zip(F._entries, terms))
+    acc = _multiply_accumulate({}, (
+        ((b, j, k), w, v) for (i, j, k), v in own.items()
+        for b, w in columns[i]), f_den * d, a.params)
+    acc = _multiply_accumulate({}, (
+        ((i, b, z), w, nums.items()) for (i, j, k), (nums, _) in acc.items()
+        for y, z in ((j, k), (k, j))[:1 if j == k else 2]
+        for b, w in columns[y]), f_den * d ** 2, a.params)
+    acc = _multiply_accumulate({}, (
+        ((i, b, c), w if b == c else ((0, 2 * w[0][1]),), nums.items())
+        for (i, b, z), (nums, _) in acc.items()
+        for c, w in columns[z] if b <= c), f_den * d ** 3, a.params)
+    return Tensor(a.params, a.dim, 0, _multiply_accumulate({}, (
+        ((), nums.items(), own[idx]) for idx, (nums, _) in acc.items()
+        if idx in own), f_den ** 2 * d ** 3, a.params)).at(())

@@ -29,8 +29,8 @@ class ExponentOverflowError(NordenLabError):
 
 
 class DigitLimitError(NordenLabError):
-    """A number with more digits than Python converts to text (4300 by
-    default), so a result holding it cannot be printed."""
+    """A number past a limit: more digits than Python converts to text
+    (4300 by default), or a parsed coefficient's ``bound``."""
 
 
 class DimensionMismatchError(NordenLabError):

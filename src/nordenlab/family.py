@@ -375,7 +375,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     curvature-routes, ricci, tau, sectional, nabla-j-norm, nabla-r,
     killing-form.  Every comparison is exact polynomial equality.
     """
-    from .curvature import (_representatives, curvature_invariant_formula,
+    from .curvature import (_RSymmetric, curvature_invariant_formula,
                             nabla_R_blocks)
     from .report import Geometry
 
@@ -422,7 +422,7 @@ def regression_report(f: Table1Family) -> RegressionReport:
     for sign, i, j, k, l, kind, args in _R_ITEMS:
         add("curvature", f"R({i},{j},{k},{l})", exprs[kind, args] * sign,
             R.component(i, j, k, l))
-    unexpected = [key for key in _one_based(_representatives(R))
+    unexpected = [key for key in _one_based(_RSymmetric.canonical(R))
                   if key not in expected_r]
     add("curvature", "unlisted-components-zero", (), tuple(unexpected))
     add("curvature-routes", "connection-vs-bracket-formula",

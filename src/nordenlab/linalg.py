@@ -37,12 +37,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatchError, ParameterMismatchError,
-                     SingularMatrixError)
+                     SingularMatrixError, StructureError)
 from .poly import (Poly, RationalLike, _canonical, _flatten,
-                   _multiply_accumulate, as_fraction)
+                   _multiply_accumulate, _scaled, as_fraction)
 from .record import Frozen
 
 
@@ -416,6 +417,92 @@ class Tensor(Frozen):
     def __repr__(self):
         return (f"Tensor(rank={self.rank}, dim={self.dim}, "
                 f"{len(self.nonzero)} nonzero components)")
+
+
+class _SlotSymmetric(Tensor):
+    """A tensor stored at its canonical components alone, the least
+    members of their orbits under the slot symmetry a subclass declares:
+    ``_ORBIT``, the positions each member reads a key at and 1 where it
+    is negated, listed so that member m applies generator b (member 2^b)
+    for each bit b of m, so a key that the last generator fixes has the
+    first half alone; ``_NAMES``, naming the generators :meth:`checked`
+    tests; and ``at``, which finds an index's key.  ``nonzero`` is the
+    full row-major view, built on first read; ``==`` compares full
+    tensors."""
+
+    @cached_property
+    def _minus(self) -> dict[tuple[int, ...], Poly]:
+        return {rep: -v for rep, v in self._entries.items()}
+
+    @cached_property
+    def stored_flat(self) -> tuple[int, tuple]:
+        """The stored entries flattened, in storage order; computed once."""
+        return _flatten(list(self._entries.values()))
+
+    def _items(self) -> Iterable[tuple[tuple[int, ...], Poly]]:
+        orbit = [(itemgetter(*at), odd) for at, odd in self._ORBIT]
+        first, fixed = orbit[:len(orbit) // 2], orbit[len(orbit) // 2][0]
+        for rep, v in self._entries.items():
+            for read, odd in first if fixed(rep) == rep else orbit:
+                yield read(rep), self._minus[rep] if odd else v
+
+    def trace(self, a: int, b: int, M: RationalMatrix) -> Tensor:
+        """:meth:`Tensor.trace` from :attr:`stored_flat`, reading each
+        member at its key and making the members of nonzero weight alone."""
+        self._check_weights((a, b), M)
+        orbit = []
+        for at, odd in self._ORBIT:
+            rest = [at[s] for s in range(self.rank) if s not in (a, b)]
+            orbit.append((at[a], at[b], itemgetter(*rest) if rest[1:] else
+                          itemgetter(slice(rest[0], rest[0] + 1)), odd))
+        signed = any(odd for *_, odd in orbit)
+        half = len(orbit) // 2
+        first, fixed = orbit[:half], itemgetter(*self._ORBIT[half][0])
+        den, terms = self.stored_flat
+        d, grid = M.operands
+
+        def products():
+            for rep, v in zip(self._entries, terms):
+                values = v, _scaled(v, -1) if signed else v
+                for p, q, rest, odd in first if fixed(rep) == rep else orbit:
+                    if w := grid[rep[p]][rep[q]]:
+                        yield rest(rep), values[odd], w
+
+        acc = _multiply_accumulate({}, products(), den * d, self.params)
+        return Tensor(self.params, self.dim, self.rank - 2, acc)
+
+    @classmethod
+    def checked(cls, T: Tensor) -> _SlotSymmetric:
+        """``T`` if stored so; else its :meth:`canonical` components, once
+        every generator holds at each nonzero one (else StructureError)."""
+        if isinstance(T, cls):
+            return T
+        what, letter, slots = cls._NAMES
+        for idx, v in T.nonzero:
+            for b in range(len(cls._ORBIT).bit_length() - 1):
+                at, odd = cls._ORBIT[1 << b]
+                if T.at(tuple([idx[p] for p in at])) != (-v if odd else v):
+                    image = ",".join([slots.split(",")[p] for p in at])
+                    raise StructureError(
+                        f"{what} violates {letter}({slots}) = {'-' * odd}"
+                        f"{letter}({image}) at ({slots}) = "
+                        f"{tuple(i + 1 for i in idx)}")
+        return cls(T.params, T.dim, T.rank, dict(cls.canonical(T)))
+
+    @classmethod
+    def canonical(cls, T: Tensor) -> list[tuple[tuple[int, ...], Poly]]:
+        """T's nonzero components at canonical keys, row-major, read from
+        its stored entries (so a stored tensor builds no full view)."""
+        reads = [itemgetter(*at) for at, _ in cls._ORBIT]
+        return sorted((i, v) for i, v in T._entries.items()
+                      if i == min(read(i) for read in reads))
+
+    def __eq__(self, other):
+        if isinstance(other, _SlotSymmetric) or not isinstance(other, Tensor):
+            return super().__eq__(other)
+        return (self.rank == other.rank and self.dim == other.dim
+                and len(other._entries) == sum(1 for _ in self._items())
+                and all(self.at(i) == v for i, v in other._entries.items()))
 
 
 def _over(a, rank: int, t: Tensor) -> None:

@@ -13,7 +13,8 @@ neutral signature (n, n).  On top of that live:
 * the invariance (Killing) condition  g([x,y],z) + g([x,z],y) = 0,
 * the lowered Levi-Civita connection  T(x, y, z) = g(grad_x y, z), from
   the Koszul formula; one formula for every metric, invariant or not,
-* the fundamental tensor  F(x, y, z) = g((grad_x J)y, z), read from T,
+* the fundamental tensor  F(x, y, z) = g((grad_x J)y, z), read from T
+  and stored at y <= z, as F(x, y, z) = F(x, z, y) (a plain F is checked),
 * the bracket Gram tensor  g([X_i, X_j], [X_k, X_l]), read by the eq22
   check (:func:`check_eq22`) and the invariant-metric curvature formula,
 * the Lie form  theta(z) = g^{ij} F(X_i, X_j, z),
@@ -33,7 +34,8 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NonSymmetricMatrixError, StructureError
 from .lie import CheckResult, LieAlgebra
-from .linalg import RationalMatrix, Tensor, _over, _weighted_sum
+from .linalg import (RationalMatrix, Tensor, _over, _SlotSymmetric,
+                     _weighted_sum)
 from .poly import Poly, RationalLike, _first_nonzero, _multiply_accumulate
 from .record import Frozen, Record
 
@@ -109,19 +111,36 @@ class ClassFlags(Record):
         return {"w0": self.w0, "w1": self.w1, "w2": self.w2, "w3": self.w3}
 
 
-def _cyclic_sum_vanishes(F: Tensor, M: RationalMatrix | None = None) -> bool:
+class _FSymmetric(_SlotSymmetric):
+    """F stored at (i, j, k), j <= k, only: F(x, y, z) = F(x, z, y) on
+    every almost Norden manifold (Ganchev and Borisov 1986)."""
+
+    _ORBIT = (((0, 1, 2), 0), ((0, 2, 1), 0))
+    _NAMES = "fundamental tensor", "F", "i,j,k"
+
+    def at(self, idx: tuple[int, ...]) -> Poly:
+        i, j, k = idx
+        return self._entries.get(idx if j <= k else (i, k, j), self._zero)
+
+
+def _cyclic_sum_vanishes(F, M: RationalMatrix | None = None) -> bool:
     """F'_ijk + F'_jki + F'_kij = 0 for all i, j, k, F' = F or
-    ``F.contract(2, M)``, summed in the batch kernel from ``F.flat``: each
-    nonzero component, times M's weights at its third slot, goes to the
-    sum of its rotation class min((i, j, k), (j, k, i), (k, i, j)), which
-    holds F'_iii once (zero iff 3 F'_iii is), class by class up to the
-    first left nonzero (:func:`~nordenlab.poly._first_nonzero`)."""
-    den, terms = F.flat
-    d, columns = (M.column_terms if M is not None else
-                  (1, [((p, ((0, 1),)),) for p in range(F.dim)]))
+    ``F.contract(2, M)``, summed class by class (:func:`_first_nonzero`):
+    with M, each orbit member of F's stored entries, times M's weights at
+    its third slot, at its rotation class min((i, j, k), (j, k, i),
+    (k, i, j)); without M, each entry at its sorted triple, times its
+    orbit's size, as the cyclic sum of F is symmetric in all slots."""
+    den, terms = F.stored_flat
+    if M is None:
+        return _first_nonzero((
+            ((i, j, k) if i <= j else (j, i, k) if i <= k else (j, k, i),
+             ((0, 1),) if j == k else ((0, 2),), v)
+            for (i, j, k), v in zip(F._entries, terms)), den, F.params) is None
+    d, columns = M.column_terms
     return _first_nonzero((
         (min((i, j, k), (j, k, i), (k, i, j)), w, v)
-        for ((i, j, p), _), v in zip(F.nonzero, terms)
+        for (i, a, b), v in zip(F._entries, terms)
+        for j, p in ((a, b), (b, a))[:1 if a == b else 2]
         for k, w in columns[p]), den * d, F.params) is None
 
 
@@ -188,6 +207,10 @@ class AlmostNordenAlgebra(Frozen):
     def associated_metric(self) -> RationalMatrix:
         """Matrix of g~(x, y) = g(x, Jy); again symmetric and Norden."""
         return self._gJ
+
+    @cached_property
+    def _Jt(self) -> RationalMatrix:  # J^T: its operands weight F's slots
+        return self.J.transpose()
 
     # -- structural checks -------------------------------------------------
 
@@ -258,42 +281,43 @@ class AlmostNordenAlgebra(Frozen):
 
     # -- fundamental tensor ------------------------------------------------
 
-    def tensor_F(self) -> Tensor:
-        """All components F_ijk = g((grad_{X_i} J) X_j, X_k).
-
-        With g(Jx, y) = g(x, Jy) (the Norden property),
+    def tensor_F(self) -> _FSymmetric:
+        """F_ijk = g((grad_{X_i} J) X_j, X_k) at j <= k, where
+        :class:`_FSymmetric` stores F.  With g(Jx, y) = g(x, Jy) (the
+        Norden property),
 
             F_ijk = T(X_i, J X_j, X_k) - T(X_i, X_j, J X_k),
 
         one batch-kernel stream from ``T.flat``: each component of the
         lowered connection :attr:`T` meets J^T's entries, as constant
-        operands (``column_terms``), in its second slot with weight w and
-        in its third with -w.  Nothing is cached here:
-        :class:`~nordenlab.report.Geometry` owns the reuse of F across
-        stages.
+        operands, in its second slot with weight w and in its third with
+        -w, where the product lands at j <= k.  Nothing is cached here:
+        :class:`~nordenlab.report.Geometry` owns the reuse of F.
         """
         T = self.T
         t_den, terms = T.flat
-        d, columns = self.J.transpose().column_terms
+        d, columns = self._Jt.column_terms
         minus = [[(a, ((0, -n),)) for a, ((_, n),) in column]
                  for column in columns]
 
         def products():
             for ((i, j, k), _), v in zip(T.nonzero, terms):
                 for a, w in columns[j]:
-                    yield (i, a, k), v, w
+                    if a <= k:
+                        yield (i, a, k), v, w
                 for a, w in minus[k]:
-                    yield (i, j, a), v, w
+                    if j <= a:
+                        yield (i, j, a), v, w
 
-        return Tensor(self.params, self.dim, 3, _multiply_accumulate(
+        return _FSymmetric(self.params, self.dim, 3, _multiply_accumulate(
             {}, products(), t_den * d, T.params))
 
     # -- Lie form and classification --------------------------------------
 
     def lie_form(self, F: Tensor) -> Covector:
-        """theta_k = g^{ij} F_ijk, the metric trace of F."""
+        """theta_k = g^{ij} F_ijk, the metric trace of F's stored entries."""
         _over(self, 3, F)
-        theta = F.trace(0, 1, self.g_inv)
+        theta = _FSymmetric.checked(F).trace(0, 1, self.g_inv)
         return tuple(theta.at((k,)) for k in range(self.dim))
 
     def classify(self, F: Tensor,
@@ -303,32 +327,32 @@ class AlmostNordenAlgebra(Frozen):
         * w0: F = 0.
         * w1: F is the pure-trace expression
           (1/4n){g(x,y)θ(z) + g(x,z)θ(y) + g(x,Jy)θ(Jz) + g(x,Jz)θ(Jy)},
-          built as a tensor from the nonzero entries of g, gJ and θ.
+          built from the nonzero entries of g, gJ and θ at j <= k alone.
         * w2: cyclic sum of F(x, y, Jz) vanishes and θ = 0.
         * w3: cyclic sum of F(x, y, z) vanishes.
 
         Identities are checked on all basis triples, which suffices by
         multilinearity.  Both cyclic sums are summed in the batch kernel
-        from ``F.flat`` (:func:`_cyclic_sum_vanishes`), so w1's is the
-        only tensor built here.  ``theta`` is the Lie form of F, computed
-        here when the caller does not pass it.
+        from F's stored entries (:func:`_cyclic_sum_vanishes`), so w1's
+        is the only tensor built here.  ``theta`` is the Lie form of F,
+        computed here when the caller does not pass it.
         """
         _over(self, 3, F)
+        F = _FSymmetric.checked(F)
         if theta is None:
             theta = self.lie_form(F)
-        jt = self.J.transpose()
+        jt = self._Jt
         w0 = F.is_zero
         w3 = _cyclic_sum_vanishes(F)
         w2 = all(t.is_zero for t in theta) and _cyclic_sum_vanishes(F, jt)
 
-        theta_j = jt.apply(theta)  # theta(J X_k) components
-        scale = Fraction(1, 4 * self.n)
-        w1 = F == _weighted_sum(self.params, self.dim, 3, [
-            (idx, t, m * scale)
-            for M, form in ((self.g, theta), (self._gJ, theta_j))
-            for i, row in enumerate(M.rows) for j, m in enumerate(row) if m
+        scaled = [t / (4 * self.n) for t in theta]
+        w1 = F._entries == _weighted_sum(self.params, self.dim, 3, [
+            (idx, t, m)  # M(x, y)θ(z) + M(x, z)θ(y), M symmetric
+            for M, form in ((self.g, scaled), (self._gJ, jt.apply(scaled)))
+            for j, column in enumerate(M.nonzero_columns) for i, m in column
             for k, t in enumerate(form) if t
-            for idx in ((i, j, k), (i, k, j))])  # M(x,y)θ(z) + M(x,z)θ(y)
+            for idx in ((i, j, k), (i, k, j)) if idx[1] <= idx[2]])._entries
 
         return ClassFlags(w0=w0, w1=w1, w2=w2, w3=w3)
 

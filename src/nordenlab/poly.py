@@ -557,6 +557,11 @@ def _flatten(values: Sequence[Poly]) -> tuple[int, tuple]:
         for v in values])
 
 
+def _scaled(terms: tuple, factor: int) -> tuple:
+    """Flattened terms, times ``factor``."""
+    return tuple([(e, n * factor) for e, n in terms])
+
+
 def _overflow(expo: int, guard: int) -> ExponentOverflowError:
     """The error for a product key that sets one of ``guard``'s bits."""
     return ExponentOverflowError(
@@ -624,14 +629,18 @@ def _shown(text: str, quote=repr) -> str:
     return f"{text[:20]!r} of {len(text)} characters"
 
 
-def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
+def parse_poly(text: str, params: Iterable[str] | None = None,
+               bound: int | None = None) -> Poly:
     """Parse polynomial text.
 
     When ``params`` is given, every variable must belong to it and the
     result is expressed over exactly that list.  Without ``params`` the
     parameter list is the sorted set of variables written (``x^0`` too),
     found by one scan before the terms, so each term's coefficient is
-    summed straight under its exponent vector.
+    summed straight under its exponent vector.  A term whose coefficient,
+    multiplied out as written, reaches ``bound`` in its numerator or
+    denominator raises :class:`~nordenlab.errors.DigitLimitError` before
+    its next factor is read.
     """
     if not text or text.isspace():
         raise PolyParseError(f"empty polynomial text {_shown(text)}")
@@ -659,6 +668,9 @@ def parse_poly(text: str, params: Iterable[str] | None = None) -> Poly:
                     if not den:
                         raise PolyParseError(
                             f"zero denominator in polynomial {_shown(text)}")
+                if bound and (abs(num) >= bound or den >= bound):
+                    raise DigitLimitError(f"a coefficient reaches {bound} "
+                                          f"in polynomial {_shown(text)}")
             elif name in field:
                 expo[field[name]] += _int(power) if power else 1
             else:

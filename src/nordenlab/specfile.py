@@ -29,7 +29,8 @@ Limits, checked before any algebra is built (each violation is a
 * the numbers of each of [metric], [J] and [brackets] (every term of every
   bracket coefficient), written over their least common denominator,
   have numerators of at most :data:`MAX_DIGITS` (20) digits, and so has
-  that denominator.
+  that denominator; each bracket term is refused as it is read once its
+  coefficient, multiplied out factor by factor as written, has more.
 
 A bracket line ``i j -> k: p; ...`` declares [X_i, X_j] = sum p * X_k with
 i < j; the mirrored rows follow by antisymmetry.  The metric section takes
@@ -47,7 +48,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .errors import ExponentOverflowError, PolyParseError, SpecFileError
+from .errors import (DigitLimitError, ExponentOverflowError, PolyParseError,
+                     SpecFileError)
 from .lie import LieAlgebra
 from .linalg import RationalMatrix
 from .norden import AlmostNordenAlgebra
@@ -72,6 +74,7 @@ MAX_TERMS = 64
 #: over it, and of an ``--eval`` value's numerator and denominator: the
 #: exact inverse of a dense metric has entries about 20 times as long.
 MAX_DIGITS = 20
+_BOUND = 10 ** MAX_DIGITS
 
 BracketEntry = tuple[int, int, tuple[tuple[int, Poly], ...]]
 
@@ -119,14 +122,17 @@ def _limit_digits(section: str, numbers: list[tuple[int, int, int]]):
     when their least common denominator, or a numerator over it, has more
     than :data:`MAX_DIGITS` digits: the batch kernel reads a matrix, and
     all the structure constants, as integers over one denominator."""
-    bound = 10 ** MAX_DIGITS
     common, den = lcm(*(d for _, _, d in numbers)), 1
     for lineno, n, d in numbers:
         den = lcm(den, d)
-        if den >= bound or abs(n) * (common // d) >= bound:
-            raise SpecFileError(
-                f"[{section}] over its common denominator has a number with "
-                f"more digits than the limit of {MAX_DIGITS}", line=lineno)
+        if den >= _BOUND or abs(n) * (common // d) >= _BOUND:
+            raise _too_long(section, lineno)
+
+
+def _too_long(section: str, lineno: int) -> SpecFileError:
+    return SpecFileError(f"[{section}] over its common denominator has a "
+                         f"number with more digits than the limit of "
+                         f"{MAX_DIGITS}", line=lineno)
 
 
 def _meaningful_lines(text: str):
@@ -295,7 +301,9 @@ def _parse_bracket_section(body: list[tuple[int, str]], dim: int,
                     line=lineno)
             seen_targets.add(k)
             try:
-                coeff = parse_poly(poly_text.strip(), parameters)
+                coeff = parse_poly(poly_text.strip(), parameters, _BOUND)
+            except DigitLimitError:
+                raise _too_long("brackets", lineno) from None
             except (PolyParseError, ExponentOverflowError) as exc:
                 raise SpecFileError(str(exc), line=lineno) from exc
             if coeff.total_degree() > MAX_DEGREE:

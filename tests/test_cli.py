@@ -11,7 +11,7 @@ import pytest
 
 import reference
 from nordenlab import (AlmostNordenAlgebra, Poly, Tensor, curvature,
-                       parse_spec_text, report, specfile)
+                       parse_spec_text, poly, report, specfile)
 from nordenlab import family as family_mod
 from nordenlab.cli import main
 from test_reference import ad_skew_brackets
@@ -128,6 +128,25 @@ def test_spec_limits_are_input_errors(tmp_path, capsys, body, args, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+def test_a_long_product_is_refused_at_its_first_factor_past_the_limit(
+        tmp_path, capsys, monkeypatch):
+    # 524,000 one-digit factors fill the file to within its size limit;
+    # 9^21 is the first power of 9 past MAX_DIGITS digits, so the parser
+    # reads 21 factors, not all of them, before the term is refused
+    spec = tmp_path / "product.spec"
+    spec.write_text("dimension = 2\nparameters = t\n[brackets]\n1 2 -> 1: "
+                    + "*".join(["9"] * 524_000) + "\n", encoding="utf-8")
+    assert spec.stat().st_size <= specfile.MAX_SPEC_BYTES
+    read, to_int = [], poly._int
+    monkeypatch.setattr(poly, "_int",
+                        lambda digits: read.append(digits) or to_int(digits))
+    assert main(["check", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: [brackets] over its common denominator has a number "
+        f"with more digits than the limit of {specfile.MAX_DIGITS}\n")
+    assert len(read) == 21
 
 
 #: More digits than Python converts to an int (its limit is 4300).

@@ -213,7 +213,7 @@ def test_report_and_regression_read_r_at_its_canonical_components(
     def expanded(self):
         raise AssertionError("the full view of R was built")
 
-    monkeypatch.setattr(curvature._SlotSymmetric, "nonzero",
+    monkeypatch.setattr(curvature._RSymmetric, "nonzero",
                         property(expanded))
     assert regression_report(family).ok
     for a in (family.algebra, filiform10):
@@ -560,7 +560,7 @@ def test_curvature_checks_the_parameter_lists_of_its_products(
     a, c = mixed_lists[algebra][0], mixed_lists[gamma][1]
     if error is None:
         R = curvature_R(a, c)
-        assert type(R).__name__ == "_SlotSymmetric" and R.params == a.params
+        assert type(R).__name__ == "_RSymmetric" and R.params == a.params
         assert len(R._entries) == stored
     else:
         with pytest.raises(ParameterMismatchError, match=re.escape(error)):

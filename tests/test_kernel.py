@@ -390,9 +390,9 @@ def test_every_stage_satisfies_the_trusted_invariant(name, request):
 def test_each_shared_tensor_is_flattened_once_per_report(name, request,
                                                          monkeypatch):
     # gamma feeds the Jacobiator, the Killing form and R, T both streams
-    # of R, the connection R and grad R, and F the class flags and the
-    # norm of grad J; R itself is read once, so its members are
-    # flattened without being kept on it
+    # of R, the connection R and grad R; F's stored entries feed theta,
+    # the class flags and the norm of grad J, and R's Ricci and grad R,
+    # neither expanded to its full view
     a = copy.deepcopy(request.getfixturevalue(name))  # nothing cached
     calls = []
 
@@ -402,11 +402,12 @@ def test_each_shared_tensor_is_flattened_once_per_report(name, request,
 
     flatten = poly._flatten
     monkeypatch.setattr(linalg, "_flatten", counted)
-    monkeypatch.setattr(curvature, "_flatten", counted)
     geo = compute_report(a)
-    for T in (a.algebra.gamma, a.T, geo.connection, geo.F):
+    for T in (a.algebra.gamma, a.T, geo.connection):
         assert calls.count([id(v) for _, v in T.nonzero]) == 1
-    assert "flat" not in vars(geo.R)
+    for T in (geo.F, geo.R):
+        assert calls.count([id(v) for v in T._entries.values()]) == 1
+        assert "flat" not in vars(T)
 
 
 @pytest.mark.parametrize("name", ["falg", "sheared_family", "filiform8"])

@@ -1,6 +1,9 @@
 """Almost complex structure + Norden metric layer."""
 
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -21,8 +24,9 @@ from nordenlab import (
     default_metric,
     levi_civita,
     parse_poly,
+    square_norm_nabla_J,
 )
-from nordenlab.norden import _cyclic_sum_vanishes
+from nordenlab.norden import _cyclic_sum_vanishes, _FSymmetric
 from reference import from_grid
 
 P3 = ("l1", "l2", "l3")
@@ -181,6 +185,61 @@ def test_tensor_f_abelian_vanishes(abelian6):
     assert abelian6.tensor_F().is_zero
 
 
+def test_f_keeps_its_storage_through_the_value_protocol(falg, ftensor):
+    # copies, pickles and numeric twins stay stored at j <= k, and read as
+    # the plain tensor of every component in both operand orders
+    plain = Tensor(ftensor.params, ftensor.dim, 3, dict(ftensor.nonzero))
+    assert type(ftensor) is _FSymmetric and type(plain) is Tensor
+    assert ftensor == plain and plain == ftensor
+    assert not ftensor != plain and not plain != ftensor
+    for twin in (copy.copy(ftensor), copy.deepcopy(ftensor),
+                 pickle.loads(pickle.dumps(ftensor))):
+        assert type(twin) is _FSymmetric and twin._entries == ftensor._entries
+        assert twin == plain and plain == twin
+    point = {"l1": Fraction(2, 3), "l2": -1, "l3": 5}
+    numeric = ftensor.evaluate(point)
+    assert type(numeric) is _FSymmetric
+    dense = plain.evaluate(point)
+    assert numeric == dense and dense == numeric
+    assert numeric == falg.evaluate(point).tensor_F()
+    # one member at j > k changed: unequal, whichever side asks
+    idx = next(idx for idx in plain._entries if idx[1] > idx[2])
+    other = Tensor(plain.params, plain.dim, 3,
+                   {**plain._entries, idx: plain._entries[idx] + 1})
+    assert ftensor != other and other != ftensor
+
+
+#: F's three readers, each given the algebra and a plain F.
+READERS = {"lie_form": lambda a, F: a.lie_form(F),
+           "classify": lambda a, F: a.classify(F),
+           "square_norm_nabla_J": square_norm_nabla_J}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_plain_f_not_symmetric_in_its_last_slots_is_refused(
+        falg, ftensor, reader):
+    # the first component row-major whose partner F(i,k,j) differs is named
+    entries = dict(ftensor.nonzero)
+    (i, j, k), v = next(item for item in ftensor.nonzero
+                        if item[0][1] < item[0][2])
+    entries[i, k, j] = v + 1
+    F = Tensor(ftensor.params, ftensor.dim, 3, entries)
+    with pytest.raises(StructureError, match=re.escape(
+            f"fundamental tensor violates F(i,j,k) = F(i,k,j) at (i,j,k) = "
+            f"({i + 1}, {j + 1}, {k + 1})")):
+        READERS[reader](falg, F)
+
+
+@pytest.mark.parametrize("name", ["falg", "sheared_family", "filiform8",
+                                  "affine6", "null_heisenberg6"])
+def test_a_symmetric_plain_f_reads_as_the_stored_one(name, request):
+    a = request.getfixturevalue(name)
+    F = a.tensor_F()
+    plain = Tensor(F.params, F.dim, 3, dict(F.nonzero))
+    for read in READERS.values():
+        assert read(a, plain) == read(a, F)
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_tensor_access(rank):
     # the component at (i, j, ...) is the number with digits i, j, ...
@@ -237,6 +296,25 @@ def test_classify_family(falg, ftensor):
     assert (flags.w0, flags.w1, flags.w2, flags.w3) == (
         False, False, False, True)
     assert flags.label() == "W3 (quasi-Kähler with Norden metric)"
+
+
+def test_w1_holds_for_the_pure_trace_tensor_of_theta(filiform8):
+    # w1 compares F with the pure-trace tensor of the theta it is given,
+    # read at j <= k: here built by Poly sums at every (i, j, k)
+    a, zero = filiform8, Poly.zero(filiform8.params)
+    t = Poly.variable("t", a.params)
+    theta = tuple(t * (k + 1) if k % 3 else zero for k in range(a.dim))
+    theta_j = [sum((a.J[p][k] * theta[p] for p in range(a.dim)), zero)
+               for k in range(a.dim)]
+    g, gJ = a.g, a.associated_metric()
+    entries = {(i, j, k): (g[i][j] * theta[k] + g[i][k] * theta[j]
+                           + gJ[i][j] * theta_j[k] + gJ[i][k] * theta_j[j])
+               / (4 * a.n) for i, j, k in product(range(a.dim), repeat=3)}
+    assert a.classify(Tensor(a.params, a.dim, 3, entries), theta).w1
+    i, j, k = next(idx for idx, v in entries.items()
+                   if v and idx[1] < idx[2])
+    entries[i, j, k] = entries[i, k, j] = entries[i, j, k] + t
+    assert not a.classify(Tensor(a.params, a.dim, 3, entries), theta).w1
 
 
 def test_label_names_w1_alone():
@@ -300,41 +378,50 @@ def cyclic_definition(F, M=None):
                for i, j, k in product(range(F.dim), repeat=3))
 
 
+def symmetric(entries):
+    """``entries`` with each (i, j, k) also at (i, k, j), as F is."""
+    return {**entries, **{(i, k, j): v for (i, j, k), v in entries.items()}}
+
+
 def assert_cyclic(entries, expected, M=None):
-    F = Tensor(ST, 3, 3, entries)
+    # F is symmetric in its last two slots and read from its stored
+    # entries; the definition reads the full tensor
+    F = Tensor(ST, 3, 3, symmetric(entries))
     assert cyclic_definition(F, M) is expected
-    assert _cyclic_sum_vanishes(F, M) is expected
+    assert _cyclic_sum_vanishes(_FSymmetric.checked(F), M) is expected
 
 
 def test_a_cyclic_sum_only_at_i_i_i_is_found():
     # the (i, i, i) class holds F_iii once; the sum there is 3 F_iii
     assert_cyclic({(1, 1, 1): PT}, False)
-    assert_cyclic({(1, 1, 1): PT, (0, 1, 2): PS, (1, 2, 0): -PS}, False)
+    assert_cyclic({(1, 1, 1): PT, (0, 1, 2): PS, (1, 0, 2): -PS}, False)
 
 
 def test_a_cyclic_sum_only_at_i_i_j_is_found():
+    # the sum at (i, i, j) is 2 F_iij + F_jii, at (i, j, j) F_ijj + 2 F_jij
     assert_cyclic({(0, 0, 2): PT}, False)
-    assert_cyclic({(0, 0, 2): PT, (0, 2, 0): -PT}, True)
-    assert_cyclic({(0, 0, 2): PT, (0, 2, 0): -PT, (2, 0, 0): PS}, False)
+    assert_cyclic({(0, 0, 2): PT, (2, 0, 0): -2 * PT}, True)
+    assert_cyclic({(0, 0, 2): PT, (2, 0, 0): -PT}, False)
+    assert_cyclic({(0, 2, 2): PT, (2, 0, 2): -PT / 2}, True)
+    assert_cyclic({(0, 2, 2): PT, (2, 0, 2): -PT}, False)
 
 
 def test_three_rotations_that_cancel_vanish():
-    assert_cyclic({(0, 1, 2): PS, (1, 2, 0): PT, (2, 0, 1): -PS - PT}, True)
-    assert_cyclic({(0, 1, 2): PS, (1, 2, 0): PT, (2, 0, 1): -PS}, False)
-    # the other orientation is a class of its own
-    assert_cyclic({(0, 1, 2): PS, (0, 2, 1): -PS}, False)
+    assert_cyclic({(0, 1, 2): PS, (1, 0, 2): PT, (2, 0, 1): -PS - PT}, True)
+    assert_cyclic({(0, 1, 2): PS, (1, 0, 2): PT, (2, 0, 1): -PS}, False)
+    # both orientations of a triple read the same three stored entries
+    assert_cyclic({(0, 1, 2): PS, (1, 0, 2): -PS}, True)
 
 
 def test_cyclic_sums_of_F_times_non_unit_rational_weights():
-    # F.contract(2, W) is Fprime exactly when F = Fprime.contract(2, W^-1)
-    Fprime = Tensor(ST, 3, 3, {(0, 1, 2): PS, (1, 2, 0): PT,
-                               (2, 0, 1): -PS - PT, (1, 1, 0): PS * PT,
-                               (1, 0, 1): -PS * PT})
-    F = Fprime.contract(2, WEIGHTS.inverse())
-    assert F.contract(2, WEIGHTS) == Fprime and F != Fprime
-    assert_cyclic(F._entries, True, WEIGHTS)
-    assert_cyclic(F._entries, False)
-    assert_cyclic({(0, 1, 0): PT}, False, WEIGHTS)
+    # a multiple of the identity keeps the vanishing sums; WEIGHTS mixes
+    # the third slot and breaks them
+    F = {(0, 1, 2): PS, (1, 0, 2): PT, (2, 0, 1): -PS - PT,
+         (1, 0, 1): PS * PT, (0, 1, 1): -2 * PS * PT}
+    assert_cyclic(F, True)
+    assert_cyclic(F, True, RationalMatrix.diagonal([Fraction(3, 2)] * 3))
+    assert_cyclic(F, False, WEIGHTS)
+    assert_cyclic({(0, 0, 1): PT}, False, WEIGHTS)
     assert_cyclic({(2, 2, 2): PT}, False, WEIGHTS)
 
 
@@ -345,21 +432,29 @@ def test_the_zero_tensor_has_vanishing_cyclic_sums():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cyclic_sums_match_the_definition_on_seeded_tensors(seed):
-    # G_ijk - G_jki has every cyclic sum zero; dropping or perturbing one
-    # component of it breaks one class
+    # X - S/3, S the cyclic sum of X, has every cyclic sum zero for X
+    # symmetric in its last two slots; perturbing one stored entry of it
+    # breaks one class
     rng = random.Random(seed)
 
     def coeff():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    G = {idx: PS * coeff() + PT * PT * coeff() + coeff()
-         for idx in product(range(3), repeat=3) if rng.random() < 0.4}
+    X = symmetric({(i, j, k): PS * coeff() + PT * PT * coeff() + coeff()
+                   for i, j, k in product(range(3), repeat=3)
+                   if j <= k and rng.random() < 0.4})
     zero = Poly.zero(ST)
-    F = {(i, j, k): G.get((i, j, k), zero) - G.get((j, k, i), zero)
+
+    def x(i, j, k):
+        return X.get((i, j, k), zero)
+
+    F = {(i, j, k): x(i, j, k) - (x(i, j, k) + x(j, k, i) + x(k, i, j)) / 3
          for i, j, k in product(range(3), repeat=3)}
     weights = RationalMatrix([[coeff() if rng.random() < 0.6 else 0
                                for _ in range(3)] for _ in range(3)])
-    for entries in (F, {**F, rng.choice(list(F)): PS * coeff()}):
+    i, j, k = rng.choice(sorted(F))
+    changed = F[i, j, k] + PS * coeff()
+    for entries in (F, {**F, (i, j, k): changed, (i, k, j): changed}):
         assert_cyclic(entries, cyclic_definition(Tensor(ST, 3, 3, entries)))
         assert_cyclic(entries, cyclic_definition(
             Tensor(ST, 3, 3, entries), weights), weights)

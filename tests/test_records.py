@@ -28,7 +28,7 @@ from nordenlab import (AlmostNordenAlgebra, CheckResult, ClassFlags,
                        RationalMatrix, RegressionCheck, RegressionReport,
                        Table1Family, Tensor, build_table1, curvature_R,
                        emit_spec, levi_civita, parse_spec_text)
-from nordenlab.curvature import _SlotSymmetric
+from nordenlab.curvature import _RSymmetric
 from nordenlab.errors import DimensionMismatchError
 from nordenlab.record import Frozen, Record
 from nordenlab.report import ReportDocument, compute_report, document_for
@@ -161,7 +161,7 @@ def heisenberg6():
 def canonical_R():
     a = heisenberg6()
     R = curvature_R(a, levi_civita(a))
-    assert type(R) is _SlotSymmetric
+    assert type(R) is _RSymmetric
     return R
 
 

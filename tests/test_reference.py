@@ -64,6 +64,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -76,12 +77,12 @@ from nordenlab import (AlmostNordenAlgebra, Geometry, LieAlgebra, PlaneSpec,
                        parse_poly, parse_spec_text, plane_type,
                        ricci_and_scalar, rational_rank, sectional_curvature,
                        square_norm_nabla_J)
-from nordenlab.curvature import (_SlotSymmetric, _check_slot_symmetries,
-                                 coordinate_sectional, nabla_R_blocks,
-                                 nabla_R_witness)
+from nordenlab.curvature import (_RSymmetric, coordinate_sectional,
+                                 nabla_R_blocks, nabla_R_witness)
 from nordenlab.errors import (DegeneratePlaneError, SingularMatrixError,
                               StructureError)
 from nordenlab.linalg import RationalMatrix
+from nordenlab.norden import _FSymmetric
 from nordenlab.specfile import MAX_DEGREE, MAX_TERMS
 
 
@@ -108,7 +109,7 @@ def assert_canonical_reads_as_dense(T, dense, rebuilt=True):
     operand orders against a plain Tensor, ``copy`` and, if ``rebuilt``,
     ``deepcopy``, ``pickle`` and ``evaluate`` (seconds on thousand-term
     components)."""
-    assert type(T) is _SlotSymmetric
+    assert type(T) is _RSymmetric
     assert all(j < k and l < m and (j, k) <= (l, m)
                for j, k, l, m in T._entries)
     for idx in product(range(T.dim), repeat=4):
@@ -124,13 +125,13 @@ def assert_canonical_reads_as_dense(T, dense, rebuilt=True):
         rebuilds += [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
     for rebuild in rebuilds:
         twin = rebuild(T)
-        assert type(twin) is _SlotSymmetric and twin._entries == T._entries
+        assert type(twin) is _RSymmetric and twin._entries == T._entries
         assert twin == plain and plain == twin
     if not rebuilt:
         return
     point = {name: Fraction(n + 2, n + 3) for n, name in enumerate(T.params)}
     numeric, dense_numeric = T.evaluate(point), plain.evaluate(point)
-    assert type(numeric) is _SlotSymmetric
+    assert type(numeric) is _RSymmetric
     assert set(numeric._entries) <= set(T._entries)
     assert numeric == dense_numeric and dense_numeric == numeric
 
@@ -370,7 +371,7 @@ def test_slot_symmetry_guard_matches_the_reference_loop(name, request):
                     if key in entries:
                         entries[key] = -entries[key]
         perturbed = Tensor(a.params, a.dim, 4, entries)
-        message = guard_message(_check_slot_symmetries, perturbed)
+        message = guard_message(_RSymmetric.checked, perturbed)
         assert message == guard_message(reference.check_slot_symmetries,
                                         perturbed)
         messages.add(message)
@@ -406,7 +407,7 @@ def test_slot_symmetry_guard_on_crafted_tensors(name, case, request):
     else:
         entries = {idx: -(-w) for idx, w in entries.items()}
     T = Tensor(a.params, a.dim, 4, entries)
-    message = guard_message(_check_slot_symmetries, T)
+    message = guard_message(_RSymmetric.checked, T)
     assert message == guard_message(reference.check_slot_symmetries, T)
     assert (message is None) == (case == "copies")
 
@@ -447,6 +448,30 @@ def test_tensor_f_matches_both_reference_routes(name, invariant, request):
     assert levi_civita(a) == reference.levi_civita(a)
     assert_dense(a.tensor_F(), reference.tensor_f_grid(a))
     assert_dense(levi_civita(a), reference.connection_grid(a))
+
+
+DATA_DIR = Path(__file__).parent / "data"
+#: F's stored components and all its nonzero ones, where pinned.
+F_STORED = {"table1": (72, 120), "sheared_table1": (102, 176),
+            "filiform12": (44, 84), "adskew6": (92, 160)}
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in DATA_DIR.glob("*.spec")) + ["many_term12"])
+def test_f_is_stored_at_j_up_to_k_and_reads_as_the_general_route(name):
+    # F_ijk = F_ikj: F is made and stored at j <= k alone, and every
+    # component, j > k included, is the dense Koszul route's
+    text = (reference.many_term_spec(12, 64, random.Random(1))
+            if name == "many_term12" else
+            (DATA_DIR / f"{name}.spec").read_text(encoding="utf-8"))
+    a = parse_spec_text(text).to_algebra()
+    F, dense = a.tensor_F(), reference.tensor_f_general(a)
+    assert type(F) is _FSymmetric and all(j <= k for _, j, k in F._entries)
+    assert F._entries == {idx: v for idx, v in dense.nonzero
+                          if idx[1] <= idx[2]}
+    assert F.nonzero == dense.nonzero and F == dense and dense == F
+    if name in F_STORED:
+        assert (len(F._entries), len(F.nonzero)) == F_STORED[name]
 
 
 #: Every almost Norden input, and how many eq22 violations it has.
